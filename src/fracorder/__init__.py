@@ -50,9 +50,9 @@ from .operators import (
     FractionalOrder,
     KernelSpec,
     QuadratureScheme,
-    SchemeKind,
     caputo,
     caputo_fabrizio,
+    evaluate,
     generic_kernel_derivative,
     riemann_liouville,
     rl_integral,
@@ -86,7 +86,6 @@ __all__ = [
     "Power",
     "QuadratureScheme",
     "RatioResult",
-    "SchemeKind",
     "SeriesConvergenceError",
     "StepAntiderivative",
     "TestFunction",
@@ -97,6 +96,7 @@ __all__ = [
     "error_l1",
     "error_linf",
     "error_sweep",
+    "evaluate",
     "fit_order",
     "gamma",
     "generic_kernel_derivative",

@@ -10,13 +10,13 @@ Exit status: 0 on success, 2 for argument errors, 3 for numerical failures.
 
 import argparse
 import csv
+import io
 import math
-import os
 import sys
 
 from . import analysis, norms, operators
-from .exceptions import DomainError, FracorderError, NumericalError
-from .funcat import Interval, OperatorKind, TestFunction, parse_function
+from .exceptions import DomainError, NumericalError
+from .funcat import Interval, OperatorKind, parse_function, rl_boundary_term
 from .norms import NormKind
 from .operators import QuadratureScheme
 
@@ -58,40 +58,26 @@ def _parse_norm(text: str) -> NormKind:
         raise DomainError(f"-p must be 1 or inf, got {text!r}") from exc
 
 
-def _parse_betas(text: str) -> list[float]:
+def _parse_floats(text: str, flag: str) -> list[float]:
     try:
-        if text.startswith("geometric:"):
-            start_s, end_s, per_decade_s = text[len("geometric:"):].split(",")
-            start, end, per_decade = float(start_s), float(end_s), int(per_decade_s)
-            if not (0 < end < start < 1 and per_decade >= 1):
-                raise ValueError("need 0 < end < start < 1 and per_decade >= 1")
-            decades = math.log10(start / end)
-            n = max(1, round(decades * per_decade))
-            return [start * 10 ** (-decades * i / n) for i in range(n + 1)]
-        betas = [float(x) for x in text.split(",")]
-        if not betas:
-            raise ValueError("empty list")
-        return betas
+        return [float(x) for x in text.split(",")]
     except ValueError as exc:
-        raise DomainError(
-            f"--betas expects 'geometric:start,end,per_decade' or a comma list: {exc}"
-        ) from exc
+        raise DomainError(f"{flag} expects a comma list of numbers: {exc}") from exc
 
 
-def _parse_function_arg(text: str) -> TestFunction:
-    return parse_function(text)
-
-
-def _default_threads(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("FRACORDER_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise DomainError(f"FRACORDER_THREADS must be an integer, got {env!r}") from exc
-    return os.cpu_count() or 1
+def _parse_betas(text: str) -> list[float]:
+    if not text.startswith("geometric:"):
+        return _parse_floats(text, "--betas")
+    try:
+        start_s, end_s, per_decade_s = text[len("geometric:"):].split(",")
+        start, end, per_decade = float(start_s), float(end_s), int(per_decade_s)
+        if not (0 < end < start < 1 and per_decade >= 1):
+            raise ValueError("need 0 < end < start < 1 and per_decade >= 1")
+    except ValueError as exc:
+        raise DomainError(f"--betas expects 'geometric:start,end,per_decade': {exc}") from exc
+    decades = math.log10(start / end)
+    n = max(1, round(decades * per_decade))
+    return [start * 10 ** (-decades * i / n) for i in range(n + 1)]
 
 
 def _scheme(args) -> QuadratureScheme | None:
@@ -104,30 +90,22 @@ def _check_point(t: float, interval: Interval, flag: str = "-t") -> None:
         raise DomainError(f"{flag} must lie in ({interval.a}, {interval.b}], got {t}")
 
 
-def _operator_value(f, kind, alpha, a, t, scheme):
-    if kind is OperatorKind.CAPUTO:
-        return operators.caputo(f, alpha, a, t, scheme)
-    if kind is OperatorKind.CAPUTO_FABRIZIO:
-        return operators.caputo_fabrizio(f, alpha, a, t, scheme)
-    return operators.riemann_liouville(f, alpha, a, t, scheme)
-
-
 def _cmd_derive(args, writer) -> None:
     interval = _parse_interval(args.interval)
-    f = _parse_function_arg(args.function)
+    f = parse_function(args.function)
     kind = _parse_kind(args.kind)
     if not (0.0 < args.alpha < 1.0):
         raise DomainError(f"-a must lie in (0, 1), got {args.alpha}")
     _check_point(args.t, interval)
-    value = _operator_value(f, kind, args.alpha, interval.a, args.t, _scheme(args))
+    value = operators.evaluate(kind, f, args.alpha, interval.a, args.t, _scheme(args))
     writer.writerow(["function", "kind", "alpha", "t", "value"])
     writer.writerow([args.function, kind.value, _fmt(args.alpha), _fmt(args.t), _fmt(value)])
 
 
 def _cmd_figures(args, writer) -> None:
     interval = _parse_interval(args.interval)
-    f = _parse_function_arg(args.function)
-    alphas = [float(x) for x in args.alphas.split(",")]
+    f = parse_function(args.function)
+    alphas = _parse_floats(args.alphas, "--alphas")
     for alpha in alphas:
         if not (0.0 < alpha < 1.0):
             raise DomainError(f"--alphas entries must lie in (0, 1), got {alpha}")
@@ -140,15 +118,13 @@ def _cmd_figures(args, writer) -> None:
     for alpha in alphas:
         for i in range(1, args.points + 1):
             t = a + interval.width * i / args.points
-            try:
-                fprime = f.derivative(t)
-            except FracorderError:
-                fprime = f.derivative(t + nudge)
+            caputo = operators.evaluate(OperatorKind.CAPUTO, f, alpha, a, t, scheme)
             row_values = {
-                "fprime": fprime,
-                "RL": operators.riemann_liouville(f, alpha, a, t, scheme),
-                "C": operators.caputo(f, alpha, a, t, scheme),
-                "CF": operators.caputo_fabrizio(f, alpha, a, t, scheme),
+                "fprime": norms._derivative_off_kinks(f, t, nudge),
+                # the RL identity, as operators.riemann_liouville forms it
+                "RL": rl_boundary_term(f, alpha, a, t) + caputo,
+                "C": caputo,
+                "CF": operators.evaluate(OperatorKind.CAPUTO_FABRIZIO, f, alpha, a, t, scheme),
             }
             for kind in _FIGURE_COLUMNS:
                 writer.writerow([_fmt(t), _fmt(alpha), kind, _fmt(row_values[kind])])
@@ -171,7 +147,7 @@ _ERROR_HEADER = ["kind", "beta", "p", "a", "b", "value", "n_eval_points"]
 
 def _cmd_error(args, writer) -> None:
     interval = _parse_interval(args.interval)
-    f = _parse_function_arg(args.function)
+    f = parse_function(args.function)
     kind = _parse_kind(args.kind)
     p = _parse_norm(args.p)
     if not (0.0 < args.beta < 1.0):
@@ -186,7 +162,7 @@ def _cmd_error(args, writer) -> None:
 
 def _cmd_order(args, writer) -> None:
     interval = _parse_interval(args.interval)
-    f = _parse_function_arg(args.function)
+    f = parse_function(args.function)
     kind = _parse_kind(args.kind)
     p = _parse_norm(args.p)
     betas = _parse_betas(args.betas)
@@ -201,7 +177,6 @@ def _cmd_order(args, writer) -> None:
         tol=args.tol,
         n_grid=args.n_grid,
         scheme=_scheme(args),
-        threads=_default_threads(args.threads),
     )
     fit = analysis.fit_order(reports)
     writer.writerow(_ERROR_HEADER)
@@ -270,7 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--betas", required=True, help="geometric:start,end,per_decade or a list")
     p.add_argument("--tol", type=float, default=norms.DEFAULT_TOL)
     p.add_argument("--n-grid", type=int, default=norms.DEFAULT_GRID)
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=_cmd_order)
 
     p = sub.add_parser("ratio", help="CF/C L1 error ratio for t^m on (0, T)")
@@ -288,22 +262,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    out_path = getattr(args, "out", None)
-    stream = open(out_path, "w", newline="") if out_path else sys.stdout
+    args = _build_parser().parse_args(argv)
+    # the CSV is held back until the command succeeds, so a failed run
+    # leaves no new or truncated --out file
+    buffer = io.StringIO()
     try:
-        writer = csv.writer(stream, lineterminator="\n")
-        args.func(args, writer)
+        args.func(args, csv.writer(buffer, lineterminator="\n"))
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    finally:
-        if out_path:
-            stream.close()
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
+            fh.write(buffer.getvalue())
+    else:
+        sys.stdout.write(buffer.getvalue())
     return 0
 
 

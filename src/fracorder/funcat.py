@@ -31,6 +31,7 @@ __all__ = [
     "TestFunction",
     "closed_form_fractional",
     "parse_function",
+    "rl_boundary_term",
 ]
 
 
@@ -98,8 +99,8 @@ def closed_form_fractional(
     """Closed-form fractional derivative of ``f`` at ``t``, or ``None``.
 
     The Riemann-Liouville form is assembled from the Caputo one via
-    RL = f(a) (t-a)^(-alpha) / Gamma(1-alpha) + Caputo, so it exists exactly
-    when the Caputo form does.
+    RL = rl_boundary_term + Caputo, so it exists exactly when the Caputo form
+    does.
     """
     alpha = _check_order(getattr(alpha, "alpha", alpha))
     if not t > a:
@@ -108,9 +109,14 @@ def closed_form_fractional(
         cap = f._closed_form(OperatorKind.CAPUTO, alpha, a, t)
         if cap is None:
             return None
-        sing = f.value(a) * (t - a) ** (-alpha) / specfun.gamma(1.0 - alpha)
-        return sing + cap
+        return rl_boundary_term(f, alpha, a, t) + cap
     return f._closed_form(kind, alpha, a, t)
+
+
+def rl_boundary_term(f: TestFunction, alpha: float, a: float, t: float) -> float:
+    """f(a) (t-a)^(-alpha) / Gamma(1-alpha): the Riemann-Liouville derivative
+    minus the Caputo one, for f in W^{1,1}."""
+    return f.value(a) * (t - a) ** (-alpha) / specfun.gamma(1.0 - alpha)
 
 
 def _cf_rate(alpha: float) -> float:

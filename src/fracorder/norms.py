@@ -17,10 +17,7 @@ the error, |f'(a+)|, which is where the supremum lives whenever f'(a) != 0.
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-
-from scipy import integrate
 
 from . import operators, specfun
 from .exceptions import BudgetExceededError, DomainError, NonDifferentiableError
@@ -82,16 +79,6 @@ class _Counter:
             )
 
 
-def _operator(f, kind, alpha, a, t, scheme):
-    if kind is OperatorKind.CAPUTO:
-        return operators.caputo(f, alpha, a, t, scheme)
-    if kind is OperatorKind.CAPUTO_FABRIZIO:
-        return operators.caputo_fabrizio(f, alpha, a, t, scheme)
-    if kind is OperatorKind.RIEMANN_LIOUVILLE:
-        return operators.riemann_liouville(f, alpha, a, t, scheme)
-    raise DomainError(f"unknown operator kind {kind!r}")
-
-
 def _derivative_off_kinks(f: TestFunction, t: float, nudge: float) -> float:
     try:
         return f.derivative(t)
@@ -109,6 +96,8 @@ def _left_panel_splits(a: float, width: float, kind: OperatorKind, beta: float) 
 
 
 def _quad_panel(fn, lo, hi, epsabs):
+    from scipy import integrate  # deferred: only the L1 functional needs scipy
+
     val, _ = integrate.quad(fn, lo, hi, epsabs=epsabs, epsrel=1e-12, limit=400)
     return val
 
@@ -133,7 +122,8 @@ def _rl_singular_panel(f, alpha, a, w, scheme, counter, nudge, epsabs):
         t = a + w * v ** (1.0 / beta)
         if t <= a:
             return abs(base)
-        rest = operators.caputo(f, alpha, a, t, scheme) - _derivative_off_kinks(f, t, nudge)
+        caputo = operators.evaluate(OperatorKind.CAPUTO, f, alpha, a, t, scheme)
+        rest = caputo - _derivative_off_kinks(f, t, nudge)
         return abs(base + factor * rest)
 
     # cluster panel edges where the t-range compresses (v near 1)
@@ -165,7 +155,7 @@ def error_l1(
     def err(t: float) -> float:
         counter.tick()
         return abs(
-            _operator(f, kind, order, a, t, scheme) - _derivative_off_kinks(f, t, nudge)
+            operators.evaluate(kind, f, order, a, t, scheme) - _derivative_off_kinks(f, t, nudge)
         )
 
     kinks = sorted(x for x in set(f.breakpoints()) if a < x < b)
@@ -229,7 +219,8 @@ def error_linf(
         count += 1
         try:
             return abs(
-                _operator(f, kind, order, a, t, scheme) - _derivative_off_kinks(f, t, nudge)
+                operators.evaluate(kind, f, order, a, t, scheme)
+                - _derivative_off_kinks(f, t, nudge)
             )
         except NonDifferentiableError:
             return -math.inf  # skip: measure-zero point
@@ -241,7 +232,6 @@ def error_linf(
     lo = a + best_i * step  # one grid point left of the argmax
     hi = a + min(best_i + 2, n_grid) * step
     refined = _golden_max(err, max(lo, a + step * 1e-6), hi)
-    count += 62
     candidates = [best, refined]
     if kind in (OperatorKind.CAPUTO, OperatorKind.CAPUTO_FABRIZIO):
         # operators vanish as t -> a+, so the boundary limit of the error is
@@ -261,7 +251,6 @@ def error_sweep(
     tol: float = DEFAULT_TOL,
     n_grid: int = DEFAULT_GRID,
     scheme: QuadratureScheme | None = None,
-    threads: int | None = None,
     max_evals: int = MAX_EVALS,
 ) -> list[ErrorReport]:
     """One ErrorReport per beta, computed independently, in input order."""
@@ -276,9 +265,15 @@ def error_sweep(
                 return error_l1(f, kind, beta, interval, tol, scheme=scheme, max_evals=max_evals)
             return error_linf(f, kind, beta, interval, n_grid, scheme=scheme)
         except Exception as exc:
-            raise type(exc)(f"[beta={beta}] {exc}") from exc
+            raise _with_beta(exc, beta) from exc
 
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, betas))
     return [one(beta) for beta in betas]
+
+
+def _with_beta(exc: Exception, beta: float) -> Exception:
+    """A same-type copy of exc whose message leads with the beta; the copy
+    skips the constructor, whose signature may differ from (message,)."""
+    tagged = type(exc).__new__(type(exc))
+    tagged.__dict__.update(vars(exc))
+    tagged.args = (f"[beta={beta}] {exc}",)
+    return tagged

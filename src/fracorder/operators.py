@@ -7,11 +7,10 @@ against the power weight exactly.  The Caputo-Fabrizio derivative does the
 same against the exponential kernel.  The grid is split at catalog
 breakpoints first, so piecewise-constant derivatives are integrated without
 interpolation error.  The Riemann-Liouville derivative is always assembled
-as f(a)(t-a)^(-alpha)/Gamma(1-alpha) plus the Caputo derivative, never by
-differentiating the fractional integral numerically.
+as the boundary term ``funcat.rl_boundary_term`` plus the Caputo derivative,
+never by differentiating the fractional integral numerically.
 """
 
-import enum
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -29,9 +28,9 @@ __all__ = [
     "FractionalOrder",
     "KernelSpec",
     "QuadratureScheme",
-    "SchemeKind",
     "caputo",
     "caputo_fabrizio",
+    "evaluate",
     "generic_kernel_derivative",
     "riemann_liouville",
     "rl_integral",
@@ -72,17 +71,11 @@ def _order_value(alpha) -> float:
     return FractionalOrder(alpha).alpha
 
 
-class SchemeKind(enum.Enum):
-    PRODUCT_TRAPEZOID = "product-trapezoid"
-    EXACT_EXPONENTIAL = "exact-exponential"
-
-
 @dataclass(frozen=True)
 class QuadratureScheme:
-    """Uniform-grid size and cell rule for the product quadratures."""
+    """Uniform-grid size for the product quadratures."""
 
     n_nodes: int = DEFAULT_N_NODES
-    kind: SchemeKind = SchemeKind.PRODUCT_TRAPEZOID
 
     def __post_init__(self) -> None:
         if self.n_nodes < 2:
@@ -93,14 +86,10 @@ class QuadratureScheme:
 class CaputoKernel:
     """h(t, beta) = t^(beta-1) / Gamma(beta), singular at 0."""
 
-    singular_at_zero: bool = True
-
 
 @dataclass(frozen=True)
 class CaputoFabrizioKernel:
     """h(t, beta) = exp(-((1-beta)/beta) t) / beta, bounded."""
-
-    singular_at_zero: bool = False
 
 
 @dataclass(frozen=True)
@@ -108,10 +97,14 @@ class CustomKernel:
     """A user-supplied convolution kernel h(t, beta), integrable on (0, inf)."""
 
     h: Callable[[float, float], float]
-    singular_at_zero: bool = False
 
 
 KernelSpec = CaputoKernel | CaputoFabrizioKernel | CustomKernel
+
+_KERNEL_KINDS = {
+    CaputoKernel: OperatorKind.CAPUTO,
+    CaputoFabrizioKernel: OperatorKind.CAPUTO_FABRIZIO,
+}
 
 
 def _check_window(a: float, t: float) -> None:
@@ -275,8 +268,27 @@ def riemann_liouville(
     RL = f(a)(t-a)^(-alpha)/Gamma(1-alpha) + Caputo."""
     al = _order_value(alpha)
     _check_window(a, t)
-    sing = f.value(a) * (t - a) ** (-al) / specfun.gamma(1.0 - al)
-    return sing + caputo(f, al, a, t, scheme, use_closed_form=use_closed_form)
+    boundary = funcat.rl_boundary_term(f, al, a, t)
+    return boundary + caputo(f, al, a, t, scheme, use_closed_form=use_closed_form)
+
+
+def evaluate(
+    kind: OperatorKind,
+    f: TestFunction,
+    alpha,
+    a: float,
+    t: float,
+    scheme: QuadratureScheme | None = None,
+) -> float:
+    """Value at t of the operator named by ``kind``, closed form where known."""
+    # module-level lookups, so a wrapper installed on the module sees every call
+    if kind is OperatorKind.CAPUTO:
+        return caputo(f, alpha, a, t, scheme)
+    if kind is OperatorKind.CAPUTO_FABRIZIO:
+        return caputo_fabrizio(f, alpha, a, t, scheme)
+    if kind is OperatorKind.RIEMANN_LIOUVILLE:
+        return riemann_liouville(f, alpha, a, t, scheme)
+    raise DomainError(f"unknown operator kind {kind!r}")
 
 
 def generic_kernel_derivative(
@@ -295,11 +307,10 @@ def generic_kernel_derivative(
     """
     order = FractionalOrder.from_beta(beta)
     _check_window(a, t)
-    if isinstance(kernel, CaputoKernel):
-        return caputo(f, order, a, t, scheme)
-    if isinstance(kernel, CaputoFabrizioKernel):
-        return caputo_fabrizio(f, order, a, t, scheme)
-    return _custom_convolution(f, kernel, beta, a, t)
+    kind = _KERNEL_KINDS.get(type(kernel))
+    if kind is None:
+        return _custom_convolution(f, kernel, beta, a, t)
+    return evaluate(kind, f, order, a, t, scheme)
 
 
 def _custom_convolution(

@@ -6,7 +6,14 @@ import math
 
 import pytest
 
-from fracorder import caputo, gamma, parse_function, ratio_limit
+from fracorder import (
+    QuadratureScheme,
+    caputo,
+    gamma,
+    parse_function,
+    ratio_limit,
+    riemann_liouville,
+)
 from fracorder.cli import main
 
 
@@ -125,7 +132,7 @@ class TestOrder:
         code, out, _ = run_cli(
             capsys,
             "order", "-f", "exp", "-k", "CF", "-p", "1",
-            "--betas", "geometric:1e-1,1e-3,6", "--interval", "0,1", "--threads", "2",
+            "--betas", "geometric:1e-1,1e-3,6", "--interval", "0,1",
         )
         assert code == 0
         rows = parse_csv(out)
@@ -159,32 +166,14 @@ class TestOrder:
         assert "decay" in err
         assert len(err.strip().splitlines()) == 1
 
-    def test_threads_determinism(self, capsys):
-        args = (
-            "order", "-f", "power:2", "-k", "CF", "-p", "1",
-            "--betas", "geometric:1e-1,1e-2,4", "--interval", "0,1",
-        )
-        _, out1, _ = run_cli(capsys, *args, "--threads", "1")
-        _, out4, _ = run_cli(capsys, *args, "--threads", "4")
-        assert out1 == out4
-
-    def test_env_threads_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("FRACORDER_THREADS", "2")
-        code, out, _ = run_cli(
-            capsys,
-            "order", "-f", "power:2", "-k", "CF", "-p", "1",
-            "--betas", "0.1,0.05,0.02,0.01", "--interval", "0,1",
-        )
-        assert code == 0
-
-    def test_bad_env_threads(self, capsys, monkeypatch):
-        monkeypatch.setenv("FRACORDER_THREADS", "two")
+    def test_bad_beta_list(self, capsys):
         code, _, err = run_cli(
             capsys,
-            "order", "-f", "power:2", "-k", "CF", "-p", "1",
-            "--betas", "0.1,0.05,0.02,0.01", "--interval", "0,1",
+            "order", "-f", "power:2", "-k", "C", "-p", "1",
+            "--betas", "0.1,0.05,x,0.01", "--interval", "0,1",
         )
-        assert code == 2 and "FRACORDER_THREADS" in err
+        assert code == 2 and "--betas" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestFigures:
@@ -220,6 +209,60 @@ class TestFigures:
         rows = parse_csv(dest.read_text())
         assert rows[0] == ["t", "alpha", "kind", "value"]
         assert len(rows) == 1 + 5 * 4
+
+    def test_rl_is_boundary_term_plus_caputo(self, capsys):
+        f = parse_function("cos")
+        code, out, _ = run_cli(
+            capsys,
+            "figures", "-f", "cos", "--interval", "0,1",
+            "--alphas", "0.9", "--points", "3", "--n-nodes", "256",
+        )
+        assert code == 0
+        rl_rows = [r for r in parse_csv(out)[1:] if r[2] == "RL"]
+        assert len(rl_rows) == 3
+        for t_s, _, _, value in rl_rows:
+            expected = riemann_liouville(f, 0.9, 0.0, float(t_s), QuadratureScheme(256))
+            assert float(value) == expected
+
+    def test_bad_alpha_list(self, capsys):
+        code, out, err = run_cli(
+            capsys, "figures", "-f", "cos", "--interval", "0,1", "--alphas", "0.5,x",
+        )
+        assert code == 2 and out == ""
+        assert "--alphas" in err
+        assert len(err.strip().splitlines()) == 1
+
+
+class TestOutFile:
+    def test_argument_error_leaves_no_file(self, capsys, tmp_path):
+        dest = tmp_path / "x.csv"
+        code, _, _ = run_cli(
+            capsys,
+            "derive", "-f", "wat", "-k", "C", "-a", "0.5", "--interval", "0,1", "-t", "0.5",
+            "--out", str(dest),
+        )
+        assert code == 2
+        assert not dest.exists()
+
+    @pytest.mark.parametrize(
+        "argv,status",
+        [
+            (("derive", "-f", "wat", "-k", "C", "-a", "0.5", "--interval", "0,1", "-t", "0.5"), 2),
+            (
+                (
+                    "order", "-f", "affine:0,1", "-k", "RL", "-p", "1",
+                    "--betas", "geometric:1e-1,1e-3,3", "--interval", "0,1",
+                ),
+                3,
+            ),
+        ],
+    )
+    def test_failure_keeps_existing_file(self, capsys, tmp_path, argv, status):
+        dest = tmp_path / "x.csv"
+        dest.write_text("kept\n")
+        code, _, _ = run_cli(capsys, *argv, "--out", str(dest))
+        assert code == status
+        assert dest.read_text() == "kept\n"
 
 
 class TestArgparseErrors:

@@ -17,11 +17,13 @@ from fracorder import (
     Exponential,
     FractionalOrder,
     IntegrationError,
+    OperatorKind,
     Power,
     QuadratureScheme,
     StepAntiderivative,
     caputo,
     caputo_fabrizio,
+    evaluate,
     gamma,
     generic_kernel_derivative,
     riemann_liouville,
@@ -276,6 +278,25 @@ class TestPointwiseConvergence:
                 assert fine <= coarse + 1e-9
 
 
+class TestEvaluate:
+    @pytest.mark.parametrize(
+        "kind,op",
+        [
+            (OperatorKind.RIEMANN_LIOUVILLE, riemann_liouville),
+            (OperatorKind.CAPUTO, caputo),
+            (OperatorKind.CAPUTO_FABRIZIO, caputo_fabrizio),
+        ],
+    )
+    def test_dispatch_matches_operator(self, kind, op):
+        scheme = QuadratureScheme(256)
+        for f in (Cosine(), Affine(1.0, 1.0)):
+            assert evaluate(kind, f, 0.6, 0.0, 0.7, scheme) == op(f, 0.6, 0.0, 0.7, scheme)
+
+    def test_unknown_kind(self):
+        with pytest.raises(DomainError):
+            evaluate("C", Cosine(), 0.6, 0.0, 0.7)
+
+
 class TestGenericKernel:
     def test_caputo_kernel_specialization(self):
         # must agree with the Caputo derivative of order 1 - beta exactly
@@ -318,7 +339,7 @@ class TestGenericKernel:
             generic_kernel_derivative(Exponential(), bad, 0.5, 0.0, 1.0)
 
     def test_custom_kernel_divergent_mass(self):
-        divergent = CustomKernel(h=lambda u, b: u**-1.5, singular_at_zero=True)
+        divergent = CustomKernel(h=lambda u, b: u**-1.5)
         with pytest.raises(IntegrationError):
             generic_kernel_derivative(Exponential(), divergent, 0.5, 0.0, 1.0)
 
@@ -331,7 +352,7 @@ class TestGenericKernel:
             return u ** (b - 1.0) / gamma(b)
 
         got = generic_kernel_derivative(
-            Power(2.0, 0.0), CustomKernel(h=h, singular_at_zero=True), beta, 0.0, 1.0
+            Power(2.0, 0.0), CustomKernel(h=h), beta, 0.0, 1.0
         )
         expected = caputo(Power(2.0, 0.0), 1.0 - beta, 0.0, 1.0)
         assert got == pytest.approx(expected, abs=1e-6)
