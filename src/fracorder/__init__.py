@@ -53,6 +53,7 @@ from .operators import (
     caputo,
     caputo_fabrizio,
     evaluate,
+    evaluate_grid,
     generic_kernel_derivative,
     riemann_liouville,
     rl_integral,
@@ -97,6 +98,7 @@ __all__ = [
     "error_linf",
     "error_sweep",
     "evaluate",
+    "evaluate_grid",
     "fit_order",
     "gamma",
     "generic_kernel_derivative",

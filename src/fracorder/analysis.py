@@ -72,7 +72,7 @@ def fit_order(
     """Fit ln E = r ln beta + ln C through an error sweep.
 
     Refuses (raises DegenerateFitError) when the data is not a decaying
-    power law: zero or negative values, max log-residual above
+    power law: zero, negative or infinite values, max log-residual above
     ``max_residual``, or a fitted exponent below ``min_rate``.
     """
     if len(reports) < 4:
@@ -89,6 +89,8 @@ def fit_order(
         raise DegenerateFitError(
             "sweep contains non-positive error values; no log-log fit exists"
         )
+    if not all(math.isfinite(v) for v in values):
+        raise DegenerateFitError("sweep contains non-finite error values; no log-log fit exists")
     x = np.log(betas)
     y = np.log(values)
     slope, intercept = np.polyfit(x, y, 1)

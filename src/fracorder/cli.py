@@ -1,7 +1,7 @@
 """Command-line front end emitting CSV.
 
-Subcommands: ``derive`` (one operator value), ``figures`` (pointwise
-derivative curves), ``error`` (one error-functional value), ``order`` (a
+Subcommands: ``derive`` (one operator value), ``figures`` (derivative
+curves on a uniform grid), ``error`` (one error-functional value), ``order`` (a
 beta sweep plus its power-law fit), ``ratio`` (finite-beta or limit CF/C
 ratio) and ``table1`` (the four-row comparison table).
 
@@ -112,22 +112,26 @@ def _cmd_figures(args, writer) -> None:
     if args.points < 2:
         raise DomainError(f"--points must be at least 2, got {args.points}")
     scheme = _scheme(args)
-    a = interval.a
-    nudge = interval.width * 1e-12
+    a, b = interval.a, interval.b
+    ts = operators._grid_points(a, b, args.points)
+    t_cells = [_fmt(t) for t in ts.tolist()]
+    fprime = norms._derivative_grid(f, ts, interval.width * 1e-12)
     writer.writerow(["t", "alpha", "kind", "value"])
     for alpha in alphas:
-        for i in range(1, args.points + 1):
-            t = a + interval.width * i / args.points
-            caputo = operators.evaluate(OperatorKind.CAPUTO, f, alpha, a, t, scheme)
-            row_values = {
-                "fprime": norms._derivative_off_kinks(f, t, nudge),
-                # the RL identity, as operators.riemann_liouville forms it
-                "RL": rl_boundary_term(f, alpha, a, t) + caputo,
-                "C": caputo,
-                "CF": operators.evaluate(OperatorKind.CAPUTO_FABRIZIO, f, alpha, a, t, scheme),
-            }
+        caputo = operators.evaluate_grid(OperatorKind.CAPUTO, f, alpha, a, b, args.points, scheme)
+        columns = {
+            "fprime": fprime,
+            # the RL identity, as operators.evaluate_grid forms it
+            "RL": rl_boundary_term(f, alpha, a, ts) + caputo,
+            "C": caputo,
+            "CF": operators.evaluate_grid(
+                OperatorKind.CAPUTO_FABRIZIO, f, alpha, a, b, args.points, scheme
+            ),
+        }
+        alpha_cell = _fmt(alpha)
+        for i, t_cell in enumerate(t_cells):
             for kind in _FIGURE_COLUMNS:
-                writer.writerow([_fmt(t), _fmt(alpha), kind, _fmt(row_values[kind])])
+                writer.writerow([t_cell, alpha_cell, kind, _fmt(columns[kind][i])])
 
 
 def _error_row(report) -> list[str]:
@@ -275,8 +279,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(buffer.getvalue())
+        try:
+            with open(args.out, "w", newline="") as fh:
+                fh.write(buffer.getvalue())
+        except OSError as exc:
+            print(f"error: cannot write --out: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(buffer.getvalue())
     return 0

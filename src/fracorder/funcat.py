@@ -113,9 +113,11 @@ def closed_form_fractional(
     return f._closed_form(kind, alpha, a, t)
 
 
-def rl_boundary_term(f: TestFunction, alpha: float, a: float, t: float) -> float:
+def rl_boundary_term(
+    f: TestFunction, alpha: float, a: float, t: float | np.ndarray
+) -> float | np.ndarray:
     """f(a) (t-a)^(-alpha) / Gamma(1-alpha): the Riemann-Liouville derivative
-    minus the Caputo one, for f in W^{1,1}."""
+    minus the Caputo one, for f in W^{1,1}; elementwise for an array t."""
     return f.value(a) * (t - a) ** (-alpha) / specfun.gamma(1.0 - alpha)
 
 

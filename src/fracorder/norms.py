@@ -9,15 +9,20 @@ point offset delta still holds a fraction 1 - delta^beta of the integral
 under the exact flattening substitution t = a + w v^(1/beta), which maps the
 power term to a constant and leaves a bounded integrand on (0, 1].
 
-The L-infinity functional scans a dense grid over (a, b], refines the best
-point with a golden-section search, and, for the Caputo and Caputo-Fabrizio
-operators (which vanish as t -> a+), also considers the boundary limit of
-the error, |f'(a+)|, which is where the supremum lives whenever f'(a) != 0.
+The L-infinity functional scans a dense grid over (a, b], with every
+operator value of the scan from one ``operators.evaluate_grid`` call, refines
+the best point with a pointwise golden-section search, and, for the Caputo
+and Caputo-Fabrizio operators (which vanish as t -> a+), also considers the
+boundary limit of the error, |f'(a+)|, which is where the supremum lives
+whenever f'(a) != 0.  For the Riemann-Liouville operator with f(a) != 0 the
+supremum is infinite and no scan is made.
 """
 
 import enum
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import operators, specfun
 from .exceptions import BudgetExceededError, DomainError, NonDifferentiableError
@@ -84,6 +89,18 @@ def _derivative_off_kinks(f: TestFunction, t: float, nudge: float) -> float:
         return f.derivative(t)
     except NonDifferentiableError:
         return f.derivative(t + nudge)
+
+
+def _derivative_grid(f: TestFunction, ts: np.ndarray, nudge: float) -> np.ndarray:
+    """``_derivative_off_kinks`` at each point of ts; NaN where even the
+    nudged derivative does not exist."""
+    values = []
+    for t in ts.tolist():
+        try:
+            values.append(_derivative_off_kinks(f, t, nudge))
+        except NonDifferentiableError:
+            values.append(math.nan)
+    return np.array(values)
 
 
 def _left_panel_splits(a: float, width: float, kind: OperatorKind, beta: float) -> list[float]:
@@ -206,13 +223,21 @@ def error_linf(
     *,
     scheme: QuadratureScheme | None = None,
 ) -> ErrorReport:
-    """Essential supremum of |D^(1-beta) f - f'| over (a, b]."""
+    """Essential supremum of |D^(1-beta) f - f'| over (a, b].
+
+    For the Riemann-Liouville operator with f(a) != 0 the value is ``inf``
+    (with one evaluation, of f(a)): the boundary term
+    f(a)(t-a)^(beta-1)/Gamma(beta) is unbounded as t -> a+, and no catalog
+    function has an f' that cancels it.
+    """
     order = FractionalOrder.from_beta(beta)
     if n_grid < 2:
         raise DomainError(f"n_grid must be at least 2, got {n_grid!r}")
     a, b = interval.a, interval.b
+    if kind is OperatorKind.RIEMANN_LIOUVILLE and f.value(a) != 0.0:
+        return ErrorReport(kind, beta, NormKind.LINF, interval, math.inf, 1)
     nudge = interval.width * 1e-12
-    count = 0
+    count = n_grid
 
     def err(t: float) -> float:
         nonlocal count
@@ -225,10 +250,12 @@ def error_linf(
         except NonDifferentiableError:
             return -math.inf  # skip: measure-zero point
 
+    fprime = _derivative_grid(f, operators._grid_points(a, b, n_grid), nudge)
+    values = np.abs(operators.evaluate_grid(kind, f, order, a, b, n_grid, scheme) - fprime)
+    values[np.isnan(fprime)] = -math.inf  # skip: measure-zero points
+    best_i = int(np.argmax(values))
+    best = float(values[best_i])
     step = interval.width / n_grid
-    values = [err(a + i * step) for i in range(1, n_grid + 1)]
-    best_i = max(range(n_grid), key=values.__getitem__)
-    best = values[best_i]
     lo = a + best_i * step  # one grid point left of the argmax
     hi = a + min(best_i + 2, n_grid) * step
     refined = _golden_max(err, max(lo, a + step * 1e-6), hi)

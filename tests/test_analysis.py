@@ -77,6 +77,13 @@ class TestFitOrder:
         with pytest.raises(DegenerateFitError, match="non-positive"):
             fit_order(synthetic_reports(betas, [1.0, 0.5, 0.0, 0.1]))
 
+    def test_infinite_values_refused(self):
+        # an unbounded sup norm (RL with f(a) != 0) comes back as inf; the
+        # refusal happens before the log, not as a nan residual
+        betas = [0.1, 0.05, 0.02, 0.01]
+        with pytest.raises(DegenerateFitError, match="non-finite"):
+            fit_order(synthetic_reports(betas, [math.inf] * 4))
+
     def test_non_power_law_refused(self):
         betas = [0.1, 0.05, 0.02, 0.01, 0.005]
         values = [1.0, 1e-3, 1.0, 1e-3, 1.0]  # wildly oscillating

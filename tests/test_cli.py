@@ -12,9 +12,9 @@ from fracorder import (
     gamma,
     parse_function,
     ratio_limit,
-    riemann_liouville,
 )
 from fracorder.cli import main
+from fracorder.funcat import rl_boundary_term
 
 
 def run_cli(capsys, *argv):
@@ -90,6 +90,15 @@ class TestError:
         )
         assert code == 0
         assert float(parse_csv(out)[1][5]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_linf_rl_unbounded(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "error", "-f", "affine:1,1", "-k", "RL", "-p", "inf",
+            "--beta", "0.5", "--interval", "0,1",
+        )
+        assert code == 0 and err == ""
+        assert parse_csv(out)[1][5:] == ["inf", "1"]
 
 
 class TestDerive:
@@ -218,11 +227,18 @@ class TestFigures:
             "--alphas", "0.9", "--points", "3", "--n-nodes", "256",
         )
         assert code == 0
-        rl_rows = [r for r in parse_csv(out)[1:] if r[2] == "RL"]
-        assert len(rl_rows) == 3
-        for t_s, _, _, value in rl_rows:
-            expected = riemann_liouville(f, 0.9, 0.0, float(t_s), QuadratureScheme(256))
-            assert float(value) == expected
+        cells = {(r[0], r[2]): float(r[3]) for r in parse_csv(out)[1:]}
+        rows = sorted({t_s for t_s, _ in cells}, key=float)
+        assert len(rows) == 3
+        # the grid path's cell count: the least multiple of 3 points >= 256 nodes
+        h = 1.0 / (3 * math.ceil(256 / 3))
+        for t_s in rows:
+            t, c = float(t_s), cells[t_s, "C"]
+            rl = rl_boundary_term(f, 0.9, 0.0, t) + c
+            assert abs(cells[t_s, "RL"] - rl) <= math.ulp(rl)
+            # trapezoid bound for the interpolant of f' = -sin, |f'''| <= 1
+            bound = h**2 / 8 * t**0.1 / gamma(1.1)
+            assert abs(c - caputo(f, 0.9, 0.0, t, QuadratureScheme(256))) <= bound
 
     def test_bad_alpha_list(self, capsys):
         code, out, err = run_cli(
@@ -263,6 +279,14 @@ class TestOutFile:
         code, _, _ = run_cli(capsys, *argv, "--out", str(dest))
         assert code == status
         assert dest.read_text() == "kept\n"
+
+    def test_unwritable_path_is_argument_error(self, capsys, tmp_path):
+        dest = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, "table1", "--out", str(dest))
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "--out" in err and "Traceback" not in err
+        assert not dest.exists()
 
 
 class TestArgparseErrors:

@@ -125,6 +125,21 @@ class TestErrorLinf:
         expected = (2.0 * 0.2 / 1.2) * (gamma(2.2) / 1.2) ** 5.0
         assert report.value == pytest.approx(expected, rel=1e-7)
 
+    def test_rl_unbounded_when_f_a_nonzero(self):
+        # f(a)(t-a)^(beta-1)/Gamma(beta) grows without bound as t -> a+
+        for interval in (I01, Interval(0.5, 1.5)):
+            report = error_linf(Affine(1.0, 1.0), RL, 0.5, interval, n_grid=100)
+            assert report.value == math.inf
+            assert report.n_eval_points == 1
+
+    def test_rl_with_f_a_zero_is_caputo(self):
+        # no boundary term: the RL and Caputo errors coincide
+        f = Power(2.0, 0.0)
+        rl = error_linf(f, RL, 0.2, I01, n_grid=101)
+        c = error_linf(f, C, 0.2, I01, n_grid=101)
+        assert rl.value == pytest.approx(c.value, rel=1e-12)
+        assert rl.n_eval_points == 101 + 62
+
     def test_grid_validation(self):
         with pytest.raises(DomainError):
             error_linf(ONE, C, 0.5, I01, n_grid=1)
@@ -141,8 +156,9 @@ class TestErrorLinf:
         monkeypatch.setattr(operators, "caputo", counting)
         n_grid = 201
         report = error_linf(Cosine(), C, 0.3, I01, n_grid=n_grid, scheme=QuadratureScheme(64))
-        # grid scan, 62 golden-section steps, and the boundary candidate |f'(a+)|
-        assert calls == n_grid + 62
+        # the grid scan is one evaluate_grid call, the 62 golden-section steps
+        # are scalar; n_eval_points adds the boundary candidate |f'(a+)|
+        assert calls == 62
         assert report.n_eval_points == n_grid + 62 + 1
 
 
@@ -224,9 +240,17 @@ class TestErrorReport:
 
 def test_import_leaves_scipy_integrate_unloaded():
     # scipy.integrate costs most of the import time and only the L1
-    # functional and custom kernels use it
+    # functional and custom kernels use it; the grid scan and figures use
+    # numpy.fft, not scipy.fft or scipy.signal, whose imports cost more still
     src = str(Path(operators.__file__).resolve().parents[1])
-    code = "import sys, fracorder; print('scipy.integrate' in sys.modules)"
+    code = (
+        "import os, sys, fracorder\n"
+        "from fracorder import Cosine, Interval, OperatorKind, error_linf\n"
+        "from fracorder.cli import main\n"
+        "error_linf(Cosine(), OperatorKind.CAPUTO, 0.1, Interval(0.0, 1.0), n_grid=64)\n"
+        "assert main(['figures', '-f', 'cos', '--interval', '0,1', '--out', os.devnull]) == 0\n"
+        "print(sorted({'scipy.integrate', 'scipy.fft', 'scipy.signal'} & set(sys.modules)))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -234,4 +258,4 @@ def test_import_leaves_scipy_integrate_unloaded():
         check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

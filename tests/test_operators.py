@@ -5,6 +5,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracorder import (
     AbsShift,
@@ -23,12 +25,16 @@ from fracorder import (
     StepAntiderivative,
     caputo,
     caputo_fabrizio,
+    closed_form_fractional,
     evaluate,
+    evaluate_grid,
     gamma,
     generic_kernel_derivative,
+    parse_function,
     riemann_liouville,
     rl_integral,
 )
+from fracorder.funcat import rl_boundary_term
 
 mp.mp.dps = 30
 
@@ -295,6 +301,115 @@ class TestEvaluate:
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             evaluate("C", Cosine(), 0.6, 0.0, 0.7)
+
+
+#: catalog ids with max |f''| and max |f'''| on [0, 1], for the trapezoid
+#: bound; None where every operator value has a closed form
+GRID_FUNCTIONS = {
+    "cos": (1.0, 1.0),
+    "exp": (math.e, math.e),
+    "power:2,-0.5": (2.0, 0.0),
+    "affine:1,1": (0.0, 0.0),
+    "abs:0.5": (None, None),
+    "step:0.2,0.6,2": (None, None),
+}
+GRID_NODES = 64
+
+
+def _kernel_mass(kind, alpha, t):
+    """Integral over (0, t) of the C or CF kernel of order alpha."""
+    if kind is OperatorKind.CAPUTO:
+        return t ** (1.0 - alpha) / gamma(2.0 - alpha)
+    return -math.expm1(-alpha / (1.0 - alpha) * t) / alpha
+
+
+class TestEvaluateGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha=st.floats(0.05, 0.99),
+        n=st.integers(2, 300),
+        name=st.sampled_from(sorted(GRID_FUNCTIONS)),
+        kind=st.sampled_from([OperatorKind.CAPUTO, OperatorKind.CAPUTO_FABRIZIO]),
+    )
+    def test_matches_pointwise(self, alpha, n, name, kind):
+        f = parse_function(name)
+        d2, d3 = GRID_FUNCTIONS[name]
+        scheme = QuadratureScheme(GRID_NODES)
+        grid = evaluate_grid(kind, f, alpha, 0.0, 1.0, n, scheme)
+        h_grid = 1.0 / (n * math.ceil(GRID_NODES / n))
+        for i, value in enumerate(grid.tolist(), start=1):
+            t = i / n
+            pointwise = evaluate(kind, f, alpha, 0.0, t, scheme)
+            if closed_form_fractional(f, kind, alpha, 0.0, t) is not None:
+                assert value == pointwise
+                continue
+            # both product trapezoids lie within h^2/8 max|f'''| (kernel mass)
+            # of the exact value; each insets its end nodes by 1e-9 of the
+            # segment, which moves the result by up to 1e-9 max|f''| (kernel mass)
+            mass = _kernel_mass(kind, alpha, t)
+            bound = (h_grid**2 + (t / GRID_NODES) ** 2) / 8 * d3 * mass + 4e-9 * d2 * mass
+            assert abs(value - pointwise) <= bound + 1e-10
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        alpha=st.floats(0.05, 0.99),
+        n=st.integers(2, 300),
+        name=st.sampled_from(sorted(GRID_FUNCTIONS)),
+    )
+    def test_rl_is_boundary_term_plus_caputo(self, alpha, n, name):
+        f = parse_function(name)
+        scheme = QuadratureScheme(GRID_NODES)
+        rl = evaluate_grid(OperatorKind.RIEMANN_LIOUVILLE, f, alpha, 0.0, 1.0, n, scheme)
+        c = evaluate_grid(OperatorKind.CAPUTO, f, alpha, 0.0, 1.0, n, scheme)
+        ts = np.arange(1, n + 1) / n
+        np.testing.assert_array_equal(rl, rl_boundary_term(f, alpha, 0.0, ts) + c)
+
+    def test_breakpoint_without_closed_form_is_pointwise(self):
+        class OpaqueAbs(AbsShift):
+            def _closed_form(self, kind, alpha, a, t):
+                return None
+
+        f = OpaqueAbs(0.5)
+        scheme = QuadratureScheme(128)
+        for kind in OperatorKind:
+            grid = evaluate_grid(kind, f, 0.7, 0.0, 1.0, 5, scheme)
+            pointwise = [evaluate(kind, f, 0.7, 0.0, i / 5, scheme) for i in range(1, 6)]
+            assert grid.tolist() == pointwise
+
+    def test_missing_closed_forms_filled_by_quadrature(self):
+        # the E_{1,gamma} series is not trusted left of -15, so Power(2.5)
+        # under CF at alpha 0.99 has closed forms only for t <= 15/99
+        f, alpha, kind = Power(2.5), 0.99, OperatorKind.CAPUTO_FABRIZIO
+        grid = evaluate_grid(kind, f, alpha, 0.0, 1.0, 50)
+        ts = [i / 50 for i in range(1, 51)]
+        closed = [closed_form_fractional(f, kind, alpha, 0.0, t) for t in ts]
+        assert 0 < sum(v is None for v in closed) < len(ts)
+        for t, value, known in zip(ts, grid.tolist(), closed):
+            if known is not None:
+                assert value == known
+            else:
+                assert value == pytest.approx(evaluate(kind, f, alpha, 0.0, t), abs=1e-7)
+
+    def test_points_match_scalar_expression(self):
+        f, a, b, n = Affine(1.0, 0.0), 0.1, 0.7, 7
+        grid = evaluate_grid(OperatorKind.CAPUTO, f, 0.5, a, b, n)
+        assert grid.tolist() == [caputo(f, 0.5, a, a + (b - a) * i / n) for i in range(1, n + 1)]
+
+    @pytest.mark.parametrize(
+        "kind,alpha,a,b,n",
+        [
+            ("C", 0.5, 0.0, 1.0, 4),
+            (OperatorKind.CAPUTO, 1.0, 0.0, 1.0, 4),
+            (OperatorKind.CAPUTO, 0.5, 1.0, 1.0, 4),
+            (OperatorKind.CAPUTO, 0.5, 0.0, math.inf, 4),
+            (OperatorKind.CAPUTO, 0.5, 0.0, 1.0, 0),
+            # a + (b - a)/n rounds back to a
+            (OperatorKind.CAPUTO, 0.5, 1e16, 1e16 + 2.0, 8),
+        ],
+    )
+    def test_validation(self, kind, alpha, a, b, n):
+        with pytest.raises(DomainError):
+            evaluate_grid(kind, Cosine(), alpha, a, b, n)
 
 
 class TestGenericKernel:
