@@ -6,6 +6,16 @@ under Caputo and Caputo-Fabrizio, piecewise-constant-derivative functions
 under both kernels, the exponential under Caputo-Fabrizio).  Where no closed
 form exists, ``closed_form_fractional`` returns ``None`` and operators fall
 back to quadrature.
+
+Closed forms have two hooks.  ``TestFunction._closed_form`` gives one value
+in pure :mod:`math` for the scalar operators; ``_closed_form_grid`` gives
+the values on a whole array of points as numpy expressions for
+``operators.evaluate_grid``, with NaN where a point has no closed form.  The
+base class builds the second from the first, so an entry that defines only
+the scalar hook still has both.  The Caputo-Fabrizio form of a power,
+(1/(1-alpha)) int_0^u g s^(g-1) e^(-rate (u-s)) ds, is written as
+Gamma(g+1) u^g E_{1,g+1}(-rate u) / (1-alpha) (Caputo & Fabrizio, Progr.
+Fract. Differ. Appl. 1 (2015) 73), which has no cancellation as alpha -> 0.
 """
 
 import enum
@@ -92,6 +102,16 @@ class TestFunction(ABC):
     def _closed_form(self, kind: OperatorKind, alpha: float, a: float, t: float) -> float | None:
         return None
 
+    def _closed_form_grid(
+        self, kind: OperatorKind, alpha: float, a: float, ts: np.ndarray
+    ) -> np.ndarray | None:
+        """``_closed_form`` at every point of ts (all > a) for kind C or CF:
+        NaN at a point with no closed form, ``None`` if no point has one."""
+        values = [self._closed_form(kind, alpha, a, t) for t in ts.tolist()]
+        if all(v is None for v in values):
+            return None
+        return np.array([math.nan if v is None else v for v in values])
+
 
 def closed_form_fractional(
     f: TestFunction, kind: OperatorKind, alpha, a: float, t: float
@@ -125,7 +145,7 @@ def _cf_rate(alpha: float) -> float:
     return alpha / (1.0 - alpha)
 
 
-#: non-integer exponents route E_{1,gamma} through the series, which loses
+#: non-integer exponents route E_{1,gamma+1} through the series, which loses
 #: accuracy left of roughly -15; beyond that the caller falls back to quadrature
 _ML_SERIES_TRUST = -15.0
 
@@ -193,8 +213,26 @@ class Power(TestFunction):
             z = -_cf_rate(alpha) * u
             if not self._is_integer_exp() and z < _ML_SERIES_TRUST:
                 return None
-            ml = specfun.mittag_leffler_one(g, z)
-            return (g / alpha) * u ** (g - 1.0) * (1.0 - specfun.gamma(g) * ml)
+            ml = specfun.mittag_leffler_one(g + 1.0, z)
+            return specfun.gamma(g + 1.0) * u**g * ml / (1.0 - alpha)
+        return None
+
+    def _closed_form_grid(
+        self, kind: OperatorKind, alpha: float, a: float, ts: np.ndarray
+    ) -> np.ndarray | None:
+        if a != self.origin:
+            return None
+        g = self.gamma_exp
+        u = ts - a
+        if kind is OperatorKind.CAPUTO:
+            return specfun.gamma(g + 1.0) / specfun.gamma(g - alpha + 1.0) * u ** (g - alpha)
+        if kind is OperatorKind.CAPUTO_FABRIZIO:
+            z = -_cf_rate(alpha) * u
+            known = np.full(u.shape, True) if self._is_integer_exp() else z >= _ML_SERIES_TRUST
+            ml = specfun.mittag_leffler_one_array(g + 1.0, z[known])
+            out = np.full(u.shape, math.nan)
+            out[known] = specfun.gamma(g + 1.0) * u[known] ** g * ml / (1.0 - alpha)
+            return out
         return None
 
 
@@ -229,6 +267,16 @@ class Affine(TestFunction):
             return -self.slope / alpha * math.expm1(-_cf_rate(alpha) * u)
         return None
 
+    def _closed_form_grid(
+        self, kind: OperatorKind, alpha: float, a: float, ts: np.ndarray
+    ) -> np.ndarray | None:
+        u = ts - a
+        if kind is OperatorKind.CAPUTO:
+            return self.slope * u ** (1.0 - alpha) / specfun.gamma(2.0 - alpha)
+        if kind is OperatorKind.CAPUTO_FABRIZIO:
+            return -self.slope / alpha * np.expm1(-_cf_rate(alpha) * u)
+        return None
+
 
 @dataclass(frozen=True)
 class Exponential(TestFunction):
@@ -251,6 +299,14 @@ class Exponential(TestFunction):
             # e^t - e^a e^(-rate (t-a)); written via expm1 to survive t near a
             u = t - a
             return math.exp(a) * (math.expm1(u) - math.expm1(-_cf_rate(alpha) * u))
+        return None
+
+    def _closed_form_grid(
+        self, kind: OperatorKind, alpha: float, a: float, ts: np.ndarray
+    ) -> np.ndarray | None:
+        if kind is OperatorKind.CAPUTO_FABRIZIO:
+            u = ts - a
+            return math.exp(a) * (np.expm1(u) - np.expm1(-_cf_rate(alpha) * u))
         return None
 
 
@@ -292,6 +348,12 @@ class AbsShift(TestFunction):
     def breakpoints(self) -> tuple[float, ...]:
         return (self.center,)
 
+    def derivative_array(self, ts: np.ndarray) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        if np.any(ts == self.center):
+            raise NonDifferentiableError(f"|t - {self.center}| has no derivative at its center")
+        return np.where(ts > self.center, 1.0, -1.0)
+
     def _closed_form(self, kind: OperatorKind, alpha: float, a: float, t: float) -> float | None:
         c = self.center
         if kind is OperatorKind.CAPUTO:
@@ -310,7 +372,30 @@ class AbsShift(TestFunction):
                 return unit
             if t <= c:
                 return -unit
-            return (1.0 - 2.0 * math.exp(-rate * (t - c)) + math.exp(-rate * (t - a))) / alpha
+            # 1 - 2 e^(-rate (t-c)) + e^(-rate (t-a)), without its cancellation
+            # as alpha -> 0
+            return (math.expm1(-rate * (t - a)) - 2.0 * math.expm1(-rate * (t - c))) / alpha
+        return None
+
+    def _closed_form_grid(
+        self, kind: OperatorKind, alpha: float, a: float, ts: np.ndarray
+    ) -> np.ndarray | None:
+        c = self.center
+        past = np.maximum(ts - c, 0.0)  # t - c, clipped where the t <= c branch applies
+        if kind is OperatorKind.CAPUTO:
+            p = 1.0 - alpha
+            unit = (ts - a) ** p / specfun.gamma(2.0 - alpha)
+            if c <= a:
+                return unit
+            right = (2.0 * past**p - (ts - a) ** p) / specfun.gamma(2.0 - alpha)
+            return np.where(ts <= c, -unit, right)
+        if kind is OperatorKind.CAPUTO_FABRIZIO:
+            rate = _cf_rate(alpha)
+            unit = -np.expm1(-rate * (ts - a)) / alpha
+            if c <= a:
+                return unit
+            right = (np.expm1(-rate * (ts - a)) - 2.0 * np.expm1(-rate * past)) / alpha
+            return np.where(ts <= c, -unit, right)
         return None
 
 
@@ -360,6 +445,15 @@ class StepAntiderivative(TestFunction):
     def breakpoints(self) -> tuple[float, ...]:
         return tuple(sorted({x for ab in self.breaks for x in ab}))
 
+    def derivative_array(self, ts: np.ndarray) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        if np.any(np.isin(ts, self.breakpoints())):
+            raise NonDifferentiableError("step function jumps at a point of the array")
+        out = np.zeros(ts.shape)
+        for (lo, hi), q in zip(self.breaks, self.heights):
+            out[(lo < ts) & (ts < hi)] = q
+        return out
+
     def _closed_form(self, kind: OperatorKind, alpha: float, a: float, t: float) -> float | None:
         total = 0.0
         if kind is OperatorKind.CAPUTO:
@@ -368,7 +462,7 @@ class StepAntiderivative(TestFunction):
                 hi = min(hi, t)
                 if hi <= lo:
                     continue
-                total += q * ((t - lo) ** (1.0 - alpha) - (t - hi) ** (1.0 - alpha))
+                total += q * _power_drop(t - lo, hi - lo, 1.0 - alpha)
             return total / specfun.gamma(2.0 - alpha)
         if kind is OperatorKind.CAPUTO_FABRIZIO:
             rate = _cf_rate(alpha)
@@ -377,9 +471,57 @@ class StepAntiderivative(TestFunction):
                 hi = min(hi, t)
                 if hi <= lo:
                     continue
-                total += q * (math.exp(-rate * (t - hi)) - math.exp(-rate * (t - lo)))
+                # e^(-rate (t-hi)) - e^(-rate (t-lo)), exact in its digits
+                total += -q * math.exp(-rate * (t - hi)) * math.expm1(-rate * (hi - lo))
             return total / alpha
         return None
+
+    def _closed_form_grid(
+        self, kind: OperatorKind, alpha: float, a: float, ts: np.ndarray
+    ) -> np.ndarray | None:
+        if kind not in (OperatorKind.CAPUTO, OperatorKind.CAPUTO_FABRIZIO):
+            return None
+        p, rate = 1.0 - alpha, _cf_rate(alpha)
+        total = np.zeros(ts.shape)
+        for (lo, hi), q in zip(self.breaks, self.heights):
+            lo = max(lo, a)
+            if hi <= lo:
+                continue
+            # the scalar form's [max(lo, a), min(hi, t)], pinched to [t, t]
+            # (no contribution) where t <= lo
+            lo_t = np.minimum(lo, ts)
+            hi_t = np.minimum(hi, ts)
+            if kind is OperatorKind.CAPUTO:
+                total += q * _power_drop_array(ts - lo_t, hi_t - lo_t, p)
+            else:
+                total += -q * np.exp(-rate * (ts - hi_t)) * np.expm1(-rate * (hi_t - lo_t))
+        if kind is OperatorKind.CAPUTO:
+            return total / specfun.gamma(2.0 - alpha)
+        return total / alpha
+
+
+def _power_drop(x: float, width: float, p: float) -> float:
+    """x^p - (x - width)^p for 0 < width <= x.
+
+    Written as -x^p expm1(p ln(y/x)), y = x - width, so that no digits are
+    lost when the width is small against x or p is small; ln(y/x) is taken
+    by log1p(-width/x) where y >= x/2, and directly where y/x is small.
+    """
+    y = x - width
+    if y <= 0.0:
+        return x**p
+    ratio_log = math.log(y / x) if 2.0 * y < x else math.log1p(-width / x)
+    return -(x**p) * math.expm1(p * ratio_log)
+
+
+def _power_drop_array(x: np.ndarray, width: np.ndarray, p: float) -> np.ndarray:
+    """``_power_drop`` elementwise; 0 where width = x = 0."""
+    y = x - width
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # log(0) = -inf gives x^p where y = 0, as the scalar branch does
+        ratio_log = np.where(2.0 * y < x, np.log(y / x), np.log1p(-width / x))
+        drop = -(x**p) * np.expm1(p * ratio_log)
+    return np.where(width > 0.0, drop, 0.0)
 
 
 _AFFINE_RE = re.compile(r"^affine:([^,]+),([^,]+)$")

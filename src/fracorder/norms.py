@@ -10,12 +10,13 @@ under the exact flattening substitution t = a + w v^(1/beta), which maps the
 power term to a constant and leaves a bounded integrand on (0, 1].
 
 The L-infinity functional scans a dense grid over (a, b], with every
-operator value of the scan from one ``operators.evaluate_grid`` call, refines
-the best point with a pointwise golden-section search, and, for the Caputo
-and Caputo-Fabrizio operators (which vanish as t -> a+), also considers the
-boundary limit of the error, |f'(a+)|, which is where the supremum lives
-whenever f'(a) != 0.  For the Riemann-Liouville operator with f(a) != 0 the
-supremum is infinite and no scan is made.
+operator value of the scan from one ``operators.evaluate_grid`` call and
+every f' value from one ``derivative_array`` call (points on a breakpoint
+aside).  It refines the best point with a pointwise golden-section search
+and, for the Caputo and Caputo-Fabrizio operators (which vanish as
+t -> a+), also considers the boundary limit of the error, |f'(a+)|, which
+is where the supremum lives whenever f'(a) != 0.  For the Riemann-Liouville
+operator with f(a) != 0 the supremum is infinite and no scan is made.
 """
 
 import enum
@@ -93,14 +94,18 @@ def _derivative_off_kinks(f: TestFunction, t: float, nudge: float) -> float:
 
 def _derivative_grid(f: TestFunction, ts: np.ndarray, nudge: float) -> np.ndarray:
     """``_derivative_off_kinks`` at each point of ts; NaN where even the
-    nudged derivative does not exist."""
-    values = []
-    for t in ts.tolist():
+    nudged derivative does not exist.  One ``f.derivative_array`` call
+    serves every point off the breakpoints; only the points on one are
+    taken singly."""
+    on_kink = np.isin(ts, f.breakpoints())
+    values = np.empty(ts.shape)
+    values[~on_kink] = f.derivative_array(ts[~on_kink])
+    for i in np.flatnonzero(on_kink).tolist():
         try:
-            values.append(_derivative_off_kinks(f, t, nudge))
+            values[i] = _derivative_off_kinks(f, float(ts[i]), nudge)
         except NonDifferentiableError:
-            values.append(math.nan)
-    return np.array(values)
+            values[i] = math.nan
+    return values
 
 
 def _left_panel_splits(a: float, width: float, kind: OperatorKind, beta: float) -> list[float]:

@@ -11,12 +11,13 @@ as the boundary term ``funcat.rl_boundary_term`` plus the Caputo derivative,
 never by differentiating the fractional integral numerically.
 
 ``evaluate_grid`` gives the values at every point of a uniform grid in one
-call.  Closed forms are still taken point by point.  Otherwise one product
-trapezoid on a uniform grid over the whole interval serves every point: its
-cell moments depend only on the distance k - j between the evaluation node
-and the cell, so each weighted sum over cells is a Toeplitz product, done
-with real FFTs (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6
-(1985) 532).
+call.  Closed forms come from the catalog's array hook
+``TestFunction._closed_form_grid``, as numpy expressions over the whole grid.
+One product trapezoid on a uniform grid over the whole interval serves the
+points without one: its cell moments depend only on the distance k - j
+between the evaluation node and the cell, so each weighted sum over cells is
+a Toeplitz product, done with real FFTs (Hairer, Lubich & Schlichte, SIAM J.
+Sci. Stat. Comput. 6 (1985) 532).
 """
 
 import math
@@ -142,17 +143,22 @@ def _segments(
     return out
 
 
-def _sample(values: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, n: int) -> np.ndarray:
-    """Node samples with the segment endpoints inset, so one-sided values are
-    picked up next to kinks and integrable derivative singularities stay finite."""
+def _sample(
+    values: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The n + 1 uniform nodes of [lo, hi], for the weight moments, and the
+    samples at those nodes with the segment endpoints inset, so one-sided
+    values are picked up next to kinks and integrable derivative
+    singularities stay finite."""
     nodes = np.linspace(lo, hi, n + 1)
+    inset = nodes.copy()
     eps = (hi - lo) * 1e-9
-    nodes[0] += eps
-    nodes[-1] -= eps
-    out = np.asarray(values(nodes), dtype=float)
+    inset[0] += eps
+    inset[-1] -= eps
+    out = np.asarray(values(inset), dtype=float)
     if not np.all(np.isfinite(out)):
         raise IntegrationError(f"non-finite integrand samples on [{lo}, {hi}]")
-    return out
+    return nodes, out
 
 
 def _power_segment(
@@ -163,8 +169,7 @@ def _power_segment(
     Cell moments of the weight are exact, so the only error is interpolation
     of the smooth factor; the weight may be singular at tau = t (0 < p < 1).
     """
-    g = _sample(values, lo, hi, n)
-    nodes = np.linspace(lo, hi, n + 1)
+    nodes, g = _sample(values, lo, hi, n)
     u = t - nodes
     u[-1] = max(u[-1], 0.0)  # guard rounding when hi == t
     up = u**p
@@ -187,8 +192,7 @@ def _exp_segment(
     values: Callable[[np.ndarray], np.ndarray], rate: float, t: float, lo: float, hi: float, n: int
 ) -> float:
     """Integral over [lo, hi] of (linear interpolant of g)(tau) e^(-rate (t-tau))."""
-    g = _sample(values, lo, hi, n)
-    nodes = np.linspace(lo, hi, n + 1)
+    nodes, g = _sample(values, lo, hi, n)
     h = (hi - lo) / n
     x = rate * h
     c0 = -math.expm1(-x) / rate
@@ -317,11 +321,14 @@ def evaluate_grid(
 ) -> np.ndarray:
     """``evaluate(kind, f, alpha, a, t_i)`` at t_i = a + (b - a) i / n, i = 1..n.
 
-    Closed-form values are bit-identical to ``evaluate``.  The others come
-    from one product trapezoid on M = n ceil(n_nodes / n) uniform cells over
-    [a, b], whose step is never coarser than the pointwise scheme's at t = b.
-    A function with a breakpoint inside (a, b) and no closed form falls back
-    to ``evaluate`` at each point.
+    Closed-form values come from ``f._closed_form_grid`` and lie within
+    1e-13 max|values| of ``evaluate``; for Power-CF with a non-integer
+    exponent, whose Mittag-Leffler series is summed in another order, within
+    1e-10 max|values|.  The others come from one product trapezoid on
+    M = n ceil(n_nodes / n) uniform cells over [a, b], whose step is never
+    coarser than the pointwise scheme's at t = b.  A function with a
+    breakpoint inside (a, b) and no closed form falls back to ``evaluate`` at
+    each point that has none.
     """
     al = _order_value(alpha)
     if n < 1:
@@ -347,16 +354,18 @@ def _kernel_grid(
     scheme: QuadratureScheme | None,
 ) -> np.ndarray:
     """C or CF values at ts: closed forms where known, else one grid quadrature."""
-    values = [f._closed_form(kind, alpha, a, t) for t in ts.tolist()]
-    missing = [i for i, v in enumerate(values) if v is None]
-    if missing:
-        if any(a < x < b for x in f.breakpoints()):
-            fill = [evaluate(kind, f, alpha, a, float(ts[i]), scheme) for i in missing]
-        else:
-            fill = _trapezoid_grid(kind, f, alpha, a, b, len(ts), _n_nodes(scheme))[missing]
-        for i, v in zip(missing, fill):
-            values[i] = v
-    return np.array(values, dtype=float)
+    values = f._closed_form_grid(kind, alpha, a, ts)
+    if values is None:
+        values = np.full(ts.shape, math.nan)
+    missing = np.flatnonzero(np.isnan(values))
+    if not missing.size:
+        return values
+    if any(a < x < b for x in f.breakpoints()):
+        fill = [evaluate(kind, f, alpha, a, t, scheme) for t in ts[missing].tolist()]
+    else:
+        fill = _trapezoid_grid(kind, f, alpha, a, b, len(ts), _n_nodes(scheme))[missing]
+    values[missing] = fill
+    return values
 
 
 def _trapezoid_grid(
@@ -367,7 +376,7 @@ def _trapezoid_grid(
     breakpoint inside."""
     stride = -(-n_nodes // n)
     m = n * stride
-    g = _sample(f.derivative_array, a, b, m)
+    _, g = _sample(f.derivative_array, a, b, m)
     h = (b - a) / m
     slope = np.diff(g) / h
     if kind is OperatorKind.CAPUTO:

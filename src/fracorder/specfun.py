@@ -1,4 +1,4 @@
-"""Scalar special functions: Gamma, log-Gamma, Digamma and Mittag-Leffler.
+"""Special functions: Gamma, log-Gamma, Digamma and Mittag-Leffler.
 
 ``ln_gamma`` and ``gamma`` delegate to the C library routines exposed by
 :mod:`math`, which deliver well over 13 significant digits on (0, 170] and
@@ -6,11 +6,15 @@ exact factorials at small integers.  ``digamma`` uses the classical Bernoulli
 asymptotic expansion with a recurrence shift, and the one-parameter
 Mittag-Leffler family E_{1,omega} switches between a truncated power series
 and a compensated finite closed form so that neither branch is evaluated
-where it cancels catastrophically.
+where it cancels catastrophically.  Every function is scalar and pure
+:mod:`math`, except ``mittag_leffler_one_array``, the numpy twin of
+``mittag_leffler_one`` that whole-grid closed forms use.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .exceptions import DomainError, SeriesConvergenceError
 
@@ -21,6 +25,7 @@ __all__ = [
     "ln_gamma",
     "mittag_leffler",
     "mittag_leffler_one",
+    "mittag_leffler_one_array",
 ]
 
 EULER_GAMMA = 0.5772156649015329
@@ -165,6 +170,57 @@ def mittag_leffler_one(omega: float, z: float) -> float:
     if _is_integer(omega) and z < _CLOSED_FORM_CUTOFF:
         return _closed_form_integer(int(round(omega)) - 1, z)
     return _series(1.0, omega, z)
+
+
+def _series_array(omega: float, z: np.ndarray) -> np.ndarray:
+    """``_series`` for rho = 1 at every z at once: the same running product,
+    summed in order, until every point meets the scalar stopping rule."""
+    term = np.full(z.shape, 1.0 / gamma(omega))
+    total = term.copy()
+    reach = float(np.max(np.abs(z), initial=0.0))
+    k = 0
+    while True:
+        k += 1
+        if k > _SERIES_MAX_TERMS:
+            raise SeriesConvergenceError(
+                f"Mittag-Leffler series did not converge within "
+                f"{_SERIES_MAX_TERMS} terms (omega={omega}, max |z| = {reach})"
+            )
+        term = term * z / (k - 1.0 + omega)
+        total += term
+        if k + omega > reach and np.all(np.abs(term) <= _SERIES_TERM_TOL * np.abs(total)):
+            return total
+
+
+def _closed_form_integer_array(m: int, z: np.ndarray) -> np.ndarray:
+    """``_closed_form_integer`` at every z at once, summed in order."""
+    total = np.exp(z)
+    term = np.ones_like(z)
+    for k in range(m):
+        total -= term
+        term = term * z / (k + 1.0)
+    return total / z**m
+
+
+def mittag_leffler_one_array(omega: float, z: np.ndarray) -> np.ndarray:
+    """E_{1,omega}(z) at every point of the array z.
+
+    The branches are those of ``mittag_leffler_one``: the finite closed form
+    for integer omega and z < -1, the series everywhere else.  Both are
+    summed in order rather than compensated, so values agree with the scalar
+    function to rounding of the largest term, and the series branch carries
+    the same restriction to z above roughly -15 for non-integer omega.
+    """
+    if not (omega > 0 and math.isfinite(omega)):
+        raise DomainError(f"omega must be a positive real, got {omega!r}")
+    z = np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(z)):
+        raise DomainError("z must be finite")
+    closed = z < _CLOSED_FORM_CUTOFF if _is_integer(omega) else np.zeros(z.shape, dtype=bool)
+    out = np.empty(z.shape)
+    out[closed] = _closed_form_integer_array(int(round(omega)) - 1, z[closed])
+    out[~closed] = _series_array(omega, z[~closed])
+    return out
 
 
 def mittag_leffler(params: MLParams, z: float) -> float:

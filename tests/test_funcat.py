@@ -2,8 +2,11 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracorder import (
     AbsShift,
@@ -16,6 +19,7 @@ from fracorder import (
     OperatorKind,
     Power,
     StepAntiderivative,
+    TestFunction,
     caputo_fabrizio,
     closed_form_fractional,
     gamma,
@@ -25,6 +29,8 @@ from fracorder import (
 RL = OperatorKind.RIEMANN_LIOUVILLE
 C = OperatorKind.CAPUTO
 CF = OperatorKind.CAPUTO_FABRIZIO
+
+mp.mp.dps = 40
 
 
 class TestInterval:
@@ -168,6 +174,20 @@ class TestClosedForms:
         with pytest.raises(DomainError):
             closed_form_fractional(Affine(1.0, 0.0), C, 1.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("g", [2.0, 3.0])
+    @pytest.mark.parametrize(
+        "alpha", [0.05, 0.3, 0.7, 0.9, 0.99, 1e-3, 1e-6, 1e-15, 1e-300]
+    )
+    def test_power_cf_against_mpmath(self, g, alpha):
+        # the CF form once lost every digit to cancellation as alpha -> 0
+        # (11 % off at 1e-15, 0.0 at 1e-300); u^g 1F1(1; g+1; z) / (1-alpha)
+        # is the same integral in closed form
+        rate = mp.mpf(alpha) / (1 - mp.mpf(alpha))
+        for u in (0.01, 0.3, 1.0, 2.5):
+            exact = mp.mpf(u) ** g * mp.hyp1f1(1, g + 1, -rate * u) / (1 - mp.mpf(alpha))
+            got = closed_form_fractional(Power(g), CF, alpha, 0.0, u)
+            assert abs(got - exact) <= 1e-14 * abs(exact)
+
 
 def random_step(rng) -> StepAntiderivative:
     n = int(rng.integers(1, 6))
@@ -210,6 +230,75 @@ class TestStepProperties:
             closed = closed_form_fractional(f, CF, alpha, -0.5, t)
             quad = caputo_fabrizio(f, alpha, -0.5, t, use_closed_form=False)
             assert closed == pytest.approx(quad, abs=1e-8)
+
+
+@st.composite
+def catalog_on_interval(draw):
+    """A catalog entry with closed forms, and an interval [a, b] for it."""
+    a = draw(st.sampled_from([0.0, -0.5, 1.0]))
+    width = draw(st.floats(0.1, 3.0))
+    name = draw(st.sampled_from(["power", "affine", "exp", "abs", "step"]))
+    if name == "power":
+        g = draw(st.one_of(st.integers(1, 3).map(float), st.floats(0.1, 4.0)))
+        f = Power(g, a)
+    elif name == "affine":
+        f = Affine(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)))
+    elif name == "exp":
+        f = Exponential()
+    elif name == "abs":
+        f = AbsShift(a + width * draw(st.floats(-0.5, 1.5)))
+    else:
+        n = draw(st.integers(1, 3))
+        fracs = sorted(draw(st.lists(st.floats(-0.3, 1.3), min_size=2 * n, max_size=2 * n)))
+        # spread the edges apart so no subinterval is empty
+        edges = [a + width * (x + 1e-3 * i) for i, x in enumerate(fracs)]
+        heights = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+        f = StepAntiderivative(
+            tuple((edges[2 * i], edges[2 * i + 1]) for i in range(n)), tuple(heights)
+        )
+    return f, a, a + width
+
+
+def _exact_in_arithmetic(f) -> bool:
+    """Whether the array closed forms differ from the scalar ones by rounding
+    only, rather than by the order of a Mittag-Leffler series sum."""
+    return not isinstance(f, Power) or (f._is_integer_exp() and f.gamma_exp <= 3)
+
+
+class TestClosedFormGrid:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        entry=catalog_on_interval(),
+        kind=st.sampled_from([C, CF]),
+        alpha=st.floats(0.01, 0.999),
+        n=st.integers(2, 300),
+    )
+    def test_matches_scalar_hook(self, entry, kind, alpha, n):
+        f, a, b = entry
+        ts = a + (b - a) * np.arange(1, n + 1) / n
+        scalar = [f._closed_form(kind, alpha, a, t) for t in ts.tolist()]
+        grid = f._closed_form_grid(kind, alpha, a, ts)
+        if grid is None:
+            assert all(v is None for v in scalar)
+            return
+        missing = np.isnan(grid)
+        assert missing.tolist() == [v is None for v in scalar]
+        if missing.all():
+            return
+        known = np.array([v for v in scalar if v is not None])
+        tol = 1e-13 if _exact_in_arithmetic(f) else 1e-10
+        scale = np.max(np.abs(grid[~missing]))
+        assert np.max(np.abs(grid[~missing] - known), initial=0.0) <= tol * scale
+
+    def test_scalar_only_entry_gets_grid_hook(self):
+        class ScalarOnly(Affine):
+            _closed_form_grid = TestFunction._closed_form_grid
+
+        f = ScalarOnly(2.0, 1.0)
+        ts = np.array([0.25, 0.5, 1.0])
+        grid = f._closed_form_grid(CF, 0.4, 0.0, ts)
+        assert grid.tolist() == [f._closed_form(CF, 0.4, 0.0, t) for t in ts.tolist()]
+        assert Cosine()._closed_form_grid(C, 0.4, 0.0, ts) is None
 
 
 class TestParse:

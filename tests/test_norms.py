@@ -6,9 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fracorder import operators
+from fracorder import norms, operators
 from fracorder import (
     AbsShift,
     Affine,
@@ -18,6 +21,7 @@ from fracorder import (
     ErrorReport,
     Exponential,
     Interval,
+    NonDifferentiableError,
     NormKind,
     NumericalError,
     OperatorKind,
@@ -28,6 +32,7 @@ from fracorder import (
     error_linf,
     error_sweep,
     gamma,
+    parse_function,
 )
 
 RL = OperatorKind.RIEMANN_LIOUVILLE
@@ -182,6 +187,53 @@ class TestNormComparison:
         l1 = error_l1(f, kind, beta, interval, tol, scheme=QuadratureScheme(1024))
         linf = error_linf(f, kind, beta, interval, n_grid=2001, scheme=QuadratureScheme(1024))
         assert l1.value <= interval.width * linf.value + tol
+
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "cos",
+            "exp",
+            "abs:0.5",
+            "power:2",
+            "power:2.5",
+            "affine:1,1",
+            "affine:2,0",
+            "step:0.2,0.6,2",
+        ],
+    )
+    @pytest.mark.parametrize("kind", [C, CF, RL])
+    @pytest.mark.parametrize("beta", [0.5, 0.1, 1e-2, 1e-3])
+    def test_l1_below_width_times_linf_as_beta_vanishes(self, name, kind, beta):
+        f = parse_function(name)
+        tol = 1e-6
+        l1 = error_l1(f, kind, beta, I01, tol)
+        linf = error_linf(f, kind, beta, I01, n_grid=2001)
+        assert l1.value <= I01.width * linf.value + tol
+
+
+class TestDerivativeGrid:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=st.one_of(
+            st.integers(1, 150).map(lambda k: ("abs:0.5", 2 * k)),
+            st.integers(1, 60).map(lambda k: ("step:0.2,0.6,2", 5 * k)),
+        )
+    )
+    def test_matches_pointwise_on_breakpoints(self, case):
+        name, n = case
+        f = parse_function(name)
+        ts = operators._grid_points(0.0, 1.0, n)
+        assert np.isin(ts, f.breakpoints()).any()
+        nudge = 1e-12
+        got = norms._derivative_grid(f, ts, nudge).tolist()
+        for t, value in zip(ts.tolist(), got):
+            try:
+                want = norms._derivative_off_kinks(f, t, nudge)
+            except NonDifferentiableError:
+                assert math.isnan(value)
+            else:
+                assert value == want
 
 
 class TestErrorSweep:

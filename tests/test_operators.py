@@ -315,6 +315,12 @@ GRID_FUNCTIONS = {
 }
 GRID_NODES = 64
 
+#: relative to max|grid|, how far an array closed form may lie from the scalar
+#: one: rounding only, or the Mittag-Leffler series of Power-CF with a
+#: non-integer exponent summed in another order
+CLOSED_FORM_EXACT_TOL = 1e-13
+CLOSED_FORM_SERIES_TOL = 1e-10
+
 
 def _kernel_mass(kind, alpha, t):
     """Integral over (0, t) of the C or CF kernel of order alpha."""
@@ -337,11 +343,13 @@ class TestEvaluateGrid:
         scheme = QuadratureScheme(GRID_NODES)
         grid = evaluate_grid(kind, f, alpha, 0.0, 1.0, n, scheme)
         h_grid = 1.0 / (n * math.ceil(GRID_NODES / n))
+        scale = float(np.max(np.abs(grid)))
         for i, value in enumerate(grid.tolist(), start=1):
             t = i / n
             pointwise = evaluate(kind, f, alpha, 0.0, t, scheme)
             if closed_form_fractional(f, kind, alpha, 0.0, t) is not None:
-                assert value == pointwise
+                # array closed forms round differently from the scalar ones
+                assert abs(value - pointwise) <= CLOSED_FORM_EXACT_TOL * scale
                 continue
             # both product trapezoids lie within h^2/8 max|f'''| (kernel mass)
             # of the exact value; each insets its end nodes by 1e-9 of the
@@ -369,6 +377,9 @@ class TestEvaluateGrid:
             def _closed_form(self, kind, alpha, a, t):
                 return None
 
+            def _closed_form_grid(self, kind, alpha, a, ts):
+                return None
+
         f = OpaqueAbs(0.5)
         scheme = QuadratureScheme(128)
         for kind in OperatorKind:
@@ -384,9 +395,10 @@ class TestEvaluateGrid:
         ts = [i / 50 for i in range(1, 51)]
         closed = [closed_form_fractional(f, kind, alpha, 0.0, t) for t in ts]
         assert 0 < sum(v is None for v in closed) < len(ts)
+        scale = float(np.max(np.abs(grid)))
         for t, value, known in zip(ts, grid.tolist(), closed):
             if known is not None:
-                assert value == known
+                assert abs(value - known) <= CLOSED_FORM_SERIES_TOL * scale
             else:
                 assert value == pytest.approx(evaluate(kind, f, alpha, 0.0, t), abs=1e-7)
 

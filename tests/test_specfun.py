@@ -16,6 +16,7 @@ from fracorder import (
     mittag_leffler,
     mittag_leffler_one,
 )
+from fracorder.specfun import mittag_leffler_one_array
 from fracorder.specfun import EULER_GAMMA, _closed_form_integer, _series
 
 mp.mp.dps = 40
@@ -160,6 +161,30 @@ class TestMittagLefflerOne:
             mittag_leffler_one(-2.0, 1.0)
         with pytest.raises(DomainError):
             mittag_leffler_one(2.0, math.inf)
+
+
+class TestMittagLefflerOneArray:
+    @pytest.mark.parametrize("omega", range(1, 9))
+    def test_integer_omega_both_branches(self, omega):
+        # the scalar function is checked against the exact series above
+        z = np.concatenate([np.linspace(-30.0, -1.0, 30), np.linspace(-0.99, 3.0, 9)])
+        got = mittag_leffler_one_array(float(omega), z)
+        for x, value in zip(z.tolist(), got.tolist()):
+            assert value == pytest.approx(mittag_leffler_one(float(omega), x), rel=1e-14)
+
+    def test_non_integer_omega_moderate(self):
+        z = np.array([-8.0, -1.0, 0.0, 0.7, 4.0])
+        for omega in (0.5, 2.5, 7.3):
+            got = mittag_leffler_one_array(omega, z)
+            for x, value in zip(z.tolist(), got.tolist()):
+                exact = float(sum(mp.mpf(x) ** k / mp.gamma(k + omega) for k in range(250)))
+                assert value == pytest.approx(exact, rel=1e-10)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            mittag_leffler_one_array(0.0, np.array([1.0]))
+        with pytest.raises(DomainError):
+            mittag_leffler_one_array(2.0, np.array([0.5, math.nan]))
 
 
 class TestGeneralMittagLeffler:
