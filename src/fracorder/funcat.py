@@ -1,11 +1,14 @@
 """Catalog of test functions with exact derivatives and closed fractional forms.
 
 Every entry evaluates itself and its classical derivative exactly, and knows
-the closed-form fractional derivatives that exist for it (power functions
-under Caputo and Caputo-Fabrizio, piecewise-constant-derivative functions
-under both kernels, the exponential under Caputo-Fabrizio).  Where no closed
-form exists, ``closed_form_fractional`` returns ``None`` and operators fall
-back to quadrature.
+its closed-form fractional derivatives under Caputo and Caputo-Fabrizio (and
+so, through the boundary term, under Riemann-Liouville).  A closed form may
+stop short of some points: a power's CF form left of the trusted
+Mittag-Leffler series, the Caputo series of cos past its reach
+u = t - a = 10 + ln Gamma(1-alpha), and the exponential's Caputo form past
+u = 700.  There, and for entries without closed forms,
+``closed_form_fractional`` returns ``None`` and operators fall back to
+quadrature.
 
 Closed forms have two hooks.  ``TestFunction._closed_form`` gives one value
 in pure :mod:`math` for the scalar operators; ``_closed_form_grid`` gives
@@ -16,6 +19,10 @@ the scalar hook still has both.  The Caputo-Fabrizio form of a power,
 (1/(1-alpha)) int_0^u g s^(g-1) e^(-rate (u-s)) ds, is written as
 Gamma(g+1) u^g E_{1,g+1}(-rate u) / (1-alpha) (Caputo & Fabrizio, Progr.
 Fract. Differ. Appl. 1 (2015) 73), which has no cancellation as alpha -> 0.
+The Caputo form of e^t is e^a u^(1-alpha) E_{1,2-alpha}(u), from
+D^alpha e^(lambda t) = lambda t^(1-alpha) E_{1,2-alpha}(lambda t) (Podlubny,
+*Fractional Differential Equations*, 1999); those of cos are described in
+``Cosine``.
 """
 
 import enum
@@ -149,6 +156,16 @@ def _cf_rate(alpha: float) -> float:
 #: accuracy left of roughly -15; beyond that the caller falls back to quadrature
 _ML_SERIES_TRUST = -15.0
 
+#: the Caputo series of cos is summed while e^u / Gamma(1-alpha) stays below
+#: e^_COS_C_LOSS_LOG: its terms peak near e^u u^(-alpha) / Gamma(1-alpha) and
+#: cancel to O(1), so rounding costs at most about 1e-11 absolute, and well
+#: under 1e-12 as measured; farther points fall back to quadrature
+_COS_C_LOSS_LOG = 10.0
+
+#: u = t - a up to which E_{1,2-alpha}(u) of the exponential's Caputo form is
+#: summed; its terms overflow near u = 709
+_EXP_C_REACH = 700.0
+
 
 @dataclass(frozen=True)
 class Power(TestFunction):
@@ -280,7 +297,13 @@ class Affine(TestFunction):
 
 @dataclass(frozen=True)
 class Exponential(TestFunction):
-    """f(t) = e^t."""
+    """f(t) = e^t.
+
+    Caputo: e^a u^(1-alpha) E_{1,2-alpha}(u), u = t - a, a series of
+    positive terms, summed up to u = 700 (farther, its terms overflow and the
+    point falls back to quadrature).  Caputo-Fabrizio: e^t - e^a e^(-rate u),
+    rate = alpha/(1-alpha), written with expm1.
+    """
 
     def value(self, t: float) -> float:
         return math.exp(t)
@@ -294,25 +317,50 @@ class Exponential(TestFunction):
     derivative_array = value_array
 
     def _closed_form(self, kind: OperatorKind, alpha: float, a: float, t: float) -> float | None:
+        u = t - a
+        if kind is OperatorKind.CAPUTO:
+            if u > _EXP_C_REACH:
+                return None
+            ml = specfun.mittag_leffler_one(2.0 - alpha, u)
+            return math.exp(a) * u ** (1.0 - alpha) * ml
         if kind is OperatorKind.CAPUTO_FABRIZIO:
             # (1/(1-alpha)) int_a^t e^tau e^(-rate (t-tau)) dtau collapses to
             # e^t - e^a e^(-rate (t-a)); written via expm1 to survive t near a
-            u = t - a
             return math.exp(a) * (math.expm1(u) - math.expm1(-_cf_rate(alpha) * u))
         return None
 
     def _closed_form_grid(
         self, kind: OperatorKind, alpha: float, a: float, ts: np.ndarray
     ) -> np.ndarray | None:
+        u = ts - a
+        if kind is OperatorKind.CAPUTO:
+            known = u <= _EXP_C_REACH
+            ml = specfun.mittag_leffler_one_array(2.0 - alpha, u[known])
+            out = np.full(u.shape, math.nan)
+            out[known] = math.exp(a) * u[known] ** (1.0 - alpha) * ml
+            return out
         if kind is OperatorKind.CAPUTO_FABRIZIO:
-            u = ts - a
             return math.exp(a) * (np.expm1(u) - np.expm1(-_cf_rate(alpha) * u))
         return None
 
 
 @dataclass(frozen=True)
 class Cosine(TestFunction):
-    """f(t) = cos t."""
+    """f(t) = cos t.
+
+    Caputo-Fabrizio, elementary: with u = t - a and rate = alpha/(1-alpha),
+    -(1/(1-alpha)) int_0^u sin(t-v) e^(-rate v) dv
+    = -(u/(1-alpha)) Im[e^(it) phi1(-(rate+i) u)], phi1(z) = (e^z - 1)/z,
+    which is -((rate sin t - cos t) - e^(-rate u)(rate sin a - cos a)) /
+    ((1-alpha)(rate^2+1)) without its cancellation as u or rate -> 0.
+
+    Caputo, Re[i e^(ia) u^(1-alpha) E_{1,2-alpha}(iu)], as the real series
+    of ``_cos_caputo``.  Its terms grow to about e^u u^(-alpha) /
+    Gamma(1-alpha) and cancel to O(1), so it is summed only up to the reach
+    u = 10 + ln Gamma(1-alpha) (10.03 at alpha 0.05, 19.2 at 1 - 1e-4), where
+    rounding leaves at most about 1e-11 absolute, and under 1e-12 as
+    measured; farther points fall back to quadrature.
+    """
 
     def value(self, t: float) -> float:
         return math.cos(t)
@@ -325,6 +373,33 @@ class Cosine(TestFunction):
 
     def derivative_array(self, ts: np.ndarray) -> np.ndarray:
         return -np.sin(np.asarray(ts, dtype=float))
+
+    def _closed_form(self, kind: OperatorKind, alpha: float, a: float, t: float) -> float | None:
+        u = t - a
+        if kind is OperatorKind.CAPUTO:
+            if u > _cos_c_reach(alpha):
+                return None
+            return _cos_caputo(alpha, t, u)
+        if kind is OperatorKind.CAPUTO_FABRIZIO:
+            # -(1/(1-alpha)) int_0^u sin(t-v) e^(-rate v) dv
+            #   = -(u/(1-alpha)) Im[e^(it) phi1(-(rate+i) u)]
+            e = _phi1(complex(-_cf_rate(alpha) * u, -u))
+            return -u / (1.0 - alpha) * (math.sin(t) * e.real + math.cos(t) * e.imag)
+        return None
+
+    def _closed_form_grid(
+        self, kind: OperatorKind, alpha: float, a: float, ts: np.ndarray
+    ) -> np.ndarray | None:
+        u = ts - a
+        if kind is OperatorKind.CAPUTO:
+            known = u <= _cos_c_reach(alpha)
+            out = np.full(u.shape, math.nan)
+            out[known] = _cos_caputo_array(alpha, ts[known], u[known])
+            return out
+        if kind is OperatorKind.CAPUTO_FABRIZIO:
+            e = _phi1_array((-_cf_rate(alpha) - 1j) * u)
+            return -u / (1.0 - alpha) * (np.sin(ts) * e.real + np.cos(ts) * e.imag)
+        return None
 
 
 @dataclass(frozen=True)
@@ -522,6 +597,98 @@ def _power_drop_array(x: np.ndarray, width: np.ndarray, p: float) -> np.ndarray:
         ratio_log = np.where(2.0 * y < x, np.log(y / x), np.log1p(-width / x))
         drop = -(x**p) * np.expm1(p * ratio_log)
     return np.where(width > 0.0, drop, 0.0)
+
+
+def _cos_c_reach(alpha: float) -> float:
+    """The largest u = t - a at which Cosine sums its Caputo series."""
+    return _COS_C_LOSS_LOG + math.lgamma(1.0 - alpha)
+
+
+def _cos_caputo(alpha: float, t: float, u: float) -> float:
+    """Caputo derivative of cos at t = a + u: -(1/Gamma(1-alpha)) times
+    int_0^u sin(t-v) v^(-alpha) dv, with sin(t-v) expanded at t, so
+
+        -(u^(1-alpha)/Gamma(1-alpha)) sum_k d_k u^k / (k! (k+1-alpha)),
+
+    where d_k = (sin t, -cos t, -sin t, cos t) repeats with period 4 and u^k/k!
+    is a running product.  This is Re[i e^(ia) u^(1-alpha) E_{1,2-alpha}(iu)]
+    regrouped; against the series in u^n/Gamma(n+2-alpha) about a, every term
+    past the first carries the factor 1/Gamma(1-alpha) -> 0 as alpha -> 1,
+    so its cancellation costs less there.  It is summed past its peak until
+    the next term is below 1e-18 of the sum of |terms|, as specfun's
+    Mittag-Leffler series are, and exactly."""
+    s, c = math.sin(t), math.cos(t)
+    signs = (s, -c, -s, c)
+    mag = 1.0
+    terms = []
+    abs_sum = 0.0
+    k = 0
+    while True:
+        terms.append(signs[k % 4] * mag / (k + 1.0 - alpha))
+        abs_sum += abs(terms[-1])
+        k += 1
+        mag = mag * (u / k)  # bounds the next |term|, whatever its sign factor
+        if k > u and mag <= specfun._SERIES_TERM_TOL * abs_sum:
+            return -(u ** (1.0 - alpha)) / specfun.gamma(1.0 - alpha) * math.fsum(terms)
+
+
+def _cos_caputo_array(alpha: float, ts: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``_cos_caputo`` at every point at once: the same terms, summed with
+    Neumaier's compensation until every point meets the stopping rule."""
+    s, c = np.sin(ts), np.cos(ts)
+    signs = (s, -c, -s, c)
+    mag = np.ones(u.shape)
+    total = np.zeros(u.shape)
+    carry = np.zeros(u.shape)  # the rounding errors of total, summed
+    abs_sum = np.zeros(u.shape)
+    reach = float(np.max(u, initial=0.0))
+    k = 0
+    while True:
+        term = signs[k % 4] * mag / (k + 1.0 - alpha)
+        new = total + term
+        carry += np.where(np.abs(total) >= np.abs(term), (total - new) + term, (term - new) + total)
+        total = new
+        abs_sum += np.abs(term)
+        k += 1
+        mag = mag * (u / k)
+        if k > reach and np.all(mag <= specfun._SERIES_TERM_TOL * abs_sum):
+            return -(u ** (1.0 - alpha)) / specfun.gamma(1.0 - alpha) * (total + carry)
+
+
+#: |z| below which phi1 is summed as its Taylor series; 20 terms reach 4e-19
+_PHI1_SERIES = 1.0
+_PHI1_TERMS = 20
+
+
+def _phi1(z: complex) -> complex:
+    """(e^z - 1)/z for Re z <= 0, without cancellation: the Taylor series
+    sum z^k/(k+1)! by Horner's rule for |z| < 1, else e^z - 1 by parts,
+    (expm1(x) cos y - 2 sin^2(y/2)) + i e^x sin y, whose real terms share
+    their sign while |y| < pi."""
+    if abs(z) < _PHI1_SERIES:
+        acc = 1.0 + 0.0j
+        for k in range(_PHI1_TERMS, 1, -1):
+            acc = 1.0 + z * acc / k
+        return acc
+    x, y = z.real, z.imag
+    real = math.expm1(x) * math.cos(y) - 2.0 * math.sin(0.5 * y) ** 2
+    return complex(real, math.exp(x) * math.sin(y)) / z
+
+
+def _phi1_array(z: np.ndarray) -> np.ndarray:
+    """``_phi1`` elementwise."""
+    out = np.empty(z.shape, dtype=complex)
+    near = np.abs(z) < _PHI1_SERIES
+    zn = z[near]
+    acc = np.ones(zn.shape, dtype=complex)
+    for k in range(_PHI1_TERMS, 1, -1):
+        acc = 1.0 + zn * acc / k
+    out[near] = acc
+    zf = z[~near]
+    x, y = zf.real, zf.imag
+    real = np.expm1(x) * np.cos(y) - 2.0 * np.sin(0.5 * y) ** 2
+    out[~near] = (real + 1j * (np.exp(x) * np.sin(y))) / zf
+    return out
 
 
 _AFFINE_RE = re.compile(r"^affine:([^,]+),([^,]+)$")

@@ -15,8 +15,11 @@ every f' value from one ``derivative_array`` call (points on a breakpoint
 aside).  It refines the best point with a pointwise golden-section search
 and, for the Caputo and Caputo-Fabrizio operators (which vanish as
 t -> a+), also considers the boundary limit of the error, |f'(a+)|, which
-is where the supremum lives whenever f'(a) != 0.  For the Riemann-Liouville
-operator with f(a) != 0 the supremum is infinite and no scan is made.
+is where the supremum lives whenever f'(a) != 0.  At each catalog
+breakpoint c inside (a, b), where f' jumps and the operator does not, the
+one-sided limits |D(c) - f'(c-)| and |D(c) - f'(c+)| are candidates too.
+For the Riemann-Liouville operator with f(a) != 0 the supremum is infinite
+and no scan is made.
 """
 
 import enum
@@ -270,6 +273,14 @@ def error_linf(
         # |f'(a+)|; the grid approaches it only at rate (t-a)^beta
         candidates.append(abs(_derivative_off_kinks(f, a + nudge, nudge)))
         count += 1
+    for c in sorted(x for x in set(f.breakpoints()) if a < x < b):
+        # the operator is continuous at a breakpoint and f' jumps there, so
+        # the error has two one-sided limits, which a grid point can only
+        # approach by chance
+        value = operators.evaluate(kind, f, order, a, c, scheme)
+        for side in (-math.inf, math.inf):
+            candidates.append(abs(value - f.derivative(math.nextafter(c, side))))
+        count += 2
     return ErrorReport(kind, beta, NormKind.LINF, interval, max(candidates), count)
 
 

@@ -10,6 +10,10 @@ interpolation error.  The Riemann-Liouville derivative is always assembled
 as the boundary term ``funcat.rl_boundary_term`` plus the Caputo derivative,
 never by differentiating the fractional integral numerically.
 
+Every catalog entry has closed forms (``funcat``), so product quadrature
+serves user-defined functions, ``use_closed_form=False``, and the points
+past a closed form's reach.
+
 ``evaluate_grid`` gives the values at every point of a uniform grid in one
 call.  Closed forms come from the catalog's array hook
 ``TestFunction._closed_form_grid``, as numpy expressions over the whole grid.

@@ -25,6 +25,8 @@ from fracorder import (
     gamma,
     parse_function,
 )
+from fracorder import funcat
+from fracorder.funcat import rl_boundary_term
 
 RL = OperatorKind.RIEMANN_LIOUVILLE
 C = OperatorKind.CAPUTO
@@ -144,13 +146,7 @@ class TestClosedForms:
     def test_power_origin_mismatch_has_no_form(self):
         assert closed_form_fractional(Power(2.0, 0.5), C, 0.5, 0.0, 1.0) is None
 
-    def test_cosine_has_no_form(self):
-        for kind in (RL, C, CF):
-            assert closed_form_fractional(Cosine(), kind, 0.5, 0.0, 1.0) is None
-
-    def test_exponential_only_cf(self):
-        assert closed_form_fractional(Exponential(), C, 0.5, 0.0, 1.0) is None
-        assert closed_form_fractional(Exponential(), RL, 0.5, 0.0, 1.0) is None
+    def test_exponential_cf(self):
         # CF of e^t from 0 is e^t - e^(-alpha t/(1-alpha))
         got = closed_form_fractional(Exponential(), CF, 0.5, 0.0, 1.0)
         assert got == pytest.approx(math.e - math.exp(-1.0), rel=1e-14)
@@ -187,6 +183,113 @@ class TestClosedForms:
             exact = mp.mpf(u) ** g * mp.hyp1f1(1, g + 1, -rate * u) / (1 - mp.mpf(alpha))
             got = closed_form_fractional(Power(g), CF, alpha, 0.0, u)
             assert abs(got - exact) <= 1e-14 * abs(exact)
+
+
+def _series_about_a(deriv, alpha, a, t):
+    """u^(1-alpha) sum_n f^(n+1)(a) u^n / Gamma(n+2-alpha), u = t - a, term
+    by term at the working precision: the Caputo derivative of an entire f.
+    (mpmath quad is no oracle here: it misjudges the (t-s)^(-alpha)
+    endpoint badly as alpha -> 1.)"""
+    al, a_ = mp.mpf(alpha), mp.mpf(a)
+    u = mp.mpf(t) - a_
+    term, total, n = 1 / mp.gamma(2 - al), mp.mpf(0), 0
+    while n <= u or abs(term) > mp.mpf(10) ** -45:
+        total += deriv(n, a_) * term
+        n += 1
+        term *= u / (n + 1 - al)
+    return u ** (1 - al) * total
+
+
+def _cos_derivative(n, a):
+    """cos^(n+1)(a): -sin, -cos, sin, cos with period 4."""
+    return (-mp.sin(a), -mp.cos(a), mp.sin(a), mp.cos(a))[n % 4]
+
+
+def _cf_cosine(alpha, a, t):
+    """-((r sin t - cos t) - e^(-r u)(r sin a - cos a)) / ((1-alpha)(r^2+1)),
+    r = alpha/(1-alpha), at 60 digits, where its cancellation is harmless."""
+    with mp.workdps(60):
+        al, a_, t_ = mp.mpf(alpha), mp.mpf(a), mp.mpf(t)
+        r = al / (1 - al)
+        at_t = r * mp.sin(t_) - mp.cos(t_)
+        at_a = r * mp.sin(a_) - mp.cos(a_)
+        return -(at_t - mp.exp(-r * (t_ - a_)) * at_a) / ((1 - al) * (r * r + 1))
+
+
+#: orders, left ends and distances u = t - a of the golden tests
+GOLDEN_ALPHAS = [0.05, 0.3, 0.5, 0.9, 0.99, 0.9999, 1 - 1e-8]
+GOLDEN_STARTS = [0.0, -0.7, 1.3]
+GOLDEN_US = [1e-6, 1e-3, 0.3, 1.0, 2.7]
+
+EPS = 2.0**-52
+
+
+class TestTranscendentalForms:
+    """cos under C and CF, e^t under C: scalar and grid hooks against exact
+    oracles; RL follows from C through ``closed_form_fractional``."""
+
+    @staticmethod
+    def _both(f, kind, alpha, a, t):
+        scalar = closed_form_fractional(f, kind, alpha, a, t)
+        grid = f._closed_form_grid(kind, alpha, a, np.array([t]))[0]
+        return scalar, float(grid)
+
+    @pytest.mark.parametrize("alpha", GOLDEN_ALPHAS)
+    def test_cosine_caputo(self, alpha):
+        for a in GOLDEN_STARTS:
+            for u in GOLDEN_US:
+                t = a + u
+                exact = _series_about_a(_cos_derivative, alpha, a, t)
+                for got in self._both(Cosine(), C, alpha, a, t):
+                    # the terms peak near e^u and cancel: a few e^u ulp absolute
+                    assert abs(got - exact) <= 1e-14 * abs(exact) + 4 * EPS * math.exp(u)
+
+    @pytest.mark.parametrize("alpha", GOLDEN_ALPHAS)
+    def test_cosine_caputo_to_the_reach(self, alpha):
+        # the loss grows as e^u u^(-alpha)/Gamma(1-alpha) eps up to the reach,
+        # where the series gives way to quadrature
+        reach = funcat._cos_c_reach(alpha)
+        for a in GOLDEN_STARTS:
+            for u in (5.0, reach):
+                t = a + u
+                exact = _series_about_a(_cos_derivative, alpha, a, t)
+                loss = EPS * math.exp(u) * u**-alpha / gamma(1.0 - alpha)
+                for got in self._both(Cosine(), C, alpha, a, t):
+                    assert abs(got - exact) <= 1e-14 * abs(exact) + 4 * loss
+        assert closed_form_fractional(Cosine(), C, alpha, 0.0, reach * 1.01) is None
+
+    @pytest.mark.parametrize("alpha", GOLDEN_ALPHAS)
+    def test_cosine_caputo_fabrizio(self, alpha):
+        for a in GOLDEN_STARTS:
+            for u in (*GOLDEN_US, 10.0, 40.0):
+                t = a + u
+                exact = _cf_cosine(alpha, a, t)
+                for got in self._both(Cosine(), CF, alpha, a, t):
+                    # sin t Re + cos t Im cancels only where the value itself
+                    # is small against u |phi1| / (1-alpha)
+                    scale = -math.expm1(-alpha / (1.0 - alpha) * u) / alpha
+                    assert abs(got - exact) <= 1e-14 * abs(exact) + 4 * EPS * scale
+
+    @pytest.mark.parametrize("alpha", GOLDEN_ALPHAS)
+    def test_exponential_caputo(self, alpha):
+        for a in GOLDEN_STARTS:
+            for u in (*GOLDEN_US, 10.0, 40.0):
+                t = a + u
+                exact = _series_about_a(lambda n, a_: mp.exp(a_), alpha, a, t)
+                for got in self._both(Exponential(), C, alpha, a, t):
+                    assert abs(got - exact) <= 1e-14 * abs(exact)
+
+    def test_riemann_liouville_from_caputo(self):
+        for f in (Cosine(), Exponential()):
+            cap = closed_form_fractional(f, C, 0.6, -0.7, 0.8)
+            rl = closed_form_fractional(f, RL, 0.6, -0.7, 0.8)
+            assert rl == rl_boundary_term(f, 0.6, -0.7, 0.8) + cap
+
+    def test_exponential_past_reach(self):
+        # E_{1,2-alpha}(u) overflows near u = 709
+        assert closed_form_fractional(Exponential(), C, 0.5, -400.0, 301.0) is None
+        grid = Exponential()._closed_form_grid(C, 0.5, -400.0, np.array([299.0, 301.0]))
+        assert math.isfinite(grid[0]) and math.isnan(grid[1])
 
 
 def random_step(rng) -> StepAntiderivative:
@@ -237,7 +340,7 @@ def catalog_on_interval(draw):
     """A catalog entry with closed forms, and an interval [a, b] for it."""
     a = draw(st.sampled_from([0.0, -0.5, 1.0]))
     width = draw(st.floats(0.1, 3.0))
-    name = draw(st.sampled_from(["power", "affine", "exp", "abs", "step"]))
+    name = draw(st.sampled_from(["power", "affine", "exp", "cos", "abs", "step"]))
     if name == "power":
         g = draw(st.one_of(st.integers(1, 3).map(float), st.floats(0.1, 4.0)))
         f = Power(g, a)
@@ -245,6 +348,8 @@ def catalog_on_interval(draw):
         f = Affine(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)))
     elif name == "exp":
         f = Exponential()
+    elif name == "cos":
+        f = Cosine()
     elif name == "abs":
         f = AbsShift(a + width * draw(st.floats(-0.5, 1.5)))
     else:
@@ -298,7 +403,28 @@ class TestClosedFormGrid:
         ts = np.array([0.25, 0.5, 1.0])
         grid = f._closed_form_grid(CF, 0.4, 0.0, ts)
         assert grid.tolist() == [f._closed_form(CF, 0.4, 0.0, t) for t in ts.tolist()]
-        assert Cosine()._closed_form_grid(C, 0.4, 0.0, ts) is None
+
+    def test_entry_without_forms_has_no_grid_hook(self):
+        class Opaque(Cosine):
+            _closed_form = TestFunction._closed_form
+            _closed_form_grid = TestFunction._closed_form_grid
+
+        ts = np.array([0.25, 0.5, 1.0])
+        assert Opaque()._closed_form_grid(C, 0.4, 0.0, ts) is None
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.99, 1 - 1e-6])
+    @pytest.mark.parametrize("f,width", [(Cosine(), 40.0), (Exponential(), 900.0)])
+    def test_grid_is_nan_exactly_past_the_reach(self, f, width, alpha):
+        a = -0.7 if isinstance(f, Cosine) else -800.0
+        ts = a + width * np.arange(1, 402) / 401
+        scalar = [f._closed_form(C, alpha, a, t) for t in ts.tolist()]
+        grid = f._closed_form_grid(C, alpha, a, ts)
+        missing = np.isnan(grid)
+        assert missing.tolist() == [v is None for v in scalar]
+        assert 0 < missing.sum() < len(ts)
+        known = np.array([v for v in scalar if v is not None])
+        scale = np.max(np.abs(grid[~missing]))
+        assert np.max(np.abs(grid[~missing] - known)) <= 1e-13 * scale
 
 
 class TestParse:

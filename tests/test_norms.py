@@ -93,11 +93,21 @@ class TestErrorL1:
             error_l1(ONE, C, 0.5, I01, tol=0.0)
 
     def test_quadrature_backed_function(self):
-        # cosine has no closed forms; compare against a tight reference from
-        # a much finer operator grid
-        coarse = error_l1(Cosine(), C, 0.3, I01, tol=1e-7, scheme=QuadratureScheme(2048))
-        fine = error_l1(Cosine(), C, 0.3, I01, tol=1e-7, scheme=QuadratureScheme(8192))
+        # cosine with its closed forms hidden: compare against a tight
+        # reference from a much finer operator grid, and the closed forms
+        class OpaqueCosine(Cosine):
+            def _closed_form(self, kind, alpha, a, t):
+                return None
+
+            def _closed_form_grid(self, kind, alpha, a, ts):
+                return None
+
+        f = OpaqueCosine()
+        coarse = error_l1(f, C, 0.3, I01, tol=1e-7, scheme=QuadratureScheme(2048))
+        fine = error_l1(f, C, 0.3, I01, tol=1e-7, scheme=QuadratureScheme(8192))
         assert coarse.value == pytest.approx(fine.value, rel=1e-4)
+        closed = error_l1(Cosine(), C, 0.3, I01, tol=1e-7)
+        assert closed.value == pytest.approx(fine.value, rel=1e-4)
 
 
 class TestErrorLinf:
@@ -148,6 +158,28 @@ class TestErrorLinf:
     def test_grid_validation(self):
         with pytest.raises(DomainError):
             error_linf(ONE, C, 0.5, I01, n_grid=1)
+
+    @pytest.mark.parametrize("n_grid", [2, 3, 7, 101, 2001])
+    def test_one_sided_limits_at_breakpoints(self, n_grid):
+        # the operator is continuous at the kink c and f' jumps from -1 to 1,
+        # so the essential sup is the right limit |D(c) - 1|, which no grid
+        # point sits on: 1 + c^beta/Gamma(1+beta) under C, and under CF
+        # 1 + (1 - e^(-rate c))/(1-beta), rate = (1-beta)/beta
+        beta = 1e-3
+        report = error_linf(AbsShift(1.0), C, beta, Interval(0.0, 2.0), n_grid=n_grid)
+        assert report.value == pytest.approx(1.0 + 1.0 / gamma(1.0 + beta), rel=1e-14)
+        assert report.value == pytest.approx(2.000577, abs=5e-7)
+        beta = 1e-2
+        report = error_linf(AbsShift(0.3), CF, beta, Interval(0.0, 2.0), n_grid=n_grid)
+        rate = (1.0 - beta) / beta
+        assert report.value == pytest.approx(1.0 - math.expm1(-rate * 0.3) / (1.0 - beta))
+        assert report.value == pytest.approx(2.0101, abs=5e-5)
+        # grid, golden-section steps, |f'(a+)|, and the two limits at c
+        assert report.n_eval_points == n_grid + 62 + 1 + 2
+
+    def test_breakpoints_outside_the_interval_add_nothing(self):
+        report = error_linf(AbsShift(1.0), C, 0.3, Interval(1.0, 2.0), n_grid=101)
+        assert report.n_eval_points == 101 + 62 + 1
 
     def test_eval_count_matches_operator_calls(self, monkeypatch):
         calls = 0

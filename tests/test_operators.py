@@ -204,8 +204,29 @@ class TestRiemannLiouville:
                 assert diff == pytest.approx(riemann_liouville(f, alpha, 0.0, t), abs=1e-4)
 
 
+class OpaqueCosine(Cosine):
+    """cos with its closed forms hidden, so every value is product quadrature."""
+
+    def _closed_form(self, kind, alpha, a, t):
+        return None
+
+    def _closed_form_grid(self, kind, alpha, a, ts):
+        return None
+
+
+class OpaqueExponential(Exponential):
+    """e^t with its closed forms hidden, so every value is product quadrature."""
+
+    def _closed_form(self, kind, alpha, a, t):
+        return None
+
+    def _closed_form_grid(self, kind, alpha, a, ts):
+        return None
+
+
 class TestCosineAgainstHighPrecision:
-    """Cross-validate the generic quadrature path on a transcendental function.
+    """Cross-validate the generic quadrature path, and the closed forms, on a
+    transcendental function.
 
     The mpmath oracles substitute w = u^p to remove the endpoint singularity
     entirely (plain tanh-sinh misjudges u^(-0.95) by ~1e-3), leaving smooth
@@ -218,7 +239,8 @@ class TestCosineAgainstHighPrecision:
         a, T = mp.mpf(alpha), mp.mpf(t)
         p = 1 - a
         oracle = mp.quad(lambda w: -mp.sin(T - w ** (1 / p)), [0, T**p]) / (p * mp.gamma(p))
-        assert caputo(Cosine(), alpha, 0.0, t) == pytest.approx(float(oracle), abs=1e-7)
+        assert caputo(OpaqueCosine(), alpha, 0.0, t) == pytest.approx(float(oracle), abs=1e-7)
+        assert caputo(Cosine(), alpha, 0.0, t) == pytest.approx(float(oracle), abs=1e-15)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.7, 0.95])
     @pytest.mark.parametrize("t", [0.6, 1.0])
@@ -226,7 +248,9 @@ class TestCosineAgainstHighPrecision:
         a, T = mp.mpf(alpha), mp.mpf(t)
         rate = a / (1 - a)
         oracle = mp.quad(lambda tau: -mp.sin(tau) * mp.exp(-rate * (T - tau)), [0, T]) / (1 - a)
-        assert caputo_fabrizio(Cosine(), alpha, 0.0, t) == pytest.approx(float(oracle), abs=1e-7)
+        quad = caputo_fabrizio(OpaqueCosine(), alpha, 0.0, t)
+        assert quad == pytest.approx(float(oracle), abs=1e-7)
+        assert caputo_fabrizio(Cosine(), alpha, 0.0, t) == pytest.approx(float(oracle), abs=1e-15)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.7, 0.95])
     def test_rl_integral(self, alpha):
@@ -303,15 +327,18 @@ class TestEvaluate:
             evaluate("C", Cosine(), 0.6, 0.0, 0.7)
 
 
-#: catalog ids with max |f''| and max |f'''| on [0, 1], for the trapezoid
-#: bound; None where every operator value has a closed form
+#: catalog entries with max |f''| and max |f'''| on [0, 1], for the trapezoid
+#: bound; None where every operator value has a closed form.  The opaque
+#: entries keep the whole-grid product quadrature covered.
 GRID_FUNCTIONS = {
-    "cos": (1.0, 1.0),
-    "exp": (math.e, math.e),
-    "power:2,-0.5": (2.0, 0.0),
-    "affine:1,1": (0.0, 0.0),
-    "abs:0.5": (None, None),
-    "step:0.2,0.6,2": (None, None),
+    "cos": (Cosine(), 1.0, 1.0),
+    "exp": (Exponential(), math.e, math.e),
+    "opaque cos": (OpaqueCosine(), 1.0, 1.0),
+    "opaque exp": (OpaqueExponential(), math.e, math.e),
+    "power:2,-0.5": (parse_function("power:2,-0.5"), 2.0, 0.0),
+    "affine:1,1": (parse_function("affine:1,1"), 0.0, 0.0),
+    "abs:0.5": (parse_function("abs:0.5"), None, None),
+    "step:0.2,0.6,2": (parse_function("step:0.2,0.6,2"), None, None),
 }
 GRID_NODES = 64
 
@@ -338,8 +365,7 @@ class TestEvaluateGrid:
         kind=st.sampled_from([OperatorKind.CAPUTO, OperatorKind.CAPUTO_FABRIZIO]),
     )
     def test_matches_pointwise(self, alpha, n, name, kind):
-        f = parse_function(name)
-        d2, d3 = GRID_FUNCTIONS[name]
+        f, d2, d3 = GRID_FUNCTIONS[name]
         scheme = QuadratureScheme(GRID_NODES)
         grid = evaluate_grid(kind, f, alpha, 0.0, 1.0, n, scheme)
         h_grid = 1.0 / (n * math.ceil(GRID_NODES / n))
@@ -365,7 +391,7 @@ class TestEvaluateGrid:
         name=st.sampled_from(sorted(GRID_FUNCTIONS)),
     )
     def test_rl_is_boundary_term_plus_caputo(self, alpha, n, name):
-        f = parse_function(name)
+        f = GRID_FUNCTIONS[name][0]
         scheme = QuadratureScheme(GRID_NODES)
         rl = evaluate_grid(OperatorKind.RIEMANN_LIOUVILLE, f, alpha, 0.0, 1.0, n, scheme)
         c = evaluate_grid(OperatorKind.CAPUTO, f, alpha, 0.0, 1.0, n, scheme)
@@ -422,6 +448,87 @@ class TestEvaluateGrid:
     def test_validation(self, kind, alpha, a, b, n):
         with pytest.raises(DomainError):
             evaluate_grid(kind, Cosine(), alpha, a, b, n)
+
+
+@st.composite
+def closed_form_entry(draw):
+    """A catalog entry with closed forms, a point t in (a, a + 2], and the
+    maxima of |f''| and |f'''| on [a, t] (0 where f' is piecewise constant:
+    the quadrature splits at its breakpoints and is exact there)."""
+    a = draw(st.sampled_from([0.0, -0.5, 1.0]))
+    u = draw(st.floats(0.05, 2.0))
+    name = draw(st.sampled_from(["power", "affine", "exp", "cos", "abs", "step"]))
+    if name == "power":
+        g = draw(st.one_of(st.sampled_from([1.0, 2.0, 3.0]), st.floats(3.0, 4.0)))
+        d2, d3 = g * (g - 1) * u ** (g - 2), g * (g - 1) * (g - 2) * u ** (g - 3)
+        f = Power(g, a)
+    elif name == "affine":
+        f, d2, d3 = Affine(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))), 0.0, 0.0
+    elif name == "exp":
+        f, d2, d3 = Exponential(), math.exp(a + u), math.exp(a + u)
+    elif name == "cos":
+        f, d2, d3 = Cosine(), 1.0, 1.0
+    elif name == "abs":
+        f, d2, d3 = AbsShift(a + u * draw(st.floats(0.1, 0.9))), 0.0, 0.0
+    else:
+        lo, hi = draw(st.floats(0.1, 0.45)), draw(st.floats(0.55, 0.9))
+        f, d2, d3 = StepAntiderivative(((a + u * lo, a + u * hi),), (2.0,)), 0.0, 0.0
+    return f, a, a + u, d2, d3
+
+
+class TestClosedFormAgainstQuadrature:
+    NODES = 4096
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        entry=closed_form_entry(),
+        kind=st.sampled_from(list(OperatorKind)),
+        alpha=st.floats(0.05, 0.999),
+    )
+    def test_agree_within_trapezoid_bound(self, entry, kind, alpha):
+        f, a, t, d2, d3 = entry
+        closed = closed_form_fractional(f, kind, alpha, a, t)
+        if closed is None:
+            return  # Power-CF left of the trusted series: both are quadrature
+        scheme = QuadratureScheme(self.NODES)
+        op = {
+            OperatorKind.CAPUTO: caputo,
+            OperatorKind.CAPUTO_FABRIZIO: caputo_fabrizio,
+            OperatorKind.RIEMANN_LIOUVILLE: riemann_liouville,
+        }[kind]
+        quad = op(f, alpha, a, t, scheme, use_closed_form=False)
+        # the product trapezoid lies within h^2/8 max|f'''| (kernel mass) of the
+        # exact value; its end nodes are inset by 1e-9 of the segment, which
+        # moves it by up to 1e-9 (t-a) max|f''| (kernel mass)
+        u = t - a
+        # RL differs from C by the same boundary term on both paths
+        kernel = OperatorKind.CAPUTO if kind is OperatorKind.RIEMANN_LIOUVILLE else kind
+        mass = _kernel_mass(kernel, alpha, u)
+        bound = (u / self.NODES) ** 2 / 8 * d3 * mass + 2e-9 * u * d2 * mass
+        assert abs(closed - quad) <= bound + 1e-12 * max(1.0, abs(closed))
+
+    def test_cosine_past_the_reach_falls_back_to_quadrature(self):
+        alpha, b, n = 0.5, 12.0, 24
+        reach = 10.0 + math.lgamma(0.5)
+        scheme = QuadratureScheme(512)
+        assert closed_form_fractional(Cosine(), OperatorKind.CAPUTO, alpha, 0.0, b) is None
+        assert caputo(Cosine(), alpha, 0.0, b, scheme) == caputo(
+            OpaqueCosine(), alpha, 0.0, b, scheme
+        )
+        # the grid: closed forms up to the reach, the whole-grid trapezoid past it
+        grid = evaluate_grid(OperatorKind.CAPUTO, Cosine(), alpha, 0.0, b, n, scheme)
+        opaque = evaluate_grid(OperatorKind.CAPUTO, OpaqueCosine(), alpha, 0.0, b, n, scheme)
+        ts = b * np.arange(1, n + 1) / n
+        past = ts > reach
+        assert past.any() and not past.all()
+        np.testing.assert_array_equal(grid[past], opaque[past])
+        closed = [caputo(Cosine(), alpha, 0.0, t) for t in ts[~past].tolist()]
+        np.testing.assert_allclose(grid[~past], closed, rtol=0, atol=1e-13)
+        # and both sides of the reach agree with quadrature within its bound
+        h = b / (n * math.ceil(512 / n))
+        assert np.max(np.abs(grid - opaque)) <= h**2 / 8 * _kernel_mass(
+            OperatorKind.CAPUTO, alpha, b
+        ) + 4e-9 * b
 
 
 class TestGenericKernel:
