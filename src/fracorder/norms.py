@@ -1,11 +1,21 @@
 """Error functionals E_{f,p}(beta) = ||D^(1-beta) f - f'||_p for p in {1, inf}.
 
-The L1 functional is an adaptive composite integral split at catalog
-breakpoints.  The Riemann-Liouville case needs special care: its integrand
-carries the term f(a)(t-a)^(beta-1)/Gamma(beta), whose mass concentrates so
-hard at the left endpoint for small beta that the region below any floating
-point offset delta still holds a fraction 1 - delta^beta of the integral
-(97% below 1e-16 at beta = 1e-3).  The leftmost panel is therefore computed
+The L1 functional is an adaptive 7-15 Gauss-Kronrod quadrature (QUADPACK's
+pair) over panels split at catalog breakpoints and inside the boundary
+layers right of a and of each breakpoint, vectorised over the panels: each
+refinement round evaluates the integrand once, as one array over the 15
+nodes of every panel still being refined.  The operator values at those
+nodes come from one ``TestFunction._closed_form_grid`` call (scalar
+``operators.evaluate`` only where it has no value), f' from one
+``derivative_array`` call.  The loop stops when the summed error estimate
+of all panels is at most the requested tol; that sum is reported as
+``ErrorReport.quad_error``, and a tol that cannot be met is refused.
+
+The Riemann-Liouville case needs special care: its integrand carries the
+term f(a)(t-a)^(beta-1)/Gamma(beta), whose mass concentrates so hard at the
+left endpoint for small beta that the region below any floating point
+offset delta still holds a fraction 1 - delta^beta of the integral (97%
+below 1e-16 at beta = 1e-3).  The leftmost panel is therefore computed
 under the exact flattening substitution t = a + w v^(1/beta), which maps the
 power term to a constant and leaves a bounded integrand on (0, 1].
 
@@ -28,8 +38,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import operators, specfun
-from .exceptions import BudgetExceededError, DomainError, NonDifferentiableError
+from . import funcat, operators, specfun
+from .exceptions import (
+    BudgetExceededError,
+    DomainError,
+    IntegrationError,
+    NonDifferentiableError,
+)
 from .funcat import Interval, OperatorKind, TestFunction
 from .operators import FractionalOrder, QuadratureScheme
 
@@ -55,7 +70,11 @@ class NormKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """One evaluation of the error functional at a single beta."""
+    """One evaluation of the error functional at a single beta.
+
+    ``quad_error`` is the summed quadrature error estimate behind an L1
+    value, at most the requested tol; ``None`` for the sup norm.
+    """
 
     operator_kind: OperatorKind
     beta: float
@@ -63,6 +82,7 @@ class ErrorReport:
     interval: Interval
     value: float
     n_eval_points: int
+    quad_error: float | None = None
 
     def __post_init__(self) -> None:
         if not (0.0 < self.beta < 1.0):
@@ -71,6 +91,8 @@ class ErrorReport:
             raise DomainError(f"error value must be non-negative, got {self.value!r}")
         if self.n_eval_points < 1:
             raise DomainError("n_eval_points must be positive")
+        if self.quad_error is not None and not self.quad_error >= 0.0:
+            raise DomainError(f"quad_error must be non-negative, got {self.quad_error!r}")
 
 
 class _Counter:
@@ -80,8 +102,8 @@ class _Counter:
         self.count = 0
         self.limit = limit
 
-    def tick(self) -> None:
-        self.count += 1
+    def add(self, n: int) -> None:
+        self.count += n
         if self.count > self.limit:
             raise BudgetExceededError(
                 f"adaptive integration exceeded {self.limit} evaluations"
@@ -100,7 +122,11 @@ def _derivative_grid(f: TestFunction, ts: np.ndarray, nudge: float) -> np.ndarra
     nudged derivative does not exist.  One ``f.derivative_array`` call
     serves every point off the breakpoints; only the points on one are
     taken singly."""
-    on_kink = np.isin(ts, f.breakpoints())
+    on_kink = np.zeros(ts.shape, dtype=bool)
+    for c in f.breakpoints():
+        on_kink |= ts == c
+    if not on_kink.any():
+        return f.derivative_array(ts)
     values = np.empty(ts.shape)
     values[~on_kink] = f.derivative_array(ts[~on_kink])
     for i in np.flatnonzero(on_kink).tolist():
@@ -111,52 +137,187 @@ def _derivative_grid(f: TestFunction, ts: np.ndarray, nudge: float) -> np.ndarra
     return values
 
 
-def _left_panel_splits(a: float, width: float, kind: OperatorKind, beta: float) -> list[float]:
-    """Interior split points resolving boundary layers in the first panel."""
-    points = {a + width * frac for frac in (1e-6, 1e-3, 1e-1)}
+def _boundary_layer_splits(
+    start: float, width: float, kind: OperatorKind, beta: float
+) -> list[float]:
+    """Split points inside (start, start + width) resolving the boundary
+    layer of D f - f' right of start: a, where the operator begins, or a
+    breakpoint, where f' jumps by some J and D f gains a term of its own,
+    J (t-start)^beta / Gamma(1+beta) under C and
+    J (1 - e^(-rate (t-start))) / (1-beta) under CF."""
+    points = {start + width * frac for frac in (1e-6, 1e-3, 1e-1)}
     if kind is OperatorKind.CAPUTO_FABRIZIO:
         scale = beta / (1.0 - beta)  # decay length of the exponential kernel
-        points.update(a + scale * mult for mult in (2.0, 10.0, 50.0))
-    return sorted(p for p in points if a < p < a + width)
+        points.update(start + scale * mult for mult in (2.0, 10.0, 50.0))
+    # no panel narrower than a bisection may leave, so that no node rounds
+    # onto a panel end
+    least = _NARROWEST * max(abs(start), abs(start + width))
+    return sorted(p for p in points if start + least < p < start + width - least)
 
 
-def _quad_panel(fn, lo, hi, epsabs):
-    from scipy import integrate  # deferred: only the L1 functional needs scipy
+def _operator_minus_derivative(
+    f: TestFunction,
+    kind: OperatorKind,
+    alpha: float,
+    a: float,
+    ts: np.ndarray,
+    scheme: QuadratureScheme | None,
+    nudge: float,
+) -> np.ndarray:
+    """D^alpha f - f' at each point of ts (all > a, in any order).
 
-    val, _ = integrate.quad(fn, lo, hi, epsabs=epsabs, epsrel=1e-12, limit=400)
-    return val
+    The operator values come from one ``f._closed_form_grid`` call; a point
+    with no closed form (NaN) falls back to scalar ``operators.evaluate``.
+    RL is the boundary term plus the C values.
+    """
+    base = OperatorKind.CAPUTO if kind is OperatorKind.RIEMANN_LIOUVILLE else kind
+    values = f._closed_form_grid(base, alpha, a, ts)
+    if values is None:
+        values = np.full(ts.shape, math.nan)
+    missing = np.isnan(values)
+    if missing.any():
+        values[missing] = [
+            operators.evaluate(base, f, alpha, a, t, scheme) for t in ts[missing].tolist()
+        ]
+    if kind is OperatorKind.RIEMANN_LIOUVILLE:
+        values = values + funcat.rl_boundary_term(f, alpha, a, ts)
+    return values - _derivative_grid(f, ts, nudge)
 
 
-def _rl_singular_panel(f, alpha, a, w, scheme, counter, nudge, epsabs):
-    """L1 mass of the RL error on (a, a+w] via the substitution t = a + w v^(1/beta).
+# QUADPACK's QK15 (Piessens et al., QUADPACK, Springer 1983): the nodes
+# x >= 0 of the 15-point Kronrod rule on [-1, 1] in descending order, their
+# Kronrod weights, and the weights of the 7-point Gauss rule, whose nodes are
+# every other one (zero at the nodes Kronrod added)
+_XGK = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+    0.000000000000000000000000000000000,
+)
+_WGK = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
+)
+_WG = (
+    0.0,
+    0.129484966168869693270611432679082,
+    0.0,
+    0.279705391489276667901467771423780,
+    0.0,
+    0.381830050505118944950369775488975,
+    0.0,
+    0.417959183673469387755102040816327,
+)
+#: all 15 nodes mapped to [0, 1], in ascending order, and the Kronrod and
+#: Gauss weights there (each set sums to 1) as the two columns of one matrix,
+#: so that one product gives both means
+_GK_NODES = 0.5 * np.array([*(1.0 - x for x in _XGK[:-1]), *(1.0 + x for x in _XGK[::-1])])
+_GK_WEIGHTS = 0.5 * np.array([[*w[:-1], *w[::-1]] for w in (_WGK, _WG)]).T
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+#: a panel narrower than this fraction of its position is not bisected: the
+#: outermost nodes of its halves, 0.0085 half-widths from their ends, would
+#: lie less than two ulps inside them
+_NARROWEST = 2.0**-42
+
+
+def _gauss_kronrod(fn, edges: list[float], tol: float, counter: _Counter) -> tuple[float, float]:
+    """Integral of fn (non-negative) over the panels between consecutive
+    edges, and its summed error estimate, which is at most tol.
+
+    Adaptive 7-15 Gauss-Kronrod vectorised over the panels, as in Shampine,
+    J. Comput. Appl. Math. 211 (2008) 131: each round calls fn once, on the
+    15 nodes of every panel still being refined.  A panel's estimate is
+    QUADPACK's: e = |K15 - G7| scaled to resasc min(1, (200 e / resasc)^1.5),
+    resasc being the Kronrod integral of |fn - mean|, and never below
+    50 eps K15.  On a smooth panel e overstates the K15 error by orders of
+    magnitude, and the scaling lowers it.  Where fn has a kink (|g| at a
+    sign change of g), K15 and G7 are both only second order, e can come
+    out close to the K15 error, and e / resasc stays between about 5e-3 and
+    3e-2 however small the panel; there the scaling makes the estimate
+    resasc itself, 30 to 200 times e.
+
+    The loop stops when the summed estimate is at most tol.  Otherwise it
+    bisects the panels whose estimate exceeds their share of tol
+    (tol / len(panels) for an initial panel, halved at each bisection) and
+    keeps the others as they are.  A panel too narrow to bisect is kept as
+    it is too; when no panel is left to bisect and the summed estimate is
+    still above tol, IntegrationError.
+    """
+    lo, hi = edges[:-1], edges[1:]
+    share = [tol / len(lo)] * len(lo)
+    kept_value = kept_error = 0.0
+    while True:
+        lo_a, hi_a = np.array(lo), np.array(hi)
+        width = hi_a - lo_a
+        # lo + width u is never below lo, and above hi only in a panel a few
+        # ulps wide
+        nodes = np.minimum(lo_a[:, None] + np.multiply.outer(width, _GK_NODES), hi_a[:, None])
+        counter.add(nodes.size)
+        y = fn(nodes.ravel()).reshape(nodes.shape)
+        kronrod, gauss = (y @ _GK_WEIGHTS).T
+        resasc = np.abs(y - kronrod[:, None]) @ _GK_WEIGHTS[:, 0]
+        ratio = np.minimum(200.0 * np.abs(kronrod - gauss) / np.maximum(resasc, _TINY), 1.0)
+        error = (np.maximum(resasc * ratio**1.5, 50.0 * _EPS * kronrod) * width).tolist()
+        value = (kronrod * width).tolist()
+        total = kept_error + math.fsum(error)
+        if not math.isfinite(total):
+            raise IntegrationError(f"non-finite L1 integrand on [{lo[0]!r}, {hi[-1]!r}]")
+        if total <= tol:
+            return kept_value + math.fsum(value), total
+        next_lo, next_hi, next_share = [], [], []
+        for l, h, v, e, sh in zip(lo, hi, value, error, share):
+            m = 0.5 * (l + h)
+            if e > sh and h - l > _NARROWEST * max(abs(l), abs(h)) and l < m < h:
+                next_lo += (l, m)
+                next_hi += (m, h)
+                next_share += (0.5 * sh, 0.5 * sh)
+            else:
+                kept_value += v
+                kept_error += e
+        if not next_lo:
+            raise IntegrationError(
+                f"L1 quadrature cannot reach tol={tol!r}: the panels left above their "
+                f"share of it are too narrow to bisect (estimate {total!r})"
+            )
+        lo, hi, share = next_lo, next_hi, next_share
+
+
+def _rl_flattened(f, order, a, w, scheme, nudge):
+    """The RL error on (a, a+w] under the substitution t = a + w v^(1/beta),
+    as an integrand over v in (0, 1] and the edges of its panels.
 
     In v-coordinates the singular term becomes the constant f(a) w^beta /
     (beta Gamma(beta)) and the remainder (the Caputo error) is damped by
     v^((1-beta)/beta); both factors underflow harmlessly to the exact limit
     value near v = 0.
     """
-    beta = 1.0 - alpha
+    beta = order.beta
     base = f.value(a) * w**beta / (beta * specfun.gamma(beta))
     expo = (1.0 - beta) / beta
 
-    def integrand(v: float) -> float:
-        counter.tick()
-        factor = (w / beta) * v**expo
-        if factor == 0.0:
-            return abs(base)
+    def integrand(v: np.ndarray) -> np.ndarray:
         t = a + w * v ** (1.0 / beta)
-        if t <= a:
-            return abs(base)
-        caputo = operators.evaluate(OperatorKind.CAPUTO, f, alpha, a, t, scheme)
-        rest = caputo - _derivative_off_kinks(f, t, nudge)
-        return abs(base + factor * rest)
+        rest = np.zeros(v.shape)
+        inside = t > a
+        rest[inside] = _operator_minus_derivative(
+            f, OperatorKind.CAPUTO, order.alpha, a, t[inside], scheme, nudge
+        )
+        return np.abs(base + (w / beta) * v**expo * rest)
 
     # cluster panel edges where the t-range compresses (v near 1)
     edges = sorted({0.0, 1.0, *(frac**beta for frac in (1e-9, 1e-6, 1e-3, 1e-1))})
-    return math.fsum(
-        _quad_panel(integrand, lo, hi, epsabs / (len(edges) - 1))
-        for lo, hi in zip(edges[:-1], edges[1:])
-    )
+    return integrand, edges
 
 
 def error_l1(
@@ -169,7 +330,24 @@ def error_l1(
     scheme: QuadratureScheme | None = None,
     max_evals: int = MAX_EVALS,
 ) -> ErrorReport:
-    """L1 norm of D^(1-beta) f - f' over the interval, to absolute accuracy tol."""
+    """L1 norm of D^(1-beta) f - f' over the interval, to absolute accuracy tol.
+
+    The interval is split at the catalog breakpoints, and each piece again
+    inside the boundary layer right of its left end (``_boundary_layer_splits``);
+    for RL with f(a) != 0 the first piece is integrated in the flattened
+    coordinate v instead (``_rl_flattened``).  The panels are integrated by
+    the adaptive 7-15 Gauss-Kronrod rule of ``_gauss_kronrod``.
+
+    ``tol`` bounds the sum over all final panels of QUADPACK's error
+    estimate, |K15 - G7| scaled by how much the integrand varies on the
+    panel; the report carries that sum as ``quad_error``.  It is an
+    estimate of the error, not a proof: it errs on the safe side where the
+    integrand has a kink or a singular derivative.  ``n_eval_points``
+    counts every node at which the integrand was evaluated, 15 per panel;
+    past ``max_evals`` the integration stops with BudgetExceededError.  When
+    the estimate is still above tol and every panel over its share is too
+    narrow to bisect, the value is refused with IntegrationError.
+    """
     order = FractionalOrder.from_beta(beta)
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol!r}")
@@ -177,32 +355,28 @@ def error_l1(
     counter = _Counter(max_evals)
     nudge = interval.width * 1e-12
 
-    def err(t: float) -> float:
-        counter.tick()
-        return abs(
-            operators.evaluate(kind, f, order, a, t, scheme) - _derivative_off_kinks(f, t, nudge)
-        )
+    def err(ts: np.ndarray) -> np.ndarray:
+        return np.abs(_operator_minus_derivative(f, kind, order.alpha, a, ts, scheme, nudge))
 
     kinks = sorted(x for x in set(f.breakpoints()) if a < x < b)
-    edges = [a, *kinks, b]
-    first_hi = edges[1]
-
-    panels: list[tuple[float, float]] = []
-    singular_left = kind is OperatorKind.RIEMANN_LIOUVILLE and f.value(a) != 0.0
-    if not singular_left:
-        inner = _left_panel_splits(a, first_hi - a, kind, beta)
-        panels.extend(zip([a, *inner], [*inner, first_hi]))
-    panels.extend(zip(edges[1:-1], edges[2:]))
-
-    n_panels = len(panels) + (1 if singular_left else 0)
-    epsabs = tol / max(n_panels, 1)
-    parts = []
-    if singular_left:
-        parts.append(
-            _rl_singular_panel(f, order.alpha, a, first_hi - a, scheme, counter, nudge, epsabs)
-        )
-    parts.extend(_quad_panel(err, lo, hi, epsabs) for lo, hi in panels)
-    return ErrorReport(kind, beta, NormKind.L1, interval, abs(math.fsum(parts)), counter.count)
+    pieces = list(zip([a, *kinks], [*kinks, b]))
+    regions = []
+    if kind is OperatorKind.RIEMANN_LIOUVILLE and f.value(a) != 0.0:
+        regions.append(_rl_flattened(f, order, a, pieces[0][1] - a, scheme, nudge))
+        del pieces[0]
+    if pieces:
+        edges = [pieces[0][0]]
+        for lo, hi in pieces:
+            edges += [*_boundary_layer_splits(lo, hi - lo, kind, beta), hi]
+        regions.append((err, edges))
+    n_panels = sum(len(e) - 1 for _, e in regions)
+    value = quad_error = 0.0
+    for fn, region_edges in regions:
+        share = tol * (len(region_edges) - 1) / n_panels
+        part, estimate = _gauss_kronrod(fn, region_edges, share, counter)
+        value += part
+        quad_error += estimate
+    return ErrorReport(kind, beta, NormKind.L1, interval, value, counter.count, quad_error)
 
 
 def _golden_max(fn, lo: float, hi: float, iters: int = 60) -> float:

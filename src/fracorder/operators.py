@@ -153,12 +153,14 @@ def _sample(
     """The n + 1 uniform nodes of [lo, hi], for the weight moments, and the
     samples at those nodes with the segment endpoints inset, so one-sided
     values are picked up next to kinks and integrable derivative
-    singularities stay finite."""
+    singularities stay finite.  The inset is 1e-9 of the segment, and at
+    least one ulp where that rounds away, so an inset node never lands on
+    the endpoint itself."""
     nodes = np.linspace(lo, hi, n + 1)
     inset = nodes.copy()
     eps = (hi - lo) * 1e-9
-    inset[0] += eps
-    inset[-1] -= eps
+    inset[0] = max(lo + eps, np.nextafter(lo, hi))
+    inset[-1] = min(hi - eps, np.nextafter(hi, lo))
     out = np.asarray(values(inset), dtype=float)
     if not np.all(np.isfinite(out)):
         raise IntegrationError(f"non-finite integrand samples on [{lo}, {hi}]")

@@ -110,28 +110,37 @@ class TestRatioFiniteBeta:
         got = ratio_cf_over_c_l1(3, 2.0, 1e-4)
         assert got.value == pytest.approx(0.8881, abs=1e-2)
 
-    def test_numerator_matches_l1_error(self):
-        # the closed-form numerator must equal the adaptively integrated
-        # L1 error of t^m under the exponential-kernel derivative
-        for m, T, beta in [(3, 1.5, 0.2), (4, 2.0, 0.35), (2, 1.0, 0.1)]:
-            rate = (1.0 - beta) / beta
-            numerator = (
-                T**m
-                / (1.0 - beta)
-                * (gamma(m + 1.0) * mittag_leffler_one(m + 1.0, -rate * T) - beta)
-            )
-            report = error_l1(Power(float(m), 0.0), CF, beta, Interval(0.0, T))
-            assert report.value == pytest.approx(numerator, abs=1e-7)
+    # m = 2..6, T in {1, m-1}, beta from 1e-1 to 1e-4, and two T between
+    L1_CASES = [
+        (m, T, beta)
+        for m in range(2, 7)
+        for T in sorted({1.0, m - 1.0})
+        for beta in (1e-1, 1e-2, 1e-3, 1e-4)
+    ] + [(3, 1.5, 0.2), (4, 2.0, 0.35)]
 
-    def test_denominator_matches_l1_error(self):
-        for m, T, beta in [(3, 1.5, 0.2), (2, 1.0, 0.1)]:
-            denominator = (
-                T**m
-                / gamma(m + beta + 1.0)
-                * (gamma(m + beta + 1.0) - gamma(m + 1.0) * T**beta)
-            )
-            report = error_l1(Power(float(m), 0.0), C, beta, Interval(0.0, T))
-            assert report.value == pytest.approx(denominator, abs=1e-7)
+    @pytest.mark.parametrize("m,T,beta", L1_CASES)
+    def test_numerator_matches_l1_error(self, m, T, beta):
+        # the closed-form numerator must equal the adaptively integrated
+        # L1 error of t^m under the exponential-kernel derivative, within
+        # the requested tol
+        rate = (1.0 - beta) / beta
+        numerator = (
+            T**m
+            / (1.0 - beta)
+            * (gamma(m + 1.0) * mittag_leffler_one(m + 1.0, -rate * T) - beta)
+        )
+        report = error_l1(Power(float(m), 0.0), CF, beta, Interval(0.0, T), tol=1e-8)
+        assert report.value == pytest.approx(numerator, abs=1e-8)
+
+    @pytest.mark.parametrize("m,T,beta", L1_CASES)
+    def test_denominator_matches_l1_error(self, m, T, beta):
+        denominator = (
+            T**m
+            / gamma(m + beta + 1.0)
+            * (gamma(m + beta + 1.0) - gamma(m + 1.0) * T**beta)
+        )
+        report = error_l1(Power(float(m), 0.0), C, beta, Interval(0.0, T), tol=1e-8)
+        assert report.value == pytest.approx(denominator, abs=1e-8)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -4,8 +4,10 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from fracorder import (
     DomainError,
     ErrorReport,
     Exponential,
+    IntegrationError,
     Interval,
     NonDifferentiableError,
     NormKind,
@@ -92,6 +95,82 @@ class TestErrorL1:
         with pytest.raises(DomainError):
             error_l1(ONE, C, 0.5, I01, tol=0.0)
 
+    def test_reports_estimate_within_tol(self):
+        report = error_l1(Cosine(), CF, 0.01, I01)
+        assert 0.0 < report.quad_error <= 1e-8
+        loose = error_l1(Cosine(), CF, 0.01, I01, tol=1e-4)
+        assert loose.quad_error <= 1e-4
+        assert loose.n_eval_points < report.n_eval_points
+        assert loose.value == pytest.approx(report.value, abs=1e-4)
+
+    def test_budget_counts_every_node(self):
+        report = error_l1(AbsShift(1.0), C, 0.1, Interval(0.0, 2.0))
+        assert report.n_eval_points % 15 == 0
+        again = error_l1(
+            AbsShift(1.0), C, 0.1, Interval(0.0, 2.0), max_evals=report.n_eval_points
+        )
+        assert again == report
+        with pytest.raises(BudgetExceededError):
+            error_l1(AbsShift(1.0), C, 0.1, Interval(0.0, 2.0), max_evals=report.n_eval_points - 1)
+
+    @pytest.mark.parametrize("closed_forms", [True, False])
+    def test_refuses_tol_below_what_the_panels_can_reach(self, closed_forms):
+        # a panel 2^-42 of its position wide is neither bisected nor split at
+        # its boundary layer, and its estimate is at least 50 eps times its
+        # integral, about 2.3e-13 here; no node may land on a, where the
+        # scalar operators (all the opaque function has) are undefined
+        class OpaqueAffine(Affine):
+            def _closed_form(self, kind, alpha, a, t):
+                return None
+
+            def _closed_form_grid(self, kind, alpha, a, ts):
+                return None
+
+        f = Affine(1.0, 0.0) if closed_forms else OpaqueAffine(1.0, 0.0)
+        narrow = Interval(1.0, 1.0 + 2.0**-42)
+        scheme = QuadratureScheme(64)
+        assert error_l1(f, C, 0.5, narrow, scheme=scheme).quad_error <= 1e-8
+        with pytest.raises(IntegrationError, match="too narrow to bisect"):
+            error_l1(f, C, 0.5, narrow, tol=1e-30, scheme=scheme)
+
+    @pytest.mark.parametrize("kind,beta", [(C, 0.1), (C, 1e-3), (RL, 0.1), (RL, 1e-3)])
+    def test_abs_against_mpmath(self, kind, beta):
+        # |t - 1| on (0, 2): under C the error is e(t) = 1 - t^b/Gamma(1+b)
+        # left of 1 and e(t) = (2(t-1)^b - t^b)/Gamma(1+b) - 1 right of it; RL
+        # adds f(0) t^(b-1)/Gamma(b) with f(0) = 1 (the flattened panel left
+        # of 1, the boundary term right of it).  |e| is integrated exactly,
+        # from each branch's antiderivative between the roots of e
+        rl = 1 if kind is RL else 0
+
+        def left(t):
+            return rl * t ** (b - 1) / mp.gamma(b) + 1 - t**b / mp.gamma(1 + b)
+
+        def left_integral(t):
+            return rl * t**b / mp.gamma(1 + b) + t - t ** (1 + b) / mp.gamma(2 + b)
+
+        def right(t):
+            return rl * t ** (b - 1) / mp.gamma(b) + (2 * (t - 1) ** b - t**b) / mp.gamma(1 + b) - 1
+
+        def right_integral(t):
+            power = (2 * (t - 1) ** (1 + b) - t ** (1 + b)) / mp.gamma(2 + b)
+            return rl * t**b / mp.gamma(1 + b) + power - t
+
+        with mp.workdps(30):
+            b = mp.mpf(beta)
+            exact = mp.mpf(0)
+            for lo, hi, e, integral in ((0, 1, left, left_integral), (1, 2, right, right_integral)):
+                pts = mp.linspace(lo, hi, 401)[1:-1]
+                roots = [
+                    mp.findroot(e, (x, y), solver="illinois")
+                    for x, y in zip(pts, pts[1:])
+                    if e(x) * e(y) < 0
+                ]
+                cuts = [mp.mpf(lo), *roots, mp.mpf(hi)]
+                exact += sum(abs(integral(y) - integral(x)) for x, y in zip(cuts, cuts[1:]))
+            exact = float(exact)
+        report = error_l1(AbsShift(1.0), kind, beta, Interval(0.0, 2.0), tol=1e-8)
+        assert abs(report.value - exact) <= 1e-8
+
     def test_quadrature_backed_function(self):
         # cosine with its closed forms hidden: compare against a tight
         # reference from a much finer operator grid, and the closed forms
@@ -110,7 +189,42 @@ class TestErrorL1:
         assert closed.value == pytest.approx(fine.value, rel=1e-4)
 
 
+class TestGaussKronrod:
+    @staticmethod
+    def moment_errors(column):
+        # the stored rules live on [0, 1]; mapped back to [-1, 1] exactly
+        nodes = [2 * Fraction(x) - 1 for x in norms._GK_NODES.tolist()]
+        weights = [2 * Fraction(w) for w in norms._GK_WEIGHTS[:, column].tolist()]
+        for k in range(27):
+            exact = Fraction(2, k + 1) if k % 2 == 0 else 0
+            yield k, abs(float(sum(w * x**k for w, x in zip(weights, nodes)) - exact))
+
+    @pytest.mark.parametrize("column,degree", [(0, 23), (1, 13)])
+    def test_rules_integrate_polynomials_exactly(self, column, degree):
+        # K15 has degree 3*7+2 = 23, G7 degree 13; the exact rational sums of
+        # the stored doubles show rounding only, and the next even power
+        # shows the degree is not higher
+        for k, error in self.moment_errors(column):
+            if k <= degree:
+                assert error <= 4e-16, k
+            elif k == degree + 1:
+                assert error > 1e-10, k
+
+    def test_nodes_lie_strictly_inside_the_panel(self):
+        # so that no node falls on a panel edge, which may be a breakpoint
+        assert np.all((0.0 < norms._GK_NODES) & (norms._GK_NODES < 1.0))
+
+    def test_kink_is_resolved_within_tol(self):
+        counter = norms._Counter(10**6)
+        value, estimate = norms._gauss_kronrod(lambda x: np.abs(x - 0.3), [0.0, 1.0], 1e-9, counter)
+        assert abs(value - 0.29) <= estimate <= 1e-9
+        assert counter.count % 15 == 0
+
+
 class TestErrorLinf:
+    def test_reports_no_quadrature_estimate(self):
+        assert error_linf(Cosine(), C, 0.5, I01, n_grid=101).quad_error is None
+
     def test_caputo_identity_function(self):
         # sup |1 - t^beta/Gamma(1+beta)| = 1, attained as t -> 0+
         for beta in (0.25, 0.1):
@@ -305,6 +419,9 @@ class TestErrorSweep:
             def derivative(self, t):
                 raise TwoArgError(t, "sensor offline")
 
+            def derivative_array(self, ts):
+                raise TwoArgError(float(ts[0]), "sensor offline")
+
         with pytest.raises(TwoArgError, match=r"beta=0\.2.*sensor offline") as info:
             error_sweep(Broken(), C, NormKind.L1, [0.2, 0.1], I01)
         assert isinstance(info.value.where, float)
@@ -320,19 +437,27 @@ class TestErrorReport:
             ErrorReport(C, 1.5, NormKind.L1, I01, 1.0, 10)
         with pytest.raises(DomainError):
             ErrorReport(C, 0.5, NormKind.L1, I01, 1.0, 0)
+        with pytest.raises(DomainError):
+            ErrorReport(C, 0.5, NormKind.L1, I01, 1.0, 10, -1e-9)
+        assert ErrorReport(C, 0.5, NormKind.L1, I01, 1.0, 10).quad_error is None
 
 
 def test_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate costs most of the import time and only the L1
-    # functional and custom kernels use it; the grid scan and figures use
-    # numpy.fft, not scipy.fft or scipy.signal, whose imports cost more still
+    # scipy.integrate costs most of the import time and only custom kernels
+    # use it; the L1 functional (C, CF, and RL with its flattening panel),
+    # the grid scan and figures do not, and they use numpy.fft, not
+    # scipy.fft or scipy.signal, whose imports cost more still
     src = str(Path(operators.__file__).resolve().parents[1])
     code = (
         "import os, sys, fracorder\n"
-        "from fracorder import Cosine, Interval, OperatorKind, error_linf\n"
+        "from fracorder import Cosine, Interval, OperatorKind, error_l1, error_linf\n"
         "from fracorder.cli import main\n"
         "error_linf(Cosine(), OperatorKind.CAPUTO, 0.1, Interval(0.0, 1.0), n_grid=64)\n"
+        "for kind in OperatorKind:\n"
+        "    error_l1(Cosine(), kind, 0.1, Interval(0.0, 1.0))\n"
         "assert main(['figures', '-f', 'cos', '--interval', '0,1', '--out', os.devnull]) == 0\n"
+        "assert main(['order', '-f', 'abs:1', '-k', 'C', '-p', '1', '--interval', '0,2',\n"
+        "             '--betas', '0.1,0.05,0.02,0.01', '--out', os.devnull]) == 0\n"
         "print(sorted({'scipy.integrate', 'scipy.fft', 'scipy.signal'} & set(sys.modules)))"
     )
     out = subprocess.run(

@@ -507,6 +507,17 @@ class TestClosedFormAgainstQuadrature:
         bound = (u / self.NODES) ** 2 / 8 * d3 * mass + 2e-9 * u * d2 * mass
         assert abs(closed - quad) <= bound + 1e-12 * max(1.0, abs(closed))
 
+    @pytest.mark.parametrize("op", [caputo, caputo_fabrizio])
+    def test_narrow_step_keeps_inset_nodes_inside(self, op):
+        # the step is 1e-12 wide at 0.1, where 1e-9 of it is below one ulp:
+        # the end nodes must still be inset, not land on the breakpoints
+        f = StepAntiderivative(((0.1, 0.1 + 1e-12),), (2.0,))
+        closed = op(f, 0.5, 0.0, 1.0)
+        quad = op(f, 0.5, 0.0, 1.0, use_closed_form=False)
+        # f' is piecewise constant, so the trapezoid bound is rounding only;
+        # the moments of a 1e-12 wide cell at 0.9 lose about 12 digits
+        assert quad == pytest.approx(closed, rel=1e-3)
+
     def test_cosine_past_the_reach_falls_back_to_quadrature(self):
         alpha, b, n = 0.5, 12.0, 24
         reach = 10.0 + math.lgamma(0.5)
