@@ -115,7 +115,7 @@ def _cmd_figures(args, writer) -> None:
     a, b = interval.a, interval.b
     ts = operators._grid_points(a, b, args.points)
     t_cells = [_fmt(t) for t in ts.tolist()]
-    fprime = norms._derivative_grid(f, ts, interval.width * 1e-12)
+    fprime = norms._derivative_grid(f, ts)
     writer.writerow(["t", "alpha", "kind", "value"])
     for alpha in alphas:
         caputo = operators.evaluate_grid(OperatorKind.CAPUTO, f, alpha, a, b, args.points, scheme)

@@ -5,8 +5,7 @@ pair) over panels split at catalog breakpoints and inside the boundary
 layers right of a and of each breakpoint, vectorised over the panels: each
 refinement round evaluates the integrand once, as one array over the 15
 nodes of every panel still being refined.  The operator values at those
-nodes come from one ``TestFunction._closed_form_grid`` call (scalar
-``operators.evaluate`` only where it has no value), f' from one
+nodes come from one ``operators._evaluate_points`` call, f' from one
 ``derivative_array`` call.  The loop stops when the summed error estimate
 of all panels is at most the requested tol; that sum is reported as
 ``ErrorReport.quad_error``, and a tol that cannot be met is refused.
@@ -22,14 +21,21 @@ power term to a constant and leaves a bounded integrand on (0, 1].
 The L-infinity functional scans a dense grid over (a, b], with every
 operator value of the scan from one ``operators.evaluate_grid`` call and
 every f' value from one ``derivative_array`` call (points on a breakpoint
-aside).  It refines the best point with a pointwise golden-section search
-and, for the Caputo and Caputo-Fabrizio operators (which vanish as
-t -> a+), also considers the boundary limit of the error, |f'(a+)|, which
-is where the supremum lives whenever f'(a) != 0.  At each catalog
-breakpoint c inside (a, b), where f' jumps and the operator does not, the
-one-sided limits |D(c) - f'(c-)| and |D(c) - f'(c+)| are candidates too.
-For the Riemann-Liouville operator with f(a) != 0 the supremum is infinite
-and no scan is made.
+aside), and refines the best point with a pointwise golden-section search.
+Two kinds of limit join the candidates, since a grid point approaches them
+only by chance: the boundary limit of the error as t -> a+, |f'(a)| (each
+operator here tends to 0 where f' is bounded near a, and grows more slowly
+than f' where it is not), which is where the supremum lives whenever
+f'(a) != 0 and which is ``inf`` where f' is unbounded at a; and at each
+catalog breakpoint c inside (a, b), where f' jumps and the operator does
+not, the one-sided limits |D(c) - f'(c-)| and |D(c) - f'(c+)|.  For the
+Riemann-Liouville operator with f(a) != 0 the supremum is infinite and no
+scan is made.
+
+Where f' jumps at a point t, it takes one one-sided limit, at the next float
+towards that side: the left limit, the side inside (a, t], at every point of
+the scan, of the L1 integrand and of ``cli figures``, and the right limit for
+the boundary candidate at a.
 """
 
 import enum
@@ -38,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import funcat, operators, specfun
+from . import operators, specfun
 from .exceptions import (
     BudgetExceededError,
     DomainError,
@@ -61,6 +67,7 @@ DEFAULT_GRID = 20001
 MAX_EVALS = 1_000_000
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_STEPS = 60
 
 
 class NormKind(enum.Enum):
@@ -110,18 +117,20 @@ class _Counter:
             )
 
 
-def _derivative_off_kinks(f: TestFunction, t: float, nudge: float) -> float:
+def _derivative(f: TestFunction, t: float, side: float = -math.inf) -> float:
+    """f'(t), or on a breakpoint its one-sided limit from side, taken at the
+    next float towards it: from the left (the default) for a point t of the
+    scan or the L1 integrand, the side inside (a, t]."""
     try:
         return f.derivative(t)
     except NonDifferentiableError:
-        return f.derivative(t + nudge)
+        return f.derivative(math.nextafter(t, side))
 
 
-def _derivative_grid(f: TestFunction, ts: np.ndarray, nudge: float) -> np.ndarray:
-    """``_derivative_off_kinks`` at each point of ts; NaN where even the
-    nudged derivative does not exist.  One ``f.derivative_array`` call
+def _derivative_grid(f: TestFunction, ts: np.ndarray) -> np.ndarray:
+    """``_derivative`` at each point of ts.  One ``f.derivative_array`` call
     serves every point off the breakpoints; only the points on one are
-    taken singly."""
+    taken singly, as left limits."""
     on_kink = np.zeros(ts.shape, dtype=bool)
     for c in f.breakpoints():
         on_kink |= ts == c
@@ -129,11 +138,7 @@ def _derivative_grid(f: TestFunction, ts: np.ndarray, nudge: float) -> np.ndarra
         return f.derivative_array(ts)
     values = np.empty(ts.shape)
     values[~on_kink] = f.derivative_array(ts[~on_kink])
-    for i in np.flatnonzero(on_kink).tolist():
-        try:
-            values[i] = _derivative_off_kinks(f, float(ts[i]), nudge)
-        except NonDifferentiableError:
-            values[i] = math.nan
+    values[on_kink] = [_derivative(f, t) for t in ts[on_kink].tolist()]
     return values
 
 
@@ -153,35 +158,6 @@ def _boundary_layer_splits(
     # onto a panel end
     least = _NARROWEST * max(abs(start), abs(start + width))
     return sorted(p for p in points if start + least < p < start + width - least)
-
-
-def _operator_minus_derivative(
-    f: TestFunction,
-    kind: OperatorKind,
-    alpha: float,
-    a: float,
-    ts: np.ndarray,
-    scheme: QuadratureScheme | None,
-    nudge: float,
-) -> np.ndarray:
-    """D^alpha f - f' at each point of ts (all > a, in any order).
-
-    The operator values come from one ``f._closed_form_grid`` call; a point
-    with no closed form (NaN) falls back to scalar ``operators.evaluate``.
-    RL is the boundary term plus the C values.
-    """
-    base = OperatorKind.CAPUTO if kind is OperatorKind.RIEMANN_LIOUVILLE else kind
-    values = f._closed_form_grid(base, alpha, a, ts)
-    if values is None:
-        values = np.full(ts.shape, math.nan)
-    missing = np.isnan(values)
-    if missing.any():
-        values[missing] = [
-            operators.evaluate(base, f, alpha, a, t, scheme) for t in ts[missing].tolist()
-        ]
-    if kind is OperatorKind.RIEMANN_LIOUVILLE:
-        values = values + funcat.rl_boundary_term(f, alpha, a, ts)
-    return values - _derivative_grid(f, ts, nudge)
 
 
 # QUADPACK's QK15 (Piessens et al., QUADPACK, Springer 1983): the nodes
@@ -293,7 +269,7 @@ def _gauss_kronrod(fn, edges: list[float], tol: float, counter: _Counter) -> tup
         lo, hi, share = next_lo, next_hi, next_share
 
 
-def _rl_flattened(f, order, a, w, scheme, nudge):
+def _rl_flattened(f, order, a, w, scheme):
     """The RL error on (a, a+w] under the substitution t = a + w v^(1/beta),
     as an integrand over v in (0, 1] and the edges of its panels.
 
@@ -310,9 +286,10 @@ def _rl_flattened(f, order, a, w, scheme, nudge):
         t = a + w * v ** (1.0 / beta)
         rest = np.zeros(v.shape)
         inside = t > a
-        rest[inside] = _operator_minus_derivative(
-            f, OperatorKind.CAPUTO, order.alpha, a, t[inside], scheme, nudge
-        )
+        ts = t[inside]
+        rest[inside] = operators._evaluate_points(
+            OperatorKind.CAPUTO, f, order.alpha, a, ts, scheme
+        ) - _derivative_grid(f, ts)
         return np.abs(base + (w / beta) * v**expo * rest)
 
     # cluster panel edges where the t-range compresses (v near 1)
@@ -353,16 +330,16 @@ def error_l1(
         raise DomainError(f"tol must be positive, got {tol!r}")
     a, b = interval.a, interval.b
     counter = _Counter(max_evals)
-    nudge = interval.width * 1e-12
 
     def err(ts: np.ndarray) -> np.ndarray:
-        return np.abs(_operator_minus_derivative(f, kind, order.alpha, a, ts, scheme, nudge))
+        values = operators._evaluate_points(kind, f, order.alpha, a, ts, scheme)
+        return np.abs(values - _derivative_grid(f, ts))
 
     kinks = sorted(x for x in set(f.breakpoints()) if a < x < b)
     pieces = list(zip([a, *kinks], [*kinks, b]))
     regions = []
     if kind is OperatorKind.RIEMANN_LIOUVILLE and f.value(a) != 0.0:
-        regions.append(_rl_flattened(f, order, a, pieces[0][1] - a, scheme, nudge))
+        regions.append(_rl_flattened(f, order, a, pieces[0][1] - a, scheme))
         del pieces[0]
     if pieces:
         edges = [pieces[0][0]]
@@ -379,12 +356,13 @@ def error_l1(
     return ErrorReport(kind, beta, NormKind.L1, interval, value, counter.count, quad_error)
 
 
-def _golden_max(fn, lo: float, hi: float, iters: int = 60) -> float:
-    """Golden-section search for the maximum of fn on [lo, hi]."""
+def _golden_max(fn, lo: float, hi: float) -> float:
+    """Golden-section search for the maximum of fn on [lo, hi], in
+    ``_GOLDEN_STEPS`` steps after the first two points."""
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = fn(x1), fn(x2)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_STEPS):
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _GOLDEN * (hi - lo)
@@ -407,6 +385,11 @@ def error_linf(
 ) -> ErrorReport:
     """Essential supremum of |D^(1-beta) f - f'| over (a, b].
 
+    The value is the largest of the grid scan, its golden-section refinement,
+    |f'(a)| (the t -> a+ limit; its right limit when a is a breakpoint) and
+    the one-sided limits at each breakpoint inside (a, b); ``inf`` when f' is
+    unbounded at a.  ``n_eval_points`` counts each of them once.
+
     For the Riemann-Liouville operator with f(a) != 0 the value is ``inf``
     (with one evaluation, of f(a)): the boundary term
     f(a)(t-a)^(beta-1)/Gamma(beta) is unbounded as t -> a+, and no catalog
@@ -418,35 +401,26 @@ def error_linf(
     a, b = interval.a, interval.b
     if kind is OperatorKind.RIEMANN_LIOUVILLE and f.value(a) != 0.0:
         return ErrorReport(kind, beta, NormKind.LINF, interval, math.inf, 1)
-    nudge = interval.width * 1e-12
     count = n_grid
 
     def err(t: float) -> float:
         nonlocal count
         count += 1
-        try:
-            return abs(
-                operators.evaluate(kind, f, order, a, t, scheme)
-                - _derivative_off_kinks(f, t, nudge)
-            )
-        except NonDifferentiableError:
-            return -math.inf  # skip: measure-zero point
+        return abs(operators.evaluate(kind, f, order, a, t, scheme) - _derivative(f, t))
 
-    fprime = _derivative_grid(f, operators._grid_points(a, b, n_grid), nudge)
+    fprime = _derivative_grid(f, operators._grid_points(a, b, n_grid))
     values = np.abs(operators.evaluate_grid(kind, f, order, a, b, n_grid, scheme) - fprime)
-    values[np.isnan(fprime)] = -math.inf  # skip: measure-zero points
     best_i = int(np.argmax(values))
     best = float(values[best_i])
     step = interval.width / n_grid
     lo = a + best_i * step  # one grid point left of the argmax
     hi = a + min(best_i + 2, n_grid) * step
     refined = _golden_max(err, max(lo, a + step * 1e-6), hi)
-    candidates = [best, refined]
-    if kind in (OperatorKind.CAPUTO, OperatorKind.CAPUTO_FABRIZIO):
-        # operators vanish as t -> a+, so the boundary limit of the error is
-        # |f'(a+)|; the grid approaches it only at rate (t-a)^beta
-        candidates.append(abs(_derivative_off_kinks(f, a + nudge, nudge)))
-        count += 1
+    # as t -> a+ each operator here (RL as C, since f(a) = 0) tends to 0, or
+    # grows more slowly than an unbounded f', so the boundary limit of the
+    # error is |f'(a+)|, which the grid approaches only at rate (t-a)^beta
+    candidates = [best, refined, abs(_derivative(f, a, math.inf))]
+    count += 1
     for c in sorted(x for x in set(f.breakpoints()) if a < x < b):
         # the operator is continuous at a breakpoint and f' jumps there, so
         # the error has two one-sided limits, which a grid point can only

@@ -14,14 +14,17 @@ Every catalog entry has closed forms (``funcat``), so product quadrature
 serves user-defined functions, ``use_closed_form=False``, and the points
 past a closed form's reach.
 
-``evaluate_grid`` gives the values at every point of a uniform grid in one
-call.  Closed forms come from the catalog's array hook
-``TestFunction._closed_form_grid``, as numpy expressions over the whole grid.
-One product trapezoid on a uniform grid over the whole interval serves the
-points without one: its cell moments depend only on the distance k - j
-between the evaluation node and the cell, so each weighted sum over cells is
-a Toeplitz product, done with real FFTs (Hairer, Lubich & Schlichte, SIAM J.
-Sci. Stat. Comput. 6 (1985) 532).
+One array evaluator, ``_evaluate_points``, gives the values at many points
+in one call; ``evaluate_grid`` (the sup-norm scan, ``cli figures``) and the
+L1 integrand of ``norms`` both go through it.  Closed forms come from the
+catalog's array hook ``TestFunction._closed_form_grid``, as numpy
+expressions over all the points.  On a uniform grid over the whole interval
+with no breakpoint inside, one product trapezoid serves the points without
+one: its cell moments depend only on the distance k - j between the
+evaluation node and the cell, so each weighted sum over cells is a Toeplitz
+product, done with real FFTs (Hairer, Lubich & Schlichte, SIAM J. Sci.
+Stat. Comput. 6 (1985) 532).  Anywhere else such a point falls back to
+scalar ``evaluate``.
 """
 
 import math
@@ -339,38 +342,45 @@ def evaluate_grid(
     al = _order_value(alpha)
     if n < 1:
         raise DomainError(f"grid size must be at least 1, got {n!r}")
+    if not isinstance(kind, OperatorKind):
+        raise DomainError(f"unknown operator kind {kind!r}")
     ts = _grid_points(a, b, n)
     _check_window(a, float(ts[0]))  # also refuses b <= a and non-finite b
-    if kind is OperatorKind.RIEMANN_LIOUVILLE:
-        return funcat.rl_boundary_term(f, al, a, ts) + _kernel_grid(
-            OperatorKind.CAPUTO, f, al, a, b, ts, scheme
-        )
-    if kind not in (OperatorKind.CAPUTO, OperatorKind.CAPUTO_FABRIZIO):
-        raise DomainError(f"unknown operator kind {kind!r}")
-    return _kernel_grid(kind, f, al, a, b, ts, scheme)
+    return _evaluate_points(kind, f, al, a, ts, scheme, b)
 
 
-def _kernel_grid(
+def _evaluate_points(
     kind: OperatorKind,
     f: TestFunction,
     alpha: float,
     a: float,
-    b: float,
     ts: np.ndarray,
     scheme: QuadratureScheme | None,
+    b: float | None = None,
 ) -> np.ndarray:
-    """C or CF values at ts: closed forms where known, else one grid quadrature."""
-    values = f._closed_form_grid(kind, alpha, a, ts)
+    """``evaluate(kind, f, alpha, a, t)`` at each point of ts (all > a, in
+    any order): the one array evaluator behind ``evaluate_grid`` and the
+    L1 integrand.
+
+    C and CF values come from one ``f._closed_form_grid`` call.  A point
+    with none (NaN) is filled from one product trapezoid when ts is
+    ``_grid_points(a, b, len(ts))`` with no breakpoint inside (a, b), and
+    otherwise (b omitted) from scalar ``evaluate``.  RL is
+    ``funcat.rl_boundary_term`` plus the C values.
+    """
+    base = OperatorKind.CAPUTO if kind is OperatorKind.RIEMANN_LIOUVILLE else kind
+    values = f._closed_form_grid(base, alpha, a, ts)
     if values is None:
         values = np.full(ts.shape, math.nan)
     missing = np.flatnonzero(np.isnan(values))
-    if not missing.size:
-        return values
-    if any(a < x < b for x in f.breakpoints()):
-        fill = [evaluate(kind, f, alpha, a, t, scheme) for t in ts[missing].tolist()]
-    else:
-        fill = _trapezoid_grid(kind, f, alpha, a, b, len(ts), _n_nodes(scheme))[missing]
-    values[missing] = fill
+    if missing.size:
+        if b is None or any(a < x < b for x in f.breakpoints()):
+            fill = [evaluate(base, f, alpha, a, t, scheme) for t in ts[missing].tolist()]
+        else:
+            fill = _trapezoid_grid(base, f, alpha, a, b, len(ts), _n_nodes(scheme))[missing]
+        values[missing] = fill
+    if kind is OperatorKind.RIEMANN_LIOUVILLE:
+        return funcat.rl_boundary_term(f, alpha, a, ts) + values
     return values
 
 

@@ -100,6 +100,15 @@ class TestError:
         assert code == 0 and err == ""
         assert parse_csv(out)[1][5:] == ["inf", "1"]
 
+    def test_linf_unbounded_f_prime_at_a(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "error", "-f", "power:0.5", "-k", "C", "-p", "inf",
+            "--beta", "0.5", "--interval", "0,1",
+        )
+        assert code == 0 and err == ""
+        assert parse_csv(out)[1][5] == "inf"
+
 
 class TestDerive:
     def test_value_round_trips(self, capsys):
@@ -175,6 +184,15 @@ class TestOrder:
         assert "decay" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_unbounded_sup_norm_refuses_the_fit(self, capsys):
+        code, _, err = run_cli(
+            capsys,
+            "order", "-f", "power:0.5", "-k", "C", "-p", "inf",
+            "--interval", "0,1", "--betas", "0.1,0.05,0.02,0.01",
+        )
+        assert code == 3
+        assert len(err.strip().splitlines()) == 1
+
     def test_bad_beta_list(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -205,6 +223,19 @@ class TestFigures:
         last_c = [r for r in body if r[2] == "C" and float(r[0]) == 1.0 and float(r[1]) == 0.99]
         assert len(last_c) == 1
         assert float(last_c[0][3]) == caputo(parse_function("affine:1,1"), 0.99, 0.0, 1.0)
+
+    def test_fprime_on_a_breakpoint_is_the_left_limit(self, capsys):
+        # |t - 1| on (0, 1]: f' = -1 up to b = 1, whose right limit +1 lies
+        # outside the interval; likewise at the interior kink of |t - 1/2|
+        for name, kink in (("abs:1", "1.0"), ("abs:0.5", "0.5")):
+            code, out, _ = run_cli(
+                capsys,
+                "figures", "-f", name, "--interval", "0,1",
+                "--alphas", "0.9", "--points", "10",
+            )
+            assert code == 0
+            rows = parse_csv(out)[1:]
+            assert [r[3] for r in rows if r[0] == kink and r[2] == "fprime"] == ["-1.0"]
 
     def test_out_file(self, capsys, tmp_path):
         dest = tmp_path / "fig.csv"

@@ -189,6 +189,36 @@ class TestErrorL1:
         assert closed.value == pytest.approx(fine.value, rel=1e-4)
 
 
+    @pytest.mark.parametrize("kind", [C, CF, RL])
+    def test_integrand_operator_values_match_pointwise(self, kind, monkeypatch):
+        # |t - 1/2| with its closed forms hidden: every operator value of the
+        # integrand comes from product quadrature, and under RL the piece
+        # right of the breakpoint carries the boundary term f(0) t^(-alpha)
+        class OpaqueAbs(AbsShift):
+            def _closed_form(self, kind, alpha, a, t):
+                return None
+
+            def _closed_form_grid(self, kind, alpha, a, ts):
+                return None
+
+        calls = []
+        original = operators._evaluate_points
+
+        def recording(*args, **kwargs):
+            values = original(*args, **kwargs)
+            calls.append((args, values))
+            return values
+
+        monkeypatch.setattr(operators, "_evaluate_points", recording)
+        f, scheme = OpaqueAbs(0.5), QuadratureScheme(64)
+        error_l1(f, kind, 0.3, I01, tol=1e-4, scheme=scheme)
+        assert kind in {args[0] for args, _ in calls}
+        for (call_kind, _, alpha, a, ts, _), values in calls:
+            want = [operators.evaluate(call_kind, f, alpha, a, t, scheme) for t in ts.tolist()]
+            # the RL sum may round its array and scalar addends an ulp apart
+            np.testing.assert_allclose(values, want, rtol=1e-15, atol=1e-15)
+
+
 class TestGaussKronrod:
     @staticmethod
     def moment_errors(column):
@@ -267,7 +297,37 @@ class TestErrorLinf:
         rl = error_linf(f, RL, 0.2, I01, n_grid=101)
         c = error_linf(f, C, 0.2, I01, n_grid=101)
         assert rl.value == pytest.approx(c.value, rel=1e-12)
-        assert rl.n_eval_points == 101 + 62
+        # grid, golden-section steps, and |f'(a+)|
+        assert rl.n_eval_points == 101 + 62 + 1
+
+    @pytest.mark.parametrize("f", [Affine(1.0, 0.0), AbsShift(0.0)])
+    @pytest.mark.parametrize("n_grid", [101, 2001, 20001])
+    def test_rl_with_f_a_zero_keeps_the_boundary_limit(self, f, n_grid):
+        # the boundary term vanishes, so RL is C, whose error tends to
+        # |f'(0+)| = 1 as t -> 0+ while every grid point is near 0.02; for
+        # |t| that limit is the right one at the breakpoint a = 0
+        rl = error_linf(f, RL, 1e-3, I01, n_grid=n_grid)
+        c = error_linf(f, C, 1e-3, I01, n_grid=n_grid)
+        assert rl.value == c.value == 1.0
+
+    @pytest.mark.parametrize("kind", [C, CF])
+    @pytest.mark.parametrize("n_grid", [2, 100, 101, 2001])
+    def test_breakpoint_at_b_takes_the_left_limit(self, kind, n_grid):
+        # on (0, 1], f' = -1 up to and at b = 1; the right limit +1 belongs
+        # to no point of the interval, and the sup is |f'(0+)| = 1
+        report = error_linf(AbsShift(1.0), kind, 0.1, I01, n_grid=n_grid)
+        assert report.value == 1.0
+
+    @pytest.mark.parametrize("b", [1.0, 2.0])
+    def test_boundary_limit_is_f_prime_at_a(self, b):
+        # |D e^t - e^t| = e^(-rate t) under CF, largest as t -> 0+
+        assert error_linf(Exponential(), CF, 0.1, Interval(0.0, b)).value == 1.0
+
+    @pytest.mark.parametrize("kind", [C, CF, RL])
+    @pytest.mark.parametrize("n_grid", [2, 7, 101, 2001, 20001])
+    def test_unbounded_f_prime_at_a_is_inf(self, kind, n_grid):
+        # f' = t^(-1/2)/2 is unbounded at 0+, the operators are not
+        assert error_linf(Power(0.5), kind, 0.5, I01, n_grid=n_grid).value == math.inf
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):
@@ -362,24 +422,28 @@ class TestDerivativeGrid:
     @settings(max_examples=40, deadline=None)
     @given(
         case=st.one_of(
-            st.integers(1, 150).map(lambda k: ("abs:0.5", 2 * k)),
-            st.integers(1, 60).map(lambda k: ("step:0.2,0.6,2", 5 * k)),
+            st.integers(1, 150).map(lambda k: ("abs:0.5", 1.0, 2 * k)),
+            st.integers(1, 60).map(lambda k: ("step:0.2,0.6,2", 1.0, 5 * k)),
+            # grids whose last point is a breakpoint
+            st.integers(1, 150).map(lambda n: ("abs:1", 1.0, n)),
+            st.integers(1, 60).map(lambda k: ("step:0.2,0.6,2", 0.6, 3 * k)),
         )
     )
     def test_matches_pointwise_on_breakpoints(self, case):
-        name, n = case
+        name, b, n = case
         f = parse_function(name)
-        ts = operators._grid_points(0.0, 1.0, n)
+        ts = operators._grid_points(0.0, b, n)
         assert np.isin(ts, f.breakpoints()).any()
-        nudge = 1e-12
-        got = norms._derivative_grid(f, ts, nudge).tolist()
+        got = norms._derivative_grid(f, ts).tolist()
         for t, value in zip(ts.tolist(), got):
-            try:
-                want = norms._derivative_off_kinks(f, t, nudge)
-            except NonDifferentiableError:
-                assert math.isnan(value)
+            if t in f.breakpoints():
+                # the left limit, the side inside (a, t]
+                assert value == f.derivative(math.nextafter(t, -math.inf))
+                with pytest.raises(NonDifferentiableError):
+                    f.derivative(t)
             else:
-                assert value == want
+                assert value == f.derivative(t)
+            assert value == norms._derivative(f, t)
 
 
 class TestErrorSweep:
