@@ -10,12 +10,12 @@ u = 700.  There, and for entries without closed forms,
 ``closed_form_fractional`` returns ``None`` and operators fall back to
 quadrature.
 
-Closed forms have two hooks.  ``TestFunction._closed_form`` gives one value
-in pure :mod:`math` for the scalar operators; ``_closed_form_grid`` gives
-the values on a whole array of points as numpy expressions for
-``operators.evaluate_grid``, with NaN where a point has no closed form.  The
-base class builds the second from the first, so an entry that defines only
-the scalar hook still has both.  The Caputo-Fabrizio form of a power,
+Each (entry, operator) pair has one closed form, written once, as numpy
+expressions over an array of points: the hook
+``TestFunction._closed_form_grid``, with NaN where a point has no closed
+form.  ``operators`` calls it on all the points it needs at once, and
+``closed_form_fractional`` on the one-point array [t].  The Caputo-Fabrizio
+form of a power,
 (1/(1-alpha)) int_0^u g s^(g-1) e^(-rate (u-s)) ds, is written as
 Gamma(g+1) u^g E_{1,g+1}(-rate u) / (1-alpha) (Caputo & Fabrizio, Progr.
 Fract. Differ. Appl. 1 (2015) 73), which has no cancellation as alpha -> 0.
@@ -106,18 +106,12 @@ class TestFunction(ABC):
     def derivative_array(self, ts: np.ndarray) -> np.ndarray:
         return np.array([self.derivative(float(t)) for t in ts])
 
-    def _closed_form(self, kind: OperatorKind, alpha: float, a: float, t: float) -> float | None:
-        return None
-
     def _closed_form_grid(
         self, kind: OperatorKind, alpha: float, a: float, ts: np.ndarray
     ) -> np.ndarray | None:
-        """``_closed_form`` at every point of ts (all > a) for kind C or CF:
-        NaN at a point with no closed form, ``None`` if no point has one."""
-        values = [self._closed_form(kind, alpha, a, t) for t in ts.tolist()]
-        if all(v is None for v in values):
-            return None
-        return np.array([math.nan if v is None else v for v in values])
+        """The closed form for kind C or CF at every point of ts (all > a):
+        NaN at a point it does not reach, ``None`` if the entry has none."""
+        return None
 
 
 def closed_form_fractional(
@@ -125,19 +119,22 @@ def closed_form_fractional(
 ) -> float | None:
     """Closed-form fractional derivative of ``f`` at ``t``, or ``None``.
 
-    The Riemann-Liouville form is assembled from the Caputo one via
+    The value is ``f._closed_form_grid`` at the one point t, so it costs a
+    whole numpy call (5 to 350 us, by entry); ``operators.evaluate_grid``
+    serves many points of one operator in one.  The Riemann-Liouville form is assembled from the Caputo one via
     RL = rl_boundary_term + Caputo, so it exists exactly when the Caputo form
     does.
     """
     alpha = _check_order(getattr(alpha, "alpha", alpha))
     if not t > a:
         raise DomainError(f"evaluation point must satisfy t > a, got t={t}, a={a}")
-    if kind is OperatorKind.RIEMANN_LIOUVILLE:
-        cap = f._closed_form(OperatorKind.CAPUTO, alpha, a, t)
-        if cap is None:
-            return None
-        return rl_boundary_term(f, alpha, a, t) + cap
-    return f._closed_form(kind, alpha, a, t)
+    rl = kind is OperatorKind.RIEMANN_LIOUVILLE
+    values = f._closed_form_grid(OperatorKind.CAPUTO if rl else kind, alpha, a, np.array([t]))
+    if values is None or math.isnan(values[0]):
+        return None
+    if rl:
+        return rl_boundary_term(f, alpha, a, t) + float(values[0])
+    return float(values[0])
 
 
 def rl_boundary_term(
@@ -219,21 +216,6 @@ class Power(TestFunction):
         with np.errstate(divide="ignore"):
             return self.gamma_exp * u ** (self.gamma_exp - 1.0)
 
-    def _closed_form(self, kind: OperatorKind, alpha: float, a: float, t: float) -> float | None:
-        if a != self.origin:
-            return None
-        g = self.gamma_exp
-        u = t - a
-        if kind is OperatorKind.CAPUTO:
-            return specfun.gamma(g + 1.0) / specfun.gamma(g - alpha + 1.0) * u ** (g - alpha)
-        if kind is OperatorKind.CAPUTO_FABRIZIO:
-            z = -_cf_rate(alpha) * u
-            if not self._is_integer_exp() and z < _ML_SERIES_TRUST:
-                return None
-            ml = specfun.mittag_leffler_one(g + 1.0, z)
-            return specfun.gamma(g + 1.0) * u**g * ml / (1.0 - alpha)
-        return None
-
     def _closed_form_grid(
         self, kind: OperatorKind, alpha: float, a: float, ts: np.ndarray
     ) -> np.ndarray | None:
@@ -276,14 +258,6 @@ class Affine(TestFunction):
     def derivative_array(self, ts: np.ndarray) -> np.ndarray:
         return np.full(np.shape(ts), self.slope)
 
-    def _closed_form(self, kind: OperatorKind, alpha: float, a: float, t: float) -> float | None:
-        u = t - a
-        if kind is OperatorKind.CAPUTO:
-            return self.slope * u ** (1.0 - alpha) / specfun.gamma(2.0 - alpha)
-        if kind is OperatorKind.CAPUTO_FABRIZIO:
-            return -self.slope / alpha * math.expm1(-_cf_rate(alpha) * u)
-        return None
-
     def _closed_form_grid(
         self, kind: OperatorKind, alpha: float, a: float, ts: np.ndarray
     ) -> np.ndarray | None:
@@ -316,19 +290,6 @@ class Exponential(TestFunction):
 
     derivative_array = value_array
 
-    def _closed_form(self, kind: OperatorKind, alpha: float, a: float, t: float) -> float | None:
-        u = t - a
-        if kind is OperatorKind.CAPUTO:
-            if u > _EXP_C_REACH:
-                return None
-            ml = specfun.mittag_leffler_one(2.0 - alpha, u)
-            return math.exp(a) * u ** (1.0 - alpha) * ml
-        if kind is OperatorKind.CAPUTO_FABRIZIO:
-            # (1/(1-alpha)) int_a^t e^tau e^(-rate (t-tau)) dtau collapses to
-            # e^t - e^a e^(-rate (t-a)); written via expm1 to survive t near a
-            return math.exp(a) * (math.expm1(u) - math.expm1(-_cf_rate(alpha) * u))
-        return None
-
     def _closed_form_grid(
         self, kind: OperatorKind, alpha: float, a: float, ts: np.ndarray
     ) -> np.ndarray | None:
@@ -355,7 +316,7 @@ class Cosine(TestFunction):
     ((1-alpha)(rate^2+1)) without its cancellation as u or rate -> 0.
 
     Caputo, Re[i e^(ia) u^(1-alpha) E_{1,2-alpha}(iu)], as the real series
-    of ``_cos_caputo``.  Its terms grow to about e^u u^(-alpha) /
+    of ``_cos_caputo_array``.  Its terms grow to about e^u u^(-alpha) /
     Gamma(1-alpha) and cancel to O(1), so it is summed only up to the reach
     u = 10 + ln Gamma(1-alpha) (10.03 at alpha 0.05, 19.2 at 1 - 1e-4), where
     rounding leaves at most about 1e-11 absolute, and under 1e-12 as
@@ -373,19 +334,6 @@ class Cosine(TestFunction):
 
     def derivative_array(self, ts: np.ndarray) -> np.ndarray:
         return -np.sin(np.asarray(ts, dtype=float))
-
-    def _closed_form(self, kind: OperatorKind, alpha: float, a: float, t: float) -> float | None:
-        u = t - a
-        if kind is OperatorKind.CAPUTO:
-            if u > _cos_c_reach(alpha):
-                return None
-            return _cos_caputo(alpha, t, u)
-        if kind is OperatorKind.CAPUTO_FABRIZIO:
-            # -(1/(1-alpha)) int_0^u sin(t-v) e^(-rate v) dv
-            #   = -(u/(1-alpha)) Im[e^(it) phi1(-(rate+i) u)]
-            e = _phi1(complex(-_cf_rate(alpha) * u, -u))
-            return -u / (1.0 - alpha) * (math.sin(t) * e.real + math.cos(t) * e.imag)
-        return None
 
     def _closed_form_grid(
         self, kind: OperatorKind, alpha: float, a: float, ts: np.ndarray
@@ -428,29 +376,6 @@ class AbsShift(TestFunction):
         if np.any(ts == self.center):
             raise NonDifferentiableError(f"|t - {self.center}| has no derivative at its center")
         return np.where(ts > self.center, 1.0, -1.0)
-
-    def _closed_form(self, kind: OperatorKind, alpha: float, a: float, t: float) -> float | None:
-        c = self.center
-        if kind is OperatorKind.CAPUTO:
-            unit = (t - a) ** (1.0 - alpha) / specfun.gamma(2.0 - alpha)
-            if c <= a:
-                return unit
-            if t <= c:
-                return -unit
-            return (2.0 * (t - c) ** (1.0 - alpha) - (t - a) ** (1.0 - alpha)) / specfun.gamma(
-                2.0 - alpha
-            )
-        if kind is OperatorKind.CAPUTO_FABRIZIO:
-            rate = _cf_rate(alpha)
-            unit = -math.expm1(-rate * (t - a)) / alpha
-            if c <= a:
-                return unit
-            if t <= c:
-                return -unit
-            # 1 - 2 e^(-rate (t-c)) + e^(-rate (t-a)), without its cancellation
-            # as alpha -> 0
-            return (math.expm1(-rate * (t - a)) - 2.0 * math.expm1(-rate * (t - c))) / alpha
-        return None
 
     def _closed_form_grid(
         self, kind: OperatorKind, alpha: float, a: float, ts: np.ndarray
@@ -529,28 +454,6 @@ class StepAntiderivative(TestFunction):
             out[(lo < ts) & (ts < hi)] = q
         return out
 
-    def _closed_form(self, kind: OperatorKind, alpha: float, a: float, t: float) -> float | None:
-        total = 0.0
-        if kind is OperatorKind.CAPUTO:
-            for (lo, hi), q in zip(self.breaks, self.heights):
-                lo = max(lo, a)
-                hi = min(hi, t)
-                if hi <= lo:
-                    continue
-                total += q * _power_drop(t - lo, hi - lo, 1.0 - alpha)
-            return total / specfun.gamma(2.0 - alpha)
-        if kind is OperatorKind.CAPUTO_FABRIZIO:
-            rate = _cf_rate(alpha)
-            for (lo, hi), q in zip(self.breaks, self.heights):
-                lo = max(lo, a)
-                hi = min(hi, t)
-                if hi <= lo:
-                    continue
-                # e^(-rate (t-hi)) - e^(-rate (t-lo)), exact in its digits
-                total += -q * math.exp(-rate * (t - hi)) * math.expm1(-rate * (hi - lo))
-            return total / alpha
-        return None
-
     def _closed_form_grid(
         self, kind: OperatorKind, alpha: float, a: float, ts: np.ndarray
     ) -> np.ndarray | None:
@@ -562,38 +465,30 @@ class StepAntiderivative(TestFunction):
             lo = max(lo, a)
             if hi <= lo:
                 continue
-            # the scalar form's [max(lo, a), min(hi, t)], pinched to [t, t]
-            # (no contribution) where t <= lo
+            # the step's part [max(lo, a), min(hi, t)] of [a, t], pinched to
+            # [t, t] (no contribution) where t <= lo
             lo_t = np.minimum(lo, ts)
             hi_t = np.minimum(hi, ts)
             if kind is OperatorKind.CAPUTO:
                 total += q * _power_drop_array(ts - lo_t, hi_t - lo_t, p)
             else:
+                # e^(-rate (t-hi)) - e^(-rate (t-lo)), exact in its digits
                 total += -q * np.exp(-rate * (ts - hi_t)) * np.expm1(-rate * (hi_t - lo_t))
         if kind is OperatorKind.CAPUTO:
             return total / specfun.gamma(2.0 - alpha)
         return total / alpha
 
 
-def _power_drop(x: float, width: float, p: float) -> float:
-    """x^p - (x - width)^p for 0 < width <= x.
+def _power_drop_array(x: np.ndarray, width: np.ndarray, p: float) -> np.ndarray:
+    """x^p - (x - width)^p elementwise, for 0 <= width <= x; 0 where width = 0.
 
     Written as -x^p expm1(p ln(y/x)), y = x - width, so that no digits are
     lost when the width is small against x or p is small; ln(y/x) is taken
     by log1p(-width/x) where y >= x/2, and directly where y/x is small.
     """
     y = x - width
-    if y <= 0.0:
-        return x**p
-    ratio_log = math.log(y / x) if 2.0 * y < x else math.log1p(-width / x)
-    return -(x**p) * math.expm1(p * ratio_log)
-
-
-def _power_drop_array(x: np.ndarray, width: np.ndarray, p: float) -> np.ndarray:
-    """``_power_drop`` elementwise; 0 where width = x = 0."""
-    y = x - width
     with np.errstate(divide="ignore", invalid="ignore"):
-        # log(0) = -inf gives x^p where y = 0, as the scalar branch does
+        # log(0) = -inf gives x^p where y = 0
         ratio_log = np.where(2.0 * y < x, np.log(y / x), np.log1p(-width / x))
         drop = -(x**p) * np.expm1(p * ratio_log)
     return np.where(width > 0.0, drop, 0.0)
@@ -604,8 +499,8 @@ def _cos_c_reach(alpha: float) -> float:
     return _COS_C_LOSS_LOG + math.lgamma(1.0 - alpha)
 
 
-def _cos_caputo(alpha: float, t: float, u: float) -> float:
-    """Caputo derivative of cos at t = a + u: -(1/Gamma(1-alpha)) times
+def _cos_caputo_array(alpha: float, ts: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Caputo derivative of cos at each t = a + u: -(1/Gamma(1-alpha)) times
     int_0^u sin(t-v) v^(-alpha) dv, with sin(t-v) expanded at t, so
 
         -(u^(1-alpha)/Gamma(1-alpha)) sum_k d_k u^k / (k! (k+1-alpha)),
@@ -614,27 +509,10 @@ def _cos_caputo(alpha: float, t: float, u: float) -> float:
     is a running product.  This is Re[i e^(ia) u^(1-alpha) E_{1,2-alpha}(iu)]
     regrouped; against the series in u^n/Gamma(n+2-alpha) about a, every term
     past the first carries the factor 1/Gamma(1-alpha) -> 0 as alpha -> 1,
-    so its cancellation costs less there.  It is summed past its peak until
-    the next term is below 1e-18 of the sum of |terms|, as specfun's
-    Mittag-Leffler series are, and exactly."""
-    s, c = math.sin(t), math.cos(t)
-    signs = (s, -c, -s, c)
-    mag = 1.0
-    terms = []
-    abs_sum = 0.0
-    k = 0
-    while True:
-        terms.append(signs[k % 4] * mag / (k + 1.0 - alpha))
-        abs_sum += abs(terms[-1])
-        k += 1
-        mag = mag * (u / k)  # bounds the next |term|, whatever its sign factor
-        if k > u and mag <= specfun._SERIES_TERM_TOL * abs_sum:
-            return -(u ** (1.0 - alpha)) / specfun.gamma(1.0 - alpha) * math.fsum(terms)
-
-
-def _cos_caputo_array(alpha: float, ts: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``_cos_caputo`` at every point at once: the same terms, summed with
-    Neumaier's compensation until every point meets the stopping rule."""
+    so its cancellation costs less there.  The terms are summed with their
+    exact rounding errors carried alongside (TwoSum, Knuth, TAOCP vol. 2,
+    4.2.2), past the peak until at every point the next term is below 1e-18
+    of the sum of |terms|, as specfun's Mittag-Leffler series are."""
     s, c = np.sin(ts), np.cos(ts)
     signs = (s, -c, -s, c)
     mag = np.ones(u.shape)
@@ -646,12 +524,13 @@ def _cos_caputo_array(alpha: float, ts: np.ndarray, u: np.ndarray) -> np.ndarray
     while True:
         term = signs[k % 4] * mag / (k + 1.0 - alpha)
         new = total + term
-        carry += np.where(np.abs(total) >= np.abs(term), (total - new) + term, (term - new) + total)
+        back = new - total
+        carry += (total - (new - back)) + (term - back)
         total = new
         abs_sum += np.abs(term)
         k += 1
         mag = mag * (u / k)
-        if k > reach and np.all(mag <= specfun._SERIES_TERM_TOL * abs_sum):
+        if k > reach and (mag <= specfun._SERIES_TERM_TOL * abs_sum).all():
             return -(u ** (1.0 - alpha)) / specfun.gamma(1.0 - alpha) * (total + carry)
 
 
@@ -660,23 +539,11 @@ _PHI1_SERIES = 1.0
 _PHI1_TERMS = 20
 
 
-def _phi1(z: complex) -> complex:
-    """(e^z - 1)/z for Re z <= 0, without cancellation: the Taylor series
-    sum z^k/(k+1)! by Horner's rule for |z| < 1, else e^z - 1 by parts,
-    (expm1(x) cos y - 2 sin^2(y/2)) + i e^x sin y, whose real terms share
-    their sign while |y| < pi."""
-    if abs(z) < _PHI1_SERIES:
-        acc = 1.0 + 0.0j
-        for k in range(_PHI1_TERMS, 1, -1):
-            acc = 1.0 + z * acc / k
-        return acc
-    x, y = z.real, z.imag
-    real = math.expm1(x) * math.cos(y) - 2.0 * math.sin(0.5 * y) ** 2
-    return complex(real, math.exp(x) * math.sin(y)) / z
-
-
 def _phi1_array(z: np.ndarray) -> np.ndarray:
-    """``_phi1`` elementwise."""
+    """(e^z - 1)/z elementwise for Re z <= 0, without cancellation: the
+    Taylor series sum z^k/(k+1)! by Horner's rule for |z| < 1, else e^z - 1
+    by parts, (expm1(x) cos y - 2 sin^2(y/2)) + i e^x sin y, whose real
+    terms share their sign while |y| < pi."""
     out = np.empty(z.shape, dtype=complex)
     near = np.abs(z) < _PHI1_SERIES
     zn = z[near]

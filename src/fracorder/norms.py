@@ -21,7 +21,10 @@ power term to a constant and leaves a bounded integrand on (0, 1].
 The L-infinity functional scans a dense grid over (a, b], with every
 operator value of the scan from one ``operators.evaluate_grid`` call and
 every f' value from one ``derivative_array`` call (points on a breakpoint
-aside), and refines the best point with a pointwise golden-section search.
+aside), and refines the best point by zooming in on it: two rounds, each
+scoring 127 evenly spaced points of a bracket with one
+``operators._evaluate_points`` call and one ``_derivative_grid`` call, then
+one point at the vertex of the parabola through the best three.
 Two kinds of limit join the candidates, since a grid point approaches them
 only by chance: the boundary limit of the error as t -> a+, |f'(a)| (each
 operator here tends to 0 where f' is bounded near a, and grows more slowly
@@ -66,8 +69,10 @@ DEFAULT_TOL = 1e-8
 DEFAULT_GRID = 20001
 MAX_EVALS = 1_000_000
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_STEPS = 60
+#: the sup-norm refinement: points scored per round, strictly inside the
+#: round's bracket, and rounds; 127 points narrow the bracket 64-fold a round
+_ZOOM_POINTS = 127
+_ZOOM_ROUNDS = 2
 
 
 class NormKind(enum.Enum):
@@ -125,6 +130,12 @@ def _derivative(f: TestFunction, t: float, side: float = -math.inf) -> float:
         return f.derivative(t)
     except NonDifferentiableError:
         return f.derivative(math.nextafter(t, side))
+
+
+def _abs_error(kind, f, alpha, a, ts, scheme) -> np.ndarray:
+    """|D f - f'| at each point of ts (all > a)."""
+    values = operators._evaluate_points(kind, f, alpha, a, ts, scheme)
+    return np.abs(values - _derivative_grid(f, ts))
 
 
 def _derivative_grid(f: TestFunction, ts: np.ndarray) -> np.ndarray:
@@ -332,8 +343,7 @@ def error_l1(
     counter = _Counter(max_evals)
 
     def err(ts: np.ndarray) -> np.ndarray:
-        values = operators._evaluate_points(kind, f, order.alpha, a, ts, scheme)
-        return np.abs(values - _derivative_grid(f, ts))
+        return _abs_error(kind, f, order.alpha, a, ts, scheme)
 
     kinks = sorted(x for x in set(f.breakpoints()) if a < x < b)
     pieces = list(zip([a, *kinks], [*kinks, b]))
@@ -356,22 +366,32 @@ def error_l1(
     return ErrorReport(kind, beta, NormKind.L1, interval, value, counter.count, quad_error)
 
 
-def _golden_max(fn, lo: float, hi: float) -> float:
-    """Golden-section search for the maximum of fn on [lo, hi], in
-    ``_GOLDEN_STEPS`` steps after the first two points."""
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = fn(x1), fn(x2)
-    for _ in range(_GOLDEN_STEPS):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = fn(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = fn(x1)
-    return max(f1, f2)
+def _zoom_max(fn, lo: float, hi: float) -> float:
+    """The largest value of fn (an array function) at the points of
+    ``_ZOOM_ROUNDS`` rounds and one last point.  Each round scores
+    ``_ZOOM_POINTS`` evenly spaced points strictly inside [lo, hi], and the
+    next round's bracket is the two cells on either side of the best of
+    them.  The last point is the vertex of the parabola through the last
+    round's best point and its two neighbours (the end three where the best
+    is an end point), kept between them, where a smooth peak lies to within
+    about the square of their spacing; three that do not bend down score
+    their middle point again."""
+    best = -math.inf
+    fracs = np.arange(1, _ZOOM_POINTS + 1) / (_ZOOM_POINTS + 1)
+    for _ in range(_ZOOM_ROUNDS):
+        ts = lo + (hi - lo) * fracs
+        values = fn(ts)
+        k = int(np.argmax(values))
+        best = max(best, float(values[k]))
+        lo = float(ts[k - 1]) if k > 0 else lo
+        hi = float(ts[k + 1]) if k + 1 < _ZOOM_POINTS else hi
+    j = min(max(k, 1), _ZOOM_POINTS - 2)
+    y0, y1, y2 = values[j - 1 : j + 2].tolist()
+    bend = y0 - 2.0 * y1 + y2
+    # the vertex's offset from ts[j] in spacings, within one of it
+    shift = min(max(0.5 * (y0 - y2) / bend, -1.0), 1.0) if bend < 0.0 else 0.0
+    vertex = float(ts[j]) + shift * float(ts[j + 1] - ts[j - 1]) / 2.0
+    return max(best, float(fn(np.array([vertex]))[0]))
 
 
 def error_linf(
@@ -385,10 +405,11 @@ def error_linf(
 ) -> ErrorReport:
     """Essential supremum of |D^(1-beta) f - f'| over (a, b].
 
-    The value is the largest of the grid scan, its golden-section refinement,
-    |f'(a)| (the t -> a+ limit; its right limit when a is a breakpoint) and
-    the one-sided limits at each breakpoint inside (a, b); ``inf`` when f' is
-    unbounded at a.  ``n_eval_points`` counts each of them once.
+    The value is the largest of the grid scan, its refinement (``_zoom_max``
+    on the two grid cells around the best grid point), |f'(a)| (the t -> a+
+    limit; its right limit when a is a breakpoint) and the one-sided limits
+    at each breakpoint inside (a, b); ``inf`` when f' is unbounded at a.
+    ``n_eval_points`` counts each of them once.
 
     For the Riemann-Liouville operator with f(a) != 0 the value is ``inf``
     (with one evaluation, of f(a)): the boundary term
@@ -401,26 +422,19 @@ def error_linf(
     a, b = interval.a, interval.b
     if kind is OperatorKind.RIEMANN_LIOUVILLE and f.value(a) != 0.0:
         return ErrorReport(kind, beta, NormKind.LINF, interval, math.inf, 1)
-    count = n_grid
-
-    def err(t: float) -> float:
-        nonlocal count
-        count += 1
-        return abs(operators.evaluate(kind, f, order, a, t, scheme) - _derivative(f, t))
-
     fprime = _derivative_grid(f, operators._grid_points(a, b, n_grid))
     values = np.abs(operators.evaluate_grid(kind, f, order, a, b, n_grid, scheme) - fprime)
     best_i = int(np.argmax(values))
     best = float(values[best_i])
     step = interval.width / n_grid
-    lo = a + best_i * step  # one grid point left of the argmax
+    lo = a + best_i * step  # one grid point left of the argmax, or a
     hi = a + min(best_i + 2, n_grid) * step
-    refined = _golden_max(err, max(lo, a + step * 1e-6), hi)
+    refined = _zoom_max(lambda ts: _abs_error(kind, f, order.alpha, a, ts, scheme), lo, hi)
     # as t -> a+ each operator here (RL as C, since f(a) = 0) tends to 0, or
     # grows more slowly than an unbounded f', so the boundary limit of the
     # error is |f'(a+)|, which the grid approaches only at rate (t-a)^beta
     candidates = [best, refined, abs(_derivative(f, a, math.inf))]
-    count += 1
+    count = n_grid + _ZOOM_ROUNDS * _ZOOM_POINTS + 2
     for c in sorted(x for x in set(f.breakpoints()) if a < x < b):
         # the operator is continuous at a breakpoint and f' jumps there, so
         # the error has two one-sided limits, which a grid point can only

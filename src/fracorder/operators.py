@@ -15,16 +15,18 @@ serves user-defined functions, ``use_closed_form=False``, and the points
 past a closed form's reach.
 
 One array evaluator, ``_evaluate_points``, gives the values at many points
-in one call; ``evaluate_grid`` (the sup-norm scan, ``cli figures``) and the
-L1 integrand of ``norms`` both go through it.  Closed forms come from the
-catalog's array hook ``TestFunction._closed_form_grid``, as numpy
-expressions over all the points.  On a uniform grid over the whole interval
-with no breakpoint inside, one product trapezoid serves the points without
-one: its cell moments depend only on the distance k - j between the
+in one call; ``evaluate_grid`` (the sup-norm scan, ``cli figures``), the
+sup-norm refinement and the L1 integrand of ``norms`` all go through it.
+Closed forms come from the catalog's one hook
+``TestFunction._closed_form_grid``, as numpy expressions over all the
+points; the scalar operators take it on the one point they need, through
+``funcat.closed_form_fractional``.  On a uniform grid over the whole
+interval with no breakpoint inside, one product trapezoid serves the points
+without one: its cell moments depend only on the distance k - j between the
 evaluation node and the cell, so each weighted sum over cells is a Toeplitz
 product, done with real FFTs (Hairer, Lubich & Schlichte, SIAM J. Sci.
-Stat. Comput. 6 (1985) 532).  Anywhere else such a point falls back to
-scalar ``evaluate``.
+Stat. Comput. 6 (1985) 532).  Anywhere else such a point falls back to the
+pointwise product quadrature of ``caputo``/``caputo_fabrizio``.
 """
 
 import math
@@ -330,14 +332,14 @@ def evaluate_grid(
 ) -> np.ndarray:
     """``evaluate(kind, f, alpha, a, t_i)`` at t_i = a + (b - a) i / n, i = 1..n.
 
-    Closed-form values come from ``f._closed_form_grid`` and lie within
-    1e-13 max|values| of ``evaluate``; for Power-CF with a non-integer
-    exponent, whose Mittag-Leffler series is summed in another order, within
-    1e-10 max|values|.  The others come from one product trapezoid on
-    M = n ceil(n_nodes / n) uniform cells over [a, b], whose step is never
-    coarser than the pointwise scheme's at t = b.  A function with a
-    breakpoint inside (a, b) and no closed form falls back to ``evaluate`` at
-    each point that has none.
+    Closed-form values come from ``f._closed_form_grid``, the hook
+    ``evaluate`` takes at one point, and match its values to the last bit or
+    so (a series summed for all points at once may add a term more).  The
+    others come from one product trapezoid on M = n ceil(n_nodes / n)
+    uniform cells over [a, b], whose step is never coarser than the
+    pointwise scheme's at t = b.  A function with a breakpoint inside (a, b)
+    and no closed form falls back to pointwise quadrature at each point that
+    has none.
     """
     al = _order_value(alpha)
     if n < 1:
@@ -365,7 +367,8 @@ def _evaluate_points(
     C and CF values come from one ``f._closed_form_grid`` call.  A point
     with none (NaN) is filled from one product trapezoid when ts is
     ``_grid_points(a, b, len(ts))`` with no breakpoint inside (a, b), and
-    otherwise (b omitted) from scalar ``evaluate``.  RL is
+    otherwise (b omitted) from pointwise ``caputo``/``caputo_fabrizio``
+    without their closed form, which has just been tried.  RL is
     ``funcat.rl_boundary_term`` plus the C values.
     """
     base = OperatorKind.CAPUTO if kind is OperatorKind.RIEMANN_LIOUVILLE else kind
@@ -375,7 +378,11 @@ def _evaluate_points(
     missing = np.flatnonzero(np.isnan(values))
     if missing.size:
         if b is None or any(a < x < b for x in f.breakpoints()):
-            fill = [evaluate(base, f, alpha, a, t, scheme) for t in ts[missing].tolist()]
+            # module-level names, so a wrapper installed on the module sees each call
+            op = caputo if base is OperatorKind.CAPUTO else caputo_fabrizio
+            fill = [
+                op(f, alpha, a, t, scheme, use_closed_form=False) for t in ts[missing].tolist()
+            ]
         else:
             fill = _trapezoid_grid(base, f, alpha, a, b, len(ts), _n_nodes(scheme))[missing]
         values[missing] = fill

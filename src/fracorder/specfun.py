@@ -8,7 +8,7 @@ Mittag-Leffler family E_{1,omega} switches between a truncated power series
 and a compensated finite closed form so that neither branch is evaluated
 where it cancels catastrophically.  Every function is scalar and pure
 :mod:`math`, except ``mittag_leffler_one_array``, the numpy twin of
-``mittag_leffler_one`` that whole-grid closed forms use.
+``mittag_leffler_one`` that the catalog's closed forms use.
 """
 
 import math

@@ -225,14 +225,8 @@ EPS = 2.0**-52
 
 
 class TestTranscendentalForms:
-    """cos under C and CF, e^t under C: scalar and grid hooks against exact
-    oracles; RL follows from C through ``closed_form_fractional``."""
-
-    @staticmethod
-    def _both(f, kind, alpha, a, t):
-        scalar = closed_form_fractional(f, kind, alpha, a, t)
-        grid = f._closed_form_grid(kind, alpha, a, np.array([t]))[0]
-        return scalar, float(grid)
+    """cos under C and CF, e^t under C against exact oracles; RL follows
+    from C through ``closed_form_fractional``."""
 
     @pytest.mark.parametrize("alpha", GOLDEN_ALPHAS)
     def test_cosine_caputo(self, alpha):
@@ -240,9 +234,9 @@ class TestTranscendentalForms:
             for u in GOLDEN_US:
                 t = a + u
                 exact = _series_about_a(_cos_derivative, alpha, a, t)
-                for got in self._both(Cosine(), C, alpha, a, t):
-                    # the terms peak near e^u and cancel: a few e^u ulp absolute
-                    assert abs(got - exact) <= 1e-14 * abs(exact) + 4 * EPS * math.exp(u)
+                got = closed_form_fractional(Cosine(), C, alpha, a, t)
+                # the terms peak near e^u and cancel: a few e^u ulp absolute
+                assert abs(got - exact) <= 1e-14 * abs(exact) + 4 * EPS * math.exp(u)
 
     @pytest.mark.parametrize("alpha", GOLDEN_ALPHAS)
     def test_cosine_caputo_to_the_reach(self, alpha):
@@ -254,8 +248,8 @@ class TestTranscendentalForms:
                 t = a + u
                 exact = _series_about_a(_cos_derivative, alpha, a, t)
                 loss = EPS * math.exp(u) * u**-alpha / gamma(1.0 - alpha)
-                for got in self._both(Cosine(), C, alpha, a, t):
-                    assert abs(got - exact) <= 1e-14 * abs(exact) + 4 * loss
+                got = closed_form_fractional(Cosine(), C, alpha, a, t)
+                assert abs(got - exact) <= 1e-14 * abs(exact) + 4 * loss
         assert closed_form_fractional(Cosine(), C, alpha, 0.0, reach * 1.01) is None
 
     @pytest.mark.parametrize("alpha", GOLDEN_ALPHAS)
@@ -264,11 +258,11 @@ class TestTranscendentalForms:
             for u in (*GOLDEN_US, 10.0, 40.0):
                 t = a + u
                 exact = _cf_cosine(alpha, a, t)
-                for got in self._both(Cosine(), CF, alpha, a, t):
-                    # sin t Re + cos t Im cancels only where the value itself
-                    # is small against u |phi1| / (1-alpha)
-                    scale = -math.expm1(-alpha / (1.0 - alpha) * u) / alpha
-                    assert abs(got - exact) <= 1e-14 * abs(exact) + 4 * EPS * scale
+                got = closed_form_fractional(Cosine(), CF, alpha, a, t)
+                # sin t Re + cos t Im cancels only where the value itself
+                # is small against u |phi1| / (1-alpha)
+                scale = -math.expm1(-alpha / (1.0 - alpha) * u) / alpha
+                assert abs(got - exact) <= 1e-14 * abs(exact) + 4 * EPS * scale
 
     @pytest.mark.parametrize("alpha", GOLDEN_ALPHAS)
     def test_exponential_caputo(self, alpha):
@@ -276,8 +270,8 @@ class TestTranscendentalForms:
             for u in (*GOLDEN_US, 10.0, 40.0):
                 t = a + u
                 exact = _series_about_a(lambda n, a_: mp.exp(a_), alpha, a, t)
-                for got in self._both(Exponential(), C, alpha, a, t):
-                    assert abs(got - exact) <= 1e-14 * abs(exact)
+                got = closed_form_fractional(Exponential(), C, alpha, a, t)
+                assert abs(got - exact) <= 1e-14 * abs(exact)
 
     def test_riemann_liouville_from_caputo(self):
         for f in (Cosine(), Exponential()):
@@ -364,10 +358,55 @@ def catalog_on_interval(draw):
     return f, a, a + width
 
 
-def _exact_in_arithmetic(f) -> bool:
-    """Whether the array closed forms differ from the scalar ones by rounding
-    only, rather than by the order of a Mittag-Leffler series sum."""
-    return not isinstance(f, Power) or (f._is_integer_exp() and f.gamma_exp <= 3)
+def _f_prime_pieces(f, a, t):
+    """f' on (a, t) as (lo, hi, slope) pieces, for the entries whose f' is
+    piecewise constant."""
+    if isinstance(f, Affine):
+        return [(a, t, mp.mpf(f.slope))]
+    if isinstance(f, AbsShift):
+        c = mp.mpf(f.center)
+        return [(a, min(c, t), -1), (max(c, a), t, 1)]
+    return [
+        (max(mp.mpf(lo), a), min(mp.mpf(hi), t), mp.mpf(q))
+        for (lo, hi), q in zip(f.breaks, f.heights)
+    ]
+
+
+def _exact_closed_form(f, kind, alpha, a, t):
+    """D f(t) from a for kind C or CF at 30 digits, each pair's formula
+    written afresh: powers and e^t through 1F1, cos through the oracles
+    above, and an f' that is piecewise constant as the sum over its pieces
+    of slope times the kernel's integral over (t - hi, t - lo)."""
+    with mp.workdps(30):
+        al, a_, t_ = mp.mpf(alpha), mp.mpf(a), mp.mpf(t)
+        u, p = t_ - a_, 1 - al
+        rate = al / p
+        if isinstance(f, Power):
+            g = mp.mpf(f.gamma_exp)
+            if kind is C:
+                return mp.gamma(g + 1) / mp.gamma(g + p) * u ** (g - al)
+            return u**g * mp.hyp1f1(1, g + 1, -rate * u) / p
+        if isinstance(f, Exponential):
+            if kind is C:
+                return mp.exp(a_) * u**p * mp.hyp1f1(1, 1 + p, u) / mp.gamma(1 + p)
+            return mp.exp(t_) - mp.exp(a_ - rate * u)
+        if isinstance(f, Cosine):
+            if kind is C:
+                return _series_about_a(_cos_derivative, alpha, a, t)
+            return _cf_cosine(alpha, a, t)
+
+        def kernel_integral(near, far):
+            if kind is C:
+                return (far**p - near**p) / mp.gamma(1 + p)
+            # e^(-rate near) - e^(-rate far), not (1 - e^(-rate far)) -
+            # (1 - e^(-rate near)), which cancels to nothing far from the piece
+            return (mp.exp(-rate * near) - mp.exp(-rate * far)) / al
+
+        return sum(
+            q * kernel_integral(t_ - hi, t_ - lo)
+            for lo, hi, q in _f_prime_pieces(f, a_, t_)
+            if lo < hi
+        )
 
 
 class TestClosedFormGrid:
@@ -378,53 +417,67 @@ class TestClosedFormGrid:
         alpha=st.floats(0.01, 0.999),
         n=st.integers(2, 300),
     )
-    def test_matches_scalar_hook(self, entry, kind, alpha, n):
+    def test_matches_exact_formula(self, entry, kind, alpha, n):
         f, a, b = entry
         ts = a + (b - a) * np.arange(1, n + 1) / n
-        scalar = [f._closed_form(kind, alpha, a, t) for t in ts.tolist()]
         grid = f._closed_form_grid(kind, alpha, a, ts)
-        if grid is None:
-            assert all(v is None for v in scalar)
+        # only Power-CF with a non-integer exponent stops short, left of the
+        # trusted Mittag-Leffler series, on intervals this short
+        series = isinstance(f, Power) and kind is CF and not f._is_integer_exp()
+        if series:
+            z = -(alpha / (1.0 - alpha)) * (ts - a)
+            np.testing.assert_array_equal(np.isnan(grid), z < funcat._ML_SERIES_TRUST)
+        else:
+            assert not np.isnan(grid).any()
+        known = np.flatnonzero(~np.isnan(grid))
+        if not known.size:
             return
-        missing = np.isnan(grid)
-        assert missing.tolist() == [v is None for v in scalar]
-        if missing.all():
-            return
-        known = np.array([v for v in scalar if v is not None])
-        tol = 1e-13 if _exact_in_arithmetic(f) else 1e-10
-        scale = np.max(np.abs(grid[~missing]))
-        assert np.max(np.abs(grid[~missing] - known), initial=0.0) <= tol * scale
-
-    def test_scalar_only_entry_gets_grid_hook(self):
-        class ScalarOnly(Affine):
-            _closed_form_grid = TestFunction._closed_form_grid
-
-        f = ScalarOnly(2.0, 1.0)
-        ts = np.array([0.25, 0.5, 1.0])
-        grid = f._closed_form_grid(CF, 0.4, 0.0, ts)
-        assert grid.tolist() == [f._closed_form(CF, 0.4, 0.0, t) for t in ts.tolist()]
+        scale = np.max(np.abs(grid[known]))
+        # mpmath at up to 8 points spread over the grid keeps the draws cheap
+        picks = known[np.unique(np.linspace(0, known.size - 1, 8).round().astype(int))]
+        exact = np.array(
+            [float(_exact_closed_form(f, kind, alpha, a, t)) for t in ts[picks].tolist()]
+        )
+        tol = 1e-10 if series else 1e-13
+        # plus float64's absolute rounding floor, for a value drawn subnormal
+        floor = 4 * np.finfo(float).smallest_subnormal
+        assert np.max(np.abs(grid[picks] - exact)) <= tol * scale + floor
 
     def test_entry_without_forms_has_no_grid_hook(self):
         class Opaque(Cosine):
-            _closed_form = TestFunction._closed_form
             _closed_form_grid = TestFunction._closed_form_grid
 
         ts = np.array([0.25, 0.5, 1.0])
         assert Opaque()._closed_form_grid(C, 0.4, 0.0, ts) is None
+        assert closed_form_fractional(Opaque(), RL, 0.4, 0.0, 0.5) is None
 
     @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.99, 1 - 1e-6])
     @pytest.mark.parametrize("f,width", [(Cosine(), 40.0), (Exponential(), 900.0)])
     def test_grid_is_nan_exactly_past_the_reach(self, f, width, alpha):
-        a = -0.7 if isinstance(f, Cosine) else -800.0
+        # from a = -350, e^t stays a normal float from u = 0 to past its reach
+        a = -0.7 if isinstance(f, Cosine) else -350.0
+        reach = funcat._cos_c_reach(alpha) if isinstance(f, Cosine) else funcat._EXP_C_REACH
         ts = a + width * np.arange(1, 402) / 401
-        scalar = [f._closed_form(C, alpha, a, t) for t in ts.tolist()]
         grid = f._closed_form_grid(C, alpha, a, ts)
         missing = np.isnan(grid)
-        assert missing.tolist() == [v is None for v in scalar]
+        np.testing.assert_array_equal(missing, ts - a > reach)
         assert 0 < missing.sum() < len(ts)
-        known = np.array([v for v in scalar if v is not None])
-        scale = np.max(np.abs(grid[~missing]))
-        assert np.max(np.abs(grid[~missing] - known)) <= 1e-13 * scale
+        # the values short of the reach, up to its last point, against the
+        # exact ones; cos/C loses about e^u u^(-alpha)/Gamma(1-alpha) ulp to
+        # the cancellation of its series
+        known = np.flatnonzero(~missing)
+        picks = known[np.unique(np.linspace(0, known.size - 1, 16).round().astype(int))]
+        for t, got in zip(ts[picks].tolist(), grid[picks].tolist()):
+            u = t - a
+            exact = float(_exact_closed_form(f, C, alpha, a, t))
+            loss = 0.0
+            if isinstance(f, Cosine):
+                loss = EPS * math.exp(u) * u**-alpha / gamma(1.0 - alpha)
+            assert abs(got - exact) <= 1e-13 * abs(exact) + 4 * loss
+        # the one-point form is None exactly where the grid is NaN
+        last, first_past = ts[~missing][-1], ts[missing][0]
+        assert closed_form_fractional(f, C, alpha, a, float(last)) == grid[~missing][-1]
+        assert closed_form_fractional(f, C, alpha, a, float(first_past)) is None
 
 
 class TestParse:

@@ -120,9 +120,6 @@ class TestErrorL1:
         # integral, about 2.3e-13 here; no node may land on a, where the
         # scalar operators (all the opaque function has) are undefined
         class OpaqueAffine(Affine):
-            def _closed_form(self, kind, alpha, a, t):
-                return None
-
             def _closed_form_grid(self, kind, alpha, a, ts):
                 return None
 
@@ -175,9 +172,6 @@ class TestErrorL1:
         # cosine with its closed forms hidden: compare against a tight
         # reference from a much finer operator grid, and the closed forms
         class OpaqueCosine(Cosine):
-            def _closed_form(self, kind, alpha, a, t):
-                return None
-
             def _closed_form_grid(self, kind, alpha, a, ts):
                 return None
 
@@ -195,9 +189,6 @@ class TestErrorL1:
         # integrand comes from product quadrature, and under RL the piece
         # right of the breakpoint carries the boundary term f(0) t^(-alpha)
         class OpaqueAbs(AbsShift):
-            def _closed_form(self, kind, alpha, a, t):
-                return None
-
             def _closed_form_grid(self, kind, alpha, a, ts):
                 return None
 
@@ -278,11 +269,46 @@ class TestErrorLinf:
             )
             assert report.value == pytest.approx(expected, rel=1e-9)
 
-    def test_interior_maximum_found_by_refinement(self):
-        # coarse grids must still nail the interior max thanks to golden-section
-        report = error_linf(Power(2.0, 0.0), C, 0.2, I01, n_grid=101)
+    @pytest.mark.parametrize("n_grid", [2, 7, 101])
+    def test_interior_maximum_found_by_refinement(self, n_grid):
+        # coarse grids must still nail the interior max thanks to the
+        # refinement: its second round leaves cells 1/4096 of the grid cell,
+        # and the parabola's vertex lands on the peak to rounding
+        report = error_linf(Power(2.0, 0.0), C, 0.2, I01, n_grid=n_grid)
         expected = (2.0 * 0.2 / 1.2) * (gamma(2.2) / 1.2) ** 5.0
-        assert report.value == pytest.approx(expected, rel=1e-7)
+        assert report.value == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("b", [1.0, 2.0])
+    @pytest.mark.parametrize("n_grid", [101, 2001])
+    def test_narrow_peak_found_by_refinement(self, n_grid, b):
+        # under CF at beta 1e-3 the error of t^1.5 peaks near t = 0.0015,
+        # inside a boundary layer 10 times narrower than the grid cell at
+        # n_grid 101; the reference maximises the exact error,
+        # |t^1.5 1F1(1, 2.5, -rate t)/beta - 1.5 t^0.5|, by golden section
+        # at 30 digits over (0, 0.01], where it has one peak
+        beta = 1e-3
+        with mp.workdps(30):
+            rate = (1 - mp.mpf(beta)) / mp.mpf(beta)
+
+            def err(t):
+                return abs(t**1.5 * mp.hyp1f1(1, 2.5, -rate * t) / beta - 1.5 * mp.sqrt(t))
+
+            lo, hi = mp.mpf(0), mp.mpf("0.01")
+            golden = (mp.sqrt(5) - 1) / 2
+            x1, x2 = hi - golden * (hi - lo), lo + golden * (hi - lo)
+            f1, f2 = err(x1), err(x2)
+            for _ in range(100):
+                if f1 < f2:
+                    lo, x1, f1 = x1, x2, f2
+                    x2 = lo + golden * (hi - lo)
+                    f2 = err(x2)
+                else:
+                    hi, x2, f2 = x2, x1, f1
+                    x1 = hi - golden * (hi - lo)
+                    f1 = err(x1)
+            expected = float(max(f1, f2))
+        report = error_linf(Power(1.5), CF, beta, Interval(0.0, b), n_grid=n_grid)
+        assert report.value == pytest.approx(expected, rel=1e-10)
 
     def test_rl_unbounded_when_f_a_nonzero(self):
         # f(a)(t-a)^(beta-1)/Gamma(beta) grows without bound as t -> a+
@@ -297,8 +323,9 @@ class TestErrorLinf:
         rl = error_linf(f, RL, 0.2, I01, n_grid=101)
         c = error_linf(f, C, 0.2, I01, n_grid=101)
         assert rl.value == pytest.approx(c.value, rel=1e-12)
-        # grid, golden-section steps, and |f'(a+)|
-        assert rl.n_eval_points == 101 + 62 + 1
+        # grid, the refinement's two rounds of 127 points and its vertex,
+        # and |f'(a+)|
+        assert rl.n_eval_points == 101 + 254 + 1 + 1
 
     @pytest.mark.parametrize("f", [Affine(1.0, 0.0), AbsShift(0.0)])
     @pytest.mark.parametrize("n_grid", [101, 2001, 20001])
@@ -348,29 +375,39 @@ class TestErrorLinf:
         rate = (1.0 - beta) / beta
         assert report.value == pytest.approx(1.0 - math.expm1(-rate * 0.3) / (1.0 - beta))
         assert report.value == pytest.approx(2.0101, abs=5e-5)
-        # grid, golden-section steps, |f'(a+)|, and the two limits at c
-        assert report.n_eval_points == n_grid + 62 + 1 + 2
+        # grid, the refinement's two rounds and vertex, |f'(a+)|, and the two
+        # limits at c
+        assert report.n_eval_points == n_grid + 254 + 1 + 1 + 2
 
     def test_breakpoints_outside_the_interval_add_nothing(self):
         report = error_linf(AbsShift(1.0), C, 0.3, Interval(1.0, 2.0), n_grid=101)
-        assert report.n_eval_points == 101 + 62 + 1
+        assert report.n_eval_points == 101 + 254 + 1 + 1
 
     def test_eval_count_matches_operator_calls(self, monkeypatch):
         calls = 0
+        points = []
         original = operators.caputo
+        original_points = operators._evaluate_points
 
         def counting(*args, **kwargs):
             nonlocal calls
             calls += 1
             return original(*args, **kwargs)
 
+        def recording(kind, f, alpha, a, ts, *args, **kwargs):
+            points.append(len(ts))
+            return original_points(kind, f, alpha, a, ts, *args, **kwargs)
+
         monkeypatch.setattr(operators, "caputo", counting)
+        monkeypatch.setattr(operators, "_evaluate_points", recording)
         n_grid = 201
         report = error_linf(Cosine(), C, 0.3, I01, n_grid=n_grid, scheme=QuadratureScheme(64))
-        # the grid scan is one evaluate_grid call, the 62 golden-section steps
-        # are scalar; n_eval_points adds the boundary candidate |f'(a+)|
-        assert calls == 62
-        assert report.n_eval_points == n_grid + 62 + 1
+        # the grid scan, each round of the refinement and its vertex are one
+        # array call, all closed forms; n_eval_points adds the boundary
+        # candidate |f'(a+)|
+        assert calls == 0
+        assert points == [n_grid, 127, 127, 1]
+        assert report.n_eval_points == n_grid + 254 + 1 + 1
 
 
 class TestNormComparison:
