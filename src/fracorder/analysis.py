@@ -63,17 +63,12 @@ class RatioResult:
     value: float
 
 
-def fit_order(
-    reports: list[ErrorReport],
-    *,
-    max_residual: float = MAX_LOG_RESIDUAL,
-    min_rate: float = MIN_DECAY_RATE,
-) -> OrderFit:
+def fit_order(reports: list[ErrorReport]) -> OrderFit:
     """Fit ln E = r ln beta + ln C through an error sweep.
 
     Refuses (raises DegenerateFitError) when the data is not a decaying
     power law: zero, negative or infinite values, max log-residual above
-    ``max_residual``, or a fitted exponent below ``min_rate``.
+    ``MAX_LOG_RESIDUAL``, or a fitted exponent below ``MIN_DECAY_RATE``.
     """
     if len(reports) < 4:
         raise DomainError(f"need at least 4 sweep points, got {len(reports)}")
@@ -95,13 +90,13 @@ def fit_order(
     y = np.log(values)
     slope, intercept = np.polyfit(x, y, 1)
     residual = float(np.max(np.abs(y - (slope * x + intercept))))
-    if residual > max_residual:
+    if residual > MAX_LOG_RESIDUAL:
         raise DegenerateFitError(
             f"errors do not follow a power law (max log-residual {residual:.3g})"
         )
-    if slope < min_rate:
+    if slope < MIN_DECAY_RATE:
         raise DegenerateFitError(
-            f"errors do not decay (fitted exponent {slope:.3g} below {min_rate}); "
+            f"errors do not decay (fitted exponent {slope:.3g} below {MIN_DECAY_RATE}); "
             "no order of convergence exists"
         )
     return OrderFit(float(slope), float(intercept), residual, len(reports))
@@ -154,10 +149,11 @@ def ratio_limit(m: int, T: float) -> RatioResult:
 def t_star(m: int, beta: float) -> float:
     """Root v of Gamma(m) E_{1,m}(-((1-beta)/beta) v) = beta, with v >= m - 1.
 
-    The lower bound m - 1 is a guaranteed bracket end; the upper end is
-    found by doubling.  The whole doubling ladder is scanned so that an
-    ambiguous (multi-root) bracket is reported instead of silently picking
-    one sign change.
+    The left side equals (m-1) int_0^1 (1-s)^(m-2) e^(-xs) ds at
+    x = ((1-beta)/beta) v, so it decreases strictly in v and the root is
+    unique.  The lower bound m - 1 is a guaranteed bracket end; the upper end
+    is the first point of a doubling ladder where the sign changes, and
+    bisection closes the bracket.
     """
     if not (isinstance(m, (int, np.integer)) and m >= 2):
         raise DomainError(f"m must be an integer >= 2, got {m!r}")
@@ -178,23 +174,13 @@ def t_star(m: int, beta: float) -> float:
         raise BracketingError(
             f"defining function already negative at the lower bound m-1={lo}"
         )
-    probes = [lo]
-    v = lo
-    while v < _T_STAR_CAP:
-        v *= 2.0
-        probes.append(v)
-    signs = [True] + [g(v) > 0.0 for v in probes[1:]]
-    flips = [i for i in range(len(signs) - 1) if signs[i] != signs[i + 1]]
-    if not flips:
-        raise BracketingError(
-            f"no sign change found while doubling up to {_T_STAR_CAP} (m={m}, beta={beta})"
-        )
-    if len(flips) > 1:
-        raise BracketingError(
-            f"multiple sign changes on the doubling ladder (m={m}, beta={beta})"
-        )
-    lo = probes[flips[0]]
-    hi = probes[flips[0] + 1]
+    hi = 2.0 * lo
+    while g(hi) > 0.0:
+        if hi >= _T_STAR_CAP:
+            raise BracketingError(
+                f"no sign change found while doubling up to {_T_STAR_CAP} (m={m}, beta={beta})"
+            )
+        lo, hi = hi, 2.0 * hi
     while hi - lo > _T_STAR_TOL:
         mid = 0.5 * (lo + hi)
         if g(mid) > 0.0:

@@ -212,12 +212,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, function=True, nodes=True):
-        if function:
-            p.add_argument("-f", "--function", required=True, help="catalog id, e.g. power:2")
-            p.add_argument("--interval", required=True, help="a,b")
-        if nodes:
-            p.add_argument("--n-nodes", type=int, default=None, help="quadrature grid size")
+    def add_common(p):
+        p.add_argument("-f", "--function", required=True, help="catalog id, e.g. power:2")
+        p.add_argument("--interval", required=True, help="a,b")
+        p.add_argument("--n-nodes", type=int, default=None, help="quadrature grid size")
         p.add_argument("--out", default=None, help="write CSV here instead of stdout")
 
     p = sub.add_parser("derive", help="one fractional-derivative value")

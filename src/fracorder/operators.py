@@ -1,32 +1,31 @@
 """Fractional operators computed by closed form or product quadrature.
 
-The two singular-kernel operators (Riemann-Liouville integral, Caputo
-derivative) use product integration: the smooth factor is replaced by its
-piecewise-linear interpolant on a uniform grid and every cell is integrated
-against the power weight exactly.  The Caputo-Fabrizio derivative does the
-same against the exponential kernel.  The grid is split at catalog
-breakpoints first, so piecewise-constant derivatives are integrated without
-interpolation error.  The Riemann-Liouville derivative is always assembled
-as the boundary term ``funcat.rl_boundary_term`` plus the Caputo derivative,
-never by differentiating the fractional integral numerically.
+All three kernels (the Riemann-Liouville integral's and Caputo's power
+weights, Caputo-Fabrizio's exponential) use one product-trapezoid rule,
+``_cell_weights``: the smooth factor is replaced by its piecewise-linear
+interpolant on a uniform grid and every cell is integrated against the
+kernel exactly.  The grid is split at catalog breakpoints first, so
+piecewise-constant derivatives are integrated without interpolation error.
+The Riemann-Liouville derivative is always assembled as the boundary term
+``funcat.rl_boundary_term`` plus the Caputo derivative, never by
+differentiating the fractional integral numerically.
 
 Every catalog entry has closed forms (``funcat``), so product quadrature
 serves user-defined functions, ``use_closed_form=False``, and the points
 past a closed form's reach.
 
 One array evaluator, ``_evaluate_points``, gives the values at many points
-in one call; ``evaluate_grid`` (the sup-norm scan, ``cli figures``), the
-sup-norm refinement and the L1 integrand of ``norms`` all go through it.
-Closed forms come from the catalog's one hook
-``TestFunction._closed_form_grid``, as numpy expressions over all the
-points; the scalar operators take it on the one point they need, through
-``funcat.closed_form_fractional``.  On a uniform grid over the whole
-interval with no breakpoint inside, one product trapezoid serves the points
-without one: its cell moments depend only on the distance k - j between the
-evaluation node and the cell, so each weighted sum over cells is a Toeplitz
-product, done with real FFTs (Hairer, Lubich & Schlichte, SIAM J. Sci.
-Stat. Comput. 6 (1985) 532).  Anywhere else such a point falls back to the
-pointwise product quadrature of ``caputo``/``caputo_fabrizio``.
+in one call: ``evaluate_grid``, the scalar operators (their closed forms, at
+the one point t) and the error functionals of ``norms`` all go through it.
+No operator has a body of its own: ``_kernel`` maps C and CF to their
+kernels, and RL is always the boundary term plus C.  Closed forms come from
+the catalog's one hook ``TestFunction._closed_form_grid``.  On a uniform grid
+over the whole interval with no breakpoint inside, one product trapezoid
+serves the points without one: its node weights depend only on the
+distance k - i between the evaluation node and the node, so the weighted
+sum is one Toeplitz product, done with real FFTs (Hairer, Lubich &
+Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532).  Anywhere else such a
+point falls back to the pointwise product quadrature.
 """
 
 import math
@@ -138,20 +137,6 @@ def _n_nodes(scheme: QuadratureScheme | None) -> int:
     return scheme.n_nodes if scheme is not None else DEFAULT_N_NODES
 
 
-def _segments(
-    f: TestFunction, a: float, t: float, n_nodes: int
-) -> list[tuple[float, float, int]]:
-    """Split [a, t] at catalog breakpoints, allocating cells by length."""
-    kinks = sorted(x for x in set(f.breakpoints()) if a < x < t)
-    edges = [a, *kinks, t]
-    total = t - a
-    out = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        n = max(2, int(round(n_nodes * (hi - lo) / total)))
-        out.append((lo, hi, n))
-    return out
-
-
 def _sample(
     values: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -159,8 +144,8 @@ def _sample(
     samples at those nodes with the segment endpoints inset, so one-sided
     values are picked up next to kinks and integrable derivative
     singularities stay finite.  The inset is 1e-9 of the segment, and at
-    least one ulp where that rounds away, so an inset node never lands on
-    the endpoint itself."""
+    least one ulp where that rounds away, so an inset node lands on an
+    endpoint only where no float lies between the two."""
     nodes = np.linspace(lo, hi, n + 1)
     inset = nodes.copy()
     eps = (hi - lo) * 1e-9
@@ -172,26 +157,6 @@ def _sample(
     return nodes, out
 
 
-def _power_segment(
-    values: Callable[[np.ndarray], np.ndarray], p: float, t: float, lo: float, hi: float, n: int
-) -> float:
-    """Integral over [lo, hi] of (linear interpolant of g)(tau) (t-tau)^(p-1).
-
-    Cell moments of the weight are exact, so the only error is interpolation
-    of the smooth factor; the weight may be singular at tau = t (0 < p < 1).
-    """
-    nodes, g = _sample(values, lo, hi, n)
-    u = t - nodes
-    u[-1] = max(u[-1], 0.0)  # guard rounding when hi == t
-    up = u**p
-    m0 = (up[:-1] - up[1:]) / p
-    up1 = u * up
-    m1 = u[:-1] * m0 - (up1[:-1] - up1[1:]) / (p + 1.0)
-    h = (hi - lo) / n
-    slope = np.diff(g) / h
-    return float(np.dot(g[:-1], m0) + np.dot(slope, m1))
-
-
 def _one_minus_1px_emx(x: float) -> float:
     """1 - (1+x) e^(-x), series-protected against cancellation for small x."""
     if x < 1e-3:
@@ -199,20 +164,81 @@ def _one_minus_1px_emx(x: float) -> float:
     return 1.0 - (1.0 + x) * math.exp(-x)
 
 
-def _exp_segment(
-    values: Callable[[np.ndarray], np.ndarray], rate: float, t: float, lo: float, hi: float, n: int
+def _cell_weights(
+    u: np.ndarray, h: float, p: float | None = None, rate: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The product-trapezoid weights of the kernel v^(p-1) or e^(-rate v).
+
+    u holds descending distances from t of nodes h apart.  Over the cell from
+    u[j] to u[j+1], the linear interpolant of node values g times the kernel
+    integrates exactly to left[j] g_j + right[j] g_(j+1): right = m1 / h and
+    left = m0 - right, from the kernel's mass m0 on the cell and its moment m1
+    of the distance to node j (Diethelm, Ford & Freed, Nonlinear Dyn. 29
+    (2002) 3, here from first differences of powers of u).
+    """
+    if rate is None:
+        up = u**p
+        up1 = u * up
+        m0 = (up[:-1] - up[1:]) / p
+        m1 = u[:-1] * m0 - (up1[:-1] - up1[1:]) / (p + 1.0)
+    else:
+        x = rate * h
+        c0 = -math.expm1(-x) / rate  # the mass of e^(-rate s) on [0, h]
+        c1 = _one_minus_1px_emx(x) / (rate * rate)  # and its moment of s
+        near = np.exp(-rate * u[1:])
+        m0 = near * c0
+        m1 = near * (h * c0 - c1)
+    right = m1 / h
+    return m0 - right, right
+
+
+def _kernel(kind: OperatorKind, alpha: float) -> tuple[float | None, float | None, float]:
+    """(p, rate, scale): the C kernel is v^(p-1) / Gamma(p) with p = 1 - alpha,
+    the CF kernel e^(-rate v) / (1 - alpha) with rate = alpha / (1 - alpha)."""
+    if kind is OperatorKind.CAPUTO:
+        p = 1.0 - alpha
+        return p, None, specfun.gamma(p)
+    return None, alpha / (1.0 - alpha), 1.0 - alpha
+
+
+def _product_integral(
+    values: Callable[[np.ndarray], np.ndarray],
+    f: TestFunction,
+    a: float,
+    t: float,
+    n_nodes: int,
+    p: float | None = None,
+    rate: float | None = None,
 ) -> float:
-    """Integral over [lo, hi] of (linear interpolant of g)(tau) e^(-rate (t-tau))."""
-    nodes, g = _sample(values, lo, hi, n)
-    h = (hi - lo) / n
-    x = rate * h
-    c0 = -math.expm1(-x) / rate
-    c1 = _one_minus_1px_emx(x) / (rate * rate)
-    u_right = t - nodes[1:]  # distance from each cell's right node to t
-    u_right[-1] = max(u_right[-1], 0.0)
-    w = np.exp(-rate * u_right)
-    slope = np.diff(g) / h
-    return float(np.dot(w, g[1:] * c0 - slope * c1))
+    """Integral over [a, t] of values(tau) times the kernel of ``_cell_weights``
+    at t - tau: one product trapezoid on each piece between catalog
+    breakpoints, with the n_nodes cells allocated by length.
+
+    A piece with no float strictly inside (next to a breakpoint one ulp from
+    a, t or another breakpoint) has no node where ``_sample`` can take a
+    one-sided value.  It is dropped where the kernel's mass on it is at most
+    1e-12 of its mass on [a, t], which moves the integral by at most the
+    integrand's size there times that mass.  Otherwise it is sampled at its
+    ends: right for f, which is continuous, and refused by the catalog's f'
+    at a breakpoint.
+    """
+
+    def mass(lo: float, hi: float) -> float:
+        left, right = _cell_weights(np.array([t - lo, t - hi]), hi - lo, p, rate)
+        return float(left[0] + right[0])
+
+    edges = [a, *sorted(x for x in set(f.breakpoints()) if a < x < t), t]
+    parts = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if not math.nextafter(lo, hi) < hi and mass(lo, hi) <= 1e-12 * mass(a, t):
+            continue
+        n = max(2, round(n_nodes * (hi - lo) / (t - a)))
+        nodes, g = _sample(values, lo, hi, n)
+        u = t - nodes
+        u[-1] = max(u[-1], 0.0)  # guard rounding when hi == t
+        left, right = _cell_weights(u, (hi - lo) / n, p, rate)
+        parts.append(float(np.dot(g[:-1], left) + np.dot(g[1:], right)))
+    return math.fsum(parts)
 
 
 def rl_integral(
@@ -225,11 +251,34 @@ def rl_integral(
     """Fractional integral of order alpha: (1/Gamma(alpha)) int f(tau)(t-tau)^(alpha-1)."""
     al = _order_value(alpha)
     _check_window(a, t)
-    n = _n_nodes(scheme)
-    total = math.fsum(
-        _power_segment(f.value_array, al, t, lo, hi, m) for lo, hi, m in _segments(f, a, t, n)
-    )
-    return total / specfun.gamma(al)
+    return _product_integral(f.value_array, f, a, t, _n_nodes(scheme), p=al) / specfun.gamma(al)
+
+
+def _value(
+    kind: OperatorKind,
+    f: TestFunction,
+    alpha,
+    a: float,
+    t: float,
+    scheme: QuadratureScheme | None,
+    use_closed_form: bool = True,
+) -> float:
+    """The one scalar path behind ``evaluate`` and the three operators: RL is
+    the scalar ``funcat.rl_boundary_term`` plus the C value, a closed form is
+    ``_evaluate_points`` at the one point t (which fills a point without one
+    by quadrature), and ``use_closed_form=False`` is the pointwise product
+    trapezoid of the kernel of ``_kernel``."""
+    if not isinstance(kind, OperatorKind):
+        raise DomainError(f"unknown operator kind {kind!r}")
+    al = _order_value(alpha)
+    _check_window(a, t)
+    if kind is OperatorKind.RIEMANN_LIOUVILLE:
+        caputo_value = _value(OperatorKind.CAPUTO, f, al, a, t, scheme, use_closed_form)
+        return funcat.rl_boundary_term(f, al, a, t) + caputo_value
+    if use_closed_form:
+        return float(_evaluate_points(kind, f, al, a, np.array([t], dtype=float), scheme)[0])
+    p, rate, scale = _kernel(kind, al)
+    return _product_integral(f.derivative_array, f, a, t, _n_nodes(scheme), p, rate) / scale
 
 
 def caputo(
@@ -242,18 +291,7 @@ def caputo(
     use_closed_form: bool = True,
 ) -> float:
     """Caputo derivative of order alpha: fractional integral of order 1-alpha of f'."""
-    al = _order_value(alpha)
-    _check_window(a, t)
-    if use_closed_form:
-        known = funcat.closed_form_fractional(f, OperatorKind.CAPUTO, al, a, t)
-        if known is not None:
-            return known
-    p = 1.0 - al
-    n = _n_nodes(scheme)
-    total = math.fsum(
-        _power_segment(f.derivative_array, p, t, lo, hi, m) for lo, hi, m in _segments(f, a, t, n)
-    )
-    return total / specfun.gamma(p)
+    return _value(OperatorKind.CAPUTO, f, alpha, a, t, scheme, use_closed_form)
 
 
 def caputo_fabrizio(
@@ -266,18 +304,7 @@ def caputo_fabrizio(
     use_closed_form: bool = True,
 ) -> float:
     """Caputo-Fabrizio derivative: (1/(1-alpha)) int f'(tau) e^(-(alpha/(1-alpha))(t-tau))."""
-    al = _order_value(alpha)
-    _check_window(a, t)
-    if use_closed_form:
-        known = funcat.closed_form_fractional(f, OperatorKind.CAPUTO_FABRIZIO, al, a, t)
-        if known is not None:
-            return known
-    rate = al / (1.0 - al)
-    n = _n_nodes(scheme)
-    total = math.fsum(
-        _exp_segment(f.derivative_array, rate, t, lo, hi, m) for lo, hi, m in _segments(f, a, t, n)
-    )
-    return total / (1.0 - al)
+    return _value(OperatorKind.CAPUTO_FABRIZIO, f, alpha, a, t, scheme, use_closed_form)
 
 
 def riemann_liouville(
@@ -291,10 +318,7 @@ def riemann_liouville(
 ) -> float:
     """Riemann-Liouville derivative via the W^{1,1} identity
     RL = f(a)(t-a)^(-alpha)/Gamma(1-alpha) + Caputo."""
-    al = _order_value(alpha)
-    _check_window(a, t)
-    boundary = funcat.rl_boundary_term(f, al, a, t)
-    return boundary + caputo(f, al, a, t, scheme, use_closed_form=use_closed_form)
+    return _value(OperatorKind.RIEMANN_LIOUVILLE, f, alpha, a, t, scheme, use_closed_form)
 
 
 def evaluate(
@@ -306,14 +330,7 @@ def evaluate(
     scheme: QuadratureScheme | None = None,
 ) -> float:
     """Value at t of the operator named by ``kind``, closed form where known."""
-    # module-level lookups, so a wrapper installed on the module sees every call
-    if kind is OperatorKind.CAPUTO:
-        return caputo(f, alpha, a, t, scheme)
-    if kind is OperatorKind.CAPUTO_FABRIZIO:
-        return caputo_fabrizio(f, alpha, a, t, scheme)
-    if kind is OperatorKind.RIEMANN_LIOUVILLE:
-        return riemann_liouville(f, alpha, a, t, scheme)
-    raise DomainError(f"unknown operator kind {kind!r}")
+    return _value(kind, f, alpha, a, t, scheme)
 
 
 def _grid_points(a: float, b: float, n: int) -> np.ndarray:
@@ -361,8 +378,8 @@ def _evaluate_points(
     b: float | None = None,
 ) -> np.ndarray:
     """``evaluate(kind, f, alpha, a, t)`` at each point of ts (all > a, in
-    any order): the one array evaluator behind ``evaluate_grid`` and the
-    L1 integrand.
+    any order): the one array evaluator behind ``evaluate_grid``, the L1
+    integrand and the scalar closed forms.
 
     C and CF values come from one ``f._closed_form_grid`` call.  A point
     with none (NaN) is filled from one product trapezoid when ts is
@@ -394,50 +411,36 @@ def _evaluate_points(
 def _trapezoid_grid(
     kind: OperatorKind, f: TestFunction, alpha: float, a: float, b: float, n: int, n_nodes: int
 ) -> np.ndarray:
-    """The product trapezoids of ``caputo``/``caputo_fabrizio`` at every
-    (M/n)-th node of one uniform grid of M cells over [a, b], with no
-    breakpoint inside."""
+    """The pointwise product trapezoids of ``_value`` at every (M/n)-th node of
+    one uniform grid of M cells over [a, b], with no breakpoint inside.
+
+    Node k sees the cell [tau_j, tau_j+1] at distance d = k - j, so node i
+    carries the weight W(k - i) = left(k - i) + right(k - i + 1), except
+    node 0, which has no cell to its left and carries W(k) - right(k + 1).
+    """
     stride = -(-n_nodes // n)
     m = n * stride
     _, g = _sample(f.derivative_array, a, b, m)
     h = (b - a) / m
-    slope = np.diff(g) / h
-    if kind is OperatorKind.CAPUTO:
-        # the cell [tau_j, tau_j+1] seen from node k lies at distance d = k - j;
-        # m0, m1 are _power_segment's exact moments of (t - tau)^(p-1)
-        p = 1.0 - alpha
-        u = h * np.arange(m + 1)
-        up = u**p
-        up1 = u * up
-        m0 = (up[1:] - up[:-1]) / p
-        m1 = u[1:] * m0 - (up1[1:] - up1[:-1]) / (p + 1.0)
-        total = _toeplitz_sum(
-            [(g[:-1], np.concatenate(([0.0], m0))), (slope, np.concatenate(([0.0], m1)))], m + 1
-        )
-        return total[stride::stride] / specfun.gamma(p)
-    # Caputo-Fabrizio: _exp_segment's cell term, damped by e^(-rate u) with
-    # u = (k - 1 - j) h the distance from the cell's right node to node k
-    rate = alpha / (1.0 - alpha)
-    x = rate * h
-    c0 = -math.expm1(-x) / rate
-    c1 = _one_minus_1px_emx(x) / (rate * rate)
-    cells = g[1:] * c0 - slope * c1
-    total = _toeplitz_sum([(cells, np.exp(-x * np.arange(m)))], m)
-    return total[stride - 1 :: stride] / (1.0 - alpha)
+    p, rate, scale = _kernel(kind, alpha)
+    # the cells d = 1..m+1, at distances (d-1) h to d h behind a node, as index d - 1
+    left, right = (w[::-1] for w in _cell_weights(h * np.arange(m + 1, -1, -1), h, p, rate))
+    weights = np.concatenate((right[:1], left[:-1] + right[1:]))
+    total = _toeplitz_sum(g, weights, m + 1) - g[0] * right
+    return total[stride::stride] / scale
 
 
-def _toeplitz_sum(pairs: list[tuple[np.ndarray, np.ndarray]], size: int) -> np.ndarray:
-    """sum over (x, w) of the causal products sum_j x[j] w[k - j], for k < size.
+def _toeplitz_sum(x: np.ndarray, w: np.ndarray, size: int) -> np.ndarray:
+    """The causal products sum_j x[j] w[k - j], for k < size.
 
     The real FFTs are zero-padded to at least the full length of the linear
     convolution, so the circular product does not wrap around; the padded
     length is the least of the form 2^k, 3 2^k or 5 2^k, which numpy.fft
     transforms fastest.
     """
-    need = max(len(x) + len(w) - 1 for x, w in pairs)
+    need = len(x) + len(w) - 1
     n_fft = min(c << (-(-need // c) - 1).bit_length() for c in (1, 3, 5))
-    spectrum = sum(np.fft.rfft(x, n_fft) * np.fft.rfft(w, n_fft) for x, w in pairs)
-    return np.fft.irfft(spectrum, n_fft)[:size]
+    return np.fft.irfft(np.fft.rfft(x, n_fft) * np.fft.rfft(w, n_fft), n_fft)[:size]
 
 
 def generic_kernel_derivative(

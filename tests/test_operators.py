@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracorder import (
@@ -20,6 +20,8 @@ from fracorder import (
     Exponential,
     FractionalOrder,
     IntegrationError,
+    Interval,
+    NonDifferentiableError,
     OperatorKind,
     Power,
     QuadratureScheme,
@@ -28,6 +30,8 @@ from fracorder import (
     caputo,
     caputo_fabrizio,
     closed_form_fractional,
+    error_l1,
+    error_linf,
     evaluate,
     evaluate_grid,
     gamma,
@@ -535,6 +539,11 @@ def combination_entry(draw):
     return Combination(c1, f, c2, g), a, a + u, d2, d3
 
 
+#: two breakpoints with no float between them
+KINKS = (0.1, math.nextafter(0.1, 1.0))
+ADJACENT_KINKS = Combination(0.0, AbsShift(KINKS[0]), 0.0, AbsShift(KINKS[1]))
+
+
 class TestClosedFormAgainstQuadrature:
     NODES = 4096
 
@@ -572,6 +581,15 @@ class TestClosedFormAgainstQuadrature:
         kind=st.sampled_from(list(OperatorKind)),
         alpha=st.floats(0.05, 0.999),
     )
+    # the one-ulp piece between adjacent breakpoints is dropped, or both of
+    # its inset nodes would land on a breakpoint
+    @example(entry=(ADJACENT_KINKS, 0.0, 1.0, 0.0, 0.0), kind=OperatorKind.CAPUTO, alpha=0.5)
+    @example(
+        entry=(ADJACENT_KINKS, 0.0, 1.0, 0.0, 0.0), kind=OperatorKind.CAPUTO_FABRIZIO, alpha=0.5
+    )
+    @example(
+        entry=(ADJACENT_KINKS, 0.0, 1.0, 0.0, 0.0), kind=OperatorKind.RIEMANN_LIOUVILLE, alpha=0.5
+    )
     def test_operators_are_linear(self, entry, kind, alpha):
         # the combination's pointwise quadrature, split at the union of the
         # breakpoints, against c1 D f + c2 D g from the closed forms
@@ -592,6 +610,62 @@ class TestClosedFormAgainstQuadrature:
         mass = _kernel_mass(kernel, alpha, u)
         bound = (u / self.NODES) ** 2 / 8 * d3 * mass + 2e-9 * u * d2 * mass
         assert abs(closed - quad) <= bound + 1e-12 * max(1.0, abs(closed))
+
+    @pytest.mark.parametrize("t", [1.0, 0.1 + 1e-9])
+    @pytest.mark.parametrize("op", [caputo, caputo_fabrizio, riemann_liouville])
+    def test_adjacent_breakpoints_drop_a_negligible_ulp(self, op, t):
+        # |t - 0.1| + 2 |t - 0.1^+|, whose f' is -1 on the one-ulp piece
+        # between the kinks, which has no float inside: the kernel's mass
+        # there is below 1e-12 of its mass on [0, t], so the piece is dropped
+        f = Combination(1.0, AbsShift(KINKS[0]), 2.0, AbsShift(KINKS[1]))
+        closed = op(AbsShift(KINKS[0]), 0.5, 0.0, t) + 2.0 * op(AbsShift(KINKS[1]), 0.5, 0.0, t)
+        quad = op(f, 0.5, 0.0, t, use_closed_form=False)
+        assert quad == pytest.approx(closed, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.99])
+    @pytest.mark.parametrize("op", [caputo, riemann_liouville])
+    @pytest.mark.parametrize(
+        "f,t",
+        [
+            (AbsShift(0.1), KINKS[1]),
+            # the piece between the kinks, two ulps below t
+            (
+                Combination(1.0, AbsShift(KINKS[0]), 2.0, AbsShift(KINKS[1])),
+                math.nextafter(math.nextafter(KINKS[1], 1.0), 1.0),
+            ),
+        ],
+    )
+    def test_ulp_piece_next_to_t_is_refused(self, f, t, op, alpha):
+        # the C kernel has ulp^(1-alpha)/Gamma(2-alpha) of mass on a one-ulp
+        # piece next to t (0.68 at alpha 0.99), so dropping it would move the
+        # value by as much; the piece has no float inside to sample f' at
+        with pytest.raises(NonDifferentiableError):
+            op(f, alpha, 0.0, t, use_closed_form=False)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.99])
+    def test_bounded_kernel_drops_the_ulp_next_to_t(self, alpha):
+        # the CF kernel is bounded by 1/(1-alpha), so the one-ulp piece next
+        # to t carries at most 1e-12 of its mass on [0, t]
+        t = KINKS[1]
+        quad = caputo_fabrizio(AbsShift(0.1), alpha, 0.0, t, use_closed_form=False)
+        assert quad == pytest.approx(caputo_fabrizio(AbsShift(0.1), alpha, 0.0, t), rel=1e-12)
+
+    def test_rl_integral_keeps_the_ulp_next_to_t(self):
+        # f itself is continuous, so a kept piece with no float inside is
+        # sampled at its ends: 1 + |t - 0.1| at t = 0.1^+, where the piece
+        # carries 16 % of the kernel's mass at alpha 0.05
+        f = Combination(1.0, AbsShift(0.1), 1.0, Affine(0.0, 1.0))
+        t, al = KINKS[1], 0.05
+        T, d = mp.mpf(t), mp.mpf(t) - mp.mpf(0.1)
+        # the integrals of 1, of 0.1 - s on [0, 0.1] and of s - 0.1 on [0.1, t]
+        exact = (
+            T**al / al
+            + (T ** (al + 1) - d ** (al + 1)) / (al + 1)
+            - d * (T**al - d**al) / al
+            + d ** (al + 1) / (al * (al + 1))
+        ) / mp.gamma(al)
+        # the end nodes of [0, 0.1] are inset by 1e-10, where f moves by as much
+        assert rl_integral(f, al, 0.0, t) == pytest.approx(float(exact), rel=1e-9)
 
     @pytest.mark.parametrize("op", [caputo, caputo_fabrizio])
     def test_narrow_step_keeps_inset_nodes_inside(self, op):
@@ -691,3 +765,47 @@ class TestGenericKernel:
     def test_beta_validation(self):
         with pytest.raises(DomainError):
             generic_kernel_derivative(Exponential(), CaputoKernel(), 1.0, 0.0, 1.0)
+
+
+class Square(TestFunction):
+    """t^2 as a user would define it: value and derivative only, so every
+    array goes through the base class's pointwise ``value_array`` and
+    ``derivative_array``, and every operator value through product quadrature."""
+
+    def value(self, t):
+        return t * t
+
+    def derivative(self, t):
+        return 2.0 * t
+
+
+class TestUserDefinedFunction:
+    @pytest.mark.parametrize("kind", list(OperatorKind))
+    def test_grid_quadrature_matches_power(self, kind):
+        alpha, b = 0.6, 1.5
+        grid = evaluate_grid(kind, Square(), alpha, 0.0, b, 40)
+        closed = evaluate_grid(kind, Power(2.0), alpha, 0.0, b, 40)
+        # f' is linear, so the trapezoid is exact up to the 1e-9 end-node
+        # inset, which moves it by up to 1e-9 b max|f''| (kernel mass)
+        base = OperatorKind.CAPUTO if kind is OperatorKind.RIEMANN_LIOUVILLE else kind
+        bound = 2e-9 * b * 2.0 * _kernel_mass(base, alpha, b)
+        np.testing.assert_allclose(grid, closed, rtol=0, atol=bound)
+
+    @pytest.mark.parametrize("kind", [OperatorKind.CAPUTO, OperatorKind.CAPUTO_FABRIZIO])
+    @pytest.mark.parametrize("norm", [error_l1, error_linf])
+    def test_error_norms_match_power(self, kind, norm):
+        # the L1 integrand and the sup-norm refinement fill every point
+        # through pointwise quadrature
+        interval = Interval(0.0, 1.5)
+        got = norm(Square(), kind, 0.3, interval).value
+        assert got == pytest.approx(norm(Power(2.0), kind, 0.3, interval).value, rel=1e-8)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.8])
+    def test_rl_integral(self, alpha):
+        t = 1.2
+        got = rl_integral(Square(), alpha, 0.0, t)
+        assert got == pytest.approx(rl_integral(Power(2.0), alpha, 0.0, t), rel=1e-15)
+        # the interpolant of t^2 is off by at most h^2/8 max|f''| (kernel mass)
+        exact = 2.0 * t ** (alpha + 2.0) / gamma(alpha + 3.0)
+        bound = (t / operators.DEFAULT_N_NODES) ** 2 / 4.0 * t**alpha / gamma(alpha + 1.0)
+        assert abs(got - exact) <= bound
