@@ -121,9 +121,9 @@ def closed_form_fractional(
 
     The value is ``f._closed_form_grid`` at the one point t, so it costs a
     whole numpy call (5 to 350 us, by entry); ``operators.evaluate_grid``
-    serves many points of one operator in one.  The Riemann-Liouville form is assembled from the Caputo one via
-    RL = rl_boundary_term + Caputo, so it exists exactly when the Caputo form
-    does.
+    serves many points of one operator in one.  The Riemann-Liouville form
+    is assembled from the Caputo one via RL = rl_boundary_term + Caputo, so
+    it exists exactly when the Caputo form does.
     """
     alpha = _check_order(getattr(alpha, "alpha", alpha))
     if not t > a:

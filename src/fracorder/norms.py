@@ -1,10 +1,11 @@
 """Error functionals E_{f,p}(beta) = ||D^(1-beta) f - f'||_p for p in {1, inf}.
 
 The L1 functional is an adaptive 7-15 Gauss-Kronrod quadrature (QUADPACK's
-pair) over panels split at catalog breakpoints and inside the boundary
-layers right of a and of each breakpoint, vectorised over the panels: each
-refinement round evaluates the integrand once, as one array over the 15
-nodes of every panel still being refined.  The operator values at those
+pair), ``operators._gauss_kronrod``, which custom kernels use too.  Its
+panels are split at catalog breakpoints and inside the boundary layers
+right of a and of each breakpoint, and it is vectorised over the panels:
+each refinement round evaluates the integrand once, as one array over the
+15 nodes of every panel still being refined.  The operator values at those
 nodes come from one ``operators._evaluate_points`` call, f' from one
 ``derivative_array`` call.  The loop stops when the summed error estimate
 of all panels is at most the requested tol; that sum is reported as
@@ -48,14 +49,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators, specfun
-from .exceptions import (
-    BudgetExceededError,
-    DomainError,
-    IntegrationError,
-    NonDifferentiableError,
-)
+from .exceptions import DomainError, NonDifferentiableError
 from .funcat import Interval, OperatorKind, TestFunction
-from .operators import FractionalOrder, QuadratureScheme
+from .operators import MAX_EVALS, FractionalOrder, QuadratureScheme
 
 __all__ = [
     "ErrorReport",
@@ -67,7 +63,6 @@ __all__ = [
 
 DEFAULT_TOL = 1e-8
 DEFAULT_GRID = 20001
-MAX_EVALS = 1_000_000
 
 #: the sup-norm refinement: points scored per round, strictly inside the
 #: round's bracket, and rounds; 127 points narrow the bracket 64-fold a round
@@ -105,21 +100,6 @@ class ErrorReport:
             raise DomainError("n_eval_points must be positive")
         if self.quad_error is not None and not self.quad_error >= 0.0:
             raise DomainError(f"quad_error must be non-negative, got {self.quad_error!r}")
-
-
-class _Counter:
-    __slots__ = ("count", "limit")
-
-    def __init__(self, limit: int) -> None:
-        self.count = 0
-        self.limit = limit
-
-    def add(self, n: int) -> None:
-        self.count += n
-        if self.count > self.limit:
-            raise BudgetExceededError(
-                f"adaptive integration exceeded {self.limit} evaluations"
-            )
 
 
 def _derivative(f: TestFunction, t: float, side: float = -math.inf) -> float:
@@ -167,117 +147,8 @@ def _boundary_layer_splits(
         points.update(start + scale * mult for mult in (2.0, 10.0, 50.0))
     # no panel narrower than a bisection may leave, so that no node rounds
     # onto a panel end
-    least = _NARROWEST * max(abs(start), abs(start + width))
+    least = operators._NARROWEST * max(abs(start), abs(start + width))
     return sorted(p for p in points if start + least < p < start + width - least)
-
-
-# QUADPACK's QK15 (Piessens et al., QUADPACK, Springer 1983): the nodes
-# x >= 0 of the 15-point Kronrod rule on [-1, 1] in descending order, their
-# Kronrod weights, and the weights of the 7-point Gauss rule, whose nodes are
-# every other one (zero at the nodes Kronrod added)
-_XGK = (
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144845693013,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
-    0.000000000000000000000000000000000,
-)
-_WGK = (
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-)
-_WG = (
-    0.0,
-    0.129484966168869693270611432679082,
-    0.0,
-    0.279705391489276667901467771423780,
-    0.0,
-    0.381830050505118944950369775488975,
-    0.0,
-    0.417959183673469387755102040816327,
-)
-#: all 15 nodes mapped to [0, 1], in ascending order, and the Kronrod and
-#: Gauss weights there (each set sums to 1) as the two columns of one matrix,
-#: so that one product gives both means
-_GK_NODES = 0.5 * np.array([*(1.0 - x for x in _XGK[:-1]), *(1.0 + x for x in _XGK[::-1])])
-_GK_WEIGHTS = 0.5 * np.array([[*w[:-1], *w[::-1]] for w in (_WGK, _WG)]).T
-_EPS = np.finfo(float).eps
-_TINY = np.finfo(float).tiny
-#: a panel narrower than this fraction of its position is not bisected: the
-#: outermost nodes of its halves, 0.0085 half-widths from their ends, would
-#: lie less than two ulps inside them
-_NARROWEST = 2.0**-42
-
-
-def _gauss_kronrod(fn, edges: list[float], tol: float, counter: _Counter) -> tuple[float, float]:
-    """Integral of fn (non-negative) over the panels between consecutive
-    edges, and its summed error estimate, which is at most tol.
-
-    Adaptive 7-15 Gauss-Kronrod vectorised over the panels, as in Shampine,
-    J. Comput. Appl. Math. 211 (2008) 131: each round calls fn once, on the
-    15 nodes of every panel still being refined.  A panel's estimate is
-    QUADPACK's: e = |K15 - G7| scaled to resasc min(1, (200 e / resasc)^1.5),
-    resasc being the Kronrod integral of |fn - mean|, and never below
-    50 eps K15.  On a smooth panel e overstates the K15 error by orders of
-    magnitude, and the scaling lowers it.  Where fn has a kink (|g| at a
-    sign change of g), K15 and G7 are both only second order, e can come
-    out close to the K15 error, and e / resasc stays between about 5e-3 and
-    3e-2 however small the panel; there the scaling makes the estimate
-    resasc itself, 30 to 200 times e.
-
-    The loop stops when the summed estimate is at most tol.  Otherwise it
-    bisects the panels whose estimate exceeds their share of tol
-    (tol / len(panels) for an initial panel, halved at each bisection) and
-    keeps the others as they are.  A panel too narrow to bisect is kept as
-    it is too; when no panel is left to bisect and the summed estimate is
-    still above tol, IntegrationError.
-    """
-    lo, hi = edges[:-1], edges[1:]
-    share = [tol / len(lo)] * len(lo)
-    kept_value = kept_error = 0.0
-    while True:
-        lo_a, hi_a = np.array(lo), np.array(hi)
-        width = hi_a - lo_a
-        # lo + width u is never below lo, and above hi only in a panel a few
-        # ulps wide
-        nodes = np.minimum(lo_a[:, None] + np.multiply.outer(width, _GK_NODES), hi_a[:, None])
-        counter.add(nodes.size)
-        y = fn(nodes.ravel()).reshape(nodes.shape)
-        kronrod, gauss = (y @ _GK_WEIGHTS).T
-        resasc = np.abs(y - kronrod[:, None]) @ _GK_WEIGHTS[:, 0]
-        ratio = np.minimum(200.0 * np.abs(kronrod - gauss) / np.maximum(resasc, _TINY), 1.0)
-        error = (np.maximum(resasc * ratio**1.5, 50.0 * _EPS * kronrod) * width).tolist()
-        value = (kronrod * width).tolist()
-        total = kept_error + math.fsum(error)
-        if not math.isfinite(total):
-            raise IntegrationError(f"non-finite L1 integrand on [{lo[0]!r}, {hi[-1]!r}]")
-        if total <= tol:
-            return kept_value + math.fsum(value), total
-        next_lo, next_hi, next_share = [], [], []
-        for l, h, v, e, sh in zip(lo, hi, value, error, share):
-            m = 0.5 * (l + h)
-            if e > sh and h - l > _NARROWEST * max(abs(l), abs(h)) and l < m < h:
-                next_lo += (l, m)
-                next_hi += (m, h)
-                next_share += (0.5 * sh, 0.5 * sh)
-            else:
-                kept_value += v
-                kept_error += e
-        if not next_lo:
-            raise IntegrationError(
-                f"L1 quadrature cannot reach tol={tol!r}: the panels left above their "
-                f"share of it are too narrow to bisect (estimate {total!r})"
-            )
-        lo, hi, share = next_lo, next_hi, next_share
 
 
 def _rl_flattened(f, order, a, w, scheme):
@@ -303,9 +174,7 @@ def _rl_flattened(f, order, a, w, scheme):
         ) - _derivative_grid(f, ts)
         return np.abs(base + (w / beta) * v**expo * rest)
 
-    # cluster panel edges where the t-range compresses (v near 1)
-    edges = sorted({0.0, 1.0, *(frac**beta for frac in (1e-9, 1e-6, 1e-3, 1e-1))})
-    return integrand, edges
+    return integrand, sorted({x**beta for x in operators._FLAT_FRACS})
 
 
 def error_l1(
@@ -324,7 +193,7 @@ def error_l1(
     inside the boundary layer right of its left end (``_boundary_layer_splits``);
     for RL with f(a) != 0 the first piece is integrated in the flattened
     coordinate v instead (``_rl_flattened``).  The panels are integrated by
-    the adaptive 7-15 Gauss-Kronrod rule of ``_gauss_kronrod``.
+    the adaptive 7-15 Gauss-Kronrod rule of ``operators._gauss_kronrod``.
 
     ``tol`` bounds the sum over all final panels of QUADPACK's error
     estimate, |K15 - G7| scaled by how much the integrand varies on the
@@ -334,13 +203,14 @@ def error_l1(
     counts every node at which the integrand was evaluated, 15 per panel;
     past ``max_evals`` the integration stops with BudgetExceededError.  When
     the estimate is still above tol and every panel over its share is too
-    narrow to bisect, the value is refused with IntegrationError.
+    narrow to bisect or at its rounding floor, or the floors alone sum past
+    tol, the value is refused with IntegrationError.
     """
     order = FractionalOrder.from_beta(beta)
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol!r}")
     a, b = interval.a, interval.b
-    counter = _Counter(max_evals)
+    counter = operators._Counter(max_evals)
 
     def err(ts: np.ndarray) -> np.ndarray:
         return _abs_error(kind, f, order.alpha, a, ts, scheme)
@@ -360,7 +230,7 @@ def error_l1(
     value = quad_error = 0.0
     for fn, region_edges in regions:
         share = tol * (len(region_edges) - 1) / n_panels
-        part, estimate = _gauss_kronrod(fn, region_edges, share, counter)
+        part, estimate = operators._gauss_kronrod(fn, region_edges, share, counter)
         value += part
         quad_error += estimate
     return ErrorReport(kind, beta, NormKind.L1, interval, value, counter.count, quad_error)

@@ -26,6 +26,10 @@ distance k - i between the evaluation node and the node, so the weighted
 sum is one Toeplitz product, done with real FFTs (Hairer, Lubich &
 Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532).  Anywhere else such a
 point falls back to the pointwise product quadrature.
+
+Custom kernels in ``generic_kernel_derivative`` run on the one adaptive
+quadrature, ``_gauss_kronrod``, which ``norms.error_l1`` uses too; a value
+it cannot bring within its tolerance is refused with IntegrationError.
 """
 
 import math
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import funcat, specfun
-from .exceptions import DomainError, IntegrationError
+from .exceptions import BudgetExceededError, DomainError, IntegrationError
 from .funcat import OperatorKind, TestFunction
 
 __all__ = [
@@ -55,6 +59,7 @@ __all__ = [
 ]
 
 DEFAULT_N_NODES = 4096
+MAX_EVALS = 1_000_000  # the evaluation budget of one ``_gauss_kronrod`` call
 
 
 @dataclass(frozen=True)
@@ -443,6 +448,144 @@ def _toeplitz_sum(x: np.ndarray, w: np.ndarray, size: int) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(x, n_fft) * np.fft.rfft(w, n_fft), n_fft)[:size]
 
 
+class _Counter:
+    __slots__ = ("count", "limit")
+
+    def __init__(self, limit: int) -> None:
+        self.count = 0
+        self.limit = limit
+
+    def add(self, n: int) -> None:
+        self.count += n
+        if self.count > self.limit:
+            raise BudgetExceededError(
+                f"adaptive integration exceeded {self.limit} evaluations"
+            )
+
+
+# QUADPACK's QK15 (Piessens et al., QUADPACK, Springer 1983): the nodes
+# x >= 0 of the 15-point Kronrod rule on [-1, 1] in descending order, their
+# Kronrod weights, and the weights of the 7-point Gauss rule, whose nodes are
+# every other one (zero at the nodes Kronrod added)
+_XGK = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+    0.000000000000000000000000000000000,
+)
+_WGK = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
+)
+_WG = (
+    0.0,
+    0.129484966168869693270611432679082,
+    0.0,
+    0.279705391489276667901467771423780,
+    0.0,
+    0.381830050505118944950369775488975,
+    0.0,
+    0.417959183673469387755102040816327,
+)
+#: all 15 nodes mapped to [0, 1], in ascending order, and the Kronrod and
+#: Gauss weights there (each set sums to 1) as the two columns of one matrix,
+#: so that one product gives both means
+_GK_NODES = 0.5 * np.array([*(1.0 - x for x in _XGK[:-1]), *(1.0 + x for x in _XGK[::-1])])
+_GK_WEIGHTS = 0.5 * np.array([[*w[:-1], *w[::-1]] for w in (_WGK, _WG)]).T
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+#: a panel narrower than this fraction of its position is not bisected: the
+#: outermost nodes of its halves, 0.0085 half-widths from their ends, would
+#: lie less than two ulps inside them
+_NARROWEST = 2.0**-42
+
+
+def _gauss_kronrod(
+    fn, edges: list[float], tol: float, counter: _Counter, rel: float = 0.0
+) -> tuple[float, float]:
+    """Integral of fn over the panels between consecutive edges, and its
+    summed error estimate, which is at most tol or rel times the integral's
+    size, whichever is larger.
+
+    Adaptive 7-15 Gauss-Kronrod vectorised over the panels, as in Shampine,
+    J. Comput. Appl. Math. 211 (2008) 131: each round calls fn once, on the
+    15 nodes of every panel still being refined.  A panel's estimate is
+    QUADPACK's: e = |K15 - G7| scaled to resasc min(1, (200 e / resasc)^1.5),
+    resasc being the Kronrod integral of |fn - mean|, and never below its
+    rounding floor, 50 eps times the Kronrod integral of |fn|.  On a smooth
+    panel e overstates the K15 error by orders of magnitude, and the scaling
+    lowers it.  Where fn has a kink (|g| at a sign change of g), K15 and G7
+    are both only second order, e can come out close to the K15 error, and
+    e / resasc stays between about 5e-3 and 3e-2 however small the panel;
+    there the scaling makes the estimate resasc itself, 30 to 200 times e.
+
+    The loop stops when the summed estimate is within the target.  Otherwise
+    it bisects the panels whose estimate exceeds their share of tol
+    (tol / len(panels) for an initial panel, halved at each bisection) and
+    keeps the others as they are.  A panel too narrow to bisect, or whose
+    estimate is its floor, is kept as it is too, since its halves would
+    estimate no less in sum.  When no panel is left to bisect, or the kept
+    estimates and the floors of the others already exceed the target,
+    IntegrationError.
+    """
+    lo, hi = edges[:-1], edges[1:]
+    share = [tol / len(lo)] * len(lo)
+    kept_value = kept_error = 0.0
+    while True:
+        lo_a, hi_a = np.array(lo), np.array(hi)
+        width = hi_a - lo_a
+        # lo + width u is never below lo, and above hi only in a panel a few
+        # ulps wide
+        nodes = np.minimum(lo_a[:, None] + np.multiply.outer(width, _GK_NODES), hi_a[:, None])
+        counter.add(nodes.size)
+        y = fn(nodes.ravel()).reshape(nodes.shape)
+        kronrod, gauss = (y @ _GK_WEIGHTS).T
+        resasc = np.abs(y - kronrod[:, None]) @ _GK_WEIGHTS[:, 0]
+        ratio = np.minimum(200.0 * np.abs(kronrod - gauss) / np.maximum(resasc, _TINY), 1.0)
+        floor = 50.0 * _EPS * (np.abs(y) @ _GK_WEIGHTS)[:, 0] * width
+        error = np.maximum(resasc * ratio**1.5 * width, floor).tolist()
+        floor = floor.tolist()
+        value = (kronrod * width).tolist()
+        total = kept_error + math.fsum(error)
+        if not math.isfinite(total):
+            raise IntegrationError(f"non-finite integrand on [{lo[0]!r}, {hi[-1]!r}]")
+        target = max(tol, rel * abs(kept_value + math.fsum(value))) if rel else tol
+        if total <= target:
+            return kept_value + math.fsum(value), total
+        # the least total bisection can reach: the kept estimates and the floors
+        least = kept_error + math.fsum(floor)
+        next_lo, next_hi, next_share = [], [], []
+        for l, h, v, e, fl, sh in zip(lo, hi, value, error, floor, share):
+            m = 0.5 * (l + h)
+            if e > sh and e > fl and h - l > _NARROWEST * max(abs(l), abs(h)) and l < m < h:
+                next_lo += (l, m)
+                next_hi += (m, h)
+                next_share += (0.5 * sh, 0.5 * sh)
+            else:
+                kept_value += v
+                kept_error += e
+        if not next_lo or least > target:
+            raise IntegrationError(
+                f"adaptive quadrature cannot reach tol={target!r} (estimate {total!r}): the panels"
+                f" above their share are too narrow to bisect or at their rounding floor"
+            )
+        lo, hi, share = next_lo, next_hi, next_share
+
+
+#: fractions u / w whose images (u / w)^beta are the flattened coordinate's edges
+_FLAT_FRACS = (0.0, 1e-9, 1e-6, 1e-3, 1e-1, 1.0)
+
+
 def generic_kernel_derivative(
     f: TestFunction,
     kernel: KernelSpec,
@@ -454,51 +597,36 @@ def generic_kernel_derivative(
     """Convolution-kernel derivative (f' * h(., beta))(t) of order 1 - beta.
 
     The two named kernels reproduce the Caputo and Caputo-Fabrizio
-    derivatives of order 1 - beta exactly (same code path); custom kernels
-    are integrated adaptively after a finite-integral smoke test.
+    derivatives of order 1 - beta exactly (same code path).  A custom
+    kernel's int_0^w f'(t - u) h(u, beta) du, w = t - a, is taken by
+    ``_gauss_kronrod`` to 1e-11 absolute or relative, whichever is looser, in
+    v = (u / w)^beta, which maps a kernel like u^(beta-1) to a bounded
+    integrand.  h is called once per node and no node is left out: an
+    ArithmeticError or ValueError from h, a non-finite integrand or an
+    unreachable tolerance is refused with IntegrationError; so, for beta
+    below about 0.008, is a kernel singular at u = 0, where nodes underflow.
     """
     order = FractionalOrder.from_beta(beta)
     _check_window(a, t)
     kind = _KERNEL_KINDS.get(type(kernel))
-    if kind is None:
-        return _custom_convolution(f, kernel, beta, a, t)
-    return evaluate(kind, f, order, a, t, scheme)
+    if kind is not None:
+        return evaluate(kind, f, order, a, t, scheme)
+    w = t - a
 
+    def integrand(v: np.ndarray) -> np.ndarray:
+        u = w * v ** (1.0 / beta)
+        try:
+            h = np.array([kernel.h(x, beta) for x in u.tolist()], dtype=float)
+        except (ArithmeticError, ValueError) as exc:  # math's domain error is a ValueError
+            raise IntegrationError(f"custom kernel failed: {exc!r}") from exc
+        # f' from inside [a, t), where a node may round onto t or below a
+        taus = np.clip(t - u, a, math.nextafter(t, a))
+        y = f.derivative_array(taus) * h * (u / (beta * v))
+        if not np.all(np.isfinite(y)):
+            raise IntegrationError(f"non-finite custom-kernel integrand for beta={beta!r}")
+        return y
 
-def _custom_convolution(
-    f: TestFunction, kernel: CustomKernel, beta: float, a: float, t: float
-) -> float:
-    import warnings
-
-    from scipy import integrate  # deferred: only the custom path needs scipy
-
-    upper = max(1.0, t - a)
-    decades = [x for x in (1e-8, 1e-6, 1e-4, 1e-2) if x < upper]
-    with warnings.catch_warnings():
-        # a divergent kernel is expected to make the smoke quadrature complain;
-        # the decade split points keep QAGS from extrapolating the divergence away
-        warnings.simplefilter("ignore")
-        coarse, _ = integrate.quad(lambda u: kernel.h(u, beta), 1e-4, upper, limit=200)
-        fine, _ = integrate.quad(
-            lambda u: kernel.h(u, beta), 1e-10, upper, limit=200, points=decades
-        )
-    # finite-integral smoke test only: mass exploding as the lower end drops
-    # flags power-type divergence; slow (logarithmic) divergence passes and
-    # remains the caller's responsibility
-    if not (math.isfinite(coarse) and math.isfinite(fine)):
-        raise IntegrationError(f"kernel is not integrable on (0, {upper}]")
-    if abs(fine) > 50.0 * max(abs(coarse), 1e-300) and abs(fine) > 1e3:
-        raise IntegrationError(f"kernel mass diverges near 0 on (0, {upper}]")
-
-    def integrand(tau: float) -> float:
-        val = f.derivative(tau) * kernel.h(t - tau, beta)
-        if not math.isfinite(val):
-            raise IntegrationError(f"custom kernel produced a non-finite value at tau={tau}")
-        return val
-
-    edges = [a, *(x for x in sorted(set(f.breakpoints())) if a < x < t), t]
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        part, _ = integrate.quad(integrand, lo, hi, epsabs=1e-11, epsrel=1e-11, limit=200)
-        total += part
-    return total
+    # more edges at the breakpoints' images and toward tau = a (v near 1)
+    at_kinks = ((t - c) / w for c in set(f.breakpoints()) if a < c < t)
+    edges = sorted({x**beta for x in (*_FLAT_FRACS, *at_kinks, *(1.0 - x for x in _FLAT_FRACS))})
+    return _gauss_kronrod(integrand, edges, 1e-11, _Counter(MAX_EVALS), rel=1e-11)[0]

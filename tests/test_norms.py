@@ -130,6 +130,13 @@ class TestErrorL1:
         with pytest.raises(IntegrationError, match="too narrow to bisect"):
             error_l1(f, C, 0.5, narrow, tol=1e-30, scheme=scheme)
 
+    def test_refuses_tol_below_the_rounding_floor(self):
+        # every panel's estimate is at least 50 eps times its integral, so
+        # bisection cannot bring the sum below about 1.5e-15 here; the tol is
+        # refused after the first round, not by the evaluation budget
+        with pytest.raises(IntegrationError, match="rounding floor"):
+            error_l1(Power(2.0), C, 0.1, Interval(0.0, 2.0), tol=1e-15, max_evals=10**4)
+
     @pytest.mark.parametrize("kind,beta", [(C, 0.1), (C, 1e-3), (RL, 0.1), (RL, 1e-3)])
     def test_abs_against_mpmath(self, kind, beta):
         # |t - 1| on (0, 2): under C the error is e(t) = 1 - t^b/Gamma(1+b)
@@ -215,8 +222,8 @@ class TestGaussKronrod:
     @staticmethod
     def moment_errors(column):
         # the stored rules live on [0, 1]; mapped back to [-1, 1] exactly
-        nodes = [2 * Fraction(x) - 1 for x in norms._GK_NODES.tolist()]
-        weights = [2 * Fraction(w) for w in norms._GK_WEIGHTS[:, column].tolist()]
+        nodes = [2 * Fraction(x) - 1 for x in operators._GK_NODES.tolist()]
+        weights = [2 * Fraction(w) for w in operators._GK_WEIGHTS[:, column].tolist()]
         for k in range(27):
             exact = Fraction(2, k + 1) if k % 2 == 0 else 0
             yield k, abs(float(sum(w * x**k for w, x in zip(weights, nodes)) - exact))
@@ -234,13 +241,26 @@ class TestGaussKronrod:
 
     def test_nodes_lie_strictly_inside_the_panel(self):
         # so that no node falls on a panel edge, which may be a breakpoint
-        assert np.all((0.0 < norms._GK_NODES) & (norms._GK_NODES < 1.0))
+        assert np.all((0.0 < operators._GK_NODES) & (operators._GK_NODES < 1.0))
 
     def test_kink_is_resolved_within_tol(self):
-        counter = norms._Counter(10**6)
-        value, estimate = norms._gauss_kronrod(lambda x: np.abs(x - 0.3), [0.0, 1.0], 1e-9, counter)
+        counter = operators._Counter(10**6)
+        value, estimate = operators._gauss_kronrod(
+            lambda x: np.abs(x - 0.3), [0.0, 1.0], 1e-9, counter
+        )
         assert abs(value - 0.29) <= estimate <= 1e-9
         assert counter.count % 15 == 0
+
+    def test_floor_is_taken_on_the_integral_of_the_absolute_value(self):
+        # 1e6 sin(2 pi x) integrates to 0 over [0, 1], but its rounding error
+        # is about 50 eps times the integral of |fn|, 7e-9; a floor on |K15|
+        # alone would vanish, and the estimate would claim 3e-16 for a value
+        # 7e-11 off
+        def fn(x):
+            return 1e6 * np.sin(2.0 * np.pi * x)
+
+        with pytest.raises(IntegrationError, match="rounding floor"):
+            operators._gauss_kronrod(fn, [0.0, 1.0], 1e-11, operators._Counter(10**6))
 
 
 class TestErrorLinf:
@@ -545,16 +565,20 @@ class TestErrorReport:
 
 
 def test_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate costs most of the import time and only custom kernels
-    # use it; the L1 functional (C, CF, and RL with its flattening panel),
-    # the grid scan and figures do not, and they use numpy.fft, not
-    # scipy.fft or scipy.signal, whose imports cost more still
+    # scipy is not a dependency, and its imports cost most of the start-up
+    # time: where it is installed, neither custom kernels nor the L1
+    # functional (C, CF, and RL with its flattening panel), the grid scan or
+    # figures load scipy.integrate, and they use numpy.fft, not scipy.fft or
+    # scipy.signal
     src = str(Path(operators.__file__).resolve().parents[1])
     code = (
-        "import os, sys, fracorder\n"
-        "from fracorder import Cosine, Interval, OperatorKind, error_l1, error_linf\n"
+        "import math, os, sys, fracorder\n"
+        "from fracorder import Cosine, CustomKernel, Interval, OperatorKind, error_l1, error_linf\n"
+        "from fracorder import generic_kernel_derivative\n"
         "from fracorder.cli import main\n"
         "error_linf(Cosine(), OperatorKind.CAPUTO, 0.1, Interval(0.0, 1.0), n_grid=64)\n"
+        "kernel = CustomKernel(lambda u, beta: math.exp(-u / beta) / beta)\n"
+        "generic_kernel_derivative(Cosine(), kernel, 0.1, 0.0, 1.0)\n"
         "for kind in OperatorKind:\n"
         "    error_l1(Cosine(), kind, 0.1, Interval(0.0, 1.0))\n"
         "assert main(['figures', '-f', 'cos', '--interval', '0,1', '--out', os.devnull]) == 0\n"
@@ -570,3 +594,38 @@ def test_import_leaves_scipy_integrate_unloaded():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_public_api_runs_without_scipy():
+    # with every import of scipy made to fail, the operators (a custom kernel
+    # included), both error functionals, the ratio analysis and the CLI run
+    src = str(Path(operators.__file__).resolve().parents[1])
+    code = (
+        "import math, os, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from fracorder import *\n"
+        "from fracorder.cli import main\n"
+        "f, interval = Cosine(), Interval(0.0, 1.0)\n"
+        "for kind in OperatorKind:\n"
+        "    evaluate(kind, f, 0.5, 0.0, 1.0)\n"
+        "    evaluate_grid(kind, f, 0.5, 0.0, 1.0, 16)\n"
+        "    error_l1(f, kind, 0.1, interval)\n"
+        "    error_linf(f, kind, 0.1, interval, n_grid=64)\n"
+        "rl_integral(f, 0.5, 0.0, 1.0)\n"
+        "kernel = CustomKernel(lambda u, beta: math.exp(-u / beta) / beta)\n"
+        "generic_kernel_derivative(f, kernel, 0.1, 0.0, 1.0)\n"
+        "ratio_cf_over_c_l1(3, 1.0, 0.01), ratio_limit(3, 1.0), t_star(3, 0.01)\n"
+        "assert main(['figures', '-f', 'cos', '--interval', '0,1', '--out', os.devnull]) == 0\n"
+        "assert main(['order', '-f', 'abs:1', '-k', 'C', '-p', '1', '--interval', '0,2',\n"
+        "             '--betas', '0.1,0.05,0.02,0.01', '--out', os.devnull]) == 0\n"
+        "assert main(['table1', '--out', os.devnull]) == 0\n"
+        "print('ok')"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"

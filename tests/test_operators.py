@@ -728,39 +728,67 @@ class TestGenericKernel:
         custom = CustomKernel(h=lambda u, beta: math.exp(-u / beta) / beta)
         assert generic_kernel_derivative(f, custom, 0.3, 0.0, 1.0) == pytest.approx(0.0, abs=1e-12)
 
-    def test_custom_kernel_reproduces_cf(self):
-        beta = 0.4
-
+    @pytest.mark.parametrize(
+        "beta,scale",
+        [(0.4, 1.0), (0.1, 1.0), (0.01, 1.0), (1e-3, 1.0), (0.4, 1e6)],
+    )
+    def test_custom_kernel_reproduces_cf(self, beta, scale):
         def h(u, b):
-            return math.exp(-((1.0 - b) / b) * u) / b
+            return scale * math.exp(-((1.0 - b) / b) * u) / b
 
         got = generic_kernel_derivative(Exponential(), CustomKernel(h=h), beta, 0.0, 1.0)
-        expected = caputo_fabrizio(Exponential(), 1.0 - beta, 0.0, 1.0)
-        assert got == pytest.approx(expected, abs=1e-9)
+        expected = scale * caputo_fabrizio(Exponential(), 1.0 - beta, 0.0, 1.0)
+        # 1e-12 absolute for the kernel itself; the scaled one, whose 1e-11
+        # absolute target lies below its rounding floor, to 1e-11 relative
+        assert abs(got - expected) <= (1e-12 if scale == 1.0 else 1e-11 * abs(expected))
 
     def test_custom_kernel_non_finite_values(self):
         bad = CustomKernel(h=lambda u, b: math.nan)
         with pytest.raises(IntegrationError):
             generic_kernel_derivative(Exponential(), bad, 0.5, 0.0, 1.0)
 
-    def test_custom_kernel_divergent_mass(self):
-        divergent = CustomKernel(h=lambda u, b: u**-1.5)
+    @pytest.mark.parametrize(
+        "f,h,beta",
+        [
+            (Exponential(), lambda u, b: u**-1.5, 0.5),  # divergent mass
+            (Cosine(), lambda u, b: 1.0 / u, 0.5),  # divergent; raises at u = 0
+            # nodes where u underflows to 0, where the Caputo kernel's mass
+            # is not negligible, and where the log kernel raises
+            (Cosine(), lambda u, b: u ** (b - 1.0) / gamma(b), 1e-3),
+            (Cosine(), lambda u, b: -math.log(u), 1e-3),
+        ],
+    )
+    def test_custom_kernel_is_refused(self, f, h, beta):
         with pytest.raises(IntegrationError):
-            generic_kernel_derivative(Exponential(), divergent, 0.5, 0.0, 1.0)
+            generic_kernel_derivative(f, CustomKernel(h=h), beta, 0.0, 1.0)
 
-    def test_custom_kernel_singular_but_integrable(self):
-        # an integrable power singularity must pass the smoke test and
-        # reproduce the Caputo derivative through its kernel
-        beta = 0.4
-
+    @pytest.mark.parametrize("beta", [0.4, 0.1, 0.01])
+    @pytest.mark.parametrize("f", [Power(2.0, 0.0), AbsShift(1.0)])
+    def test_custom_kernel_singular_but_integrable(self, f, beta):
+        # an integrable power singularity reproduces the Caputo derivative
+        # through its kernel; for |t - 1| at t = 1, f' is taken from the left
+        # where a node's t - u rounds onto t
         def h(u, b):
             return u ** (b - 1.0) / gamma(b)
 
-        got = generic_kernel_derivative(
-            Power(2.0, 0.0), CustomKernel(h=h), beta, 0.0, 1.0
-        )
-        expected = caputo(Power(2.0, 0.0), 1.0 - beta, 0.0, 1.0)
-        assert got == pytest.approx(expected, abs=1e-6)
+        got = generic_kernel_derivative(f, CustomKernel(h=h), beta, 0.0, 1.0)
+        expected = caputo(f, 1.0 - beta, 0.0, 1.0)
+        assert got == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "h,op",
+        [
+            (lambda u, b: u ** (b - 1.0) / gamma(b), caputo),
+            (lambda u, b: math.exp(-((1.0 - b) / b) * u) / b, caputo_fabrizio),
+        ],
+    )
+    def test_custom_kernel_on_derivative_singular_at_a(self, h, op):
+        # f' = t^(-1/2) / 2 is unbounded at a: accurate or refused
+        try:
+            got = generic_kernel_derivative(Power(0.5), CustomKernel(h=h), 0.4, 0.0, 1.0)
+        except IntegrationError:
+            return
+        assert got == pytest.approx(op(Power(0.5), 0.6, 0.0, 1.0), abs=1e-9)
 
     def test_beta_validation(self):
         with pytest.raises(DomainError):
