@@ -16,7 +16,7 @@ import sys
 
 from . import analysis, norms, operators
 from .exceptions import DomainError, NumericalError
-from .funcat import Interval, OperatorKind, parse_function, rl_boundary_term
+from .funcat import Interval, OperatorKind, _derivative_toward, parse_function, rl_boundary_term
 from .norms import NormKind
 from .operators import QuadratureScheme
 
@@ -115,7 +115,7 @@ def _cmd_figures(args, writer) -> None:
     a, b = interval.a, interval.b
     ts = operators._grid_points(a, b, args.points)
     t_cells = [_fmt(t) for t in ts.tolist()]
-    fprime = norms._derivative_grid(f, ts)
+    fprime = _derivative_toward(f, ts)
     writer.writerow(["t", "alpha", "kind", "value"])
     for alpha in alphas:
         caputo = operators.evaluate_grid(OperatorKind.CAPUTO, f, alpha, a, b, args.points, scheme)

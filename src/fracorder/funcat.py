@@ -2,9 +2,14 @@
 
 Every entry evaluates itself and its classical derivative exactly, and knows
 its closed-form fractional derivatives under Caputo and Caputo-Fabrizio (and
-so, through the boundary term, under Riemann-Liouville).  A closed form may
-stop short of some points: a power's CF form left of the trusted
-Mittag-Leffler series, the Caputo series of cos past its reach
+so, through the boundary term, under Riemann-Liouville).  f and f' of each
+entry are written once, in numpy (``_NumpyEntry``); a user-defined
+``TestFunction`` writes scalars instead and loops over them.  At a
+breakpoint, where ``derivative`` refuses, the one-sided limits of f' are
+taken in one place, ``_derivative_toward``.
+
+A closed form may stop short of some points: a power's CF form left of the
+trusted Mittag-Leffler series, the Caputo series of cos past its reach
 u = t - a = 10 + ln Gamma(1-alpha), and the exponential's Caputo form past
 u = 700.  There, and for entries without closed forms,
 ``closed_form_fractional`` returns ``None`` and operators fall back to
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .exceptions import DomainError, NonDifferentiableError
+from .exceptions import DomainError, NonDifferentiableError, NumericalError
 
 __all__ = [
     "AbsShift",
@@ -114,6 +119,36 @@ class TestFunction(ABC):
         return None
 
 
+class _NumpyEntry(TestFunction):
+    """A catalog entry, whose f and f' are ``value_array`` and
+    ``derivative_array`` alone: its scalars are those at the one-point array
+    [t], a whole numpy call each (2 to 16 us, by entry), so no per-operation
+    path takes them point by point."""
+
+    def value(self, t: float) -> float:
+        return float(self.value_array(np.array([t], dtype=float))[0])
+
+    def derivative(self, t: float) -> float:
+        return float(self.derivative_array(np.array([t], dtype=float))[0])
+
+
+def _breakpoints_inside(f: TestFunction, lo: float, hi: float) -> list[float]:
+    """The breakpoints of f strictly inside (lo, hi), once each, ascending."""
+    return sorted(x for x in set(f.breakpoints()) if lo < x < hi)
+
+
+def _derivative_toward(f: TestFunction, ts: np.ndarray, side=-math.inf) -> np.ndarray:
+    """f' at each point of ts, from one ``f.derivative_array`` call.  At a
+    point on a breakpoint, where f' jumps, it is the one-sided limit from
+    side (-inf, +inf, or an array of them, one per point), taken at the next
+    float towards it: the one place a one-sided limit of f' is taken."""
+    for c in f.breakpoints():
+        on_kink = ts == c
+        if on_kink.any():
+            ts = np.where(on_kink, np.nextafter(ts, side), ts)
+    return f.derivative_array(ts)
+
+
 def closed_form_fractional(
     f: TestFunction, kind: OperatorKind, alpha, a: float, t: float
 ) -> float | None:
@@ -165,7 +200,7 @@ _EXP_C_REACH = 700.0
 
 
 @dataclass(frozen=True)
-class Power(TestFunction):
+class Power(_NumpyEntry):
     """f(t) = (t - origin)^gamma_exp with gamma_exp > 0."""
 
     gamma_exp: float
@@ -180,41 +215,18 @@ class Power(TestFunction):
     def _is_integer_exp(self) -> bool:
         return self.gamma_exp == round(self.gamma_exp)
 
-    def value(self, t: float) -> float:
-        u = t - self.origin
-        if u < 0 and not self._is_integer_exp():
-            raise DomainError(
-                f"(t - origin)^{self.gamma_exp} undefined for t={t} < origin={self.origin}"
-            )
-        return u**self.gamma_exp
-
-    def derivative(self, t: float) -> float:
-        u = t - self.origin
-        g = self.gamma_exp
-        if u < 0 and not self._is_integer_exp():
-            raise DomainError(
-                f"derivative of (t - origin)^{g} undefined for t={t} < origin={self.origin}"
-            )
-        if u == 0.0:
-            if g > 1:
-                return 0.0
-            if g == 1:
-                return 1.0
-            return math.inf  # integrable singularity of t^(g-1), g < 1
-        return g * u ** (g - 1.0)
+    def _offsets(self, ts: np.ndarray) -> np.ndarray:
+        u = np.asarray(ts, dtype=float) - self.origin
+        if not self._is_integer_exp() and np.any(u < 0):
+            raise DomainError(f"(t - {self.origin})^{self.gamma_exp} undefined left of the origin")
+        return u
 
     def value_array(self, ts: np.ndarray) -> np.ndarray:
-        u = np.asarray(ts, dtype=float) - self.origin
-        if not self._is_integer_exp() and np.any(u < 0):
-            raise DomainError("power function evaluated left of its origin")
-        return u**self.gamma_exp
+        return self._offsets(ts) ** self.gamma_exp
 
     def derivative_array(self, ts: np.ndarray) -> np.ndarray:
-        u = np.asarray(ts, dtype=float) - self.origin
-        if not self._is_integer_exp() and np.any(u < 0):
-            raise DomainError("power derivative evaluated left of its origin")
-        with np.errstate(divide="ignore"):
-            return self.gamma_exp * u ** (self.gamma_exp - 1.0)
+        with np.errstate(divide="ignore"):  # f' = inf at the origin when gamma_exp < 1
+            return self.gamma_exp * self._offsets(ts) ** (self.gamma_exp - 1.0)
 
     def _closed_form_grid(
         self, kind: OperatorKind, alpha: float, a: float, ts: np.ndarray
@@ -225,18 +237,16 @@ class Power(TestFunction):
         u = ts - a
         if kind is OperatorKind.CAPUTO:
             return specfun.gamma(g + 1.0) / specfun.gamma(g - alpha + 1.0) * u ** (g - alpha)
-        if kind is OperatorKind.CAPUTO_FABRIZIO:
-            z = -_cf_rate(alpha) * u
-            known = np.full(u.shape, True) if self._is_integer_exp() else z >= _ML_SERIES_TRUST
-            ml = specfun.mittag_leffler_one_array(g + 1.0, z[known])
-            out = np.full(u.shape, math.nan)
-            out[known] = specfun.gamma(g + 1.0) * u[known] ** g * ml / (1.0 - alpha)
-            return out
-        return None
+        z = -_cf_rate(alpha) * u
+        known = np.full(u.shape, True) if self._is_integer_exp() else z >= _ML_SERIES_TRUST
+        ml = specfun.mittag_leffler_one_array(g + 1.0, z[known])
+        out = np.full(u.shape, math.nan)
+        out[known] = specfun.gamma(g + 1.0) * u[known] ** g * ml / (1.0 - alpha)
+        return out
 
 
 @dataclass(frozen=True)
-class Affine(TestFunction):
+class Affine(_NumpyEntry):
     """f(t) = slope * t + intercept."""
 
     slope: float
@@ -245,12 +255,6 @@ class Affine(TestFunction):
     def __post_init__(self) -> None:
         if not (math.isfinite(self.slope) and math.isfinite(self.intercept)):
             raise DomainError(f"affine coefficients must be finite, got {self!r}")
-
-    def value(self, t: float) -> float:
-        return self.slope * t + self.intercept
-
-    def derivative(self, t: float) -> float:
-        return self.slope
 
     def value_array(self, ts: np.ndarray) -> np.ndarray:
         return self.slope * np.asarray(ts, dtype=float) + self.intercept
@@ -264,13 +268,11 @@ class Affine(TestFunction):
         u = ts - a
         if kind is OperatorKind.CAPUTO:
             return self.slope * u ** (1.0 - alpha) / specfun.gamma(2.0 - alpha)
-        if kind is OperatorKind.CAPUTO_FABRIZIO:
-            return -self.slope / alpha * np.expm1(-_cf_rate(alpha) * u)
-        return None
+        return -self.slope / alpha * np.expm1(-_cf_rate(alpha) * u)
 
 
 @dataclass(frozen=True)
-class Exponential(TestFunction):
+class Exponential(_NumpyEntry):
     """f(t) = e^t.
 
     Caputo: e^a u^(1-alpha) E_{1,2-alpha}(u), u = t - a, a series of
@@ -278,12 +280,6 @@ class Exponential(TestFunction):
     point falls back to quadrature).  Caputo-Fabrizio: e^t - e^a e^(-rate u),
     rate = alpha/(1-alpha), written with expm1.
     """
-
-    def value(self, t: float) -> float:
-        return math.exp(t)
-
-    def derivative(self, t: float) -> float:
-        return math.exp(t)
 
     def value_array(self, ts: np.ndarray) -> np.ndarray:
         return np.exp(np.asarray(ts, dtype=float))
@@ -294,19 +290,21 @@ class Exponential(TestFunction):
         self, kind: OperatorKind, alpha: float, a: float, ts: np.ndarray
     ) -> np.ndarray | None:
         u = ts - a
+        try:
+            e_a = math.exp(a)
+        except OverflowError:
+            raise NumericalError(f"e^a overflows a double at a={a!r}") from None
         if kind is OperatorKind.CAPUTO:
             known = u <= _EXP_C_REACH
             ml = specfun.mittag_leffler_one_array(2.0 - alpha, u[known])
             out = np.full(u.shape, math.nan)
-            out[known] = math.exp(a) * u[known] ** (1.0 - alpha) * ml
+            out[known] = e_a * u[known] ** (1.0 - alpha) * ml
             return out
-        if kind is OperatorKind.CAPUTO_FABRIZIO:
-            return math.exp(a) * (np.expm1(u) - np.expm1(-_cf_rate(alpha) * u))
-        return None
+        return e_a * (np.expm1(u) - np.expm1(-_cf_rate(alpha) * u))
 
 
 @dataclass(frozen=True)
-class Cosine(TestFunction):
+class Cosine(_NumpyEntry):
     """f(t) = cos t.
 
     Caputo-Fabrizio, elementary: with u = t - a and rate = alpha/(1-alpha),
@@ -323,12 +321,6 @@ class Cosine(TestFunction):
     measured; farther points fall back to quadrature.
     """
 
-    def value(self, t: float) -> float:
-        return math.cos(t)
-
-    def derivative(self, t: float) -> float:
-        return -math.sin(t)
-
     def value_array(self, ts: np.ndarray) -> np.ndarray:
         return np.cos(np.asarray(ts, dtype=float))
 
@@ -344,14 +336,12 @@ class Cosine(TestFunction):
             out = np.full(u.shape, math.nan)
             out[known] = _cos_caputo_array(alpha, ts[known], u[known])
             return out
-        if kind is OperatorKind.CAPUTO_FABRIZIO:
-            e = _phi1_array((-_cf_rate(alpha) - 1j) * u)
-            return -u / (1.0 - alpha) * (np.sin(ts) * e.real + np.cos(ts) * e.imag)
-        return None
+        e = _phi1_array((-_cf_rate(alpha) - 1j) * u)
+        return -u / (1.0 - alpha) * (np.sin(ts) * e.real + np.cos(ts) * e.imag)
 
 
 @dataclass(frozen=True)
-class AbsShift(TestFunction):
+class AbsShift(_NumpyEntry):
     """f(t) = |t - center|."""
 
     center: float
@@ -360,22 +350,17 @@ class AbsShift(TestFunction):
         if not math.isfinite(self.center):
             raise DomainError(f"center must be finite, got {self.center!r}")
 
-    def value(self, t: float) -> float:
-        return abs(t - self.center)
-
-    def derivative(self, t: float) -> float:
-        if t == self.center:
-            raise NonDifferentiableError(f"|t - {self.center}| has no derivative at t={t}")
-        return 1.0 if t > self.center else -1.0
-
     def breakpoints(self) -> tuple[float, ...]:
         return (self.center,)
 
+    def value_array(self, ts: np.ndarray) -> np.ndarray:
+        return np.abs(np.asarray(ts, dtype=float) - self.center)
+
     def derivative_array(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
-        if np.any(ts == self.center):
+        if (ts == self.center).any():
             raise NonDifferentiableError(f"|t - {self.center}| has no derivative at its center")
-        return np.where(ts > self.center, 1.0, -1.0)
+        return np.sign(ts - self.center)
 
     def _closed_form_grid(
         self, kind: OperatorKind, alpha: float, a: float, ts: np.ndarray
@@ -389,18 +374,16 @@ class AbsShift(TestFunction):
                 return unit
             right = (2.0 * past**p - (ts - a) ** p) / specfun.gamma(2.0 - alpha)
             return np.where(ts <= c, -unit, right)
-        if kind is OperatorKind.CAPUTO_FABRIZIO:
-            rate = _cf_rate(alpha)
-            unit = -np.expm1(-rate * (ts - a)) / alpha
-            if c <= a:
-                return unit
-            right = (np.expm1(-rate * (ts - a)) - 2.0 * np.expm1(-rate * past)) / alpha
-            return np.where(ts <= c, -unit, right)
-        return None
+        rate = _cf_rate(alpha)
+        unit = -np.expm1(-rate * (ts - a)) / alpha
+        if c <= a:
+            return unit
+        right = (np.expm1(-rate * (ts - a)) - 2.0 * np.expm1(-rate * past)) / alpha
+        return np.where(ts <= c, -unit, right)
 
 
 @dataclass(frozen=True)
-class StepAntiderivative(TestFunction):
+class StepAntiderivative(_NumpyEntry):
     """Antiderivative of a step function: f(t) = int sum_i q_i chi_[a_i,b_i].
 
     ``breaks`` holds the disjoint, ordered subintervals [a_i, b_i] and
@@ -426,39 +409,28 @@ class StepAntiderivative(TestFunction):
                 raise DomainError("subintervals must be ordered and non-overlapping")
             prev_end = hi
 
-    def value(self, t: float) -> float:
-        total = 0.0
-        for (lo, hi), q in zip(self.breaks, self.heights):
-            overlap = min(t, hi) - lo
-            if overlap > 0:
-                total += q * overlap
-        return total
-
-    def derivative(self, t: float) -> float:
-        for (lo, hi), q in zip(self.breaks, self.heights):
-            if t == lo or t == hi:
-                raise NonDifferentiableError(f"step function jumps at t={t}")
-            if lo < t < hi:
-                return q
-        return 0.0
-
     def breakpoints(self) -> tuple[float, ...]:
         return tuple(sorted({x for ab in self.breaks for x in ab}))
 
+    def value_array(self, ts: np.ndarray) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        total = np.zeros(ts.shape)
+        for (lo, hi), q in zip(self.breaks, self.heights):
+            total += q * np.maximum(np.minimum(ts, hi) - lo, 0.0)
+        return total
+
     def derivative_array(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
-        if np.any(np.isin(ts, self.breakpoints())):
-            raise NonDifferentiableError("step function jumps at a point of the array")
         out = np.zeros(ts.shape)
         for (lo, hi), q in zip(self.breaks, self.heights):
+            if ((ts == lo) | (ts == hi)).any():
+                raise NonDifferentiableError("step function jumps at a point of the array")
             out[(lo < ts) & (ts < hi)] = q
         return out
 
     def _closed_form_grid(
         self, kind: OperatorKind, alpha: float, a: float, ts: np.ndarray
     ) -> np.ndarray | None:
-        if kind not in (OperatorKind.CAPUTO, OperatorKind.CAPUTO_FABRIZIO):
-            return None
         p, rate = 1.0 - alpha, _cf_rate(alpha)
         total = np.zeros(ts.shape)
         for (lo, hi), q in zip(self.breaks, self.heights):

@@ -7,7 +7,7 @@ right of a and of each breakpoint, and it is vectorised over the panels:
 each refinement round evaluates the integrand once, as one array over the
 15 nodes of every panel still being refined.  The operator values at those
 nodes come from one ``operators._evaluate_points`` call, f' from one
-``derivative_array`` call.  The loop stops when the summed error estimate
+``funcat._derivative_toward`` call.  The loop stops when the summed error estimate
 of all panels is at most the requested tol; that sum is reported as
 ``ErrorReport.quad_error``, and a tol that cannot be met is refused.
 
@@ -21,25 +21,22 @@ power term to a constant and leaves a bounded integrand on (0, 1].
 
 The L-infinity functional scans a dense grid over (a, b], with every
 operator value of the scan from one ``operators.evaluate_grid`` call and
-every f' value from one ``derivative_array`` call (points on a breakpoint
-aside), and refines the best point by zooming in on it: two rounds, each
-scoring 127 evenly spaced points of a bracket with one
-``operators._evaluate_points`` call and one ``_derivative_grid`` call, then
-one point at the vertex of the parabola through the best three.
+every f' value from one ``funcat._derivative_toward`` call, and refines the
+best point by zooming in on it: two rounds, each scoring 127 evenly spaced
+points of a bracket with one call of each, then one point at the vertex of
+the parabola through the best three.
 Two kinds of limit join the candidates, since a grid point approaches them
 only by chance: the boundary limit of the error as t -> a+, |f'(a)| (each
 operator here tends to 0 where f' is bounded near a, and grows more slowly
 than f' where it is not), which is where the supremum lives whenever
 f'(a) != 0 and which is ``inf`` where f' is unbounded at a; and at each
 catalog breakpoint c inside (a, b), where f' jumps and the operator does
-not, the one-sided limits |D(c) - f'(c-)| and |D(c) - f'(c+)|.  For the
-Riemann-Liouville operator with f(a) != 0 the supremum is infinite and no
-scan is made.
+not, the one-sided limits |D(c) - f'(c-)| and |D(c) - f'(c+)|, all from
+one call of each.  For the Riemann-Liouville operator with f(a) != 0 the
+supremum is infinite and no scan is made.
 
-Where f' jumps at a point t, it takes one one-sided limit, at the next float
-towards that side: the left limit, the side inside (a, t], at every point of
-the scan, of the L1 integrand and of ``cli figures``, and the right limit for
-the boundary candidate at a.
+Where f' jumps at a point t of the scan or of the L1 integrand, it is taken
+from the left, the side inside (a, t]; at a, from the right.
 """
 
 import enum
@@ -49,8 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators, specfun
-from .exceptions import DomainError, NonDifferentiableError
-from .funcat import Interval, OperatorKind, TestFunction
+from .exceptions import DomainError
+from .funcat import Interval, OperatorKind, TestFunction, _breakpoints_inside, _derivative_toward
 from .operators import MAX_EVALS, FractionalOrder, QuadratureScheme
 
 __all__ = [
@@ -102,35 +99,10 @@ class ErrorReport:
             raise DomainError(f"quad_error must be non-negative, got {self.quad_error!r}")
 
 
-def _derivative(f: TestFunction, t: float, side: float = -math.inf) -> float:
-    """f'(t), or on a breakpoint its one-sided limit from side, taken at the
-    next float towards it: from the left (the default) for a point t of the
-    scan or the L1 integrand, the side inside (a, t]."""
-    try:
-        return f.derivative(t)
-    except NonDifferentiableError:
-        return f.derivative(math.nextafter(t, side))
-
-
 def _abs_error(kind, f, alpha, a, ts, scheme) -> np.ndarray:
-    """|D f - f'| at each point of ts (all > a)."""
+    """|D f - f'| at each point of ts (all > a), f' from the left on a breakpoint."""
     values = operators._evaluate_points(kind, f, alpha, a, ts, scheme)
-    return np.abs(values - _derivative_grid(f, ts))
-
-
-def _derivative_grid(f: TestFunction, ts: np.ndarray) -> np.ndarray:
-    """``_derivative`` at each point of ts.  One ``f.derivative_array`` call
-    serves every point off the breakpoints; only the points on one are
-    taken singly, as left limits."""
-    on_kink = np.zeros(ts.shape, dtype=bool)
-    for c in f.breakpoints():
-        on_kink |= ts == c
-    if not on_kink.any():
-        return f.derivative_array(ts)
-    values = np.empty(ts.shape)
-    values[~on_kink] = f.derivative_array(ts[~on_kink])
-    values[on_kink] = [_derivative(f, t) for t in ts[on_kink].tolist()]
-    return values
+    return np.abs(values - _derivative_toward(f, ts))
 
 
 def _boundary_layer_splits(
@@ -171,7 +143,7 @@ def _rl_flattened(f, order, a, w, scheme):
         ts = t[inside]
         rest[inside] = operators._evaluate_points(
             OperatorKind.CAPUTO, f, order.alpha, a, ts, scheme
-        ) - _derivative_grid(f, ts)
+        ) - _derivative_toward(f, ts)
         return np.abs(base + (w / beta) * v**expo * rest)
 
     return integrand, sorted({x**beta for x in operators._FLAT_FRACS})
@@ -215,7 +187,7 @@ def error_l1(
     def err(ts: np.ndarray) -> np.ndarray:
         return _abs_error(kind, f, order.alpha, a, ts, scheme)
 
-    kinks = sorted(x for x in set(f.breakpoints()) if a < x < b)
+    kinks = _breakpoints_inside(f, a, b)
     pieces = list(zip([a, *kinks], [*kinks, b]))
     regions = []
     if kind is OperatorKind.RIEMANN_LIOUVILLE and f.value(a) != 0.0:
@@ -292,7 +264,7 @@ def error_linf(
     a, b = interval.a, interval.b
     if kind is OperatorKind.RIEMANN_LIOUVILLE and f.value(a) != 0.0:
         return ErrorReport(kind, beta, NormKind.LINF, interval, math.inf, 1)
-    fprime = _derivative_grid(f, operators._grid_points(a, b, n_grid))
+    fprime = _derivative_toward(f, operators._grid_points(a, b, n_grid))
     values = np.abs(operators.evaluate_grid(kind, f, order, a, b, n_grid, scheme) - fprime)
     best_i = int(np.argmax(values))
     best = float(values[best_i])
@@ -303,16 +275,18 @@ def error_linf(
     # as t -> a+ each operator here (RL as C, since f(a) = 0) tends to 0, or
     # grows more slowly than an unbounded f', so the boundary limit of the
     # error is |f'(a+)|, which the grid approaches only at rate (t-a)^beta
-    candidates = [best, refined, abs(_derivative(f, a, math.inf))]
-    count = n_grid + _ZOOM_ROUNDS * _ZOOM_POINTS + 2
-    for c in sorted(x for x in set(f.breakpoints()) if a < x < b):
+    at_a = _derivative_toward(f, np.array([a]), math.inf)[0]
+    candidates = [best, refined, abs(float(at_a))]
+    kinks = _breakpoints_inside(f, a, b)
+    if kinks:
         # the operator is continuous at a breakpoint and f' jumps there, so
         # the error has two one-sided limits, which a grid point can only
         # approach by chance
-        value = operators.evaluate(kind, f, order, a, c, scheme)
-        for side in (-math.inf, math.inf):
-            candidates.append(abs(value - f.derivative(math.nextafter(c, side))))
-        count += 2
+        values = operators._evaluate_points(kind, f, order.alpha, a, np.array(kinks), scheme)
+        sides = [-math.inf] * len(kinks) + [math.inf] * len(kinks)
+        limits = _derivative_toward(f, np.array(kinks * 2), sides)
+        candidates += np.abs(np.concatenate((values, values)) - limits).tolist()
+    count = n_grid + _ZOOM_ROUNDS * _ZOOM_POINTS + 2 + 2 * len(kinks)
     return ErrorReport(kind, beta, NormKind.LINF, interval, max(candidates), count)
 
 

@@ -232,7 +232,7 @@ def _product_integral(
         left, right = _cell_weights(np.array([t - lo, t - hi]), hi - lo, p, rate)
         return float(left[0] + right[0])
 
-    edges = [a, *sorted(x for x in set(f.breakpoints()) if a < x < t), t]
+    edges = [a, *funcat._breakpoints_inside(f, a, t), t]
     parts = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         if not math.nextafter(lo, hi) < hi and mass(lo, hi) <= 1e-12 * mass(a, t):
@@ -399,7 +399,7 @@ def _evaluate_points(
         values = np.full(ts.shape, math.nan)
     missing = np.flatnonzero(np.isnan(values))
     if missing.size:
-        if b is None or any(a < x < b for x in f.breakpoints()):
+        if b is None or funcat._breakpoints_inside(f, a, b):
             # module-level names, so a wrapper installed on the module sees each call
             op = caputo if base is OperatorKind.CAPUTO else caputo_fabrizio
             fill = [
@@ -619,14 +619,15 @@ def generic_kernel_derivative(
             h = np.array([kernel.h(x, beta) for x in u.tolist()], dtype=float)
         except (ArithmeticError, ValueError) as exc:  # math's domain error is a ValueError
             raise IntegrationError(f"custom kernel failed: {exc!r}") from exc
-        # f' from inside [a, t), where a node may round onto t or below a
+        # f' from inside [a, t), where a node may round onto t, below a or
+        # onto a breakpoint: the right limit there, the side inside [a, t)
         taus = np.clip(t - u, a, math.nextafter(t, a))
-        y = f.derivative_array(taus) * h * (u / (beta * v))
+        y = funcat._derivative_toward(f, taus, math.inf) * h * (u / (beta * v))
         if not np.all(np.isfinite(y)):
             raise IntegrationError(f"non-finite custom-kernel integrand for beta={beta!r}")
         return y
 
     # more edges at the breakpoints' images and toward tau = a (v near 1)
-    at_kinks = ((t - c) / w for c in set(f.breakpoints()) if a < c < t)
+    at_kinks = ((t - c) / w for c in funcat._breakpoints_inside(f, a, t))
     edges = sorted({x**beta for x in (*_FLAT_FRACS, *at_kinks, *(1.0 - x for x in _FLAT_FRACS))})
     return _gauss_kronrod(integrand, edges, 1e-11, _Counter(MAX_EVALS), rel=1e-11)[0]

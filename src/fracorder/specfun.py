@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError, SeriesConvergenceError
+from .exceptions import DomainError, NumericalError, SeriesConvergenceError
 
 __all__ = [
     "MLParams",
@@ -49,10 +49,14 @@ def ln_gamma(x: float) -> float:
 
 
 def gamma(x: float) -> float:
-    """Gamma function for x > 0; exact at small integer arguments."""
+    """Gamma function for x > 0; exact at small integer arguments.  Past
+    x = 171.6 it overflows a double, and is refused with NumericalError."""
     if not x > 0:
         raise DomainError(f"gamma requires x > 0, got {x!r}")
-    return math.gamma(x)
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise NumericalError(f"gamma({x!r}) overflows a double") from None
 
 
 def digamma(x: float) -> float:
@@ -145,12 +149,16 @@ def _series(rho: float, omega: float, z: float) -> float:
 
 
 def _closed_form_integer(m: int, z: float) -> float:
-    """E_{1,m+1}(z) = z^-m (e^z - sum_{k<m} z^k/k!) via compensated summation."""
+    """E_{1,m+1}(z) = z^-m (e^z - sum_{k<m} z^k/k!) via compensated summation;
+    NumericalError where a term or z^m overflows a double."""
     if m == 0:
         return math.exp(z)
     terms = [math.exp(z)]
-    terms.extend(-(z**k) / math.factorial(k) for k in range(m))
-    return math.fsum(terms) / z**m
+    try:
+        terms.extend(-(z**k) / math.factorial(k) for k in range(m))
+        return math.fsum(terms) / z**m
+    except OverflowError:
+        raise NumericalError(f"E_1,{m + 1}({z!r}) overflows a double in its closed form") from None
 
 
 def mittag_leffler_one(omega: float, z: float) -> float:

@@ -320,6 +320,26 @@ class TestOutFile:
         assert not dest.exists()
 
 
+class TestOverflowIsRefused:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # Gamma(201) overflows a double
+            ("derive", "-f", "power:200", "-k", "C", "-a", "0.5", "--interval", "0,1", "-t", "0.5"),
+            # z^k of the closed form of E_{1,151}(-149)
+            ("ratio", "--m", "150", "--T", "149", "--beta", "0.5"),
+            # e^a at a = 710
+            ("derive", "-f", "exp", "-k", "C", "-a", "0.5", "--interval", "710,711", "-t", "710.5"),
+        ],
+    )
+    def test_numerical_error_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("numerical error:") and "overflows" in err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+
 class TestArgparseErrors:
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

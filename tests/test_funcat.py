@@ -5,7 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fracorder import (
@@ -506,3 +506,147 @@ class TestParse:
     def test_bad_ids(self, text):
         with pytest.raises(DomainError):
             parse_function(text)
+
+
+def _fmt_id(*xs):
+    return ",".join(repr(float(x)) for x in xs)
+
+
+@st.composite
+def catalog_ids(draw):
+    """A catalog id that ``parse_function`` accepts, with f, f' and the
+    breakpoints of its function written with ``math`` only, and points in
+    the function's domain at which to compare them."""
+    name = draw(st.sampled_from(["power", "affine", "exp", "cos", "abs", "step"]))
+    lo, hi = -3.0, 3.0
+    points = []
+    breaks = set()
+    limit = None  # (c, side) -> the one-sided limit of f' at breakpoint c
+    if name == "power":
+        g = draw(st.one_of(st.integers(1, 4).map(float), st.floats(0.1, 4.0)))
+        origin = draw(st.sampled_from([0.0, -0.5, 1.0]))
+        text = f"power:{_fmt_id(g)}" if origin == 0.0 else f"power:{_fmt_id(g, origin)}"
+        if g != round(g):
+            lo = origin
+        points.append(origin)  # where f' is 0, 1 or inf, by g
+
+        def value(t):
+            return (t - origin) ** g
+
+        def derivative(t):
+            u = t - origin
+            if u == 0.0:
+                return 0.0 if g > 1 else (1.0 if g == 1 else math.inf)
+            return g * u ** (g - 1.0)
+
+    elif name == "affine":
+        s, i = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
+        text = f"affine:{_fmt_id(s, i)}"
+
+        def value(t):
+            return s * t + i
+
+        def derivative(t):
+            return s
+
+    elif name in ("exp", "cos"):
+        text = name
+        value = math.exp if name == "exp" else math.cos
+
+        def derivative(t):
+            return math.exp(t) if name == "exp" else -math.sin(t)
+
+    elif name == "abs":
+        c = draw(st.floats(-2.0, 2.0))
+        text, breaks = f"abs:{_fmt_id(c)}", {c}
+
+        def value(t):
+            return abs(t - c)
+
+        def derivative(t):
+            if t == c:
+                raise NonDifferentiableError
+            return 1.0 if t > c else -1.0
+
+        def limit(x, side):
+            return 1.0 if side > 0 else -1.0
+
+    else:
+        n = draw(st.integers(1, 3))
+        fracs = sorted(draw(st.lists(st.floats(-2.0, 2.0), min_size=2 * n, max_size=2 * n)))
+        edges = [x + 1e-3 * k for k, x in enumerate(fracs)]
+        if draw(st.booleans()) and n > 1:
+            edges[2] = edges[1]  # two steps that meet
+        heights = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+        steps = [(edges[2 * k], edges[2 * k + 1], heights[k]) for k in range(n)]
+        text = "step:" + ";".join(_fmt_id(*step) for step in steps)
+        breaks = set(edges)
+
+        def value(t):
+            return math.fsum(q * max(min(t, b) - a, 0.0) for a, b, q in steps)
+
+        def derivative(t):
+            if t in breaks:
+                raise NonDifferentiableError
+            return sum(q for a, b, q in steps if a < t < b)
+
+        def limit(x, side):
+            return sum(q for a, b, q in steps if (a <= x < b if side > 0 else a < x <= b))
+
+    points += draw(st.lists(st.floats(lo, hi), min_size=1, max_size=8))
+    points += [x + d for x in breaks for d in (-1e-9, 1e-9) if lo <= x + d]
+    return text, value, derivative, breaks, limit, points
+
+
+def _close(x, y):
+    return x == y or math.isclose(x, y, rel_tol=4e-16)
+
+
+class TestCatalogAgainstMath:
+    """Every catalog id, against f and f' written with ``math`` alone."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=catalog_ids())
+    def test_scalars_match_math(self, case):
+        text, value, derivative, breaks, _, points = case
+        f = parse_function(text)
+        for t in points:
+            if t in breaks:
+                continue
+            assert _close(f.value(t), value(t))
+            assert _close(f.derivative(t), derivative(t))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=catalog_ids())
+    def test_derivative_refused_exactly_on_breakpoints(self, case):
+        text, _, _, breaks, _, points = case
+        f = parse_function(text)
+        assert set(f.breakpoints()) == breaks
+        for c in breaks:
+            with pytest.raises(NonDifferentiableError):
+                f.derivative(c)
+        for t in points:
+            if t not in breaks:
+                f.derivative(t)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=catalog_ids())
+    def test_one_sided_limits_at_breakpoints(self, case):
+        text, _, _, breaks, limit, _ = case
+        f = parse_function(text)
+        cs = np.array(sorted(breaks))
+        for side in (-math.inf, math.inf):
+            got = funcat._derivative_toward(f, cs, side).tolist()
+            assert got == [limit(c, side) for c in cs.tolist()]
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=catalog_ids(), k=st.integers(0, 7))
+    def test_one_point_array_matches_longer_array(self, case, k):
+        text, _, _, breaks, _, points = case
+        f = parse_function(text)
+        ts = np.array([t for t in points if t not in breaks])
+        assume(ts.size)
+        k %= ts.size
+        one = ts[k : k + 1]
+        assert f.value_array(one)[0] == f.value_array(ts)[k]
+        assert f.derivative_array(one)[0] == f.derivative_array(ts)[k]

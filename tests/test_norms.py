@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracorder import norms, operators
+from fracorder import funcat, operators
 from fracorder import (
     AbsShift,
     Affine,
@@ -492,7 +492,7 @@ class TestDerivativeGrid:
         f = parse_function(name)
         ts = operators._grid_points(0.0, b, n)
         assert np.isin(ts, f.breakpoints()).any()
-        got = norms._derivative_grid(f, ts).tolist()
+        got = funcat._derivative_toward(f, ts).tolist()
         for t, value in zip(ts.tolist(), got):
             if t in f.breakpoints():
                 # the left limit, the side inside (a, t]
@@ -501,7 +501,7 @@ class TestDerivativeGrid:
                     f.derivative(t)
             else:
                 assert value == f.derivative(t)
-            assert value == norms._derivative(f, t)
+            assert value == funcat._derivative_toward(f, np.array([t]))[0]
 
 
 class TestErrorSweep:

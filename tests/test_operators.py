@@ -794,6 +794,17 @@ class TestGenericKernel:
         with pytest.raises(DomainError):
             generic_kernel_derivative(Exponential(), CaputoKernel(), 1.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("gap", [1e-14, 3e-16, 1e-12])
+    def test_custom_kernel_node_on_a_breakpoint(self, gap):
+        # with the kink a few ulps left of t, some node's t - u rounds onto
+        # it; f' there is a one-sided limit, not a refusal
+        def h(u, b):
+            return u ** (b - 1.0) / math.gamma(b)
+
+        f = AbsShift(1.0 - gap)
+        got = generic_kernel_derivative(f, CustomKernel(h=h), 0.9, 0.0, 1.0)
+        assert got == pytest.approx(caputo(f, 0.1, 0.0, 1.0), abs=1e-13)
+
 
 class Square(TestFunction):
     """t^2 as a user would define it: value and derivative only, so every

@@ -10,6 +10,7 @@ import pytest
 from fracorder import (
     DomainError,
     MLParams,
+    NumericalError,
     digamma,
     gamma,
     ln_gamma,
@@ -84,6 +85,15 @@ class TestGamma:
     def test_domain(self):
         with pytest.raises(DomainError):
             gamma(-2.0)
+
+    def test_overflow_is_refused(self):
+        assert math.isfinite(gamma(171.0))
+        with pytest.raises(NumericalError, match="overflows"):
+            gamma(172.0)
+
+    def test_closed_form_overflow_is_refused(self):
+        with pytest.raises(NumericalError, match="overflows"):
+            mittag_leffler_one(151.0, -149.0)
 
 
 class TestDigamma:
