@@ -34,6 +34,7 @@ from .funcat import (
     Affine,
     Cosine,
     Exponential,
+    FractionalOrder,
     Interval,
     OperatorKind,
     Power,
@@ -47,7 +48,6 @@ from .operators import (
     CaputoFabrizioKernel,
     CaputoKernel,
     CustomKernel,
-    FractionalOrder,
     KernelSpec,
     QuadratureScheme,
     caputo,

@@ -102,10 +102,10 @@ def fit_order(reports: list[ErrorReport]) -> OrderFit:
     return OrderFit(float(slope), float(intercept), residual, len(reports))
 
 
-def _check_ratio_args(m: int, T: float) -> None:
+def _check_ratio_args(m: int, T: float | None = None) -> None:
     if not (isinstance(m, (int, np.integer)) and m >= 2):
         raise DomainError(f"m must be an integer >= 2, got {m!r}")
-    if not (0.0 < T <= m - 1):
+    if T is not None and not (0.0 < T <= m - 1):
         raise DomainError(f"T must lie in (0, m-1] = (0, {m - 1}], got {T!r}")
 
 
@@ -155,8 +155,7 @@ def t_star(m: int, beta: float) -> float:
     is the first point of a doubling ladder where the sign changes, and
     bisection closes the bracket.
     """
-    if not (isinstance(m, (int, np.integer)) and m >= 2):
-        raise DomainError(f"m must be an integer >= 2, got {m!r}")
+    _check_ratio_args(m)
     beta = _check_beta(beta)
     rate = (1.0 - beta) / beta
     gm = specfun.gamma(float(m))
@@ -192,8 +191,7 @@ def t_star(m: int, beta: float) -> float:
 
 def s_star(m: int, beta: float) -> float:
     """Root w of w^beta Gamma(m)/Gamma(m+beta) = 1: w = (Gamma(m+beta)/Gamma(m))^(1/beta)."""
-    if not (isinstance(m, (int, np.integer)) and m >= 2):
-        raise DomainError(f"m must be an integer >= 2, got {m!r}")
+    _check_ratio_args(m)
     beta = _check_beta(beta)
     return math.exp((specfun.ln_gamma(m + beta) - specfun.ln_gamma(float(m))) / beta)
 

@@ -10,7 +10,7 @@ taken in one place, ``_derivative_toward``.
 
 A closed form may stop short of some points: a power's CF form left of the
 trusted Mittag-Leffler series, the Caputo series of cos past its reach
-u = t - a = 10 + ln Gamma(1-alpha), and the exponential's Caputo form past
+u = t - a = 10 + ln Gamma(beta), and the exponential's Caputo form past
 u = 700.  There, and for entries without closed forms,
 ``closed_form_fractional`` returns ``None`` and operators fall back to
 quadrature.
@@ -19,15 +19,15 @@ Each (entry, operator) pair has one closed form, written once, as numpy
 expressions over an array of points: the hook
 ``TestFunction._closed_form_grid``, with NaN where a point has no closed
 form.  ``operators`` calls it on all the points it needs at once, and
-``closed_form_fractional`` on the one-point array [t].  The Caputo-Fabrizio
-form of a power,
-(1/(1-alpha)) int_0^u g s^(g-1) e^(-rate (u-s)) ds, is written as
-Gamma(g+1) u^g E_{1,g+1}(-rate u) / (1-alpha) (Caputo & Fabrizio, Progr.
-Fract. Differ. Appl. 1 (2015) 73), which has no cancellation as alpha -> 0.
-The Caputo form of e^t is e^a u^(1-alpha) E_{1,2-alpha}(u), from
-D^alpha e^(lambda t) = lambda t^(1-alpha) E_{1,2-alpha}(lambda t) (Podlubny,
-*Fractional Differential Equations*, 1999); those of cos are described in
-``Cosine``.
+``closed_form_fractional`` on the one-point array [t], with the order as a
+``FractionalOrder``: alpha and beta as given, and the CF rate alpha/beta,
+from which every closed form reads its constants.  The Caputo-Fabrizio form
+of a power, (1/beta) int_0^u g s^(g-1) e^(-rate (u-s)) ds, is written as
+Gamma(g+1) u^g E_{1,g+1}(-rate u) / beta (Caputo & Fabrizio, Progr. Fract.
+Differ. Appl. 1 (2015) 73), which has no cancellation as alpha -> 0.  The
+Caputo form of e^t is e^a u^beta E_{1,1+beta}(u), from D^alpha e^(lambda t)
+= lambda t^(1-alpha) E_{1,2-alpha}(lambda t) (Podlubny, *Fractional
+Differential Equations*, 1999); those of cos are described in ``Cosine``.
 """
 
 import enum
@@ -46,6 +46,7 @@ __all__ = [
     "Affine",
     "Cosine",
     "Exponential",
+    "FractionalOrder",
     "Interval",
     "OperatorKind",
     "Power",
@@ -83,11 +84,40 @@ class Interval:
         return self.b - self.a
 
 
-def _check_order(alpha: float) -> float:
-    alpha = float(alpha)
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"fractional order must lie in (0, 1), got {alpha!r}")
-    return alpha
+@dataclass(frozen=True, init=False)
+class FractionalOrder:
+    """An order alpha strictly inside (0, 1), its complement beta, and the
+    kernel constants.  It keeps the one it was given, alpha to the
+    constructor, beta to :meth:`from_beta`; the other is 1 minus it, exact
+    where the given one is at least 1/2 and within an ulp otherwise."""
+
+    alpha: float
+    beta: float
+
+    def __init__(self, alpha: float) -> None:
+        alpha = float(alpha)
+        self._keep(alpha, 1.0 - alpha, alpha, "fractional order")
+
+    @classmethod
+    def from_beta(cls, beta: float) -> "FractionalOrder":
+        beta = float(beta)
+        order = cls.__new__(cls)
+        order._keep(1.0 - beta, beta, beta, "beta")
+        return order
+
+    def _keep(self, alpha: float, beta: float, given: float, name: str) -> None:
+        if not (0.0 < given < 1.0):
+            raise DomainError(f"{name} must lie strictly in (0, 1), got {given!r}")
+        vars(self).update(alpha=alpha, beta=beta)  # past the frozen __setattr__
+
+    @property
+    def rate(self) -> float:  # of the Caputo-Fabrizio kernel
+        return self.alpha / self.beta
+
+
+def _as_order(alpha) -> FractionalOrder:
+    """The order of a float alpha or a FractionalOrder, as a FractionalOrder."""
+    return alpha if isinstance(alpha, FractionalOrder) else FractionalOrder(alpha)
 
 
 class TestFunction(ABC):
@@ -112,7 +142,7 @@ class TestFunction(ABC):
         return np.array([self.derivative(float(t)) for t in ts])
 
     def _closed_form_grid(
-        self, kind: OperatorKind, alpha: float, a: float, ts: np.ndarray
+        self, kind: OperatorKind, order: FractionalOrder, a: float, ts: np.ndarray
     ) -> np.ndarray | None:
         """The closed form for kind C or CF at every point of ts (all > a):
         NaN at a point it does not reach, ``None`` if the entry has none."""
@@ -160,43 +190,42 @@ def closed_form_fractional(
     is assembled from the Caputo one via RL = rl_boundary_term + Caputo, so
     it exists exactly when the Caputo form does.
     """
-    alpha = _check_order(getattr(alpha, "alpha", alpha))
+    order = _as_order(alpha)
     if not t > a:
         raise DomainError(f"evaluation point must satisfy t > a, got t={t}, a={a}")
     rl = kind is OperatorKind.RIEMANN_LIOUVILLE
-    values = f._closed_form_grid(OperatorKind.CAPUTO if rl else kind, alpha, a, np.array([t]))
+    values = f._closed_form_grid(OperatorKind.CAPUTO if rl else kind, order, a, np.array([t]))
     if values is None or math.isnan(values[0]):
         return None
     if rl:
-        return rl_boundary_term(f, alpha, a, t) + float(values[0])
+        return rl_boundary_term(f, order, a, t) + float(values[0])
     return float(values[0])
 
 
 def rl_boundary_term(
-    f: TestFunction, alpha: float, a: float, t: float | np.ndarray
+    f: TestFunction, alpha, a: float, t: float | np.ndarray
 ) -> float | np.ndarray:
-    """f(a) (t-a)^(-alpha) / Gamma(1-alpha): the Riemann-Liouville derivative
+    """f(a) (t-a)^(-alpha) / Gamma(beta): the Riemann-Liouville derivative
     minus the Caputo one, for f in W^{1,1}; elementwise for an array t."""
-    return f.value(a) * (t - a) ** (-alpha) / specfun.gamma(1.0 - alpha)
-
-
-def _cf_rate(alpha: float) -> float:
-    return alpha / (1.0 - alpha)
+    order = _as_order(alpha)
+    return f.value(a) * (t - a) ** (-order.alpha) / specfun.gamma(order.beta)
 
 
 #: non-integer exponents route E_{1,gamma+1} through the series, which loses
 #: accuracy left of roughly -15; beyond that the caller falls back to quadrature
 _ML_SERIES_TRUST = -15.0
 
-#: the Caputo series of cos is summed while e^u / Gamma(1-alpha) stays below
-#: e^_COS_C_LOSS_LOG: its terms peak near e^u u^(-alpha) / Gamma(1-alpha) and
+#: the Caputo series of cos is summed while e^u / Gamma(beta) stays below
+#: e^_COS_C_LOSS_LOG: its terms peak near e^u u^(-alpha) / Gamma(beta) and
 #: cancel to O(1), so rounding costs at most about 1e-11 absolute, and well
 #: under 1e-12 as measured; farther points fall back to quadrature
 _COS_C_LOSS_LOG = 10.0
 
-#: u = t - a up to which E_{1,2-alpha}(u) of the exponential's Caputo form is
+#: u = t - a up to which E_{1,1+beta}(u) of the exponential's Caputo form is
 #: summed; its terms overflow near u = 709
 _EXP_C_REACH = 700.0
+
+_EXP_MAX_T = math.log(np.finfo(float).max)  #: e^t overflows a double past it
 
 
 @dataclass(frozen=True)
@@ -229,19 +258,23 @@ class Power(_NumpyEntry):
             return self.gamma_exp * self._offsets(ts) ** (self.gamma_exp - 1.0)
 
     def _closed_form_grid(
-        self, kind: OperatorKind, alpha: float, a: float, ts: np.ndarray
+        self, kind: OperatorKind, order: FractionalOrder, a: float, ts: np.ndarray
     ) -> np.ndarray | None:
         if a != self.origin:
             return None
         g = self.gamma_exp
         u = ts - a
         if kind is OperatorKind.CAPUTO:
-            return specfun.gamma(g + 1.0) / specfun.gamma(g - alpha + 1.0) * u ** (g - alpha)
-        z = -_cf_rate(alpha) * u
+            try:
+                ratio = specfun.gamma(g + 1.0) / specfun.gamma(g + order.beta)
+            except NumericalError:  # Gamma(g+1) overflows; the quotient need not
+                ratio = math.exp(specfun.ln_gamma(g + 1.0) - specfun.ln_gamma(g + order.beta))
+            return ratio * u ** (g - order.alpha)
+        z = -order.rate * u
         known = np.full(u.shape, True) if self._is_integer_exp() else z >= _ML_SERIES_TRUST
         ml = specfun.mittag_leffler_one_array(g + 1.0, z[known])
         out = np.full(u.shape, math.nan)
-        out[known] = specfun.gamma(g + 1.0) * u[known] ** g * ml / (1.0 - alpha)
+        out[known] = specfun.gamma(g + 1.0) * u[known] ** g * ml / order.beta
         return out
 
 
@@ -263,60 +296,66 @@ class Affine(_NumpyEntry):
         return np.full(np.shape(ts), self.slope)
 
     def _closed_form_grid(
-        self, kind: OperatorKind, alpha: float, a: float, ts: np.ndarray
+        self, kind: OperatorKind, order: FractionalOrder, a: float, ts: np.ndarray
     ) -> np.ndarray | None:
         u = ts - a
         if kind is OperatorKind.CAPUTO:
-            return self.slope * u ** (1.0 - alpha) / specfun.gamma(2.0 - alpha)
-        return -self.slope / alpha * np.expm1(-_cf_rate(alpha) * u)
+            return self.slope * u**order.beta / specfun.gamma(1.0 + order.beta)
+        return -self.slope / order.alpha * np.expm1(-order.rate * u)
 
 
 @dataclass(frozen=True)
 class Exponential(_NumpyEntry):
     """f(t) = e^t.
 
-    Caputo: e^a u^(1-alpha) E_{1,2-alpha}(u), u = t - a, a series of
-    positive terms, summed up to u = 700 (farther, its terms overflow and the
-    point falls back to quadrature).  Caputo-Fabrizio: e^t - e^a e^(-rate u),
-    rate = alpha/(1-alpha), written with expm1.
+    Caputo: e^a u^beta E_{1,1+beta}(u), u = t - a, a series of positive
+    terms, summed up to u = 700 (farther, its terms overflow and the point
+    falls back to quadrature).  Caputo-Fabrizio: e^t - e^a e^(-rate u),
+    rate = alpha/beta, written with expm1.  Past t = ln(DBL_MAX) = 709.78,
+    where e^t overflows a double, f, f' and both forms are refused with
+    NumericalError.
     """
 
+    @staticmethod
+    def _checked(ts: np.ndarray) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        if (ts > _EXP_MAX_T).any():
+            raise NumericalError(f"e^t overflows a double past t = {_EXP_MAX_T!r}")
+        return ts
+
     def value_array(self, ts: np.ndarray) -> np.ndarray:
-        return np.exp(np.asarray(ts, dtype=float))
+        return np.exp(self._checked(ts))
 
     derivative_array = value_array
 
     def _closed_form_grid(
-        self, kind: OperatorKind, alpha: float, a: float, ts: np.ndarray
+        self, kind: OperatorKind, order: FractionalOrder, a: float, ts: np.ndarray
     ) -> np.ndarray | None:
-        u = ts - a
-        try:
-            e_a = math.exp(a)
-        except OverflowError:
-            raise NumericalError(f"e^a overflows a double at a={a!r}") from None
+        u = self._checked(ts) - a
+        e_a = math.exp(a)  # finite, as a < t
         if kind is OperatorKind.CAPUTO:
             known = u <= _EXP_C_REACH
-            ml = specfun.mittag_leffler_one_array(2.0 - alpha, u[known])
+            ml = specfun.mittag_leffler_one_array(1.0 + order.beta, u[known])
             out = np.full(u.shape, math.nan)
-            out[known] = e_a * u[known] ** (1.0 - alpha) * ml
+            out[known] = e_a * u[known] ** order.beta * ml
             return out
-        return e_a * (np.expm1(u) - np.expm1(-_cf_rate(alpha) * u))
+        return e_a * (np.expm1(u) - np.expm1(-order.rate * u))
 
 
 @dataclass(frozen=True)
 class Cosine(_NumpyEntry):
     """f(t) = cos t.
 
-    Caputo-Fabrizio, elementary: with u = t - a and rate = alpha/(1-alpha),
-    -(1/(1-alpha)) int_0^u sin(t-v) e^(-rate v) dv
-    = -(u/(1-alpha)) Im[e^(it) phi1(-(rate+i) u)], phi1(z) = (e^z - 1)/z,
+    Caputo-Fabrizio, elementary: with u = t - a and rate = alpha/beta,
+    -(1/beta) int_0^u sin(t-v) e^(-rate v) dv
+    = -(u/beta) Im[e^(it) phi1(-(rate+i) u)], phi1(z) = (e^z - 1)/z,
     which is -((rate sin t - cos t) - e^(-rate u)(rate sin a - cos a)) /
-    ((1-alpha)(rate^2+1)) without its cancellation as u or rate -> 0.
+    (beta (rate^2+1)) without its cancellation as u or rate -> 0.
 
-    Caputo, Re[i e^(ia) u^(1-alpha) E_{1,2-alpha}(iu)], as the real series
-    of ``_cos_caputo_array``.  Its terms grow to about e^u u^(-alpha) /
-    Gamma(1-alpha) and cancel to O(1), so it is summed only up to the reach
-    u = 10 + ln Gamma(1-alpha) (10.03 at alpha 0.05, 19.2 at 1 - 1e-4), where
+    Caputo, Re[i e^(ia) u^beta E_{1,1+beta}(iu)], as the real series of
+    ``_cos_caputo_array``.  Its terms grow to about e^u u^(-alpha) /
+    Gamma(beta) and cancel to O(1), so it is summed only up to the reach
+    u = 10 + ln Gamma(beta) (10.03 at alpha 0.05, 19.2 at 1 - 1e-4), where
     rounding leaves at most about 1e-11 absolute, and under 1e-12 as
     measured; farther points fall back to quadrature.
     """
@@ -328,16 +367,16 @@ class Cosine(_NumpyEntry):
         return -np.sin(np.asarray(ts, dtype=float))
 
     def _closed_form_grid(
-        self, kind: OperatorKind, alpha: float, a: float, ts: np.ndarray
+        self, kind: OperatorKind, order: FractionalOrder, a: float, ts: np.ndarray
     ) -> np.ndarray | None:
         u = ts - a
         if kind is OperatorKind.CAPUTO:
-            known = u <= _cos_c_reach(alpha)
+            known = u <= _cos_c_reach(order)
             out = np.full(u.shape, math.nan)
-            out[known] = _cos_caputo_array(alpha, ts[known], u[known])
+            out[known] = _cos_caputo_array(order, ts[known], u[known])
             return out
-        e = _phi1_array((-_cf_rate(alpha) - 1j) * u)
-        return -u / (1.0 - alpha) * (np.sin(ts) * e.real + np.cos(ts) * e.imag)
+        e = _phi1_array((-order.rate - 1j) * u)
+        return -u / order.beta * (np.sin(ts) * e.real + np.cos(ts) * e.imag)
 
 
 @dataclass(frozen=True)
@@ -363,23 +402,18 @@ class AbsShift(_NumpyEntry):
         return np.sign(ts - self.center)
 
     def _closed_form_grid(
-        self, kind: OperatorKind, alpha: float, a: float, ts: np.ndarray
+        self, kind: OperatorKind, order: FractionalOrder, a: float, ts: np.ndarray
     ) -> np.ndarray | None:
-        c = self.center
-        past = np.maximum(ts - c, 0.0)  # t - c, clipped where the t <= c branch applies
+        # the operator of the unit ramp, whose f' is 1 right of 0, is ramp / scale
         if kind is OperatorKind.CAPUTO:
-            p = 1.0 - alpha
-            unit = (ts - a) ** p / specfun.gamma(2.0 - alpha)
-            if c <= a:
-                return unit
-            right = (2.0 * past**p - (ts - a) ** p) / specfun.gamma(2.0 - alpha)
-            return np.where(ts <= c, -unit, right)
-        rate = _cf_rate(alpha)
-        unit = -np.expm1(-rate * (ts - a)) / alpha
-        if c <= a:
-            return unit
-        right = (np.expm1(-rate * (ts - a)) - 2.0 * np.expm1(-rate * past)) / alpha
-        return np.where(ts <= c, -unit, right)
+            ramp, scale = (lambda x: x**order.beta), specfun.gamma(1.0 + order.beta)
+        else:
+            ramp, scale = (lambda x: -np.expm1(-order.rate * x)), order.alpha
+        if self.center <= a:
+            return ramp(ts - a) / scale
+        # f' = -1 left of the center and 1 right of it: twice the ramp from
+        # the center (0 left of it) less the ramp from a
+        return (2.0 * ramp(np.maximum(ts - self.center, 0.0)) - ramp(ts - a)) / scale
 
 
 @dataclass(frozen=True)
@@ -429,9 +463,9 @@ class StepAntiderivative(_NumpyEntry):
         return out
 
     def _closed_form_grid(
-        self, kind: OperatorKind, alpha: float, a: float, ts: np.ndarray
+        self, kind: OperatorKind, order: FractionalOrder, a: float, ts: np.ndarray
     ) -> np.ndarray | None:
-        p, rate = 1.0 - alpha, _cf_rate(alpha)
+        p, rate = order.beta, order.rate
         total = np.zeros(ts.shape)
         for (lo, hi), q in zip(self.breaks, self.heights):
             lo = max(lo, a)
@@ -446,9 +480,7 @@ class StepAntiderivative(_NumpyEntry):
             else:
                 # e^(-rate (t-hi)) - e^(-rate (t-lo)), exact in its digits
                 total += -q * np.exp(-rate * (ts - hi_t)) * np.expm1(-rate * (hi_t - lo_t))
-        if kind is OperatorKind.CAPUTO:
-            return total / specfun.gamma(2.0 - alpha)
-        return total / alpha
+        return total / (specfun.gamma(1.0 + p) if kind is OperatorKind.CAPUTO else order.alpha)
 
 
 def _power_drop_array(x: np.ndarray, width: np.ndarray, p: float) -> np.ndarray:
@@ -466,21 +498,21 @@ def _power_drop_array(x: np.ndarray, width: np.ndarray, p: float) -> np.ndarray:
     return np.where(width > 0.0, drop, 0.0)
 
 
-def _cos_c_reach(alpha: float) -> float:
+def _cos_c_reach(order: FractionalOrder) -> float:
     """The largest u = t - a at which Cosine sums its Caputo series."""
-    return _COS_C_LOSS_LOG + math.lgamma(1.0 - alpha)
+    return _COS_C_LOSS_LOG + math.lgamma(order.beta)
 
 
-def _cos_caputo_array(alpha: float, ts: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Caputo derivative of cos at each t = a + u: -(1/Gamma(1-alpha)) times
-    int_0^u sin(t-v) v^(-alpha) dv, with sin(t-v) expanded at t, so
+def _cos_caputo_array(order: FractionalOrder, ts: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Caputo derivative of cos at each t = a + u: -(1/Gamma(beta)) times
+    int_0^u sin(t-v) v^(beta-1) dv, with sin(t-v) expanded at t, so
 
-        -(u^(1-alpha)/Gamma(1-alpha)) sum_k d_k u^k / (k! (k+1-alpha)),
+        -(u^beta/Gamma(beta)) sum_k d_k u^k / (k! (k+beta)),
 
     where d_k = (sin t, -cos t, -sin t, cos t) repeats with period 4 and u^k/k!
-    is a running product.  This is Re[i e^(ia) u^(1-alpha) E_{1,2-alpha}(iu)]
-    regrouped; against the series in u^n/Gamma(n+2-alpha) about a, every term
-    past the first carries the factor 1/Gamma(1-alpha) -> 0 as alpha -> 1,
+    is a running product.  This is Re[i e^(ia) u^beta E_{1,1+beta}(iu)]
+    regrouped; against the series in u^n/Gamma(n+1+beta) about a, every term
+    past the first carries the factor 1/Gamma(beta) -> 0 as beta -> 0,
     so its cancellation costs less there.  The terms are summed with their
     exact rounding errors carried alongside (TwoSum, Knuth, TAOCP vol. 2,
     4.2.2), past the peak until at every point the next term is below 1e-18
@@ -494,7 +526,7 @@ def _cos_caputo_array(alpha: float, ts: np.ndarray, u: np.ndarray) -> np.ndarray
     reach = float(np.max(u, initial=0.0))
     k = 0
     while True:
-        term = signs[k % 4] * mag / (k + 1.0 - alpha)
+        term = signs[k % 4] * mag / (k + order.beta)
         new = total + term
         back = new - total
         carry += (total - (new - back)) + (term - back)
@@ -503,7 +535,7 @@ def _cos_caputo_array(alpha: float, ts: np.ndarray, u: np.ndarray) -> np.ndarray
         k += 1
         mag = mag * (u / k)
         if k > reach and (mag <= specfun._SERIES_TERM_TOL * abs_sum).all():
-            return -(u ** (1.0 - alpha)) / specfun.gamma(1.0 - alpha) * (total + carry)
+            return -(u**order.beta) / specfun.gamma(order.beta) * (total + carry)
 
 
 #: |z| below which phi1 is summed as its Taylor series; 20 terms reach 4e-19

@@ -99,23 +99,23 @@ class ErrorReport:
             raise DomainError(f"quad_error must be non-negative, got {self.quad_error!r}")
 
 
-def _abs_error(kind, f, alpha, a, ts, scheme) -> np.ndarray:
+def _abs_error(kind, f, order, a, ts, scheme) -> np.ndarray:
     """|D f - f'| at each point of ts (all > a), f' from the left on a breakpoint."""
-    values = operators._evaluate_points(kind, f, alpha, a, ts, scheme)
+    values = operators._evaluate_points(kind, f, order, a, ts, scheme)
     return np.abs(values - _derivative_toward(f, ts))
 
 
 def _boundary_layer_splits(
-    start: float, width: float, kind: OperatorKind, beta: float
+    start: float, width: float, kind: OperatorKind, order: FractionalOrder
 ) -> list[float]:
     """Split points inside (start, start + width) resolving the boundary
     layer of D f - f' right of start: a, where the operator begins, or a
     breakpoint, where f' jumps by some J and D f gains a term of its own,
     J (t-start)^beta / Gamma(1+beta) under C and
-    J (1 - e^(-rate (t-start))) / (1-beta) under CF."""
+    J (1 - e^(-rate (t-start))) / alpha under CF."""
     points = {start + width * frac for frac in (1e-6, 1e-3, 1e-1)}
     if kind is OperatorKind.CAPUTO_FABRIZIO:
-        scale = beta / (1.0 - beta)  # decay length of the exponential kernel
+        scale = 1.0 / order.rate  # decay length of the exponential kernel
         points.update(start + scale * mult for mult in (2.0, 10.0, 50.0))
     # no panel narrower than a bisection may leave, so that no node rounds
     # onto a panel end
@@ -129,12 +129,11 @@ def _rl_flattened(f, order, a, w, scheme):
 
     In v-coordinates the singular term becomes the constant f(a) w^beta /
     (beta Gamma(beta)) and the remainder (the Caputo error) is damped by
-    v^((1-beta)/beta); both factors underflow harmlessly to the exact limit
-    value near v = 0.
+    v^rate, rate = alpha/beta; both factors underflow harmlessly to the
+    exact limit value near v = 0.
     """
     beta = order.beta
     base = f.value(a) * w**beta / (beta * specfun.gamma(beta))
-    expo = (1.0 - beta) / beta
 
     def integrand(v: np.ndarray) -> np.ndarray:
         t = a + w * v ** (1.0 / beta)
@@ -142,9 +141,9 @@ def _rl_flattened(f, order, a, w, scheme):
         inside = t > a
         ts = t[inside]
         rest[inside] = operators._evaluate_points(
-            OperatorKind.CAPUTO, f, order.alpha, a, ts, scheme
+            OperatorKind.CAPUTO, f, order, a, ts, scheme
         ) - _derivative_toward(f, ts)
-        return np.abs(base + (w / beta) * v**expo * rest)
+        return np.abs(base + (w / beta) * v**order.rate * rest)
 
     return integrand, sorted({x**beta for x in operators._FLAT_FRACS})
 
@@ -185,7 +184,7 @@ def error_l1(
     counter = operators._Counter(max_evals)
 
     def err(ts: np.ndarray) -> np.ndarray:
-        return _abs_error(kind, f, order.alpha, a, ts, scheme)
+        return _abs_error(kind, f, order, a, ts, scheme)
 
     kinks = _breakpoints_inside(f, a, b)
     pieces = list(zip([a, *kinks], [*kinks, b]))
@@ -196,7 +195,7 @@ def error_l1(
     if pieces:
         edges = [pieces[0][0]]
         for lo, hi in pieces:
-            edges += [*_boundary_layer_splits(lo, hi - lo, kind, beta), hi]
+            edges += [*_boundary_layer_splits(lo, hi - lo, kind, order), hi]
         regions.append((err, edges))
     n_panels = sum(len(e) - 1 for _, e in regions)
     value = quad_error = 0.0
@@ -271,7 +270,7 @@ def error_linf(
     step = interval.width / n_grid
     lo = a + best_i * step  # one grid point left of the argmax, or a
     hi = a + min(best_i + 2, n_grid) * step
-    refined = _zoom_max(lambda ts: _abs_error(kind, f, order.alpha, a, ts, scheme), lo, hi)
+    refined = _zoom_max(lambda ts: _abs_error(kind, f, order, a, ts, scheme), lo, hi)
     # as t -> a+ each operator here (RL as C, since f(a) = 0) tends to 0, or
     # grows more slowly than an unbounded f', so the boundary limit of the
     # error is |f'(a+)|, which the grid approaches only at rate (t-a)^beta
@@ -282,7 +281,7 @@ def error_linf(
         # the operator is continuous at a breakpoint and f' jumps there, so
         # the error has two one-sided limits, which a grid point can only
         # approach by chance
-        values = operators._evaluate_points(kind, f, order.alpha, a, np.array(kinks), scheme)
+        values = operators._evaluate_points(kind, f, order, a, np.array(kinks), scheme)
         sides = [-math.inf] * len(kinks) + [math.inf] * len(kinks)
         limits = _derivative_toward(f, np.array(kinks * 2), sides)
         candidates += np.abs(np.concatenate((values, values)) - limits).tolist()

@@ -15,15 +15,16 @@ serves user-defined functions, ``use_closed_form=False``, and the points
 past a closed form's reach.
 
 One array evaluator, ``_evaluate_points``, gives the values at many points
-in one call: ``evaluate_grid``, the scalar operators (their closed forms, at
-the one point t) and the error functionals of ``norms`` all go through it.
-No operator has a body of its own: ``_kernel`` maps C and CF to their
-kernels, and RL is always the boundary term plus C.  Closed forms come from
-the catalog's one hook ``TestFunction._closed_form_grid``.  On a uniform grid
-over the whole interval with no breakpoint inside, one product trapezoid
-serves the points without one: its node weights depend only on the
-distance k - i between the evaluation node and the node, so the weighted
-sum is one Toeplitz product, done with real FFTs (Hairer, Lubich &
+in one call: ``evaluate_grid``, the scalar operators (their closed forms,
+at the one point t) and the error functionals of ``norms`` all go through
+it.  No operator has a body of its own: ``_kernel`` maps C and CF to their
+kernels, reading the constants from ``funcat.FractionalOrder``, which keeps
+a small beta as given, and RL is always the boundary term plus C.  Closed
+forms come from the catalog's one hook ``TestFunction._closed_form_grid``.
+On a uniform grid over the whole interval with no breakpoint inside, one
+product trapezoid serves the points without one: its node weights depend
+only on the distance k - i between the evaluation node and the node, so the
+weighted sum is one Toeplitz product, done with real FFTs (Hairer, Lubich &
 Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532).  Anywhere else such a
 point falls back to the pointwise product quadrature.
 
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import funcat, specfun
 from .exceptions import BudgetExceededError, DomainError, IntegrationError
-from .funcat import OperatorKind, TestFunction
+from .funcat import FractionalOrder, OperatorKind, TestFunction, _as_order
 
 __all__ = [
     "CaputoFabrizioKernel",
@@ -60,38 +61,6 @@ __all__ = [
 
 DEFAULT_N_NODES = 4096
 MAX_EVALS = 1_000_000  # the evaluation budget of one ``_gauss_kronrod`` call
-
-
-@dataclass(frozen=True)
-class FractionalOrder:
-    """A differentiation order strictly inside (0, 1).
-
-    The complementary parametrisation (order 1 - beta for beta near 0) is
-    reachable through :meth:`from_beta` / :attr:`beta`.
-    """
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", float(self.alpha))
-        if not (0.0 < self.alpha < 1.0):
-            raise DomainError(f"fractional order must lie strictly in (0, 1), got {self.alpha!r}")
-
-    @property
-    def beta(self) -> float:
-        return 1.0 - self.alpha
-
-    @classmethod
-    def from_beta(cls, beta: float) -> "FractionalOrder":
-        if not (0.0 < beta < 1.0):
-            raise DomainError(f"beta must lie strictly in (0, 1), got {beta!r}")
-        return cls(1.0 - beta)
-
-
-def _order_value(alpha) -> float:
-    if isinstance(alpha, FractionalOrder):
-        return alpha.alpha
-    return FractionalOrder(alpha).alpha
 
 
 @dataclass(frozen=True)
@@ -197,13 +166,12 @@ def _cell_weights(
     return m0 - right, right
 
 
-def _kernel(kind: OperatorKind, alpha: float) -> tuple[float | None, float | None, float]:
-    """(p, rate, scale): the C kernel is v^(p-1) / Gamma(p) with p = 1 - alpha,
-    the CF kernel e^(-rate v) / (1 - alpha) with rate = alpha / (1 - alpha)."""
+def _kernel(kind: OperatorKind, order: FractionalOrder) -> tuple[float | None, float | None, float]:
+    """(p, rate, scale): the C kernel is v^(p-1) / Gamma(p) with p = beta,
+    the CF kernel e^(-rate v) / beta with rate = alpha / beta."""
     if kind is OperatorKind.CAPUTO:
-        p = 1.0 - alpha
-        return p, None, specfun.gamma(p)
-    return None, alpha / (1.0 - alpha), 1.0 - alpha
+        return order.beta, None, specfun.gamma(order.beta)
+    return None, order.rate, order.beta
 
 
 def _product_integral(
@@ -254,7 +222,7 @@ def rl_integral(
     scheme: QuadratureScheme | None = None,
 ) -> float:
     """Fractional integral of order alpha: (1/Gamma(alpha)) int f(tau)(t-tau)^(alpha-1)."""
-    al = _order_value(alpha)
+    al = _as_order(alpha).alpha
     _check_window(a, t)
     return _product_integral(f.value_array, f, a, t, _n_nodes(scheme), p=al) / specfun.gamma(al)
 
@@ -275,14 +243,14 @@ def _value(
     trapezoid of the kernel of ``_kernel``."""
     if not isinstance(kind, OperatorKind):
         raise DomainError(f"unknown operator kind {kind!r}")
-    al = _order_value(alpha)
+    order = _as_order(alpha)
     _check_window(a, t)
     if kind is OperatorKind.RIEMANN_LIOUVILLE:
-        caputo_value = _value(OperatorKind.CAPUTO, f, al, a, t, scheme, use_closed_form)
-        return funcat.rl_boundary_term(f, al, a, t) + caputo_value
+        caputo_value = _value(OperatorKind.CAPUTO, f, order, a, t, scheme, use_closed_form)
+        return funcat.rl_boundary_term(f, order, a, t) + caputo_value
     if use_closed_form:
-        return float(_evaluate_points(kind, f, al, a, np.array([t], dtype=float), scheme)[0])
-    p, rate, scale = _kernel(kind, al)
+        return float(_evaluate_points(kind, f, order, a, np.array([t], dtype=float), scheme)[0])
+    p, rate, scale = _kernel(kind, order)
     return _product_integral(f.derivative_array, f, a, t, _n_nodes(scheme), p, rate) / scale
 
 
@@ -308,7 +276,7 @@ def caputo_fabrizio(
     *,
     use_closed_form: bool = True,
 ) -> float:
-    """Caputo-Fabrizio derivative: (1/(1-alpha)) int f'(tau) e^(-(alpha/(1-alpha))(t-tau))."""
+    """Caputo-Fabrizio derivative: (1/beta) int f'(tau) e^(-rate (t-tau)), rate = alpha/beta."""
     return _value(OperatorKind.CAPUTO_FABRIZIO, f, alpha, a, t, scheme, use_closed_form)
 
 
@@ -322,7 +290,7 @@ def riemann_liouville(
     use_closed_form: bool = True,
 ) -> float:
     """Riemann-Liouville derivative via the W^{1,1} identity
-    RL = f(a)(t-a)^(-alpha)/Gamma(1-alpha) + Caputo."""
+    RL = f(a)(t-a)^(-alpha)/Gamma(beta) + Caputo, beta = 1 - alpha."""
     return _value(OperatorKind.RIEMANN_LIOUVILLE, f, alpha, a, t, scheme, use_closed_form)
 
 
@@ -363,26 +331,26 @@ def evaluate_grid(
     and no closed form falls back to pointwise quadrature at each point that
     has none.
     """
-    al = _order_value(alpha)
+    order = _as_order(alpha)
     if n < 1:
         raise DomainError(f"grid size must be at least 1, got {n!r}")
     if not isinstance(kind, OperatorKind):
         raise DomainError(f"unknown operator kind {kind!r}")
     ts = _grid_points(a, b, n)
     _check_window(a, float(ts[0]))  # also refuses b <= a and non-finite b
-    return _evaluate_points(kind, f, al, a, ts, scheme, b)
+    return _evaluate_points(kind, f, order, a, ts, scheme, b)
 
 
 def _evaluate_points(
     kind: OperatorKind,
     f: TestFunction,
-    alpha: float,
+    order: FractionalOrder,
     a: float,
     ts: np.ndarray,
     scheme: QuadratureScheme | None,
     b: float | None = None,
 ) -> np.ndarray:
-    """``evaluate(kind, f, alpha, a, t)`` at each point of ts (all > a, in
+    """``evaluate(kind, f, order, a, t)`` at each point of ts (all > a, in
     any order): the one array evaluator behind ``evaluate_grid``, the L1
     integrand and the scalar closed forms.
 
@@ -394,7 +362,7 @@ def _evaluate_points(
     ``funcat.rl_boundary_term`` plus the C values.
     """
     base = OperatorKind.CAPUTO if kind is OperatorKind.RIEMANN_LIOUVILLE else kind
-    values = f._closed_form_grid(base, alpha, a, ts)
+    values = f._closed_form_grid(base, order, a, ts)
     if values is None:
         values = np.full(ts.shape, math.nan)
     missing = np.flatnonzero(np.isnan(values))
@@ -403,18 +371,24 @@ def _evaluate_points(
             # module-level names, so a wrapper installed on the module sees each call
             op = caputo if base is OperatorKind.CAPUTO else caputo_fabrizio
             fill = [
-                op(f, alpha, a, t, scheme, use_closed_form=False) for t in ts[missing].tolist()
+                op(f, order, a, t, scheme, use_closed_form=False) for t in ts[missing].tolist()
             ]
         else:
-            fill = _trapezoid_grid(base, f, alpha, a, b, len(ts), _n_nodes(scheme))[missing]
+            fill = _trapezoid_grid(base, f, order, a, b, len(ts), _n_nodes(scheme))[missing]
         values[missing] = fill
     if kind is OperatorKind.RIEMANN_LIOUVILLE:
-        return funcat.rl_boundary_term(f, alpha, a, ts) + values
+        return funcat.rl_boundary_term(f, order, a, ts) + values
     return values
 
 
 def _trapezoid_grid(
-    kind: OperatorKind, f: TestFunction, alpha: float, a: float, b: float, n: int, n_nodes: int
+    kind: OperatorKind,
+    f: TestFunction,
+    order: FractionalOrder,
+    a: float,
+    b: float,
+    n: int,
+    n_nodes: int,
 ) -> np.ndarray:
     """The pointwise product trapezoids of ``_value`` at every (M/n)-th node of
     one uniform grid of M cells over [a, b], with no breakpoint inside.
@@ -427,7 +401,7 @@ def _trapezoid_grid(
     m = n * stride
     _, g = _sample(f.derivative_array, a, b, m)
     h = (b - a) / m
-    p, rate, scale = _kernel(kind, alpha)
+    p, rate, scale = _kernel(kind, order)
     # the cells d = 1..m+1, at distances (d-1) h to d h behind a node, as index d - 1
     left, right = (w[::-1] for w in _cell_weights(h * np.arange(m + 1, -1, -1), h, p, rate))
     weights = np.concatenate((right[:1], left[:-1] + right[1:]))

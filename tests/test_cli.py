@@ -3,7 +3,9 @@
 import csv
 import io
 import math
+import warnings
 
+import mpmath as mp
 import pytest
 
 from fracorder import (
@@ -324,8 +326,9 @@ class TestOverflowIsRefused:
     @pytest.mark.parametrize(
         "argv",
         [
-            # Gamma(201) overflows a double
-            ("derive", "-f", "power:200", "-k", "C", "-a", "0.5", "--interval", "0,1", "-t", "0.5"),
+            # Gamma(201) overflows a double; the CF form's E_{1,201} series
+            # starts from 1/Gamma(201), which underflows
+            ("derive", "-f", "power:200", "-k", "CF", "-a", "0.5", "--interval", "0,1", "-t", "0.5"),
             # z^k of the closed form of E_{1,151}(-149)
             ("ratio", "--m", "150", "--T", "149", "--beta", "0.5"),
             # e^a at a = 710
@@ -338,6 +341,40 @@ class TestOverflowIsRefused:
         assert err.startswith("numerical error:") and "overflows" in err
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+
+class TestExponentialOverflow:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("derive", "-f", "exp", "-k", "CF", "-a", "0.5", "--interval", "0,711", "-t", "710.5"),
+            ("error", "-f", "exp", "-k", "RL", "-p", "inf", "--beta", "0.1",
+             "--interval", "710,711"),
+            ("error", "-f", "exp", "-k", "C", "-p", "1", "--beta", "0.1", "--interval", "700,711"),
+            ("figures", "-f", "exp", "--interval", "0,711", "--points", "5"),
+        ],
+    )
+    def test_past_ln_dbl_max_is_refused_without_a_warning(self, capsys, argv):
+        # e^t overflows a double past t = 709.78
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *argv)
+        assert [str(w.message) for w in caught] == []
+        assert code == 3 and out == ""
+        assert err.startswith("numerical error:") and "overflows" in err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+
+class TestPowerPastGammaOverflow:
+    def test_caputo_value(self, capsys):
+        # Gamma(201) overflows a double, Gamma(201)/Gamma(200.5) does not
+        argv = ("derive", "-f", "power:200", "-k", "C", "-a", "0.5", "--interval", "0,1", "-t", "0.5")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        with mp.workdps(50):
+            exact = mp.gamma(201) / mp.gamma(mp.mpf(200.5)) * mp.mpf(0.5) ** mp.mpf(199.5)
+        assert float(parse_csv(out)[1][4]) == pytest.approx(float(exact), rel=1e-12, abs=0.0)
 
 
 class TestArgparseErrors:

@@ -14,6 +14,7 @@ from fracorder import (
     Cosine,
     DomainError,
     Exponential,
+    FractionalOrder,
     Interval,
     NonDifferentiableError,
     OperatorKind,
@@ -242,7 +243,7 @@ class TestTranscendentalForms:
     def test_cosine_caputo_to_the_reach(self, alpha):
         # the loss grows as e^u u^(-alpha)/Gamma(1-alpha) eps up to the reach,
         # where the series gives way to quadrature
-        reach = funcat._cos_c_reach(alpha)
+        reach = funcat._cos_c_reach(FractionalOrder(alpha))
         for a in GOLDEN_STARTS:
             for u in (5.0, reach):
                 t = a + u
@@ -282,7 +283,9 @@ class TestTranscendentalForms:
     def test_exponential_past_reach(self):
         # E_{1,2-alpha}(u) overflows near u = 709
         assert closed_form_fractional(Exponential(), C, 0.5, -400.0, 301.0) is None
-        grid = Exponential()._closed_form_grid(C, 0.5, -400.0, np.array([299.0, 301.0]))
+        grid = Exponential()._closed_form_grid(
+            C, FractionalOrder(0.5), -400.0, np.array([299.0, 301.0])
+        )
         assert math.isfinite(grid[0]) and math.isnan(grid[1])
 
 
@@ -420,7 +423,7 @@ class TestClosedFormGrid:
     def test_matches_exact_formula(self, entry, kind, alpha, n):
         f, a, b = entry
         ts = a + (b - a) * np.arange(1, n + 1) / n
-        grid = f._closed_form_grid(kind, alpha, a, ts)
+        grid = f._closed_form_grid(kind, FractionalOrder(alpha), a, ts)
         # only Power-CF with a non-integer exponent stops short, left of the
         # trusted Mittag-Leffler series, on intervals this short
         series = isinstance(f, Power) and kind is CF and not f._is_integer_exp()
@@ -448,7 +451,7 @@ class TestClosedFormGrid:
             _closed_form_grid = TestFunction._closed_form_grid
 
         ts = np.array([0.25, 0.5, 1.0])
-        assert Opaque()._closed_form_grid(C, 0.4, 0.0, ts) is None
+        assert Opaque()._closed_form_grid(C, FractionalOrder(0.4), 0.0, ts) is None
         assert closed_form_fractional(Opaque(), RL, 0.4, 0.0, 0.5) is None
 
     @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.99, 1 - 1e-6])
@@ -456,9 +459,13 @@ class TestClosedFormGrid:
     def test_grid_is_nan_exactly_past_the_reach(self, f, width, alpha):
         # from a = -350, e^t stays a normal float from u = 0 to past its reach
         a = -0.7 if isinstance(f, Cosine) else -350.0
-        reach = funcat._cos_c_reach(alpha) if isinstance(f, Cosine) else funcat._EXP_C_REACH
+        reach = (
+            funcat._cos_c_reach(FractionalOrder(alpha))
+            if isinstance(f, Cosine)
+            else funcat._EXP_C_REACH
+        )
         ts = a + width * np.arange(1, 402) / 401
-        grid = f._closed_form_grid(C, alpha, a, ts)
+        grid = f._closed_form_grid(C, FractionalOrder(alpha), a, ts)
         missing = np.isnan(grid)
         np.testing.assert_array_equal(missing, ts - a > reach)
         assert 0 < missing.sum() < len(ts)

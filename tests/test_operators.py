@@ -71,6 +71,50 @@ class TestFractionalOrder:
         with pytest.raises(DomainError):
             QuadratureScheme(n_nodes=1)
 
+    @given(x=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_keeps_the_value_it_was_given(self, x):
+        from_alpha, from_beta = FractionalOrder(x), FractionalOrder.from_beta(x)
+        assert from_alpha.alpha == x and from_alpha.beta == 1.0 - x
+        assert from_beta.beta == x and from_beta.alpha == 1.0 - x
+        for order in (from_alpha, from_beta):
+            assert order.rate == order.alpha / order.beta
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.99])
+    @pytest.mark.parametrize("f", CATALOG, ids=lambda f: type(f).__name__)
+    def test_float_and_order_give_the_same_bits(self, f, alpha):
+        order, a, t = FractionalOrder(alpha), 0.0, 0.9
+        for op in (caputo, caputo_fabrizio, riemann_liouville):
+            assert op(f, alpha, a, t) == op(f, order, a, t)
+        for kind in OperatorKind:
+            assert evaluate_grid(kind, f, alpha, a, 1.0, 17).tolist() == (
+                evaluate_grid(kind, f, order, a, 1.0, 17).tolist()
+            )
+            assert closed_form_fractional(f, kind, alpha, a, t) == (
+                closed_form_fractional(f, kind, order, a, t)
+            )
+        ts = np.linspace(0.1, 1.0, 5)
+        assert rl_boundary_term(f, alpha, a, t) == rl_boundary_term(f, order, a, t)
+        assert rl_boundary_term(f, alpha, a, ts).tolist() == (
+            rl_boundary_term(f, order, a, ts).tolist()
+        )
+
+    def test_small_beta_is_not_rounded_away(self):
+        # 1 - (1 - 1e-12) is 9.99978e-13: a beta passed through alpha would
+        # move both values by about 2e-5 relative
+        beta = 1e-12
+        order = FractionalOrder.from_beta(beta)
+        with mp.workdps(40):
+            b = mp.mpf(beta)
+            # RL of f = 1 at t = 1 is the boundary term 1 / Gamma(beta)
+            rl_exact = 1 / mp.gamma(b)
+            # CF of f = t: (1/alpha) (1 - e^(-(alpha/beta) t)) at t = beta
+            t = mp.mpf(1e-12)
+            cf_exact = -mp.expm1(-(1 - b) / b * t) / (1 - b)
+        rl = riemann_liouville(Affine(0.0, 1.0), order, 0.0, 1.0)
+        cf = caputo_fabrizio(Affine(1.0, 0.0), order, 0.0, 1e-12)
+        assert rl == pytest.approx(float(rl_exact), rel=1e-14)
+        assert cf == pytest.approx(float(cf_exact), rel=1e-14)
+
 
 class TestRlIntegral:
     def test_constant(self):
@@ -440,7 +484,9 @@ class TestEvaluateGrid:
         assert sizes == [301]
         sizes.clear()
         ts, scheme = np.array([5.0, 20.0, 25.0]), QuadratureScheme(64)
-        values = operators._evaluate_points(OperatorKind.CAPUTO, Cosine(), 0.5, 0.0, ts, scheme)
+        values = operators._evaluate_points(
+            OperatorKind.CAPUTO, Cosine(), FractionalOrder(0.5), 0.0, ts, scheme
+        )
         assert sizes == [3]
         quad = [caputo(Cosine(), 0.5, 0.0, t, scheme, use_closed_form=False) for t in (20.0, 25.0)]
         assert values[1:].tolist() == quad
