@@ -13,7 +13,8 @@ trusted Mittag-Leffler series, the Caputo series of cos past its reach
 u = t - a = 10 + ln Gamma(beta), and the exponential's Caputo form past
 u = 700.  There, and for entries without closed forms,
 ``closed_form_fractional`` returns ``None`` and operators fall back to
-quadrature.
+quadrature, which refuses an f' infinite at a: a power with g < 1 under
+CF past the trusted series (on (0, 1), for beta below 1/16).
 
 Each (entry, operator) pair has one closed form, written once, as numpy
 expressions over an array of points: the hook
@@ -169,9 +170,9 @@ def _breakpoints_inside(f: TestFunction, lo: float, hi: float) -> list[float]:
 
 def _derivative_toward(f: TestFunction, ts: np.ndarray, side=-math.inf) -> np.ndarray:
     """f' at each point of ts, from one ``f.derivative_array`` call.  At a
-    point on a breakpoint, where f' jumps, it is the one-sided limit from
-    side (-inf, +inf, or an array of them, one per point), taken at the next
-    float towards it: the one place a one-sided limit of f' is taken."""
+    point on a breakpoint, where f' jumps, it is the one-sided limit toward
+    side (a number, or one per point), taken at the next float towards it:
+    the one place a one-sided limit of f' is taken."""
     for c in f.breakpoints():
         on_kink = ts == c
         if on_kink.any():
@@ -308,12 +309,13 @@ class Affine(_NumpyEntry):
 class Exponential(_NumpyEntry):
     """f(t) = e^t.
 
-    Caputo: e^a u^beta E_{1,1+beta}(u), u = t - a, a series of positive
-    terms, summed up to u = 700 (farther, its terms overflow and the point
-    falls back to quadrature).  Caputo-Fabrizio: e^t - e^a e^(-rate u),
-    rate = alpha/beta, written with expm1.  Past t = ln(DBL_MAX) = 709.78,
-    where e^t overflows a double, f, f' and both forms are refused with
-    NumericalError.
+    Caputo: e^t u^beta (e^(-u) E_{1,1+beta}(u)), u = t - a, a series of
+    positive terms summed up to u = 700 (farther, its terms overflow and the
+    point falls back to quadrature).  Caputo-Fabrizio: e^t - e^a e^(-rate u)
+    = -e^t expm1(-u) - e^a expm1(-rate u), rate = alpha/beta.  Both scale
+    e^t, not e^a or e^u, which leave the double range where e^t does not.
+    Past t = ln(DBL_MAX) = 709.78, where e^t overflows, f, f' and both forms
+    are refused with NumericalError.
     """
 
     @staticmethod
@@ -331,15 +333,15 @@ class Exponential(_NumpyEntry):
     def _closed_form_grid(
         self, kind: OperatorKind, order: FractionalOrder, a: float, ts: np.ndarray
     ) -> np.ndarray | None:
-        u = self._checked(ts) - a
-        e_a = math.exp(a)  # finite, as a < t
+        e_t = np.exp(self._checked(ts))
+        u = ts - a
         if kind is OperatorKind.CAPUTO:
             known = u <= _EXP_C_REACH
-            ml = specfun.mittag_leffler_one_array(1.0 + order.beta, u[known])
+            ml = np.exp(-u[known]) * specfun.mittag_leffler_one_array(1.0 + order.beta, u[known])
             out = np.full(u.shape, math.nan)
-            out[known] = e_a * u[known] ** order.beta * ml
+            out[known] = e_t[known] * u[known] ** order.beta * ml
             return out
-        return e_a * (np.expm1(u) - np.expm1(-order.rate * u))
+        return -e_t * np.expm1(-u) - math.exp(a) * np.expm1(-order.rate * u)
 
 
 @dataclass(frozen=True)

@@ -29,11 +29,11 @@ Two kinds of limit join the candidates, since a grid point approaches them
 only by chance: the boundary limit of the error as t -> a+, |f'(a)| (each
 operator here tends to 0 where f' is bounded near a, and grows more slowly
 than f' where it is not), which is where the supremum lives whenever
-f'(a) != 0 and which is ``inf`` where f' is unbounded at a; and at each
-catalog breakpoint c inside (a, b), where f' jumps and the operator does
-not, the one-sided limits |D(c) - f'(c-)| and |D(c) - f'(c+)|, all from
-one call of each.  For the Riemann-Liouville operator with f(a) != 0 the
-supremum is infinite and no scan is made.
+f'(a) != 0; and at each catalog breakpoint c inside (a, b), where f'
+jumps and the operator does not, the one-sided limits |D(c) - f'(c-)| and
+|D(c) - f'(c+)|, all from one call of each.  Where f' is unbounded at a,
+and for the Riemann-Liouville operator with f(a) != 0, the supremum is
+infinite and no scan is made.
 
 Where f' jumps at a point t of the scan or of the L1 integrand, it is taken
 from the left, the side inside (a, t]; at a, from the right.
@@ -249,19 +249,21 @@ def error_linf(
     The value is the largest of the grid scan, its refinement (``_zoom_max``
     on the two grid cells around the best grid point), |f'(a)| (the t -> a+
     limit; its right limit when a is a breakpoint) and the one-sided limits
-    at each breakpoint inside (a, b); ``inf`` when f' is unbounded at a.
-    ``n_eval_points`` counts each of them once.
-
-    For the Riemann-Liouville operator with f(a) != 0 the value is ``inf``
-    (with one evaluation, of f(a)): the boundary term
-    f(a)(t-a)^(beta-1)/Gamma(beta) is unbounded as t -> a+, and no catalog
-    function has an f' that cancels it.
+    at each breakpoint inside (a, b).  ``n_eval_points`` counts each of them
+    once.  It is ``inf``, with one evaluation and no scan, where f'(a+) is
+    infinite, and for the Riemann-Liouville operator with f(a) != 0: the
+    boundary term f(a)(t-a)^(beta-1)/Gamma(beta) is unbounded as t -> a+,
+    and no catalog function has an f' that cancels it.
     """
     order = FractionalOrder.from_beta(beta)
     if n_grid < 2:
         raise DomainError(f"n_grid must be at least 2, got {n_grid!r}")
     a, b = interval.a, interval.b
-    if kind is OperatorKind.RIEMANN_LIOUVILLE and f.value(a) != 0.0:
+    # as t -> a+ each operator here (RL as C where f(a) = 0) tends to 0, or
+    # grows more slowly than an unbounded f', so the boundary limit of the
+    # error is |f'(a+)|, which the grid approaches only at rate (t-a)^beta
+    at_a = abs(float(_derivative_toward(f, np.array([a]), math.inf)[0]))
+    if at_a == math.inf or (kind is OperatorKind.RIEMANN_LIOUVILLE and f.value(a) != 0.0):
         return ErrorReport(kind, beta, NormKind.LINF, interval, math.inf, 1)
     fprime = _derivative_toward(f, operators._grid_points(a, b, n_grid))
     values = np.abs(operators.evaluate_grid(kind, f, order, a, b, n_grid, scheme) - fprime)
@@ -271,11 +273,7 @@ def error_linf(
     lo = a + best_i * step  # one grid point left of the argmax, or a
     hi = a + min(best_i + 2, n_grid) * step
     refined = _zoom_max(lambda ts: _abs_error(kind, f, order, a, ts, scheme), lo, hi)
-    # as t -> a+ each operator here (RL as C, since f(a) = 0) tends to 0, or
-    # grows more slowly than an unbounded f', so the boundary limit of the
-    # error is |f'(a+)|, which the grid approaches only at rate (t-a)^beta
-    at_a = _derivative_toward(f, np.array([a]), math.inf)[0]
-    candidates = [best, refined, abs(float(at_a))]
+    candidates = [best, refined, at_a]
     kinks = _breakpoints_inside(f, a, b)
     if kinks:
         # the operator is continuous at a breakpoint and f' jumps there, so

@@ -12,7 +12,8 @@ differentiating the fractional integral numerically.
 
 Every catalog entry has closed forms (``funcat``), so product quadrature
 serves user-defined functions, ``use_closed_form=False``, and the points
-past a closed form's reach.
+past a closed form's reach.  It samples on its exact nodes, so an f'
+infinite at a node (t^g, g < 1, at 0) is refused with IntegrationError.
 
 One array evaluator, ``_evaluate_points``, gives the values at many points
 in one call: ``evaluate_grid``, the scalar operators (their closed forms,
@@ -36,6 +37,7 @@ it cannot bring within its tolerance is refused with IntegrationError.
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -112,22 +114,17 @@ def _n_nodes(scheme: QuadratureScheme | None) -> int:
 
 
 def _sample(
-    values: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, n: int
+    values: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: float, hi: float, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The n + 1 uniform nodes of [lo, hi], for the weight moments, and the
-    samples at those nodes with the segment endpoints inset, so one-sided
-    values are picked up next to kinks and integrable derivative
-    singularities stay finite.  The inset is 1e-9 of the segment, and at
-    least one ulp where that rounds away, so an inset node lands on an
-    endpoint only where no float lies between the two."""
+    """The n + 1 uniform nodes of [lo, hi], on which the product trapezoid is
+    exact against the linear interpolant, and values(nodes, side) there,
+    side toward the inside of the segment (hi, or lo at hi itself) for a
+    one-sided f'; a non-finite sample is refused with IntegrationError."""
     nodes = np.linspace(lo, hi, n + 1)
-    inset = nodes.copy()
-    eps = (hi - lo) * 1e-9
-    inset[0] = max(lo + eps, np.nextafter(lo, hi))
-    inset[-1] = min(hi - eps, np.nextafter(hi, lo))
-    out = np.asarray(values(inset), dtype=float)
+    out = np.asarray(values(nodes, np.where(nodes < hi, hi, lo)), dtype=float)
     if not np.all(np.isfinite(out)):
-        raise IntegrationError(f"non-finite integrand samples on [{lo}, {hi}]")
+        i = np.argmin(np.isfinite(out))  # the first non-finite sample
+        raise IntegrationError(f"non-finite integrand {out[i]} at tau = {nodes[i]} on [{lo}, {hi}]")
     return nodes, out
 
 
@@ -175,7 +172,7 @@ def _kernel(kind: OperatorKind, order: FractionalOrder) -> tuple[float | None, f
 
 
 def _product_integral(
-    values: Callable[[np.ndarray], np.ndarray],
+    values: Callable[[np.ndarray, np.ndarray], np.ndarray],
     f: TestFunction,
     a: float,
     t: float,
@@ -185,15 +182,14 @@ def _product_integral(
 ) -> float:
     """Integral over [a, t] of values(tau) times the kernel of ``_cell_weights``
     at t - tau: one product trapezoid on each piece between catalog
-    breakpoints, with the n_nodes cells allocated by length.
+    breakpoints, with the n_nodes cells allocated by length, each piece
+    sampled by ``_sample``.
 
-    A piece with no float strictly inside (next to a breakpoint one ulp from
-    a, t or another breakpoint) has no node where ``_sample`` can take a
-    one-sided value.  It is dropped where the kernel's mass on it is at most
-    1e-12 of its mass on [a, t], which moves the integral by at most the
-    integrand's size there times that mass.  Otherwise it is sampled at its
-    ends: right for f, which is continuous, and refused by the catalog's f'
-    at a breakpoint.
+    A piece with no float strictly inside is dropped where the kernel's mass
+    on it is at most 1e-12 of its mass on [a, t], which moves the integral by
+    at most the integrand's size there times that mass.  Otherwise it is
+    sampled at its two ends, and refused by the catalog's f' where both are
+    breakpoints (two breakpoints one ulp apart), leaving f' no side.
     """
 
     def mass(lo: float, hi: float) -> float:
@@ -224,7 +220,8 @@ def rl_integral(
     """Fractional integral of order alpha: (1/Gamma(alpha)) int f(tau)(t-tau)^(alpha-1)."""
     al = _as_order(alpha).alpha
     _check_window(a, t)
-    return _product_integral(f.value_array, f, a, t, _n_nodes(scheme), p=al) / specfun.gamma(al)
+    integral = _product_integral(lambda ts, _: f.value_array(ts), f, a, t, _n_nodes(scheme), p=al)
+    return integral / specfun.gamma(al)
 
 
 def _value(
@@ -251,7 +248,8 @@ def _value(
     if use_closed_form:
         return float(_evaluate_points(kind, f, order, a, np.array([t], dtype=float), scheme)[0])
     p, rate, scale = _kernel(kind, order)
-    return _product_integral(f.derivative_array, f, a, t, _n_nodes(scheme), p, rate) / scale
+    fprime = partial(funcat._derivative_toward, f)
+    return _product_integral(fprime, f, a, t, _n_nodes(scheme), p, rate) / scale
 
 
 def caputo(
@@ -391,7 +389,8 @@ def _trapezoid_grid(
     n_nodes: int,
 ) -> np.ndarray:
     """The pointwise product trapezoids of ``_value`` at every (M/n)-th node of
-    one uniform grid of M cells over [a, b], with no breakpoint inside.
+    one uniform grid of M cells over [a, b], with no breakpoint inside, f'
+    sampled on its nodes by ``_sample``.
 
     Node k sees the cell [tau_j, tau_j+1] at distance d = k - j, so node i
     carries the weight W(k - i) = left(k - i) + right(k - i + 1), except
@@ -399,7 +398,7 @@ def _trapezoid_grid(
     """
     stride = -(-n_nodes // n)
     m = n * stride
-    _, g = _sample(f.derivative_array, a, b, m)
+    _, g = _sample(partial(funcat._derivative_toward, f), a, b, m)
     h = (b - a) / m
     p, rate, scale = _kernel(kind, order)
     # the cells d = 1..m+1, at distances (d-1) h to d h behind a node, as index d - 1

@@ -273,6 +273,16 @@ class TestFigures:
             bound = h**2 / 8 * t**0.1 / gamma(1.1)
             assert abs(c - caputo(f, 0.9, 0.0, t, QuadratureScheme(256))) <= bound
 
+    def test_derivative_singular_at_a_is_refused(self, capsys):
+        # CF of t^(1/2) at alpha 0.99 has no trusted closed form past
+        # t = 15/99, and the quadrature would sample f' = inf at a = 0
+        code, out, err = run_cli(
+            capsys, "figures", "-f", "power:0.5", "--interval", "0,1", "--alphas", "0.99",
+        )
+        assert code == 3 and out == ""
+        assert "non-finite" in err and "tau = 0.0" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_bad_alpha_list(self, capsys):
         code, out, err = run_cli(
             capsys, "figures", "-f", "cos", "--interval", "0,1", "--alphas", "0.5,x",
@@ -364,6 +374,31 @@ class TestExponentialOverflow:
         assert err.startswith("numerical error:") and "overflows" in err
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "kind,a,t",
+        [
+            # u = t - a passes ln(DBL_MAX) though t does not
+            ("CF", -10.0, 705.0),
+            # e^a underflows to 0, e^t does not
+            ("C", -800.0, -100.0),
+            ("CF", -800.0, -100.0),
+        ],
+    )
+    def test_value_where_e_a_or_e_u_leaves_the_double_range(self, capsys, kind, a, t):
+        argv = ("derive", "-f", "exp", "-k", kind, "-a", "0.5", f"--interval={a},{t}", "-t", str(t))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *argv)
+        assert [str(w.message) for w in caught] == []
+        assert code == 0 and err == ""
+        with mp.workdps(40):
+            u = mp.mpf(t) - mp.mpf(a)
+            if kind == "C":  # e^t P(beta, u), beta = 1/2
+                exact = mp.exp(t) * mp.gammainc(0.5, 0, u, regularized=True)
+            else:  # e^t - e^a e^(-rate u), rate = 1
+                exact = mp.exp(t) - mp.exp(a - u)
+        assert float(parse_csv(out)[1][4]) == pytest.approx(float(exact), rel=1e-13, abs=0.0)
 
 
 class TestPowerPastGammaOverflow:

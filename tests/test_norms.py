@@ -189,6 +189,54 @@ class TestErrorL1:
         closed = error_l1(Cosine(), C, 0.3, I01, tol=1e-7)
         assert closed.value == pytest.approx(fine.value, rel=1e-4)
 
+    @pytest.mark.parametrize(
+        "kind,beta,exact,rel",
+        [
+            (C, 1e-6, 4.011858318064e-7, 1e-6),
+            (C, 1e-8, 4.01185904845e-9, 1e-6),
+            (CF, 1e-6, 4.466539795551e-7, 1e-4),
+            (CF, 1e-8, 4.46653835525e-9, 1e-4),
+        ],
+    )
+    def test_quadrature_at_small_beta(self, kind, beta, exact, rel):
+        """cos with its closed forms hidden, whose error is about beta in size:
+        the product quadrature samples f' on its nodes, so it resolves the
+        error to its own accuracy, far below beta.  ``exact`` integrates |e|
+        from e's antiderivative between its roots, in 30 digits::
+
+            import mpmath as mp
+
+            mp.mp.dps = 30
+
+            def l1(kind, beta):
+                beta = mp.mpf(beta)
+                rate = (1 - beta) / beta
+                if kind == "C":  # the error and its antiderivative as series in t
+                    def s(t, j):
+                        return mp.nsum(lambda k: (-1) ** k * t ** (2 * k + j + beta)
+                                       / mp.gamma(2 * k + j + 1 + beta), [0, mp.inf])
+                    e, E = (lambda t: mp.sin(t) - s(t, 1)), (lambda t: -mp.cos(t) - s(t, 2))
+                else:
+                    K, L = rate / (beta * (rate**2 + 1)), 1 / (beta * (rate**2 + 1))
+                    e = lambda t: (1 - K) * mp.sin(t) + L * (mp.cos(t) - mp.exp(-rate * t))
+                    E = lambda t: (K - 1) * mp.cos(t) + L * (mp.sin(t) + mp.exp(-rate * t) / rate)
+                grid = [mp.mpf(i) / 64 for i in range(1, 65)]
+                roots = [mp.findroot(e, (x, y), solver="anderson")
+                         for x, y in zip(grid, grid[1:]) if e(x) * e(y) < 0]
+                ends = [0, *roots, 1]
+                return sum(abs(E(y) - E(x)) for x, y in zip(ends, ends[1:]))
+
+        As beta -> 0 the CF value tends to beta (2 sqrt(2) - 1 - cos 1 - sin 1)
+        = 0.44665383407 beta.
+        """
+
+        class OpaqueCosine(Cosine):
+            def _closed_form_grid(self, kind, alpha, a, ts):
+                return None
+
+        report = error_l1(OpaqueCosine(), kind, beta, I01, tol=min(1e-8, 1e-3 * beta))
+        assert report.value == pytest.approx(exact, rel=rel)
+
 
     @pytest.mark.parametrize("kind", [C, CF, RL])
     def test_integrand_operator_values_match_pointwise(self, kind, monkeypatch):
@@ -216,6 +264,12 @@ class TestErrorL1:
             want = [operators.evaluate(call_kind, f, alpha, a, t, scheme) for t in ts.tolist()]
             # the RL sum may round its array and scalar addends an ulp apart
             np.testing.assert_allclose(values, want, rtol=1e-15, atol=1e-15)
+
+    def test_derivative_singular_at_a_is_refused(self):
+        # t^(1/2) under CF at beta 0.01 has no trusted closed form past
+        # t = 15/99, and the quadrature there would sample f' = inf at a = 0
+        with pytest.raises(IntegrationError, match="tau = 0.0"):
+            error_l1(Power(0.5), CF, 0.01, I01)
 
 
 class TestGaussKronrod:
@@ -376,6 +430,13 @@ class TestErrorLinf:
     def test_unbounded_f_prime_at_a_is_inf(self, kind, n_grid):
         # f' = t^(-1/2)/2 is unbounded at 0+, the operators are not
         assert error_linf(Power(0.5), kind, 0.5, I01, n_grid=n_grid).value == math.inf
+
+    def test_unbounded_f_prime_at_a_is_inf_without_a_scan(self):
+        # the quadrature behind CF of t^(1/2) past its trusted closed form
+        # would refuse f'(0) = inf; the sup is inf from f'(a+) alone
+        report = error_linf(Power(0.5), CF, 0.01, I01)
+        assert report.value == math.inf
+        assert report.n_eval_points == 1
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):

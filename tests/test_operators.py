@@ -421,10 +421,9 @@ class TestEvaluateGrid:
                 assert abs(value - pointwise) <= CLOSED_FORM_TOL * scale
                 continue
             # both product trapezoids lie within h^2/8 max|f'''| (kernel mass)
-            # of the exact value; each insets its end nodes by 1e-9 of the
-            # segment, which moves the result by up to 1e-9 max|f''| (kernel mass)
+            # of the exact value
             mass = _kernel_mass(kind, alpha, t)
-            bound = (h_grid**2 + (t / GRID_NODES) ** 2) / 8 * d3 * mass + 4e-9 * d2 * mass
+            bound = (h_grid**2 + (t / GRID_NODES) ** 2) / 8 * d3 * mass
             assert abs(value - pointwise) <= bound + 1e-10
 
     @settings(max_examples=30, deadline=None)
@@ -612,13 +611,12 @@ class TestClosedFormAgainstQuadrature:
         }[kind]
         quad = op(f, alpha, a, t, scheme, use_closed_form=False)
         # the product trapezoid lies within h^2/8 max|f'''| (kernel mass) of the
-        # exact value; its end nodes are inset by 1e-9 of the segment, which
-        # moves it by up to 1e-9 (t-a) max|f''| (kernel mass)
+        # exact value
         u = t - a
         # RL differs from C by the same boundary term on both paths
         kernel = OperatorKind.CAPUTO if kind is OperatorKind.RIEMANN_LIOUVILLE else kind
         mass = _kernel_mass(kernel, alpha, u)
-        bound = (u / self.NODES) ** 2 / 8 * d3 * mass + 2e-9 * u * d2 * mass
+        bound = (u / self.NODES) ** 2 / 8 * d3 * mass
         assert abs(closed - quad) <= bound + 1e-12 * max(1.0, abs(closed))
 
     @settings(max_examples=100, deadline=None)
@@ -628,7 +626,7 @@ class TestClosedFormAgainstQuadrature:
         alpha=st.floats(0.05, 0.999),
     )
     # the one-ulp piece between adjacent breakpoints is dropped, or both of
-    # its inset nodes would land on a breakpoint
+    # its nodes would lie on a breakpoint, with no side to take f' from
     @example(entry=(ADJACENT_KINKS, 0.0, 1.0, 0.0, 0.0), kind=OperatorKind.CAPUTO, alpha=0.5)
     @example(
         entry=(ADJACENT_KINKS, 0.0, 1.0, 0.0, 0.0), kind=OperatorKind.CAPUTO_FABRIZIO, alpha=0.5
@@ -654,7 +652,7 @@ class TestClosedFormAgainstQuadrature:
         u = t - a
         kernel = OperatorKind.CAPUTO if kind is OperatorKind.RIEMANN_LIOUVILLE else kind
         mass = _kernel_mass(kernel, alpha, u)
-        bound = (u / self.NODES) ** 2 / 8 * d3 * mass + 2e-9 * u * d2 * mass
+        bound = (u / self.NODES) ** 2 / 8 * d3 * mass
         assert abs(closed - quad) <= bound + 1e-12 * max(1.0, abs(closed))
 
     @pytest.mark.parametrize("t", [1.0, 0.1 + 1e-9])
@@ -670,21 +668,22 @@ class TestClosedFormAgainstQuadrature:
 
     @pytest.mark.parametrize("alpha", [0.5, 0.99])
     @pytest.mark.parametrize("op", [caputo, riemann_liouville])
-    @pytest.mark.parametrize(
-        "f,t",
-        [
-            (AbsShift(0.1), KINKS[1]),
-            # the piece between the kinks, two ulps below t
-            (
-                Combination(1.0, AbsShift(KINKS[0]), 2.0, AbsShift(KINKS[1])),
-                math.nextafter(math.nextafter(KINKS[1], 1.0), 1.0),
-            ),
-        ],
-    )
-    def test_ulp_piece_next_to_t_is_refused(self, f, t, op, alpha):
-        # the C kernel has ulp^(1-alpha)/Gamma(2-alpha) of mass on a one-ulp
-        # piece next to t (0.68 at alpha 0.99), so dropping it would move the
-        # value by as much; the piece has no float inside to sample f' at
+    def test_ulp_piece_next_to_t_is_sampled(self, op, alpha):
+        # the C kernel has ulp^(1-alpha)/Gamma(2-alpha) of mass on the one-ulp
+        # piece [0.1, t] (0.68 at alpha 0.99), so dropping it would move the
+        # value by as much; f' is sampled at its ends, from inside it
+        f, t = AbsShift(0.1), KINKS[1]
+        quad = op(f, alpha, 0.0, t, use_closed_form=False)
+        assert quad == pytest.approx(op(f, alpha, 0.0, t), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.99])
+    @pytest.mark.parametrize("op", [caputo, riemann_liouville])
+    def test_ulp_piece_next_to_t_is_refused(self, op, alpha):
+        # the piece between the kinks, two ulps below t, carries as much of
+        # the C kernel's mass; both its ends are breakpoints, so it has no
+        # side to sample f' from
+        f = Combination(1.0, AbsShift(KINKS[0]), 2.0, AbsShift(KINKS[1]))
+        t = math.nextafter(math.nextafter(KINKS[1], 1.0), 1.0)
         with pytest.raises(NonDifferentiableError):
             op(f, alpha, 0.0, t, use_closed_form=False)
 
@@ -710,19 +709,25 @@ class TestClosedFormAgainstQuadrature:
             - d * (T**al - d**al) / al
             + d ** (al + 1) / (al * (al + 1))
         ) / mp.gamma(al)
-        # the end nodes of [0, 0.1] are inset by 1e-10, where f moves by as much
-        assert rl_integral(f, al, 0.0, t) == pytest.approx(float(exact), rel=1e-9)
+        assert rl_integral(f, al, 0.0, t) == pytest.approx(float(exact), rel=1e-13)
 
     @pytest.mark.parametrize("op", [caputo, caputo_fabrizio])
-    def test_narrow_step_keeps_inset_nodes_inside(self, op):
-        # the step is 1e-12 wide at 0.1, where 1e-9 of it is below one ulp:
-        # the end nodes must still be inset, not land on the breakpoints
+    def test_narrow_step_is_sampled_from_inside_each_piece(self, op):
+        # the step is 1e-12 wide at 0.1: every piece's end nodes lie on the
+        # breakpoints, where f' is taken from inside the piece
         f = StepAntiderivative(((0.1, 0.1 + 1e-12),), (2.0,))
         closed = op(f, 0.5, 0.0, 1.0)
         quad = op(f, 0.5, 0.0, 1.0, use_closed_form=False)
         # f' is piecewise constant, so the trapezoid bound is rounding only;
         # the moments of a 1e-12 wide cell at 0.9 lose about 12 digits
         assert quad == pytest.approx(closed, rel=1e-3)
+
+    @pytest.mark.parametrize("op", [caputo, caputo_fabrizio, riemann_liouville])
+    def test_derivative_singular_at_a_is_refused(self, op):
+        # f' = t^(-1/2)/2 is infinite at the node a = 0, where the product
+        # trapezoid samples it
+        with pytest.raises(IntegrationError, match="tau = 0.0"):
+            op(Power(0.5), 0.5, 0.0, 1.0, use_closed_form=False)
 
     def test_cosine_past_the_reach_falls_back_to_quadrature(self):
         alpha, b, n = 0.5, 12.0, 24
@@ -743,9 +748,8 @@ class TestClosedFormAgainstQuadrature:
         np.testing.assert_allclose(grid[~past], closed, rtol=0, atol=1e-13)
         # and both sides of the reach agree with quadrature within its bound
         h = b / (n * math.ceil(512 / n))
-        assert np.max(np.abs(grid - opaque)) <= h**2 / 8 * _kernel_mass(
-            OperatorKind.CAPUTO, alpha, b
-        ) + 4e-9 * b
+        bound = h**2 / 8 * _kernel_mass(OperatorKind.CAPUTO, alpha, b)
+        assert np.max(np.abs(grid - opaque)) <= bound
 
 
 class TestGenericKernel:
@@ -870,11 +874,8 @@ class TestUserDefinedFunction:
         alpha, b = 0.6, 1.5
         grid = evaluate_grid(kind, Square(), alpha, 0.0, b, 40)
         closed = evaluate_grid(kind, Power(2.0), alpha, 0.0, b, 40)
-        # f' is linear, so the trapezoid is exact up to the 1e-9 end-node
-        # inset, which moves it by up to 1e-9 b max|f''| (kernel mass)
-        base = OperatorKind.CAPUTO if kind is OperatorKind.RIEMANN_LIOUVILLE else kind
-        bound = 2e-9 * b * 2.0 * _kernel_mass(base, alpha, b)
-        np.testing.assert_allclose(grid, closed, rtol=0, atol=bound)
+        # f' is linear, so the trapezoid is exact up to rounding
+        np.testing.assert_allclose(grid, closed, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("kind", [OperatorKind.CAPUTO, OperatorKind.CAPUTO_FABRIZIO])
     @pytest.mark.parametrize("norm", [error_l1, error_linf])
