@@ -45,11 +45,8 @@ from .funcat import (
 )
 from .norms import ErrorReport, NormKind, error_l1, error_linf, error_sweep
 from .operators import (
-    CaputoFabrizioKernel,
-    CaputoKernel,
     CustomKernel,
     KernelSpec,
-    QuadratureScheme,
     caputo,
     caputo_fabrizio,
     evaluate,
@@ -65,8 +62,6 @@ __all__ = [
     "Affine",
     "BracketingError",
     "BudgetExceededError",
-    "CaputoFabrizioKernel",
-    "CaputoKernel",
     "Cosine",
     "CustomKernel",
     "DegenerateFitError",
@@ -85,7 +80,6 @@ __all__ = [
     "OperatorKind",
     "OrderFit",
     "Power",
-    "QuadratureScheme",
     "RatioResult",
     "SeriesConvergenceError",
     "StepAntiderivative",

@@ -36,6 +36,15 @@ MIN_DECAY_RATE = 0.05
 _T_STAR_TOL = 1e-10
 _T_STAR_CAP = 1e6
 
+#: ln Gamma(1 + beta) = sum_k c_k beta^k: c_1 = -(Euler's gamma), c_k = (-1)^k zeta(k) / k
+_LN_GAMMA_1P = (
+    -0.5772156649015329,
+    0.8224670334241132,
+    -0.40068563438653143,
+    0.27058080842778454,
+    -0.20738555102867398,
+)
+
 
 @dataclass(frozen=True)
 class OrderFit:
@@ -115,6 +124,20 @@ def _check_beta(beta: float) -> float:
     return float(beta)
 
 
+def _ln_gamma_shift(m: int, beta: float) -> float:
+    """ln Gamma(m + beta) - ln Gamma(m), integer m >= 1, as ln Gamma(1 + beta) +
+    sum_{k<m} log1p(beta / k): m + beta would round a small beta away.  Below
+    beta = 1e-3 the Taylor series through beta^5 omits < 3e-16 of ln Gamma(1 + beta)."""
+    if beta < 1e-3:
+        c1, c2, c3, c4, c5 = _LN_GAMMA_1P
+        shift = beta * (c1 + beta * (c2 + beta * (c3 + beta * (c4 + beta * c5))))
+    else:
+        shift = math.lgamma(1.0 + beta)
+    for k in range(1, m):  # positive terms: a plain sum loses at most m ulps
+        shift += math.log1p(beta / k)
+    return shift
+
+
 def ratio_cf_over_c_l1(m: int, T: float, beta: float) -> RatioResult:
     """Exact finite-beta quotient of the two L1 errors for g(t) = t^m on (0, T).
 
@@ -128,11 +151,11 @@ def ratio_cf_over_c_l1(m: int, T: float, beta: float) -> RatioResult:
     rate = (1.0 - beta) / beta
     ml = specfun.mittag_leffler_one(m + 1.0, -rate * T)
     num = T**m / (1.0 - beta) * (specfun.gamma(m + 1.0) * ml - beta)
-    # Gamma(m+1+beta) - Gamma(m+1) T^beta cancels to O(beta); factor out
-    # Gamma(m+1) and difference the exponentials via expm1
-    dg = specfun.ln_gamma(m + 1.0 + beta) - specfun.ln_gamma(m + 1.0)
-    bracket = math.expm1(dg) - math.expm1(beta * math.log(T))
-    den = T**m / specfun.gamma(m + beta + 1.0) * specfun.gamma(m + 1.0) * bracket
+    # Gamma(m+1+beta) - Gamma(m+1) T^beta cancels to O(beta); divided by
+    # Gamma(m+1+beta) it is 1 - e^(beta ln T - dg), dg = ln of Gamma(m+1+beta)
+    # / Gamma(m+1), which expm1 takes without that cancellation
+    dg = _ln_gamma_shift(m + 1, beta)
+    den = -(T**m) * math.expm1(beta * math.log(T) - dg)
     return RatioResult(int(m), float(T), beta, num / den)
 
 
@@ -193,7 +216,7 @@ def s_star(m: int, beta: float) -> float:
     """Root w of w^beta Gamma(m)/Gamma(m+beta) = 1: w = (Gamma(m+beta)/Gamma(m))^(1/beta)."""
     _check_ratio_args(m)
     beta = _check_beta(beta)
-    return math.exp((specfun.ln_gamma(m + beta) - specfun.ln_gamma(float(m))) / beta)
+    return math.exp(_ln_gamma_shift(m, beta) / beta)
 
 
 def table1() -> list[tuple[int, float, float]]:

@@ -18,7 +18,7 @@ from . import analysis, norms, operators
 from .exceptions import DomainError, NumericalError
 from .funcat import Interval, OperatorKind, _derivative_toward, parse_function, rl_boundary_term
 from .norms import NormKind
-from .operators import QuadratureScheme
+from .operators import DEFAULT_N_NODES
 
 _FIGURE_COLUMNS = ("fprime", "RL", "C", "CF")
 
@@ -80,11 +80,6 @@ def _parse_betas(text: str) -> list[float]:
     return [start * 10 ** (-decades * i / n) for i in range(n + 1)]
 
 
-def _scheme(args) -> QuadratureScheme | None:
-    n = getattr(args, "n_nodes", None)
-    return None if n is None else QuadratureScheme(n_nodes=n)
-
-
 def _check_point(t: float, interval: Interval, flag: str = "-t") -> None:
     if not (interval.a < t <= interval.b):
         raise DomainError(f"{flag} must lie in ({interval.a}, {interval.b}], got {t}")
@@ -97,7 +92,7 @@ def _cmd_derive(args, writer) -> None:
     if not (0.0 < args.alpha < 1.0):
         raise DomainError(f"-a must lie in (0, 1), got {args.alpha}")
     _check_point(args.t, interval)
-    value = operators.evaluate(kind, f, args.alpha, interval.a, args.t, _scheme(args))
+    value = operators.evaluate(kind, f, args.alpha, interval.a, args.t, args.n_nodes)
     writer.writerow(["function", "kind", "alpha", "t", "value"])
     writer.writerow([args.function, kind.value, _fmt(args.alpha), _fmt(args.t), _fmt(value)])
 
@@ -111,21 +106,20 @@ def _cmd_figures(args, writer) -> None:
             raise DomainError(f"--alphas entries must lie in (0, 1), got {alpha}")
     if args.points < 2:
         raise DomainError(f"--points must be at least 2, got {args.points}")
-    scheme = _scheme(args)
-    a, b = interval.a, interval.b
+    a, b, n_nodes = interval.a, interval.b, args.n_nodes
     ts = operators._grid_points(a, b, args.points)
     t_cells = [_fmt(t) for t in ts.tolist()]
     fprime = _derivative_toward(f, ts)
     writer.writerow(["t", "alpha", "kind", "value"])
     for alpha in alphas:
-        caputo = operators.evaluate_grid(OperatorKind.CAPUTO, f, alpha, a, b, args.points, scheme)
+        caputo = operators.evaluate_grid(OperatorKind.CAPUTO, f, alpha, a, b, args.points, n_nodes)
         columns = {
             "fprime": fprime,
             # the RL identity, as operators.evaluate_grid forms it
             "RL": rl_boundary_term(f, alpha, a, ts) + caputo,
             "C": caputo,
             "CF": operators.evaluate_grid(
-                OperatorKind.CAPUTO_FABRIZIO, f, alpha, a, b, args.points, scheme
+                OperatorKind.CAPUTO_FABRIZIO, f, alpha, a, b, args.points, n_nodes
             ),
         }
         alpha_cell = _fmt(alpha)
@@ -157,9 +151,9 @@ def _cmd_error(args, writer) -> None:
     if not (0.0 < args.beta < 1.0):
         raise DomainError(f"--beta must lie in (0, 1), got {args.beta}")
     if p is NormKind.L1:
-        report = norms.error_l1(f, kind, args.beta, interval, args.tol, scheme=_scheme(args))
+        report = norms.error_l1(f, kind, args.beta, interval, args.tol, n_nodes=args.n_nodes)
     else:
-        report = norms.error_linf(f, kind, args.beta, interval, args.n_grid, scheme=_scheme(args))
+        report = norms.error_linf(f, kind, args.beta, interval, args.n_grid, n_nodes=args.n_nodes)
     writer.writerow(_ERROR_HEADER)
     writer.writerow(_error_row(report))
 
@@ -180,7 +174,7 @@ def _cmd_order(args, writer) -> None:
         interval,
         tol=args.tol,
         n_grid=args.n_grid,
-        scheme=_scheme(args),
+        n_nodes=args.n_nodes,
     )
     fit = analysis.fit_order(reports)
     writer.writerow(_ERROR_HEADER)
@@ -215,7 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("-f", "--function", required=True, help="catalog id, e.g. power:2")
         p.add_argument("--interval", required=True, help="a,b")
-        p.add_argument("--n-nodes", type=int, default=None, help="quadrature grid size")
+        p.add_argument("--n-nodes", type=int, default=DEFAULT_N_NODES, help="quadrature grid size")
         p.add_argument("--out", default=None, help="write CSV here instead of stdout")
 
     p = sub.add_parser("derive", help="one fractional-derivative value")

@@ -69,7 +69,7 @@ class OperatorKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Interval:
-    """A bounded open interval (a, b)."""
+    """A bounded open interval (a, b), whose width b - a is a finite double."""
 
     a: float
     b: float
@@ -77,8 +77,8 @@ class Interval:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
             raise DomainError(f"interval endpoints must be finite, got {self!r}")
-        if not self.a < self.b:
-            raise DomainError(f"interval requires a < b, got {self!r}")
+        if not 0.0 < self.b - self.a < math.inf:
+            raise DomainError(f"interval requires a < b and a finite width b - a, got {self!r}")
 
     @property
     def width(self) -> float:

@@ -12,8 +12,9 @@ differentiating the fractional integral numerically.
 
 Every catalog entry has closed forms (``funcat``), so product quadrature
 serves user-defined functions, ``use_closed_form=False``, and the points
-past a closed form's reach.  It samples on its exact nodes, so an f'
-infinite at a node (t^g, g < 1, at 0) is refused with IntegrationError.
+past a closed form's reach, on ``n_nodes`` cells, an int of at least 2 (or
+DomainError, even where no quadrature runs).  It samples on its exact nodes,
+so an f' infinite at a node (t^g, g < 1, at 0) is refused with IntegrationError.
 
 One array evaluator, ``_evaluate_points``, gives the values at many points
 in one call: ``evaluate_grid``, the scalar operators (their closed forms,
@@ -27,11 +28,13 @@ product trapezoid serves the points without one: its node weights depend
 only on the distance k - i between the evaluation node and the node, so the
 weighted sum is one Toeplitz product, done with real FFTs (Hairer, Lubich &
 Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532).  Anywhere else such a
-point falls back to the pointwise product quadrature.
+point falls back to ``_product_integral``, called directly, not through the
+public operators.
 
-Custom kernels in ``generic_kernel_derivative`` run on the one adaptive
-quadrature, ``_gauss_kronrod``, which ``norms.error_l1`` uses too; a value
-it cannot bring within its tolerance is refused with IntegrationError.
+``generic_kernel_derivative`` takes the C and CF kernels as their
+``OperatorKind``; a ``CustomKernel`` runs on the one adaptive quadrature,
+``_gauss_kronrod``, which ``norms.error_l1`` uses too; a value it cannot
+bring within its tolerance is refused with IntegrationError.
 """
 
 import math
@@ -46,12 +49,9 @@ from .exceptions import BudgetExceededError, DomainError, IntegrationError
 from .funcat import FractionalOrder, OperatorKind, TestFunction, _as_order
 
 __all__ = [
-    "CaputoFabrizioKernel",
-    "CaputoKernel",
     "CustomKernel",
     "FractionalOrder",
     "KernelSpec",
-    "QuadratureScheme",
     "caputo",
     "caputo_fabrizio",
     "evaluate",
@@ -66,51 +66,28 @@ MAX_EVALS = 1_000_000  # the evaluation budget of one ``_gauss_kronrod`` call
 
 
 @dataclass(frozen=True)
-class QuadratureScheme:
-    """Uniform-grid size for the product quadratures: the cell count over
-    [a, t] for one value, the least cell count over [a, b] for a grid."""
-
-    n_nodes: int = DEFAULT_N_NODES
-
-    def __post_init__(self) -> None:
-        if self.n_nodes < 2:
-            raise DomainError(f"n_nodes must be at least 2, got {self.n_nodes!r}")
-
-
-@dataclass(frozen=True)
-class CaputoKernel:
-    """h(t, beta) = t^(beta-1) / Gamma(beta), singular at 0."""
-
-
-@dataclass(frozen=True)
-class CaputoFabrizioKernel:
-    """h(t, beta) = exp(-((1-beta)/beta) t) / beta, bounded."""
-
-
-@dataclass(frozen=True)
 class CustomKernel:
     """A user-supplied convolution kernel h(t, beta), integrable on (0, inf)."""
 
     h: Callable[[float, float], float]
 
 
-KernelSpec = CaputoKernel | CaputoFabrizioKernel | CustomKernel
-
-_KERNEL_KINDS = {
-    CaputoKernel: OperatorKind.CAPUTO,
-    CaputoFabrizioKernel: OperatorKind.CAPUTO_FABRIZIO,
-}
+#: ``OperatorKind.CAPUTO`` and ``OperatorKind.CAPUTO_FABRIZIO`` name their own kernels
+KernelSpec = OperatorKind | CustomKernel
 
 
 def _check_window(a: float, t: float) -> None:
     if not (math.isfinite(a) and math.isfinite(t)):
         raise DomainError(f"a and t must be finite, got a={a!r}, t={t!r}")
-    if not t > a:
-        raise DomainError(f"evaluation point must satisfy t > a, got t={t}, a={a}")
+    if not 0.0 < t - a < math.inf:
+        raise DomainError(f"t - a must be positive and finite, got t={t}, a={a}")
 
 
-def _n_nodes(scheme: QuadratureScheme | None) -> int:
-    return scheme.n_nodes if scheme is not None else DEFAULT_N_NODES
+def _check_n_nodes(n_nodes) -> None:
+    """Refuses an n_nodes, the product quadratures' cell count over [a, t] (or
+    the least over [a, b] for a grid), that is not an integer of at least 2."""
+    if not (isinstance(n_nodes, (int, np.integer)) and n_nodes >= 2):
+        raise DomainError(f"n_nodes must be an integer of at least 2, got {n_nodes!r}")
 
 
 def _sample(
@@ -215,12 +192,13 @@ def rl_integral(
     alpha,
     a: float,
     t: float,
-    scheme: QuadratureScheme | None = None,
+    n_nodes: int = DEFAULT_N_NODES,
 ) -> float:
     """Fractional integral of order alpha: (1/Gamma(alpha)) int f(tau)(t-tau)^(alpha-1)."""
     al = _as_order(alpha).alpha
     _check_window(a, t)
-    integral = _product_integral(lambda ts, _: f.value_array(ts), f, a, t, _n_nodes(scheme), p=al)
+    _check_n_nodes(n_nodes)
+    integral = _product_integral(lambda ts, _: f.value_array(ts), f, a, t, n_nodes, p=al)
     return integral / specfun.gamma(al)
 
 
@@ -230,26 +208,20 @@ def _value(
     alpha,
     a: float,
     t: float,
-    scheme: QuadratureScheme | None,
+    n_nodes: int,
     use_closed_form: bool = True,
 ) -> float:
     """The one scalar path behind ``evaluate`` and the three operators: RL is
-    the scalar ``funcat.rl_boundary_term`` plus the C value, a closed form is
-    ``_evaluate_points`` at the one point t (which fills a point without one
-    by quadrature), and ``use_closed_form=False`` is the pointwise product
-    trapezoid of the kernel of ``_kernel``."""
-    if not isinstance(kind, OperatorKind):
-        raise DomainError(f"unknown operator kind {kind!r}")
+    the scalar ``funcat.rl_boundary_term`` plus the C value, and C and CF
+    are ``_evaluate_points`` at the one point t."""
     order = _as_order(alpha)
     _check_window(a, t)
     if kind is OperatorKind.RIEMANN_LIOUVILLE:
-        caputo_value = _value(OperatorKind.CAPUTO, f, order, a, t, scheme, use_closed_form)
+        caputo_value = _value(OperatorKind.CAPUTO, f, order, a, t, n_nodes, use_closed_form)
         return funcat.rl_boundary_term(f, order, a, t) + caputo_value
-    if use_closed_form:
-        return float(_evaluate_points(kind, f, order, a, np.array([t], dtype=float), scheme)[0])
-    p, rate, scale = _kernel(kind, order)
-    fprime = partial(funcat._derivative_toward, f)
-    return _product_integral(fprime, f, a, t, _n_nodes(scheme), p, rate) / scale
+    ts = np.array([t], dtype=float)
+    (value,) = _evaluate_points(kind, f, order, a, ts, n_nodes, use_closed_form=use_closed_form)
+    return float(value)
 
 
 def caputo(
@@ -257,12 +229,12 @@ def caputo(
     alpha,
     a: float,
     t: float,
-    scheme: QuadratureScheme | None = None,
+    n_nodes: int = DEFAULT_N_NODES,
     *,
     use_closed_form: bool = True,
 ) -> float:
     """Caputo derivative of order alpha: fractional integral of order 1-alpha of f'."""
-    return _value(OperatorKind.CAPUTO, f, alpha, a, t, scheme, use_closed_form)
+    return _value(OperatorKind.CAPUTO, f, alpha, a, t, n_nodes, use_closed_form)
 
 
 def caputo_fabrizio(
@@ -270,12 +242,12 @@ def caputo_fabrizio(
     alpha,
     a: float,
     t: float,
-    scheme: QuadratureScheme | None = None,
+    n_nodes: int = DEFAULT_N_NODES,
     *,
     use_closed_form: bool = True,
 ) -> float:
     """Caputo-Fabrizio derivative: (1/beta) int f'(tau) e^(-rate (t-tau)), rate = alpha/beta."""
-    return _value(OperatorKind.CAPUTO_FABRIZIO, f, alpha, a, t, scheme, use_closed_form)
+    return _value(OperatorKind.CAPUTO_FABRIZIO, f, alpha, a, t, n_nodes, use_closed_form)
 
 
 def riemann_liouville(
@@ -283,13 +255,13 @@ def riemann_liouville(
     alpha,
     a: float,
     t: float,
-    scheme: QuadratureScheme | None = None,
+    n_nodes: int = DEFAULT_N_NODES,
     *,
     use_closed_form: bool = True,
 ) -> float:
     """Riemann-Liouville derivative via the W^{1,1} identity
     RL = f(a)(t-a)^(-alpha)/Gamma(beta) + Caputo, beta = 1 - alpha."""
-    return _value(OperatorKind.RIEMANN_LIOUVILLE, f, alpha, a, t, scheme, use_closed_form)
+    return _value(OperatorKind.RIEMANN_LIOUVILLE, f, alpha, a, t, n_nodes, use_closed_form)
 
 
 def evaluate(
@@ -298,10 +270,10 @@ def evaluate(
     alpha,
     a: float,
     t: float,
-    scheme: QuadratureScheme | None = None,
+    n_nodes: int = DEFAULT_N_NODES,
 ) -> float:
     """Value at t of the operator named by ``kind``, closed form where known."""
-    return _value(kind, f, alpha, a, t, scheme)
+    return _value(kind, f, alpha, a, t, n_nodes)
 
 
 def _grid_points(a: float, b: float, n: int) -> np.ndarray:
@@ -316,7 +288,7 @@ def evaluate_grid(
     a: float,
     b: float,
     n: int,
-    scheme: QuadratureScheme | None = None,
+    n_nodes: int = DEFAULT_N_NODES,
 ) -> np.ndarray:
     """``evaluate(kind, f, alpha, a, t_i)`` at t_i = a + (b - a) i / n, i = 1..n.
 
@@ -332,11 +304,9 @@ def evaluate_grid(
     order = _as_order(alpha)
     if n < 1:
         raise DomainError(f"grid size must be at least 1, got {n!r}")
-    if not isinstance(kind, OperatorKind):
-        raise DomainError(f"unknown operator kind {kind!r}")
     ts = _grid_points(a, b, n)
     _check_window(a, float(ts[0]))  # also refuses b <= a and non-finite b
-    return _evaluate_points(kind, f, order, a, ts, scheme, b)
+    return _evaluate_points(kind, f, order, a, ts, n_nodes, b)
 
 
 def _evaluate_points(
@@ -345,34 +315,40 @@ def _evaluate_points(
     order: FractionalOrder,
     a: float,
     ts: np.ndarray,
-    scheme: QuadratureScheme | None,
+    n_nodes: int,
     b: float | None = None,
+    *,
+    use_closed_form: bool = True,
 ) -> np.ndarray:
     """``evaluate(kind, f, order, a, t)`` at each point of ts (all > a, in
     any order): the one array evaluator behind ``evaluate_grid``, the L1
-    integrand and the scalar closed forms.
+    integrand and the scalar operators.
 
-    C and CF values come from one ``f._closed_form_grid`` call.  A point
-    with none (NaN) is filled from one product trapezoid when ts is
-    ``_grid_points(a, b, len(ts))`` with no breakpoint inside (a, b), and
-    otherwise (b omitted) from pointwise ``caputo``/``caputo_fabrizio``
-    without their closed form, which has just been tried.  RL is
+    C and CF values come from one ``f._closed_form_grid`` call, unless
+    ``use_closed_form`` is false.  A point with none (NaN) is filled from
+    one product trapezoid when ts is ``_grid_points(a, b, len(ts))`` with no
+    breakpoint inside (a, b), and otherwise (b omitted) from the pointwise
+    ``_product_integral`` of the kernel of ``_kernel``.  RL is
     ``funcat.rl_boundary_term`` plus the C values.
     """
+    if not isinstance(kind, OperatorKind):
+        raise DomainError(f"unknown operator kind {kind!r}")
+    _check_n_nodes(n_nodes)
     base = OperatorKind.CAPUTO if kind is OperatorKind.RIEMANN_LIOUVILLE else kind
-    values = f._closed_form_grid(base, order, a, ts)
+    values = f._closed_form_grid(base, order, a, ts) if use_closed_form else None
     if values is None:
         values = np.full(ts.shape, math.nan)
     missing = np.flatnonzero(np.isnan(values))
     if missing.size:
         if b is None or funcat._breakpoints_inside(f, a, b):
-            # module-level names, so a wrapper installed on the module sees each call
-            op = caputo if base is OperatorKind.CAPUTO else caputo_fabrizio
+            p, rate, scale = _kernel(base, order)
+            fprime = partial(funcat._derivative_toward, f)
             fill = [
-                op(f, order, a, t, scheme, use_closed_form=False) for t in ts[missing].tolist()
+                _product_integral(fprime, f, a, t, n_nodes, p, rate) / scale
+                for t in ts[missing].tolist()
             ]
         else:
-            fill = _trapezoid_grid(base, f, order, a, b, len(ts), _n_nodes(scheme))[missing]
+            fill = _trapezoid_grid(base, f, order, a, b, len(ts), n_nodes)[missing]
         values[missing] = fill
     if kind is OperatorKind.RIEMANN_LIOUVILLE:
         return funcat.rl_boundary_term(f, order, a, ts) + values
@@ -565,12 +541,14 @@ def generic_kernel_derivative(
     beta: float,
     a: float,
     t: float,
-    scheme: QuadratureScheme | None = None,
+    n_nodes: int = DEFAULT_N_NODES,
 ) -> float:
     """Convolution-kernel derivative (f' * h(., beta))(t) of order 1 - beta.
 
-    The two named kernels reproduce the Caputo and Caputo-Fabrizio
-    derivatives of order 1 - beta exactly (same code path).  A custom
+    ``OperatorKind.CAPUTO`` and ``OperatorKind.CAPUTO_FABRIZIO`` name their
+    kernels and reproduce those derivatives of order 1 - beta exactly (same
+    code path, ``evaluate``); ``OperatorKind.RIEMANN_LIOUVILLE``, which is no
+    kernel of f' alone, is refused with DomainError.  A custom
     kernel's int_0^w f'(t - u) h(u, beta) du, w = t - a, is taken by
     ``_gauss_kronrod`` to 1e-11 absolute or relative, whichever is looser, in
     v = (u / w)^beta, which maps a kernel like u^(beta-1) to a bounded
@@ -581,9 +559,11 @@ def generic_kernel_derivative(
     """
     order = FractionalOrder.from_beta(beta)
     _check_window(a, t)
-    kind = _KERNEL_KINDS.get(type(kernel))
-    if kind is not None:
-        return evaluate(kind, f, order, a, t, scheme)
+    _check_n_nodes(n_nodes)
+    if isinstance(kernel, OperatorKind):
+        if kernel is OperatorKind.RIEMANN_LIOUVILLE:
+            raise DomainError("the Riemann-Liouville derivative has no kernel of f' alone")
+        return evaluate(kernel, f, order, a, t, n_nodes)
     w = t - a
 
     def integrand(v: np.ndarray) -> np.ndarray:

@@ -142,6 +142,27 @@ class TestRatioFiniteBeta:
         report = error_l1(Power(float(m), 0.0), C, beta, Interval(0.0, T), tol=1e-8)
         assert report.value == pytest.approx(denominator, abs=1e-8)
 
+    # mpmath at 80 digits: the numerator's Gamma(m+1) E_{1,m+1}(-x) as
+    # m! (e^-x - sum_{k<m} (-x)^k / k!) / (-x)^m, x = ((1-beta)/beta) T, and the
+    # denominator from mp.gamma(m + beta + 1), beta the double given
+    SMALL_BETA_RATIOS = [
+        (3, 1.0, 1e-12, 1.592207521845409),
+        (3, 2.0, 1e-14, 0.88814602323135715),
+        (5, 2.0, 1e-17, 1.4807933873289268),
+        (10, 9.0, 1e-13, 0.71903540249322861),
+        (4, 1.0, 1e-10, 1.9918762408700342),
+    ]
+
+    @pytest.mark.parametrize("m,T,beta,want", SMALL_BETA_RATIOS)
+    def test_small_beta_against_mpmath(self, m, T, beta, want):
+        # m + 1 + beta rounds a beta this small away
+        assert ratio_cf_over_c_l1(m, T, beta).value == pytest.approx(want, rel=1e-12)
+
+    def test_tiniest_beta_is_the_limit(self):
+        for T in (1.0, 2.0):
+            got = ratio_cf_over_c_l1(3, T, 1e-17).value
+            assert got == pytest.approx(ratio_limit(3, T).value, rel=1e-12)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             ratio_cf_over_c_l1(3, 2.5, 0.1)  # T > m - 1
@@ -245,6 +266,19 @@ class TestSStar:
         for m in (2, 5):
             assert s_star(m, 1e-6) == pytest.approx(math.exp(digamma(float(m))), abs=1e-4)
         assert s_star(2, 1e-6) == pytest.approx(1.5262, abs=1e-3)
+
+    @pytest.mark.parametrize(
+        "m,beta,want",
+        [
+            # mpmath at 80 digits: (Gamma(m + beta) / Gamma(m))^(1/beta)
+            (2, 1e-14, 1.5262051115958688),
+            (7, 1e-12, 6.5063871643696716),
+            (3, 1e-17, 2.5162868309393636),
+            (5, 1e-10, 4.5091905949667743),
+        ],
+    )
+    def test_small_beta_against_mpmath(self, m, beta, want):
+        assert s_star(m, beta) == pytest.approx(want, rel=1e-12)
 
 
 class TestSupNormExamples:

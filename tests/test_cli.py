@@ -9,7 +9,6 @@ import mpmath as mp
 import pytest
 
 from fracorder import (
-    QuadratureScheme,
     caputo,
     gamma,
     parse_function,
@@ -59,6 +58,14 @@ class TestRatio:
         assert code == 0
         value = float(parse_csv(out)[1][0])
         assert value == pytest.approx(1.5922, abs=1e-2)
+
+    @pytest.mark.parametrize("T", ["1", "2"])
+    def test_beta_below_the_rounding_of_m_plus_beta(self, capsys, T):
+        # m + 1 + 1e-17 rounds to m + 1, which the ratio must not depend on
+        code, out, err = run_cli(capsys, "ratio", "--m", "3", "--T", T, "--beta", "1e-17")
+        assert code == 0 and err == ""
+        value = float(parse_csv(out)[1][0])
+        assert value == pytest.approx(ratio_limit(3, float(T)).value, rel=1e-12)
 
     def test_bad_T_is_argument_error(self, capsys):
         code, _, err = run_cli(capsys, "ratio", "--m", "3", "--T", "5")
@@ -271,7 +278,7 @@ class TestFigures:
             assert abs(cells[t_s, "RL"] - rl) <= math.ulp(rl)
             # trapezoid bound for the interpolant of f' = -sin, |f'''| <= 1
             bound = h**2 / 8 * t**0.1 / gamma(1.1)
-            assert abs(c - caputo(f, 0.9, 0.0, t, QuadratureScheme(256))) <= bound
+            assert abs(c - caputo(f, 0.9, 0.0, t, 256)) <= bound
 
     def test_derivative_singular_at_a_is_refused(self, capsys):
         # CF of t^(1/2) at alpha 0.99 has no trusted closed form past
@@ -350,6 +357,30 @@ class TestOverflowIsRefused:
         assert code == 3 and out == ""
         assert err.startswith("numerical error:") and "overflows" in err
         assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+
+class TestNoExceptionLeaks:
+    WIDE = "--interval=-1e308,1e308"  # finite ends, a width that overflows
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("derive", "-f", "cos", "-k", "C", "-a", "0.5", WIDE, "-t", "1e308"),
+            ("error", "-f", "cos", "-k", "C", "-p", "1", "--beta", "0.01", WIDE),
+            ("error", "-f", "cos", "-k", "C", "-p", "inf", "--beta", "0.01", WIDE),
+            ("figures", "-f", "cos", WIDE, "--points", "5"),
+            ("ratio", "--m", "3", "--T", "1", "--beta", "1e-17"),
+            ("ratio", "--m", "3", "--T", "2", "--beta", "1e-17"),
+        ],
+    )
+    def test_exit_status_and_one_line(self, capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *argv)
+        assert [str(w.message) for w in caught] == []
+        assert code in (0, 2, 3)
+        assert len(err.strip().splitlines()) <= 1
         assert "Traceback" not in err
 
 

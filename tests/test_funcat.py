@@ -45,6 +45,11 @@ class TestInterval:
         with pytest.raises(DomainError):
             Interval(a, b)
 
+    def test_width_that_overflows_is_refused(self):
+        # both ends are finite doubles, b - a is not
+        with pytest.raises(DomainError, match="width"):
+            Interval(-1e308, 1e308)
+
 
 class TestEval:
     def test_affine(self):

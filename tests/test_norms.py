@@ -29,7 +29,6 @@ from fracorder import (
     NumericalError,
     OperatorKind,
     Power,
-    QuadratureScheme,
     StepAntiderivative,
     error_l1,
     error_linf,
@@ -125,10 +124,10 @@ class TestErrorL1:
 
         f = Affine(1.0, 0.0) if closed_forms else OpaqueAffine(1.0, 0.0)
         narrow = Interval(1.0, 1.0 + 2.0**-42)
-        scheme = QuadratureScheme(64)
-        assert error_l1(f, C, 0.5, narrow, scheme=scheme).quad_error <= 1e-8
+        n_nodes = 64
+        assert error_l1(f, C, 0.5, narrow, n_nodes=n_nodes).quad_error <= 1e-8
         with pytest.raises(IntegrationError, match="too narrow to bisect"):
-            error_l1(f, C, 0.5, narrow, tol=1e-30, scheme=scheme)
+            error_l1(f, C, 0.5, narrow, tol=1e-30, n_nodes=n_nodes)
 
     def test_refuses_tol_below_the_rounding_floor(self):
         # every panel's estimate is at least 50 eps times its integral, so
@@ -183,8 +182,8 @@ class TestErrorL1:
                 return None
 
         f = OpaqueCosine()
-        coarse = error_l1(f, C, 0.3, I01, tol=1e-7, scheme=QuadratureScheme(2048))
-        fine = error_l1(f, C, 0.3, I01, tol=1e-7, scheme=QuadratureScheme(8192))
+        coarse = error_l1(f, C, 0.3, I01, tol=1e-7, n_nodes=2048)
+        fine = error_l1(f, C, 0.3, I01, tol=1e-7, n_nodes=8192)
         assert coarse.value == pytest.approx(fine.value, rel=1e-4)
         closed = error_l1(Cosine(), C, 0.3, I01, tol=1e-7)
         assert closed.value == pytest.approx(fine.value, rel=1e-4)
@@ -256,12 +255,12 @@ class TestErrorL1:
             return values
 
         monkeypatch.setattr(operators, "_evaluate_points", recording)
-        f, scheme = OpaqueAbs(0.5), QuadratureScheme(64)
-        error_l1(f, kind, 0.3, I01, tol=1e-4, scheme=scheme)
+        f, n_nodes = OpaqueAbs(0.5), 64
+        error_l1(f, kind, 0.3, I01, tol=1e-4, n_nodes=n_nodes)
         assert kind in {args[0] for args, _ in calls}
         # a copy: operators.evaluate itself runs through the recorded evaluator
         for (call_kind, _, alpha, a, ts, _), values in list(calls):
-            want = [operators.evaluate(call_kind, f, alpha, a, t, scheme) for t in ts.tolist()]
+            want = [operators.evaluate(call_kind, f, alpha, a, t, n_nodes) for t in ts.tolist()]
             # the RL sum may round its array and scalar addends an ulp apart
             np.testing.assert_allclose(values, want, rtol=1e-15, atol=1e-15)
 
@@ -483,7 +482,7 @@ class TestErrorLinf:
         monkeypatch.setattr(operators, "caputo", counting)
         monkeypatch.setattr(operators, "_evaluate_points", recording)
         n_grid = 201
-        report = error_linf(Cosine(), C, 0.3, I01, n_grid=n_grid, scheme=QuadratureScheme(64))
+        report = error_linf(Cosine(), C, 0.3, I01, n_grid=n_grid, n_nodes=64)
         # the grid scan, each round of the refinement and its vertex are one
         # array call, all closed forms; n_eval_points adds the boundary
         # candidate |f'(a+)|
@@ -509,8 +508,8 @@ class TestNormComparison:
     def test_l1_below_width_times_linf(self, f, kind, interval):
         beta = 0.3
         tol = 1e-6
-        l1 = error_l1(f, kind, beta, interval, tol, scheme=QuadratureScheme(1024))
-        linf = error_linf(f, kind, beta, interval, n_grid=2001, scheme=QuadratureScheme(1024))
+        l1 = error_l1(f, kind, beta, interval, tol, n_nodes=1024)
+        linf = error_linf(f, kind, beta, interval, n_grid=2001, n_nodes=1024)
         assert l1.value <= interval.width * linf.value + tol
 
 

@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 from fracorder import (
     AbsShift,
     Affine,
-    CaputoFabrizioKernel,
-    CaputoKernel,
     Cosine,
     CustomKernel,
     DomainError,
@@ -24,7 +22,6 @@ from fracorder import (
     NonDifferentiableError,
     OperatorKind,
     Power,
-    QuadratureScheme,
     StepAntiderivative,
     TestFunction,
     caputo,
@@ -69,7 +66,7 @@ class TestFractionalOrder:
 
     def test_scheme_validation(self):
         with pytest.raises(DomainError):
-            QuadratureScheme(n_nodes=1)
+            caputo(Cosine(), 0.5, 0.0, 1.0, n_nodes=1)
 
     @given(x=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
     def test_keeps_the_value_it_was_given(self, x):
@@ -144,7 +141,7 @@ class TestRlIntegral:
         exact = gamma(3.5) / gamma(4.0)
         errors = []
         for n in (64, 128, 256, 512):
-            got = rl_integral(Power(2.5, 0.0), 0.5, 0.0, 1.0, QuadratureScheme(n))
+            got = rl_integral(Power(2.5, 0.0), 0.5, 0.0, 1.0, n)
             errors.append(abs(got - exact))
         for coarse, fine in zip(errors, errors[1:]):
             assert fine < 1e-10 or coarse / fine >= 1.8
@@ -179,7 +176,7 @@ class TestCaputo:
         exact = gamma(4.0) / gamma(3.5)  # Caputo of t^3 at alpha=0.5, t=1
         errors = []
         for n in (64, 128, 256, 512, 1024):
-            got = caputo(Power(3.0, 0.0), 0.5, 0.0, 1.0, QuadratureScheme(n), use_closed_form=False)
+            got = caputo(Power(3.0, 0.0), 0.5, 0.0, 1.0, n, use_closed_form=False)
             errors.append(abs(got - exact))
         for coarse, fine in zip(errors, errors[1:]):
             assert fine < 1e-10 or coarse / fine >= 1.8
@@ -209,7 +206,7 @@ class TestCaputoFabrizio:
         errors = []
         for n in (64, 128, 256, 512):
             got = caputo_fabrizio(
-                Power(3.0, 0.0), 0.6, 0.0, 1.0, QuadratureScheme(n), use_closed_form=False
+                Power(3.0, 0.0), 0.6, 0.0, 1.0, n, use_closed_form=False
             )
             errors.append(abs(got - exact))
         for coarse, fine in zip(errors, errors[1:]):
@@ -243,14 +240,14 @@ class TestRiemannLiouville:
                 assert lhs == rhs  # same composition, bit for bit
 
     def test_against_differentiated_integral(self):
-        scheme = QuadratureScheme(16384)
+        n_nodes = 16384
         h = 1e-3
         for f in (Exponential(), Cosine(), Power(2.0, 0.0)):
             for alpha in (0.3, 0.7):
                 t = 0.6
                 diff = (
-                    rl_integral(f, 1.0 - alpha, 0.0, t + h, scheme)
-                    - rl_integral(f, 1.0 - alpha, 0.0, t - h, scheme)
+                    rl_integral(f, 1.0 - alpha, 0.0, t + h, n_nodes)
+                    - rl_integral(f, 1.0 - alpha, 0.0, t - h, n_nodes)
                 ) / (2.0 * h)
                 assert diff == pytest.approx(riemann_liouville(f, alpha, 0.0, t), abs=1e-4)
 
@@ -324,11 +321,11 @@ class TestLinearity:
             assert got == pytest.approx(parts, abs=1e-10)
 
     def test_quadrature_path_linearity(self):
-        scheme = QuadratureScheme(512)
-        combo = caputo(Affine(2.0, 3.0), 0.5, 0.0, 1.0, scheme, use_closed_form=False)
+        n_nodes = 512
+        combo = caputo(Affine(2.0, 3.0), 0.5, 0.0, 1.0, n_nodes, use_closed_form=False)
         parts = 2.0 * caputo(
-            Affine(1.0, 0.0), 0.5, 0.0, 1.0, scheme, use_closed_form=False
-        ) + 3.0 * caputo(Affine(0.0, 1.0), 0.5, 0.0, 1.0, scheme, use_closed_form=False)
+            Affine(1.0, 0.0), 0.5, 0.0, 1.0, n_nodes, use_closed_form=False
+        ) + 3.0 * caputo(Affine(0.0, 1.0), 0.5, 0.0, 1.0, n_nodes, use_closed_form=False)
         assert combo == pytest.approx(parts, abs=1e-10)
 
 
@@ -363,13 +360,60 @@ class TestEvaluate:
         ],
     )
     def test_dispatch_matches_operator(self, kind, op):
-        scheme = QuadratureScheme(256)
+        n_nodes = 256
         for f in (Cosine(), Affine(1.0, 1.0)):
-            assert evaluate(kind, f, 0.6, 0.0, 0.7, scheme) == op(f, 0.6, 0.0, 0.7, scheme)
+            assert evaluate(kind, f, 0.6, 0.0, 0.7, n_nodes) == op(f, 0.6, 0.0, 0.7, n_nodes)
 
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             evaluate("C", Cosine(), 0.6, 0.0, 0.7)
+
+    @pytest.mark.parametrize("n_nodes", [1, 0, 2.5, 4096.0, "64"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda n: caputo(Cosine(), 0.6, 0.0, 0.7, n),
+            lambda n: caputo_fabrizio(Cosine(), 0.6, 0.0, 0.7, n),
+            lambda n: riemann_liouville(Cosine(), 0.6, 0.0, 0.7, n),
+            lambda n: evaluate(OperatorKind.CAPUTO, Cosine(), 0.6, 0.0, 0.7, n),
+            lambda n: evaluate_grid(OperatorKind.CAPUTO, Cosine(), 0.6, 0.0, 0.7, 3, n),
+            lambda n: rl_integral(Cosine(), 0.6, 0.0, 0.7, n),
+            lambda n: generic_kernel_derivative(Cosine(), OperatorKind.CAPUTO, 0.4, 0.0, 0.7, n),
+            lambda n: generic_kernel_derivative(
+                Cosine(), CustomKernel(h=lambda u, b: math.exp(-u)), 0.4, 0.0, 0.7, n
+            ),
+            lambda n: error_l1(Cosine(), OperatorKind.CAPUTO, 0.4, Interval(0.0, 1.0), n_nodes=n),
+            # the RL sup norm of f(a) != 0 is inf without a single operator value
+            lambda n: error_linf(
+                Affine(1.0, 1.0), OperatorKind.RIEMANN_LIOUVILLE, 0.4, Interval(0.0, 1.0), n_nodes=n
+            ),
+        ],
+    )
+    def test_n_nodes_is_an_integer_of_at_least_two(self, call, n_nodes):
+        # refused even where a closed form needs no quadrature
+        with pytest.raises(DomainError, match="n_nodes"):
+            call(n_nodes)
+
+    @pytest.mark.parametrize("op", [caputo, caputo_fabrizio, riemann_liouville, rl_integral])
+    def test_window_whose_width_overflows_is_refused(self, op):
+        with pytest.raises(DomainError, match="t - a"):
+            op(Cosine(), 0.5, -1e308, 1e308)
+
+    def test_points_without_a_closed_form_skip_the_public_operators(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("re-entered a public operator")
+
+        ts, order = np.array([0.3, 0.7, 0.9]), FractionalOrder(0.6)
+        want = {
+            kind: [evaluate(kind, OpaqueCosine(), order, 0.0, t, 64) for t in ts.tolist()]
+            for kind in OperatorKind
+        }
+        for name in ("caputo", "caputo_fabrizio", "riemann_liouville", "evaluate"):
+            monkeypatch.setattr(operators, name, refuse)
+        for kind in OperatorKind:
+            got = operators._evaluate_points(kind, OpaqueCosine(), order, 0.0, ts, 64)
+            # the RL sum may round its array and scalar addends an ulp apart
+            np.testing.assert_allclose(got, want[kind], rtol=1e-15, atol=0.0)
 
 
 #: catalog entries with max |f''| and max |f'''| on [0, 1], for the trapezoid
@@ -410,13 +454,13 @@ class TestEvaluateGrid:
     )
     def test_matches_pointwise(self, alpha, n, name, kind):
         f, d2, d3 = GRID_FUNCTIONS[name]
-        scheme = QuadratureScheme(GRID_NODES)
-        grid = evaluate_grid(kind, f, alpha, 0.0, 1.0, n, scheme)
+        n_nodes = GRID_NODES
+        grid = evaluate_grid(kind, f, alpha, 0.0, 1.0, n, n_nodes)
         h_grid = 1.0 / (n * math.ceil(GRID_NODES / n))
         scale = float(np.max(np.abs(grid)))
         for i, value in enumerate(grid.tolist(), start=1):
             t = i / n
-            pointwise = evaluate(kind, f, alpha, 0.0, t, scheme)
+            pointwise = evaluate(kind, f, alpha, 0.0, t, n_nodes)
             if closed_form_fractional(f, kind, alpha, 0.0, t) is not None:
                 assert abs(value - pointwise) <= CLOSED_FORM_TOL * scale
                 continue
@@ -434,9 +478,9 @@ class TestEvaluateGrid:
     )
     def test_rl_is_boundary_term_plus_caputo(self, alpha, n, name):
         f = GRID_FUNCTIONS[name][0]
-        scheme = QuadratureScheme(GRID_NODES)
-        rl = evaluate_grid(OperatorKind.RIEMANN_LIOUVILLE, f, alpha, 0.0, 1.0, n, scheme)
-        c = evaluate_grid(OperatorKind.CAPUTO, f, alpha, 0.0, 1.0, n, scheme)
+        n_nodes = GRID_NODES
+        rl = evaluate_grid(OperatorKind.RIEMANN_LIOUVILLE, f, alpha, 0.0, 1.0, n, n_nodes)
+        c = evaluate_grid(OperatorKind.CAPUTO, f, alpha, 0.0, 1.0, n, n_nodes)
         ts = np.arange(1, n + 1) / n
         np.testing.assert_array_equal(rl, rl_boundary_term(f, alpha, 0.0, ts) + c)
 
@@ -446,10 +490,10 @@ class TestEvaluateGrid:
                 return None
 
         f = OpaqueAbs(0.5)
-        scheme = QuadratureScheme(128)
+        n_nodes = 128
         for kind in OperatorKind:
-            grid = evaluate_grid(kind, f, 0.7, 0.0, 1.0, 5, scheme)
-            pointwise = [evaluate(kind, f, 0.7, 0.0, i / 5, scheme) for i in range(1, 6)]
+            grid = evaluate_grid(kind, f, 0.7, 0.0, 1.0, 5, n_nodes)
+            pointwise = [evaluate(kind, f, 0.7, 0.0, i / 5, n_nodes) for i in range(1, 6)]
             assert grid.tolist() == pointwise
 
     def test_missing_closed_forms_filled_by_quadrature(self):
@@ -482,12 +526,12 @@ class TestEvaluateGrid:
         evaluate_grid(OperatorKind.CAPUTO, Cosine(), 0.5, 0.0, 30.0, 301)
         assert sizes == [301]
         sizes.clear()
-        ts, scheme = np.array([5.0, 20.0, 25.0]), QuadratureScheme(64)
+        ts, n_nodes = np.array([5.0, 20.0, 25.0]), 64
         values = operators._evaluate_points(
-            OperatorKind.CAPUTO, Cosine(), FractionalOrder(0.5), 0.0, ts, scheme
+            OperatorKind.CAPUTO, Cosine(), FractionalOrder(0.5), 0.0, ts, n_nodes
         )
         assert sizes == [3]
-        quad = [caputo(Cosine(), 0.5, 0.0, t, scheme, use_closed_form=False) for t in (20.0, 25.0)]
+        quad = [caputo(Cosine(), 0.5, 0.0, t, n_nodes, use_closed_form=False) for t in (20.0, 25.0)]
         assert values[1:].tolist() == quad
 
     def test_points_match_scalar_expression(self):
@@ -603,13 +647,13 @@ class TestClosedFormAgainstQuadrature:
         closed = closed_form_fractional(f, kind, alpha, a, t)
         if closed is None:
             return  # Power-CF left of the trusted series: both are quadrature
-        scheme = QuadratureScheme(self.NODES)
+        n_nodes = self.NODES
         op = {
             OperatorKind.CAPUTO: caputo,
             OperatorKind.CAPUTO_FABRIZIO: caputo_fabrizio,
             OperatorKind.RIEMANN_LIOUVILLE: riemann_liouville,
         }[kind]
-        quad = op(f, alpha, a, t, scheme, use_closed_form=False)
+        quad = op(f, alpha, a, t, n_nodes, use_closed_form=False)
         # the product trapezoid lies within h^2/8 max|f'''| (kernel mass) of the
         # exact value
         u = t - a
@@ -647,7 +691,7 @@ class TestClosedFormAgainstQuadrature:
             OperatorKind.CAPUTO_FABRIZIO: caputo_fabrizio,
             OperatorKind.RIEMANN_LIOUVILLE: riemann_liouville,
         }[kind]
-        quad = op(combo, alpha, a, t, QuadratureScheme(self.NODES))
+        quad = op(combo, alpha, a, t, self.NODES)
         # the bound of test_agree_within_trapezoid_bound
         u = t - a
         kernel = OperatorKind.CAPUTO if kind is OperatorKind.RIEMANN_LIOUVILLE else kind
@@ -732,14 +776,14 @@ class TestClosedFormAgainstQuadrature:
     def test_cosine_past_the_reach_falls_back_to_quadrature(self):
         alpha, b, n = 0.5, 12.0, 24
         reach = 10.0 + math.lgamma(0.5)
-        scheme = QuadratureScheme(512)
+        n_nodes = 512
         assert closed_form_fractional(Cosine(), OperatorKind.CAPUTO, alpha, 0.0, b) is None
-        assert caputo(Cosine(), alpha, 0.0, b, scheme) == caputo(
-            OpaqueCosine(), alpha, 0.0, b, scheme
+        assert caputo(Cosine(), alpha, 0.0, b, n_nodes) == caputo(
+            OpaqueCosine(), alpha, 0.0, b, n_nodes
         )
         # the grid: closed forms up to the reach, the whole-grid trapezoid past it
-        grid = evaluate_grid(OperatorKind.CAPUTO, Cosine(), alpha, 0.0, b, n, scheme)
-        opaque = evaluate_grid(OperatorKind.CAPUTO, OpaqueCosine(), alpha, 0.0, b, n, scheme)
+        grid = evaluate_grid(OperatorKind.CAPUTO, Cosine(), alpha, 0.0, b, n, n_nodes)
+        opaque = evaluate_grid(OperatorKind.CAPUTO, OpaqueCosine(), alpha, 0.0, b, n, n_nodes)
         ts = b * np.arange(1, n + 1) / n
         past = ts > reach
         assert past.any() and not past.all()
@@ -755,25 +799,25 @@ class TestClosedFormAgainstQuadrature:
 class TestGenericKernel:
     def test_caputo_kernel_specialization(self):
         # must agree with the Caputo derivative of order 1 - beta exactly
-        got = generic_kernel_derivative(Affine(1.0, 0.0), CaputoKernel(), 0.7, 0.0, 1.0)
+        got = generic_kernel_derivative(Affine(1.0, 0.0), OperatorKind.CAPUTO, 0.7, 0.0, 1.0)
         assert got == caputo(Affine(1.0, 0.0), 0.3, 0.0, 1.0)
         assert got == pytest.approx(1.0 / gamma(1.7), rel=1e-12)
 
     def test_cf_kernel_specialization(self):
         for f in CATALOG:
-            got = generic_kernel_derivative(f, CaputoFabrizioKernel(), 0.4, 0.0, 1.9)
+            got = generic_kernel_derivative(f, OperatorKind.CAPUTO_FABRIZIO, 0.4, 0.0, 1.9)
             assert abs(got - caputo_fabrizio(f, 0.6, 0.0, 1.9)) <= 1e-12
 
     def test_cf_kernel_on_step(self):
         # single step of height 1 on [0, 0.5], beta = 0.5, t = 0.25:
         # (1/(1-beta))(1 - e^(-((1-beta)/beta) t)) = 2 (1 - e^-0.25)
         f = StepAntiderivative(((0.0, 0.5),), (1.0,))
-        got = generic_kernel_derivative(f, CaputoFabrizioKernel(), 0.5, 0.0, 0.25)
+        got = generic_kernel_derivative(f, OperatorKind.CAPUTO_FABRIZIO, 0.5, 0.0, 0.25)
         assert got == pytest.approx(2.0 * (1.0 - math.exp(-0.25)), rel=1e-13)
 
     def test_constant_any_kernel(self):
         f = Affine(0.0, 3.0)
-        for kernel in (CaputoKernel(), CaputoFabrizioKernel()):
+        for kernel in (OperatorKind.CAPUTO, OperatorKind.CAPUTO_FABRIZIO):
             assert generic_kernel_derivative(f, kernel, 0.3, 0.0, 1.0) == 0.0
         custom = CustomKernel(h=lambda u, beta: math.exp(-u / beta) / beta)
         assert generic_kernel_derivative(f, custom, 0.3, 0.0, 1.0) == pytest.approx(0.0, abs=1e-12)
@@ -842,7 +886,13 @@ class TestGenericKernel:
 
     def test_beta_validation(self):
         with pytest.raises(DomainError):
-            generic_kernel_derivative(Exponential(), CaputoKernel(), 1.0, 0.0, 1.0)
+            generic_kernel_derivative(Exponential(), OperatorKind.CAPUTO, 1.0, 0.0, 1.0)
+
+    def test_riemann_liouville_is_no_kernel(self):
+        # RL carries the boundary term f(a) t^(-alpha) / Gamma(beta), which no
+        # kernel of f' alone produces
+        with pytest.raises(DomainError, match="Riemann-Liouville"):
+            generic_kernel_derivative(Exponential(), OperatorKind.RIEMANN_LIOUVILLE, 0.5, 0.0, 1.0)
 
     @pytest.mark.parametrize("gap", [1e-14, 3e-16, 1e-12])
     def test_custom_kernel_node_on_a_breakpoint(self, gap):
