@@ -35,6 +35,7 @@ MIN_DECAY_RATE = 0.05
 
 _T_STAR_TOL = 1e-10
 _T_STAR_CAP = 1e6
+_T_STAR_STEPS = 50
 
 #: ln Gamma(1 + beta) = sum_k c_k beta^k: c_1 = -(Euler's gamma), c_k = (-1)^k zeta(k) / k
 _LN_GAMMA_1P = (
@@ -173,43 +174,41 @@ def t_star(m: int, beta: float) -> float:
     """Root v of Gamma(m) E_{1,m}(-((1-beta)/beta) v) = beta, with v >= m - 1.
 
     The left side equals (m-1) int_0^1 (1-s)^(m-2) e^(-xs) ds at
-    x = ((1-beta)/beta) v, so it decreases strictly in v and the root is
-    unique.  The lower bound m - 1 is a guaranteed bracket end; the upper end
-    is the first point of a doubling ladder where the sign changes, and
-    bisection closes the bracket.
+    x = ((1-beta)/beta) v, so g(v) = left side - beta is strictly decreasing
+    and convex, and Newton's method from g(m-1) > 0 rises monotonically to the
+    root, on the exact slope z E'_{1,m}(z) = E_{1,m-1}(z) - (m-1) E_{1,m}(z).
+    It stops at a step below ``_T_STAR_TOL``, and refuses an iterate past
+    ``_T_STAR_CAP``, a slope that is not negative, or ``_T_STAR_STEPS`` steps.
     """
     _check_ratio_args(m)
     beta = _check_beta(beta)
     rate = (1.0 - beta) / beta
     gm = specfun.gamma(float(m))
 
-    def g(v: float) -> float:
-        return gm * specfun.mittag_leffler_one(float(m), -rate * v) - beta
+    def left(omega: float, v: float) -> float:  # the left side at omega = m
+        return gm * specfun.mittag_leffler_one(omega, -rate * v)
 
-    lo = float(m - 1)
-    g_lo = g(lo)
-    if g_lo == 0.0:
-        return lo
-    if g_lo < 0.0:
-        if abs(g_lo) < 1e-12:  # root sits at the bound itself, up to rounding
-            return lo
-        raise BracketingError(
-            f"defining function already negative at the lower bound m-1={lo}"
-        )
-    hi = 2.0 * lo
-    while g(hi) > 0.0:
-        if hi >= _T_STAR_CAP:
-            raise BracketingError(
-                f"no sign change found while doubling up to {_T_STAR_CAP} (m={m}, beta={beta})"
-            )
-        lo, hi = hi, 2.0 * hi
-    while hi - lo > _T_STAR_TOL:
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    v = float(m - 1)
+    g_v = left(float(m), v) - beta
+    if g_v <= 0.0:
+        if g_v > -1e-12:  # root sits at the bound itself, up to rounding
+            return v
+        raise BracketingError(f"defining function already negative at the lower bound m-1={v}")
+    for _ in range(_T_STAR_STEPS):
+        slope = (left(m - 1.0, v) - (m - 1) * (g_v + beta)) / v
+        if not slope < 0.0:
+            break
+        step = -g_v / slope
+        v += step
+        if not v <= _T_STAR_CAP:
+            break
+        if abs(step) <= _T_STAR_TOL:
+            return v
+        g_v = left(float(m), v) - beta
+    raise BracketingError(
+        f"Newton's method from m-1 found no root (m={m}, beta={beta}): a slope that is "
+        f"not negative, an iterate past {_T_STAR_CAP:g} or {_T_STAR_STEPS} steps"
+    )
 
 
 def s_star(m: int, beta: float) -> float:

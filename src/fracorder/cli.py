@@ -39,9 +39,12 @@ def _fmt_sig(x: float, digits: int = 10) -> str:
 def _parse_interval(text: str) -> Interval:
     try:
         a, b = (float(x) for x in text.split(","))
+    except ValueError as exc:
+        raise DomainError(f"--interval expects 'a,b', got {text!r}") from exc
+    try:
         return Interval(a, b)
-    except (ValueError, DomainError) as exc:
-        raise DomainError(f"--interval expects 'a,b' with a < b: {exc}") from exc
+    except DomainError as exc:
+        raise DomainError(f"--interval: {exc}") from exc
 
 
 def _parse_kind(text: str) -> OperatorKind:

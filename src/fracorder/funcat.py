@@ -449,11 +449,19 @@ class StepAntiderivative(_NumpyEntry):
         return tuple(sorted({x for ab in self.breaks for x in ab}))
 
     def value_array(self, ts: np.ndarray) -> np.ndarray:
+        """The steps' contributions summed with compensation (TwoSum of each
+        partial sum, the rounding errors added back last): steps of opposite
+        sign cancel, and summed in order f would lose digits to them."""
         ts = np.asarray(ts, dtype=float)
         total = np.zeros(ts.shape)
+        lost = np.zeros(ts.shape)
         for (lo, hi), q in zip(self.breaks, self.heights):
-            total += q * np.maximum(np.minimum(ts, hi) - lo, 0.0)
-        return total
+            term = q * np.maximum(np.minimum(ts, hi) - lo, 0.0)
+            partial = total + term
+            back = partial - total
+            lost += (total - (partial - back)) + (term - back)
+            total = partial
+        return total + lost
 
     def derivative_array(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)

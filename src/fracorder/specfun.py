@@ -5,10 +5,10 @@
 exact factorials at small integers.  ``digamma`` uses the classical Bernoulli
 asymptotic expansion with a recurrence shift, and the one-parameter
 Mittag-Leffler family E_{1,omega} switches between a truncated power series
-and a compensated finite closed form so that neither branch is evaluated
-where it cancels catastrophically.  Every function is scalar and pure
-:mod:`math`, except ``mittag_leffler_one_array``, the numpy twin of
-``mittag_leffler_one`` that the catalog's closed forms use.
+and, for integer omega and z < min(-1, 3 - omega), a compensated finite
+closed form, so that neither branch is evaluated where it cancels.  Every
+function is scalar and pure :mod:`math`, except ``mittag_leffler_one_array``,
+the numpy twin of ``mittag_leffler_one`` that the catalog's closed forms use.
 """
 
 import math
@@ -36,9 +36,6 @@ _DIGAMMA_SHIFT = 6.0
 #: series truncation: stop once a term falls below this fraction of the sum
 _SERIES_TERM_TOL = 1e-18
 _SERIES_MAX_TERMS = 100_000
-
-#: for integer omega, the finite closed form takes over left of this point
-_CLOSED_FORM_CUTOFF = -1.0
 
 
 def ln_gamma(x: float) -> float:
@@ -114,6 +111,12 @@ def _is_integer(x: float) -> bool:
     return x == round(x)
 
 
+def _closed_form_below(omega: float) -> float:
+    """The z left of which E_{1,omega} takes the finite closed form:
+    min(-1, 3 - omega) for integer omega, none for any other."""
+    return min(-1.0, 3.0 - omega) if _is_integer(omega) else -math.inf
+
+
 def _series(rho: float, omega: float, z: float) -> float:
     """Plain truncated power series sum_k z^k / Gamma(rho*k + omega).
 
@@ -164,18 +167,20 @@ def _closed_form_integer(m: int, z: float) -> float:
 def mittag_leffler_one(omega: float, z: float) -> float:
     """One-parameter-family Mittag-Leffler value E_{1,omega}(z).
 
-    For integer omega and z < -1 the finite closed form is used (the power
-    series cancels catastrophically there); otherwise the series is summed
-    until terms drop below 1e-18 of the running total.  Relative error is
-    below 1e-10 for |z| <= 50 with integer omega <= 10; for non-integer
-    omega the series branch keeps that accuracy only down to z of roughly
-    -15 and degrades further left, which callers must guard against.
+    For integer omega and z < min(-1, 3 - omega) the finite closed form is
+    used: the power series cancels there, while the e^z partial sum the
+    closed form subtracts cancels only right of 3 - omega, where its terms
+    z^k/k! outgrow the remainder.  Elsewhere the series is summed until terms
+    drop below 1e-18 of the running total.  For integer omega 1..16 the
+    relative error on [-(3 omega + 2), 0] is below 1e-15; for non-integer
+    omega the series keeps 1e-10 only down to z of roughly -15 and degrades
+    further left, which callers must guard against.
     """
     if not (omega > 0 and math.isfinite(omega)):
         raise DomainError(f"omega must be a positive real, got {omega!r}")
     if not math.isfinite(z):
         raise DomainError(f"z must be finite, got {z!r}")
-    if _is_integer(omega) and z < _CLOSED_FORM_CUTOFF:
+    if z < _closed_form_below(omega):
         return _closed_form_integer(int(round(omega)) - 1, z)
     return _series(1.0, omega, z)
 
@@ -214,17 +219,18 @@ def mittag_leffler_one_array(omega: float, z: np.ndarray) -> np.ndarray:
     """E_{1,omega}(z) at every point of the array z.
 
     The branches are those of ``mittag_leffler_one``: the finite closed form
-    for integer omega and z < -1, the series everywhere else.  Both are
-    summed in order rather than compensated, so values agree with the scalar
-    function to rounding of the largest term, and the series branch carries
-    the same restriction to z above roughly -15 for non-integer omega.
+    for integer omega and z < min(-1, 3 - omega), the series everywhere else.
+    Both are summed in order rather than compensated, so values agree with
+    the scalar function to rounding of the largest term, and the series
+    branch carries the same restriction to z above roughly -15 for
+    non-integer omega.
     """
     if not (omega > 0 and math.isfinite(omega)):
         raise DomainError(f"omega must be a positive real, got {omega!r}")
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         raise DomainError("z must be finite")
-    closed = z < _CLOSED_FORM_CUTOFF if _is_integer(omega) else np.zeros(z.shape, dtype=bool)
+    closed = z < _closed_form_below(omega)
     out = np.empty(z.shape)
     out[closed] = _closed_form_integer_array(int(round(omega)) - 1, z[closed])
     out[~closed] = _series_array(omega, z[~closed])

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -25,6 +26,7 @@ from fracorder import (
     ln_gamma,
     mittag_leffler_one,
     ratio_cf_over_c_l1,
+    specfun,
     ratio_limit,
     s_star,
     t_star,
@@ -158,6 +160,19 @@ class TestRatioFiniteBeta:
         # m + 1 + beta rounds a beta this small away
         assert ratio_cf_over_c_l1(m, T, beta).value == pytest.approx(want, rel=1e-12)
 
+    def test_where_the_closed_form_would_cancel(self):
+        # E_{1,11}(-2.2): right of 3 - omega, where the closed form's partial
+        # sum of e^z cancels; mpmath at 50 digits with the double T and beta
+        m, T, beta = 10, 1.1, 0.5
+        with mp.workdps(50):
+            b, t = mp.mpf(beta), mp.mpf(T)
+            z = -(1 - b) / b * t
+            ml = (mp.exp(z) - sum(z**k / mp.factorial(k) for k in range(m))) / z**m
+            num = t**m / (1 - b) * (mp.factorial(m) * ml - b)
+            den = t**m / mp.gamma(m + b + 1) * (mp.gamma(m + b + 1) - mp.factorial(m) * t**b)
+            want = float(num / den)
+        assert ratio_cf_over_c_l1(m, T, beta).value == pytest.approx(want, rel=1e-13, abs=0.0)
+
     def test_tiniest_beta_is_the_limit(self):
         for T in (1.0, 2.0):
             got = ratio_cf_over_c_l1(3, T, 1e-17).value
@@ -241,6 +256,68 @@ class TestTStar:
             t_star(1, 0.5)
         with pytest.raises(DomainError):
             t_star(3, 0.0)
+
+    ORACLE_CASES = [
+        (m, beta)
+        for m in range(2, 11)
+        for beta in (0.99, 0.9, 0.5, 0.1, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
+    ]
+
+    @pytest.mark.parametrize("m,beta", ORACLE_CASES)
+    def test_against_mpmath(self, m, beta):
+        # Gamma(m) E_{1,m}(z) = (m-1)! z^(1-m) (e^z - sum_{k<m-1} z^k/k!) at 50
+        # digits, the double beta, solved on [m-1, m]
+        with mp.workdps(50):
+            b = mp.mpf(beta)
+            rate = (1 - b) / b
+
+            def g(v):
+                z = -rate * v
+                head = sum(z**k / mp.factorial(k) for k in range(m - 1))
+                return mp.factorial(m - 1) * (mp.exp(z) - head) / z ** (m - 1) - b
+
+            want = float(mp.findroot(g, (mp.mpf(m - 1), mp.mpf(m)), solver="anderson"))
+        assert t_star(m, beta) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("m,beta", ORACLE_CASES)
+    def test_newton_call_count(self, monkeypatch, m, beta):
+        # one value and one slope per Newton step, from a first value at m - 1
+        calls = []
+        ml = specfun.mittag_leffler_one
+
+        def counted(omega, z):
+            calls.append(omega)
+            return ml(omega, z)
+
+        monkeypatch.setattr(specfun, "mittag_leffler_one", counted)
+        t_star(m, beta)
+        assert len(calls) <= 12
+
+    @pytest.mark.parametrize(
+        "m,beta,fake,match",
+        [
+            # g(m-1) = -beta: no root at or right of m - 1
+            (3, 0.5, lambda omega, z: 0.0, "already negative"),
+            # g = 1 + e^z - beta > 0 everywhere and flat: a slope of 0
+            (3, 0.5, lambda omega, z: (1.0 + math.exp(z)) / gamma(omega), "found no root"),
+            # g = 3/2 everywhere, slope -4/v: each step multiplies v by 1.375, past the cap
+            (3, 0.5, lambda omega, z: 1.0 if omega == 3.0 else 0.0, "found no root"),
+            # g = 1/2 and slope -1/2 at every v: unit steps, the step count runs out
+            (2, 0.5, lambda omega, z: 1.0 if omega == 2.0 else 1.0 + 0.5 * z, "found no root"),
+        ],
+        ids=["negative-at-m-1", "flat", "past-the-cap", "steps-run-out"],
+    )
+    def test_no_root_is_refused(self, monkeypatch, m, beta, fake, match):
+        calls = []
+
+        def counted(omega, z):
+            calls.append(omega)
+            return fake(omega, z)
+
+        monkeypatch.setattr(specfun, "mittag_leffler_one", counted)
+        with pytest.raises(BracketingError, match=match):
+            t_star(m, beta)
+        assert len(calls) <= 101  # bounded: a value at m - 1, then two per step
 
 
 class TestSStar:

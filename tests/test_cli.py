@@ -153,6 +153,25 @@ class TestDerive:
         )
         assert code == 2 and "wat" in err
 
+    @pytest.mark.parametrize(
+        "interval,message",
+        [
+            # a < b holds, the width overflows: Interval's own reason, no parse hint
+            ("-1e308,1e308", "error: --interval: interval requires a < b and a finite width"),
+            ("2,1", "error: --interval: interval requires a < b and a finite width"),
+            ("x", "error: --interval expects 'a,b', got 'x'"),
+        ],
+    )
+    def test_interval_refusal_says_why(self, capsys, interval, message):
+        code, out, err = run_cli(
+            capsys, "derive", "-f", "cos", "-k", "C", "-a", "0.5", f"--interval={interval}", "-t", "1",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(message)
+        assert len(err.strip().splitlines()) == 1
+        if interval != "x":
+            assert "expects" not in err
+
 
 class TestOrder:
     def test_sweep_and_fit(self, capsys):

@@ -67,6 +67,14 @@ class TestEval:
         assert f.value(0.5) == 0.0
         assert f.value(-2.0) == 0.0
 
+    def test_step_cancelling_steps_keep_their_digits(self):
+        # summed in order, these steps come out 2 ulp off the exact sum
+        steps = ((-0.25, 0.001, -0.75), (0.002, 0.753, 0.0625), (1.004, 2.005, 0.125))
+        f = StepAntiderivative(tuple((a, b) for a, b, _ in steps), tuple(q for *_, q in steps))
+        t = 2.004999999
+        exact = math.fsum(q * (min(t, b) - a) for a, b, q in steps)
+        assert f.value(t) == exact
+
     def test_power_domain(self):
         with pytest.raises(DomainError):
             Power(0.5, 1.0).value(0.0)

@@ -139,12 +139,15 @@ class TestMittagLefflerOne:
         assert expected == pytest.approx((math.exp(-5.0) - 1.0) / -5.0, rel=1e-13)
         assert mittag_leffler_one(2.0, -5.0) == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("omega", range(2, 9))
+    @pytest.mark.parametrize("omega", range(2, 17))
     def test_dual_path_against_exact_series(self, omega):
-        for z in np.linspace(-30.0, -1.0, 30):
+        # right of 3 - omega the series, left of it the closed form: either
+        # side of the switch, and just left of -1, where the closed form's
+        # partial sum of e^z would cancel for large omega
+        for z in np.linspace(-30.0, -1.0, 30).tolist() + [3.0 - omega - 1e-9, 3.0 - omega, -1.05]:
             exact = ml_exact_series(omega, float(z), terms=220)
             got = mittag_leffler_one(float(omega), float(z))
-            assert got == pytest.approx(exact, rel=1e-8)
+            assert got == pytest.approx(exact, rel=1e-14, abs=0.0)
 
     def test_series_and_closed_form_agree_in_mild_region(self):
         # both branches are accurate here, so they must coincide
@@ -174,13 +177,15 @@ class TestMittagLefflerOne:
 
 
 class TestMittagLefflerOneArray:
-    @pytest.mark.parametrize("omega", range(1, 9))
+    @pytest.mark.parametrize("omega", range(1, 17))
     def test_integer_omega_both_branches(self, omega):
-        # the scalar function is checked against the exact series above
+        # the scalar function is checked against the exact series above; the
+        # twins switch branch at the same z, min(-1, 3 - omega)
         z = np.concatenate([np.linspace(-30.0, -1.0, 30), np.linspace(-0.99, 3.0, 9)])
         got = mittag_leffler_one_array(float(omega), z)
         for x, value in zip(z.tolist(), got.tolist()):
-            assert value == pytest.approx(mittag_leffler_one(float(omega), x), rel=1e-14)
+            want = mittag_leffler_one(float(omega), x)
+            assert value == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_non_integer_omega_moderate(self):
         z = np.array([-8.0, -1.0, 0.0, 0.7, 4.0])
