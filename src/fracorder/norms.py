@@ -5,8 +5,13 @@ pair), ``operators._gauss_kronrod``, which custom kernels use too.  Its
 panels are split at catalog breakpoints and inside the boundary layers
 right of a and of each breakpoint, and it is vectorised over the panels:
 each refinement round evaluates the integrand once, as one array over the
-15 nodes of every panel still being refined.  The operator values at those
-nodes come from one ``operators._evaluate_points`` call, f' from one
+15 nodes of every panel still being refined.  The integrand is the signed
+error D f - f' and the rule integrates its absolute value, so that it sees
+where D f - f' changes sign, which is where |D f - f'| has a kink: a panel
+refined there is cut at the two nodes around the sign change and at the
+secant root between them instead of being bisected, and its error estimate
+gains the rule's error on the kink.  The operator values at
+the nodes come from one ``operators._evaluate_points`` call, f' from one
 ``funcat._derivative_toward`` call.  The loop stops when the summed error estimate
 of all panels is at most the requested tol; that sum is reported as
 ``ErrorReport.quad_error``, and a tol that cannot be met is refused.  The
@@ -103,10 +108,10 @@ class ErrorReport:
             raise DomainError(f"quad_error must be non-negative, got {self.quad_error!r}")
 
 
-def _abs_error(kind, f, order, a, ts, n_nodes) -> np.ndarray:
-    """|D f - f'| at each point of ts (all > a), f' from the left on a breakpoint."""
+def _error(kind, f, order, a, ts, n_nodes) -> np.ndarray:
+    """D f - f' at each point of ts (all > a), f' from the left on a breakpoint."""
     values = operators._evaluate_points(kind, f, order, a, ts, n_nodes)
-    return np.abs(values - _derivative_toward(f, ts))
+    return values - _derivative_toward(f, ts)
 
 
 def _boundary_layer_splits(
@@ -128,8 +133,9 @@ def _boundary_layer_splits(
 
 
 def _rl_flattened(f, order, a, w, n_nodes):
-    """The RL error on (a, a+w] under the substitution t = a + w v^(1/beta),
-    as an integrand over v in (0, 1] and the edges of its panels.
+    """The signed RL error on (a, a+w] under the substitution
+    t = a + w v^(1/beta), as an integrand over v in (0, 1] and the edges of
+    its panels.
 
     In v-coordinates the singular term becomes the constant f(a) w^beta /
     (beta Gamma(beta)) and the remainder (the Caputo error) is damped by
@@ -147,7 +153,7 @@ def _rl_flattened(f, order, a, w, n_nodes):
         rest[inside] = operators._evaluate_points(
             OperatorKind.CAPUTO, f, order, a, ts, n_nodes
         ) - _derivative_toward(f, ts)
-        return np.abs(base + (w / beta) * v**order.rate * rest)
+        return base + (w / beta) * v**order.rate * rest
 
     return integrand, sorted({x**beta for x in operators._FLAT_FRACS})
 
@@ -168,18 +174,26 @@ def error_l1(
     inside the boundary layer right of its left end (``_boundary_layer_splits``);
     for RL with f(a) != 0 the first piece is integrated in the flattened
     coordinate v instead (``_rl_flattened``).  The panels are integrated by
-    the adaptive 7-15 Gauss-Kronrod rule of ``operators._gauss_kronrod``.
+    the adaptive 7-15 Gauss-Kronrod rule of ``operators._gauss_kronrod`` on
+    |D f - f'|, which cuts a panel at each sign change of D f - f' that its
+    nodes see, so that a kink of the integrand costs two or three rounds,
+    not one bisection per halving (cos under CF on (0, 1): 2 rounds at beta
+    1e-1 to 1e-3, where bisection took 12, 10 and 8).
 
     ``tol`` bounds the sum over all final panels of QUADPACK's error
     estimate, |K15 - G7| scaled by how much the integrand varies on the
     panel; the report carries that sum as ``quad_error``.  It is an
     estimate of the error, not a proof: it errs on the safe side where the
-    integrand has a kink or a singular derivative.  ``n_eval_points``
-    counts every node at which the integrand was evaluated, 15 per panel;
-    past ``max_evals`` the integration stops with BudgetExceededError.  When
-    the estimate is still above tol and every panel over its share is too
-    narrow to bisect or at its rounding floor, or the floors alone sum past
-    tol, the value is refused with IntegrationError.
+    integrand has a singular derivative, counts the rule's error on each
+    kink that the panels' nodes, or the outermost nodes of two touching
+    panels, see, and misses a kink that falls between an end of the
+    interval or a breakpoint and the outermost node beside it.
+    ``n_eval_points`` counts every node at which the integrand was
+    evaluated, 15 per panel; past ``max_evals`` the integration stops with
+    BudgetExceededError.  When the estimate is still above tol and every
+    panel over its share is too narrow to refine or at its rounding floor,
+    or the floors alone sum past tol, the value is refused with
+    IntegrationError.
     """
     order = FractionalOrder.from_beta(beta)
     if not tol > 0:
@@ -188,7 +202,7 @@ def error_l1(
     counter = operators._Counter(max_evals)
 
     def err(ts: np.ndarray) -> np.ndarray:
-        return _abs_error(kind, f, order, a, ts, n_nodes)
+        return _error(kind, f, order, a, ts, n_nodes)
 
     kinks = _breakpoints_inside(f, a, b)
     pieces = list(zip([a, *kinks], [*kinks, b]))
@@ -205,7 +219,7 @@ def error_l1(
     value = quad_error = 0.0
     for fn, region_edges in regions:
         share = tol * (len(region_edges) - 1) / n_panels
-        part, estimate = operators._gauss_kronrod(fn, region_edges, share, counter)
+        part, estimate = operators._gauss_kronrod(fn, region_edges, share, counter, absolute=True)
         value += part
         quad_error += estimate
     return ErrorReport(kind, beta, NormKind.L1, interval, value, counter.count, quad_error)
@@ -277,7 +291,7 @@ def error_linf(
     step = interval.width / n_grid
     lo = a + best_i * step  # one grid point left of the argmax, or a
     hi = a + min(best_i + 2, n_grid) * step
-    refined = _zoom_max(lambda ts: _abs_error(kind, f, order, a, ts, n_nodes), lo, hi)
+    refined = _zoom_max(lambda ts: np.abs(_error(kind, f, order, a, ts, n_nodes)), lo, hi)
     candidates = [best, refined, at_a]
     kinks = _breakpoints_inside(f, a, b)
     if kinks:

@@ -158,7 +158,7 @@ class TestRatioFiniteBeta:
     @pytest.mark.parametrize("m,T,beta,want", SMALL_BETA_RATIOS)
     def test_small_beta_against_mpmath(self, m, T, beta, want):
         # m + 1 + beta rounds a beta this small away
-        assert ratio_cf_over_c_l1(m, T, beta).value == pytest.approx(want, rel=1e-12)
+        assert ratio_cf_over_c_l1(m, T, beta).value == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_where_the_closed_form_would_cancel(self):
         # E_{1,11}(-2.2): right of 3 - omega, where the closed form's partial
@@ -176,7 +176,7 @@ class TestRatioFiniteBeta:
     def test_tiniest_beta_is_the_limit(self):
         for T in (1.0, 2.0):
             got = ratio_cf_over_c_l1(3, T, 1e-17).value
-            assert got == pytest.approx(ratio_limit(3, T).value, rel=1e-12)
+            assert got == pytest.approx(ratio_limit(3, T).value, rel=1e-12, abs=0.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -197,7 +197,7 @@ class TestRatioLimit:
         # independent recomputation from the digamma recurrence
         euler_gamma = 0.5772156649015329
         psi4 = 11.0 / 6.0 - euler_gamma
-        assert ratio_limit(3, 1.0).value == pytest.approx(2.0 / psi4, rel=1e-12)
+        assert ratio_limit(3, 1.0).value == pytest.approx(2.0 / psi4, rel=1e-12, abs=0.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -322,7 +322,7 @@ class TestTStar:
 
 class TestSStar:
     def test_known_value(self):
-        assert s_star(2, 0.5) == pytest.approx((gamma(2.5) / gamma(2.0)) ** 2, rel=1e-13)
+        assert s_star(2, 0.5) == pytest.approx((gamma(2.5) / gamma(2.0)) ** 2, rel=1e-13, abs=0.0)
 
     def test_bound_and_residual(self):
         rng = np.random.default_rng(99)
@@ -355,7 +355,7 @@ class TestSStar:
         ],
     )
     def test_small_beta_against_mpmath(self, m, beta, want):
-        assert s_star(m, beta) == pytest.approx(want, rel=1e-12)
+        assert s_star(m, beta) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestSupNormExamples:

@@ -267,6 +267,21 @@ class TestTranscendentalForms:
         assert closed_form_fractional(Cosine(), C, alpha, 0.0, reach * 1.01) is None
 
     @pytest.mark.parametrize("alpha", GOLDEN_ALPHAS)
+    def test_cosine_caputo_one_array_to_the_reach(self, alpha):
+        # one call sums every point with the terms that the farthest needs,
+        # in powers of u over the farthest u: the near points keep their
+        # accuracy beside it
+        order = FractionalOrder(alpha)
+        reach = funcat._cos_c_reach(order)
+        for a in GOLDEN_STARTS:
+            us = np.array([*GOLDEN_US, 5.0, reach])
+            got = Cosine()._closed_form_grid(C, order, a, a + us)
+            for u, value in zip(us.tolist(), got.tolist()):
+                exact = _series_about_a(_cos_derivative, alpha, a, a + u)
+                loss = EPS * math.exp(u) * u**-alpha / gamma(1.0 - alpha)
+                assert abs(value - exact) <= 1e-14 * abs(exact) + 4 * loss, u
+
+    @pytest.mark.parametrize("alpha", GOLDEN_ALPHAS)
     def test_cosine_caputo_fabrizio(self, alpha):
         for a in GOLDEN_STARTS:
             for u in (*GOLDEN_US, 10.0, 40.0):

@@ -95,12 +95,42 @@ class TestErrorL1:
             error_l1(ONE, C, 0.5, I01, tol=0.0)
 
     def test_reports_estimate_within_tol(self):
-        report = error_l1(Cosine(), CF, 0.01, I01)
+        # |t - 1| under C: a looser tol stops after fewer rounds around the
+        # kink of the error at t = 1
+        f, interval = AbsShift(1.0), Interval(0.0, 2.0)
+        report = error_l1(f, C, 0.1, interval)
         assert 0.0 < report.quad_error <= 1e-8
-        loose = error_l1(Cosine(), CF, 0.01, I01, tol=1e-4)
+        loose = error_l1(f, C, 0.1, interval, tol=1e-4)
         assert loose.quad_error <= 1e-4
         assert loose.n_eval_points < report.n_eval_points
         assert loose.value == pytest.approx(report.value, abs=1e-4)
+
+    @pytest.mark.parametrize(
+        "f,kind,beta,interval,most",
+        [
+            (Cosine(), CF, 0.1, I01, 3),
+            (Cosine(), CF, 0.01, I01, 3),
+            (Cosine(), CF, 0.001, I01, 3),
+            (AbsShift(1.0), C, 0.1, Interval(0.0, 2.0), 8),
+        ],
+    )
+    def test_sign_changes_cost_few_rounds(self, f, kind, beta, interval, most, monkeypatch):
+        # each round calls the integrand once; bisecting at the kinks of
+        # |D f - f'| took 12, 10, 8 and 12 rounds
+        rounds = 0
+        original = operators._gauss_kronrod
+
+        def counting(fn, *args, **kwargs):
+            def counted(x):
+                nonlocal rounds
+                rounds += 1
+                return fn(x)
+
+            return original(counted, *args, **kwargs)
+
+        monkeypatch.setattr(operators, "_gauss_kronrod", counting)
+        error_l1(f, kind, beta, interval)
+        assert rounds <= most
 
     def test_budget_counts_every_node(self):
         report = error_l1(AbsShift(1.0), C, 0.1, Interval(0.0, 2.0))
@@ -303,6 +333,90 @@ class TestGaussKronrod:
         )
         assert abs(value - 0.29) <= estimate <= 1e-9
         assert counter.count % 15 == 0
+
+    def test_sign_change_is_cut_out_in_two_rounds(self):
+        # the secant root of x - 0.3 is the root, so the pieces around it are
+        # linear, and the second round meets the tol
+        rounds = 0
+
+        def fn(x):
+            nonlocal rounds
+            rounds += 1
+            return x - 0.3
+
+        counter = operators._Counter(10**6)
+        value, estimate = operators._gauss_kronrod(fn, [0.0, 1.0], 1e-9, counter, absolute=True)
+        assert abs(value - 0.29) <= estimate <= 1e-9
+        assert rounds <= 2
+
+    def test_two_sign_changes_in_one_panel(self):
+        # (x - 0.3)(x - 0.7): each kink is cut out between its own two nodes;
+        # bisection takes 20 rounds for this tol.  The second secant roots
+        # miss the roots by about 1e-7, into the strips that no node of the
+        # pieces sees, and the estimate has to count what that costs
+        rounds = 0
+
+        def fn(x):
+            nonlocal rounds
+            rounds += 1
+            return (x - 0.3) * (x - 0.7)
+
+        value, estimate = operators._gauss_kronrod(
+            fn, [0.0, 1.0], 1e-12, operators._Counter(10**6), absolute=True
+        )
+        assert abs(value - 97 / 1500) <= estimate <= 1e-12
+        assert rounds <= 4
+
+    def test_root_beside_a_secant_cut_is_counted(self):
+        # the secant root of (x - 0.3) + (x - 0.3)^2 between the nodes
+        # 0.297077 and 0.396107 is 0.299743, and the root 0.3 lies 2.6e-4
+        # past it, in the strip before the first node of the piece
+        # [0.299743, 0.396107]; |g'| (2.6e-4)^2 = 6.6e-8 is missed there
+        # unless the pieces' touching nodes are compared
+        counter = operators._Counter(10**6)
+        value, estimate = operators._gauss_kronrod(
+            lambda x: (x - 0.3) + (x - 0.3) ** 2, [0.0, 1.0], 1e-9, counter, absolute=True
+        )
+        assert abs(value - 593 / 1500) <= estimate <= 1e-9
+
+    @pytest.mark.parametrize(
+        "a,b,s", [(3.99, 5.28, -0.78), (5.78, 5.85, 0.72), (5.39, 5.62, 0.1), (4.76, 5.57, 0.7)]
+    )
+    def test_kink_near_a_panel_end_is_counted(self, a, b, s):
+        # |sin(a x + b) - s|: roots that land just inside or just outside a
+        # piece's outermost node, where QUADPACK's estimate under-reads the
+        # kink by up to 1e3 both with secant cuts and with bisection
+        def primitive(x):
+            return -math.cos(a * x + b) / a - s * x
+
+        base = math.asin(s)
+        roots = sorted(
+            x
+            for n in range(-2, 3)
+            for r in (base + 2 * math.pi * n, math.pi - base + 2 * math.pi * n)
+            if 0.0 < (x := (r - b) / a) < 1.0
+        )
+        points = [0.0, *roots, 1.0]
+        exact = math.fsum(abs(primitive(q) - primitive(p)) for p, q in zip(points, points[1:]))
+        counter = operators._Counter(10**6)
+        value, estimate = operators._gauss_kronrod(
+            lambda x: np.sin(a * x + b) - s, [0.0, 1.0], 1e-9, counter, absolute=True
+        )
+        assert abs(value - exact) <= estimate <= 1e-9
+
+    def test_no_sign_change_is_bisected_as_without_absolute(self):
+        calls = {False: [], True: []}
+        for absolute, seen in calls.items():
+
+            def fn(x, seen=seen):
+                seen.append(x)
+                return -np.sqrt(x)
+
+            counter = operators._Counter(10**6)
+            operators._gauss_kronrod(fn, [0.0, 1.0], 1e-10, counter, absolute=absolute)
+        assert len(calls[False]) == len(calls[True])
+        for plain, of_abs in zip(calls[False], calls[True]):
+            np.testing.assert_array_equal(plain, of_abs)
 
     def test_floor_is_taken_on_the_integral_of_the_absolute_value(self):
         # 1e6 sin(2 pi x) integrates to 0 over [0, 1], but its rounding error

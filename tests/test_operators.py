@@ -109,7 +109,7 @@ class TestFractionalOrder:
             cf_exact = -mp.expm1(-(1 - b) / b * t) / (1 - b)
         rl = riemann_liouville(Affine(0.0, 1.0), order, 0.0, 1.0)
         cf = caputo_fabrizio(Affine(1.0, 0.0), order, 0.0, 1e-12)
-        assert rl == pytest.approx(float(rl_exact), rel=1e-14)
+        assert rl == pytest.approx(float(rl_exact), rel=1e-14, abs=0.0)
         assert cf == pytest.approx(float(cf_exact), rel=1e-14)
 
 
@@ -764,7 +764,7 @@ class TestClosedFormAgainstQuadrature:
         quad = op(f, 0.5, 0.0, 1.0, use_closed_form=False)
         # f' is piecewise constant, so the trapezoid bound is rounding only;
         # the moments of a 1e-12 wide cell at 0.9 lose about 12 digits
-        assert quad == pytest.approx(closed, rel=1e-3)
+        assert quad == pytest.approx(closed, rel=1e-3, abs=0.0)
 
     @pytest.mark.parametrize("op", [caputo, caputo_fabrizio, riemann_liouville])
     def test_derivative_singular_at_a_is_refused(self, op):
