@@ -180,6 +180,18 @@ def _derivative_toward(f: TestFunction, ts: np.ndarray, side=-math.inf) -> np.nd
     return f.derivative_array(ts)
 
 
+def _step_response(
+    kind: OperatorKind, order: FractionalOrder, u: np.ndarray, jump: float = 1.0
+) -> np.ndarray:
+    """The C or CF operator at u = t - c >= 0 of the ramp jump (tau - c)_+,
+    whose f' is a step: jump u^beta / Gamma(1+beta) under C, -jump
+    expm1(-rate u) / alpha under CF.  ``Affine``, ``AbsShift`` and the
+    jumps of f' that ``operators`` adds back are such ramps."""
+    if kind is OperatorKind.CAPUTO:
+        return u**order.beta * (jump / specfun.gamma(1.0 + order.beta))
+    return np.expm1(-order.rate * u) * (-jump / order.alpha)
+
+
 def closed_form_fractional(
     f: TestFunction, kind: OperatorKind, alpha, a: float, t: float
 ) -> float | None:
@@ -299,10 +311,7 @@ class Affine(_NumpyEntry):
     def _closed_form_grid(
         self, kind: OperatorKind, order: FractionalOrder, a: float, ts: np.ndarray
     ) -> np.ndarray | None:
-        u = ts - a
-        if kind is OperatorKind.CAPUTO:
-            return self.slope * u**order.beta / specfun.gamma(1.0 + order.beta)
-        return -self.slope / order.alpha * np.expm1(-order.rate * u)
+        return _step_response(kind, order, ts - a, self.slope)
 
 
 @dataclass(frozen=True)
@@ -408,16 +417,12 @@ class AbsShift(_NumpyEntry):
     def _closed_form_grid(
         self, kind: OperatorKind, order: FractionalOrder, a: float, ts: np.ndarray
     ) -> np.ndarray | None:
-        # the operator of the unit ramp, whose f' is 1 right of 0, is ramp / scale
-        if kind is OperatorKind.CAPUTO:
-            ramp, scale = (lambda x: x**order.beta), specfun.gamma(1.0 + order.beta)
-        else:
-            ramp, scale = (lambda x: -np.expm1(-order.rate * x)), order.alpha
         if self.center <= a:
-            return ramp(ts - a) / scale
+            return _step_response(kind, order, ts - a)
         # f' = -1 left of the center and 1 right of it: twice the ramp from
         # the center (0 left of it) less the ramp from a
-        return (2.0 * ramp(np.maximum(ts - self.center, 0.0)) - ramp(ts - a)) / scale
+        ramp_at_center = _step_response(kind, order, np.maximum(ts - self.center, 0.0), 2.0)
+        return ramp_at_center - _step_response(kind, order, ts - a)
 
 
 @dataclass(frozen=True)

@@ -4,17 +4,23 @@ All three kernels (the Riemann-Liouville integral's and Caputo's power
 weights, Caputo-Fabrizio's exponential) use one product-trapezoid rule,
 ``_cell_weights``: the smooth factor is replaced by its piecewise-linear
 interpolant on a uniform grid and every cell is integrated against the
-kernel exactly.  The grid is split at catalog breakpoints first, so
-piecewise-constant derivatives are integrated without interpolation error.
-The Riemann-Liouville derivative is always assembled as the boundary term
+kernel exactly.  Its node weights depend only on the distance k - i between
+the evaluation node and the node, so ``_product_trapezoid`` takes a whole
+grid as one Toeplitz product, done with real FFTs (Hairer, Lubich &
+Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532), and one point as two
+dot products.  What it samples is continuous: each jump J of f' at a catalog
+breakpoint c is taken out as the step J H(tau - c), each kink of f as the
+ramp J (tau - c)_+, and both are added back in closed form.  The
+Riemann-Liouville derivative is always assembled as the boundary term
 ``funcat.rl_boundary_term`` plus the Caputo derivative, never by
 differentiating the fractional integral numerically.
 
 Every catalog entry has closed forms (``funcat``), so product quadrature
-serves user-defined functions, ``use_closed_form=False``, and the points
-past a closed form's reach, on ``n_nodes`` cells, an int of at least 2 (or
-DomainError, even where no quadrature runs).  It samples on its exact nodes,
-so an f' infinite at a node (t^g, g < 1, at 0) is refused with IntegrationError.
+serves user-defined functions and the points past a closed form's reach, on
+``n_nodes`` cells, an int of at least 2 (or DomainError, even where no
+quadrature runs).  It samples on its exact nodes, so an f' infinite at a
+node (t^g, g < 1, at 0), or with no finite one-sided limit at a breakpoint,
+is refused with IntegrationError.
 
 One array evaluator, ``_evaluate_points``, gives the values at many points
 in one call: ``evaluate_grid``, the scalar operators (their closed forms,
@@ -23,13 +29,6 @@ it.  No operator has a body of its own: ``_kernel`` maps C and CF to their
 kernels, reading the constants from ``funcat.FractionalOrder``, which keeps
 a small beta as given, and RL is always the boundary term plus C.  Closed
 forms come from the catalog's one hook ``TestFunction._closed_form_grid``.
-On a uniform grid over the whole interval with no breakpoint inside, one
-product trapezoid serves the points without one: its node weights depend
-only on the distance k - i between the evaluation node and the node, so the
-weighted sum is one Toeplitz product, done with real FFTs (Hairer, Lubich &
-Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532).  Anywhere else such a
-point falls back to ``_product_integral``, called directly, not through the
-public operators.
 
 ``generic_kernel_derivative`` takes the C and CF kernels as their
 ``OperatorKind``; a ``CustomKernel`` runs on the one adaptive quadrature,
@@ -45,7 +44,7 @@ from functools import partial
 import numpy as np
 
 from . import funcat, specfun
-from .exceptions import BudgetExceededError, DomainError, IntegrationError
+from .exceptions import BudgetExceededError, DomainError, IntegrationError, NonDifferentiableError
 from .funcat import FractionalOrder, OperatorKind, TestFunction, _as_order
 
 __all__ = [
@@ -94,9 +93,9 @@ def _sample(
     values: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: float, hi: float, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The n + 1 uniform nodes of [lo, hi], on which the product trapezoid is
-    exact against the linear interpolant, and values(nodes, side) there,
-    side toward the inside of the segment (hi, or lo at hi itself) for a
-    one-sided f'; a non-finite sample is refused with IntegrationError."""
+    exact against the linear interpolant, and values(nodes, side) there, side
+    toward hi (lo at hi itself) for a one-sided f', as ``_trapezoid_grid``
+    takes its steps; a non-finite sample is refused with IntegrationError."""
     nodes = np.linspace(lo, hi, n + 1)
     out = np.asarray(values(nodes, np.where(nodes < hi, hi, lo)), dtype=float)
     if not np.all(np.isfinite(out)):
@@ -148,132 +147,131 @@ def _kernel(kind: OperatorKind, order: FractionalOrder) -> tuple[float | None, f
     return None, order.rate, order.beta
 
 
-def _product_integral(
+def _fprime(f: TestFunction, ts: np.ndarray, side: np.ndarray) -> np.ndarray:
+    """``funcat._derivative_toward``, but 0 where the float next to a breakpoint
+    toward side is a breakpoint too: on a gap with no float inside."""
+    kinks = f.breakpoints()
+    gap = np.zeros(ts.shape, dtype=bool)
+    for c in kinks:
+        if math.nextafter(c, math.inf) in kinks or math.nextafter(c, -math.inf) in kinks:
+            on_kink = ts == c
+            gap[on_kink] = np.isin(np.nextafter(c, side[on_kink]), kinks)
+    if not gap.any():
+        return funcat._derivative_toward(f, ts, side)
+    out = np.zeros(ts.shape)
+    out[~gap] = funcat._derivative_toward(f, ts[~gap], side[~gap])
+    return out
+
+
+def _jumps(f: TestFunction, a: float, b: float) -> list[tuple[float, float]]:
+    """Each breakpoint c of f inside (a, b), ascending, with the jump
+    f'(c+) - f'(c-) there.  Each one-sided limit is f' at the next float
+    (``_fprime``), read again d/2 and d from c, d = min(1e-9 max(1, |c|), half
+    the way to the next breakpoint, a or b).  An f' moving more than 4 times as
+    much on the first step as on the second (plus 1e-6 max(1, |f'|)), as u^-g
+    and log u do and a bounded f'' does not, is refused with IntegrationError."""
+    cs = funcat._breakpoints_inside(f, a, b)
+    if not cs:
+        return []
+    ends, at, toward = [a, *cs, b], [], []
+    for c, far in zip(cs * 2, ends[:-2] + ends[2:]):  # the left sides, then the right
+        ulp = abs(math.nextafter(c, far) - c)
+        off = math.copysign(min(max(0.5 * abs(far - c), ulp), 1e-9 * max(1.0, abs(c))), far - c)
+        at += (c, c + 0.5 * off, c + off)
+        toward += (far, far, far)
+    reads = _fprime(f, np.array(at), np.array(toward)).tolist()
+    near = reads[::3]
+    for c, y0, y1, y2 in zip(cs * 2, near, reads[1::3], reads[2::3]):
+        if not abs(y0 - y1) <= 4.0 * abs(y1 - y2) + 1e-6 * max(1.0, abs(y2)):
+            raise IntegrationError(f"f' has no finite one-sided limit at {c}: {y0}, {y1}, {y2}")
+    return [(c, right - left) for c, left, right in zip(cs, near, near[len(cs) :])]
+
+
+def _product_trapezoid(
     values: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    f: TestFunction,
     a: float,
-    t: float,
+    b: float,
+    n: int,
     n_nodes: int,
     p: float | None = None,
     rate: float | None = None,
-) -> float:
-    """Integral over [a, t] of values(tau) times the kernel of ``_cell_weights``
-    at t - tau: one product trapezoid on each piece between catalog
-    breakpoints, with the n_nodes cells allocated by length, each piece
-    sampled by ``_sample``.
+) -> np.ndarray:
+    """The integrals over [a, t_i] of values(tau) times the kernel of
+    ``_cell_weights`` at t_i - tau, at the n points t_i = a + (b - a) i / n:
+    the product trapezoid on one uniform grid of M = n ceil(n_nodes / n)
+    cells over [a, b], values sampled on its nodes by ``_sample``.
 
-    A piece with no float strictly inside is dropped where the kernel's mass
-    on it is at most 1e-12 of its mass on [a, t], which moves the integral by
-    at most the integrand's size there times that mass.  Otherwise it is
-    sampled at its two ends, and refused by the catalog's f' where both are
-    breakpoints (two breakpoints one ulp apart), leaving f' no side.
+    Node k sees the cell [tau_j, tau_j+1] at distance d = k - j, so node i
+    carries the weight W(k - i) = left(k - i) + right(k - i + 1), except
+    node 0, which has no cell to its left and carries W(k) - right(k + 1).
+    One point (n = 1) is two dot products; more are one Toeplitz product.
     """
-
-    def mass(lo: float, hi: float) -> float:
-        left, right = _cell_weights(np.array([t - lo, t - hi]), hi - lo, p, rate)
-        return float(left[0] + right[0])
-
-    edges = [a, *funcat._breakpoints_inside(f, a, t), t]
-    parts = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if not math.nextafter(lo, hi) < hi and mass(lo, hi) <= 1e-12 * mass(a, t):
-            continue
-        n = max(2, round(n_nodes * (hi - lo) / (t - a)))
-        nodes, g = _sample(values, lo, hi, n)
-        u = t - nodes
-        u[-1] = max(u[-1], 0.0)  # guard rounding when hi == t
-        left, right = _cell_weights(u, (hi - lo) / n, p, rate)
-        parts.append(float(np.dot(g[:-1], left) + np.dot(g[1:], right)))
-    return math.fsum(parts)
+    stride = -(-n_nodes // n)
+    m = n * stride
+    nodes, g = _sample(values, a, b, m)
+    h = (b - a) / m
+    if n == 1:
+        left, right = _cell_weights(b - nodes, h, p, rate)
+        return np.array([g[:-1] @ left + g[1:] @ right])
+    # the cells d = 1..m+1, at distances (d-1) h to d h behind a node, as index d - 1
+    left, right = (w[::-1] for w in _cell_weights(h * np.arange(m + 1, -1, -1), h, p, rate))
+    weights = np.concatenate((right[:1], left[:-1] + right[1:]))
+    total = _toeplitz_sum(g, weights, m + 1) - g[0] * right
+    return total[stride::stride]
 
 
 def rl_integral(
-    f: TestFunction,
-    alpha,
-    a: float,
-    t: float,
-    n_nodes: int = DEFAULT_N_NODES,
+    f: TestFunction, alpha, a: float, t: float, n_nodes: int = DEFAULT_N_NODES
 ) -> float:
-    """Fractional integral of order alpha: (1/Gamma(alpha)) int f(tau)(t-tau)^(alpha-1)."""
+    """Fractional integral of order alpha: (1/Gamma(alpha)) int f(tau)(t-tau)^(alpha-1),
+    by the product trapezoid on n_nodes cells, each kink J (tau - c)_+ of f
+    (``_jumps``) taken out and added back as J (t - c)^(1+alpha) / Gamma(2+alpha)."""
     al = _as_order(alpha).alpha
     _check_window(a, t)
     _check_n_nodes(n_nodes)
-    integral = _product_integral(lambda ts, _: f.value_array(ts), f, a, t, n_nodes, p=al)
-    return integral / specfun.gamma(al)
+    jumps = _jumps(f, a, t)
 
+    def values(nodes: np.ndarray, _) -> np.ndarray:
+        return f.value_array(nodes) - sum(j * np.maximum(nodes - c, 0.0) for c, j in jumps)
 
-def _value(
-    kind: OperatorKind,
-    f: TestFunction,
-    alpha,
-    a: float,
-    t: float,
-    n_nodes: int,
-    use_closed_form: bool = True,
-) -> float:
-    """The one scalar path behind ``evaluate`` and the three operators: RL is
-    the scalar ``funcat.rl_boundary_term`` plus the C value, and C and CF
-    are ``_evaluate_points`` at the one point t."""
-    order = _as_order(alpha)
-    _check_window(a, t)
-    if kind is OperatorKind.RIEMANN_LIOUVILLE:
-        caputo_value = _value(OperatorKind.CAPUTO, f, order, a, t, n_nodes, use_closed_form)
-        return funcat.rl_boundary_term(f, order, a, t) + caputo_value
-    ts = np.array([t], dtype=float)
-    (value,) = _evaluate_points(kind, f, order, a, ts, n_nodes, use_closed_form=use_closed_form)
-    return float(value)
-
-
-def caputo(
-    f: TestFunction,
-    alpha,
-    a: float,
-    t: float,
-    n_nodes: int = DEFAULT_N_NODES,
-    *,
-    use_closed_form: bool = True,
-) -> float:
-    """Caputo derivative of order alpha: fractional integral of order 1-alpha of f'."""
-    return _value(OperatorKind.CAPUTO, f, alpha, a, t, n_nodes, use_closed_form)
-
-
-def caputo_fabrizio(
-    f: TestFunction,
-    alpha,
-    a: float,
-    t: float,
-    n_nodes: int = DEFAULT_N_NODES,
-    *,
-    use_closed_form: bool = True,
-) -> float:
-    """Caputo-Fabrizio derivative: (1/beta) int f'(tau) e^(-rate (t-tau)), rate = alpha/beta."""
-    return _value(OperatorKind.CAPUTO_FABRIZIO, f, alpha, a, t, n_nodes, use_closed_form)
-
-
-def riemann_liouville(
-    f: TestFunction,
-    alpha,
-    a: float,
-    t: float,
-    n_nodes: int = DEFAULT_N_NODES,
-    *,
-    use_closed_form: bool = True,
-) -> float:
-    """Riemann-Liouville derivative via the W^{1,1} identity
-    RL = f(a)(t-a)^(-alpha)/Gamma(beta) + Caputo, beta = 1 - alpha."""
-    return _value(OperatorKind.RIEMANN_LIOUVILLE, f, alpha, a, t, n_nodes, use_closed_form)
+    (integral,) = _product_trapezoid(values, a, t, 1, n_nodes, p=al)
+    ramps = math.fsum(jump * (t - c) ** (1.0 + al) for c, jump in jumps)
+    return integral / specfun.gamma(al) + ramps / specfun.gamma(2.0 + al)
 
 
 def evaluate(
-    kind: OperatorKind,
-    f: TestFunction,
-    alpha,
-    a: float,
-    t: float,
-    n_nodes: int = DEFAULT_N_NODES,
+    kind: OperatorKind, f: TestFunction, alpha, a: float, t: float, n_nodes: int = DEFAULT_N_NODES
 ) -> float:
-    """Value at t of the operator named by ``kind``, closed form where known."""
-    return _value(kind, f, alpha, a, t, n_nodes)
+    """Value at t of the operator named by ``kind``, closed form where known:
+    RL is the scalar ``funcat.rl_boundary_term`` plus the C value, and C and
+    CF are ``_evaluate_points`` at the one point t."""
+    order = _as_order(alpha)
+    _check_window(a, t)
+    if kind is OperatorKind.RIEMANN_LIOUVILLE:
+        caputo_value = evaluate(OperatorKind.CAPUTO, f, order, a, t, n_nodes)
+        return funcat.rl_boundary_term(f, order, a, t) + caputo_value
+    (value,) = _evaluate_points(kind, f, order, a, np.array([t], dtype=float), n_nodes)
+    return float(value)
+
+
+def caputo(f: TestFunction, alpha, a: float, t: float, n_nodes: int = DEFAULT_N_NODES) -> float:
+    """Caputo derivative of order alpha: fractional integral of order 1-alpha of f'."""
+    return evaluate(OperatorKind.CAPUTO, f, alpha, a, t, n_nodes)
+
+
+def caputo_fabrizio(
+    f: TestFunction, alpha, a: float, t: float, n_nodes: int = DEFAULT_N_NODES
+) -> float:
+    """Caputo-Fabrizio derivative: (1/beta) int f'(tau) e^(-rate (t-tau)), rate = alpha/beta."""
+    return evaluate(OperatorKind.CAPUTO_FABRIZIO, f, alpha, a, t, n_nodes)
+
+
+def riemann_liouville(
+    f: TestFunction, alpha, a: float, t: float, n_nodes: int = DEFAULT_N_NODES
+) -> float:
+    """Riemann-Liouville derivative via the W^{1,1} identity
+    RL = f(a)(t-a)^(-alpha)/Gamma(beta) + Caputo, beta = 1 - alpha."""
+    return evaluate(OperatorKind.RIEMANN_LIOUVILLE, f, alpha, a, t, n_nodes)
 
 
 def _grid_points(a: float, b: float, n: int) -> np.ndarray:
@@ -296,10 +294,9 @@ def evaluate_grid(
     ``evaluate`` takes at one point, and match its values to the last bit or
     so (a series summed for all points at once may add a term more).  The
     others come from one product trapezoid on M = n ceil(n_nodes / n)
-    uniform cells over [a, b], whose step is never coarser than the
-    pointwise scheme's at t = b.  A function with a breakpoint inside (a, b)
-    and no closed form falls back to pointwise quadrature at each point that
-    has none.
+    uniform cells over [a, b], whose step is never coarser than that of
+    the one point t = b, with the jumps of f' at breakpoints inside (a, b)
+    taken out and added back in closed form (``_trapezoid_grid``).
     """
     order = _as_order(alpha)
     if n < 1:
@@ -317,39 +314,30 @@ def _evaluate_points(
     ts: np.ndarray,
     n_nodes: int,
     b: float | None = None,
-    *,
-    use_closed_form: bool = True,
 ) -> np.ndarray:
     """``evaluate(kind, f, order, a, t)`` at each point of ts (all > a, in
     any order): the one array evaluator behind ``evaluate_grid``, the L1
     integrand and the scalar operators.
 
-    C and CF values come from one ``f._closed_form_grid`` call, unless
-    ``use_closed_form`` is false.  A point with none (NaN) is filled from
-    one product trapezoid when ts is ``_grid_points(a, b, len(ts))`` with no
-    breakpoint inside (a, b), and otherwise (b omitted) from the pointwise
-    ``_product_integral`` of the kernel of ``_kernel``.  RL is
+    C and CF values come from one ``f._closed_form_grid`` call.  A point
+    with none (NaN) is filled by ``_trapezoid_grid``: on the whole grid at
+    once when ts is ``_grid_points(a, b, len(ts))``, and otherwise (b
+    omitted) on [a, t] for each point t alone.  RL is
     ``funcat.rl_boundary_term`` plus the C values.
     """
     if not isinstance(kind, OperatorKind):
         raise DomainError(f"unknown operator kind {kind!r}")
     _check_n_nodes(n_nodes)
     base = OperatorKind.CAPUTO if kind is OperatorKind.RIEMANN_LIOUVILLE else kind
-    values = f._closed_form_grid(base, order, a, ts) if use_closed_form else None
+    values = f._closed_form_grid(base, order, a, ts)
     if values is None:
         values = np.full(ts.shape, math.nan)
     missing = np.flatnonzero(np.isnan(values))
-    if missing.size:
-        if b is None or funcat._breakpoints_inside(f, a, b):
-            p, rate, scale = _kernel(base, order)
-            fprime = partial(funcat._derivative_toward, f)
-            fill = [
-                _product_integral(fprime, f, a, t, n_nodes, p, rate) / scale
-                for t in ts[missing].tolist()
-            ]
-        else:
-            fill = _trapezoid_grid(base, f, order, a, b, len(ts), n_nodes)[missing]
-        values[missing] = fill
+    if missing.size and b is None:  # each point t on [a, t] alone
+        one = partial(_trapezoid_grid, base, f, order, a)
+        values[missing] = [one(t, np.array([t]), n_nodes)[0] for t in ts[missing].tolist()]
+    elif missing.size:
+        values[missing] = _trapezoid_grid(base, f, order, a, b, ts, n_nodes)[missing]
     if kind is OperatorKind.RIEMANN_LIOUVILLE:
         return funcat.rl_boundary_term(f, order, a, ts) + values
     return values
@@ -361,27 +349,34 @@ def _trapezoid_grid(
     order: FractionalOrder,
     a: float,
     b: float,
-    n: int,
+    ts: np.ndarray,
     n_nodes: int,
 ) -> np.ndarray:
-    """The pointwise product trapezoids of ``_value`` at every (M/n)-th node of
-    one uniform grid of M cells over [a, b], with no breakpoint inside, f'
-    sampled on its nodes by ``_sample``.
-
-    Node k sees the cell [tau_j, tau_j+1] at distance d = k - j, so node i
-    carries the weight W(k - i) = left(k - i) + right(k - i + 1), except
-    node 0, which has no cell to its left and carries W(k) - right(k + 1).
-    """
-    stride = -(-n_nodes // n)
-    m = n * stride
-    _, g = _sample(partial(funcat._derivative_toward, f), a, b, m)
-    h = (b - a) / m
+    """C or CF at the points ts of a uniform grid over (a, b], the last one
+    b: ``_product_trapezoid`` of f' with each jump J at a breakpoint c
+    (``_jumps``) taken out as the step J H(tau - c), plus the operator of the
+    ramp J (tau - c)_+ (``funcat._step_response``).  f' is 0 on a one-ulp gap
+    (``_fprime``); a point with more than 1e-12 of its kernel's mass on [a, t]
+    there is refused with NonDifferentiableError."""
     p, rate, scale = _kernel(kind, order)
-    # the cells d = 1..m+1, at distances (d-1) h to d h behind a node, as index d - 1
-    left, right = (w[::-1] for w in _cell_weights(h * np.arange(m + 1, -1, -1), h, p, rate))
-    weights = np.concatenate((right[:1], left[:-1] + right[1:]))
-    total = _toeplitz_sum(g, weights, m + 1) - g[0] * right
-    return total[stride::stride] / scale
+    response = partial(funcat._step_response, kind, order)
+    kinks = f.breakpoints()
+    for c in set(kinks):
+        gap = math.nextafter(c, math.inf)
+        if a <= c < b and gap in kinks:
+            mass = response(np.maximum(ts - c, 0.0)) - response(np.maximum(ts - gap, 0.0))
+            if np.any(mass > 1e-12 * response(ts - a)):
+                raise NonDifferentiableError(f"f' has no value between breakpoints {c} and {gap}")
+    jumps = _jumps(f, a, b)
+
+    def fprime(nodes: np.ndarray, side: np.ndarray) -> np.ndarray:
+        # H(0) = 1: a node on a breakpoint c is read from the right, past its step
+        return _fprime(f, nodes, side) - sum(j * (nodes >= c) for c, j in jumps)
+
+    values = _product_trapezoid(fprime, a, b, len(ts), n_nodes, p, rate) / scale
+    for c, jump in jumps:
+        values += response(np.maximum(ts - c, 0.0), jump)
+    return values
 
 
 def _toeplitz_sum(x: np.ndarray, w: np.ndarray, size: int) -> np.ndarray:

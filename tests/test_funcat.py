@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import Opaque
 from fracorder import (
     AbsShift,
     Affine,
@@ -20,7 +21,6 @@ from fracorder import (
     OperatorKind,
     Power,
     StepAntiderivative,
-    TestFunction,
     caputo_fabrizio,
     closed_form_fractional,
     gamma,
@@ -356,7 +356,7 @@ class TestStepProperties:
             if any(abs(t - x) < 1e-4 for x in f.breakpoints()):
                 continue
             closed = closed_form_fractional(f, CF, alpha, -0.5, t)
-            quad = caputo_fabrizio(f, alpha, -0.5, t, use_closed_form=False)
+            quad = caputo_fabrizio(Opaque(f), alpha, -0.5, t)
             assert closed == pytest.approx(quad, abs=1e-8)
 
 
@@ -475,12 +475,9 @@ class TestClosedFormGrid:
         assert np.max(np.abs(grid[picks] - exact)) <= tol * scale + floor
 
     def test_entry_without_forms_has_no_grid_hook(self):
-        class Opaque(Cosine):
-            _closed_form_grid = TestFunction._closed_form_grid
-
         ts = np.array([0.25, 0.5, 1.0])
-        assert Opaque()._closed_form_grid(C, FractionalOrder(0.4), 0.0, ts) is None
-        assert closed_form_fractional(Opaque(), RL, 0.4, 0.0, 0.5) is None
+        assert Opaque(Cosine())._closed_form_grid(C, FractionalOrder(0.4), 0.0, ts) is None
+        assert closed_form_fractional(Opaque(Cosine()), RL, 0.4, 0.0, 0.5) is None
 
     @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.99, 1 - 1e-6])
     @pytest.mark.parametrize("f,width", [(Cosine(), 40.0), (Exponential(), 900.0)])

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import Opaque
 from fracorder import funcat, operators
 from fracorder import (
     AbsShift,
@@ -148,11 +149,7 @@ class TestErrorL1:
         # its boundary layer, and its estimate is at least 50 eps times its
         # integral, about 2.3e-13 here; no node may land on a, where the
         # scalar operators (all the opaque function has) are undefined
-        class OpaqueAffine(Affine):
-            def _closed_form_grid(self, kind, alpha, a, ts):
-                return None
-
-        f = Affine(1.0, 0.0) if closed_forms else OpaqueAffine(1.0, 0.0)
+        f = Affine(1.0, 0.0) if closed_forms else Opaque(Affine(1.0, 0.0))
         narrow = Interval(1.0, 1.0 + 2.0**-42)
         n_nodes = 64
         assert error_l1(f, C, 0.5, narrow, n_nodes=n_nodes).quad_error <= 1e-8
@@ -207,11 +204,7 @@ class TestErrorL1:
     def test_quadrature_backed_function(self):
         # cosine with its closed forms hidden: compare against a tight
         # reference from a much finer operator grid, and the closed forms
-        class OpaqueCosine(Cosine):
-            def _closed_form_grid(self, kind, alpha, a, ts):
-                return None
-
-        f = OpaqueCosine()
+        f = Opaque(Cosine())
         coarse = error_l1(f, C, 0.3, I01, tol=1e-7, n_nodes=2048)
         fine = error_l1(f, C, 0.3, I01, tol=1e-7, n_nodes=8192)
         assert coarse.value == pytest.approx(fine.value, rel=1e-4)
@@ -259,11 +252,7 @@ class TestErrorL1:
         = 0.44665383407 beta.
         """
 
-        class OpaqueCosine(Cosine):
-            def _closed_form_grid(self, kind, alpha, a, ts):
-                return None
-
-        report = error_l1(OpaqueCosine(), kind, beta, I01, tol=min(1e-8, 1e-3 * beta))
+        report = error_l1(Opaque(Cosine()), kind, beta, I01, tol=min(1e-8, 1e-3 * beta))
         assert report.value == pytest.approx(exact, rel=rel)
 
 
@@ -272,10 +261,6 @@ class TestErrorL1:
         # |t - 1/2| with its closed forms hidden: every operator value of the
         # integrand comes from product quadrature, and under RL the piece
         # right of the breakpoint carries the boundary term f(0) t^(-alpha)
-        class OpaqueAbs(AbsShift):
-            def _closed_form_grid(self, kind, alpha, a, ts):
-                return None
-
         calls = []
         original = operators._evaluate_points
 
@@ -285,7 +270,7 @@ class TestErrorL1:
             return values
 
         monkeypatch.setattr(operators, "_evaluate_points", recording)
-        f, n_nodes = OpaqueAbs(0.5), 64
+        f, n_nodes = Opaque(AbsShift(0.5)), 64
         error_l1(f, kind, 0.3, I01, tol=1e-4, n_nodes=n_nodes)
         assert kind in {args[0] for args, _ in calls}
         # a copy: operators.evaluate itself runs through the recorded evaluator

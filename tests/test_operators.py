@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import Opaque
 from fracorder import (
     AbsShift,
     Affine,
@@ -169,14 +170,14 @@ class TestCaputo:
             (AbsShift(0.4), 0.7, 1.0),
         ]:
             closed = caputo(f, alpha, 0.0, t)
-            quad = caputo(f, alpha, 0.0, t, use_closed_form=False)
+            quad = caputo(Opaque(f), alpha, 0.0, t)
             assert quad == pytest.approx(closed, abs=2e-6)
 
     def test_convergence_under_node_doubling(self):
         exact = gamma(4.0) / gamma(3.5)  # Caputo of t^3 at alpha=0.5, t=1
         errors = []
         for n in (64, 128, 256, 512, 1024):
-            got = caputo(Power(3.0, 0.0), 0.5, 0.0, 1.0, n, use_closed_form=False)
+            got = caputo(Opaque(Power(3.0, 0.0)), 0.5, 0.0, 1.0, n)
             errors.append(abs(got - exact))
         for coarse, fine in zip(errors, errors[1:]):
             assert fine < 1e-10 or coarse / fine >= 1.8
@@ -198,16 +199,14 @@ class TestCaputoFabrizio:
 
     def test_exponential_vs_quadrature(self):
         closed = caputo_fabrizio(Exponential(), 0.4, 0.0, 1.0)
-        quad = caputo_fabrizio(Exponential(), 0.4, 0.0, 1.0, use_closed_form=False)
+        quad = caputo_fabrizio(Opaque(Exponential()), 0.4, 0.0, 1.0)
         assert quad == pytest.approx(closed, abs=1e-7)
 
     def test_convergence_under_node_doubling(self):
         exact = caputo_fabrizio(Power(3.0, 0.0), 0.6, 0.0, 1.0)
         errors = []
         for n in (64, 128, 256, 512):
-            got = caputo_fabrizio(
-                Power(3.0, 0.0), 0.6, 0.0, 1.0, n, use_closed_form=False
-            )
+            got = caputo_fabrizio(Opaque(Power(3.0, 0.0)), 0.6, 0.0, 1.0, n)
             errors.append(abs(got - exact))
         for coarse, fine in zip(errors, errors[1:]):
             assert fine < 1e-10 or coarse / fine >= 1.8
@@ -252,20 +251,6 @@ class TestRiemannLiouville:
                 assert diff == pytest.approx(riemann_liouville(f, alpha, 0.0, t), abs=1e-4)
 
 
-class OpaqueCosine(Cosine):
-    """cos with its closed forms hidden, so every value is product quadrature."""
-
-    def _closed_form_grid(self, kind, alpha, a, ts):
-        return None
-
-
-class OpaqueExponential(Exponential):
-    """e^t with its closed forms hidden, so every value is product quadrature."""
-
-    def _closed_form_grid(self, kind, alpha, a, ts):
-        return None
-
-
 class TestCosineAgainstHighPrecision:
     """Cross-validate the generic quadrature path, and the closed forms, on a
     transcendental function.
@@ -281,7 +266,7 @@ class TestCosineAgainstHighPrecision:
         a, T = mp.mpf(alpha), mp.mpf(t)
         p = 1 - a
         oracle = mp.quad(lambda w: -mp.sin(T - w ** (1 / p)), [0, T**p]) / (p * mp.gamma(p))
-        assert caputo(OpaqueCosine(), alpha, 0.0, t) == pytest.approx(float(oracle), abs=1e-7)
+        assert caputo(Opaque(Cosine()), alpha, 0.0, t) == pytest.approx(float(oracle), abs=1e-7)
         assert caputo(Cosine(), alpha, 0.0, t) == pytest.approx(float(oracle), abs=1e-15)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.7, 0.95])
@@ -290,7 +275,7 @@ class TestCosineAgainstHighPrecision:
         a, T = mp.mpf(alpha), mp.mpf(t)
         rate = a / (1 - a)
         oracle = mp.quad(lambda tau: -mp.sin(tau) * mp.exp(-rate * (T - tau)), [0, T]) / (1 - a)
-        quad = caputo_fabrizio(OpaqueCosine(), alpha, 0.0, t)
+        quad = caputo_fabrizio(Opaque(Cosine()), alpha, 0.0, t)
         assert quad == pytest.approx(float(oracle), abs=1e-7)
         assert caputo_fabrizio(Cosine(), alpha, 0.0, t) == pytest.approx(float(oracle), abs=1e-15)
 
@@ -322,10 +307,10 @@ class TestLinearity:
 
     def test_quadrature_path_linearity(self):
         n_nodes = 512
-        combo = caputo(Affine(2.0, 3.0), 0.5, 0.0, 1.0, n_nodes, use_closed_form=False)
-        parts = 2.0 * caputo(
-            Affine(1.0, 0.0), 0.5, 0.0, 1.0, n_nodes, use_closed_form=False
-        ) + 3.0 * caputo(Affine(0.0, 1.0), 0.5, 0.0, 1.0, n_nodes, use_closed_form=False)
+        combo = caputo(Opaque(Affine(2.0, 3.0)), 0.5, 0.0, 1.0, n_nodes)
+        parts = 2.0 * caputo(Opaque(Affine(1.0, 0.0)), 0.5, 0.0, 1.0, n_nodes) + 3.0 * caputo(
+            Opaque(Affine(0.0, 1.0)), 0.5, 0.0, 1.0, n_nodes
+        )
         assert combo == pytest.approx(parts, abs=1e-10)
 
 
@@ -405,13 +390,13 @@ class TestEvaluate:
 
         ts, order = np.array([0.3, 0.7, 0.9]), FractionalOrder(0.6)
         want = {
-            kind: [evaluate(kind, OpaqueCosine(), order, 0.0, t, 64) for t in ts.tolist()]
+            kind: [evaluate(kind, Opaque(Cosine()), order, 0.0, t, 64) for t in ts.tolist()]
             for kind in OperatorKind
         }
         for name in ("caputo", "caputo_fabrizio", "riemann_liouville", "evaluate"):
             monkeypatch.setattr(operators, name, refuse)
         for kind in OperatorKind:
-            got = operators._evaluate_points(kind, OpaqueCosine(), order, 0.0, ts, 64)
+            got = operators._evaluate_points(kind, Opaque(Cosine()), order, 0.0, ts, 64)
             # the RL sum may round its array and scalar addends an ulp apart
             np.testing.assert_allclose(got, want[kind], rtol=1e-15, atol=0.0)
 
@@ -422,8 +407,8 @@ class TestEvaluate:
 GRID_FUNCTIONS = {
     "cos": (Cosine(), 1.0, 1.0),
     "exp": (Exponential(), math.e, math.e),
-    "opaque cos": (OpaqueCosine(), 1.0, 1.0),
-    "opaque exp": (OpaqueExponential(), math.e, math.e),
+    "opaque cos": (Opaque(Cosine()), 1.0, 1.0),
+    "opaque exp": (Opaque(Exponential()), math.e, math.e),
     "power:2,-0.5": (parse_function("power:2,-0.5"), 2.0, 0.0),
     "affine:1,1": (parse_function("affine:1,1"), 0.0, 0.0),
     "abs:0.5": (parse_function("abs:0.5"), None, None),
@@ -484,17 +469,15 @@ class TestEvaluateGrid:
         ts = np.arange(1, n + 1) / n
         np.testing.assert_array_equal(rl, rl_boundary_term(f, alpha, 0.0, ts) + c)
 
-    def test_breakpoint_without_closed_form_is_pointwise(self):
-        class OpaqueAbs(AbsShift):
-            def _closed_form_grid(self, kind, alpha, a, ts):
-                return None
-
-        f = OpaqueAbs(0.5)
+    def test_breakpoint_without_closed_form_matches_pointwise(self):
+        # f' is piecewise constant, so with its jump taken out both product
+        # trapezoids are exact but for rounding
+        f = Opaque(AbsShift(0.5))
         n_nodes = 128
         for kind in OperatorKind:
             grid = evaluate_grid(kind, f, 0.7, 0.0, 1.0, 5, n_nodes)
             pointwise = [evaluate(kind, f, 0.7, 0.0, i / 5, n_nodes) for i in range(1, 6)]
-            assert grid.tolist() == pointwise
+            np.testing.assert_allclose(grid, pointwise, rtol=1e-13, atol=0.0)
 
     def test_missing_closed_forms_filled_by_quadrature(self):
         # the E_{1,gamma} series is not trusted left of -15, so Power(2.5)
@@ -531,7 +514,7 @@ class TestEvaluateGrid:
             OperatorKind.CAPUTO, Cosine(), FractionalOrder(0.5), 0.0, ts, n_nodes
         )
         assert sizes == [3]
-        quad = [caputo(Cosine(), 0.5, 0.0, t, n_nodes, use_closed_form=False) for t in (20.0, 25.0)]
+        quad = [caputo(Opaque(Cosine()), 0.5, 0.0, t, n_nodes) for t in (20.0, 25.0)]
         assert values[1:].tolist() == quad
 
     def test_points_match_scalar_expression(self):
@@ -560,7 +543,7 @@ class TestEvaluateGrid:
 def catalog_entry(draw, a, u):
     """A catalog entry with closed forms from a, and the maxima of |f''| and
     |f'''| on [a, a + u] (0 where f' is piecewise constant: the quadrature
-    splits at its breakpoints and is exact there)."""
+    takes its jumps out and is exact there)."""
     name = draw(st.sampled_from(["power", "affine", "exp", "cos", "abs", "step"]))
     if name == "power":
         g = draw(st.one_of(st.sampled_from([1.0, 2.0, 3.0]), st.floats(3.0, 4.0)))
@@ -653,7 +636,7 @@ class TestClosedFormAgainstQuadrature:
             OperatorKind.CAPUTO_FABRIZIO: caputo_fabrizio,
             OperatorKind.RIEMANN_LIOUVILLE: riemann_liouville,
         }[kind]
-        quad = op(f, alpha, a, t, n_nodes, use_closed_form=False)
+        quad = op(Opaque(f), alpha, a, t, n_nodes)
         # the product trapezoid lies within h^2/8 max|f'''| (kernel mass) of the
         # exact value
         u = t - a
@@ -669,8 +652,8 @@ class TestClosedFormAgainstQuadrature:
         kind=st.sampled_from(list(OperatorKind)),
         alpha=st.floats(0.05, 0.999),
     )
-    # the one-ulp piece between adjacent breakpoints is dropped, or both of
-    # its nodes would lie on a breakpoint, with no side to take f' from
+    # f' is taken as 0 on the one-ulp gap between adjacent breakpoints,
+    # where it has no side to be read from
     @example(entry=(ADJACENT_KINKS, 0.0, 1.0, 0.0, 0.0), kind=OperatorKind.CAPUTO, alpha=0.5)
     @example(
         entry=(ADJACENT_KINKS, 0.0, 1.0, 0.0, 0.0), kind=OperatorKind.CAPUTO_FABRIZIO, alpha=0.5
@@ -679,8 +662,9 @@ class TestClosedFormAgainstQuadrature:
         entry=(ADJACENT_KINKS, 0.0, 1.0, 0.0, 0.0), kind=OperatorKind.RIEMANN_LIOUVILLE, alpha=0.5
     )
     def test_operators_are_linear(self, entry, kind, alpha):
-        # the combination's pointwise quadrature, split at the union of the
-        # breakpoints, against c1 D f + c2 D g from the closed forms
+        # the combination's product quadrature, with the jumps of f' at the
+        # union of the breakpoints taken out, against c1 D f + c2 D g from
+        # the closed forms
         combo, a, t, d2, d3 = entry
         parts = [closed_form_fractional(h, kind, alpha, a, t) for h in (combo.f, combo.g)]
         if None in parts:
@@ -702,12 +686,12 @@ class TestClosedFormAgainstQuadrature:
     @pytest.mark.parametrize("t", [1.0, 0.1 + 1e-9])
     @pytest.mark.parametrize("op", [caputo, caputo_fabrizio, riemann_liouville])
     def test_adjacent_breakpoints_drop_a_negligible_ulp(self, op, t):
-        # |t - 0.1| + 2 |t - 0.1^+|, whose f' is -1 on the one-ulp piece
+        # |t - 0.1| + 2 |t - 0.1^+|, whose f' is -1 on the one-ulp gap
         # between the kinks, which has no float inside: the kernel's mass
-        # there is below 1e-12 of its mass on [0, t], so the piece is dropped
+        # there is below 1e-12 of its mass on [0, t], so f' is taken as 0
         f = Combination(1.0, AbsShift(KINKS[0]), 2.0, AbsShift(KINKS[1]))
         closed = op(AbsShift(KINKS[0]), 0.5, 0.0, t) + 2.0 * op(AbsShift(KINKS[1]), 0.5, 0.0, t)
-        quad = op(f, 0.5, 0.0, t, use_closed_form=False)
+        quad = op(Opaque(f), 0.5, 0.0, t)
         assert quad == pytest.approx(closed, rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("alpha", [0.5, 0.99])
@@ -715,34 +699,34 @@ class TestClosedFormAgainstQuadrature:
     def test_ulp_piece_next_to_t_is_sampled(self, op, alpha):
         # the C kernel has ulp^(1-alpha)/Gamma(2-alpha) of mass on the one-ulp
         # piece [0.1, t] (0.68 at alpha 0.99), so dropping it would move the
-        # value by as much; f' is sampled at its ends, from inside it
+        # value by as much; the jump at 0.1 is added back in closed form
         f, t = AbsShift(0.1), KINKS[1]
-        quad = op(f, alpha, 0.0, t, use_closed_form=False)
+        quad = op(Opaque(f), alpha, 0.0, t)
         assert quad == pytest.approx(op(f, alpha, 0.0, t), rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.5, 0.99])
     @pytest.mark.parametrize("op", [caputo, riemann_liouville])
     def test_ulp_piece_next_to_t_is_refused(self, op, alpha):
-        # the piece between the kinks, two ulps below t, carries as much of
-        # the C kernel's mass; both its ends are breakpoints, so it has no
-        # side to sample f' from
+        # the gap between the kinks, two ulps below t, carries as much of
+        # the C kernel's mass; both its ends are breakpoints, so f' has no
+        # side to be read from there
         f = Combination(1.0, AbsShift(KINKS[0]), 2.0, AbsShift(KINKS[1]))
         t = math.nextafter(math.nextafter(KINKS[1], 1.0), 1.0)
         with pytest.raises(NonDifferentiableError):
-            op(f, alpha, 0.0, t, use_closed_form=False)
+            op(Opaque(f), alpha, 0.0, t)
 
     @pytest.mark.parametrize("alpha", [0.5, 0.99])
     def test_bounded_kernel_drops_the_ulp_next_to_t(self, alpha):
         # the CF kernel is bounded by 1/(1-alpha), so the one-ulp piece next
         # to t carries at most 1e-12 of its mass on [0, t]
         t = KINKS[1]
-        quad = caputo_fabrizio(AbsShift(0.1), alpha, 0.0, t, use_closed_form=False)
+        quad = caputo_fabrizio(Opaque(AbsShift(0.1)), alpha, 0.0, t)
         assert quad == pytest.approx(caputo_fabrizio(AbsShift(0.1), alpha, 0.0, t), rel=1e-12)
 
     def test_rl_integral_keeps_the_ulp_next_to_t(self):
-        # f itself is continuous, so a kept piece with no float inside is
-        # sampled at its ends: 1 + |t - 0.1| at t = 0.1^+, where the piece
-        # carries 16 % of the kernel's mass at alpha 0.05
+        # the kink of 1 + |t - 0.1| is a ramp added back in closed form, at
+        # t = 0.1^+ too, where the piece [0.1, t] carries 16 % of the
+        # kernel's mass at alpha 0.05
         f = Combination(1.0, AbsShift(0.1), 1.0, Affine(0.0, 1.0))
         t, al = KINKS[1], 0.05
         T, d = mp.mpf(t), mp.mpf(t) - mp.mpf(0.1)
@@ -757,11 +741,11 @@ class TestClosedFormAgainstQuadrature:
 
     @pytest.mark.parametrize("op", [caputo, caputo_fabrizio])
     def test_narrow_step_is_sampled_from_inside_each_piece(self, op):
-        # the step is 1e-12 wide at 0.1: every piece's end nodes lie on the
-        # breakpoints, where f' is taken from inside the piece
+        # the step is 1e-12 wide at 0.1: both its jumps are taken out of the
+        # samples and added back in closed form
         f = StepAntiderivative(((0.1, 0.1 + 1e-12),), (2.0,))
         closed = op(f, 0.5, 0.0, 1.0)
-        quad = op(f, 0.5, 0.0, 1.0, use_closed_form=False)
+        quad = op(Opaque(f), 0.5, 0.0, 1.0)
         # f' is piecewise constant, so the trapezoid bound is rounding only;
         # the moments of a 1e-12 wide cell at 0.9 lose about 12 digits
         assert quad == pytest.approx(closed, rel=1e-3, abs=0.0)
@@ -771,7 +755,7 @@ class TestClosedFormAgainstQuadrature:
         # f' = t^(-1/2)/2 is infinite at the node a = 0, where the product
         # trapezoid samples it
         with pytest.raises(IntegrationError, match="tau = 0.0"):
-            op(Power(0.5), 0.5, 0.0, 1.0, use_closed_form=False)
+            op(Opaque(Power(0.5)), 0.5, 0.0, 1.0)
 
     def test_cosine_past_the_reach_falls_back_to_quadrature(self):
         alpha, b, n = 0.5, 12.0, 24
@@ -779,11 +763,11 @@ class TestClosedFormAgainstQuadrature:
         n_nodes = 512
         assert closed_form_fractional(Cosine(), OperatorKind.CAPUTO, alpha, 0.0, b) is None
         assert caputo(Cosine(), alpha, 0.0, b, n_nodes) == caputo(
-            OpaqueCosine(), alpha, 0.0, b, n_nodes
+            Opaque(Cosine()), alpha, 0.0, b, n_nodes
         )
         # the grid: closed forms up to the reach, the whole-grid trapezoid past it
         grid = evaluate_grid(OperatorKind.CAPUTO, Cosine(), alpha, 0.0, b, n, n_nodes)
-        opaque = evaluate_grid(OperatorKind.CAPUTO, OpaqueCosine(), alpha, 0.0, b, n, n_nodes)
+        opaque = evaluate_grid(OperatorKind.CAPUTO, Opaque(Cosine()), alpha, 0.0, b, n, n_nodes)
         ts = b * np.arange(1, n + 1) / n
         past = ts > reach
         assert past.any() and not past.all()
@@ -945,3 +929,154 @@ class TestUserDefinedFunction:
         exact = 2.0 * t ** (alpha + 2.0) / gamma(alpha + 3.0)
         bound = (t / operators.DEFAULT_N_NODES) ** 2 / 4.0 * t**alpha / gamma(alpha + 1.0)
         assert abs(got - exact) <= bound
+
+
+class UserAbs(TestFunction):
+    """|t - 1/2| as a user would define it, counting its derivative calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def value(self, t):
+        return abs(t - 0.5)
+
+    def derivative(self, t):
+        self.calls += 1
+        if t == 0.5:
+            raise NonDifferentiableError("|t - 1/2| has no derivative at 1/2")
+        return 1.0 if t > 0.5 else -1.0
+
+    def breakpoints(self):
+        return (0.5,)
+
+
+class SqrtAbs(TestFunction):
+    """sqrt|t - 1/2|, whose f' has no finite one-sided limit at 1/2."""
+
+    def value(self, t):
+        return math.sqrt(abs(t - 0.5))
+
+    def derivative(self, t):
+        if t == 0.5:
+            raise NonDifferentiableError("sqrt|t - 1/2| has no derivative at 1/2")
+        return math.copysign(0.5 / math.sqrt(abs(t - 0.5)), t - 0.5)
+
+    def breakpoints(self):
+        return (0.5,)
+
+
+class SteepKink(TestFunction):
+    """1000 (t - 1/2)^2 + |t - 1/2|: f' is 2000 (t - 1/2) -/+ 1, steep but
+    with finite one-sided limits at 1/2."""
+
+    def value(self, t):
+        return 1000.0 * (t - 0.5) ** 2 + abs(t - 0.5)
+
+    def derivative(self, t):
+        if t == 0.5:
+            raise NonDifferentiableError("|t - 1/2| has no derivative at 1/2")
+        return 2000.0 * (t - 0.5) + math.copysign(1.0, t - 0.5)
+
+    def breakpoints(self):
+        return (0.5,)
+
+
+#: SteepKink from closed forms: 1000 (t^2 + (1/4 - t)) + |t - 1/2|
+STEEP_PARTS = ((1000.0, Power(2)), (1000.0, Affine(-1.0, 0.25)), (1.0, AbsShift(0.5)))
+
+
+class TestJumpsTakenOut:
+    """f' jumps at a breakpoint: the product trapezoid samples f' with each
+    jump taken out and adds the jump's term back in closed form."""
+
+    @pytest.mark.parametrize("kind", [OperatorKind.CAPUTO, OperatorKind.CAPUTO_FABRIZIO])
+    def test_sup_norm_of_a_user_kink_takes_the_grid(self, kind):
+        f, interval = UserAbs(), Interval(0.0, 2.0)
+        got = error_linf(f, kind, 1e-2, interval, n_grid=2001).value
+        want = error_linf(AbsShift(0.5), kind, 1e-2, interval, n_grid=2001).value
+        assert abs(got - want) <= 1e-9
+        # one grid trapezoid and the zoom's 255 pointwise ones; a pointwise
+        # trapezoid at each of the 2001 grid points would call it 9.3e6 times
+        assert f.calls <= 1_200_000
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("kind", [OperatorKind.CAPUTO, OperatorKind.CAPUTO_FABRIZIO])
+    def test_grid_of_a_kinked_user_function(self, kind, alpha):
+        # cos t + 2 |t - 1/2|, without closed forms: what is sampled, f' less
+        # its jump, is -sin t plus a constant, so the trapezoid bound holds
+        f, n = Combination(1.0, Cosine(), 2.0, AbsShift(0.5)), 50
+        grid = evaluate_grid(kind, f, alpha, 0.0, 1.0, n)
+        closed = evaluate_grid(kind, Cosine(), alpha, 0.0, 1.0, n) + 2.0 * evaluate_grid(
+            kind, AbsShift(0.5), alpha, 0.0, 1.0, n
+        )
+        h = 1.0 / (n * math.ceil(operators.DEFAULT_N_NODES / n))
+        max_d3 = math.sin(1.0)  # |f'''| = |sin t| on [0, 1]
+        for t, got, want in zip(np.arange(1, n + 1) / n, grid.tolist(), closed.tolist()):
+            assert abs(got - want) <= h**2 / 8 * max_d3 * _kernel_mass(kind, alpha, t)
+
+    @pytest.mark.parametrize("t", [0.30001, 0.3001234, 1.7])
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
+    def test_rl_integral_at_a_kink(self, alpha, t):
+        # |tau - c| = (c - tau) + 2 (tau - c)_+: the kink is a ramp
+        c = 0.3
+        exact = (
+            c * t**alpha / gamma(1.0 + alpha)
+            - t ** (1.0 + alpha) / gamma(2.0 + alpha)
+            + 2.0 * (t - c) ** (1.0 + alpha) / gamma(2.0 + alpha)
+        )
+        assert rl_integral(AbsShift(c), alpha, 0.0, t) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda f: caputo(f, 0.5, 0.0, 0.9, 256),
+            lambda f: caputo_fabrizio(f, 0.5, 0.0, 0.9, 256),
+            lambda f: evaluate_grid(OperatorKind.CAPUTO, f, 0.5, 0.0, 1.0, 4),
+            lambda f: evaluate_grid(OperatorKind.CAPUTO_FABRIZIO, f, 0.5, 0.0, 1.0, 4),
+            lambda f: rl_integral(f, 0.5, 0.0, 0.9),
+        ],
+    )
+    def test_derivative_without_a_finite_limit_is_refused(self, call):
+        # f' tends to infinity at the breakpoint: read at the next float it
+        # is 6.7e7, which the trapezoid would weigh as a finite limit (the
+        # Caputo value at 0.9 would read -30868, where it is 0.343238)
+        with pytest.raises(IntegrationError, match="no finite one-sided limit"):
+            call(SqrtAbs())
+
+    @pytest.mark.parametrize("kind", [OperatorKind.CAPUTO, OperatorKind.CAPUTO_FABRIZIO])
+    def test_steep_derivative_with_a_limit_is_computed(self, kind):
+        # f'' = 2000 moves f' by 2e-6 between the next float and 1e-9 from
+        # the kink, as much as between 1e-9 / 2 and 1e-9: a finite limit.
+        # f' is piecewise linear, so the trapezoid is exact but for rounding
+        f, t = SteepKink(), 0.9
+        want = sum(c * evaluate(kind, g, 0.5, 0.0, t) for c, g in STEEP_PARTS)
+        assert evaluate(kind, f, 0.5, 0.0, t) == pytest.approx(want, rel=1e-13, abs=0.0)
+        grid = evaluate_grid(kind, f, 0.5, 0.0, 1.0, 8)
+        closed = sum(c * evaluate_grid(kind, g, 0.5, 0.0, 1.0, 8) for c, g in STEEP_PARTS)
+        np.testing.assert_allclose(grid, closed, rtol=1e-12, atol=1e-12)
+
+    def test_steep_rl_integral_is_computed(self):
+        al, t, c = 0.5, 0.9, 0.5
+        # I^al of 1000 (t - c)^2, and of |t - c| = (c - t) + 2 (t - c)_+
+        exact = 1000.0 * (
+            2.0 * t ** (2.0 + al) / gamma(3.0 + al)
+            - 2.0 * c * t ** (1.0 + al) / gamma(2.0 + al)
+            + c * c * t**al / gamma(1.0 + al)
+        ) + (
+            c * t**al / gamma(1.0 + al)
+            - t ** (1.0 + al) / gamma(2.0 + al)
+            + 2.0 * (t - c) ** (1.0 + al) / gamma(2.0 + al)
+        )
+        # the interpolant of f is off by at most h^2/8 max|f''| (kernel mass)
+        bound = (t / operators.DEFAULT_N_NODES) ** 2 / 8.0 * 2000.0 * t**al / gamma(1.0 + al)
+        assert abs(rl_integral(SteepKink(), al, 0.0, t) - exact) <= bound
+
+    @pytest.mark.parametrize("kind", [OperatorKind.CAPUTO, OperatorKind.CAPUTO_FABRIZIO])
+    def test_sup_norm_across_a_one_ulp_gap_is_refused(self, kind):
+        # 5 t^2 + (|t - 0.9| + |t - 0.9^+|) / 2: f' is 8 left of the gap and
+        # 10 right of it, so a 0 read on the gap as a one-sided limit would
+        # enter the sup; its one-sided limits there are refused instead
+        up = math.nextafter(0.9, 2.0)
+        f = Combination(5.0, Power(2), 1.0, Combination(0.5, AbsShift(0.9), 0.5, AbsShift(up)))
+        with pytest.raises(NonDifferentiableError):
+            error_linf(f, kind, 0.01, Interval(0.0, 1.0))
