@@ -18,7 +18,6 @@ from . import analysis, norms, operators
 from .exceptions import DomainError, NumericalError
 from .funcat import Interval, OperatorKind, _derivative_toward, parse_function, rl_boundary_term
 from .norms import NormKind
-from .operators import DEFAULT_N_NODES
 
 _FIGURE_COLUMNS = ("fprime", "RL", "C", "CF")
 
@@ -95,7 +94,7 @@ def _cmd_derive(args, writer) -> None:
     if not (0.0 < args.alpha < 1.0):
         raise DomainError(f"-a must lie in (0, 1), got {args.alpha}")
     _check_point(args.t, interval)
-    value = operators.evaluate(kind, f, args.alpha, interval.a, args.t, args.n_nodes)
+    value = operators.evaluate(kind, f, args.alpha, interval.a, args.t)
     writer.writerow(["function", "kind", "alpha", "t", "value"])
     writer.writerow([args.function, kind.value, _fmt(args.alpha), _fmt(args.t), _fmt(value)])
 
@@ -154,7 +153,7 @@ def _cmd_error(args, writer) -> None:
     if not (0.0 < args.beta < 1.0):
         raise DomainError(f"--beta must lie in (0, 1), got {args.beta}")
     if p is NormKind.L1:
-        report = norms.error_l1(f, kind, args.beta, interval, args.tol, n_nodes=args.n_nodes)
+        report = norms.error_l1(f, kind, args.beta, interval, args.tol)
     else:
         report = norms.error_linf(f, kind, args.beta, interval, args.n_grid, n_nodes=args.n_nodes)
     writer.writerow(_ERROR_HEADER)
@@ -209,11 +208,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, cells=None):
         p.add_argument("-f", "--function", required=True, help="catalog id, e.g. power:2")
         p.add_argument("--interval", required=True, help="a,b")
-        p.add_argument("--n-nodes", type=int, default=DEFAULT_N_NODES, help="quadrature grid size")
+        if cells:
+            p.add_argument("--n-nodes", type=int, default=operators.DEFAULT_N_NODES, help=cells)
         p.add_argument("--out", default=None, help="write CSV here instead of stdout")
+
+    grid_cells = "least number of cells of the product quadrature over the whole grid"
+    scan_cells = f"{grid_cells} of the sup-norm scan; -p 1 does not read it"
 
     p = sub.add_parser("derive", help="one fractional-derivative value")
     add_common(p)
@@ -223,13 +226,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_derive)
 
     p = sub.add_parser("figures", help="pointwise derivative curves as CSV")
-    add_common(p)
+    add_common(p, grid_cells)
     p.add_argument("--alphas", default="0.5,0.75,0.9,0.99")
     p.add_argument("--points", type=int, default=500)
     p.set_defaults(func=_cmd_figures)
 
     p = sub.add_parser("error", help="one error-functional value")
-    add_common(p)
+    add_common(p, scan_cells)
     p.add_argument("-k", "--kind", required=True)
     p.add_argument("-p", required=True, dest="p", help="1 or inf")
     p.add_argument("--beta", type=float, required=True)
@@ -238,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_error)
 
     p = sub.add_parser("order", help="error sweep plus log-log order fit")
-    add_common(p)
+    add_common(p, scan_cells)
     p.add_argument("-k", "--kind", required=True)
     p.add_argument("-p", required=True, dest="p")
     p.add_argument("--betas", required=True, help="geometric:start,end,per_decade or a list")

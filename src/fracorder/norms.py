@@ -1,7 +1,8 @@
 """Error functionals E_{f,p}(beta) = ||D^(1-beta) f - f'||_p for p in {1, inf}.
 
 The L1 functional is an adaptive 7-15 Gauss-Kronrod quadrature (QUADPACK's
-pair), ``operators._gauss_kronrod``, which custom kernels use too.  Its
+pair), ``operators._gauss_kronrod``, which every operator value without a
+closed form off a whole grid uses too (``operators._pointwise``).  Its
 panels are split at catalog breakpoints and inside the boundary layers
 right of a and of each breakpoint, and it is vectorised over the panels:
 each refinement round evaluates the integrand once, as one array over the
@@ -15,7 +16,8 @@ the nodes come from one ``operators._evaluate_points`` call, f' from one
 ``funcat._derivative_toward`` call.  The loop stops when the summed error estimate
 of all panels is at most the requested tol; that sum is reported as
 ``ErrorReport.quad_error``, and a tol that cannot be met is refused.  The
-estimate leaves out the error of the operator values themselves.
+estimate leaves out the error of the operator values themselves: none for
+a closed form, and within 1e-11 absolute or relative for the others.
 
 The Riemann-Liouville case needs special care: its integrand carries the
 term f(a)(t-a)^(beta-1)/Gamma(beta), whose mass concentrates so hard at the
@@ -26,7 +28,8 @@ under the exact flattening substitution t = a + w v^(1/beta), which maps the
 power term to a constant and leaves a bounded integrand on (0, 1].
 
 The L-infinity functional scans a dense grid over (a, b], with every
-operator value of the scan from one ``operators.evaluate_grid`` call and
+operator value of the scan from one ``operators.evaluate_grid`` call (a
+product trapezoid on ``n_nodes`` cells where there is no closed form) and
 every f' value from one ``funcat._derivative_toward`` call, and refines the
 best point by zooming in on it: two rounds, each scoring 127 evenly spaced
 points of a bracket with one call of each, then one point at the vertex of
@@ -72,6 +75,9 @@ DEFAULT_GRID = 20001
 _ZOOM_POINTS = 127
 _ZOOM_ROUNDS = 2
 
+#: fractions (t - a) / w whose images v are ``_rl_flattened``'s panel edges
+_FLAT_FRACS = (0.0, 1e-9, 1e-6, 1e-3, 1e-1, 1.0)
+
 
 class NormKind(enum.Enum):
     L1 = "1"
@@ -84,9 +90,9 @@ class ErrorReport:
 
     ``quad_error`` is the summed quadrature error estimate behind an L1
     value, at most the requested tol; ``None`` for the sup norm.  It covers
-    the Gauss-Kronrod rule only, not the error of the operator values it
-    integrates (cos/CF by product quadrature at beta 1e-6 on (0, 1): 1.3e-5
-    relative off, ``quad_error`` 3.1e-10).
+    the Gauss-Kronrod rule over t only, not the error of the operator values
+    it integrates: none where they have closed forms, and within 1e-11
+    absolute or relative of each where they are quadratures themselves.
     """
 
     operator_kind: OperatorKind
@@ -108,9 +114,9 @@ class ErrorReport:
             raise DomainError(f"quad_error must be non-negative, got {self.quad_error!r}")
 
 
-def _error(kind, f, order, a, ts, n_nodes) -> np.ndarray:
+def _error(kind, f, order, a, ts) -> np.ndarray:
     """D f - f' at each point of ts (all > a), f' from the left on a breakpoint."""
-    values = operators._evaluate_points(kind, f, order, a, ts, n_nodes)
+    values = operators._evaluate_points(kind, f, order, a, ts)
     return values - _derivative_toward(f, ts)
 
 
@@ -132,7 +138,7 @@ def _boundary_layer_splits(
     return sorted(p for p in points if start + least < p < start + width - least)
 
 
-def _rl_flattened(f, order, a, w, n_nodes):
+def _rl_flattened(f, order, a, w):
     """The signed RL error on (a, a+w] under the substitution
     t = a + w v^(1/beta), as an integrand over v in (0, 1] and the edges of
     its panels.
@@ -150,12 +156,10 @@ def _rl_flattened(f, order, a, w, n_nodes):
         rest = np.zeros(v.shape)
         inside = t > a
         ts = t[inside]
-        rest[inside] = operators._evaluate_points(
-            OperatorKind.CAPUTO, f, order, a, ts, n_nodes
-        ) - _derivative_toward(f, ts)
+        rest[inside] = _error(OperatorKind.CAPUTO, f, order, a, ts)
         return base + (w / beta) * v**order.rate * rest
 
-    return integrand, sorted({x**beta for x in operators._FLAT_FRACS})
+    return integrand, sorted({x**beta for x in _FLAT_FRACS})
 
 
 def error_l1(
@@ -165,7 +169,6 @@ def error_l1(
     interval: Interval,
     tol: float = DEFAULT_TOL,
     *,
-    n_nodes: int = DEFAULT_N_NODES,
     max_evals: int = MAX_EVALS,
 ) -> ErrorReport:
     """L1 norm of D^(1-beta) f - f' over the interval, to absolute accuracy tol.
@@ -201,20 +204,17 @@ def error_l1(
     a, b = interval.a, interval.b
     counter = operators._Counter(max_evals)
 
-    def err(ts: np.ndarray) -> np.ndarray:
-        return _error(kind, f, order, a, ts, n_nodes)
-
     kinks = _breakpoints_inside(f, a, b)
     pieces = list(zip([a, *kinks], [*kinks, b]))
     regions = []
     if kind is OperatorKind.RIEMANN_LIOUVILLE and f.value(a) != 0.0:
-        regions.append(_rl_flattened(f, order, a, pieces[0][1] - a, n_nodes))
+        regions.append(_rl_flattened(f, order, a, pieces[0][1] - a))
         del pieces[0]
     if pieces:
         edges = [pieces[0][0]]
         for lo, hi in pieces:
             edges += [*_boundary_layer_splits(lo, hi - lo, kind, order), hi]
-        regions.append((err, edges))
+        regions.append((lambda ts: _error(kind, f, order, a, ts), edges))
     n_panels = sum(len(e) - 1 for _, e in regions)
     value = quad_error = 0.0
     for fn, region_edges in regions:
@@ -291,14 +291,14 @@ def error_linf(
     step = interval.width / n_grid
     lo = a + best_i * step  # one grid point left of the argmax, or a
     hi = a + min(best_i + 2, n_grid) * step
-    refined = _zoom_max(lambda ts: np.abs(_error(kind, f, order, a, ts, n_nodes)), lo, hi)
+    refined = _zoom_max(lambda ts: np.abs(_error(kind, f, order, a, ts)), lo, hi)
     candidates = [best, refined, at_a]
     kinks = _breakpoints_inside(f, a, b)
     if kinks:
         # the operator is continuous at a breakpoint and f' jumps there, so
         # the error has two one-sided limits, which a grid point can only
         # approach by chance
-        values = operators._evaluate_points(kind, f, order, a, np.array(kinks), n_nodes)
+        values = operators._evaluate_points(kind, f, order, a, np.array(kinks))
         sides = [-math.inf] * len(kinks) + [math.inf] * len(kinks)
         limits = _derivative_toward(f, np.array(kinks * 2), sides)
         candidates += np.abs(np.concatenate((values, values)) - limits).tolist()
@@ -318,17 +318,17 @@ def error_sweep(
     n_nodes: int = DEFAULT_N_NODES,
     max_evals: int = MAX_EVALS,
 ) -> list[ErrorReport]:
-    """One ErrorReport per beta, computed independently, in input order."""
+    """One ErrorReport per beta, computed independently, in input order;
+    n_grid and n_nodes serve the sup norm alone (``error_linf``)."""
     if not betas:
         raise DomainError("betas must be non-empty")
     if any(x <= y for x, y in zip(betas, betas[1:])):
         raise DomainError(f"betas must be strictly decreasing, got {betas!r}")
-    operators._check_n_nodes(n_nodes)  # once, not tagged with a beta
 
     def one(beta: float) -> ErrorReport:
         try:
             if p is NormKind.L1:
-                return error_l1(f, kind, beta, interval, tol, n_nodes=n_nodes, max_evals=max_evals)
+                return error_l1(f, kind, beta, interval, tol, max_evals=max_evals)
             return error_linf(f, kind, beta, interval, n_grid, n_nodes=n_nodes)
         except Exception as exc:
             raise _with_beta(exc, beta) from exc

@@ -1,39 +1,44 @@
-"""Fractional operators computed by closed form or product quadrature.
+"""Fractional operators computed by closed form or quadrature.
 
-All three kernels (the Riemann-Liouville integral's and Caputo's power
-weights, Caputo-Fabrizio's exponential) use one product-trapezoid rule,
-``_cell_weights``: the smooth factor is replaced by its piecewise-linear
-interpolant on a uniform grid and every cell is integrated against the
-kernel exactly.  Its node weights depend only on the distance k - i between
-the evaluation node and the node, so ``_product_trapezoid`` takes a whole
-grid as one Toeplitz product, done with real FFTs (Hairer, Lubich &
-Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532), and one point as two
-dot products.  What it samples is continuous: each jump J of f' at a catalog
-breakpoint c is taken out as the step J H(tau - c), each kink of f as the
-ramp J (tau - c)_+, and both are added back in closed form.  The
-Riemann-Liouville derivative is always assembled as the boundary term
-``funcat.rl_boundary_term`` plus the Caputo derivative, never by
-differentiating the fractional integral numerically.
+Every catalog entry has closed forms (``funcat``), from the catalog's one
+hook ``TestFunction._closed_form_grid``.  A value without one, of a
+user-defined function or past a closed form's reach, is computed in one of
+two ways, by where it lies.
 
-Every catalog entry has closed forms (``funcat``), so product quadrature
-serves user-defined functions and the points past a closed form's reach, on
-``n_nodes`` cells, an int of at least 2 (or DomainError, even where no
-quadrature runs).  It samples on its exact nodes, so an f' infinite at a
-node (t^g, g < 1, at 0), or with no finite one-sided limit at a breakpoint,
-is refused with IntegrationError.
+A whole uniform grid (``evaluate_grid``, the sup-norm scan) is one product
+trapezoid, ``_product_trapezoid``, on at least ``n_nodes`` cells, an int of
+at least 2 (or DomainError, even where no quadrature runs).  Its rule,
+``_cell_weights``, replaces f' by its piecewise-linear interpolant on the
+cells and integrates every cell against the C or CF kernel exactly; its
+node weights depend only on the distance k - i between the evaluation node
+and the node, so the whole grid is one Toeplitz product, done with real
+FFTs (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532).
+What it samples is continuous: each jump J of f' at a breakpoint c is taken
+out as the step J H(tau - c) and added back in closed form.
+
+Any other point, and every ``rl_integral``, is ``_pointwise``: one call of
+the adaptive 7-15 Gauss-Kronrod rule ``_gauss_kronrod``, which
+``norms.error_l1`` uses too, to 1e-11 absolute or relative, in a coordinate
+where the kernel is bounded and on panels that end at the breakpoints.
+Both ways refuse the same things (``_checked_jumps``): an f' infinite at a
+(t^g, g < 1, at 0) or with no finite one-sided limit at a breakpoint, with
+IntegrationError, and a one-ulp gap between breakpoints that carries kernel
+mass, with NonDifferentiableError.
 
 One array evaluator, ``_evaluate_points``, gives the values at many points
 in one call: ``evaluate_grid``, the scalar operators (their closed forms,
 at the one point t) and the error functionals of ``norms`` all go through
-it.  No operator has a body of its own: ``_kernel`` maps C and CF to their
-kernels, reading the constants from ``funcat.FractionalOrder``, which keeps
-a small beta as given, and RL is always the boundary term plus C.  Closed
-forms come from the catalog's one hook ``TestFunction._closed_form_grid``.
+it.  No operator has a body of its own: C and CF differ only in their
+kernels (``_kernel`` on a grid, ``_kernel_point`` at a point), whose
+constants come from ``funcat.FractionalOrder``, which keeps a small beta as
+given, and the Riemann-Liouville derivative is always the boundary term
+``funcat.rl_boundary_term`` plus C, never a numerical derivative of the
+fractional integral.
 
 ``generic_kernel_derivative`` takes the C and CF kernels as their
-``OperatorKind``; a ``CustomKernel`` runs on the one adaptive quadrature,
-``_gauss_kronrod``, which ``norms.error_l1`` uses too; a value it cannot
-bring within its tolerance is refused with IntegrationError.
+``OperatorKind``; a ``CustomKernel`` runs on ``_pointwise`` too; a value
+that cannot be brought within its tolerance is refused with
+IntegrationError.
 """
 
 import math
@@ -83,25 +88,31 @@ def _check_window(a: float, t: float) -> None:
 
 
 def _check_n_nodes(n_nodes) -> None:
-    """Refuses an n_nodes, the product quadratures' cell count over [a, t] (or
-    the least over [a, b] for a grid), that is not an integer of at least 2."""
+    """Refuses an n_nodes, the least cell count of the whole-grid product
+    trapezoid over [a, b], that is not an integer of at least 2."""
     if not (isinstance(n_nodes, (int, np.integer)) and n_nodes >= 2):
         raise DomainError(f"n_nodes must be an integer of at least 2, got {n_nodes!r}")
 
 
+def _finite(y: np.ndarray, taus: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """y, the integrand over [lo, hi] at taus, or IntegrationError at its
+    first value that is not finite."""
+    if not np.isfinite(y).all():
+        i = np.argmin(np.isfinite(y))
+        raise IntegrationError(f"non-finite integrand {y[i]} at tau = {taus[i]} on [{lo}, {hi}]")
+    return y
+
+
 def _sample(
     values: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: float, hi: float, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The n + 1 uniform nodes of [lo, hi], on which the product trapezoid is
-    exact against the linear interpolant, and values(nodes, side) there, side
+) -> np.ndarray:
+    """values(nodes, side) at the n + 1 uniform nodes of [lo, hi], on which
+    the product trapezoid is exact against the linear interpolant, side
     toward hi (lo at hi itself) for a one-sided f', as ``_trapezoid_grid``
-    takes its steps; a non-finite sample is refused with IntegrationError."""
+    takes its steps; a non-finite sample is refused (``_finite``)."""
     nodes = np.linspace(lo, hi, n + 1)
     out = np.asarray(values(nodes, np.where(nodes < hi, hi, lo)), dtype=float)
-    if not np.all(np.isfinite(out)):
-        i = np.argmin(np.isfinite(out))  # the first non-finite sample
-        raise IntegrationError(f"non-finite integrand {out[i]} at tau = {nodes[i]} on [{lo}, {hi}]")
-    return nodes, out
+    return _finite(out, nodes, lo, hi)
 
 
 def _one_minus_1px_emx(x: float) -> float:
@@ -197,22 +208,19 @@ def _product_trapezoid(
     rate: float | None = None,
 ) -> np.ndarray:
     """The integrals over [a, t_i] of values(tau) times the kernel of
-    ``_cell_weights`` at t_i - tau, at the n points t_i = a + (b - a) i / n:
-    the product trapezoid on one uniform grid of M = n ceil(n_nodes / n)
-    cells over [a, b], values sampled on its nodes by ``_sample``.
+    ``_cell_weights`` at t_i - tau, at the n points t_i = a + (b - a) i / n
+    of a whole grid: the product trapezoid on one uniform grid of
+    M = n ceil(n_nodes / n) cells over [a, b], values sampled on its nodes
+    by ``_sample``, taken as one Toeplitz product.
 
     Node k sees the cell [tau_j, tau_j+1] at distance d = k - j, so node i
     carries the weight W(k - i) = left(k - i) + right(k - i + 1), except
     node 0, which has no cell to its left and carries W(k) - right(k + 1).
-    One point (n = 1) is two dot products; more are one Toeplitz product.
     """
     stride = -(-n_nodes // n)
     m = n * stride
-    nodes, g = _sample(values, a, b, m)
+    g = _sample(values, a, b, m)
     h = (b - a) / m
-    if n == 1:
-        left, right = _cell_weights(b - nodes, h, p, rate)
-        return np.array([g[:-1] @ left + g[1:] @ right])
     # the cells d = 1..m+1, at distances (d-1) h to d h behind a node, as index d - 1
     left, right = (w[::-1] for w in _cell_weights(h * np.arange(m + 1, -1, -1), h, p, rate))
     weights = np.concatenate((right[:1], left[:-1] + right[1:]))
@@ -220,58 +228,43 @@ def _product_trapezoid(
     return total[stride::stride]
 
 
-def rl_integral(
-    f: TestFunction, alpha, a: float, t: float, n_nodes: int = DEFAULT_N_NODES
-) -> float:
+def rl_integral(f: TestFunction, alpha, a: float, t: float) -> float:
     """Fractional integral of order alpha: (1/Gamma(alpha)) int f(tau)(t-tau)^(alpha-1),
-    by the product trapezoid on n_nodes cells, each kink J (tau - c)_+ of f
-    (``_jumps``) taken out and added back as J (t - c)^(1+alpha) / Gamma(2+alpha)."""
+    by ``_pointwise`` on f in s = ((t - tau)/(t - a))^alpha, where the
+    kernel is the constant (t - a)^alpha / Gamma(1 + alpha)."""
     al = _as_order(alpha).alpha
     _check_window(a, t)
-    _check_n_nodes(n_nodes)
-    jumps = _jumps(f, a, t)
-
-    def values(nodes: np.ndarray, _) -> np.ndarray:
-        return f.value_array(nodes) - sum(j * np.maximum(nodes - c, 0.0) for c, j in jumps)
-
-    (integral,) = _product_trapezoid(values, a, t, 1, n_nodes, p=al)
-    ramps = math.fsum(jump * (t - c) ** (1.0 + al) for c, jump in jumps)
-    return integral / specfun.gamma(al) + ramps / specfun.gamma(2.0 + al)
+    scale = (t - a) ** al / specfun.gamma(1.0 + al)
+    return _pointwise(lambda taus, _: f.value_array(taus), f, a, t, lambda u, s: scale, p=al)
 
 
-def evaluate(
-    kind: OperatorKind, f: TestFunction, alpha, a: float, t: float, n_nodes: int = DEFAULT_N_NODES
-) -> float:
+def evaluate(kind: OperatorKind, f: TestFunction, alpha, a: float, t: float) -> float:
     """Value at t of the operator named by ``kind``, closed form where known:
     RL is the scalar ``funcat.rl_boundary_term`` plus the C value, and C and
     CF are ``_evaluate_points`` at the one point t."""
     order = _as_order(alpha)
     _check_window(a, t)
     if kind is OperatorKind.RIEMANN_LIOUVILLE:
-        caputo_value = evaluate(OperatorKind.CAPUTO, f, order, a, t, n_nodes)
+        caputo_value = evaluate(OperatorKind.CAPUTO, f, order, a, t)
         return funcat.rl_boundary_term(f, order, a, t) + caputo_value
-    (value,) = _evaluate_points(kind, f, order, a, np.array([t], dtype=float), n_nodes)
+    (value,) = _evaluate_points(kind, f, order, a, np.array([t], dtype=float))
     return float(value)
 
 
-def caputo(f: TestFunction, alpha, a: float, t: float, n_nodes: int = DEFAULT_N_NODES) -> float:
+def caputo(f: TestFunction, alpha, a: float, t: float) -> float:
     """Caputo derivative of order alpha: fractional integral of order 1-alpha of f'."""
-    return evaluate(OperatorKind.CAPUTO, f, alpha, a, t, n_nodes)
+    return evaluate(OperatorKind.CAPUTO, f, alpha, a, t)
 
 
-def caputo_fabrizio(
-    f: TestFunction, alpha, a: float, t: float, n_nodes: int = DEFAULT_N_NODES
-) -> float:
+def caputo_fabrizio(f: TestFunction, alpha, a: float, t: float) -> float:
     """Caputo-Fabrizio derivative: (1/beta) int f'(tau) e^(-rate (t-tau)), rate = alpha/beta."""
-    return evaluate(OperatorKind.CAPUTO_FABRIZIO, f, alpha, a, t, n_nodes)
+    return evaluate(OperatorKind.CAPUTO_FABRIZIO, f, alpha, a, t)
 
 
-def riemann_liouville(
-    f: TestFunction, alpha, a: float, t: float, n_nodes: int = DEFAULT_N_NODES
-) -> float:
+def riemann_liouville(f: TestFunction, alpha, a: float, t: float) -> float:
     """Riemann-Liouville derivative via the W^{1,1} identity
     RL = f(a)(t-a)^(-alpha)/Gamma(beta) + Caputo, beta = 1 - alpha."""
-    return evaluate(OperatorKind.RIEMANN_LIOUVILLE, f, alpha, a, t, n_nodes)
+    return evaluate(OperatorKind.RIEMANN_LIOUVILLE, f, alpha, a, t)
 
 
 def _grid_points(a: float, b: float, n: int) -> np.ndarray:
@@ -294,16 +287,17 @@ def evaluate_grid(
     ``evaluate`` takes at one point, and match its values to the last bit or
     so (a series summed for all points at once may add a term more).  The
     others come from one product trapezoid on M = n ceil(n_nodes / n)
-    uniform cells over [a, b], whose step is never coarser than that of
-    the one point t = b, with the jumps of f' at breakpoints inside (a, b)
-    taken out and added back in closed form (``_trapezoid_grid``).
+    uniform cells over [a, b], n_nodes an int of at least 2 (or DomainError,
+    even where no quadrature runs), with the jumps of f' at breakpoints
+    inside (a, b) taken out and added back in closed form (``_trapezoid_grid``).
     """
     order = _as_order(alpha)
     if n < 1:
         raise DomainError(f"grid size must be at least 1, got {n!r}")
+    _check_n_nodes(n_nodes)
     ts = _grid_points(a, b, n)
     _check_window(a, float(ts[0]))  # also refuses b <= a and non-finite b
-    return _evaluate_points(kind, f, order, a, ts, n_nodes, b)
+    return _evaluate_points(kind, f, order, a, ts, b, n_nodes)
 
 
 def _evaluate_points(
@@ -312,35 +306,56 @@ def _evaluate_points(
     order: FractionalOrder,
     a: float,
     ts: np.ndarray,
-    n_nodes: int,
     b: float | None = None,
+    n_nodes: int = DEFAULT_N_NODES,
 ) -> np.ndarray:
     """``evaluate(kind, f, order, a, t)`` at each point of ts (all > a, in
     any order): the one array evaluator behind ``evaluate_grid``, the L1
     integrand and the scalar operators.
 
     C and CF values come from one ``f._closed_form_grid`` call.  A point
-    with none (NaN) is filled by ``_trapezoid_grid``: on the whole grid at
-    once when ts is ``_grid_points(a, b, len(ts))``, and otherwise (b
-    omitted) on [a, t] for each point t alone.  RL is
+    with none (NaN) is filled by ``_trapezoid_grid`` on n_nodes cells when
+    ts is the whole grid ``_grid_points(a, b, len(ts))``, and otherwise (b
+    omitted) by ``_kernel_point``, to ``_POINT_TOL``, once the refusals of
+    ``_checked_jumps`` over (a, max ts] have passed.  RL is
     ``funcat.rl_boundary_term`` plus the C values.
     """
     if not isinstance(kind, OperatorKind):
         raise DomainError(f"unknown operator kind {kind!r}")
-    _check_n_nodes(n_nodes)
     base = OperatorKind.CAPUTO if kind is OperatorKind.RIEMANN_LIOUVILLE else kind
     values = f._closed_form_grid(base, order, a, ts)
     if values is None:
         values = np.full(ts.shape, math.nan)
     missing = np.flatnonzero(np.isnan(values))
-    if missing.size and b is None:  # each point t on [a, t] alone
-        one = partial(_trapezoid_grid, base, f, order, a)
-        values[missing] = [one(t, np.array([t]), n_nodes)[0] for t in ts[missing].tolist()]
+    if missing.size and b is None:
+        _checked_jumps(base, f, order, a, float(ts[missing].max()), ts[missing])
+        values[missing] = [_kernel_point(base, f, order, a, t) for t in ts[missing].tolist()]
     elif missing.size:
         values[missing] = _trapezoid_grid(base, f, order, a, b, ts, n_nodes)[missing]
     if kind is OperatorKind.RIEMANN_LIOUVILLE:
         return funcat.rl_boundary_term(f, order, a, ts) + values
     return values
+
+
+def _checked_jumps(
+    kind: OperatorKind, f: TestFunction, order: FractionalOrder, a: float, b: float, ts: np.ndarray
+) -> list[tuple[float, float]]:
+    """``_jumps(f, a, b)``, for the C or CF values at the points ts in (a, b]
+    of a grid or scattered, once the refusals that both share have passed.
+    f' is 0 on a one-ulp gap (``_fprime``); a point with more than 1e-12 of
+    its kernel's mass on [a, t] there is refused with NonDifferentiableError.
+    So is, with IntegrationError, an f' not finite at a, read toward b, or
+    with no finite one-sided limit at a breakpoint (``_jumps``)."""
+    response = partial(funcat._step_response, kind, order)
+    kinks = f.breakpoints()
+    for c in set(kinks):
+        gap = math.nextafter(c, math.inf)
+        if a <= c < b and gap in kinks:
+            mass = response(np.maximum(ts - c, 0.0)) - response(np.maximum(ts - gap, 0.0))
+            if np.any(mass > 1e-12 * response(ts - a)):
+                raise NonDifferentiableError(f"f' has no value between breakpoints {c} and {gap}")
+    _finite(_fprime(f, np.array([a]), np.array([b])), [a], a, b)
+    return _jumps(f, a, b)
 
 
 def _trapezoid_grid(
@@ -354,20 +369,10 @@ def _trapezoid_grid(
 ) -> np.ndarray:
     """C or CF at the points ts of a uniform grid over (a, b], the last one
     b: ``_product_trapezoid`` of f' with each jump J at a breakpoint c
-    (``_jumps``) taken out as the step J H(tau - c), plus the operator of the
-    ramp J (tau - c)_+ (``funcat._step_response``).  f' is 0 on a one-ulp gap
-    (``_fprime``); a point with more than 1e-12 of its kernel's mass on [a, t]
-    there is refused with NonDifferentiableError."""
+    (``_checked_jumps``) taken out as the step J H(tau - c), plus the
+    operator of the ramp J (tau - c)_+ (``funcat._step_response``)."""
     p, rate, scale = _kernel(kind, order)
-    response = partial(funcat._step_response, kind, order)
-    kinks = f.breakpoints()
-    for c in set(kinks):
-        gap = math.nextafter(c, math.inf)
-        if a <= c < b and gap in kinks:
-            mass = response(np.maximum(ts - c, 0.0)) - response(np.maximum(ts - gap, 0.0))
-            if np.any(mass > 1e-12 * response(ts - a)):
-                raise NonDifferentiableError(f"f' has no value between breakpoints {c} and {gap}")
-    jumps = _jumps(f, a, b)
+    jumps = _checked_jumps(kind, f, order, a, b, ts)
 
     def fprime(nodes: np.ndarray, side: np.ndarray) -> np.ndarray:
         # H(0) = 1: a node on a breakpoint c is read from the right, past its step
@@ -375,8 +380,22 @@ def _trapezoid_grid(
 
     values = _product_trapezoid(fprime, a, b, len(ts), n_nodes, p, rate) / scale
     for c, jump in jumps:
-        values += response(np.maximum(ts - c, 0.0), jump)
+        values += funcat._step_response(kind, order, np.maximum(ts - c, 0.0), jump)
     return values
+
+
+def _kernel_point(
+    kind: OperatorKind, f: TestFunction, order: FractionalOrder, a: float, t: float
+) -> float:
+    """C or CF at the one point t: ``_pointwise`` on f' in
+    s = ((t - tau)/(t - a))^beta, where the C kernel is the constant
+    (t - a)^beta / Gamma(1 + beta), or in u = t - tau, where the CF kernel is
+    e^(-rate u) / beta."""
+    fprime, beta, rate = partial(_fprime, f), order.beta, order.rate
+    if kind is OperatorKind.CAPUTO:
+        scale = (t - a) ** beta / specfun.gamma(1.0 + beta)
+        return _pointwise(fprime, f, a, t, lambda u, s: scale, p=beta)
+    return _pointwise(fprime, f, a, t, lambda u, s: np.exp(-rate * u) / beta, rate=rate)
 
 
 def _toeplitz_sum(x: np.ndarray, w: np.ndarray, size: int) -> np.ndarray:
@@ -603,56 +622,93 @@ def _gauss_kronrod(
         lo, hi, share = next_lo, next_hi, next_share
 
 
-#: fractions u / w whose images (u / w)^beta are the flattened coordinate's edges
-_FLAT_FRACS = (0.0, 1e-9, 1e-6, 1e-3, 1e-1, 1.0)
+#: fractions x of w = t - a where ``_pointwise``'s panels end, at u = x w and
+#: u = (1 - x) w (toward tau = a): with only 1e-9, 1e-6, 1e-3 and 1e-1 a
+#: point of cos, exp or a power took 2.5 rounds on average, not 1.2
+_EDGE_FRACS = (1e-12, 1e-8, 1e-4, 1e-3, 1e-2, 1e-1, 0.5)
+#: multiples of the CF kernel's decay length 1/rate where its panels end: a
+#: panel [8, 16] is too wide for one round at 1e-11, and past 64 the mass,
+#: e^-64 / alpha, lies below the rounding of D f, from which D f - f' = O(beta)
+#: is taken; stopping at 32 put cos's L1 error at beta 1e-8 3.6e-7 relative off
+_DECAY_LENGTHS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 48.0, 64.0)
+#: the absolute or relative target, whichever is looser, of one value of ``_pointwise``
+_POINT_TOL = 1e-11
+
+
+def _pointwise(
+    values: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    f: TestFunction,
+    a: float,
+    t: float,
+    weight: Callable[[np.ndarray, np.ndarray], np.ndarray | float],
+    p: float | None = None,
+    rate: float | None = None,
+) -> float:
+    """int_a^t values(tau, side) K(t - tau) dtau, by ``_gauss_kronrod`` to
+    ``_POINT_TOL``.
+
+    With p it is taken in s = (u / w)^p, u = t - tau and w = t - a, with
+    weight(u, s) = K(u) du/ds, where a kernel like u^(p-1) becomes bounded,
+    on panels that end at the images of u = x w and u = (1 - x) w for x in
+    ``_EDGE_FRACS``, which resolve tau near t and near a.  Without p it is
+    taken in u itself, with weight(u, u) = K(u), on panels that end at
+    u = (1 - x) w and at ``_DECAY_LENGTHS`` / rate.  Panels also end at the
+    image of each breakpoint of f inside (a, t).  A node reads values inside
+    the piece between breakpoints that holds its panel: one that rounds onto
+    or past an end of the piece is read there, toward the piece's far end.
+    """
+    w = t - a
+    # the pieces' ends, tau descending as s ascends
+    ends = np.array([t, *funcat._breakpoints_inside(f, a, t)[::-1], a])
+    if p is None:
+        images = t - ends[1:-1]
+        decays = [m / rate for m in _DECAY_LENGTHS if m / rate < w]
+        marks = [0.0, w, *(w - w * x for x in _EDGE_FRACS), *decays]
+    else:
+        images = ((t - ends[1:-1]) / w) ** p
+        marks = [x**p for x in (0.0, 1.0, *_EDGE_FRACS, *(1.0 - x for x in _EDGE_FRACS))]
+    edges = sorted({*marks, *images.tolist()})
+
+    def integrand(s: np.ndarray) -> np.ndarray:
+        u = s if p is None else w * s ** (1.0 / p)
+        k = images.searchsorted(s)
+        lo, hi = ends[k + 1], ends[k]
+        taus = np.minimum(np.maximum(t - u, lo), hi)
+        y = values(taus, np.where(taus - lo < hi - taus, hi, lo)) * weight(u, s)
+        return _finite(y, taus, a, t)
+
+    return _gauss_kronrod(integrand, edges, _POINT_TOL, _Counter(MAX_EVALS), rel=_POINT_TOL)[0]
 
 
 def generic_kernel_derivative(
-    f: TestFunction,
-    kernel: KernelSpec,
-    beta: float,
-    a: float,
-    t: float,
-    n_nodes: int = DEFAULT_N_NODES,
+    f: TestFunction, kernel: KernelSpec, beta: float, a: float, t: float
 ) -> float:
     """Convolution-kernel derivative (f' * h(., beta))(t) of order 1 - beta.
 
     ``OperatorKind.CAPUTO`` and ``OperatorKind.CAPUTO_FABRIZIO`` name their
     kernels and reproduce those derivatives of order 1 - beta exactly (same
     code path, ``evaluate``); ``OperatorKind.RIEMANN_LIOUVILLE``, which is no
-    kernel of f' alone, is refused with DomainError.  A custom
-    kernel's int_0^w f'(t - u) h(u, beta) du, w = t - a, is taken by
-    ``_gauss_kronrod`` to 1e-11 absolute or relative, whichever is looser, in
-    v = (u / w)^beta, which maps a kernel like u^(beta-1) to a bounded
+    kernel of f' alone, is refused with DomainError.  A custom kernel's
+    int_0^w f'(t - u) h(u, beta) du, w = t - a, is taken by ``_pointwise``
+    in the Caputo kernel's s = (u / w)^beta, with the weight
+    h(u, beta) u / (beta s), which maps a kernel like u^(beta-1) to a bounded
     integrand.  h is called once per node and no node is left out: an
-    ArithmeticError or ValueError from h, a non-finite integrand or an
-    unreachable tolerance is refused with IntegrationError; so, for beta
+    ArithmeticError or ValueError from h, a non-finite integrand (``_finite``)
+    or an unreachable tolerance is refused with IntegrationError; so, for beta
     below about 0.008, is a kernel singular at u = 0, where nodes underflow.
     """
     order = FractionalOrder.from_beta(beta)
     _check_window(a, t)
-    _check_n_nodes(n_nodes)
     if isinstance(kernel, OperatorKind):
         if kernel is OperatorKind.RIEMANN_LIOUVILLE:
             raise DomainError("the Riemann-Liouville derivative has no kernel of f' alone")
-        return evaluate(kernel, f, order, a, t, n_nodes)
-    w = t - a
+        return evaluate(kernel, f, order, a, t)
 
-    def integrand(v: np.ndarray) -> np.ndarray:
-        u = w * v ** (1.0 / beta)
+    def weight(u: np.ndarray, s: np.ndarray) -> np.ndarray:
         try:
             h = np.array([kernel.h(x, beta) for x in u.tolist()], dtype=float)
         except (ArithmeticError, ValueError) as exc:  # math's domain error is a ValueError
             raise IntegrationError(f"custom kernel failed: {exc!r}") from exc
-        # f' from inside [a, t), where a node may round onto t, below a or
-        # onto a breakpoint: the right limit there, the side inside [a, t)
-        taus = np.clip(t - u, a, math.nextafter(t, a))
-        y = funcat._derivative_toward(f, taus, math.inf) * h * (u / (beta * v))
-        if not np.all(np.isfinite(y)):
-            raise IntegrationError(f"non-finite custom-kernel integrand for beta={beta!r}")
-        return y
+        return h * (u / (beta * s))
 
-    # more edges at the breakpoints' images and toward tau = a (v near 1)
-    at_kinks = ((t - c) / w for c in funcat._breakpoints_inside(f, a, t))
-    edges = sorted({x**beta for x in (*_FLAT_FRACS, *at_kinks, *(1.0 - x for x in _FLAT_FRACS))})
-    return _gauss_kronrod(integrand, edges, 1e-11, _Counter(MAX_EVALS), rel=1e-11)[0]
+    return _pointwise(partial(_fprime, f), f, a, t, weight, p=beta)

@@ -150,15 +150,14 @@ def test_criterion_04_rl_identity():
             rhs = f.value(0.0) * t**-alpha / gamma(1.0 - alpha) + caputo(f, alpha, 0.0, t)
             structural_ok = structural_ok and lhs == rhs
 
-    n_nodes = 16384
     h = 1e-3
     worst = 0.0
     for f in (Exponential(), Cosine(), Power(2.0, 0.0)):
         for alpha in (0.3, 0.5, 0.7):
             t = 0.6
             diff = (
-                rl_integral(f, 1.0 - alpha, 0.0, t + h, n_nodes)
-                - rl_integral(f, 1.0 - alpha, 0.0, t - h, n_nodes)
+                rl_integral(f, 1.0 - alpha, 0.0, t + h)
+                - rl_integral(f, 1.0 - alpha, 0.0, t - h)
             ) / (2.0 * h)
             worst = max(worst, abs(diff - riemann_liouville(f, alpha, 0.0, t)))
     ok = structural_ok and worst <= 1e-4

@@ -172,6 +172,32 @@ class TestDerive:
         if interval != "x":
             assert "expects" not in err
 
+    def test_past_the_reach_is_right_or_refused(self, capsys, tmp_path):
+        # cos under C past its series' reach on (0, 1e6): the point's
+        # quadrature would need about 1.6e5 periods of cos resolved, and
+        # stops at its evaluation budget instead of printing a wrong value
+        # (a 4096-cell product trapezoid printed -6.07 where it is 0.909)
+        dest = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            capsys,
+            "derive", "-f", "cos", "-k", "C", "-a", "0.5", "--interval", "0,1e6", "-t", "1e6",
+            "--out", str(dest),
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("numerical error: ")
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert not dest.exists()
+
+    def test_n_nodes_is_not_an_option(self, capsys):
+        # one value is computed to its own tolerance; only the whole grids
+        # of figures, error and order have cells to count
+        with pytest.raises(SystemExit) as exc:
+            main(["derive", "-f", "cos", "-k", "C", "-a", "0.5", "--interval", "0,1", "-t", "1",
+                  "--n-nodes", "256"])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == ["fracorder: error: unrecognized arguments: --n-nodes 256"]
+
 
 class TestOrder:
     def test_sweep_and_fit(self, capsys):
@@ -297,7 +323,7 @@ class TestFigures:
             assert abs(cells[t_s, "RL"] - rl) <= math.ulp(rl)
             # trapezoid bound for the interpolant of f' = -sin, |f'''| <= 1
             bound = h**2 / 8 * t**0.1 / gamma(1.1)
-            assert abs(c - caputo(f, 0.9, 0.0, t, 256)) <= bound
+            assert abs(c - caputo(f, 0.9, 0.0, t)) <= bound
 
     def test_derivative_singular_at_a_is_refused(self, capsys):
         # CF of t^(1/2) at alpha 0.99 has no trusted closed form past
