@@ -108,21 +108,19 @@ def _cmd_figures(args, writer) -> None:
             raise DomainError(f"--alphas entries must lie in (0, 1), got {alpha}")
     if args.points < 2:
         raise DomainError(f"--points must be at least 2, got {args.points}")
-    a, b, n_nodes = interval.a, interval.b, args.n_nodes
-    ts = operators._grid_points(a, b, args.points)
+    a, b, n = interval.a, interval.b, args.points
+    ts = operators._grid_points(a, b, n)
     t_cells = [_fmt(t) for t in ts.tolist()]
     fprime = _derivative_toward(f, ts)
     writer.writerow(["t", "alpha", "kind", "value"])
     for alpha in alphas:
-        caputo = operators.evaluate_grid(OperatorKind.CAPUTO, f, alpha, a, b, args.points, n_nodes)
+        caputo = operators.evaluate_grid(OperatorKind.CAPUTO, f, alpha, a, b, n)
         columns = {
             "fprime": fprime,
             # the RL identity, as operators.evaluate_grid forms it
             "RL": rl_boundary_term(f, alpha, a, ts) + caputo,
             "C": caputo,
-            "CF": operators.evaluate_grid(
-                OperatorKind.CAPUTO_FABRIZIO, f, alpha, a, b, args.points, n_nodes
-            ),
+            "CF": operators.evaluate_grid(OperatorKind.CAPUTO_FABRIZIO, f, alpha, a, b, n),
         }
         alpha_cell = _fmt(alpha)
         for i, t_cell in enumerate(t_cells):
@@ -155,7 +153,7 @@ def _cmd_error(args, writer) -> None:
     if p is NormKind.L1:
         report = norms.error_l1(f, kind, args.beta, interval, args.tol)
     else:
-        report = norms.error_linf(f, kind, args.beta, interval, args.n_grid, n_nodes=args.n_nodes)
+        report = norms.error_linf(f, kind, args.beta, interval, args.n_grid)
     writer.writerow(_ERROR_HEADER)
     writer.writerow(_error_row(report))
 
@@ -168,16 +166,7 @@ def _cmd_order(args, writer) -> None:
     betas = _parse_betas(args.betas)
     if len(betas) < 4:
         raise DomainError(f"--betas must provide at least 4 points, got {len(betas)}")
-    reports = norms.error_sweep(
-        f,
-        kind,
-        p,
-        betas,
-        interval,
-        tol=args.tol,
-        n_grid=args.n_grid,
-        n_nodes=args.n_nodes,
-    )
+    reports = norms.error_sweep(f, kind, p, betas, interval, tol=args.tol, n_grid=args.n_grid)
     fit = analysis.fit_order(reports)
     writer.writerow(_ERROR_HEADER)
     for report in reports:
@@ -208,15 +197,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, cells=None):
+    def add_common(p):
         p.add_argument("-f", "--function", required=True, help="catalog id, e.g. power:2")
         p.add_argument("--interval", required=True, help="a,b")
-        if cells:
-            p.add_argument("--n-nodes", type=int, default=operators.DEFAULT_N_NODES, help=cells)
         p.add_argument("--out", default=None, help="write CSV here instead of stdout")
 
-    grid_cells = "least number of cells of the product quadrature over the whole grid"
-    scan_cells = f"{grid_cells} of the sup-norm scan; -p 1 does not read it"
+    # what a whole grid promises where a value has no closed form
+    grid = "; a value without a closed form is within 1e-8, absolute or relative, by the"
+    grid += " grid's two-spacing estimate, or refused"
+    scan = f"points of the sup-norm scan{grid}"
 
     p = sub.add_parser("derive", help="one fractional-derivative value")
     add_common(p)
@@ -226,27 +215,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_derive)
 
     p = sub.add_parser("figures", help="pointwise derivative curves as CSV")
-    add_common(p, grid_cells)
+    add_common(p)
     p.add_argument("--alphas", default="0.5,0.75,0.9,0.99")
-    p.add_argument("--points", type=int, default=500)
+    p.add_argument("--points", type=int, default=500, help=f"points of the uniform grid{grid}")
     p.set_defaults(func=_cmd_figures)
 
     p = sub.add_parser("error", help="one error-functional value")
-    add_common(p, scan_cells)
+    add_common(p)
     p.add_argument("-k", "--kind", required=True)
     p.add_argument("-p", required=True, dest="p", help="1 or inf")
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--tol", type=float, default=norms.DEFAULT_TOL)
-    p.add_argument("--n-grid", type=int, default=norms.DEFAULT_GRID)
+    p.add_argument("--n-grid", type=int, default=norms.DEFAULT_GRID, help=scan)
     p.set_defaults(func=_cmd_error)
 
     p = sub.add_parser("order", help="error sweep plus log-log order fit")
-    add_common(p, scan_cells)
+    add_common(p)
     p.add_argument("-k", "--kind", required=True)
     p.add_argument("-p", required=True, dest="p")
     p.add_argument("--betas", required=True, help="geometric:start,end,per_decade or a list")
     p.add_argument("--tol", type=float, default=norms.DEFAULT_TOL)
-    p.add_argument("--n-grid", type=int, default=norms.DEFAULT_GRID)
+    p.add_argument("--n-grid", type=int, default=norms.DEFAULT_GRID, help=scan)
     p.set_defaults(func=_cmd_order)
 
     p = sub.add_parser("ratio", help="CF/C L1 error ratio for t^m on (0, T)")

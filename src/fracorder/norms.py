@@ -28,12 +28,16 @@ under the exact flattening substitution t = a + w v^(1/beta), which maps the
 power term to a constant and leaves a bounded integrand on (0, 1].
 
 The L-infinity functional scans a dense grid over (a, b], with every
-operator value of the scan from one ``operators.evaluate_grid`` call (a
-product trapezoid on ``n_nodes`` cells where there is no closed form) and
+operator value of the scan from one ``operators.evaluate_grid`` call and
 every f' value from one ``funcat._derivative_toward`` call, and refines the
 best point by zooming in on it: two rounds, each scoring 127 evenly spaced
 points of a bracket with one call of each, then one point at the vertex of
-the parabola through the best three.
+the parabola through the best three.  A scan value without a closed form
+comes from a product trapezoid that doubles its cells until its values at
+two spacings agree within 1e-8, absolute or relative, or is refused with
+BudgetExceededError; that estimate measures the trapezoid's error but, like
+Gauss-Kronrod's, is no proof.  A refinement point without one is a
+Gauss-Kronrod quadrature to 1e-11, absolute or relative.
 Two kinds of limit join the candidates, since a grid point approaches them
 only by chance: the boundary limit of the error as t -> a+, |f'(a)| (each
 operator here tends to 0 where f' is bounded near a, and grows more slowly
@@ -57,7 +61,7 @@ import numpy as np
 from . import operators, specfun
 from .exceptions import DomainError
 from .funcat import Interval, OperatorKind, TestFunction, _breakpoints_inside, _derivative_toward
-from .operators import DEFAULT_N_NODES, MAX_EVALS, FractionalOrder
+from .operators import MAX_EVALS, FractionalOrder
 
 __all__ = [
     "ErrorReport",
@@ -259,8 +263,6 @@ def error_linf(
     beta: float,
     interval: Interval,
     n_grid: int = DEFAULT_GRID,
-    *,
-    n_nodes: int = DEFAULT_N_NODES,
 ) -> ErrorReport:
     """Essential supremum of |D^(1-beta) f - f'| over (a, b].
 
@@ -271,12 +273,14 @@ def error_linf(
     once.  It is ``inf``, with one evaluation and no scan, where f'(a+) is
     infinite, and for the Riemann-Liouville operator with f(a) != 0: the
     boundary term f(a)(t-a)^(beta-1)/Gamma(beta) is unbounded as t -> a+,
-    and no catalog function has an f' that cancels it.
+    and no catalog function has an f' that cancels it.  n_grid is an integer
+    of at least 2 (or DomainError, also where no scan is made).  A scan
+    value without a closed form is within 1e-8, absolute or relative, of
+    the operator by the grid's two-spacing estimate (``evaluate_grid``), or
+    the scan is refused with BudgetExceededError.
     """
     order = FractionalOrder.from_beta(beta)
-    if n_grid < 2:
-        raise DomainError(f"n_grid must be at least 2, got {n_grid!r}")
-    operators._check_n_nodes(n_nodes)  # also where the value is inf without a scan
+    operators._check_grid_size(n_grid, 2, "n_grid")
     a, b = interval.a, interval.b
     # as t -> a+ each operator here (RL as C where f(a) = 0) tends to 0, or
     # grows more slowly than an unbounded f', so the boundary limit of the
@@ -285,7 +289,7 @@ def error_linf(
     if at_a == math.inf or (kind is OperatorKind.RIEMANN_LIOUVILLE and f.value(a) != 0.0):
         return ErrorReport(kind, beta, NormKind.LINF, interval, math.inf, 1)
     fprime = _derivative_toward(f, operators._grid_points(a, b, n_grid))
-    values = np.abs(operators.evaluate_grid(kind, f, order, a, b, n_grid, n_nodes) - fprime)
+    values = np.abs(operators.evaluate_grid(kind, f, order, a, b, n_grid) - fprime)
     best_i = int(np.argmax(values))
     best = float(values[best_i])
     step = interval.width / n_grid
@@ -315,11 +319,13 @@ def error_sweep(
     *,
     tol: float = DEFAULT_TOL,
     n_grid: int = DEFAULT_GRID,
-    n_nodes: int = DEFAULT_N_NODES,
     max_evals: int = MAX_EVALS,
 ) -> list[ErrorReport]:
     """One ErrorReport per beta, computed independently, in input order;
-    n_grid and n_nodes serve the sup norm alone (``error_linf``)."""
+    n_grid serves the sup norm alone (``error_linf``), tol and max_evals
+    the L1 norm (``error_l1``); an n_grid that is not an integer of at least
+    2 is refused with DomainError whatever p is."""
+    operators._check_grid_size(n_grid, 2, "n_grid")
     if not betas:
         raise DomainError("betas must be non-empty")
     if any(x <= y for x, y in zip(betas, betas[1:])):
@@ -329,7 +335,7 @@ def error_sweep(
         try:
             if p is NormKind.L1:
                 return error_l1(f, kind, beta, interval, tol, max_evals=max_evals)
-            return error_linf(f, kind, beta, interval, n_grid, n_nodes=n_nodes)
+            return error_linf(f, kind, beta, interval, n_grid)
         except Exception as exc:
             raise _with_beta(exc, beta) from exc
 

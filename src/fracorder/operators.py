@@ -5,16 +5,20 @@ hook ``TestFunction._closed_form_grid``.  A value without one, of a
 user-defined function or past a closed form's reach, is computed in one of
 two ways, by where it lies.
 
-A whole uniform grid (``evaluate_grid``, the sup-norm scan) is one product
-trapezoid, ``_product_trapezoid``, on at least ``n_nodes`` cells, an int of
-at least 2 (or DomainError, even where no quadrature runs).  Its rule,
+A whole uniform grid (``evaluate_grid``, the sup-norm scan) is a product
+trapezoid, ``_product_trapezoid``, on at least 4096 cells.  Its rule,
 ``_cell_weights``, replaces f' by its piecewise-linear interpolant on the
 cells and integrates every cell against the C or CF kernel exactly; its
 node weights depend only on the distance k - i between the evaluation node
 and the node, so the whole grid is one Toeplitz product, done with real
 FFTs (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532).
 What it samples is continuous: each jump J of f' at a breakpoint c is taken
-out as the step J H(tau - c) and added back in closed form.
+out as the step J H(tau - c) and added back in closed form.  The same
+samples give the trapezoid at twice the spacing; the grid doubles its cells
+until the two agree within 1e-8, absolute or relative, at every node they
+share from the first point without a closed form on, or is refused with
+BudgetExceededError.  The difference measures the trapezoid's error; like
+Gauss-Kronrod's estimate, it is no proof.
 
 Any other point, and every ``rl_integral``, is ``_pointwise``: one call of
 the adaptive 7-15 Gauss-Kronrod rule ``_gauss_kronrod``, which
@@ -65,8 +69,12 @@ __all__ = [
     "rl_integral",
 ]
 
-DEFAULT_N_NODES = 4096
-MAX_EVALS = 1_000_000  # the evaluation budget of one ``_gauss_kronrod`` call
+MAX_EVALS = 1_000_000  # the evaluation budget of one ``_gauss_kronrod`` call or whole grid
+#: the least cell count of a whole grid's first product trapezoid over [a, b]
+_GRID_CELLS = 4096
+#: the absolute or relative target, whichever is looser, of a whole grid's
+#: values at h against those at 2h
+_GRID_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -87,11 +95,10 @@ def _check_window(a: float, t: float) -> None:
         raise DomainError(f"t - a must be positive and finite, got t={t}, a={a}")
 
 
-def _check_n_nodes(n_nodes) -> None:
-    """Refuses an n_nodes, the least cell count of the whole-grid product
-    trapezoid over [a, b], that is not an integer of at least 2."""
-    if not (isinstance(n_nodes, (int, np.integer)) and n_nodes >= 2):
-        raise DomainError(f"n_nodes must be an integer of at least 2, got {n_nodes!r}")
+def _check_grid_size(n, least: int, name: str) -> None:
+    """Refuses a grid size n that is not an integer of at least least."""
+    if not (isinstance(n, (int, np.integer)) and n >= least):
+        raise DomainError(f"{name} must be an integer of at least {least}, got {n!r}")
 
 
 def _finite(y: np.ndarray, taus: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -199,33 +206,21 @@ def _jumps(f: TestFunction, a: float, b: float) -> list[tuple[float, float]]:
 
 
 def _product_trapezoid(
-    values: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    n: int,
-    n_nodes: int,
-    p: float | None = None,
-    rate: float | None = None,
+    g: np.ndarray, h: float, p: float | None = None, rate: float | None = None
 ) -> np.ndarray:
-    """The integrals over [a, t_i] of values(tau) times the kernel of
-    ``_cell_weights`` at t_i - tau, at the n points t_i = a + (b - a) i / n
-    of a whole grid: the product trapezoid on one uniform grid of
-    M = n ceil(n_nodes / n) cells over [a, b], values sampled on its nodes
-    by ``_sample``, taken as one Toeplitz product.
+    """The integrals over [tau_0, tau_k] of the linear interpolant of the
+    samples g on the nodes tau_j = tau_0 + j h times the kernel of
+    ``_cell_weights`` at tau_k - tau, at every node k, as one Toeplitz product.
 
     Node k sees the cell [tau_j, tau_j+1] at distance d = k - j, so node i
     carries the weight W(k - i) = left(k - i) + right(k - i + 1), except
     node 0, which has no cell to its left and carries W(k) - right(k + 1).
     """
-    stride = -(-n_nodes // n)
-    m = n * stride
-    g = _sample(values, a, b, m)
-    h = (b - a) / m
+    m = len(g) - 1
     # the cells d = 1..m+1, at distances (d-1) h to d h behind a node, as index d - 1
     left, right = (w[::-1] for w in _cell_weights(h * np.arange(m + 1, -1, -1), h, p, rate))
     weights = np.concatenate((right[:1], left[:-1] + right[1:]))
-    total = _toeplitz_sum(g, weights, m + 1) - g[0] * right
-    return total[stride::stride]
+    return _toeplitz_sum(g, weights, m + 1) - g[0] * right
 
 
 def rl_integral(f: TestFunction, alpha, a: float, t: float) -> float:
@@ -279,25 +274,26 @@ def evaluate_grid(
     a: float,
     b: float,
     n: int,
-    n_nodes: int = DEFAULT_N_NODES,
 ) -> np.ndarray:
-    """``evaluate(kind, f, alpha, a, t_i)`` at t_i = a + (b - a) i / n, i = 1..n.
+    """``evaluate(kind, f, alpha, a, t_i)`` at t_i = a + (b - a) i / n, i = 1..n,
+    n an integer of at least 1 (or DomainError).
 
     Closed-form values come from ``f._closed_form_grid``, the hook
     ``evaluate`` takes at one point, and match its values to the last bit or
     so (a series summed for all points at once may add a term more).  The
-    others come from one product trapezoid on M = n ceil(n_nodes / n)
-    uniform cells over [a, b], n_nodes an int of at least 2 (or DomainError,
-    even where no quadrature runs), with the jumps of f' at breakpoints
-    inside (a, b) taken out and added back in closed form (``_trapezoid_grid``).
+    others come from one product trapezoid on uniform cells over [a, b], with
+    the jumps of f' at breakpoints inside (a, b) taken out and added back in
+    closed form (``_trapezoid_grid``).  The grid sizes itself: it doubles its
+    cells until the trapezoid at the spacing h and at 2h agree within 1e-8,
+    absolute or relative, and is refused with BudgetExceededError past
+    ``MAX_EVALS`` samples.  That difference measures the trapezoid's error;
+    like Gauss-Kronrod's estimate, it is no proof.
     """
     order = _as_order(alpha)
-    if n < 1:
-        raise DomainError(f"grid size must be at least 1, got {n!r}")
-    _check_n_nodes(n_nodes)
+    _check_grid_size(n, 1, "grid size")
     ts = _grid_points(a, b, n)
     _check_window(a, float(ts[0]))  # also refuses b <= a and non-finite b
-    return _evaluate_points(kind, f, order, a, ts, b, n_nodes)
+    return _evaluate_points(kind, f, order, a, ts, b)
 
 
 def _evaluate_points(
@@ -307,16 +303,16 @@ def _evaluate_points(
     a: float,
     ts: np.ndarray,
     b: float | None = None,
-    n_nodes: int = DEFAULT_N_NODES,
 ) -> np.ndarray:
     """``evaluate(kind, f, order, a, t)`` at each point of ts (all > a, in
     any order): the one array evaluator behind ``evaluate_grid``, the L1
     integrand and the scalar operators.
 
     C and CF values come from one ``f._closed_form_grid`` call.  A point
-    with none (NaN) is filled by ``_trapezoid_grid`` on n_nodes cells when
-    ts is the whole grid ``_grid_points(a, b, len(ts))``, and otherwise (b
-    omitted) by ``_kernel_point``, to ``_POINT_TOL``, once the refusals of
+    with none (NaN) is filled by ``_trapezoid_grid``, to ``_GRID_TOL`` by
+    its two-spacing estimate or refused, when ts is the whole grid
+    ``_grid_points(a, b, len(ts))``, and otherwise (b omitted) by
+    ``_kernel_point``, to ``_POINT_TOL``, once the refusals of
     ``_checked_jumps`` over (a, max ts] have passed.  RL is
     ``funcat.rl_boundary_term`` plus the C values.
     """
@@ -331,7 +327,7 @@ def _evaluate_points(
         _checked_jumps(base, f, order, a, float(ts[missing].max()), ts[missing])
         values[missing] = [_kernel_point(base, f, order, a, t) for t in ts[missing].tolist()]
     elif missing.size:
-        values[missing] = _trapezoid_grid(base, f, order, a, b, ts, n_nodes)[missing]
+        values[missing] = _trapezoid_grid(base, f, order, a, b, ts, missing)
     if kind is OperatorKind.RIEMANN_LIOUVILLE:
         return funcat.rl_boundary_term(f, order, a, ts) + values
     return values
@@ -365,12 +361,26 @@ def _trapezoid_grid(
     a: float,
     b: float,
     ts: np.ndarray,
-    n_nodes: int,
+    fill: np.ndarray,
 ) -> np.ndarray:
-    """C or CF at the points ts of a uniform grid over (a, b], the last one
-    b: ``_product_trapezoid`` of f' with each jump J at a breakpoint c
-    (``_checked_jumps``) taken out as the step J H(tau - c), plus the
-    operator of the ramp J (tau - c)_+ (``funcat._step_response``)."""
+    """C or CF at the points ts[fill] (fill ascending indices) of the uniform
+    grid ts over (a, b], the last one b: ``_product_trapezoid`` of f' with
+    each jump J at a breakpoint c (``_checked_jumps``) taken out as the step
+    J H(tau - c), plus the operator of the ramp J (tau - c)_+
+    (``funcat._step_response``).
+
+    f' is sampled (``_sample``) on M uniform cells over [a, b], first the
+    least multiple of len(ts) of at least ``_GRID_CELLS``, and the trapezoid
+    is taken at the spacing h and again at 2h on every other sample.  Where
+    the two differ by more than ``_GRID_TOL``, absolute or relative to the
+    trapezoid at h, at a node they share from ts[fill[0]] (or the node
+    before it) on, M doubles and f' is sampled again.  The difference,
+    about three times the error at h, measures the trapezoid's error; like
+    Gauss-Kronrod's estimate it is no proof.  Past ``MAX_EVALS`` samples in
+    all the grid is refused with BudgetExceededError.  The nodes before
+    ts[fill[0]] are not compared: closed forms hold there, and a boundary
+    layer at a that they cover (t^1.5 under CF at beta 1e-3) would take the
+    trapezoid thousands of times the cells."""
     p, rate, scale = _kernel(kind, order)
     jumps = _checked_jumps(kind, f, order, a, b, ts)
 
@@ -378,9 +388,20 @@ def _trapezoid_grid(
         # H(0) = 1: a node on a breakpoint c is read from the right, past its step
         return _fprime(f, nodes, side) - sum(j * (nodes >= c) for c, j in jumps)
 
-    values = _product_trapezoid(fprime, a, b, len(ts), n_nodes, p, rate) / scale
+    counter, m = _Counter(MAX_EVALS), len(ts) * -(-_GRID_CELLS // len(ts))
+    while True:
+        counter.add(m + 1)
+        g, h, stride = _sample(fprime, a, b, m), (b - a) / m, m // len(ts)
+        fine = _product_trapezoid(g, h, p, rate) / scale
+        first = (fill[0] + 1) * stride // 2  # the shared node at ts[fill[0]] or one before it
+        shared = fine[::2][first:]
+        coarse = _product_trapezoid(g[::2], 2.0 * h, p, rate)[first:] / scale
+        if np.all(np.abs(shared - coarse) <= _GRID_TOL * np.maximum(1.0, np.abs(shared))):
+            break
+        m *= 2
+    values = fine[(fill + 1) * stride]
     for c, jump in jumps:
-        values += funcat._step_response(kind, order, np.maximum(ts - c, 0.0), jump)
+        values += funcat._step_response(kind, order, np.maximum(ts[fill] - c, 0.0), jump)
     return values
 
 

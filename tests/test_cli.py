@@ -14,6 +14,7 @@ from fracorder import (
     parse_function,
     ratio_limit,
 )
+from fracorder import operators
 from fracorder.cli import main
 from fracorder.funcat import rl_boundary_term
 
@@ -188,12 +189,21 @@ class TestDerive:
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
         assert not dest.exists()
 
-    def test_n_nodes_is_not_an_option(self, capsys):
-        # one value is computed to its own tolerance; only the whole grids
-        # of figures, error and order have cells to count
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["derive", "-f", "cos", "-k", "C", "-a", "0.5", "--interval", "0,1", "-t", "1"],
+            ["figures", "-f", "cos", "--interval", "0,1", "--points", "5"],
+            ["error", "-f", "cos", "-k", "C", "-p", "inf", "--beta", "0.1", "--interval", "0,1"],
+            ["order", "-f", "cos", "-k", "C", "-p", "inf", "--betas", "0.1,0.05,0.02,0.01",
+             "--interval", "0,1"],
+        ],
+    )
+    def test_n_nodes_is_not_an_option(self, capsys, argv):
+        # one value is computed to its own tolerance, and a whole grid sizes
+        # itself: no command has cells to count
         with pytest.raises(SystemExit) as exc:
-            main(["derive", "-f", "cos", "-k", "C", "-a", "0.5", "--interval", "0,1", "-t", "1",
-                  "--n-nodes", "256"])
+            main([*argv, "--n-nodes", "256"])
         assert exc.value.code == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert errors == ["fracorder: error: unrecognized arguments: --n-nodes 256"]
@@ -296,7 +306,7 @@ class TestFigures:
         code, out, _ = run_cli(
             capsys,
             "figures", "-f", "cos", "--interval", "0,1",
-            "--alphas", "0.9", "--points", "5", "--n-nodes", "256",
+            "--alphas", "0.9", "--points", "5",
             "--out", str(dest),
         )
         assert code == 0 and out == ""
@@ -309,14 +319,15 @@ class TestFigures:
         code, out, _ = run_cli(
             capsys,
             "figures", "-f", "cos", "--interval", "0,1",
-            "--alphas", "0.9", "--points", "3", "--n-nodes", "256",
+            "--alphas", "0.9", "--points", "3",
         )
         assert code == 0
         cells = {(r[0], r[2]): float(r[3]) for r in parse_csv(out)[1:]}
         rows = sorted({t_s for t_s, _ in cells}, key=float)
         assert len(rows) == 3
-        # the grid path's cell count: the least multiple of 3 points >= 256 nodes
-        h = 1.0 / (3 * math.ceil(256 / 3))
+        # the spacing of the grid's first level, the least multiple of 3
+        # points of at least its least cell count; it only shrinks as it refines
+        h = 1.0 / (3 * math.ceil(operators._GRID_CELLS / 3))
         for t_s in rows:
             t, c = float(t_s), cells[t_s, "C"]
             rl = rl_boundary_term(f, 0.9, 0.0, t) + c
@@ -324,6 +335,21 @@ class TestFigures:
             # trapezoid bound for the interpolant of f' = -sin, |f'''| <= 1
             bound = h**2 / 8 * t**0.1 / gamma(1.1)
             assert abs(c - caputo(f, 0.9, 0.0, t)) <= bound
+
+    def test_grid_it_cannot_resolve_is_refused(self, capsys, tmp_path):
+        # cos under C past its series' reach on (0, 1e6): the grid doubles
+        # its cells up to its evaluation budget and stops there instead of
+        # printing a wrong value (its 4096 cells printed -6.07 at t = 1e6,
+        # where the value is 0.909)
+        dest = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            capsys,
+            "figures", "-f", "cos", "--interval", "0,1e6", "--points", "2", "--out", str(dest),
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("numerical error: ")
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert not dest.exists()
 
     def test_derivative_singular_at_a_is_refused(self, capsys):
         # CF of t^(1/2) at alpha 0.99 has no trusted closed form past

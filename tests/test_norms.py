@@ -579,7 +579,7 @@ class TestErrorLinf:
         monkeypatch.setattr(operators, "caputo", counting)
         monkeypatch.setattr(operators, "_evaluate_points", recording)
         n_grid = 201
-        report = error_linf(Cosine(), C, 0.3, I01, n_grid=n_grid, n_nodes=64)
+        report = error_linf(Cosine(), C, 0.3, I01, n_grid=n_grid)
         # the grid scan, each round of the refinement and its vertex are one
         # array call, all closed forms; n_eval_points adds the boundary
         # candidate |f'(a+)|
@@ -606,7 +606,7 @@ class TestNormComparison:
         beta = 0.3
         tol = 1e-6
         l1 = error_l1(f, kind, beta, interval, tol)
-        linf = error_linf(f, kind, beta, interval, n_grid=2001, n_nodes=1024)
+        linf = error_linf(f, kind, beta, interval, n_grid=2001)
         assert l1.value <= interval.width * linf.value + tol
 
 

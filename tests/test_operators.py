@@ -13,6 +13,7 @@ from conftest import Opaque
 from fracorder import (
     AbsShift,
     Affine,
+    BudgetExceededError,
     Cosine,
     CustomKernel,
     DomainError,
@@ -68,8 +69,9 @@ class TestFractionalOrder:
         assert order.beta == 0.25
 
     def test_scheme_validation(self):
-        # the node count is a setting of the whole-grid trapezoid alone
-        with pytest.raises(DomainError):
+        # no operator takes a node count: a whole grid sizes itself, and a
+        # point runs to its own tolerance
+        with pytest.raises(TypeError):
             evaluate_grid(OperatorKind.CAPUTO, Cosine(), 0.5, 0.0, 1.0, 4, n_nodes=1)
         with pytest.raises(TypeError):
             caputo(Cosine(), 0.5, 0.0, 1.0, n_nodes=1)
@@ -169,14 +171,11 @@ class TestCaputo:
             assert quad == pytest.approx(closed, abs=2e-6)
 
     def test_convergence_under_node_doubling(self):
-        # the whole-grid trapezoid, on n_nodes cells for a grid of one point
+        # the whole-grid trapezoid doubles its cells until its two-spacing
+        # estimate is within its tolerance, which holds here
         exact = gamma(4.0) / gamma(3.5)  # Caputo of t^3 at alpha=0.5, t=1
-        errors = []
-        for n in (64, 128, 256, 512, 1024):
-            got = evaluate_grid(OperatorKind.CAPUTO, Opaque(Power(3.0, 0.0)), 0.5, 0.0, 1.0, 1, n)
-            errors.append(abs(got[0] - exact))
-        for coarse, fine in zip(errors, errors[1:]):
-            assert fine < 1e-10 or coarse / fine >= 1.8
+        (got,) = evaluate_grid(OperatorKind.CAPUTO, Opaque(Power(3.0, 0.0)), 0.5, 0.0, 1.0, 1)
+        assert abs(got - exact) <= operators._GRID_TOL * max(1.0, abs(exact))
 
 
 class TestCaputoFabrizio:
@@ -200,13 +199,9 @@ class TestCaputoFabrizio:
 
     def test_convergence_under_node_doubling(self):
         exact = caputo_fabrizio(Power(3.0, 0.0), 0.6, 0.0, 1.0)
-        errors = []
-        for n in (64, 128, 256, 512):
-            kind = OperatorKind.CAPUTO_FABRIZIO
-            got = evaluate_grid(kind, Opaque(Power(3.0, 0.0)), 0.6, 0.0, 1.0, 1, n)
-            errors.append(abs(got[0] - exact))
-        for coarse, fine in zip(errors, errors[1:]):
-            assert fine < 1e-10 or coarse / fine >= 1.8
+        kind = OperatorKind.CAPUTO_FABRIZIO
+        (got,) = evaluate_grid(kind, Opaque(Power(3.0, 0.0)), 0.6, 0.0, 1.0, 1)
+        assert abs(got - exact) <= operators._GRID_TOL * max(1.0, abs(exact))
 
 
 class TestRiemannLiouville:
@@ -347,38 +342,39 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             evaluate("C", Cosine(), 0.6, 0.0, 0.7)
 
-    @pytest.mark.parametrize("n_nodes", [1, 0, 2.5, 4096.0, "64"])
+    @pytest.mark.parametrize("n", [0, -3, 2.5, 4096.0, math.nan, "64"])
     @pytest.mark.parametrize(
         "call",
         [
-            lambda n: evaluate_grid(OperatorKind.CAPUTO, Cosine(), 0.6, 0.0, 0.7, 3, n),
-            lambda n: evaluate_grid(OperatorKind.CAPUTO_FABRIZIO, Cosine(), 0.6, 0.0, 0.7, 3, n),
-            lambda n: evaluate_grid(OperatorKind.RIEMANN_LIOUVILLE, Cosine(), 0.6, 0.0, 0.7, 3, n),
-            lambda n: evaluate_grid(OperatorKind.CAPUTO, Opaque(Cosine()), 0.6, 0.0, 0.7, 3, n),
+            lambda n: evaluate_grid(OperatorKind.CAPUTO, Cosine(), 0.6, 0.0, 0.7, n),
+            lambda n: evaluate_grid(OperatorKind.CAPUTO_FABRIZIO, Cosine(), 0.6, 0.0, 0.7, n),
+            lambda n: evaluate_grid(OperatorKind.RIEMANN_LIOUVILLE, Cosine(), 0.6, 0.0, 0.7, n),
+            lambda n: evaluate_grid(OperatorKind.CAPUTO, Opaque(Cosine()), 0.6, 0.0, 0.7, n),
             lambda n: evaluate_grid(
-                OperatorKind.CAPUTO_FABRIZIO, Opaque(Cosine()), 0.6, 0.0, 0.7, 3, n
+                OperatorKind.CAPUTO_FABRIZIO, Opaque(Cosine()), 0.6, 0.0, 0.7, n
             ),
-            lambda n: error_linf(Cosine(), OperatorKind.CAPUTO, 0.4, Interval(0.0, 1.0), n_nodes=n),
+            lambda n: error_linf(Cosine(), OperatorKind.CAPUTO, 0.4, Interval(0.0, 1.0), n_grid=n),
             lambda n: error_linf(
-                Cosine(), OperatorKind.CAPUTO_FABRIZIO, 0.4, Interval(0.0, 1.0), n_nodes=n
+                Cosine(), OperatorKind.CAPUTO_FABRIZIO, 0.4, Interval(0.0, 1.0), n_grid=n
             ),
             # the RL sup norm of f(a) != 0 is inf without a single operator value
             lambda n: error_linf(
-                Affine(1.0, 1.0), OperatorKind.RIEMANN_LIOUVILLE, 0.4, Interval(0.0, 1.0), n_nodes=n
+                Affine(1.0, 1.0), OperatorKind.RIEMANN_LIOUVILLE, 0.4, Interval(0.0, 1.0), n_grid=n
             ),
             # so is the sup norm where f'(a+) is infinite
             lambda n: error_linf(
-                Power(0.5, 0.0), OperatorKind.CAPUTO, 0.4, Interval(0.0, 1.0), n_nodes=n
+                Power(0.5, 0.0), OperatorKind.CAPUTO, 0.4, Interval(0.0, 1.0), n_grid=n
             ),
             lambda n: error_sweep(
-                Cosine(), OperatorKind.CAPUTO, NormKind.LINF, [0.4], Interval(0.0, 1.0), n_nodes=n
+                Cosine(), OperatorKind.CAPUTO, NormKind.LINF, [0.4], Interval(0.0, 1.0), n_grid=n
             ),
         ],
     )
-    def test_n_nodes_is_an_integer_of_at_least_two(self, call, n_nodes):
-        # refused even where a closed form needs no quadrature
-        with pytest.raises(DomainError, match="n_nodes"):
-            call(n_nodes)
+    def test_grid_size_is_an_integer(self, call, n):
+        # refused even where a closed form needs no quadrature: a fractional
+        # n would put the last grid point past b
+        with pytest.raises(DomainError, match="grid"):
+            call(n)
 
     @pytest.mark.parametrize("op", [caputo, caputo_fabrizio, riemann_liouville, rl_integral])
     def test_window_whose_width_overflows_is_refused(self, op):
@@ -415,7 +411,6 @@ GRID_FUNCTIONS = {
     "abs:0.5": (parse_function("abs:0.5"), None, None),
     "step:0.2,0.6,2": (parse_function("step:0.2,0.6,2"), None, None),
 }
-GRID_NODES = 64
 
 #: relative to max|grid|, how far a closed form on the grid may lie from the
 #: same hook taken at one point: a series summed for the whole grid may add a
@@ -440,9 +435,9 @@ class TestEvaluateGrid:
     )
     def test_matches_pointwise(self, alpha, n, name, kind):
         f, d2, d3 = GRID_FUNCTIONS[name]
-        n_nodes = GRID_NODES
-        grid = evaluate_grid(kind, f, alpha, 0.0, 1.0, n, n_nodes)
-        h_grid = 1.0 / (n * math.ceil(GRID_NODES / n))
+        grid = evaluate_grid(kind, f, alpha, 0.0, 1.0, n)
+        # the spacing of the grid's first level; it only shrinks as it refines
+        h_grid = 1.0 / (n * math.ceil(operators._GRID_CELLS / n))
         scale = float(np.max(np.abs(grid)))
         for i, value in enumerate(grid.tolist(), start=1):
             t = i / n
@@ -464,9 +459,8 @@ class TestEvaluateGrid:
     )
     def test_rl_is_boundary_term_plus_caputo(self, alpha, n, name):
         f = GRID_FUNCTIONS[name][0]
-        n_nodes = GRID_NODES
-        rl = evaluate_grid(OperatorKind.RIEMANN_LIOUVILLE, f, alpha, 0.0, 1.0, n, n_nodes)
-        c = evaluate_grid(OperatorKind.CAPUTO, f, alpha, 0.0, 1.0, n, n_nodes)
+        rl = evaluate_grid(OperatorKind.RIEMANN_LIOUVILLE, f, alpha, 0.0, 1.0, n)
+        c = evaluate_grid(OperatorKind.CAPUTO, f, alpha, 0.0, 1.0, n)
         ts = np.arange(1, n + 1) / n
         np.testing.assert_array_equal(rl, rl_boundary_term(f, alpha, 0.0, ts) + c)
 
@@ -476,7 +470,7 @@ class TestEvaluateGrid:
         # quadrature, whose panels end at the breakpoint
         f = Opaque(AbsShift(0.5))
         for kind in OperatorKind:
-            grid = evaluate_grid(kind, f, 0.7, 0.0, 1.0, 5, 128)
+            grid = evaluate_grid(kind, f, 0.7, 0.0, 1.0, 5)
             pointwise = [evaluate(kind, f, 0.7, 0.0, i / 5) for i in range(1, 6)]
             np.testing.assert_allclose(grid, pointwise, rtol=1e-13, atol=0.0)
 
@@ -737,12 +731,11 @@ class TestClosedFormAgainstQuadrature:
     def test_cosine_past_the_reach_falls_back_to_quadrature(self):
         alpha, b, n = 0.5, 12.0, 24
         reach = 10.0 + math.lgamma(0.5)
-        n_nodes = 512
         assert closed_form_fractional(Cosine(), OperatorKind.CAPUTO, alpha, 0.0, b) is None
         assert caputo(Cosine(), alpha, 0.0, b) == caputo(Opaque(Cosine()), alpha, 0.0, b)
         # the grid: closed forms up to the reach, the whole-grid trapezoid past it
-        grid = evaluate_grid(OperatorKind.CAPUTO, Cosine(), alpha, 0.0, b, n, n_nodes)
-        opaque = evaluate_grid(OperatorKind.CAPUTO, Opaque(Cosine()), alpha, 0.0, b, n, n_nodes)
+        grid = evaluate_grid(OperatorKind.CAPUTO, Cosine(), alpha, 0.0, b, n)
+        opaque = evaluate_grid(OperatorKind.CAPUTO, Opaque(Cosine()), alpha, 0.0, b, n)
         ts = b * np.arange(1, n + 1) / n
         past = ts > reach
         assert past.any() and not past.all()
@@ -750,9 +743,29 @@ class TestClosedFormAgainstQuadrature:
         closed = [caputo(Cosine(), alpha, 0.0, t) for t in ts[~past].tolist()]
         np.testing.assert_allclose(grid[~past], closed, rtol=0, atol=1e-13)
         # and both sides of the reach agree with quadrature within its bound
-        h = b / (n * math.ceil(512 / n))
+        h = b / (n * math.ceil(operators._GRID_CELLS / n))
         bound = h**2 / 8 * _kernel_mass(OperatorKind.CAPUTO, alpha, b)
         assert np.max(np.abs(grid - opaque)) <= bound
+
+    @pytest.mark.parametrize("b,n", [(40.0, 500), (11.0, 11)])
+    def test_grid_far_past_the_reach_refines_its_cells(self, b, n):
+        # six periods of cos under the kernel on (0, 40), where the first
+        # level of 4500 cells was 7.1e-6 off: the grid doubles its cells
+        # until its two-spacing estimate is within 1e-8.  On (0, 11) only b
+        # is past the reach, on the odd node 4103 of the first level, which
+        # the estimate reads at the shared node before it
+        alpha = 0.5
+        grid = evaluate_grid(OperatorKind.CAPUTO, Cosine(), alpha, 0.0, b, n)
+        ts = b * np.arange(1, n + 1) / n
+        past = ts > 10.0 + math.lgamma(0.5)
+        points = [caputo(Cosine(), alpha, 0.0, t) for t in ts[past].tolist()]
+        np.testing.assert_allclose(grid[past], points, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("b", [100.0, 1e6])
+    def test_grid_it_cannot_resolve_is_refused(self, b):
+        # at 1e6 the 4096-cell trapezoid gave -6.07 at t = b, where the value is 0.909
+        with pytest.raises(BudgetExceededError, match="exceeded 1000000 evaluations"):
+            evaluate_grid(OperatorKind.CAPUTO, Cosine(), 0.5, 0.0, b, 500)
 
     def test_cosine_far_past_the_reach(self):
         # six periods of cos under one kernel, where a 4096-cell trapezoid
@@ -997,7 +1010,7 @@ class TestJumpsTakenOut:
         closed = evaluate_grid(kind, Cosine(), alpha, 0.0, 1.0, n) + 2.0 * evaluate_grid(
             kind, AbsShift(0.5), alpha, 0.0, 1.0, n
         )
-        h = 1.0 / (n * math.ceil(operators.DEFAULT_N_NODES / n))
+        h = 1.0 / (n * math.ceil(operators._GRID_CELLS / n))
         max_d3 = math.sin(1.0)  # |f'''| = |sin t| on [0, 1]
         for t, got, want in zip(np.arange(1, n + 1) / n, grid.tolist(), closed.tolist()):
             assert abs(got - want) <= h**2 / 8 * max_d3 * _kernel_mass(kind, alpha, t)

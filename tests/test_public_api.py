@@ -19,9 +19,12 @@ def test_every_exported_name_resolves_once(name):
     assert len(exported) == len(set(exported))
 
 
-@pytest.mark.parametrize("name", ["QuadratureScheme", "CaputoKernel", "CaputoFabrizioKernel"])
+@pytest.mark.parametrize(
+    "name", ["QuadratureScheme", "CaputoKernel", "CaputoFabrizioKernel", "DEFAULT_N_NODES"]
+)
 def test_folded_names_are_gone(name):
-    # an int n_nodes replaces QuadratureScheme; OperatorKind names the C and
+    # no node count is left to pass: a value at a point runs to its own
+    # tolerance and a whole grid sizes itself; OperatorKind names the C and
     # CF kernels of generic_kernel_derivative
     assert not hasattr(fracorder, name)
     assert name not in fracorder.__all__
