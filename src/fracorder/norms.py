@@ -2,30 +2,41 @@
 
 The L1 functional is an adaptive 7-15 Gauss-Kronrod quadrature (QUADPACK's
 pair), ``operators._gauss_kronrod``, which every operator value without a
-closed form off a whole grid uses too (``operators._pointwise``).  Its
-panels are split at catalog breakpoints and inside the boundary layers
-right of a and of each breakpoint, and it is vectorised over the panels:
-each refinement round evaluates the integrand once, as one array over the
-15 nodes of every panel still being refined.  The integrand is the signed
-error D f - f' and the rule integrates its absolute value, so that it sees
-where D f - f' changes sign, which is where |D f - f'| has a kink: a panel
-refined there is cut at the two nodes around the sign change and at the
-secant root between them instead of being bisected, and its error estimate
-gains the rule's error on the kink.  The operator values at
-the nodes come from one ``operators._evaluate_points`` call, f' from one
-``funcat._derivative_toward`` call.  The loop stops when the summed error estimate
-of all panels is at most the requested tol; that sum is reported as
-``ErrorReport.quad_error``, and a tol that cannot be met is refused.  The
-estimate leaves out the error of the operator values themselves: none for
-a closed form, and within 1e-11 absolute or relative for the others.
+closed form off a whole grid uses too (``operators._pointwise``).  It is
+vectorised over the panels: each refinement round evaluates the integrand
+once, as one array over the 15 nodes of every panel still being refined.
+The integrand is the signed error D f - f' and the rule integrates its
+absolute value, so that it sees where D f - f' changes sign, which is where
+|D f - f'| has a kink: a panel refined there is cut at the two nodes around
+the sign change and at the secant root between them instead of being
+bisected, and its error estimate gains the rule's error on the kink.  The
+first round also reads the integrand just inside the two outer edges of
+each run, so that a sign change between an edge and the outermost node is
+cut and charged too.  The operator values at the nodes come from one
+``operators._evaluate_points`` call, f' from one
+``funcat._derivative_toward`` call.  The loop stops when the summed error
+estimate of all panels is at most the requested tol; that sum is reported
+as ``ErrorReport.quad_error``, and a tol that cannot be met is refused.
+The estimate leaves out the error of the operator values themselves: none
+for a closed form, and within 1e-11 absolute or relative for the others.
 
-The Riemann-Liouville case needs special care: its integrand carries the
-term f(a)(t-a)^(beta-1)/Gamma(beta), whose mass concentrates so hard at the
-left endpoint for small beta that the region below any floating point
-offset delta still holds a fraction 1 - delta^beta of the integral (97%
-below 1e-16 at beta = 1e-3).  The leftmost panel is therefore computed
-under the exact flattening substitution t = a + w v^(1/beta), which maps the
-power term to a constant and leaves a bounded integrand on (0, 1].
+The interval is cut at a, the catalog breakpoints and b into pieces, and
+the coordinate of each piece follows the boundary layer at its left end lo.
+Under C and RL a jump J of f' at lo (f'(a) itself at a) adds
+J (t-lo)^beta / Gamma(1+beta) to D f, a term whose slope is unbounded at lo
+and whose mass, for small beta, sits at the top of the piece.  So each
+piece on which f' has a finite limit at lo, which is every piece right of
+a breakpoint, is integrated on its own in the flattened coordinate
+v = ((t - lo)/w)^beta, w its width, where that term is linear
+(``_flattened``).  There the Riemann-Liouville term
+f(a)(t-a)^(beta-1)/Gamma(beta) of the first piece becomes a constant, so
+that piece is flattened wherever f(a) != 0, whatever f' does at a: the
+region below any floating point offset delta holds a fraction
+1 - delta^beta of that term's integral (97% below 1e-16 at beta = 1e-3).
+On later pieces the term is smooth.  Any other first piece with f'
+infinite at a (t^g, g < 1), and every piece under CF, whose layer is
+exponential, stays on t-panels split inside the boundary layers
+(``_boundary_layer_splits``); under CF the pieces share one run.
 
 The L-infinity functional scans a dense grid over (a, b], with every
 operator value of the scan from one ``operators.evaluate_grid`` call and
@@ -48,8 +59,9 @@ jumps and the operator does not, the one-sided limits |D(c) - f'(c-)| and
 and for the Riemann-Liouville operator with f(a) != 0, the supremum is
 infinite and no scan is made.
 
-Where f' jumps at a point t of the scan or of the L1 integrand, it is taken
-from the left, the side inside (a, t]; at a, from the right.
+Where f' jumps at a point t of the scan or of the L1 integrand on t-panels,
+it is taken from the left, the side inside (a, t]; at a, from the right.  A
+node of a flattened piece reads f' inside its piece.
 """
 
 import enum
@@ -79,8 +91,12 @@ DEFAULT_GRID = 20001
 _ZOOM_POINTS = 127
 _ZOOM_ROUNDS = 2
 
-#: fractions (t - a) / w whose images v are ``_rl_flattened``'s panel edges
-_FLAT_FRACS = (0.0, 1e-9, 1e-6, 1e-3, 1e-1, 1.0)
+#: fractions (t - lo) / w whose images are ``_flattened``'s inner panel
+#: edges.  The first panel's mass, about |D f - f'|(lo+) 1e-18 w, is not seen:
+#: K15's outermost node sits a factor of about e^(-0.0043/beta) below its end
+#: in t.  With 1e-9 for its end, affine:1,1 under RL on (0, 2) at beta 1e-4
+#: was 4.1e-12 off, estimating 1.4e-14
+_FLAT_FRACS = (1e-18, 1e-7, 1e-3, 1e-1)
 
 
 class NormKind(enum.Enum):
@@ -94,7 +110,7 @@ class ErrorReport:
 
     ``quad_error`` is the summed quadrature error estimate behind an L1
     value, at most the requested tol; ``None`` for the sup norm.  It covers
-    the Gauss-Kronrod rule over t only, not the error of the operator values
+    the Gauss-Kronrod rule only, not the error of the operator values
     it integrates: none where they have closed forms, and within 1e-11
     absolute or relative of each where they are quadratures themselves.
     """
@@ -128,10 +144,10 @@ def _boundary_layer_splits(
     start: float, width: float, kind: OperatorKind, order: FractionalOrder
 ) -> list[float]:
     """Split points inside (start, start + width) resolving the boundary
-    layer of D f - f' right of start: a, where the operator begins, or a
-    breakpoint, where f' jumps by some J and D f gains a term of its own,
-    J (t-start)^beta / Gamma(1+beta) under C and
-    J (1 - e^(-rate (t-start))) / alpha under CF."""
+    layer of D f - f' right of start on t-panels: under CF at a, where the
+    operator begins, or at a breakpoint, where f' jumps by some J and D f
+    gains J (1 - e^(-rate (t-start))) / alpha; and under C and RL at a where
+    f' is infinite there, the one piece that ``_flattened`` does not take."""
     points = {start + width * frac for frac in (1e-6, 1e-3, 1e-1)}
     if kind is OperatorKind.CAPUTO_FABRIZIO:
         scale = 1.0 / order.rate  # decay length of the exponential kernel
@@ -142,28 +158,40 @@ def _boundary_layer_splits(
     return sorted(p for p in points if start + least < p < start + width - least)
 
 
-def _rl_flattened(f, order, a, w):
-    """The signed RL error on (a, a+w] under the substitution
-    t = a + w v^(1/beta), as an integrand over v in (0, 1] and the edges of
-    its panels.
+def _flattened(kind, f, order, a, lo, hi):
+    """The signed error on the piece (lo, hi] under the substitution
+    t = lo + w v^(1/beta), w = hi - lo, as an integrand over y = 1 - v in
+    [0, 1] with the weight dt/dv = (w/beta) v^rate, and the edges of its
+    panels.
 
-    In v-coordinates the singular term becomes the constant f(a) w^beta /
-    (beta Gamma(beta)) and the remainder (the Caputo error) is damped by
-    v^rate, rate = alpha/beta; both factors underflow harmlessly to the
-    exact limit value near v = 0.
+    The term J (t - lo)^beta / Gamma(1 + beta) that a jump J of f' at lo
+    adds to D f, whose slope in t is unbounded at lo, is linear in v, so
+    its layer needs no bisection toward lo.  In y, the panels near t = hi,
+    which hold the mass of a small beta, keep all their digits, which they
+    would not in v near 1.  Where lo = a the Riemann-Liouville boundary term
+    f(a)(t-a)^(beta-1)/Gamma(beta) becomes the constant
+    f(a) w^beta / (beta Gamma(beta)), and the rest is the Caputo error; on
+    later pieces the term is smooth and stays in D f.  A node whose t
+    rounds onto a takes D f(a+) = 0, the limit where f' is finite at a.
+    f' is read inside the piece: toward hi at lo, and toward lo at hi.
     """
-    beta = order.beta
-    base = f.value(a) * w**beta / (beta * specfun.gamma(beta))
+    beta, w = order.beta, hi - lo
+    base = 0.0
+    if kind is OperatorKind.RIEMANN_LIOUVILLE and lo == a:
+        base = f.value(a) * w**beta / (beta * specfun.gamma(beta))
+        kind = OperatorKind.CAPUTO
 
-    def integrand(v: np.ndarray) -> np.ndarray:
-        t = a + w * v ** (1.0 / beta)
-        rest = np.zeros(v.shape)
+    def integrand(y: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore"):  # y = 1 is t = lo, where the weight is 0
+            log_v = np.log1p(-y)
+        t = np.minimum(lo + w * np.exp(log_v / beta), hi)
+        values = np.zeros(y.shape)
         inside = t > a
-        ts = t[inside]
-        rest[inside] = _error(OperatorKind.CAPUTO, f, order, a, ts)
-        return base + (w / beta) * v**order.rate * rest
+        values[inside] = operators._evaluate_points(kind, f, order, a, t[inside])
+        error = values - _derivative_toward(f, t, 0.5 * (lo + hi))
+        return base + (w / beta) * np.exp(order.rate * log_v) * error
 
-    return integrand, sorted({x**beta for x in _FLAT_FRACS})
+    return integrand, sorted({0.0, 1.0, *(-math.expm1(beta * math.log(x)) for x in _FLAT_FRACS)})
 
 
 def error_l1(
@@ -177,26 +205,33 @@ def error_l1(
 ) -> ErrorReport:
     """L1 norm of D^(1-beta) f - f' over the interval, to absolute accuracy tol.
 
-    The interval is split at the catalog breakpoints, and each piece again
-    inside the boundary layer right of its left end (``_boundary_layer_splits``);
-    for RL with f(a) != 0 the first piece is integrated in the flattened
-    coordinate v instead (``_rl_flattened``).  The panels are integrated by
-    the adaptive 7-15 Gauss-Kronrod rule of ``operators._gauss_kronrod`` on
-    |D f - f'|, which cuts a panel at each sign change of D f - f' that its
-    nodes see, so that a kink of the integrand costs two or three rounds,
-    not one bisection per halving (cos under CF on (0, 1): 2 rounds at beta
-    1e-1 to 1e-3, where bisection took 12, 10 and 8).
+    The interval is split at the catalog breakpoints into pieces.  Under C
+    and RL each piece on which f' has a finite limit at its left end lo,
+    and RL's first piece where f(a) != 0, is one run in the flattened
+    coordinate v = ((t - lo)/w)^beta (``_flattened``); the first piece of
+    an f' infinite at a is one run on t-panels split inside its boundary
+    layer.  Under CF all pieces are one run on t-panels, split again inside
+    the boundary layer right of each left end (``_boundary_layer_splits``).
+    Each run is integrated by the adaptive 7-15 Gauss-Kronrod rule of
+    ``operators._gauss_kronrod`` on |D f - f'|, which cuts a panel at each
+    sign change of D f - f' that its nodes, or the probes inside the run's
+    two outer edges, see, so that a kink of the integrand costs two or
+    three rounds, not one bisection per halving (cos under CF on (0, 1): 2
+    rounds at beta 1e-1 to 1e-3, where bisection took 12, 10 and 8).  In v
+    the layer of a jump at lo is linear: |t - 1| under C on (0, 2) takes 2
+    rounds a piece and 274 nodes, where t-panels took 8 rounds and 1350.
 
     ``tol`` bounds the sum over all final panels of QUADPACK's error
     estimate, |K15 - G7| scaled by how much the integrand varies on the
-    panel; the report carries that sum as ``quad_error``.  It is an
-    estimate of the error, not a proof: it errs on the safe side where the
-    integrand has a singular derivative, counts the rule's error on each
-    kink that the panels' nodes, or the outermost nodes of two touching
-    panels, see, and misses a kink that falls between an end of the
-    interval or a breakpoint and the outermost node beside it.
-    ``n_eval_points`` counts every node at which the integrand was
-    evaluated, 15 per panel; past ``max_evals`` the integration stops with
+    panel; the report carries that sum as ``quad_error``.  Each run gets a
+    share of tol in proportion to its first panels.  It is an estimate of
+    the error, not a proof: it errs on the safe side where the integrand has
+    a singular derivative, counts the rule's error on each kink that the
+    panels' nodes, the outermost nodes of two touching panels, or an
+    outermost node and the probe beside it, see, and misses two sign
+    changes between the same two nodes.  ``n_eval_points`` counts every
+    point at which the integrand was evaluated: 15 per panel and 2 probes
+    per run; past ``max_evals`` the integration stops with
     BudgetExceededError.  When the estimate is still above tol and every
     panel over its share is too narrow to refine or at its rounding floor,
     or the floors alone sum past tol, the value is refused with
@@ -210,20 +245,29 @@ def error_l1(
 
     kinks = _breakpoints_inside(f, a, b)
     pieces = list(zip([a, *kinks], [*kinks, b]))
-    regions = []
-    if kind is OperatorKind.RIEMANN_LIOUVILLE and f.value(a) != 0.0:
-        regions.append(_rl_flattened(f, order, a, pieces[0][1] - a))
-        del pieces[0]
-    if pieces:
-        edges = [pieces[0][0]]
-        for lo, hi in pieces:
-            edges += [*_boundary_layer_splits(lo, hi - lo, kind, order), hi]
-        regions.append((lambda ts: _error(kind, f, order, a, ts), edges))
-    n_panels = sum(len(e) - 1 for _, e in regions)
+    if kind is OperatorKind.CAPUTO_FABRIZIO:
+        flat = [False] * len(pieces)
+    else:
+        # a piece is flattened where f' has a finite limit at its left end
+        los, his = (np.array(ends) for ends in zip(*pieces))
+        flat = np.isfinite(_derivative_toward(f, los, his)).tolist()
+        flat[0] = flat[0] or (kind is OperatorKind.RIEMANN_LIOUVILLE and f.value(a) != 0.0)
+    runs, edges = [], []
+    for (lo, hi), flattened in zip(pieces, flat):
+        if flattened:
+            runs.append(_flattened(kind, f, order, a, lo, hi))
+            continue
+        # a piece on t-panels is a run alone, but CF's pieces share one
+        edges = edges or [lo]
+        edges += [*_boundary_layer_splits(lo, hi - lo, kind, order), hi]
+        if kind is not OperatorKind.CAPUTO_FABRIZIO or hi == b:
+            runs.append((lambda ts: _error(kind, f, order, a, ts), edges))
+            edges = []
+    n_panels = sum(len(e) - 1 for _, e in runs)
     value = quad_error = 0.0
-    for fn, region_edges in regions:
-        share = tol * (len(region_edges) - 1) / n_panels
-        part, estimate = operators._gauss_kronrod(fn, region_edges, share, counter, absolute=True)
+    for fn, run_edges in runs:
+        share = tol * (len(run_edges) - 1) / n_panels
+        part, estimate = operators._gauss_kronrod(fn, run_edges, share, counter, absolute=True)
         value += part
         quad_error += estimate
     return ErrorReport(kind, beta, NormKind.L1, interval, value, counter.count, quad_error)

@@ -486,30 +486,43 @@ _WG = (
 #: so that one product gives both means
 _GK_NODES = 0.5 * np.array([*(1.0 - x for x in _XGK[:-1]), *(1.0 + x for x in _XGK[::-1])])
 _GK_WEIGHTS = 0.5 * np.array([[*w[:-1], *w[::-1]] for w in (_WGK, _WG)]).T
+#: the Kronrod weights alone, and the nodes of the lower half with them
+_GK_KRONROD = np.ascontiguousarray(_GK_WEIGHTS[:, 0])
+_GK_LOWER = tuple(zip(_GK_NODES[:8].tolist(), _GK_KRONROD[:8].tolist()))
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 #: a panel narrower than this fraction of its position is not bisected: the
 #: outermost nodes of its halves, 0.0085 half-widths from their ends, would
 #: lie less than two ulps inside them
 _NARROWEST = 2.0**-42
+#: the offset, as a fraction of its panel's width, at which ``_gauss_kronrod``
+#: probes g inside each outer edge, far inside the 0.43% strip before the
+#: outermost node: a sign change nearer the edge goes unseen, and costs at
+#: most |g'| (2^-30 W)^2
+_PROBE = 2.0**-30
 
 
 def _kinks(
-    lo: list[float], hi: list[float], nodes: np.ndarray, g: np.ndarray
+    lo: list[float], hi: list[float], x: np.ndarray, g: np.ndarray, probed: bool
 ) -> tuple[list[list[float]], np.ndarray]:
-    """Where the signed values g at the nodes of the ascending panels
-    [lo, hi] change sign between consecutive nodes x_j and x_{j+1}, in one
-    panel or across the end that two panels share: per panel, the cuts that
-    isolate each sign change, and an estimate of the error that the kink of
-    |g| there adds to the panel's K15 integral of |g|.
+    """Where the signed values g at the points x change sign between
+    consecutive points x_j and x_{j+1}, in one panel or across the end that
+    two panels share: per panel, the cuts that isolate each sign change, and
+    an estimate of the error that the kink of |g| there adds to the panel's
+    K15 integral of |g|.  x holds the nodes of the ascending panels
+    [lo, hi], panel by panel; where probed is set, also a probe just inside
+    the first panel's lo before them and one just inside the last panel's hi
+    after them, so that a sign change between an outer edge and its
+    outermost node, which no panel touches, is seen too.
 
     The cuts are x_j, the secant root and x_{j+1}, each given to the panel
-    that holds it, in ascending order, and kept only if it lies more than
-    ``_NARROWEST`` of the panel's position inside it and past the panel's
-    previous cut.  The secant root lies close to the root, so the pieces
-    beside it hold the kink close to their shared end: in the strips
-    between that end and their outermost nodes, 0.43% of their widths, or
-    just past them.  There neither K15 nor QUADPACK's estimate sees it.
+    that holds it, in ascending order, and kept only if it is no probe and
+    lies more than ``_NARROWEST`` of the panel's position inside it and past
+    the panel's previous cut.  The secant root lies close to the root, so
+    the pieces beside it hold the kink close to their shared end: in the
+    strips between that end and their outermost nodes, 0.43% of their
+    widths, or just past them.  There neither K15 nor QUADPACK's estimate
+    sees it.
 
     The error estimate is K15's error on the kink alone: near a root at a
     distance t W from the nearer end of a panel of width W, |g| is smooth
@@ -519,28 +532,30 @@ def _kinks(
     root lies in the strip, no node is past it and the estimate is the
     whole |g'| (t W)^2.  It is doubled to cover the curvature of g over
     t W, and given to the panel that holds the secant root, with g' the
-    secant's slope.  A sign change between an end of the first or last
-    panel, which no panel touches, and its outermost node is not seen."""
+    secant's slope."""
     cuts = [[] for _ in lo]
     kink = np.zeros(len(lo))
-    x, y = nodes.ravel(), g.ravel()
-    per = nodes.shape[1]
-    for m in np.flatnonzero(y[:-1] * y[1:] < 0.0).tolist():
-        i, j = divmod(m, per)
-        if j == per - 1 and hi[i] != lo[i + 1]:
+    per, last, first = len(_GK_NODES), len(lo) - 1, int(probed)
+    for m in np.flatnonzero(g[:-1] * g[1:] < 0.0).tolist():
+        # the panels of the two points; a probe belongs to its outer panel
+        i = min(max((m - first) // per, 0), last)
+        n = min(max((m + 1 - first) // per, 0), last)
+        if i != n and hi[i] != lo[n]:
             continue
-        x0, x1, y0, y1 = float(x[m]), float(x[m + 1]), float(y[m]), float(y[m + 1])
+        x0, x1, y0, y1 = float(x[m]), float(x[m + 1]), float(g[m]), float(g[m + 1])
         root = x0 - y0 * (x1 - x0) / (y1 - y0)
-        k = i + 1 if j == per - 1 and root >= hi[i] else i
+        k = n if root >= hi[i] else i
         width = hi[k] - lo[k]
         t = max(min(root - lo[k], hi[k] - root), 0.0) / width
-        stick = t * t - 2.0 * float(_GK_WEIGHTS[:, 0] @ np.maximum(t - _GK_NODES, 0.0))
+        stick = t * t - 2.0 * sum(wk * (t - u) for u, wk in _GK_LOWER if u < t)
         kink[k] += 2.0 * abs((y1 - y0) / (x1 - x0)) * width * width * abs(stick)
-        for cut in (x0, root, x1):
-            k = i + 1 if j == per - 1 and cut >= hi[i] else i
+        ends = [x0] if m >= first else []
+        ends += [root] + ([x1] if m + 1 < len(x) - first else [])
+        for cut in ends:
+            k = n if cut >= hi[i] else i
             least = _NARROWEST * max(abs(lo[k]), abs(hi[k]))
-            last = cuts[k][-1] if cuts[k] else lo[k]
-            if cut - last > least and hi[k] - cut > least:
+            previous = cuts[k][-1] if cuts[k] else lo[k]
+            if cut - previous > least and hi[k] - cut > least:
                 cuts[k].append(cut)
     return cuts, kink
 
@@ -579,6 +594,11 @@ def _gauss_kronrod(
     at the secant root between them (``_kinks``), so that the kink of |g|
     sits in a piece about a fifteenth of the panel wide, close to the end
     that it shares with the next piece; any other panel is bisected.  The
+    first round also reads g at two probes, ``_PROBE`` of the outer panels'
+    widths inside edges[0] and edges[-1] (no closer than the next float),
+    in the same call of fn, and compares each with the outermost node
+    beside it: a sign change between an outer edge and that node, which no
+    panel touches, is cut and charged as any other.  The
     estimate of a panel holding such a kink gains K15's error on the kink,
     taken from the secant root's place among the nodes, which stays honest
     however close to the panel's end the root lies.  The pieces share the
@@ -590,21 +610,29 @@ def _gauss_kronrod(
     lo, hi = edges[:-1], edges[1:]
     share = [tol / len(lo)] * len(lo)
     kept_value = kept_error = 0.0
+    # the first round of |fn| also reads fn just inside the two outer edges
+    probes = [
+        max(lo[0] + _PROBE * (hi[0] - lo[0]), math.nextafter(lo[0], math.inf)),
+        min(hi[-1] - _PROBE * (hi[-1] - lo[-1]), math.nextafter(hi[-1], -math.inf)),
+    ] if absolute else []
     while True:
         lo_a, hi_a = np.array(lo), np.array(hi)
         width = hi_a - lo_a
         # lo + width u is never below lo, and above hi only in a panel a few
         # ulps wide
         nodes = np.minimum(lo_a[:, None] + np.multiply.outer(width, _GK_NODES), hi_a[:, None])
-        counter.add(nodes.size)
-        y = fn(nodes.ravel()).reshape(nodes.shape)
+        x = np.concatenate((probes[:1], nodes.ravel(), probes[1:])) if probes else nodes.ravel()
+        counter.add(x.size)
+        g = fn(x)
+        y = (g[1:-1] if probes else g).reshape(nodes.shape)
         if absolute:
-            cuts_at, kink = _kinks(lo, hi, nodes, y)
+            cuts_at, kink = _kinks(lo, hi, x, g, bool(probes))
+            probes = []
             y = np.abs(y)
         kronrod, gauss = (y @ _GK_WEIGHTS).T
-        resasc = np.abs(y - kronrod[:, None]) @ _GK_WEIGHTS[:, 0]
+        resasc = np.abs(y - kronrod[:, None]) @ _GK_KRONROD
         ratio = np.minimum(200.0 * np.abs(kronrod - gauss) / np.maximum(resasc, _TINY), 1.0)
-        floor = 50.0 * _EPS * (np.abs(y) @ _GK_WEIGHTS)[:, 0] * width
+        floor = (50.0 * _EPS) * width * (kronrod if absolute else np.abs(y) @ _GK_KRONROD)
         error = np.maximum(resasc * ratio**1.5 * width, floor)
         if absolute:
             error += kink

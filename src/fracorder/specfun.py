@@ -186,12 +186,17 @@ def mittag_leffler_one(omega: float, z: float) -> float:
 
 
 def _series_array(omega: float, z: np.ndarray) -> np.ndarray:
-    """``_series`` for rho = 1 at every z at once: the same running product,
-    summed in order, until every point meets the scalar stopping rule."""
-    term = np.full(z.shape, 1.0 / gamma(omega))
-    total = term.copy()
-    reach = float(np.max(np.abs(z), initial=0.0))
-    k = 0
+    """``_series`` for rho = 1 at every z at once, with as many terms for
+    every point as the farthest one needs: the scalar stopping rule, run
+    once on the term magnitudes at the largest |z| and against the sum of
+    those magnitudes (no term of a nearer point is larger), fixes the
+    count, and the same running product is then summed in order without a
+    check."""
+    if not z.size:
+        return np.empty(z.shape)
+    reach = float(np.max(np.abs(z)))
+    mag = 1.0 / gamma(omega)
+    abs_sum, k = mag, 0
     while True:
         k += 1
         if k > _SERIES_MAX_TERMS:
@@ -199,10 +204,16 @@ def _series_array(omega: float, z: np.ndarray) -> np.ndarray:
                 f"Mittag-Leffler series did not converge within "
                 f"{_SERIES_MAX_TERMS} terms (omega={omega}, max |z| = {reach})"
             )
-        term = term * z / (k - 1.0 + omega)
+        mag *= reach / (k - 1.0 + omega)
+        abs_sum += mag
+        if k + omega > reach and mag <= _SERIES_TERM_TOL * abs_sum:
+            break
+    term = np.full(z.shape, 1.0 / gamma(omega))
+    total = term.copy()
+    for j in range(k):
+        term = term * z / (j + omega)
         total += term
-        if k + omega > reach and np.all(np.abs(term) <= _SERIES_TERM_TOL * np.abs(total)):
-            return total
+    return total
 
 
 def _closed_form_integer_array(m: int, z: np.ndarray) -> np.ndarray:
