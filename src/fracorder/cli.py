@@ -6,10 +6,16 @@ beta sweep plus its power-law fit), ``ratio`` (finite-beta or limit CF/C
 ratio) and ``table1`` (the four-row comparison table).
 
 Exit status: 0 on success, 2 for argument errors, 3 for numerical failures.
+
+``main`` builds its argparse tree on its first call and reuses it for every
+later call in the process: parsing leaves the parser as it was (each call
+gets a new namespace), help text is laid out when it is printed, and the
+defaults are module constants.  Importing the module builds nothing.
 """
 
 import argparse
 import csv
+import functools
 import io
 import math
 import sys
@@ -190,6 +196,7 @@ def _cmd_table1(args, writer) -> None:
         writer.writerow([str(m), _fmt_sig(at_one), _fmt_sig(at_m_minus_1)])
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracorder",

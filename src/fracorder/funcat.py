@@ -284,7 +284,10 @@ class Power(_NumpyEntry):
                 ratio = math.exp(specfun.ln_gamma(g + 1.0) - specfun.ln_gamma(g + order.beta))
             return ratio * u ** (g - order.alpha)
         z = -order.rate * u
-        known = np.full(u.shape, True) if self._is_integer_exp() else z >= _ML_SERIES_TRUST
+        if self._is_integer_exp():
+            ml = specfun.mittag_leffler_one_array(g + 1.0, z)
+            return specfun.gamma(g + 1.0) * u**g * ml / order.beta
+        known = z >= _ML_SERIES_TRUST
         ml = specfun.mittag_leffler_one_array(g + 1.0, z[known])
         out = np.full(u.shape, math.nan)
         out[known] = specfun.gamma(g + 1.0) * u[known] ** g * ml / order.beta
@@ -564,17 +567,15 @@ _PHI1_TERMS = 20
 
 
 def _phi1_array(z: np.ndarray) -> np.ndarray:
-    """(e^z - 1)/z elementwise for Re z <= 0, without cancellation: the
-    Taylor series sum z^k/(k+1)! by Horner's rule for |z| < 1, else e^z - 1
-    by parts, (expm1(x) cos y - 2 sin^2(y/2)) + i e^x sin y, whose real
-    terms share their sign while |y| < pi."""
+    """(e^z - 1)/z elementwise for Re z <= 0, without cancellation: for
+    |z| < 1 the Taylor series sum z^k/(k+1)!, its terms z^k/(k+1)! for
+    k >= 1 taken at once as one running product over k and summed smallest
+    first; else e^z - 1 by parts, (expm1(x) cos y - 2 sin^2(y/2)) +
+    i e^x sin y, whose real terms share their sign while |y| < pi."""
     out = np.empty(z.shape, dtype=complex)
     near = np.abs(z) < _PHI1_SERIES
-    zn = z[near]
-    acc = np.ones(zn.shape, dtype=complex)
-    for k in range(_PHI1_TERMS, 1, -1):
-        acc = 1.0 + zn * acc / k
-    out[near] = acc
+    terms = np.cumprod(z[near] / np.arange(2.0, _PHI1_TERMS + 1.0)[:, None], axis=0)
+    out[near] = 1.0 + terms[::-1].sum(axis=0)
     zf = z[~near]
     x, y = zf.real, zf.imag
     real = np.expm1(x) * np.cos(y) - 2.0 * np.sin(0.5 * y) ** 2

@@ -218,9 +218,11 @@ def _series_array(omega: float, z: np.ndarray) -> np.ndarray:
 
 def _closed_form_integer_array(m: int, z: np.ndarray) -> np.ndarray:
     """``_closed_form_integer`` at every z at once, summed in order."""
-    total = np.exp(z)
-    term = np.ones_like(z)
-    for k in range(m):
+    if m == 0:
+        return np.exp(z)
+    total = np.exp(z) - 1.0
+    term = z
+    for k in range(1, m):
         total -= term
         term = term * z / (k + 1.0)
     return total / z**m
@@ -231,10 +233,11 @@ def mittag_leffler_one_array(omega: float, z: np.ndarray) -> np.ndarray:
 
     The branches are those of ``mittag_leffler_one``: the finite closed form
     for integer omega and z < min(-1, 3 - omega), the series everywhere else.
-    Both are summed in order rather than compensated, so values agree with
-    the scalar function to rounding of the largest term, and the series
-    branch carries the same restriction to z above roughly -15 for
-    non-integer omega.
+    Where every point takes the same branch, that branch runs on the whole
+    array; only a mix of the two is split and scattered back.  Both are
+    summed in order rather than compensated, so values agree with the scalar
+    function to rounding of the largest term, and the series branch carries
+    the same restriction to z above roughly -15 for non-integer omega.
     """
     if not (omega > 0 and math.isfinite(omega)):
         raise DomainError(f"omega must be a positive real, got {omega!r}")
@@ -242,8 +245,13 @@ def mittag_leffler_one_array(omega: float, z: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(z)):
         raise DomainError("z must be finite")
     closed = z < _closed_form_below(omega)
+    if not closed.any():
+        return _series_array(omega, z)
+    m = int(round(omega)) - 1
+    if closed.all():
+        return _closed_form_integer_array(m, z)
     out = np.empty(z.shape)
-    out[closed] = _closed_form_integer_array(int(round(omega)) - 1, z[closed])
+    out[closed] = _closed_form_integer_array(m, z[closed])
     out[~closed] = _series_array(omega, z[~closed])
     return out
 

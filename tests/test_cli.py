@@ -3,7 +3,11 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -15,6 +19,7 @@ from fracorder import (
     ratio_limit,
 )
 from fracorder import operators
+from fracorder import cli
 from fracorder.cli import main
 from fracorder.funcat import rl_boundary_term
 
@@ -524,3 +529,51 @@ class TestArgparseErrors:
         with pytest.raises(SystemExit) as exc:
             main(["table1", "--nope"])
         assert exc.value.code == 2
+
+
+class TestSharedParser:
+    """``main`` builds its parser once per process and reuses it."""
+
+    SRC = str(Path(cli.__file__).resolve().parents[1])
+
+    def _fresh(self, *args):
+        return subprocess.run(
+            [sys.executable, *args],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": self.SRC},
+        )
+
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_import_builds_nothing(self):
+        code = "import fracorder.cli as c; print(c._build_parser.cache_info().currsize)"
+        out = self._fresh("-c", code)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == b"0"
+
+    def test_reuse_after_failures_matches_a_fresh_process(self, capsys):
+        # an argument error, a numerical failure and --help first, each through
+        # the shared parser; the CSVs after them are those of a fresh process
+        assert main(["figures", "-f", "nope", "--interval", "0,1"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["table1", "--nope"])
+        assert exc.value.code == 2
+        assert main(["figures", "-f", "cos", "--interval", "0,1e6", "--points", "2"]) == 3
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        capsys.readouterr()
+        commands = [
+            ["figures", "-f", "affine:1,1", "--interval", "0,1", "--points", "100"],
+            ["order", "-f", "abs:1", "-k", "C", "-p", "1", "--interval", "0,2",
+             "--betas", "geometric:1e-1,1e-4,12"],
+            ["table1"],
+        ]
+        for argv in commands:
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            fresh = self._fresh("-m", "fracorder", *argv)
+            assert fresh.returncode == 0, fresh.stderr
+            assert captured.out.encode() == fresh.stdout

@@ -316,6 +316,26 @@ class TestTranscendentalForms:
         )
         assert math.isfinite(grid[0]) and math.isnan(grid[1])
 
+    def test_phi1_against_mpmath(self):
+        # (e^z - 1)/z, which cos under CF rests on, over |z| from 1e-300 to
+        # 5 with Re z <= 0: the Taylor series (|z| < 1) keeps each part within
+        # 2e-16 of |phi1| (1.6e-16 at most over 11000 such points); e^z - 1
+        # by parts loses up to about 2 ulp more to its complex division
+        # (4.9e-16 over the same points)
+        rng = np.random.default_rng(20)
+        mag = np.concatenate([10.0 ** rng.uniform(-300, -3, 300), rng.uniform(1e-3, 5.0, 800)])
+        ang = rng.uniform(0.5 * np.pi, 1.5 * np.pi, mag.size)
+        z = mag * np.cos(ang) + 1j * mag * np.sin(ang)
+        z.real = np.minimum(z.real, 0.0)
+        z[:4] = [-1.0, 1j, -0.5j, -5.0]
+        got = funcat._phi1_array(z)
+        for zz, value in zip(z.tolist(), got.tolist()):
+            w = mp.mpc(zz)
+            exact = mp.expm1(w) / w
+            bound = (2e-16 if abs(zz) < funcat._PHI1_SERIES else 6e-16) * abs(exact)
+            assert abs(value.real - exact.real) <= bound
+            assert abs(value.imag - exact.imag) <= bound
+
 
 def random_step(rng) -> StepAntiderivative:
     n = int(rng.integers(1, 6))

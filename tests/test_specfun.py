@@ -195,6 +195,25 @@ class TestMittagLefflerOneArray:
                 exact = float(sum(mp.mpf(x) ** k / mp.gamma(k + omega) for k in range(250)))
                 assert value == pytest.approx(exact, rel=1e-10, abs=0.0)
 
+    @pytest.mark.parametrize("omega", range(1, 7))
+    @pytest.mark.parametrize("side", ["left", "right", "mixed", "empty"])
+    def test_one_branch_matches_the_split(self, omega, side):
+        # an array on one side of the cut takes its branch whole; its values
+        # are bit for bit those of the same points within a mixed array
+        cut = min(-1.0, 3.0 - omega)
+        z = {
+            "left": np.linspace(cut - 30.0, cut - 0.01, 40),
+            "right": np.linspace(cut, 4.0, 40),
+            "mixed": np.linspace(cut - 30.0, 4.0, 81),
+            "empty": np.empty(0),
+        }[side]
+        whole = mittag_leffler_one_array(float(omega), z)
+        assert whole.shape == z.shape
+        for mask in (z < cut, z >= cut):
+            np.testing.assert_array_equal(
+                whole[mask], mittag_leffler_one_array(float(omega), z[mask]), strict=True
+            )
+
     def test_domain(self):
         with pytest.raises(DomainError):
             mittag_leffler_one_array(0.0, np.array([1.0]))
