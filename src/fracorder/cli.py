@@ -209,10 +209,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--interval", required=True, help="a,b")
         p.add_argument("--out", default=None, help="write CSV here instead of stdout")
 
-    # what a whole grid promises where a value has no closed form
-    grid = "; a value without a closed form is within 1e-8, absolute or relative, by the"
-    grid += " grid's two-spacing estimate, or refused"
-    scan = f"points of the sup-norm scan{grid}"
+    # what every value without a closed form promises
+    grid = "; a value without a closed form is within 1e-11, absolute or relative, or refused"
+    scan = f"uniform points of the sup-norm scan, besides its boundary-layer points{grid}"
 
     p = sub.add_parser("derive", help="one fractional-derivative value")
     add_common(p)

@@ -2,7 +2,7 @@
 
 The L1 functional is an adaptive 7-15 Gauss-Kronrod quadrature (QUADPACK's
 pair), ``operators._gauss_kronrod``, which every operator value without a
-closed form off a whole grid uses too (``operators._pointwise``).  It is
+closed form uses too (``operators._pointwise``).  It is
 vectorised over the panels: each refinement round evaluates the integrand
 once, as one array over the 15 nodes of every panel still being refined.
 The integrand is the signed error D f - f' and the rule integrates its
@@ -38,18 +38,19 @@ infinite at a (t^g, g < 1), and every piece under CF, whose layer is
 exponential, stays on t-panels split inside the boundary layers
 (``_boundary_layer_splits``); under CF the pieces share one run.
 
-The L-infinity functional scans a dense grid over (a, b], with every
-operator value of the scan from one ``operators.evaluate_grid`` call and
-every f' value from one ``funcat._derivative_toward`` call, and refines the
-best point by zooming in on it: two rounds, each scoring 127 evenly spaced
-points of a bracket with one call of each, then one point at the vertex of
-the parabola through the best three.  A scan value without a closed form
-comes from a product trapezoid that doubles its cells until its values at
-two spacings agree within 1e-8, absolute or relative, or is refused with
-BudgetExceededError; that estimate measures the trapezoid's error but, like
-Gauss-Kronrod's, is no proof.  A refinement point without one is a
+The L-infinity functional scans a few dozen points of (a, b]: n_grid
+uniform points (64 by default), and right of a and of each breakpoint the
+points where the boundary layer lies, at fixed fractions of the piece and
+under CF at multiples of the kernel's decay length 1/rate, about beta wide
+as beta -> 0.  Every operator value of the scan comes from one
+``operators._evaluate_points`` call and every f' value from one
+``funcat._derivative_toward`` call.  It then zooms in on the scan's local
+maxima that could hold the supremum, at most three: two rounds, each
+scoring 127 evenly spaced points of its brackets with one call of each, the
+second inside the best bracket of the first, then one point at the vertex
+of the parabola through the best three.  Each value is a closed form or a
 Gauss-Kronrod quadrature to 1e-11, absolute or relative.
-Two kinds of limit join the candidates, since a grid point approaches them
+Two kinds of limit join the candidates, since a scan point approaches them
 only by chance: the boundary limit of the error as t -> a+, |f'(a)| (each
 operator here tends to 0 where f' is bounded near a, and grows more slowly
 than f' where it is not), which is where the supremum lives whenever
@@ -84,12 +85,15 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-8
-DEFAULT_GRID = 20001
+DEFAULT_GRID = 64
 
 #: the sup-norm refinement: points scored per round, strictly inside the
 #: round's bracket, and rounds; 127 points narrow the bracket 64-fold a round
 _ZOOM_POINTS = 127
 _ZOOM_ROUNDS = 2
+_ZOOM_FRACS = np.arange(1, _ZOOM_POINTS + 1) / (_ZOOM_POINTS + 1)
+#: the most local maxima of the sup-norm scan that the refinement starts from
+_BRACKETS = 3
 
 #: fractions (t - lo) / w whose images are ``_flattened``'s inner panel
 #: edges.  The first panel's mass, about |D f - f'|(lo+) 1e-18 w, is not seen:
@@ -273,25 +277,74 @@ def error_l1(
     return ErrorReport(kind, beta, NormKind.L1, interval, value, counter.count, quad_error)
 
 
-def _zoom_max(fn, lo: float, hi: float) -> float:
+def _scan_points(kind, order, a: float, b: float, n_grid: int, kinks: list[float]) -> np.ndarray:
+    """The sup-norm scan's points in (a, b], ascending and once each: the
+    n_grid uniform points, and right of a and of each breakpoint, where
+    the boundary layers lie, the images of ``operators._EDGE_FRACS`` of
+    that piece, and under CF the multiples ``operators._DECAY_LENGTHS`` of
+    the kernel's decay length 1/rate that fall inside it."""
+    grid = operators._grid_points(a, b, n_grid)
+    ends = [a, *kinks, b]
+    pieces = list(zip(ends, ends[1:]))
+    layer = {lo + (hi - lo) * x for lo, hi in pieces for x in operators._EDGE_FRACS}
+    if kind is OperatorKind.CAPUTO_FABRIZIO:
+        decays = [m / order.rate for m in operators._DECAY_LENGTHS]
+        layer.update(lo + d for lo, hi in pieces for d in decays if d < hi - lo)
+    # a layer point that rounds onto a, or onto a grid point, is left out
+    layer = np.array(sorted(t for t in layer if t > a))
+    fresh = grid[np.minimum(grid.searchsorted(layer), n_grid - 1)] != layer
+    ts = np.concatenate((layer[fresh], grid))
+    ts.sort(kind="stable")  # a merge sort, which merges the two ascending runs
+    return ts
+
+
+def _brackets(
+    ts: np.ndarray, error: np.ndarray, a: float
+) -> tuple[float, list[float], list[float]]:
+    """The largest |error| of the scan at ts, and the two scan cells
+    [lo, hi] around each of at most ``_BRACKETS`` local maxima of |error|,
+    highest reach first: those whose reach, their sample plus its larger
+    gap to its two neighbours, is at least the largest sample.  The reach
+    bounds the peak of a parabola through the three, so a smooth peak that
+    a lower sample hides is zoomed on too; the largest sample always
+    qualifies.  An end point stands in for its own missing neighbour, and a
+    is the left end of the first cell."""
+    padded = np.empty(error.size + 2)
+    values = np.abs(error, out=padded[1:-1])
+    padded[0], padded[-1] = values[0], values[-1]
+    best = float(values[values.argmax()])
+    reach = 2.0 * values - np.minimum(padded[:-2], padded[2:])
+    peaks = []
+    for i in (reach >= best).nonzero()[0].tolist():
+        left, mid, right = padded[i : i + 3].tolist()
+        if mid >= max(left, right):
+            peaks.append((2.0 * mid - min(left, right), i))
+    peaks = sorted(peaks, reverse=True)[:_BRACKETS]
+    last = values.size - 1
+    lo = [float(ts[i - 1]) if i else a for _, i in peaks]
+    return best, lo, [float(ts[min(i + 1, last)]) for _, i in peaks]
+
+
+def _zoom_max(fn, lo: list[float], hi: list[float]) -> float:
     """The largest value of fn (an array function) at the points of
-    ``_ZOOM_ROUNDS`` rounds and one last point.  Each round scores
-    ``_ZOOM_POINTS`` evenly spaced points strictly inside [lo, hi], and the
-    next round's bracket is the two cells on either side of the best of
-    them.  The last point is the vertex of the parabola through the last
-    round's best point and its two neighbours (the end three where the best
-    is an end point), kept between them, where a smooth peak lies to within
-    about the square of their spacing; three that do not bend down score
-    their middle point again."""
+    ``_ZOOM_ROUNDS`` rounds and one last point.  The first round scores
+    ``_ZOOM_POINTS`` evenly spaced points strictly inside each bracket
+    [lo_i, hi_i], all in one call; the next round's bracket is the two
+    cells on either side of the best of them, in whichever bracket it lies.
+    The last point is the vertex of the parabola through the last round's
+    best point and its two neighbours (the end three where the best is an
+    end point), kept between them, where a smooth peak lies to within about
+    the square of their spacing; three that do not bend down score their
+    middle point again."""
     best = -math.inf
-    fracs = np.arange(1, _ZOOM_POINTS + 1) / (_ZOOM_POINTS + 1)
     for _ in range(_ZOOM_ROUNDS):
-        ts = lo + (hi - lo) * fracs
-        values = fn(ts)
-        k = int(np.argmax(values))
+        grid = np.array(lo)[:, None] + np.multiply.outer(np.subtract(hi, lo), _ZOOM_FRACS)
+        values = fn(grid.ravel())
+        r, k = divmod(int(values.argmax()), _ZOOM_POINTS)
+        ts, values = grid[r], values[r * _ZOOM_POINTS : (r + 1) * _ZOOM_POINTS]
         best = max(best, float(values[k]))
-        lo = float(ts[k - 1]) if k > 0 else lo
-        hi = float(ts[k + 1]) if k + 1 < _ZOOM_POINTS else hi
+        lo = [float(ts[k - 1]) if k > 0 else lo[r]]
+        hi = [float(ts[k + 1]) if k + 1 < _ZOOM_POINTS else hi[r]]
     j = min(max(k, 1), _ZOOM_POINTS - 2)
     y0, y1, y2 = values[j - 1 : j + 2].tolist()
     bend = y0 - 2.0 * y1 + y2
@@ -310,47 +363,44 @@ def error_linf(
 ) -> ErrorReport:
     """Essential supremum of |D^(1-beta) f - f'| over (a, b].
 
-    The value is the largest of the grid scan, its refinement (``_zoom_max``
-    on the two grid cells around the best grid point), |f'(a)| (the t -> a+
-    limit; its right limit when a is a breakpoint) and the one-sided limits
-    at each breakpoint inside (a, b).  ``n_eval_points`` counts each of them
-    once.  It is ``inf``, with one evaluation and no scan, where f'(a+) is
-    infinite, and for the Riemann-Liouville operator with f(a) != 0: the
-    boundary term f(a)(t-a)^(beta-1)/Gamma(beta) is unbounded as t -> a+,
-    and no catalog function has an f' that cancels it.  n_grid is an integer
-    of at least 2 (or DomainError, also where no scan is made).  A scan
-    value without a closed form is within 1e-8, absolute or relative, of
-    the operator by the grid's two-spacing estimate (``evaluate_grid``), or
-    the scan is refused with BudgetExceededError.
+    The value is the largest of the scan (``_scan_points``: n_grid uniform
+    points plus the boundary layers right of a and of each breakpoint), its
+    refinement (``_zoom_max`` on the two scan cells around each of at most
+    ``_BRACKETS`` local maxima of the scan that could hide a higher peak,
+    ``_brackets``), |f'(a)| (the t -> a+ limit; its right limit when a is a
+    breakpoint) and the one-sided limits at each breakpoint inside (a, b).
+    Each value is a closed form or within 1e-11, absolute or relative, of
+    the operator (``_evaluate_points``), or refused.  ``n_eval_points``
+    counts each point scored once.  It is ``inf``, with one evaluation and
+    no scan, where f'(a+) is infinite, and for the Riemann-Liouville
+    operator with f(a) != 0: the boundary term f(a)(t-a)^(beta-1)/Gamma(beta)
+    is unbounded as t -> a+, and no catalog function has an f' that cancels
+    it.  n_grid is an integer of at least 2 (or DomainError, also where no
+    scan is made).
     """
     order = FractionalOrder.from_beta(beta)
     operators._check_grid_size(n_grid, 2, "n_grid")
     a, b = interval.a, interval.b
     # as t -> a+ each operator here (RL as C where f(a) = 0) tends to 0, or
     # grows more slowly than an unbounded f', so the boundary limit of the
-    # error is |f'(a+)|, which the grid approaches only at rate (t-a)^beta
+    # error is |f'(a+)|, which the scan approaches only at rate (t-a)^beta
     at_a = abs(float(_derivative_toward(f, np.array([a]), math.inf)[0]))
     if at_a == math.inf or (kind is OperatorKind.RIEMANN_LIOUVILLE and f.value(a) != 0.0):
         return ErrorReport(kind, beta, NormKind.LINF, interval, math.inf, 1)
-    fprime = _derivative_toward(f, operators._grid_points(a, b, n_grid))
-    values = np.abs(operators.evaluate_grid(kind, f, order, a, b, n_grid) - fprime)
-    best_i = int(np.argmax(values))
-    best = float(values[best_i])
-    step = interval.width / n_grid
-    lo = a + best_i * step  # one grid point left of the argmax, or a
-    hi = a + min(best_i + 2, n_grid) * step
-    refined = _zoom_max(lambda ts: np.abs(_error(kind, f, order, a, ts)), lo, hi)
-    candidates = [best, refined, at_a]
     kinks = _breakpoints_inside(f, a, b)
+    ts = _scan_points(kind, order, a, b, n_grid, kinks)
+    best, lo, hi = _brackets(ts, _error(kind, f, order, a, ts), a)
+    refined = _zoom_max(lambda pts: np.abs(_error(kind, f, order, a, pts)), lo, hi)
+    candidates = [best, refined, at_a]
     if kinks:
         # the operator is continuous at a breakpoint and f' jumps there, so
-        # the error has two one-sided limits, which a grid point can only
+        # the error has two one-sided limits, which a scan point can only
         # approach by chance
         values = operators._evaluate_points(kind, f, order, a, np.array(kinks))
         sides = [-math.inf] * len(kinks) + [math.inf] * len(kinks)
         limits = _derivative_toward(f, np.array(kinks * 2), sides)
         candidates += np.abs(np.concatenate((values, values)) - limits).tolist()
-    count = n_grid + _ZOOM_ROUNDS * _ZOOM_POINTS + 2 + 2 * len(kinks)
+    count = ts.size + _ZOOM_POINTS * (len(lo) + _ZOOM_ROUNDS - 1) + 2 + 2 * len(kinks)
     return ErrorReport(kind, beta, NormKind.LINF, interval, max(candidates), count)
 
 
@@ -366,9 +416,10 @@ def error_sweep(
     max_evals: int = MAX_EVALS,
 ) -> list[ErrorReport]:
     """One ErrorReport per beta, computed independently, in input order;
-    n_grid serves the sup norm alone (``error_linf``), tol and max_evals
-    the L1 norm (``error_l1``); an n_grid that is not an integer of at least
-    2 is refused with DomainError whatever p is."""
+    n_grid, the uniform points of the scan, serves the sup norm alone
+    (``error_linf``), tol and max_evals the L1 norm (``error_l1``); an
+    n_grid that is not an integer of at least 2 is refused with DomainError
+    whatever p is."""
     operators._check_grid_size(n_grid, 2, "n_grid")
     if not betas:
         raise DomainError("betas must be non-empty")

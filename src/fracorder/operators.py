@@ -2,40 +2,23 @@
 
 Every catalog entry has closed forms (``funcat``), from the catalog's one
 hook ``TestFunction._closed_form_grid``.  A value without one, of a
-user-defined function or past a closed form's reach, is computed in one of
-two ways, by where it lies.
-
-A whole uniform grid (``evaluate_grid``, the sup-norm scan) is a product
-trapezoid, ``_product_trapezoid``, on at least 4096 cells.  Its rule,
-``_cell_weights``, replaces f' by its piecewise-linear interpolant on the
-cells and integrates every cell against the C or CF kernel exactly; its
-node weights depend only on the distance k - i between the evaluation node
-and the node, so the whole grid is one Toeplitz product, done with real
-FFTs (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532).
-What it samples is continuous: each jump J of f' at a breakpoint c is taken
-out as the step J H(tau - c) and added back in closed form.  The same
-samples give the trapezoid at twice the spacing; the grid doubles its cells
-until the two agree within 1e-8, absolute or relative, at every node they
-share from the first point without a closed form on, or is refused with
-BudgetExceededError.  The difference measures the trapezoid's error; like
-Gauss-Kronrod's estimate, it is no proof.
-
-Any other point, and every ``rl_integral``, is ``_pointwise``: one call of
-the adaptive 7-15 Gauss-Kronrod rule ``_gauss_kronrod``, which
-``norms.error_l1`` uses too, to 1e-11 absolute or relative, in a coordinate
-where the kernel is bounded and on panels that end at the breakpoints.
-Both ways refuse the same things (``_checked_jumps``): an f' infinite at a
-(t^g, g < 1, at 0) or with no finite one-sided limit at a breakpoint, with
-IntegrationError, and a one-ulp gap between breakpoints that carries kernel
-mass, with NonDifferentiableError.
+user-defined function or past a closed form's reach, and every
+``rl_integral``, is ``_pointwise``: one call of the adaptive 7-15
+Gauss-Kronrod rule ``_gauss_kronrod``, which ``norms.error_l1`` uses too,
+to 1e-11 absolute or relative, in a coordinate where the kernel is bounded
+and on panels that end at the breakpoints.  Such a value is refused
+(``_checked_jumps``) where f' is infinite at a (t^g, g < 1, at 0) or has no
+finite one-sided limit at a breakpoint, with IntegrationError, and where a
+one-ulp gap between breakpoints carries kernel mass, with
+NonDifferentiableError.
 
 One array evaluator, ``_evaluate_points``, gives the values at many points
 in one call: ``evaluate_grid``, the scalar operators (their closed forms,
 at the one point t) and the error functionals of ``norms`` all go through
 it.  No operator has a body of its own: C and CF differ only in their
-kernels (``_kernel`` on a grid, ``_kernel_point`` at a point), whose
-constants come from ``funcat.FractionalOrder``, which keeps a small beta as
-given, and the Riemann-Liouville derivative is always the boundary term
+kernels (``_kernel_point``), whose constants come from
+``funcat.FractionalOrder``, which keeps a small beta as given, and the
+Riemann-Liouville derivative is always the boundary term
 ``funcat.rl_boundary_term`` plus C, never a numerical derivative of the
 fractional integral.
 
@@ -69,12 +52,7 @@ __all__ = [
     "rl_integral",
 ]
 
-MAX_EVALS = 1_000_000  # the evaluation budget of one ``_gauss_kronrod`` call or whole grid
-#: the least cell count of a whole grid's first product trapezoid over [a, b]
-_GRID_CELLS = 4096
-#: the absolute or relative target, whichever is looser, of a whole grid's
-#: values at h against those at 2h
-_GRID_TOL = 1e-8
+MAX_EVALS = 1_000_000  # the evaluation budget of one ``_gauss_kronrod`` call
 
 
 @dataclass(frozen=True)
@@ -110,61 +88,6 @@ def _finite(y: np.ndarray, taus: np.ndarray, lo: float, hi: float) -> np.ndarray
     return y
 
 
-def _sample(
-    values: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: float, hi: float, n: int
-) -> np.ndarray:
-    """values(nodes, side) at the n + 1 uniform nodes of [lo, hi], on which
-    the product trapezoid is exact against the linear interpolant, side
-    toward hi (lo at hi itself) for a one-sided f', as ``_trapezoid_grid``
-    takes its steps; a non-finite sample is refused (``_finite``)."""
-    nodes = np.linspace(lo, hi, n + 1)
-    out = np.asarray(values(nodes, np.where(nodes < hi, hi, lo)), dtype=float)
-    return _finite(out, nodes, lo, hi)
-
-
-def _one_minus_1px_emx(x: float) -> float:
-    """1 - (1+x) e^(-x), series-protected against cancellation for small x."""
-    if x < 1e-3:
-        return x * x * (0.5 - x * (1.0 / 3.0 - x * (0.125 - x * (1.0 / 30.0 - x / 144.0))))
-    return 1.0 - (1.0 + x) * math.exp(-x)
-
-
-def _cell_weights(
-    u: np.ndarray, h: float, p: float | None = None, rate: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The product-trapezoid weights of the kernel v^(p-1) or e^(-rate v).
-
-    u holds descending distances from t of nodes h apart.  Over the cell from
-    u[j] to u[j+1], the linear interpolant of node values g times the kernel
-    integrates exactly to left[j] g_j + right[j] g_(j+1): right = m1 / h and
-    left = m0 - right, from the kernel's mass m0 on the cell and its moment m1
-    of the distance to node j (Diethelm, Ford & Freed, Nonlinear Dyn. 29
-    (2002) 3, here from first differences of powers of u).
-    """
-    if rate is None:
-        up = u**p
-        up1 = u * up
-        m0 = (up[:-1] - up[1:]) / p
-        m1 = u[:-1] * m0 - (up1[:-1] - up1[1:]) / (p + 1.0)
-    else:
-        x = rate * h
-        c0 = -math.expm1(-x) / rate  # the mass of e^(-rate s) on [0, h]
-        c1 = _one_minus_1px_emx(x) / (rate * rate)  # and its moment of s
-        near = np.exp(-rate * u[1:])
-        m0 = near * c0
-        m1 = near * (h * c0 - c1)
-    right = m1 / h
-    return m0 - right, right
-
-
-def _kernel(kind: OperatorKind, order: FractionalOrder) -> tuple[float | None, float | None, float]:
-    """(p, rate, scale): the C kernel is v^(p-1) / Gamma(p) with p = beta,
-    the CF kernel e^(-rate v) / beta with rate = alpha / beta."""
-    if kind is OperatorKind.CAPUTO:
-        return order.beta, None, specfun.gamma(order.beta)
-    return None, order.rate, order.beta
-
-
 def _fprime(f: TestFunction, ts: np.ndarray, side: np.ndarray) -> np.ndarray:
     """``funcat._derivative_toward``, but 0 where the float next to a breakpoint
     toward side is a breakpoint too: on a gap with no float inside."""
@@ -179,48 +102,6 @@ def _fprime(f: TestFunction, ts: np.ndarray, side: np.ndarray) -> np.ndarray:
     out = np.zeros(ts.shape)
     out[~gap] = funcat._derivative_toward(f, ts[~gap], side[~gap])
     return out
-
-
-def _jumps(f: TestFunction, a: float, b: float) -> list[tuple[float, float]]:
-    """Each breakpoint c of f inside (a, b), ascending, with the jump
-    f'(c+) - f'(c-) there.  Each one-sided limit is f' at the next float
-    (``_fprime``), read again d/2 and d from c, d = min(1e-9 max(1, |c|), half
-    the way to the next breakpoint, a or b).  An f' moving more than 4 times as
-    much on the first step as on the second (plus 1e-6 max(1, |f'|)), as u^-g
-    and log u do and a bounded f'' does not, is refused with IntegrationError."""
-    cs = funcat._breakpoints_inside(f, a, b)
-    if not cs:
-        return []
-    ends, at, toward = [a, *cs, b], [], []
-    for c, far in zip(cs * 2, ends[:-2] + ends[2:]):  # the left sides, then the right
-        ulp = abs(math.nextafter(c, far) - c)
-        off = math.copysign(min(max(0.5 * abs(far - c), ulp), 1e-9 * max(1.0, abs(c))), far - c)
-        at += (c, c + 0.5 * off, c + off)
-        toward += (far, far, far)
-    reads = _fprime(f, np.array(at), np.array(toward)).tolist()
-    near = reads[::3]
-    for c, y0, y1, y2 in zip(cs * 2, near, reads[1::3], reads[2::3]):
-        if not abs(y0 - y1) <= 4.0 * abs(y1 - y2) + 1e-6 * max(1.0, abs(y2)):
-            raise IntegrationError(f"f' has no finite one-sided limit at {c}: {y0}, {y1}, {y2}")
-    return [(c, right - left) for c, left, right in zip(cs, near, near[len(cs) :])]
-
-
-def _product_trapezoid(
-    g: np.ndarray, h: float, p: float | None = None, rate: float | None = None
-) -> np.ndarray:
-    """The integrals over [tau_0, tau_k] of the linear interpolant of the
-    samples g on the nodes tau_j = tau_0 + j h times the kernel of
-    ``_cell_weights`` at tau_k - tau, at every node k, as one Toeplitz product.
-
-    Node k sees the cell [tau_j, tau_j+1] at distance d = k - j, so node i
-    carries the weight W(k - i) = left(k - i) + right(k - i + 1), except
-    node 0, which has no cell to its left and carries W(k) - right(k + 1).
-    """
-    m = len(g) - 1
-    # the cells d = 1..m+1, at distances (d-1) h to d h behind a node, as index d - 1
-    left, right = (w[::-1] for w in _cell_weights(h * np.arange(m + 1, -1, -1), h, p, rate))
-    weights = np.concatenate((right[:1], left[:-1] + right[1:]))
-    return _toeplitz_sum(g, weights, m + 1) - g[0] * right
 
 
 def rl_integral(f: TestFunction, alpha, a: float, t: float) -> float:
@@ -264,7 +145,11 @@ def riemann_liouville(f: TestFunction, alpha, a: float, t: float) -> float:
 
 def _grid_points(a: float, b: float, n: int) -> np.ndarray:
     """t_i = a + (b - a) i / n for i = 1..n, rounded as that scalar expression is."""
-    return a + (b - a) * np.arange(1, n + 1) / n
+    ts = np.arange(1.0, n + 1.0)
+    ts *= b - a
+    ts /= n
+    ts += a
+    return ts
 
 
 def evaluate_grid(
@@ -276,45 +161,33 @@ def evaluate_grid(
     n: int,
 ) -> np.ndarray:
     """``evaluate(kind, f, alpha, a, t_i)`` at t_i = a + (b - a) i / n, i = 1..n,
-    n an integer of at least 1 (or DomainError).
-
-    Closed-form values come from ``f._closed_form_grid``, the hook
-    ``evaluate`` takes at one point, and match its values to the last bit or
-    so (a series summed for all points at once may add a term more).  The
-    others come from one product trapezoid on uniform cells over [a, b], with
-    the jumps of f' at breakpoints inside (a, b) taken out and added back in
-    closed form (``_trapezoid_grid``).  The grid sizes itself: it doubles its
-    cells until the trapezoid at the spacing h and at 2h agree within 1e-8,
-    absolute or relative, and is refused with BudgetExceededError past
-    ``MAX_EVALS`` samples.  That difference measures the trapezoid's error;
-    like Gauss-Kronrod's estimate, it is no proof.
+    n an integer of at least 1 (or DomainError): ``_evaluate_points`` on
+    those points, so each value is a closed form or within 1e-11, absolute
+    or relative, or refused.  Closed-form values come from
+    ``f._closed_form_grid``, the hook ``evaluate`` takes at one point, and
+    match its values to the last bit or so (a series summed for all points
+    at once may add a term more).
     """
     order = _as_order(alpha)
     _check_grid_size(n, 1, "grid size")
     ts = _grid_points(a, b, n)
     _check_window(a, float(ts[0]))  # also refuses b <= a and non-finite b
-    return _evaluate_points(kind, f, order, a, ts, b)
+    return _evaluate_points(kind, f, order, a, ts)
 
 
 def _evaluate_points(
-    kind: OperatorKind,
-    f: TestFunction,
-    order: FractionalOrder,
-    a: float,
-    ts: np.ndarray,
-    b: float | None = None,
+    kind: OperatorKind, f: TestFunction, order: FractionalOrder, a: float, ts: np.ndarray
 ) -> np.ndarray:
     """``evaluate(kind, f, order, a, t)`` at each point of ts (all > a, in
-    any order): the one array evaluator behind ``evaluate_grid``, the L1
-    integrand and the scalar operators.
+    any order): the one array evaluator behind ``evaluate_grid``, the error
+    functionals of ``norms`` and the scalar operators.
 
     C and CF values come from one ``f._closed_form_grid`` call.  A point
-    with none (NaN) is filled by ``_trapezoid_grid``, to ``_GRID_TOL`` by
-    its two-spacing estimate or refused, when ts is the whole grid
-    ``_grid_points(a, b, len(ts))``, and otherwise (b omitted) by
-    ``_kernel_point``, to ``_POINT_TOL``, once the refusals of
-    ``_checked_jumps`` over (a, max ts] have passed.  RL is
-    ``funcat.rl_boundary_term`` plus the C values.
+    with none (NaN) is filled by ``_kernel_point``, to ``_POINT_TOL``, once
+    the refusals of ``_checked_jumps`` over (a, max ts] have passed,
+    farthest first: that point costs the most and is the likeliest to be
+    refused, which then costs one point's budget, not the whole grid's.
+    RL is ``funcat.rl_boundary_term`` plus the C values.
     """
     if not isinstance(kind, OperatorKind):
         raise DomainError(f"unknown operator kind {kind!r}")
@@ -322,12 +195,11 @@ def _evaluate_points(
     values = f._closed_form_grid(base, order, a, ts)
     if values is None:
         values = np.full(ts.shape, math.nan)
-    missing = np.flatnonzero(np.isnan(values))
-    if missing.size and b is None:
+    missing = np.isnan(values).nonzero()[0]
+    if missing.size:
         _checked_jumps(base, f, order, a, float(ts[missing].max()), ts[missing])
+        missing = missing[np.argsort(ts[missing])[::-1]]
         values[missing] = [_kernel_point(base, f, order, a, t) for t in ts[missing].tolist()]
-    elif missing.size:
-        values[missing] = _trapezoid_grid(base, f, order, a, b, ts, missing)
     if kind is OperatorKind.RIEMANN_LIOUVILLE:
         return funcat.rl_boundary_term(f, order, a, ts) + values
     return values
@@ -335,13 +207,18 @@ def _evaluate_points(
 
 def _checked_jumps(
     kind: OperatorKind, f: TestFunction, order: FractionalOrder, a: float, b: float, ts: np.ndarray
-) -> list[tuple[float, float]]:
-    """``_jumps(f, a, b)``, for the C or CF values at the points ts in (a, b]
-    of a grid or scattered, once the refusals that both share have passed.
-    f' is 0 on a one-ulp gap (``_fprime``); a point with more than 1e-12 of
-    its kernel's mass on [a, t] there is refused with NonDifferentiableError.
-    So is, with IntegrationError, an f' not finite at a, read toward b, or
-    with no finite one-sided limit at a breakpoint (``_jumps``)."""
+) -> None:
+    """Refuses the C or CF values at the points ts in (a, b] that the
+    quadrature cannot take from f'.  f' is 0 on a one-ulp gap
+    (``_fprime``); a point with more than 1e-12 of its kernel's mass on
+    [a, t] there is refused with NonDifferentiableError.  So is, with
+    IntegrationError, an f' not finite at a, read toward b, or with no
+    finite one-sided limit at a breakpoint c inside (a, b).  Each one-sided
+    limit is f' at the next float, read again d/2 and d from c,
+    d = min(1e-9 max(1, |c|), half the way to the next breakpoint, a or b);
+    an f' moving more than 4 times as much on the first step as on the
+    second (plus 1e-6 max(1, |f'|)), as u^-g and log u do and a bounded f''
+    does not, has none."""
     response = partial(funcat._step_response, kind, order)
     kinks = f.breakpoints()
     for c in set(kinks):
@@ -351,58 +228,19 @@ def _checked_jumps(
             if np.any(mass > 1e-12 * response(ts - a)):
                 raise NonDifferentiableError(f"f' has no value between breakpoints {c} and {gap}")
     _finite(_fprime(f, np.array([a]), np.array([b])), [a], a, b)
-    return _jumps(f, a, b)
-
-
-def _trapezoid_grid(
-    kind: OperatorKind,
-    f: TestFunction,
-    order: FractionalOrder,
-    a: float,
-    b: float,
-    ts: np.ndarray,
-    fill: np.ndarray,
-) -> np.ndarray:
-    """C or CF at the points ts[fill] (fill ascending indices) of the uniform
-    grid ts over (a, b], the last one b: ``_product_trapezoid`` of f' with
-    each jump J at a breakpoint c (``_checked_jumps``) taken out as the step
-    J H(tau - c), plus the operator of the ramp J (tau - c)_+
-    (``funcat._step_response``).
-
-    f' is sampled (``_sample``) on M uniform cells over [a, b], first the
-    least multiple of len(ts) of at least ``_GRID_CELLS``, and the trapezoid
-    is taken at the spacing h and again at 2h on every other sample.  Where
-    the two differ by more than ``_GRID_TOL``, absolute or relative to the
-    trapezoid at h, at a node they share from ts[fill[0]] (or the node
-    before it) on, M doubles and f' is sampled again.  The difference,
-    about three times the error at h, measures the trapezoid's error; like
-    Gauss-Kronrod's estimate it is no proof.  Past ``MAX_EVALS`` samples in
-    all the grid is refused with BudgetExceededError.  The nodes before
-    ts[fill[0]] are not compared: closed forms hold there, and a boundary
-    layer at a that they cover (t^1.5 under CF at beta 1e-3) would take the
-    trapezoid thousands of times the cells."""
-    p, rate, scale = _kernel(kind, order)
-    jumps = _checked_jumps(kind, f, order, a, b, ts)
-
-    def fprime(nodes: np.ndarray, side: np.ndarray) -> np.ndarray:
-        # H(0) = 1: a node on a breakpoint c is read from the right, past its step
-        return _fprime(f, nodes, side) - sum(j * (nodes >= c) for c, j in jumps)
-
-    counter, m = _Counter(MAX_EVALS), len(ts) * -(-_GRID_CELLS // len(ts))
-    while True:
-        counter.add(m + 1)
-        g, h, stride = _sample(fprime, a, b, m), (b - a) / m, m // len(ts)
-        fine = _product_trapezoid(g, h, p, rate) / scale
-        first = (fill[0] + 1) * stride // 2  # the shared node at ts[fill[0]] or one before it
-        shared = fine[::2][first:]
-        coarse = _product_trapezoid(g[::2], 2.0 * h, p, rate)[first:] / scale
-        if np.all(np.abs(shared - coarse) <= _GRID_TOL * np.maximum(1.0, np.abs(shared))):
-            break
-        m *= 2
-    values = fine[(fill + 1) * stride]
-    for c, jump in jumps:
-        values += funcat._step_response(kind, order, np.maximum(ts[fill] - c, 0.0), jump)
-    return values
+    cs = funcat._breakpoints_inside(f, a, b)
+    if not cs:
+        return
+    ends, at, toward = [a, *cs, b], [], []
+    for c, far in zip(cs * 2, ends[:-2] + ends[2:]):  # the left sides, then the right
+        ulp = abs(math.nextafter(c, far) - c)
+        off = math.copysign(min(max(0.5 * abs(far - c), ulp), 1e-9 * max(1.0, abs(c))), far - c)
+        at += (c, c + 0.5 * off, c + off)
+        toward += (far, far, far)
+    reads = _fprime(f, np.array(at), np.array(toward)).tolist()
+    for c, y0, y1, y2 in zip(cs * 2, reads[::3], reads[1::3], reads[2::3]):
+        if not abs(y0 - y1) <= 4.0 * abs(y1 - y2) + 1e-6 * max(1.0, abs(y2)):
+            raise IntegrationError(f"f' has no finite one-sided limit at {c}: {y0}, {y1}, {y2}")
 
 
 def _kernel_point(
@@ -417,19 +255,6 @@ def _kernel_point(
         scale = (t - a) ** beta / specfun.gamma(1.0 + beta)
         return _pointwise(fprime, f, a, t, lambda u, s: scale, p=beta)
     return _pointwise(fprime, f, a, t, lambda u, s: np.exp(-rate * u) / beta, rate=rate)
-
-
-def _toeplitz_sum(x: np.ndarray, w: np.ndarray, size: int) -> np.ndarray:
-    """The causal products sum_j x[j] w[k - j], for k < size.
-
-    The real FFTs are zero-padded to at least the full length of the linear
-    convolution, so the circular product does not wrap around; the padded
-    length is the least of the form 2^k, 3 2^k or 5 2^k, which numpy.fft
-    transforms fastest.
-    """
-    need = len(x) + len(w) - 1
-    n_fft = min(c << (-(-need // c) - 1).bit_length() for c in (1, 3, 5))
-    return np.fft.irfft(np.fft.rfft(x, n_fft) * np.fft.rfft(w, n_fft), n_fft)[:size]
 
 
 class _Counter:

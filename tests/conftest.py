@@ -8,7 +8,7 @@ from fracorder import TestFunction
 @dataclass(frozen=True)
 class Opaque(TestFunction):
     """f with its closed forms hidden: the same values, derivative and
-    breakpoints, so every operator value comes from product quadrature."""
+    breakpoints, so every operator value comes from quadrature."""
 
     f: TestFunction
 

@@ -18,7 +18,6 @@ from fracorder import (
     parse_function,
     ratio_limit,
 )
-from fracorder import operators
 from fracorder import cli
 from fracorder.cli import main
 from fracorder.funcat import rl_boundary_term
@@ -105,6 +104,17 @@ class TestError:
         )
         assert code == 0
         assert float(parse_csv(out)[1][5]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_linf_inside_a_narrow_boundary_layer(self, capsys):
+        # t^1.5 under CF at beta 1e-4: the error peaks inside a layer about
+        # beta wide, where mpmath's golden-section maximum is this value
+        code, out, err = run_cli(
+            capsys,
+            "error", "-f", "power:1.5", "-k", "CF", "-p", "inf",
+            "--beta", "1e-4", "--interval", "0,2",
+        )
+        assert code == 0 and err == ""
+        assert float(parse_csv(out)[1][5]) == pytest.approx(0.008115494524269717, rel=1e-12)
 
     def test_linf_rl_unbounded(self, capsys):
         code, out, err = run_cli(
@@ -205,8 +215,8 @@ class TestDerive:
         ],
     )
     def test_n_nodes_is_not_an_option(self, capsys, argv):
-        # one value is computed to its own tolerance, and a whole grid sizes
-        # itself: no command has cells to count
+        # every value is a closed form or computed to its own tolerance: no
+        # command has cells to count
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--n-nodes", "256"])
         assert exc.value.code == 2
@@ -330,26 +340,43 @@ class TestFigures:
         cells = {(r[0], r[2]): float(r[3]) for r in parse_csv(out)[1:]}
         rows = sorted({t_s for t_s, _ in cells}, key=float)
         assert len(rows) == 3
-        # the spacing of the grid's first level, the least multiple of 3
-        # points of at least its least cell count; it only shrinks as it refines
-        h = 1.0 / (3 * math.ceil(operators._GRID_CELLS / 3))
         for t_s in rows:
             t, c = float(t_s), cells[t_s, "C"]
             rl = rl_boundary_term(f, 0.9, 0.0, t) + c
             assert abs(cells[t_s, "RL"] - rl) <= math.ulp(rl)
-            # trapezoid bound for the interpolant of f' = -sin, |f'''| <= 1
-            bound = h**2 / 8 * t**0.1 / gamma(1.1)
-            assert abs(c - caputo(f, 0.9, 0.0, t)) <= bound
+            # every value a closed form, or a quadrature to 1e-11
+            assert abs(c - caputo(f, 0.9, 0.0, t)) <= 1e-11 * max(1.0, abs(c))
+
+    def test_grid_past_the_reach_is_its_points(self, capsys):
+        # past cos's Caputo reach, about t = 10, each C cell is that point's
+        # quadrature, the value derive prints
+        code, out, err = run_cli(
+            capsys, "figures", "-f", "cos", "--interval", "0,100", "--points", "500",
+        )
+        assert code == 0 and err == ""
+        cells = [r for r in parse_csv(out)[1:] if r[2] == "C"]
+        assert len(cells) == 4 * 500
+        f = parse_function("cos")
+        for t_s, alpha_s, _, value in cells:
+            want = caputo(f, float(alpha_s), 0.0, float(t_s))
+            assert abs(float(value) - want) <= 1e-11 * max(1.0, abs(want))
+        for t_s, alpha_s, _, value in cells[::250]:
+            code, out, _ = run_cli(
+                capsys, "derive", "-f", "cos", "-k", "C", "-a", alpha_s,
+                "--interval", "0,100", "-t", t_s,
+            )
+            assert code == 0
+            assert abs(float(value) - float(parse_csv(out)[1][4])) <= 1e-11
 
     def test_grid_it_cannot_resolve_is_refused(self, capsys, tmp_path):
-        # cos under C past its series' reach on (0, 1e6): the grid doubles
-        # its cells up to its evaluation budget and stops there instead of
-        # printing a wrong value (its 4096 cells printed -6.07 at t = 1e6,
-        # where the value is 0.909)
+        # cos under C past its series' reach on (0, 1e6): the quadrature at
+        # t = 1e6 stops at its evaluation budget instead of printing a wrong
+        # value (a 4096-cell product trapezoid printed -6.07 there, where the
+        # value is 0.909)
         dest = tmp_path / "x.csv"
         code, out, err = run_cli(
             capsys,
-            "figures", "-f", "cos", "--interval", "0,1e6", "--points", "2", "--out", str(dest),
+            "figures", "-f", "cos", "--interval", "0,1e6", "--points", "500", "--out", str(dest),
         )
         assert code == 3 and out == ""
         assert err.startswith("numerical error: ")

@@ -531,6 +531,33 @@ class TestGaussKronrod:
             operators._gauss_kronrod(fn, [0.0, 1.0], 1e-11, operators._Counter(10**6))
 
 
+def _cf_power_layer_peak(g: float, beta: float) -> float:
+    """The largest error of t^g under CF, 1 < g < 2, which peaks once inside
+    the boundary layer at 0: |t^g 1F1(1, g+1, -rate t)/beta - g t^(g-1)|
+    maximised by golden section at 30 digits over (0, 10 beta]."""
+    with mp.workdps(30):
+        beta_mp = mp.mpf(beta)
+        rate = (1 - beta_mp) / beta_mp
+
+        def err(t):
+            return abs(t**g * mp.hyp1f1(1, g + 1, -rate * t) / beta_mp - g * t ** (g - 1))
+
+        lo, hi = mp.mpf(0), 10 * beta_mp
+        golden = (mp.sqrt(5) - 1) / 2
+        x1, x2 = hi - golden * (hi - lo), lo + golden * (hi - lo)
+        f1, f2 = err(x1), err(x2)
+        for _ in range(100):
+            if f1 < f2:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + golden * (hi - lo)
+                f2 = err(x2)
+            else:
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - golden * (hi - lo)
+                f1 = err(x1)
+        return float(max(f1, f2))
+
+
 class TestErrorLinf:
     def test_reports_no_quadrature_estimate(self):
         assert error_linf(Cosine(), C, 0.5, I01, n_grid=101).quad_error is None
@@ -572,32 +599,30 @@ class TestErrorLinf:
     def test_narrow_peak_found_by_refinement(self, n_grid, b):
         # under CF at beta 1e-3 the error of t^1.5 peaks near t = 0.0015,
         # inside a boundary layer 10 times narrower than the grid cell at
-        # n_grid 101; the reference maximises the exact error,
-        # |t^1.5 1F1(1, 2.5, -rate t)/beta - 1.5 t^0.5|, by golden section
-        # at 30 digits over (0, 0.01], where it has one peak
-        beta = 1e-3
-        with mp.workdps(30):
-            rate = (1 - mp.mpf(beta)) / mp.mpf(beta)
+        # n_grid 101
+        report = error_linf(Power(1.5), CF, 1e-3, Interval(0.0, b), n_grid=n_grid)
+        assert report.value == pytest.approx(_cf_power_layer_peak(1.5, 1e-3), rel=1e-10)
 
-            def err(t):
-                return abs(t**1.5 * mp.hyp1f1(1, 2.5, -rate * t) / beta - 1.5 * mp.sqrt(t))
+    @pytest.mark.parametrize("b", [1.0, 2.0])
+    @pytest.mark.parametrize("beta", [1e-4, 1e-5])
+    @pytest.mark.parametrize("g", [1.25, 1.5, 1.75])
+    def test_narrow_layer_peak_of_a_power(self, g, beta, b):
+        # the layer is about beta wide, under a hundredth of a default grid
+        # cell; the scan's layer points and decay lengths find it
+        report = error_linf(Power(g), CF, beta, Interval(0.0, b))
+        assert report.value == pytest.approx(_cf_power_layer_peak(g, beta), rel=1e-12)
 
-            lo, hi = mp.mpf(0), mp.mpf("0.01")
-            golden = (mp.sqrt(5) - 1) / 2
-            x1, x2 = hi - golden * (hi - lo), lo + golden * (hi - lo)
-            f1, f2 = err(x1), err(x2)
-            for _ in range(100):
-                if f1 < f2:
-                    lo, x1, f1 = x1, x2, f2
-                    x2 = lo + golden * (hi - lo)
-                    f2 = err(x2)
-                else:
-                    hi, x2, f2 = x2, x1, f1
-                    x1 = hi - golden * (hi - lo)
-                    f1 = err(x1)
-            expected = float(max(f1, f2))
-        report = error_linf(Power(1.5), CF, beta, Interval(0.0, b), n_grid=n_grid)
-        assert report.value == pytest.approx(expected, rel=1e-10)
+    def test_largest_of_two_peaks_is_taken(self):
+        # the scan's best sample is at b, while the peak near t = 0.5, whose
+        # sample is lower, is higher; both local maxima are zoomed on
+        report = error_linf(Power(2.5), CF, 1e-5, Interval(0.0, 2.0))
+        assert abs(report.value - 1.7677846305475007e-05) <= 1e-10
+
+    def test_sup_is_the_exact_maximum(self):
+        # every value of the scan and its zoom is a closed form, so the
+        # maximum is within 1e-14 of mpmath's 0.1887146138058821
+        report = error_linf(Power(1.75), CF, 0.1, Interval(0.0, 2.0))
+        assert abs(report.value - 0.1887146138058821) <= 1e-14
 
     def test_rl_unbounded_when_f_a_nonzero(self):
         # f(a)(t-a)^(beta-1)/Gamma(beta) grows without bound as t -> a+
@@ -612,9 +637,9 @@ class TestErrorLinf:
         rl = error_linf(f, RL, 0.2, I01, n_grid=101)
         c = error_linf(f, C, 0.2, I01, n_grid=101)
         assert rl.value == pytest.approx(c.value, rel=1e-12)
-        # grid, the refinement's two rounds of 127 points and its vertex,
-        # and |f'(a+)|
-        assert rl.n_eval_points == 101 + 254 + 1 + 1
+        # the 101 grid points and 7 layer points right of a, the
+        # refinement's two rounds of 127 points and its vertex, and |f'(a+)|
+        assert rl.n_eval_points == 101 + 7 + 254 + 1 + 1
 
     @pytest.mark.parametrize("f", [Affine(1.0, 0.0), AbsShift(0.0)])
     @pytest.mark.parametrize("n_grid", [101, 2001, 20001])
@@ -671,13 +696,15 @@ class TestErrorLinf:
         rate = (1.0 - beta) / beta
         assert report.value == pytest.approx(1.0 - math.expm1(-rate * 0.3) / (1.0 - beta))
         assert report.value == pytest.approx(2.0101, abs=5e-5)
-        # grid, the refinement's two rounds and vertex, |f'(a+)|, and the two
-        # limits at c
-        assert report.n_eval_points == n_grid + 254 + 1 + 1 + 2
+        # the grid, 7 layer points right of a and of c and under CF 9 and 12
+        # decay lengths, the refinement's two rounds and vertex, |f'(a+)|,
+        # and the two limits at c
+        assert report.n_eval_points == n_grid + 14 + 21 + 254 + 1 + 1 + 2
 
     def test_breakpoints_outside_the_interval_add_nothing(self):
+        # the kink at a adds no limits, and only one piece's 7 layer points
         report = error_linf(AbsShift(1.0), C, 0.3, Interval(1.0, 2.0), n_grid=101)
-        assert report.n_eval_points == 101 + 254 + 1 + 1
+        assert report.n_eval_points == 101 + 7 + 254 + 1 + 1
 
     def test_eval_count_matches_operator_calls(self, monkeypatch):
         calls = 0
@@ -698,12 +725,12 @@ class TestErrorLinf:
         monkeypatch.setattr(operators, "_evaluate_points", recording)
         n_grid = 201
         report = error_linf(Cosine(), C, 0.3, I01, n_grid=n_grid)
-        # the grid scan, each round of the refinement and its vertex are one
-        # array call, all closed forms; n_eval_points adds the boundary
-        # candidate |f'(a+)|
+        # the scan (the grid and 7 layer points right of a), each round of
+        # the refinement and its vertex are one array call, all closed
+        # forms; n_eval_points adds the boundary candidate |f'(a+)|
         assert calls == 0
-        assert points == [n_grid, 127, 127, 1]
-        assert report.n_eval_points == n_grid + 254 + 1 + 1
+        assert points == [n_grid + 7, 127, 127, 1]
+        assert report.n_eval_points == n_grid + 7 + 254 + 1 + 1
 
 
 class TestNormComparison:
