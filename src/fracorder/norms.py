@@ -44,21 +44,24 @@ points where the boundary layer lies, at fixed fractions of the piece and
 under CF at multiples of the kernel's decay length 1/rate, about beta wide
 as beta -> 0.  Every operator value of the scan comes from one
 ``operators._evaluate_points`` call and every f' value from one
-``funcat._derivative_toward`` call.  It then zooms in on the scan's local
-maxima that could hold the supremum, at most three: two rounds, each
-scoring 127 evenly spaced points of its brackets with one call of each, the
-second inside the best bracket of the first, then one point at the vertex
-of the parabola through the best three.  Each value is a closed form or a
-Gauss-Kronrod quadrature to 1e-11, absolute or relative.
-Two kinds of limit join the candidates, since a scan point approaches them
-only by chance: the boundary limit of the error as t -> a+, |f'(a)| (each
-operator here tends to 0 where f' is bounded near a, and grows more slowly
-than f' where it is not), which is where the supremum lives whenever
-f'(a) != 0; and at each catalog breakpoint c inside (a, b), where f'
-jumps and the operator does not, the one-sided limits |D(c) - f'(c-)| and
-|D(c) - f'(c+)|, all from one call of each.  Where f' is unbounded at a,
-and for the Riemann-Liouville operator with f(a) != 0, the supremum is
-infinite and no scan is made.
+``funcat._derivative_toward`` call.  Two kinds of limit join the
+candidates, since a scan point approaches them only by chance: the boundary
+limit of the error as t -> a+, |f'(a)| (each operator here tends to 0 where
+f' is bounded near a, and grows more slowly than f' where it is not), which
+is where the supremum lives whenever f'(a) != 0; and at each catalog
+breakpoint c inside (a, b), where f' jumps and the operator does not, the
+one-sided limits |D(c) - f'(c-)| and |D(c) - f'(c+)|, all from one call of
+each.  It then zooms in on the scan's local maxima that could hold a peak
+above every other candidate, the limits among them, at most three; where a
+limit is the supremum there may be none, and the scan is the only call.
+A round scores 127 evenly spaced points of its brackets with one call of
+each.  A second round, in the two cells around the best point of the first,
+runs only where the maxima of the quartic and of the parabola through that
+point and its neighbours disagree; then one point is scored at the
+quartic's maximum, unless it is a point already scored.  Each value is a closed form or a Gauss-Kronrod
+quadrature to 1e-11, absolute or relative.  Where f' is unbounded at a, and
+for the Riemann-Liouville operator with f(a) != 0, the supremum is infinite
+and no scan is made.
 
 Where f' jumps at a point t of the scan or of the L1 integrand on t-panels,
 it is taken from the left, the side inside (a, t]; at a, from the right.  A
@@ -88,10 +91,22 @@ DEFAULT_TOL = 1e-8
 DEFAULT_GRID = 64
 
 #: the sup-norm refinement: points scored per round, strictly inside the
-#: round's bracket, and rounds; 127 points narrow the bracket 64-fold a round
+#: round's bracket, which 127 points narrow 64-fold a round.  A round is the
+#: last where the quartic's and the parabola's vertex around its best point
+#: agree within _AGREE of its spacing, or the _ZOOM_ROUNDS-th.  Without the
+#: stop rule, one round left power:1.25 under C on (0, 0.3) at beta 1e-2
+#: and n_grid 2 2.6e-11 below mpmath; stopping at 1/64 left (0, 1) at beta
+#: 0.5 5.8e-14 low
 _ZOOM_POINTS = 127
 _ZOOM_ROUNDS = 2
 _ZOOM_FRACS = np.arange(1, _ZOOM_POINTS + 1) / (_ZOOM_POINTS + 1)
+_AGREE = 1.0 / 512.0
+#: Newton steps toward the quartic's maximum from the parabola's vertex:
+#: from within _AGREE of it, three reach 1e-9 of the spacing
+_NEWTON_STEPS = 4
+#: the distance, relative to the interval's larger end, within which two
+#: points of the sup-norm scan are one: a few roundings of its arithmetic
+_SAME_POINT = 8.0 * np.finfo(float).eps
 #: the most local maxima of the sup-norm scan that the refinement starts from
 _BRACKETS = 3
 
@@ -290,68 +305,128 @@ def _scan_points(kind, order, a: float, b: float, n_grid: int, kinks: list[float
     if kind is OperatorKind.CAPUTO_FABRIZIO:
         decays = [m / order.rate for m in operators._DECAY_LENGTHS]
         layer.update(lo + d for lo, hi in pieces for d in decays if d < hi - lo)
-    # a layer point that rounds onto a, or onto a grid point, is left out
-    layer = np.array(sorted(t for t in layer if t > a))
-    fresh = grid[np.minimum(grid.searchsorted(layer), n_grid - 1)] != layer
-    ts = np.concatenate((layer[fresh], grid))
+    # a layer point that rounds onto or next to a, or a grid point, is left
+    # out: two samples that differ by rounding alone would decide which of
+    # them is the local maximum, and so which cell, one of them a few ulps
+    # wide, is zoomed on
+    layer = np.array(sorted(layer))
+    cells = (layer - a) * (n_grid / (b - a))
+    near = np.abs(cells - np.rint(cells)) <= _SAME_POINT * max(abs(a), abs(b)) * n_grid / (b - a)
+    ts = np.concatenate((layer[~near], grid))
     ts.sort(kind="stable")  # a merge sort, which merges the two ascending runs
     return ts
 
 
 def _brackets(
-    ts: np.ndarray, error: np.ndarray, a: float
-) -> tuple[float, list[float], list[float]]:
-    """The largest |error| of the scan at ts, and the two scan cells
-    [lo, hi] around each of at most ``_BRACKETS`` local maxima of |error|,
-    highest reach first: those whose reach, their sample plus its larger
-    gap to its two neighbours, is at least the largest sample.  The reach
-    bounds the peak of a parabola through the three, so a smooth peak that
-    a lower sample hides is zoomed on too; the largest sample always
-    qualifies.  An end point stands in for its own missing neighbour, and a
-    is the left end of the first cell."""
-    padded = np.empty(error.size + 2)
-    values = np.abs(error, out=padded[1:-1])
-    padded[0], padded[-1] = values[0], values[-1]
-    best = float(values[values.argmax()])
-    reach = 2.0 * values - np.minimum(padded[:-2], padded[2:])
-    peaks = []
-    for i in (reach >= best).nonzero()[0].tolist():
-        left, mid, right = padded[i : i + 3].tolist()
-        if mid >= max(left, right):
-            peaks.append((2.0 * mid - min(left, right), i))
-    peaks = sorted(peaks, reverse=True)[:_BRACKETS]
-    last = values.size - 1
-    lo = [float(ts[i - 1]) if i else a for _, i in peaks]
-    return best, lo, [float(ts[min(i + 1, last)]) for _, i in peaks]
+    ts: np.ndarray, values: np.ndarray, a: float, at_a: float, limits, top: float
+) -> list[tuple[float, float, float, float]]:
+    """The two scan cells around each of at most ``_BRACKETS`` local maxima
+    of the scan's |error| values at ts, as (lo, hi, |error|(lo),
+    |error|(hi)) with at_a at a, highest reach first: those whose reach,
+    their sample plus its larger gap to its two neighbours, is at least
+    top, the best candidate among the samples, |f'(a+)| = at_a and the
+    one-sided limits.  The reach bounds the peak of a parabola through the
+    three, so a smooth peak that a lower sample hides is zoomed on too, and
+    where a limit is the supremum no sample may qualify and nothing is
+    zoomed on.  The limits are neighbours too: the first sample's left
+    neighbour is a, with at_a, and at each breakpoint c, given in limits as
+    (c, left limit, right limit), the first sample right of c has the right
+    limit as its left neighbour and the sample before it the left limit as
+    its right neighbour.  The last sample, at b, stands in for its own
+    missing neighbour."""
+    padded = np.empty(values.size + 2)
+    padded[1:-1] = values
+    padded[0], padded[-1] = at_a, values[-1]
+    # a copy, or a limit set in after would show in before too
+    before, after = padded[:-2].copy(), padded[2:]
+    for c, left, right in limits:
+        i = int(ts.searchsorted(c, side="right"))
+        before[i] = right
+        if i:
+            after[i - 1] = left
+    reach = 2.0 * values - np.minimum(before, after)
+    idx = (reach >= top).nonzero()[0]
+    higher = np.maximum(before[idx], after[idx]).tolist()
+    rows = zip(reach[idx].tolist(), idx.tolist(), values[idx].tolist(), higher)
+    peaks = sorted(((r, i) for r, i, value, most in rows if value >= most), reverse=True)
+    brackets = []
+    for _, i in peaks[:_BRACKETS]:
+        lo, lo_value = (float(ts[i - 1]), float(values[i - 1])) if i else (a, at_a)
+        hi = min(i + 1, values.size - 1)
+        brackets.append((lo, float(ts[hi]), lo_value, float(values[hi])))
+    return brackets
 
 
-def _zoom_max(fn, lo: list[float], hi: list[float]) -> float:
-    """The largest value of fn (an array function) at the points of
-    ``_ZOOM_ROUNDS`` rounds and one last point.  The first round scores
-    ``_ZOOM_POINTS`` evenly spaced points strictly inside each bracket
-    [lo_i, hi_i], all in one call; the next round's bracket is the two
-    cells on either side of the best of them, in whichever bracket it lies.
-    The last point is the vertex of the parabola through the last round's
-    best point and its two neighbours (the end three where the best is an
-    end point), kept between them, where a smooth peak lies to within about
-    the square of their spacing; three that do not bend down score their
-    middle point again."""
-    best = -math.inf
+def _vertices(values: np.ndarray, k: int) -> tuple[float, float]:
+    """Two estimates of the peak of evenly spaced values around their
+    largest, values[k], as fractional indices: the maximum of the quartic
+    through values[k-2 .. k+2], and the vertex of the parabola through
+    values[k-1 .. k+1] (the end five and three where k is near an end).
+    The parabola's vertex, kept between its three points, is k where the
+    three do not bend down, which only the end three can do.  The quartic's
+    maximum is found by Newton's method on its cubic derivative, started at
+    the parabola's vertex and kept between its five points."""
+    j = min(max(k, 2), values.size - 3)
+    five = values[j - 2 : j + 3].tolist()
+    # the parabola's middle point, as an offset from values[j]
+    m = min(max(k, 1), values.size - 2) - j
+    left, middle, right = five[m + 1 : m + 4]
+    bend = left - 2.0 * middle + right
+    x = m + min(max(0.5 * (left - right) / bend, -1.0), 1.0) if bend < 0.0 else k - j
+    parabola = j + x
+    # the quartic's derivative c1 + 2 c2 x + 3 c3 x^2 + 4 c4 x^3, x in
+    # spacings from values[j]
+    ym2, ym1, y0, y1, y2 = five
+    c1 = (ym2 - 8.0 * ym1 + 8.0 * y1 - y2) / 12.0
+    c2 = (-ym2 + 16.0 * ym1 - 30.0 * y0 + 16.0 * y1 - y2) / 12.0
+    c3 = (-ym2 + 2.0 * ym1 - 2.0 * y1 + y2) / 4.0
+    c4 = (ym2 - 4.0 * ym1 + 6.0 * y0 - 4.0 * y1 + y2) / 6.0
+    for _ in range(_NEWTON_STEPS):
+        curve = c2 + x * (2.0 * c3 + 3.0 * c4 * x)
+        if not curve < 0.0:
+            break
+        previous, x = x, min(max(x - (c1 + x * (c2 + x * (c3 + c4 * x))) / curve, -2.0), 2.0)
+        if abs(x - previous) <= 1e-9:
+            break
+    return j + x, parabola
+
+
+def _zoom_max(fn, brackets: list[tuple[float, float, float, float]]) -> tuple[float, int]:
+    """The largest value of fn (an array function) at the points of one or
+    two rounds and at most one last point, and the number of points
+    scored.  Each bracket is (lo, hi, fn(lo), fn(hi)).  The first round scores
+    ``_ZOOM_POINTS`` evenly spaced points strictly inside each bracket, all
+    in one call.  After each round ``_vertices`` places the peak around the
+    best point of the bracket that holds it twice, by a quartic and by a
+    parabola, the bracket's ends counting among its points.  Where the two
+    agree within ``_AGREE`` of the spacing, or after ``_ZOOM_ROUNDS``
+    rounds, the last point is the quartic's maximum, scored unless it is
+    an end of the bracket or a point of the round.  Otherwise the next
+    round's bracket is the two cells on either side of the best point."""
+    best, scored = -math.inf, 0
     for _ in range(_ZOOM_ROUNDS):
+        lo, hi, lo_value, hi_value = zip(*brackets)
         grid = np.array(lo)[:, None] + np.multiply.outer(np.subtract(hi, lo), _ZOOM_FRACS)
         values = fn(grid.ravel())
-        r, k = divmod(int(values.argmax()), _ZOOM_POINTS)
-        ts, values = grid[r], values[r * _ZOOM_POINTS : (r + 1) * _ZOOM_POINTS]
+        scored += values.size
+        r = int(values.argmax()) // _ZOOM_POINTS
+        row = values[r * _ZOOM_POINTS : (r + 1) * _ZOOM_POINTS]
+        values = np.concatenate(([lo_value[r]], row, [hi_value[r]]))
+        k = int(values.argmax())
         best = max(best, float(values[k]))
-        lo = [float(ts[k - 1]) if k > 0 else lo[r]]
-        hi = [float(ts[k + 1]) if k + 1 < _ZOOM_POINTS else hi[r]]
-    j = min(max(k, 1), _ZOOM_POINTS - 2)
-    y0, y1, y2 = values[j - 1 : j + 2].tolist()
-    bend = y0 - 2.0 * y1 + y2
-    # the vertex's offset from ts[j] in spacings, within one of it
-    shift = min(max(0.5 * (y0 - y2) / bend, -1.0), 1.0) if bend < 0.0 else 0.0
-    vertex = float(ts[j]) + shift * float(ts[j + 1] - ts[j - 1]) / 2.0
-    return max(best, float(fn(np.array([vertex]))[0]))
+        quartic, parabola = _vertices(values, k)
+        if abs(quartic - parabola) <= _AGREE:
+            break
+        ts = np.concatenate(([lo[r]], grid[r], [hi[r]]))
+        i, j = max(k - 1, 0), min(k + 1, _ZOOM_POINTS + 1)
+        brackets = [(float(ts[i]), float(ts[j]), float(values[i]), float(values[j]))]
+    # the quartic's maximum lies between the ends of the bracket, so at an
+    # integer it is an end (lo may be a, whose value is a limit) or a point
+    # of the round: a value already scored
+    if quartic == int(quartic):
+        return best, scored
+    vertex = lo[r] + quartic * (hi[r] - lo[r]) / (_ZOOM_POINTS + 1)
+    return max(best, float(fn(np.array([vertex]))[0])), scored + 1
 
 
 def error_linf(
@@ -363,18 +438,21 @@ def error_linf(
 ) -> ErrorReport:
     """Essential supremum of |D^(1-beta) f - f'| over (a, b].
 
-    The value is the largest of the scan (``_scan_points``: n_grid uniform
-    points plus the boundary layers right of a and of each breakpoint), its
+    The value is the largest of |f'(a)| (the t -> a+ limit; its right
+    limit when a is a breakpoint), the one-sided limits at each breakpoint
+    inside (a, b), the scan (``_scan_points``: n_grid uniform points plus
+    the boundary layers right of a and of each breakpoint) and its
     refinement (``_zoom_max`` on the two scan cells around each of at most
-    ``_BRACKETS`` local maxima of the scan that could hide a higher peak,
-    ``_brackets``), |f'(a)| (the t -> a+ limit; its right limit when a is a
-    breakpoint) and the one-sided limits at each breakpoint inside (a, b).
-    Each value is a closed form or within 1e-11, absolute or relative, of
-    the operator (``_evaluate_points``), or refused.  ``n_eval_points``
-    counts each point scored once.  It is ``inf``, with one evaluation and
-    no scan, where f'(a+) is infinite, and for the Riemann-Liouville
-    operator with f(a) != 0: the boundary term f(a)(t-a)^(beta-1)/Gamma(beta)
-    is unbounded as t -> a+, and no catalog function has an f' that cancels
+    ``_BRACKETS`` local maxima of the scan that could hide a peak above
+    every other candidate, ``_brackets``; none where a limit is the
+    supremum).  Each value is a closed form or within 1e-11, absolute or
+    relative, of the operator (``_evaluate_points``), or refused.
+    ``n_eval_points`` counts each point scored once: the scan, 127 per
+    bracket and round and the refinement's last point where it is a new
+    one, 1 for a+ and 2 per breakpoint.  It is ``inf``, with one evaluation and no scan, where
+    f'(a+) is infinite, and for the Riemann-Liouville operator with
+    f(a) != 0: the boundary term f(a)(t-a)^(beta-1)/Gamma(beta) is
+    unbounded as t -> a+, and no catalog function has an f' that cancels
     it.  n_grid is an integer of at least 2 (or DomainError, also where no
     scan is made).
     """
@@ -389,19 +467,24 @@ def error_linf(
         return ErrorReport(kind, beta, NormKind.LINF, interval, math.inf, 1)
     kinks = _breakpoints_inside(f, a, b)
     ts = _scan_points(kind, order, a, b, n_grid, kinks)
-    best, lo, hi = _brackets(ts, _error(kind, f, order, a, ts), a)
-    refined = _zoom_max(lambda pts: np.abs(_error(kind, f, order, a, pts)), lo, hi)
-    candidates = [best, refined, at_a]
+    values = np.abs(_error(kind, f, order, a, ts))
+    left = right = []
     if kinks:
         # the operator is continuous at a breakpoint and f' jumps there, so
         # the error has two one-sided limits, which a scan point can only
         # approach by chance
-        values = operators._evaluate_points(kind, f, order, a, np.array(kinks))
+        at_kinks = operators._evaluate_points(kind, f, order, a, np.array(kinks))
         sides = [-math.inf] * len(kinks) + [math.inf] * len(kinks)
-        limits = _derivative_toward(f, np.array(kinks * 2), sides)
-        candidates += np.abs(np.concatenate((values, values)) - limits).tolist()
-    count = ts.size + _ZOOM_POINTS * (len(lo) + _ZOOM_ROUNDS - 1) + 2 + 2 * len(kinks)
-    return ErrorReport(kind, beta, NormKind.LINF, interval, max(candidates), count)
+        slopes = _derivative_toward(f, np.array(kinks * 2), sides).reshape(2, -1)
+        left, right = np.abs(at_kinks - slopes).tolist()
+    value = max(float(values[values.argmax()]), at_a, *left, *right)
+    brackets = _brackets(ts, values, a, at_a, list(zip(kinks, left, right)), value)
+    scored = 0
+    if brackets:
+        refined, scored = _zoom_max(lambda pts: np.abs(_error(kind, f, order, a, pts)), brackets)
+        value = max(value, refined)
+    count = ts.size + scored + 1 + 2 * len(kinks)
+    return ErrorReport(kind, beta, NormKind.LINF, interval, value, count)
 
 
 def error_sweep(

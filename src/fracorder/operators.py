@@ -144,11 +144,14 @@ def riemann_liouville(f: TestFunction, alpha, a: float, t: float) -> float:
 
 
 def _grid_points(a: float, b: float, n: int) -> np.ndarray:
-    """t_i = a + (b - a) i / n for i = 1..n, rounded as that scalar expression is."""
+    """t_i = a + (b - a) i / n for i = 1..n, rounded as that scalar expression
+    is, except t_n, which is b itself: the expression may round an ulp to
+    either side of it."""
     ts = np.arange(1.0, n + 1.0)
     ts *= b - a
     ts /= n
     ts += a
+    ts[-1] = b
     return ts
 
 
@@ -161,9 +164,9 @@ def evaluate_grid(
     n: int,
 ) -> np.ndarray:
     """``evaluate(kind, f, alpha, a, t_i)`` at t_i = a + (b - a) i / n, i = 1..n,
-    n an integer of at least 1 (or DomainError): ``_evaluate_points`` on
-    those points, so each value is a closed form or within 1e-11, absolute
-    or relative, or refused.  Closed-form values come from
+    t_n = b (``_grid_points``), n an integer of at least 1 (or DomainError):
+    ``_evaluate_points`` on those points, so each value is a closed form or
+    within 1e-11, absolute or relative, or refused.  Closed-form values come from
     ``f._closed_form_grid``, the hook ``evaluate`` takes at one point, and
     match its values to the last bit or so (a series summed for all points
     at once may add a term more).

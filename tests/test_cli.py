@@ -116,6 +116,26 @@ class TestError:
         assert code == 0 and err == ""
         assert float(parse_csv(out)[1][5]) == pytest.approx(0.008115494524269717, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "name,kind,value,n",
+        [
+            # |f'(0+)| = 1 is the sup: the scan and a+ alone
+            ("exp", "CF", "1.0", "83"),
+            # the right limit at 0.5 is the sup: the scan, a+ and two limits
+            ("abs:0.5", "C", "1.9987596060657657", "79"),
+            # an interior peak: the scan, one round of 127 and its vertex, a+
+            ("power:2", "C", "0.011209382469429263", "326"),
+        ],
+    )
+    def test_linf_points_scored(self, capsys, name, kind, value, n):
+        code, out, err = run_cli(
+            capsys,
+            "error", "-f", name, "-k", kind, "-p", "inf",
+            "--beta", "1e-2", "--interval", "0,2",
+        )
+        assert code == 0 and err == ""
+        assert parse_csv(out)[1][5:] == [value, n]
+
     def test_linf_rl_unbounded(self, capsys):
         code, out, err = run_cli(
             capsys,

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import Opaque
-from fracorder import funcat, operators
+from fracorder import funcat, norms, operators
 from fracorder import (
     AbsShift,
     Affine,
@@ -23,6 +23,7 @@ from fracorder import (
     DomainError,
     ErrorReport,
     Exponential,
+    FractionalOrder,
     IntegrationError,
     Interval,
     NonDifferentiableError,
@@ -588,8 +589,9 @@ class TestErrorLinf:
     @pytest.mark.parametrize("n_grid", [2, 7, 101])
     def test_interior_maximum_found_by_refinement(self, n_grid):
         # coarse grids must still nail the interior max thanks to the
-        # refinement: its second round leaves cells 1/4096 of the grid cell,
-        # and the parabola's vertex lands on the peak to rounding
+        # refinement: a round leaves cells 1/64 of the one before, and the
+        # quartic's maximum, once it agrees with the parabola's vertex,
+        # lands on the peak to rounding
         report = error_linf(Power(2.0, 0.0), C, 0.2, I01, n_grid=n_grid)
         expected = (2.0 * 0.2 / 1.2) * (gamma(2.2) / 1.2) ** 5.0
         assert report.value == pytest.approx(expected, rel=1e-14)
@@ -638,8 +640,8 @@ class TestErrorLinf:
         c = error_linf(f, C, 0.2, I01, n_grid=101)
         assert rl.value == pytest.approx(c.value, rel=1e-12)
         # the 101 grid points and 7 layer points right of a, the
-        # refinement's two rounds of 127 points and its vertex, and |f'(a+)|
-        assert rl.n_eval_points == 101 + 7 + 254 + 1 + 1
+        # refinement's one round of 127 points and its vertex, and |f'(a+)|
+        assert rl.n_eval_points == 101 + 7 + 127 + 1 + 1
 
     @pytest.mark.parametrize("f", [Affine(1.0, 0.0), AbsShift(0.0)])
     @pytest.mark.parametrize("n_grid", [101, 2001, 20001])
@@ -658,6 +660,22 @@ class TestErrorLinf:
         # to no point of the interval, and the sup is |f'(0+)| = 1
         report = error_linf(AbsShift(1.0), kind, 0.1, I01, n_grid=n_grid)
         assert report.value == 1.0
+
+    @pytest.mark.parametrize("n_grid", [64, 101])
+    def test_breakpoint_at_b_when_the_grid_rounds_past_b(self, n_grid):
+        # b 101 / 101 rounds one ulp above this b, where f' of |t - b| is +1;
+        # on (0, b] f' = -1 and the sup is |D(b) + 1| = b^beta/Gamma(1+beta) - 1
+        b = 3.192310023961893
+        report = error_linf(AbsShift(b), C, 0.5, Interval(0.0, b), n_grid=n_grid)
+        assert report.value == pytest.approx(b**0.5 / gamma(1.5) - 1.0, rel=1e-14, abs=0.0)
+
+    def test_sup_at_b_when_the_grid_rounds_short_of_b(self):
+        # b 19 / 19 rounds one ulp below this b, where the error of t^4 under
+        # CF, rising at about 190, is 6.4e-15 relative below its sup at b
+        b = 3.925679093211253
+        report = error_linf(Power(4.0), CF, 0.5, Interval(0.0, b), n_grid=19)
+        expected = abs(operators.evaluate(CF, Power(4.0), 0.5, 0.0, b) - 4.0 * b**3)
+        assert report.value == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("b", [1.0, 2.0])
     def test_boundary_limit_is_f_prime_at_a(self, b):
@@ -697,14 +715,15 @@ class TestErrorLinf:
         assert report.value == pytest.approx(1.0 - math.expm1(-rate * 0.3) / (1.0 - beta))
         assert report.value == pytest.approx(2.0101, abs=5e-5)
         # the grid, 7 layer points right of a and of c and under CF 9 and 12
-        # decay lengths, the refinement's two rounds and vertex, |f'(a+)|,
-        # and the two limits at c
-        assert report.n_eval_points == n_grid + 14 + 21 + 254 + 1 + 1 + 2
+        # decay lengths, |f'(a+)|, and the two limits at c; the right limit
+        # at c is the sup, so nothing is zoomed on
+        assert report.n_eval_points == n_grid + 14 + 21 + 1 + 2
 
     def test_breakpoints_outside_the_interval_add_nothing(self):
-        # the kink at a adds no limits, and only one piece's 7 layer points
+        # the kink at a adds no limits, and only one piece's 7 layer points;
+        # |f'(1+)| = 1 is the sup, so nothing is zoomed on
         report = error_linf(AbsShift(1.0), C, 0.3, Interval(1.0, 2.0), n_grid=101)
-        assert report.n_eval_points == 101 + 7 + 254 + 1 + 1
+        assert report.n_eval_points == 101 + 7 + 1
 
     def test_eval_count_matches_operator_calls(self, monkeypatch):
         calls = 0
@@ -725,12 +744,136 @@ class TestErrorLinf:
         monkeypatch.setattr(operators, "_evaluate_points", recording)
         n_grid = 201
         report = error_linf(Cosine(), C, 0.3, I01, n_grid=n_grid)
-        # the scan (the grid and 7 layer points right of a), each round of
-        # the refinement and its vertex are one array call, all closed
-        # forms; n_eval_points adds the boundary candidate |f'(a+)|
+        # the scan (the grid and 7 layer points right of a), the one round
+        # of the refinement and its vertex are one array call each, all
+        # closed forms; n_eval_points adds the boundary candidate |f'(a+)|
         assert calls == 0
-        assert points == [n_grid + 7, 127, 127, 1]
-        assert report.n_eval_points == n_grid + 7 + 254 + 1 + 1
+        assert points == [n_grid + 7, 127, 1]
+        assert report.n_eval_points == n_grid + 7 + 127 + 1 + 1
+
+    @pytest.mark.parametrize("beta", [1e-1, 1e-2, 1e-3, 1e-4])
+    def test_limit_that_is_the_sup_is_not_zoomed(self, monkeypatch, beta):
+        points = []
+        original_points = operators._evaluate_points
+
+        def recording(kind, f, order, a, ts, *args, **kwargs):
+            points.append(len(ts))
+            return original_points(kind, f, order, a, ts, *args, **kwargs)
+
+        monkeypatch.setattr(operators, "_evaluate_points", recording)
+        # under CF the sup of |D e^t - e^t| = e^(-rate t) is |f'(0+)| = 1:
+        # the scan is the only array call
+        report = error_linf(Exponential(), CF, beta, I01, n_grid=2001)
+        assert report.value == 1.0
+        assert len(points) == 1 and report.n_eval_points == points[0] + 1
+        # under C the sup of |t - 1| is the right limit at 1; the scan and
+        # the breakpoint's call
+        points.clear()
+        report = error_linf(AbsShift(1.0), C, beta, Interval(0.0, 2.0), n_grid=2001)
+        assert abs(report.value - (1.0 + 1.0 / gamma(1.0 + beta))) <= 1e-14
+        assert points[1:] == [1] and report.n_eval_points == points[0] + 1 + 2
+
+    @pytest.mark.parametrize("kind,n", [(C, 71), (CF, 83)])
+    def test_user_limit_that_is_the_sup_is_not_zoomed(self, kind, n):
+        # sin without closed forms: the sup is |f'(0+)| = 1, and the scan's
+        # quadratures are all it costs
+        report = error_linf(UserSin(), kind, 1e-2, Interval(0.0, 2.0))
+        assert report.value == 1.0
+        assert report.n_eval_points == n
+
+    @pytest.mark.parametrize(
+        "b,beta,expected",
+        [
+            (1.0, 0.5, 0.48447359751593215),
+            (0.3, 1e-2, 0.017062997637701751),
+            (0.3, 0.1, 0.14760394182207162),
+        ],
+    )
+    def test_coarse_grid_peak_needs_the_stop_rule(self, b, beta, expected):
+        # at n_grid 2 the first round's quartic and parabola vertices differ
+        # by more than 1/512 of its spacing, so a second round is taken: one
+        # round alone left the second case 2.6e-11 low, and a stop at 1/64
+        # the first 5.8e-14 low; the references are mpmath maxima
+        report = error_linf(Power(1.25), C, beta, Interval(0.0, b), n_grid=2)
+        assert report.value == pytest.approx(expected, rel=2e-14, abs=0.0)
+
+    def test_brackets_reach_the_best_candidate(self):
+        # the sample at 0.3 is a local maximum whose reach, 0.6 + 0.05, passes
+        # every sample but not a limit of 0.9 at a; so is the first sample,
+        # whose left neighbour is a, with the limit there, while that is 0
+        ts, values = np.array([0.1, 0.2, 0.3, 0.4]), np.array([0.5, 0.4, 0.6, 0.55])
+        first, peak = (0.0, 0.2, 0.0, 0.4), (0.2, 0.4, 0.4, 0.55)
+        assert norms._brackets(ts, values, 0.0, 0.0, [], 0.6) == [first, peak]
+        assert norms._brackets(ts, values, 0.0, 0.9, [], 0.9) == []
+        # a right limit of 0.7 at a breakpoint 0.25 is the left neighbour of
+        # the sample at 0.3, and the left limit the right one of that at 0.2
+        limits = [(0.25, 0.45, 0.7)]
+        assert norms._brackets(ts, values, 0.0, 0.6, limits, 0.7) == []
+        assert norms._brackets(ts, values, 0.0, 0.6, [(0.25, 0.45, 0.1)], 0.6) == [peak]
+
+    def test_zoom_counts_the_bracket_ends_among_its_points(self):
+        # the peak at 0.999 lies past the last of the 127 points inside
+        # (0, 1); with the end's value beside them the quartic finds it
+        def fn(ts):
+            return -((ts - 0.999) ** 2)
+
+        value, scored = norms._zoom_max(fn, [(0.0, 1.0, -(0.999**2), -(0.001**2))])
+        assert value >= -1e-20 and scored == 127 + 1
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_zoom_scores_no_known_point_again(self, sign):
+        # a maximum at an end of the bracket is a value already known: the
+        # round is the only call
+        calls = []
+
+        def fn(ts):
+            calls.append(ts.size)
+            return sign * (ts - 0.5)
+
+        value, scored = norms._zoom_max(fn, [(0.0, 1.0, -0.5 * sign, 0.5 * sign)])
+        assert value == 0.5 and scored == 127 and calls == [127]
+
+    @pytest.mark.parametrize("beta", [2.0**-7, 2.0**-8])
+    def test_peak_between_the_last_zoom_point_and_the_bracket_end(self, beta):
+        # at n_grid 10 on (0, 1.4375) the peak of t^1.5 under C, near 0.143,
+        # lies between the scan points near 0.14375 and the zoom points of
+        # the cell left of them; a layer point one ulp from a grid point
+        # there used to decide by rounding which cell was zoomed on
+        report = error_linf(Power(1.5), C, beta, Interval(0.0, 1.4375), n_grid=10)
+        with mp.workdps(30):
+            g, beta_mp = mp.mpf(1.5), mp.mpf(beta)
+            k = mp.gamma(g + 1) / mp.gamma(g + beta_mp)
+            # the error t^(g-1) (g - k t^beta) peaks where its slope is 0
+            t = (g * (g - 1) / (k * (g - 1 + beta_mp))) ** (1 / beta_mp)
+            expected = float(t ** (g - 1) * (g - k * t**beta_mp))
+        assert report.value == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        name=st.one_of(
+            st.floats(1.0, 5.0).map(lambda g: f"power:{g!r}"),
+            st.sampled_from(["exp", "cos"]),
+            st.floats(0.05, 4.9).map(lambda c: f"abs:{c!r}"),
+        ),
+        kind=st.sampled_from([C, CF]),
+        beta=st.floats(1e-4, 0.9),
+        b=st.floats(0.3, 5.0),
+        n_grid=st.integers(2, 101),
+    )
+    def test_never_below_a_fine_scan(self, name, kind, beta, b, n_grid):
+        # the supremum is at least the largest error on 20001 uniform points,
+        # up to the rounding of D f - f' = O(beta)
+        f = parse_function(name)
+        report = error_linf(f, kind, beta, Interval(0.0, b), n_grid=n_grid)
+        ts = np.linspace(0.0, b, 20002)[1:]  # 20001 points, the last exactly b
+        if kind is CF and isinstance(f, Power) and not f._is_integer_exp():
+            # each value past the series' reach is a quadrature, about 80 us:
+            # every tenth point, 2001, keeps such an example near 0.15 s
+            ts = ts[::10]
+        order = FractionalOrder.from_beta(beta)
+        values = operators._evaluate_points(kind, f, order, 0.0, ts)
+        scan = float(np.abs(values - funcat._derivative_toward(f, ts)).max())
+        assert report.value >= scan * (1.0 - 1e-15 / beta)
 
 
 class TestNormComparison:
