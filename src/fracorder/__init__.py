@@ -2,10 +2,11 @@
 
 The package evaluates Riemann-Liouville, Caputo and Caputo-Fabrizio
 derivatives of a catalog of test functions (closed forms where they exist,
-product quadrature otherwise), measures the L1 and sup-norm errors against
-the classical derivative as the order approaches one, fits empirical
-convergence rates, and computes the Caputo-Fabrizio/Caputo speed-of-
-convergence ratio and its digamma-expressed limit.
+one adaptive Gauss-Kronrod quadrature per value otherwise), measures the L1
+and sup-norm errors against the classical derivative as the order
+approaches one, fits empirical convergence rates, and computes the
+Caputo-Fabrizio/Caputo speed-of-convergence ratio and its digamma-expressed
+limit.
 """
 
 from .analysis import (

@@ -159,7 +159,7 @@ def _cmd_error(args, writer) -> None:
     if p is NormKind.L1:
         report = norms.error_l1(f, kind, args.beta, interval, args.tol)
     else:
-        report = norms.error_linf(f, kind, args.beta, interval, args.n_grid)
+        report = norms.error_linf(f, kind, args.beta, interval)
     writer.writerow(_ERROR_HEADER)
     writer.writerow(_error_row(report))
 
@@ -172,7 +172,7 @@ def _cmd_order(args, writer) -> None:
     betas = _parse_betas(args.betas)
     if len(betas) < 4:
         raise DomainError(f"--betas must provide at least 4 points, got {len(betas)}")
-    reports = norms.error_sweep(f, kind, p, betas, interval, tol=args.tol, n_grid=args.n_grid)
+    reports = norms.error_sweep(f, kind, p, betas, interval, tol=args.tol)
     fit = analysis.fit_order(reports)
     writer.writerow(_ERROR_HEADER)
     for report in reports:
@@ -211,7 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # what every value without a closed form promises
     grid = "; a value without a closed form is within 1e-11, absolute or relative, or refused"
-    scan = f"uniform points of the sup-norm scan, besides its boundary-layer points{grid}"
 
     p = sub.add_parser("derive", help="one fractional-derivative value")
     add_common(p)
@@ -232,7 +231,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-p", required=True, dest="p", help="1 or inf")
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--tol", type=float, default=norms.DEFAULT_TOL)
-    p.add_argument("--n-grid", type=int, default=norms.DEFAULT_GRID, help=scan)
     p.set_defaults(func=_cmd_error)
 
     p = sub.add_parser("order", help="error sweep plus log-log order fit")
@@ -241,7 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-p", required=True, dest="p")
     p.add_argument("--betas", required=True, help="geometric:start,end,per_decade or a list")
     p.add_argument("--tol", type=float, default=norms.DEFAULT_TOL)
-    p.add_argument("--n-grid", type=int, default=norms.DEFAULT_GRID, help=scan)
     p.set_defaults(func=_cmd_order)
 
     p = sub.add_parser("ratio", help="CF/C L1 error ratio for t^m on (0, T)")

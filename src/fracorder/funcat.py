@@ -11,10 +11,11 @@ taken in one place, ``_derivative_toward``.
 A closed form may stop short of some points: a power's CF form left of the
 trusted Mittag-Leffler series, the Caputo series of cos past its reach
 u = t - a = 10 + ln Gamma(beta), and the exponential's Caputo form past
-u = 700.  There, and for entries without closed forms,
-``closed_form_fractional`` returns ``None`` and operators fall back to
-quadrature, which refuses an f' infinite at a: a power with g < 1 under
-CF past the trusted series (on (0, 1), for beta below 1/16).
+u = 700.  There, and for entries without closed forms, the closed-form
+hook ``TestFunction._closed_form_grid`` gives NaN (``closed_form_fractional``
+``None``), and operators fall back to quadrature, which refuses an f'
+infinite at a: a power with g < 1 under CF past the trusted series (on
+(0, 1), for beta below 1/16).
 
 Each (entry, operator) pair has one closed form, written once, as numpy
 expressions over an array of points: the hook

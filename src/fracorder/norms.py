@@ -77,7 +77,7 @@ import numpy as np
 from . import operators, specfun
 from .exceptions import DomainError
 from .funcat import Interval, OperatorKind, TestFunction, _breakpoints_inside, _derivative_toward
-from .operators import MAX_EVALS, FractionalOrder
+from .operators import FractionalOrder
 
 __all__ = [
     "ErrorReport",
@@ -219,8 +219,6 @@ def error_l1(
     beta: float,
     interval: Interval,
     tol: float = DEFAULT_TOL,
-    *,
-    max_evals: int = MAX_EVALS,
 ) -> ErrorReport:
     """L1 norm of D^(1-beta) f - f' over the interval, to absolute accuracy tol.
 
@@ -250,17 +248,18 @@ def error_l1(
     outermost node and the probe beside it, see, and misses two sign
     changes between the same two nodes.  ``n_eval_points`` counts every
     point at which the integrand was evaluated: 15 per panel and 2 probes
-    per run; past ``max_evals`` the integration stops with
-    BudgetExceededError.  When the estimate is still above tol and every
+    per run; past ``operators.MAX_EVALS`` the integration stops with
+    BudgetExceededError.  A tol that is not positive and finite is refused
+    with DomainError.  When the estimate is still above tol and every
     panel over its share is too narrow to refine or at its rounding floor,
     or the floors alone sum past tol, the value is refused with
     IntegrationError.
     """
     order = FractionalOrder.from_beta(beta)
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol!r}")
     a, b = interval.a, interval.b
-    counter = operators._Counter(max_evals)
+    counter = operators._Counter(operators.MAX_EVALS)
 
     kinks = _breakpoints_inside(f, a, b)
     pieces = list(zip([a, *kinks], [*kinks, b]))
@@ -495,15 +494,10 @@ def error_sweep(
     interval: Interval,
     *,
     tol: float = DEFAULT_TOL,
-    n_grid: int = DEFAULT_GRID,
-    max_evals: int = MAX_EVALS,
 ) -> list[ErrorReport]:
     """One ErrorReport per beta, computed independently, in input order;
-    n_grid, the uniform points of the scan, serves the sup norm alone
-    (``error_linf``), tol and max_evals the L1 norm (``error_l1``); an
-    n_grid that is not an integer of at least 2 is refused with DomainError
-    whatever p is."""
-    operators._check_grid_size(n_grid, 2, "n_grid")
+    tol serves the L1 norm (``error_l1``), and the sup norm
+    (``error_linf``) scans its default grid."""
     if not betas:
         raise DomainError("betas must be non-empty")
     if any(x <= y for x, y in zip(betas, betas[1:])):
@@ -512,8 +506,8 @@ def error_sweep(
     def one(beta: float) -> ErrorReport:
         try:
             if p is NormKind.L1:
-                return error_l1(f, kind, beta, interval, tol, max_evals=max_evals)
-            return error_linf(f, kind, beta, interval, n_grid)
+                return error_l1(f, kind, beta, interval, tol)
+            return error_linf(f, kind, beta, interval)
         except Exception as exc:
             raise _with_beta(exc, beta) from exc
 

@@ -105,6 +105,10 @@ class TestFitOrder:
             fit_order(reports + [other])
 
 
+#: beta from 1e-1 to 1e-17, half a decade apart, and 1.5e-3
+RATIO_BETAS = [10 ** (-k / 2) for k in range(2, 35)] + [1.5e-3]
+
+
 class TestRatioFiniteBeta:
     def test_tends_to_table_values(self):
         got = ratio_cf_over_c_l1(3, 1.0, 1e-4)
@@ -160,18 +164,32 @@ class TestRatioFiniteBeta:
         # m + 1 + beta rounds a beta this small away
         assert ratio_cf_over_c_l1(m, T, beta).value == pytest.approx(want, rel=1e-12, abs=0.0)
 
-    def test_where_the_closed_form_would_cancel(self):
-        # E_{1,11}(-2.2): right of 3 - omega, where the closed form's partial
-        # sum of e^z cancels; mpmath at 50 digits with the double T and beta
-        m, T, beta = 10, 1.1, 0.5
+    @staticmethod
+    def _mp_ratio(m, T, beta):
+        # mpmath at 50 digits with the double T and beta
         with mp.workdps(50):
             b, t = mp.mpf(beta), mp.mpf(T)
             z = -(1 - b) / b * t
             ml = (mp.exp(z) - sum(z**k / mp.factorial(k) for k in range(m))) / z**m
             num = t**m / (1 - b) * (mp.factorial(m) * ml - b)
             den = t**m / mp.gamma(m + b + 1) * (mp.gamma(m + b + 1) - mp.factorial(m) * t**b)
-            want = float(num / den)
-        assert ratio_cf_over_c_l1(m, T, beta).value == pytest.approx(want, rel=1e-13, abs=0.0)
+            return float(num / den)
+
+    def test_where_the_closed_form_would_cancel(self):
+        # E_{1,11}(-2.2): right of 3 - omega, where the closed form's partial
+        # sum of e^z cancels
+        want = self._mp_ratio(10, 1.1, 0.5)
+        assert ratio_cf_over_c_l1(10, 1.1, 0.5).value == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("m", range(2, 11))
+    def test_against_mpmath_from_a_tenth_to_the_limit(self, m):
+        # for 1e-3 <= beta < 0.1, ln Gamma(1 + beta) was math.lgamma's, which
+        # left m = 10, T = 9, beta 1.5e-3 1.9e-12 relative off
+        for T in sorted({1.0, m - 1.0}):
+            for beta in RATIO_BETAS:
+                want = self._mp_ratio(m, T, beta)
+                got = ratio_cf_over_c_l1(m, T, beta).value
+                assert got == pytest.approx(want, rel=5e-14, abs=0.0), (T, beta)
 
     def test_tiniest_beta_is_the_limit(self):
         for T in (1.0, 2.0):
@@ -356,6 +374,16 @@ class TestSStar:
     )
     def test_small_beta_against_mpmath(self, m, beta, want):
         assert s_star(m, beta) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("m", range(2, 11))
+    def test_against_mpmath_from_a_tenth_to_the_limit(self, m):
+        # mpmath at 50 digits: (Gamma(m + beta) / Gamma(m))^(1/beta); at
+        # beta 1.5e-3, math.lgamma(1 + beta) left m = 6 3.0e-13 relative off
+        with mp.workdps(50):
+            for beta in RATIO_BETAS:
+                b = mp.mpf(beta)
+                want = float((mp.gamma(m + b) / mp.gamma(m)) ** (1 / b))
+                assert s_star(m, beta) == pytest.approx(want, rel=1e-14, abs=0.0), beta
 
 
 class TestSupNormExamples:

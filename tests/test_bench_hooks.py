@@ -1,11 +1,14 @@
-"""The names the bench tracer wraps (bench/spans.py) exist in fracorder.
+"""The names the bench tracer wraps (bench/spans.py) exist in fracorder, and
+the error functionals take the keywords the workloads (bench/workloads.py)
+pass.
 
 ``Tracer.install`` replaces module attributes by name, so a renamed or
-deleted function would only show when a traced benchmark run fails.  The
-module is run from its source, without installing the tracer and without
-writing bytecode next to it.
+deleted function would only show when a traced benchmark run fails; so
+would a removed keyword, in every run.  The module is run from its source,
+without installing the tracer and without writing bytecode next to it.
 """
 
+import inspect
 import types
 from pathlib import Path
 
@@ -47,3 +50,14 @@ def test_wrapped_module_functions_resolve(module, names):
 )
 def test_wrapped_entry_points_resolve(owner, name):
     assert callable(getattr(owner, name, None))
+
+
+@pytest.mark.parametrize(
+    "function,keyword,value",
+    [(norms.error_linf, "n_grid", 2001), (norms.error_l1, "tol", 1e-4)],
+    ids=["error_linf-n_grid", "error_l1-tol"],
+)
+def test_workload_keywords_are_accepted(function, keyword, value):
+    # the linf-grid workload scans 2001 points (16 in its warm-up), and the
+    # l1-adaptive warm-up asks for tol 1e-4
+    inspect.signature(function).bind(None, None, 0.1, None, **{keyword: value})

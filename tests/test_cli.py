@@ -70,7 +70,7 @@ class TestRatio:
         code, out, err = run_cli(capsys, "ratio", "--m", "3", "--T", T, "--beta", "1e-17")
         assert code == 0 and err == ""
         value = float(parse_csv(out)[1][0])
-        assert value == pytest.approx(ratio_limit(3, float(T)).value, rel=1e-12)
+        assert value == pytest.approx(ratio_limit(3, float(T)).value, rel=1e-12, abs=0.0)
 
     def test_bad_T_is_argument_error(self, capsys):
         code, _, err = run_cli(capsys, "ratio", "--m", "3", "--T", "5")
@@ -114,7 +114,8 @@ class TestError:
             "--beta", "1e-4", "--interval", "0,2",
         )
         assert code == 0 and err == ""
-        assert float(parse_csv(out)[1][5]) == pytest.approx(0.008115494524269717, rel=1e-12)
+        value = float(parse_csv(out)[1][5])
+        assert value == pytest.approx(0.008115494524269717, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize(
         "name,kind,value,n",
@@ -135,6 +136,21 @@ class TestError:
         )
         assert code == 0 and err == ""
         assert parse_csv(out)[1][5:] == [value, n]
+
+    @pytest.mark.parametrize("command", ["error", "order"])
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_tol_must_be_finite(self, capsys, tmp_path, command, tol):
+        dest = tmp_path / "x.csv"
+        betas = ["--beta", "0.1"] if command == "error" else ["--betas", "0.1,0.05,0.02,0.01"]
+        code, out, err = run_cli(
+            capsys,
+            command, "-f", "cos", "-k", "C", "-p", "1", *betas, "--interval", "0,1",
+            "--tol", tol, "--out", str(dest),
+        )
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert f"tol must be positive and finite, got {tol}" in err
+        assert not dest.exists()
 
     def test_linf_rl_unbounded(self, capsys):
         code, out, err = run_cli(
@@ -166,7 +182,7 @@ class TestDerive:
         assert rows[0] == ["function", "kind", "alpha", "t", "value"]
         value = float(rows[1][4])
         assert value == caputo(parse_function("power:1"), 0.5, 0.0, 1.0)
-        assert value == pytest.approx(1.0 / gamma(1.5), rel=1e-14)
+        assert value == pytest.approx(1.0 / gamma(1.5), rel=1e-14, abs=0.0)
 
     def test_point_outside_interval(self, capsys):
         code, _, err = run_cli(
@@ -242,6 +258,26 @@ class TestDerive:
         assert exc.value.code == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert errors == ["fracorder: error: unrecognized arguments: --n-nodes 256"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["error", "-f", "cos", "-k", "C", "-p", "inf", "--beta", "0.1", "--interval", "0,1"],
+            ["order", "-f", "cos", "-k", "C", "-p", "inf", "--betas", "0.1,0.05,0.02,0.01",
+             "--interval", "0,1"],
+        ],
+    )
+    def test_n_grid_is_not_an_option(self, capsys, tmp_path, argv):
+        # the sup norm scans its own points, which no caller sets
+        dest = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--n-grid", "2001", "--out", str(dest)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == ["fracorder: error: unrecognized arguments: --n-grid 2001"]
+        assert not dest.exists()
 
 
 class TestOrder:

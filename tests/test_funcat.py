@@ -134,7 +134,7 @@ class TestClosedForms:
     def test_power_caputo(self):
         # gamma_exp=1, alpha=0.5, t=1 -> 1/Gamma(1.5)
         got = closed_form_fractional(Power(1.0, 0.0), C, 0.5, 0.0, 1.0)
-        assert got == pytest.approx(1.0 / gamma(1.5), rel=1e-14)
+        assert got == pytest.approx(1.0 / gamma(1.5), rel=1e-14, abs=0.0)
 
     def test_constant_is_zero(self):
         for kind in (C, CF):
@@ -143,19 +143,19 @@ class TestClosedForms:
     def test_constant_rl(self):
         # f = 1, order 1-beta with beta=0.5 at t=1: t^(beta-1)/Gamma(beta)
         got = closed_form_fractional(Affine(0.0, 1.0), RL, 0.5, 0.0, 1.0)
-        assert got == pytest.approx(1.0 / gamma(0.5), rel=1e-14)
+        assert got == pytest.approx(1.0 / gamma(0.5), rel=1e-14, abs=0.0)
 
     def test_absshift_left_branch(self):
         # |t-1| on [0,2], order 1-beta, beta=0.5, t=0.5: -t^0.5/Gamma(1.5)
         got = closed_form_fractional(AbsShift(1.0), C, 0.5, 0.0, 0.5)
-        assert got == pytest.approx(-math.sqrt(0.5) / gamma(1.5), rel=1e-14)
-        assert got == pytest.approx(-0.7978845608028654, rel=1e-12)
+        assert got == pytest.approx(-math.sqrt(0.5) / gamma(1.5), rel=1e-14, abs=0.0)
+        assert got == pytest.approx(-0.7978845608028654, rel=1e-12, abs=0.0)
 
     def test_absshift_right_branch(self):
         # order 1-beta with beta=0.4 at t=1.5: (2*0.5^0.4 - 1.5^0.4)/Gamma(1.4)
         got = closed_form_fractional(AbsShift(1.0), C, 0.6, 0.0, 1.5)
         expected = (2.0 * 0.5**0.4 - 1.5**0.4) / gamma(1.4)
-        assert got == pytest.approx(expected, rel=1e-14)
+        assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_power_origin_mismatch_has_no_form(self):
         assert closed_form_fractional(Power(2.0, 0.5), C, 0.5, 0.0, 1.0) is None
@@ -163,7 +163,7 @@ class TestClosedForms:
     def test_exponential_cf(self):
         # CF of e^t from 0 is e^t - e^(-alpha t/(1-alpha))
         got = closed_form_fractional(Exponential(), CF, 0.5, 0.0, 1.0)
-        assert got == pytest.approx(math.e - math.exp(-1.0), rel=1e-14)
+        assert got == pytest.approx(math.e - math.exp(-1.0), rel=1e-14, abs=0.0)
 
     def test_affine_linearity(self):
         # closed forms decompose as slope*(form of t) + intercept*(form of 1)

@@ -87,15 +87,27 @@ class TestErrorL1:
             exact = 1.5 / gamma(1.0 + beta) + 1.0 / gamma(2.0 + beta) - 1.0
             assert report.value == pytest.approx(exact, abs=1e-8)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        # the budget is read at call time
+        monkeypatch.setattr(operators, "MAX_EVALS", 40)
         with pytest.raises(BudgetExceededError):
-            error_l1(Cosine(), C, 0.5, I01, max_evals=40)
+            error_l1(Cosine(), C, 0.5, I01)
 
     def test_beta_validation(self):
         with pytest.raises(DomainError):
             error_l1(ONE, C, 1.0, I01)
         with pytest.raises(DomainError):
             error_l1(ONE, C, 0.5, I01, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan])
+    def test_tol_must_be_finite(self, tol):
+        # an infinite tol would stop after one round and bound nothing
+        with pytest.raises(DomainError, match="tol must be positive and finite"):
+            error_l1(Cosine(), C, 0.1, I01, tol=tol)
+
+    def test_no_budget_keyword(self):
+        with pytest.raises(TypeError, match="max_evals"):
+            error_l1(Cosine(), C, 0.5, I01, max_evals=40)
 
     def test_reports_estimate_within_tol(self):
         # |t - 1| under C: a looser tol stops after fewer rounds around the
@@ -137,16 +149,16 @@ class TestErrorL1:
         error_l1(f, kind, beta, interval)
         assert rounds <= most
 
-    def test_budget_counts_every_node(self):
+    def test_budget_counts_every_node(self, monkeypatch):
         # 15 nodes a panel, and the two probes of each of the two pieces
         report = error_l1(AbsShift(1.0), C, 0.1, Interval(0.0, 2.0))
         assert (report.n_eval_points - 2 * 2) % 15 == 0
-        again = error_l1(
-            AbsShift(1.0), C, 0.1, Interval(0.0, 2.0), max_evals=report.n_eval_points
-        )
+        monkeypatch.setattr(operators, "MAX_EVALS", report.n_eval_points)
+        again = error_l1(AbsShift(1.0), C, 0.1, Interval(0.0, 2.0))
         assert again == report
+        monkeypatch.setattr(operators, "MAX_EVALS", report.n_eval_points - 1)
         with pytest.raises(BudgetExceededError):
-            error_l1(AbsShift(1.0), C, 0.1, Interval(0.0, 2.0), max_evals=report.n_eval_points - 1)
+            error_l1(AbsShift(1.0), C, 0.1, Interval(0.0, 2.0))
 
     @pytest.mark.parametrize("closed_forms", [True, False])
     def test_refuses_tol_below_what_the_panels_can_reach(self, closed_forms):
@@ -160,12 +172,13 @@ class TestErrorL1:
         with pytest.raises(IntegrationError, match="too narrow to bisect"):
             error_l1(f, C, 0.5, narrow, tol=1e-30)
 
-    def test_refuses_tol_below_the_rounding_floor(self):
+    def test_refuses_tol_below_the_rounding_floor(self, monkeypatch):
         # every panel's estimate is at least 50 eps times its integral, so
         # bisection cannot bring the sum below about 1.5e-15 here; the tol is
         # refused after the first round, not by the evaluation budget
+        monkeypatch.setattr(operators, "MAX_EVALS", 10**4)
         with pytest.raises(IntegrationError, match="rounding floor"):
-            error_l1(Power(2.0), C, 0.1, Interval(0.0, 2.0), tol=1e-15, max_evals=10**4)
+            error_l1(Power(2.0), C, 0.1, Interval(0.0, 2.0), tol=1e-15)
 
     @pytest.mark.parametrize("kind,beta", [(C, 0.1), (C, 1e-3), (RL, 0.1), (RL, 1e-3)])
     def test_abs_against_mpmath(self, kind, beta):
@@ -584,7 +597,7 @@ class TestErrorLinf:
             expected = (2.0 * beta / (1.0 + beta)) * (gamma(2.0 + beta) / (1.0 + beta)) ** (
                 1.0 / beta
             )
-            assert report.value == pytest.approx(expected, rel=1e-9)
+            assert report.value == pytest.approx(expected, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("n_grid", [2, 7, 101])
     def test_interior_maximum_found_by_refinement(self, n_grid):
@@ -594,7 +607,7 @@ class TestErrorLinf:
         # lands on the peak to rounding
         report = error_linf(Power(2.0, 0.0), C, 0.2, I01, n_grid=n_grid)
         expected = (2.0 * 0.2 / 1.2) * (gamma(2.2) / 1.2) ** 5.0
-        assert report.value == pytest.approx(expected, rel=1e-14)
+        assert report.value == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("b", [1.0, 2.0])
     @pytest.mark.parametrize("n_grid", [101, 2001])
@@ -603,7 +616,7 @@ class TestErrorLinf:
         # inside a boundary layer 10 times narrower than the grid cell at
         # n_grid 101
         report = error_linf(Power(1.5), CF, 1e-3, Interval(0.0, b), n_grid=n_grid)
-        assert report.value == pytest.approx(_cf_power_layer_peak(1.5, 1e-3), rel=1e-10)
+        assert report.value == pytest.approx(_cf_power_layer_peak(1.5, 1e-3), rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("b", [1.0, 2.0])
     @pytest.mark.parametrize("beta", [1e-4, 1e-5])
@@ -612,7 +625,7 @@ class TestErrorLinf:
         # the layer is about beta wide, under a hundredth of a default grid
         # cell; the scan's layer points and decay lengths find it
         report = error_linf(Power(g), CF, beta, Interval(0.0, b))
-        assert report.value == pytest.approx(_cf_power_layer_peak(g, beta), rel=1e-12)
+        assert report.value == pytest.approx(_cf_power_layer_peak(g, beta), rel=1e-12, abs=0.0)
 
     def test_largest_of_two_peaks_is_taken(self):
         # the scan's best sample is at b, while the peak near t = 0.5, whose
@@ -638,7 +651,7 @@ class TestErrorLinf:
         f = Power(2.0, 0.0)
         rl = error_linf(f, RL, 0.2, I01, n_grid=101)
         c = error_linf(f, C, 0.2, I01, n_grid=101)
-        assert rl.value == pytest.approx(c.value, rel=1e-12)
+        assert rl.value == pytest.approx(c.value, rel=1e-12, abs=0.0)
         # the 101 grid points and 7 layer points right of a, the
         # refinement's one round of 127 points and its vertex, and |f'(a+)|
         assert rl.n_eval_points == 101 + 7 + 127 + 1 + 1
@@ -707,7 +720,7 @@ class TestErrorLinf:
         # 1 + (1 - e^(-rate c))/(1-beta), rate = (1-beta)/beta
         beta = 1e-3
         report = error_linf(AbsShift(1.0), C, beta, Interval(0.0, 2.0), n_grid=n_grid)
-        assert report.value == pytest.approx(1.0 + 1.0 / gamma(1.0 + beta), rel=1e-14)
+        assert report.value == pytest.approx(1.0 + 1.0 / gamma(1.0 + beta), rel=1e-14, abs=0.0)
         assert report.value == pytest.approx(2.000577, abs=5e-7)
         beta = 1e-2
         report = error_linf(AbsShift(0.3), CF, beta, Interval(0.0, 2.0), n_grid=n_grid)
@@ -972,9 +985,21 @@ class TestErrorSweep:
         with pytest.raises(DomainError):
             error_sweep(ONE, C, NormKind.L1, [0.1, 0.2], I01)
 
-    def test_element_error_carries_beta(self):
+    def test_element_error_carries_beta(self, monkeypatch):
+        monkeypatch.setattr(operators, "MAX_EVALS", 40)
         with pytest.raises(BudgetExceededError, match=r"beta=0\.2"):
-            error_sweep(Cosine(), C, NormKind.L1, [0.2, 0.1], I01, max_evals=40)
+            error_sweep(Cosine(), C, NormKind.L1, [0.2, 0.1], I01)
+
+    def test_tol_must_be_finite(self):
+        with pytest.raises(DomainError, match=r"beta=0\.2.*tol must be positive and finite"):
+            error_sweep(Cosine(), C, NormKind.L1, [0.2, 0.1], I01, tol=math.inf)
+
+    @pytest.mark.parametrize("keyword", ["n_grid", "max_evals"])
+    def test_no_grid_or_budget_keyword(self, keyword):
+        # the sup norm scans its default grid and the L1 norm reads
+        # operators.MAX_EVALS
+        with pytest.raises(TypeError, match=keyword):
+            error_sweep(Cosine(), C, NormKind.LINF, [0.2, 0.1], I01, **{keyword: 64})
 
     def test_element_error_keeps_type_with_any_constructor(self):
         class TwoArgError(NumericalError):

@@ -22,7 +22,6 @@ from fracorder import (
     IntegrationError,
     Interval,
     NonDifferentiableError,
-    NormKind,
     OperatorKind,
     Power,
     StepAntiderivative,
@@ -32,7 +31,6 @@ from fracorder import (
     closed_form_fractional,
     error_l1,
     error_linf,
-    error_sweep,
     evaluate,
     evaluate_grid,
     gamma,
@@ -118,7 +116,7 @@ class TestFractionalOrder:
         rl = riemann_liouville(Affine(0.0, 1.0), order, 0.0, 1.0)
         cf = caputo_fabrizio(Affine(1.0, 0.0), order, 0.0, 1e-12)
         assert rl == pytest.approx(float(rl_exact), rel=1e-14, abs=0.0)
-        assert cf == pytest.approx(float(cf_exact), rel=1e-14)
+        assert cf == pytest.approx(float(cf_exact), rel=1e-14, abs=0.0)
 
 
 class TestRlIntegral:
@@ -136,7 +134,7 @@ class TestRlIntegral:
         oracle = float(
             mp.quad(lambda u: u * (1 - u) ** mp.mpf("-0.5"), [0, 1]) / mp.gamma(mp.mpf("0.5"))
         )
-        assert oracle == pytest.approx(1.0 / gamma(2.5), rel=1e-12)
+        assert oracle == pytest.approx(1.0 / gamma(2.5), rel=1e-12, abs=0.0)
         got = rl_integral(Affine(1.0, 0.0), 0.5, 0.0, 1.0)
         assert got == pytest.approx(oracle, abs=1e-10)
 
@@ -149,7 +147,7 @@ class TestCaputo:
     def test_identity_function(self):
         # t^(1-alpha)/Gamma(2-alpha) at alpha=0.3, t=1
         got = caputo(Affine(1.0, 0.0), 0.3, 0.0, 1.0)
-        assert got == pytest.approx(1.0 / gamma(1.7), rel=1e-12)
+        assert got == pytest.approx(1.0 / gamma(1.7), rel=1e-12, abs=0.0)
 
     def test_constant_is_zero(self):
         assert caputo(Affine(0.0, 5.0), 0.5, 0.0, 1.0) == 0.0
@@ -158,7 +156,7 @@ class TestCaputo:
         # |t-1| on [0,2] at order 1-beta, beta=0.4, t=1.5
         got = caputo(AbsShift(1.0), 0.6, 0.0, 1.5)
         expected = (2.0 * 0.5**0.4 - 1.5**0.4) / gamma(1.4)
-        assert got == pytest.approx(expected, rel=1e-12)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_quadrature_matches_closed_form(self):
         for f, alpha, t in [
@@ -184,12 +182,12 @@ class TestCaputoFabrizio:
     def test_identity_function(self):
         # (1/alpha)(1 - e^(-alpha t/(1-alpha))) at alpha=0.5, t=1
         got = caputo_fabrizio(Affine(1.0, 0.0), 0.5, 0.0, 1.0)
-        assert got == pytest.approx(2.0 * (1.0 - math.exp(-1.0)), rel=1e-13)
+        assert got == pytest.approx(2.0 * (1.0 - math.exp(-1.0)), rel=1e-13, abs=0.0)
 
     def test_quadratic(self):
         # (2/alpha) t (1 - E_{1,2}(-alpha t/(1-alpha))) = 4/e at alpha=0.5, t=1
         got = caputo_fabrizio(Power(2.0, 0.0), 0.5, 0.0, 1.0)
-        assert got == pytest.approx(4.0 * math.exp(-1.0), rel=1e-13)
+        assert got == pytest.approx(4.0 * math.exp(-1.0), rel=1e-13, abs=0.0)
 
     def test_exponential_vs_quadrature(self):
         closed = caputo_fabrizio(Exponential(), 0.4, 0.0, 1.0)
@@ -207,7 +205,7 @@ class TestRiemannLiouville:
     def test_constant(self):
         # f = 1, order 1-beta with beta=0.5, t=0.25: t^(beta-1)/Gamma(beta)
         got = riemann_liouville(Affine(0.0, 1.0), 0.5, 0.0, 0.25)
-        assert got == pytest.approx(0.25**-0.5 / gamma(0.5), rel=1e-13)
+        assert got == pytest.approx(0.25**-0.5 / gamma(0.5), rel=1e-13, abs=0.0)
 
     def test_vanishing_at_a_equals_caputo(self):
         for alpha, t in [(0.3, 0.7), (0.8, 1.2)]:
@@ -217,7 +215,7 @@ class TestRiemannLiouville:
 
     def test_affine_shift(self):
         got = riemann_liouville(Affine(1.0, 1.0), 0.5, 0.0, 1.0)
-        assert got == pytest.approx(1.0 / gamma(0.5) + 1.0 / gamma(1.5), rel=1e-13)
+        assert got == pytest.approx(1.0 / gamma(0.5) + 1.0 / gamma(1.5), rel=1e-13, abs=0.0)
 
     def test_identity_structural(self):
         rng = np.random.default_rng(3)
@@ -363,9 +361,6 @@ class TestEvaluate:
             # so is the sup norm where f'(a+) is infinite
             lambda n: error_linf(
                 Power(0.5, 0.0), OperatorKind.CAPUTO, 0.4, Interval(0.0, 1.0), n_grid=n
-            ),
-            lambda n: error_sweep(
-                Cosine(), OperatorKind.CAPUTO, NormKind.LINF, [0.4], Interval(0.0, 1.0), n_grid=n
             ),
         ],
     )
@@ -660,7 +655,7 @@ class TestClosedFormAgainstQuadrature:
         # value by as much; the jump at 0.1 is added back in closed form
         f, t = AbsShift(0.1), KINKS[1]
         quad = op(Opaque(f), alpha, 0.0, t)
-        assert quad == pytest.approx(op(f, alpha, 0.0, t), rel=1e-12)
+        assert quad == pytest.approx(op(f, alpha, 0.0, t), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("alpha", [0.5, 0.99])
     @pytest.mark.parametrize("op", [caputo, riemann_liouville])
@@ -679,7 +674,8 @@ class TestClosedFormAgainstQuadrature:
         # to t carries at most 1e-12 of its mass on [0, t]
         t = KINKS[1]
         quad = caputo_fabrizio(Opaque(AbsShift(0.1)), alpha, 0.0, t)
-        assert quad == pytest.approx(caputo_fabrizio(AbsShift(0.1), alpha, 0.0, t), rel=1e-12)
+        closed = caputo_fabrizio(AbsShift(0.1), alpha, 0.0, t)
+        assert quad == pytest.approx(closed, rel=1e-12, abs=0.0)
 
     def test_rl_integral_keeps_the_ulp_next_to_t(self):
         # the kink of 1 + |t - 0.1| is a ramp added back in closed form, at
@@ -695,7 +691,7 @@ class TestClosedFormAgainstQuadrature:
             - d * (T**al - d**al) / al
             + d ** (al + 1) / (al * (al + 1))
         ) / mp.gamma(al)
-        assert rl_integral(f, al, 0.0, t) == pytest.approx(float(exact), rel=1e-13)
+        assert rl_integral(f, al, 0.0, t) == pytest.approx(float(exact), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("op", [caputo, caputo_fabrizio])
     def test_narrow_step_is_sampled_from_inside_each_piece(self, op):
@@ -769,7 +765,7 @@ class TestGenericKernel:
         # must agree with the Caputo derivative of order 1 - beta exactly
         got = generic_kernel_derivative(Affine(1.0, 0.0), OperatorKind.CAPUTO, 0.7, 0.0, 1.0)
         assert got == caputo(Affine(1.0, 0.0), 0.3, 0.0, 1.0)
-        assert got == pytest.approx(1.0 / gamma(1.7), rel=1e-12)
+        assert got == pytest.approx(1.0 / gamma(1.7), rel=1e-12, abs=0.0)
 
     def test_cf_kernel_specialization(self):
         for f in CATALOG:
@@ -781,7 +777,7 @@ class TestGenericKernel:
         # (1/(1-beta))(1 - e^(-((1-beta)/beta) t)) = 2 (1 - e^-0.25)
         f = StepAntiderivative(((0.0, 0.5),), (1.0,))
         got = generic_kernel_derivative(f, OperatorKind.CAPUTO_FABRIZIO, 0.5, 0.0, 0.25)
-        assert got == pytest.approx(2.0 * (1.0 - math.exp(-0.25)), rel=1e-13)
+        assert got == pytest.approx(2.0 * (1.0 - math.exp(-0.25)), rel=1e-13, abs=0.0)
 
     def test_constant_any_kernel(self):
         f = Affine(0.0, 3.0)
@@ -912,13 +908,13 @@ class TestUserDefinedFunction:
         # through pointwise quadrature
         interval = Interval(0.0, 1.5)
         got = norm(Square(), kind, 0.3, interval).value
-        assert got == pytest.approx(norm(Power(2.0), kind, 0.3, interval).value, rel=1e-8)
+        assert got == pytest.approx(norm(Power(2.0), kind, 0.3, interval).value, rel=1e-8, abs=0.0)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.8])
     def test_rl_integral(self, alpha):
         t = 1.2
         got = rl_integral(Square(), alpha, 0.0, t)
-        assert got == pytest.approx(rl_integral(Power(2.0), alpha, 0.0, t), rel=1e-15)
+        assert got == pytest.approx(rl_integral(Power(2.0), alpha, 0.0, t), rel=1e-15, abs=0.0)
         exact = 2.0 * t ** (alpha + 2.0) / gamma(alpha + 3.0)
         assert abs(got - exact) <= POINT_TOL * max(1.0, abs(exact))
 
@@ -1052,7 +1048,7 @@ class TestJumpsOfTheDerivative:
         #     cut = mp.sqrt(mp.mpf(0.4) / w)
         #     mp.sqrt(w) / mp.gamma(mp.mpf(1.5)) * mp.quad(f, [0, cut, 1])
         got = rl_integral(SqrtAbs(), 0.5, 0.0, 0.9)
-        assert got == pytest.approx(0.51576488914122049, rel=1e-12)
+        assert got == pytest.approx(0.51576488914122049, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("kind", [OperatorKind.CAPUTO, OperatorKind.CAPUTO_FABRIZIO])
     def test_steep_derivative_with_a_limit_is_computed(self, kind):
