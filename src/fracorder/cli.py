@@ -88,6 +88,14 @@ def _parse_betas(text: str) -> list[float]:
     return [start * 10 ** (-decades * i / n) for i in range(n + 1)]
 
 
+def _tol_for(p: NormKind, tol: float | None) -> float:
+    """The L1 tolerance of --tol, norms.DEFAULT_TOL where it is not given;
+    the sup norm takes none, so --tol under -p inf is refused."""
+    if p is NormKind.LINF and tol is not None:
+        raise DomainError("--tol applies to -p 1 only: the sup norm takes no tolerance")
+    return norms.DEFAULT_TOL if tol is None else tol
+
+
 def _check_point(t: float, interval: Interval, flag: str = "-t") -> None:
     if not (interval.a < t <= interval.b):
         raise DomainError(f"{flag} must lie in ({interval.a}, {interval.b}], got {t}")
@@ -154,10 +162,11 @@ def _cmd_error(args, writer) -> None:
     f = parse_function(args.function)
     kind = _parse_kind(args.kind)
     p = _parse_norm(args.p)
+    tol = _tol_for(p, args.tol)
     if not (0.0 < args.beta < 1.0):
         raise DomainError(f"--beta must lie in (0, 1), got {args.beta}")
     if p is NormKind.L1:
-        report = norms.error_l1(f, kind, args.beta, interval, args.tol)
+        report = norms.error_l1(f, kind, args.beta, interval, tol)
     else:
         report = norms.error_linf(f, kind, args.beta, interval)
     writer.writerow(_ERROR_HEADER)
@@ -169,10 +178,11 @@ def _cmd_order(args, writer) -> None:
     f = parse_function(args.function)
     kind = _parse_kind(args.kind)
     p = _parse_norm(args.p)
+    tol = _tol_for(p, args.tol)
     betas = _parse_betas(args.betas)
     if len(betas) < 4:
         raise DomainError(f"--betas must provide at least 4 points, got {len(betas)}")
-    reports = norms.error_sweep(f, kind, p, betas, interval, tol=args.tol)
+    reports = norms.error_sweep(f, kind, p, betas, interval, tol=tol)
     fit = analysis.fit_order(reports)
     writer.writerow(_ERROR_HEADER)
     for report in reports:
@@ -211,6 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # what every value without a closed form promises
     grid = "; a value without a closed form is within 1e-11, absolute or relative, or refused"
+    tol_help = f"L1 tolerance, -p 1 only (default {norms.DEFAULT_TOL})"
 
     p = sub.add_parser("derive", help="one fractional-derivative value")
     add_common(p)
@@ -230,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", "--kind", required=True)
     p.add_argument("-p", required=True, dest="p", help="1 or inf")
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--tol", type=float, default=norms.DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=None, help=tol_help)
     p.set_defaults(func=_cmd_error)
 
     p = sub.add_parser("order", help="error sweep plus log-log order fit")
@@ -238,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", "--kind", required=True)
     p.add_argument("-p", required=True, dest="p")
     p.add_argument("--betas", required=True, help="geometric:start,end,per_decade or a list")
-    p.add_argument("--tol", type=float, default=norms.DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=None, help=tol_help)
     p.set_defaults(func=_cmd_order)
 
     p = sub.add_parser("ratio", help="CF/C L1 error ratio for t^m on (0, T)")

@@ -11,17 +11,21 @@ taken in one place, ``_derivative_toward``.
 A closed form may stop short of some points: a power's CF form left of the
 trusted Mittag-Leffler series, the Caputo series of cos past its reach
 u = t - a = 10 + ln Gamma(beta), and the exponential's Caputo form past
-u = 700.  There, and for entries without closed forms, the closed-form
-hook ``TestFunction._closed_form_grid`` gives NaN (``closed_form_fractional``
-``None``), and operators fall back to quadrature, which refuses an f'
-infinite at a: a power with g < 1 under CF past the trusted series (on
-(0, 1), for beta below 1/16).
+u = 700.  There, and for entries without closed forms, the closed form
+gives NaN (``closed_form_fractional`` ``None``), and operators fall back to
+quadrature, which refuses an f' infinite at a: a power with g < 1 under CF
+past the trusted series (on (0, 1), for beta below 1/16).
 
-Each (entry, operator) pair has one closed form, written once, as numpy
-expressions over an array of points: the hook
-``TestFunction._closed_form_grid``, with NaN where a point has no closed
-form.  ``operators`` calls it on all the points it needs at once, and
-``closed_form_fractional`` on the one-point array [t], with the order as a
+Each (entry, operator) pair has one closed form, written once: the binder
+``TestFunction._closed_form(kind, order, a, b)``, which returns a function
+of an array of points in (a, b] (NaN where a point has no closed form), or
+``None``.  Everything that does not depend on the points is computed when
+it binds, once: the Gamma ratios, the reach tests that the whole of (a, b]
+passes, and a series' term count and coefficients at its farthest point,
+which fix every point's value whatever other points share its call.  A
+series is one power table (``specfun._power_sums``) times its
+coefficients.  ``operators`` binds once per error functional or grid, and
+``closed_form_fractional`` on [a, t], with the order as a
 ``FractionalOrder``: alpha and beta as given, and the CF rate alpha/beta,
 from which every closed form reads its constants.  The Caputo-Fabrizio form
 of a power, (1/beta) int_0^u g s^(g-1) e^(-rate (u-s)) ds, is written as
@@ -143,11 +147,10 @@ class TestFunction(ABC):
     def derivative_array(self, ts: np.ndarray) -> np.ndarray:
         return np.array([self.derivative(float(t)) for t in ts])
 
-    def _closed_form_grid(
-        self, kind: OperatorKind, order: FractionalOrder, a: float, ts: np.ndarray
-    ) -> np.ndarray | None:
-        """The closed form for kind C or CF at every point of ts (all > a):
-        NaN at a point it does not reach, ``None`` if the entry has none."""
+    def _closed_form(self, kind: OperatorKind, order: FractionalOrder, a: float, b: float):
+        """The closed form for kind C or CF on (a, b], bound once: a function
+        of an array of points in (a, b], NaN at a point it does not reach,
+        or ``None`` if the entry has none."""
         return None
 
 
@@ -181,16 +184,18 @@ def _derivative_toward(f: TestFunction, ts: np.ndarray, side=-math.inf) -> np.nd
     return f.derivative_array(ts)
 
 
-def _step_response(
-    kind: OperatorKind, order: FractionalOrder, u: np.ndarray, jump: float = 1.0
-) -> np.ndarray:
-    """The C or CF operator at u = t - c >= 0 of the ramp jump (tau - c)_+,
-    whose f' is a step: jump u^beta / Gamma(1+beta) under C, -jump
-    expm1(-rate u) / alpha under CF.  ``Affine``, ``AbsShift`` and the
-    jumps of f' that ``operators`` adds back are such ramps."""
+def _ramp(kind: OperatorKind, order: FractionalOrder, jump: float = 1.0):
+    """The C or CF operator of the ramp jump (tau - c)_+, whose f' is a
+    step, as a function of the array u = t - c >= 0: jump u^beta /
+    Gamma(1+beta) under C, -jump expm1(-rate u) / alpha under CF.
+    ``Affine``, ``AbsShift`` and the one-ulp gaps between breakpoints that
+    ``operators`` refuses are such ramps."""
+    beta, rate = order.beta, order.rate
     if kind is OperatorKind.CAPUTO:
-        return u**order.beta * (jump / specfun.gamma(1.0 + order.beta))
-    return np.expm1(-order.rate * u) * (-jump / order.alpha)
+        scale = jump / specfun.gamma(1.0 + beta)
+        return lambda u: u**beta * scale
+    scale = -jump / order.alpha
+    return lambda u: np.expm1(-rate * u) * scale
 
 
 def closed_form_fractional(
@@ -198,22 +203,24 @@ def closed_form_fractional(
 ) -> float | None:
     """Closed-form fractional derivative of ``f`` at ``t``, or ``None``.
 
-    The value is ``f._closed_form_grid`` at the one point t, so it costs a
-    whole numpy call (5 to 350 us, by entry); ``operators.evaluate_grid``
-    serves many points of one operator in one.  The Riemann-Liouville form
-    is assembled from the Caputo one via RL = rl_boundary_term + Caputo, so
-    it exists exactly when the Caputo form does.
+    The value is ``f._closed_form`` bound on [a, t] and taken at the one
+    point t, so it costs a bind and a numpy call; ``operators.evaluate_grid``
+    serves many points of one operator with one of each.  The
+    Riemann-Liouville form is assembled from the Caputo one via
+    RL = rl_boundary_term + Caputo, so it exists exactly when the Caputo form
+    does.
     """
     order = _as_order(alpha)
     if not t > a:
         raise DomainError(f"evaluation point must satisfy t > a, got t={t}, a={a}")
     rl = kind is OperatorKind.RIEMANN_LIOUVILLE
-    values = f._closed_form_grid(OperatorKind.CAPUTO if rl else kind, order, a, np.array([t]))
-    if values is None or math.isnan(values[0]):
+    closed = f._closed_form(OperatorKind.CAPUTO if rl else kind, order, a, t)
+    value = math.nan if closed is None else float(closed(np.array([t]))[0])
+    if math.isnan(value):
         return None
     if rl:
-        return rl_boundary_term(f, order, a, t) + float(values[0])
-    return float(values[0])
+        return rl_boundary_term(f, order, a, t) + value
+    return value
 
 
 def rl_boundary_term(
@@ -268,31 +275,41 @@ class Power(_NumpyEntry):
         return self._offsets(ts) ** self.gamma_exp
 
     def derivative_array(self, ts: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):  # f' = inf at the origin when gamma_exp < 1
-            return self.gamma_exp * self._offsets(ts) ** (self.gamma_exp - 1.0)
+        g = self.gamma_exp
+        if g < 1.0:  # the one case that divides by zero: f' = inf at the origin
+            with np.errstate(divide="ignore"):
+                return g * self._offsets(ts) ** (g - 1.0)
+        return g * self._offsets(ts) ** (g - 1.0)
 
-    def _closed_form_grid(
-        self, kind: OperatorKind, order: FractionalOrder, a: float, ts: np.ndarray
-    ) -> np.ndarray | None:
+    def _closed_form(self, kind: OperatorKind, order: FractionalOrder, a: float, b: float):
         if a != self.origin:
             return None
-        g = self.gamma_exp
-        u = ts - a
+        g, beta, rate = self.gamma_exp, order.beta, order.rate
         if kind is OperatorKind.CAPUTO:
             try:
-                ratio = specfun.gamma(g + 1.0) / specfun.gamma(g + order.beta)
+                ratio = specfun.gamma(g + 1.0) / specfun.gamma(g + beta)
             except NumericalError:  # Gamma(g+1) overflows; the quotient need not
-                ratio = math.exp(specfun.ln_gamma(g + 1.0) - specfun.ln_gamma(g + order.beta))
-            return ratio * u ** (g - order.alpha)
-        z = -order.rate * u
-        if self._is_integer_exp():
-            ml = specfun.mittag_leffler_one_array(g + 1.0, z)
-            return specfun.gamma(g + 1.0) * u**g * ml / order.beta
-        known = z >= _ML_SERIES_TRUST
-        ml = specfun.mittag_leffler_one_array(g + 1.0, z[known])
-        out = np.full(u.shape, math.nan)
-        out[known] = specfun.gamma(g + 1.0) * u[known] ** g * ml / order.beta
-        return out
+                ratio = math.exp(specfun.ln_gamma(g + 1.0) - specfun.ln_gamma(g + beta))
+            exponent = g - order.alpha
+            return lambda ts: ratio * (ts - a) ** exponent
+        scale = specfun.gamma(g + 1.0)
+        # z = -rate u reaches -rate (b - a); a non-integer exponent's series
+        # is trusted only down to _ML_SERIES_TRUST
+        low = -rate * (b - a)
+        trusted = self._is_integer_exp() or low >= _ML_SERIES_TRUST
+        ml = specfun._mittag_leffler_one_bound(g + 1.0, low if trusted else _ML_SERIES_TRUST, 0.0)
+
+        def caputo_fabrizio(ts: np.ndarray) -> np.ndarray:
+            u = ts - a
+            z = -rate * u
+            if trusted:
+                return scale * u**g * ml(z) / beta
+            known = z >= _ML_SERIES_TRUST
+            out = np.full(u.shape, math.nan)
+            out[known] = scale * u[known] ** g * ml(z[known]) / beta
+            return out
+
+        return caputo_fabrizio
 
 
 @dataclass(frozen=True)
@@ -312,10 +329,9 @@ class Affine(_NumpyEntry):
     def derivative_array(self, ts: np.ndarray) -> np.ndarray:
         return np.full(np.shape(ts), self.slope)
 
-    def _closed_form_grid(
-        self, kind: OperatorKind, order: FractionalOrder, a: float, ts: np.ndarray
-    ) -> np.ndarray | None:
-        return _step_response(kind, order, ts - a, self.slope)
+    def _closed_form(self, kind: OperatorKind, order: FractionalOrder, a: float, b: float):
+        ramp = _ramp(kind, order, self.slope)
+        return lambda ts: ramp(ts - a)
 
 
 @dataclass(frozen=True)
@@ -324,7 +340,8 @@ class Exponential(_NumpyEntry):
 
     Caputo: e^t u^beta (e^(-u) E_{1,1+beta}(u)), u = t - a, a series of
     positive terms summed up to u = 700 (farther, its terms overflow and the
-    point falls back to quadrature).  Caputo-Fabrizio: e^t - e^a e^(-rate u)
+    point falls back to quadrature), with its terms fixed at
+    min(b - a, 700).  Caputo-Fabrizio: e^t - e^a e^(-rate u)
     = -e^t expm1(-u) - e^a expm1(-rate u), rate = alpha/beta.  Both scale
     e^t, not e^a or e^u, which leave the double range where e^t does not.
     Past t = ln(DBL_MAX) = 709.78, where e^t overflows, f, f' and both forms
@@ -343,18 +360,33 @@ class Exponential(_NumpyEntry):
 
     derivative_array = value_array
 
-    def _closed_form_grid(
-        self, kind: OperatorKind, order: FractionalOrder, a: float, ts: np.ndarray
-    ) -> np.ndarray | None:
-        e_t = np.exp(self._checked(ts))
-        u = ts - a
+    def _closed_form(self, kind: OperatorKind, order: FractionalOrder, a: float, b: float):
+        beta, rate = order.beta, order.rate
+        # the overflow test of e^t, made once where all of (a, b] passes it
+        exp = np.exp if b <= _EXP_MAX_T else self.value_array
         if kind is OperatorKind.CAPUTO:
-            known = u <= _EXP_C_REACH
-            ml = np.exp(-u[known]) * specfun.mittag_leffler_one_array(1.0 + order.beta, u[known])
-            out = np.full(u.shape, math.nan)
-            out[known] = e_t[known] * u[known] ** order.beta * ml
-            return out
-        return -e_t * np.expm1(-u) - math.exp(a) * np.expm1(-order.rate * u)
+            ml = specfun._mittag_leffler_one_bound(1.0 + beta, 0.0, min(b - a, _EXP_C_REACH))
+            trusted = b - a <= _EXP_C_REACH
+
+            def caputo(ts: np.ndarray) -> np.ndarray:
+                e_t = exp(ts)
+                u = ts - a
+                if trusted:
+                    return e_t * u**beta * (np.exp(-u) * ml(u))
+                known = u <= _EXP_C_REACH
+                out = np.full(u.shape, math.nan)
+                out[known] = e_t[known] * u[known] ** beta * (np.exp(-u[known]) * ml(u[known]))
+                return out
+
+            return caputo
+        # past _EXP_MAX_T every point is refused by value_array before e^a is read
+        e_a = math.exp(min(a, _EXP_MAX_T))
+
+        def caputo_fabrizio(ts: np.ndarray) -> np.ndarray:
+            u = ts - a
+            return -exp(ts) * np.expm1(-u) - e_a * np.expm1(-rate * u)
+
+        return caputo_fabrizio
 
 
 @dataclass(frozen=True)
@@ -368,10 +400,10 @@ class Cosine(_NumpyEntry):
     (beta (rate^2+1)) without its cancellation as u or rate -> 0.
 
     Caputo, Re[i e^(ia) u^beta E_{1,1+beta}(iu)], as the real series of
-    ``_cos_caputo_array``: its even and odd halves by Horner's rule in
-    -u^2, with as many terms for every point as the farthest one needs.
-    Its terms grow to about e^u u^(-alpha) / Gamma(beta) and cancel to
-    O(1), so it is summed only up to the reach u = 10 + ln Gamma(beta)
+    ``_cos_caputo``: its even and odd halves as one power table in -u^2,
+    with the terms that min(b - a, reach) needs.  Its terms grow to about
+    e^u u^(-alpha) / Gamma(beta) and cancel to O(1), so it is summed only
+    up to the reach u = 10 + ln Gamma(beta)
     (10.03 at alpha 0.05, 19.2 at 1 - 1e-4), where rounding leaves at most
     about 1e-11 absolute, and under 1e-12 as measured against a 50-digit
     sum; farther points fall back to quadrature.
@@ -383,17 +415,30 @@ class Cosine(_NumpyEntry):
     def derivative_array(self, ts: np.ndarray) -> np.ndarray:
         return -np.sin(np.asarray(ts, dtype=float))
 
-    def _closed_form_grid(
-        self, kind: OperatorKind, order: FractionalOrder, a: float, ts: np.ndarray
-    ) -> np.ndarray | None:
-        u = ts - a
+    def _closed_form(self, kind: OperatorKind, order: FractionalOrder, a: float, b: float):
+        beta = order.beta
         if kind is OperatorKind.CAPUTO:
-            known = u <= _cos_c_reach(order)
-            out = np.full(u.shape, math.nan)
-            out[known] = _cos_caputo_array(order, ts[known], u[known])
-            return out
-        e = _phi1_array((-order.rate - 1j) * u)
-        return -u / order.beta * (np.sin(ts) * e.real + np.cos(ts) * e.imag)
+            reach = _cos_c_reach(order)
+            series = _cos_caputo(order, min(b - a, reach))
+            if b - a <= reach:
+                return lambda ts: series(ts, ts - a)
+
+            def caputo(ts: np.ndarray) -> np.ndarray:
+                u = ts - a
+                known = u <= reach
+                out = np.full(u.shape, math.nan)
+                out[known] = series(ts[known], u[known])
+                return out
+
+            return caputo
+        rate = -order.rate - 1j
+
+        def caputo_fabrizio(ts: np.ndarray) -> np.ndarray:
+            u = ts - a
+            e = _phi1_array(rate * u)
+            return -u / beta * (np.sin(ts) * e.real + np.cos(ts) * e.imag)
+
+        return caputo_fabrizio
 
 
 @dataclass(frozen=True)
@@ -418,15 +463,14 @@ class AbsShift(_NumpyEntry):
             raise NonDifferentiableError(f"|t - {self.center}| has no derivative at its center")
         return np.sign(ts - self.center)
 
-    def _closed_form_grid(
-        self, kind: OperatorKind, order: FractionalOrder, a: float, ts: np.ndarray
-    ) -> np.ndarray | None:
-        if self.center <= a:
-            return _step_response(kind, order, ts - a)
+    def _closed_form(self, kind: OperatorKind, order: FractionalOrder, a: float, b: float):
+        ramp, center = _ramp(kind, order), self.center
+        if center <= a:
+            return lambda ts: ramp(ts - a)
         # f' = -1 left of the center and 1 right of it: twice the ramp from
         # the center (0 left of it) less the ramp from a
-        ramp_at_center = _step_response(kind, order, np.maximum(ts - self.center, 0.0), 2.0)
-        return ramp_at_center - _step_response(kind, order, ts - a)
+        twice = _ramp(kind, order, 2.0)
+        return lambda ts: twice(np.maximum(ts - center, 0.0)) - ramp(ts - a)
 
 
 @dataclass(frozen=True)
@@ -483,25 +527,34 @@ class StepAntiderivative(_NumpyEntry):
             out[(lo < ts) & (ts < hi)] = q
         return out
 
-    def _closed_form_grid(
-        self, kind: OperatorKind, order: FractionalOrder, a: float, ts: np.ndarray
-    ) -> np.ndarray | None:
+    def _closed_form(self, kind: OperatorKind, order: FractionalOrder, a: float, b: float):
         p, rate = order.beta, order.rate
-        total = np.zeros(ts.shape)
-        for (lo, hi), q in zip(self.breaks, self.heights):
-            lo = max(lo, a)
-            if hi <= lo:
-                continue
-            # the step's part [max(lo, a), min(hi, t)] of [a, t], pinched to
-            # [t, t] (no contribution) where t <= lo
-            lo_t = np.minimum(lo, ts)
-            hi_t = np.minimum(hi, ts)
-            if kind is OperatorKind.CAPUTO:
-                total += q * _power_drop_array(ts - lo_t, hi_t - lo_t, p)
-            else:
-                # e^(-rate (t-hi)) - e^(-rate (t-lo)), exact in its digits
-                total += -q * np.exp(-rate * (ts - hi_t)) * np.expm1(-rate * (hi_t - lo_t))
-        return total / (specfun.gamma(1.0 + p) if kind is OperatorKind.CAPUTO else order.alpha)
+        caputo = kind is OperatorKind.CAPUTO
+        divisor = specfun.gamma(1.0 + p) if caputo else -order.alpha
+        # the steps that meet (a, b], each from max(lo, a), with its height
+        # over the divisor, which then scales no rounding of the sum (a
+        # subnormal height under CF at alpha 1/16 was 7 subnormal ulps off)
+        steps = [
+            (max(lo, a), hi, q / divisor)
+            for (lo, hi), q in zip(self.breaks, self.heights)
+            if max(lo, a) < hi and lo < b
+        ]
+
+        def values(ts: np.ndarray) -> np.ndarray:
+            total = np.zeros(ts.shape)
+            for lo, hi, q in steps:
+                # the step's part [lo, min(hi, t)] of [a, t], pinched to
+                # [t, t] (no contribution) where t <= lo
+                lo_t = np.minimum(lo, ts)
+                hi_t = np.minimum(hi, ts)
+                if caputo:
+                    total += q * _power_drop_array(ts - lo_t, hi_t - lo_t, p)
+                else:
+                    # e^(-rate (t-hi)) - e^(-rate (t-lo)), exact in its digits
+                    total += q * np.exp(-rate * (ts - hi_t)) * np.expm1(-rate * (hi_t - lo_t))
+            return total
+
+        return values
 
 
 def _power_drop_array(x: np.ndarray, width: np.ndarray, p: float) -> np.ndarray:
@@ -524,8 +577,9 @@ def _cos_c_reach(order: FractionalOrder) -> float:
     return _COS_C_LOSS_LOG + math.lgamma(order.beta)
 
 
-def _cos_caputo_array(order: FractionalOrder, ts: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Caputo derivative of cos at each t = a + u: -(1/Gamma(beta)) times
+def _cos_caputo(order: FractionalOrder, reach: float):
+    """The Caputo derivative of cos, as a function of the arrays t and
+    u = t - a, for u up to reach: -(1/Gamma(beta)) times
     int_0^u sin(t-v) v^(beta-1) dv, with sin(t-v) expanded at t, so
 
         -(u^beta/Gamma(beta)) sum_k d_k u^k / (k! (k+beta)),
@@ -534,32 +588,27 @@ def _cos_caputo_array(order: FractionalOrder, ts: np.ndarray, u: np.ndarray) -> 
     is Re[i e^(ia) u^beta E_{1,1+beta}(iu)] regrouped; against the series in
     u^n/Gamma(n+1+beta) about a, every term past the first carries the
     factor 1/Gamma(beta) -> 0 as beta -> 0, so its cancellation costs less
-    there.  The number of terms is set once, at the largest u, by the stop
-    rule of specfun's Mittag-Leffler series: past the peak, until the next
-    u^k/k! is below 1e-18 of the sum of the |terms| so far.  With r = u / U,
-    U the largest u, and c_k = U^k / (k! (k+beta)), which neither overflows
-    nor underflows within the reach, the sum is sin t A - cos t r B: A and B,
-    the even and the odd half, are polynomials in -r^2 with the c_k as
-    coefficients, evaluated by Horner's rule."""
+    there.  The terms and their coefficients c_k = s^k / (k! (k+beta)) are
+    fixed here, at the reach (``specfun._scaled_coefficients``, s a power of
+    2 at most the reach).  With r = u / s, the sum is sin t A - cos t r B:
+    A and B, the even and the odd half, are polynomials in -r^2, summed as
+    one power table (``specfun._power_sums``)."""
     beta = order.beta
-    scale = float(np.max(u, initial=0.0)) or 1.0
-    coeffs, mag, abs_sum = [], 1.0, 0.0  # mag = U^k / k!
-    while True:
-        k = len(coeffs)
-        coeffs.append(mag / (k + beta))
-        abs_sum += coeffs[-1]
-        mag *= scale / (k + 1)
-        if k + 1 > scale and mag <= specfun._SERIES_TERM_TOL * abs_sum:
-            break
-    r = u / scale
-    x = -r * r
-    even = odd = 0.0
-    for c in reversed(coeffs[0::2]):
-        even = even * x + c
-    for c in reversed(coeffs[1::2]):
-        odd = odd * x + c
-    total = np.sin(ts) * even - np.cos(ts) * r * odd
-    return -(u**beta) / specfun.gamma(beta) * total
+    scale, coeffs = specfun._scaled_coefficients(
+        1.0 / beta, beta - 1.0, beta, reach, "Caputo series of cos"
+    )
+    halves = np.zeros((2, (coeffs.size + 1) // 2))
+    halves[0] = coeffs[0::2]
+    halves[1, : coeffs.size // 2] = coeffs[1::2]
+    gamma_beta = specfun.gamma(beta)
+
+    def values(ts: np.ndarray, u: np.ndarray) -> np.ndarray:
+        r = u / scale
+        even, odd = specfun._power_sums(-r * r, halves)
+        total = np.sin(ts) * even - np.cos(ts) * r * odd
+        return -(u**beta) / gamma_beta * total
+
+    return values
 
 
 #: |z| below which phi1 is summed as its Taylor series; 20 terms reach 4e-19

@@ -12,9 +12,10 @@ the sign change and at the secant root between them instead of being
 bisected, and its error estimate gains the rule's error on the kink.  The
 first round also reads the integrand just inside the two outer edges of
 each run, so that a sign change between an edge and the outermost node is
-cut and charged too.  The operator values at the nodes come from one
-``operators._evaluate_points`` call, f' from one
-``funcat._derivative_toward`` call.  The loop stops when the summed error
+cut and charged too.  The operator is bound once per call
+(``operators._bind``), and every round takes its values at the nodes from
+one call of that bound function, f' from one ``funcat._derivative_toward``
+call.  The loop stops when the summed error
 estimate of all panels is at most the requested tol; that sum is reported
 as ``ErrorReport.quad_error``, and a tol that cannot be met is refused.
 The estimate leaves out the error of the operator values themselves: none
@@ -38,13 +39,14 @@ infinite at a (t^g, g < 1), and every piece under CF, whose layer is
 exponential, stays on t-panels split inside the boundary layers
 (``_boundary_layer_splits``); under CF the pieces share one run.
 
-The L-infinity functional scans a few dozen points of (a, b]: n_grid
-uniform points (64 by default), and right of a and of each breakpoint the
-points where the boundary layer lies, at fixed fractions of the piece and
-under CF at multiples of the kernel's decay length 1/rate, about beta wide
-as beta -> 0.  Every operator value of the scan comes from one
-``operators._evaluate_points`` call and every f' value from one
-``funcat._derivative_toward`` call.  Two kinds of limit join the
+The L-infinity functional scans a few dozen points of (a, b]: n_grid uniform
+points (64 by default), and right of a and of each breakpoint the points
+where the boundary layer lies, at fixed fractions of the piece and under CF
+at multiples of the kernel's decay length 1/rate, about beta wide as
+beta -> 0.  The operator is bound once per call (``operators._bind``): the
+scan, the limits at the breakpoints, each zoom round and the last point each
+take their values from one call of that bound function, and their f' values
+from one ``funcat._derivative_toward`` call.  Two kinds of limit join the
 candidates, since a scan point approaches them only by chance: the boundary
 limit of the error as t -> a+, |f'(a)| (each operator here tends to 0 where
 f' is bounded near a, and grows more slowly than f' where it is not), which
@@ -53,15 +55,15 @@ breakpoint c inside (a, b), where f' jumps and the operator does not, the
 one-sided limits |D(c) - f'(c-)| and |D(c) - f'(c+)|, all from one call of
 each.  It then zooms in on the scan's local maxima that could hold a peak
 above every other candidate, the limits among them, at most three; where a
-limit is the supremum there may be none, and the scan is the only call.
-A round scores 127 evenly spaced points of its brackets with one call of
-each.  A second round, in the two cells around the best point of the first,
-runs only where the maxima of the quartic and of the parabola through that
-point and its neighbours disagree; then one point is scored at the
-quartic's maximum, unless it is a point already scored.  Each value is a closed form or a Gauss-Kronrod
-quadrature to 1e-11, absolute or relative.  Where f' is unbounded at a, and
-for the Riemann-Liouville operator with f(a) != 0, the supremum is infinite
-and no scan is made.
+limit is the supremum there may be none, and the scan is the only call.  A
+round scores 127 evenly spaced points of its brackets with one call of each.
+A second round, in the two cells around the best point of the first, runs
+only where the maxima of the quartic and of the parabola through that point
+and its neighbours disagree; then one point is scored at the quartic's
+maximum, unless it is a point already scored.  Each value is a closed form
+or a Gauss-Kronrod quadrature to 1e-11, absolute or relative.  Where f' is
+unbounded at a, and for the Riemann-Liouville operator with f(a) != 0, the
+supremum is infinite and no scan is made.
 
 Where f' jumps at a point t of the scan or of the L1 integrand on t-panels,
 it is taken from the left, the side inside (a, t]; at a, from the right.  A
@@ -153,10 +155,10 @@ class ErrorReport:
             raise DomainError(f"quad_error must be non-negative, got {self.quad_error!r}")
 
 
-def _error(kind, f, order, a, ts) -> np.ndarray:
-    """D f - f' at each point of ts (all > a), f' from the left on a breakpoint."""
-    values = operators._evaluate_points(kind, f, order, a, ts)
-    return values - _derivative_toward(f, ts)
+def _error(operator, f, ts) -> np.ndarray:
+    """D f - f' at each point of ts (all > a), D f from the bound operator
+    (``operators._bind``), f' from the left on a breakpoint."""
+    return operator(ts) - _derivative_toward(f, ts)
 
 
 def _boundary_layer_splits(
@@ -177,7 +179,7 @@ def _boundary_layer_splits(
     return sorted(p for p in points if start + least < p < start + width - least)
 
 
-def _flattened(kind, f, order, a, lo, hi):
+def _flattened(kind, operator, f, order, a, lo, hi):
     """The signed error on the piece (lo, hi] under the substitution
     t = lo + w v^(1/beta), w = hi - lo, as an integrand over y = 1 - v in
     [0, 1] with the weight dt/dv = (w/beta) v^rate, and the edges of its
@@ -189,16 +191,17 @@ def _flattened(kind, f, order, a, lo, hi):
     which hold the mass of a small beta, keep all their digits, which they
     would not in v near 1.  Where lo = a the Riemann-Liouville boundary term
     f(a)(t-a)^(beta-1)/Gamma(beta) becomes the constant
-    f(a) w^beta / (beta Gamma(beta)), and the rest is the Caputo error; on
-    later pieces the term is smooth and stays in D f.  A node whose t
-    rounds onto a takes D f(a+) = 0, the limit where f' is finite at a.
-    f' is read inside the piece: toward hi at lo, and toward lo at hi.
+    f(a) w^beta / (beta Gamma(beta)), and the rest is the Caputo error (the
+    bound operator called without its boundary term); on later pieces the
+    term is smooth and stays in D f.  A node whose t rounds onto a takes
+    D f(a+) = 0, the limit where f' is finite at a.  f' is read inside the
+    piece: toward hi at lo, and toward lo at hi.
     """
     beta, w = order.beta, hi - lo
     base = 0.0
-    if kind is OperatorKind.RIEMANN_LIOUVILLE and lo == a:
+    boundary = not (kind is OperatorKind.RIEMANN_LIOUVILLE and lo == a)
+    if not boundary:
         base = f.value(a) * w**beta / (beta * specfun.gamma(beta))
-        kind = OperatorKind.CAPUTO
 
     def integrand(y: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):  # y = 1 is t = lo, where the weight is 0
@@ -206,7 +209,7 @@ def _flattened(kind, f, order, a, lo, hi):
         t = np.minimum(lo + w * np.exp(log_v / beta), hi)
         values = np.zeros(y.shape)
         inside = t > a
-        values[inside] = operators._evaluate_points(kind, f, order, a, t[inside])
+        values[inside] = operator(t[inside], boundary)
         error = values - _derivative_toward(f, t, 0.5 * (lo + hi))
         return base + (w / beta) * np.exp(order.rate * log_v) * error
 
@@ -260,6 +263,7 @@ def error_l1(
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
     a, b = interval.a, interval.b
     counter = operators._Counter(operators.MAX_EVALS)
+    operator = operators._bind(kind, f, order, a, b)
 
     kinks = _breakpoints_inside(f, a, b)
     pieces = list(zip([a, *kinks], [*kinks, b]))
@@ -273,13 +277,13 @@ def error_l1(
     runs, edges = [], []
     for (lo, hi), flattened in zip(pieces, flat):
         if flattened:
-            runs.append(_flattened(kind, f, order, a, lo, hi))
+            runs.append(_flattened(kind, operator, f, order, a, lo, hi))
             continue
         # a piece on t-panels is a run alone, but CF's pieces share one
         edges = edges or [lo]
         edges += [*_boundary_layer_splits(lo, hi - lo, kind, order), hi]
         if kind is not OperatorKind.CAPUTO_FABRIZIO or hi == b:
-            runs.append((lambda ts: _error(kind, f, order, a, ts), edges))
+            runs.append((lambda ts: _error(operator, f, ts), edges))
             edges = []
     n_panels = sum(len(e) - 1 for _, e in runs)
     value = quad_error = 0.0
@@ -302,7 +306,8 @@ def _scan_points(kind, order, a: float, b: float, n_grid: int, kinks: list[float
     pieces = list(zip(ends, ends[1:]))
     layer = {lo + (hi - lo) * x for lo, hi in pieces for x in operators._EDGE_FRACS}
     if kind is OperatorKind.CAPUTO_FABRIZIO:
-        decays = [m / order.rate for m in operators._DECAY_LENGTHS]
+        rate = order.rate
+        decays = [m / rate for m in operators._DECAY_LENGTHS]
         layer.update(lo + d for lo, hi in pieces for d in decays if d < hi - lo)
     # a layer point that rounds onto or next to a, or a grid point, is left
     # out: two samples that differ by rounding alone would decide which of
@@ -445,7 +450,7 @@ def error_linf(
     ``_BRACKETS`` local maxima of the scan that could hide a peak above
     every other candidate, ``_brackets``; none where a limit is the
     supremum).  Each value is a closed form or within 1e-11, absolute or
-    relative, of the operator (``_evaluate_points``), or refused.
+    relative, of the operator (``operators._bind``, bound once), or refused.
     ``n_eval_points`` counts each point scored once: the scan, 127 per
     bracket and round and the refinement's last point where it is a new
     one, 1 for a+ and 2 per breakpoint.  It is ``inf``, with one evaluation and no scan, where
@@ -464,15 +469,16 @@ def error_linf(
     at_a = abs(float(_derivative_toward(f, np.array([a]), math.inf)[0]))
     if at_a == math.inf or (kind is OperatorKind.RIEMANN_LIOUVILLE and f.value(a) != 0.0):
         return ErrorReport(kind, beta, NormKind.LINF, interval, math.inf, 1)
+    operator = operators._bind(kind, f, order, a, b)
     kinks = _breakpoints_inside(f, a, b)
     ts = _scan_points(kind, order, a, b, n_grid, kinks)
-    values = np.abs(_error(kind, f, order, a, ts))
+    values = np.abs(_error(operator, f, ts))
     left = right = []
     if kinks:
         # the operator is continuous at a breakpoint and f' jumps there, so
         # the error has two one-sided limits, which a scan point can only
         # approach by chance
-        at_kinks = operators._evaluate_points(kind, f, order, a, np.array(kinks))
+        at_kinks = operator(np.array(kinks))
         sides = [-math.inf] * len(kinks) + [math.inf] * len(kinks)
         slopes = _derivative_toward(f, np.array(kinks * 2), sides).reshape(2, -1)
         left, right = np.abs(at_kinks - slopes).tolist()
@@ -480,7 +486,7 @@ def error_linf(
     brackets = _brackets(ts, values, a, at_a, list(zip(kinks, left, right)), value)
     scored = 0
     if brackets:
-        refined, scored = _zoom_max(lambda pts: np.abs(_error(kind, f, order, a, pts)), brackets)
+        refined, scored = _zoom_max(lambda pts: np.abs(_error(operator, f, pts)), brackets)
         value = max(value, refined)
     count = ts.size + scored + 1 + 2 * len(kinks)
     return ErrorReport(kind, beta, NormKind.LINF, interval, value, count)

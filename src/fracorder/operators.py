@@ -1,7 +1,7 @@
 """Fractional operators computed by closed form or quadrature.
 
 Every catalog entry has closed forms (``funcat``), from the catalog's one
-hook ``TestFunction._closed_form_grid``.  A value without one, of a
+binder ``TestFunction._closed_form``.  A value without one, of a
 user-defined function or past a closed form's reach, and every
 ``rl_integral``, is ``_pointwise``: one call of the adaptive 7-15
 Gauss-Kronrod rule ``_gauss_kronrod``, which ``norms.error_l1`` uses too,
@@ -12,10 +12,11 @@ finite one-sided limit at a breakpoint, with IntegrationError, and where a
 one-ulp gap between breakpoints carries kernel mass, with
 NonDifferentiableError.
 
-One array evaluator, ``_evaluate_points``, gives the values at many points
-in one call: ``evaluate_grid``, the scalar operators (their closed forms,
-at the one point t) and the error functionals of ``norms`` all go through
-it.  No operator has a body of its own: C and CF differ only in their
+One binder, ``_bind(kind, f, order, a, b)``, gives the operator on (a, b]
+as one function of an array of points, with the closed form bound once:
+``evaluate_grid`` binds on [a, b], the scalar operators on [a, t], and each
+error functional of ``norms`` once per call, for every array call it
+makes.  No operator has a body of its own: C and CF differ only in their
 kernels (``_kernel_point``), whose constants come from
 ``funcat.FractionalOrder``, which keeps a small beta as given, and the
 Riemann-Liouville derivative is always the boundary term
@@ -117,13 +118,13 @@ def rl_integral(f: TestFunction, alpha, a: float, t: float) -> float:
 def evaluate(kind: OperatorKind, f: TestFunction, alpha, a: float, t: float) -> float:
     """Value at t of the operator named by ``kind``, closed form where known:
     RL is the scalar ``funcat.rl_boundary_term`` plus the C value, and C and
-    CF are ``_evaluate_points`` at the one point t."""
+    CF are ``_bind`` on [a, t], at the one point t."""
     order = _as_order(alpha)
     _check_window(a, t)
     if kind is OperatorKind.RIEMANN_LIOUVILLE:
         caputo_value = evaluate(OperatorKind.CAPUTO, f, order, a, t)
         return funcat.rl_boundary_term(f, order, a, t) + caputo_value
-    (value,) = _evaluate_points(kind, f, order, a, np.array([t], dtype=float))
+    (value,) = _bind(kind, f, order, a, t)(np.array([t], dtype=float))
     return float(value)
 
 
@@ -165,46 +166,54 @@ def evaluate_grid(
 ) -> np.ndarray:
     """``evaluate(kind, f, alpha, a, t_i)`` at t_i = a + (b - a) i / n, i = 1..n,
     t_n = b (``_grid_points``), n an integer of at least 1 (or DomainError):
-    ``_evaluate_points`` on those points, so each value is a closed form or
-    within 1e-11, absolute or relative, or refused.  Closed-form values come from
-    ``f._closed_form_grid``, the hook ``evaluate`` takes at one point, and
-    match its values to the last bit or so (a series summed for all points
-    at once may add a term more).
+    ``_bind`` on [a, b] at those points, so each value is a closed form or
+    within 1e-11, absolute or relative, or refused.  A closed-form value
+    matches ``evaluate``'s to rounding: that binds on [a, t], where a series
+    may take fewer terms.
     """
     order = _as_order(alpha)
     _check_grid_size(n, 1, "grid size")
     ts = _grid_points(a, b, n)
     _check_window(a, float(ts[0]))  # also refuses b <= a and non-finite b
-    return _evaluate_points(kind, f, order, a, ts)
+    return _bind(kind, f, order, a, b)(ts)
 
 
-def _evaluate_points(
-    kind: OperatorKind, f: TestFunction, order: FractionalOrder, a: float, ts: np.ndarray
-) -> np.ndarray:
-    """``evaluate(kind, f, order, a, t)`` at each point of ts (all > a, in
-    any order): the one array evaluator behind ``evaluate_grid``, the error
-    functionals of ``norms`` and the scalar operators.
+def _bind(kind: OperatorKind, f: TestFunction, order: FractionalOrder, a: float, b: float):
+    """``evaluate(kind, f, order, a, t)`` for t in (a, b], as one function of
+    an array of such points (in any order), with everything that does not
+    depend on the points computed here, once: ``f._closed_form`` bound on
+    (a, b], f(a) and Gamma(beta).  It is behind ``evaluate_grid``, the
+    scalar operators and every array call of the error functionals of
+    ``norms``, which bind once per call.  A point's value does not depend
+    on which other points share its call.
 
-    C and CF values come from one ``f._closed_form_grid`` call.  A point
-    with none (NaN) is filled by ``_kernel_point``, to ``_POINT_TOL``, once
-    the refusals of ``_checked_jumps`` over (a, max ts] have passed,
-    farthest first: that point costs the most and is the likeliest to be
-    refused, which then costs one point's budget, not the whole grid's.
-    RL is ``funcat.rl_boundary_term`` plus the C values.
+    C and CF values come from the bound closed form.  A point with none
+    (NaN) is filled by ``_kernel_point``, to ``_POINT_TOL``, once the
+    refusals of ``_checked_jumps`` over (a, max ts] have passed, farthest
+    first: that point costs the most and is the likeliest to be refused,
+    which then costs one point's budget, not the whole grid's.  RL is the
+    boundary term f(a) (t-a)^(-alpha) / Gamma(beta) plus the C values, or
+    the C values alone where the function is called with boundary=False.
     """
     if not isinstance(kind, OperatorKind):
         raise DomainError(f"unknown operator kind {kind!r}")
-    base = OperatorKind.CAPUTO if kind is OperatorKind.RIEMANN_LIOUVILLE else kind
-    values = f._closed_form_grid(base, order, a, ts)
-    if values is None:
-        values = np.full(ts.shape, math.nan)
-    missing = np.isnan(values).nonzero()[0]
-    if missing.size:
-        _checked_jumps(base, f, order, a, float(ts[missing].max()), ts[missing])
-        missing = missing[np.argsort(ts[missing])[::-1]]
-        values[missing] = [_kernel_point(base, f, order, a, t) for t in ts[missing].tolist()]
-    if kind is OperatorKind.RIEMANN_LIOUVILLE:
-        return funcat.rl_boundary_term(f, order, a, ts) + values
+    rl = kind is OperatorKind.RIEMANN_LIOUVILLE
+    base = OperatorKind.CAPUTO if rl else kind
+    closed = f._closed_form(base, order, a, b)
+    if rl:
+        f_a, alpha, gamma_beta = f.value(a), order.alpha, specfun.gamma(order.beta)
+
+    def values(ts: np.ndarray, boundary: bool = True) -> np.ndarray:
+        out = np.full(ts.shape, math.nan) if closed is None else closed(ts)
+        missing = np.isnan(out).nonzero()[0]
+        if missing.size:
+            _checked_jumps(base, f, order, a, float(ts[missing].max()), ts[missing])
+            missing = missing[np.argsort(ts[missing])[::-1]]
+            out[missing] = [_kernel_point(base, f, order, a, t) for t in ts[missing].tolist()]
+        if rl and boundary:
+            return f_a * (ts - a) ** (-alpha) / gamma_beta + out
+        return out
+
     return values
 
 
@@ -222,7 +231,7 @@ def _checked_jumps(
     an f' moving more than 4 times as much on the first step as on the
     second (plus 1e-6 max(1, |f'|)), as u^-g and log u do and a bounded f''
     does not, has none."""
-    response = partial(funcat._step_response, kind, order)
+    response = funcat._ramp(kind, order)
     kinks = f.breakpoints()
     for c in set(kinks):
         gap = math.nextafter(c, math.inf)

@@ -26,3 +26,27 @@ class Opaque(TestFunction):
 
     def derivative_array(self, ts):
         return self.f.derivative_array(ts)
+
+
+def record_binds(monkeypatch):
+    """Records ``operators._bind``: returns the lists (binds, calls), the
+    arguments (kind, f, order, a, b) of each bind, and for each call of a
+    bound function (kind, order, a, points, extra arguments, values)."""
+    from fracorder import operators
+
+    binds, calls = [], []
+    original = operators._bind
+
+    def binding(kind, f, order, a, b):
+        binds.append((kind, f, order, a, b))
+        bound = original(kind, f, order, a, b)
+
+        def values(ts, *args):
+            out = bound(ts, *args)
+            calls.append((kind, order, a, ts.copy(), args, out.copy()))
+            return out
+
+        return values
+
+    monkeypatch.setattr(operators, "_bind", binding)
+    return binds, calls

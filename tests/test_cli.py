@@ -18,7 +18,7 @@ from fracorder import (
     parse_function,
     ratio_limit,
 )
-from fracorder import cli
+from fracorder import cli, norms
 from fracorder.cli import main
 from fracorder.funcat import rl_boundary_term
 
@@ -151,6 +151,31 @@ class TestError:
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
         assert f"tol must be positive and finite, got {tol}" in err
         assert not dest.exists()
+
+    @pytest.mark.parametrize("command", ["error", "order"])
+    @pytest.mark.parametrize("tol", ["1e-10", "inf", "-1"])
+    def test_tol_is_refused_under_the_sup_norm(self, capsys, tmp_path, command, tol):
+        # the sup norm reads no tolerance: --tol under -p inf is an argument
+        # error, whatever its value, and writes no --out file
+        dest = tmp_path / "x.csv"
+        betas = ["--beta", "0.1"] if command == "error" else ["--betas", "0.1,0.05,0.02,0.01"]
+        code, out, err = run_cli(
+            capsys,
+            command, "-f", "cos", "-k", "C", "-p", "inf", *betas, "--interval", "0,1",
+            "--tol", tol, "--out", str(dest),
+        )
+        assert code == 2 and out == ""
+        assert err == "error: --tol applies to -p 1 only: the sup norm takes no tolerance\n"
+        assert not dest.exists()
+
+    @pytest.mark.parametrize("command", ["error", "order"])
+    def test_tol_not_given_is_the_default(self, capsys, command):
+        # without --tol, -p 1 runs at norms.DEFAULT_TOL, byte for byte
+        betas = ["--beta", "0.1"] if command == "error" else ["--betas", "0.1,0.05,0.02,0.01"]
+        argv = [command, "-f", "abs:1", "-k", "C", "-p", "1", *betas, "--interval", "0,2"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert run_cli(capsys, *argv, "--tol", repr(norms.DEFAULT_TOL)) == (0, out, "")
 
     def test_linf_rl_unbounded(self, capsys):
         code, out, err = run_cli(

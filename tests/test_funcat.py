@@ -29,6 +29,12 @@ from fracorder import (
 from fracorder import funcat
 from fracorder.funcat import rl_boundary_term
 
+
+def closed_form_at(f, kind, order, a, ts):
+    """f's closed form bound on (a, max ts] and taken at ts, or None."""
+    closed = f._closed_form(kind, order, a, float(np.max(ts)))
+    return None if closed is None else closed(ts)
+
 RL = OperatorKind.RIEMANN_LIOUVILLE
 C = OperatorKind.CAPUTO
 CF = OperatorKind.CAPUTO_FABRIZIO
@@ -114,6 +120,25 @@ class TestDerivative:
 
     def test_singular_power_derivative(self):
         assert Power(0.5, 0.0).derivative(0.0) == math.inf
+
+    @pytest.mark.parametrize("g", [0.5, 1.0, 2.0, 2.5])
+    def test_power_derivative_array_enters_errstate_only_below_one(self, g, monkeypatch):
+        # only g < 1 divides by zero, at the origin, so only it silences the
+        # warning; every value is g u^(g-1) itself, at the origin and inside
+        # (pytest turns a RuntimeWarning into an error)
+        ts = np.array([0.0, 1e-300, 0.3, 1.0, 2.5])
+        with np.errstate(divide="ignore"):
+            want = g * ts ** (g - 1.0)
+        entered = []
+        errstate = np.errstate
+
+        def counting(**kwargs):
+            entered.append(kwargs)
+            return errstate(**kwargs)
+
+        monkeypatch.setattr(np, "errstate", counting)
+        np.testing.assert_array_equal(Power(g).derivative_array(ts), want)
+        assert len(entered) == (g < 1.0)
 
 
 class TestStepValidation:
@@ -219,6 +244,21 @@ def _cos_derivative(n, a):
     return (-mp.sin(a), -mp.cos(a), mp.sin(a), mp.cos(a))[n % 4]
 
 
+def _cos_caputo_sum(beta, a, u):
+    """-(u^beta/Gamma(beta)) sum_k d_k u^k / (k! (k+beta)), d_k = (sin t,
+    -cos t, -sin t, cos t) with period 4, t = a + u: the Caputo derivative
+    of cos as ``funcat._cos_caputo`` sums it, at the working precision."""
+    beta, a, u = mp.mpf(beta), mp.mpf(a), mp.mpf(u)
+    t = a + u
+    d = (mp.sin(t), -mp.cos(t), -mp.sin(t), mp.cos(t))
+    total, k, term = mp.mpf(0), 0, mp.mpf(1)
+    while k <= u + 10 or term > mp.mpf(10) ** -45:
+        total += d[k % 4] * term / (k + beta)
+        k += 1
+        term = term * u / k
+    return -(u**beta) / mp.gamma(beta) * total
+
+
 def _cf_cosine(alpha, a, t):
     """-((r sin t - cos t) - e^(-r u)(r sin a - cos a)) / ((1-alpha)(r^2+1)),
     r = alpha/(1-alpha), at 60 digits, where its cancellation is harmless."""
@@ -268,18 +308,42 @@ class TestTranscendentalForms:
 
     @pytest.mark.parametrize("alpha", GOLDEN_ALPHAS)
     def test_cosine_caputo_one_array_to_the_reach(self, alpha):
-        # one call sums every point with the terms that the farthest needs,
-        # in powers of u over the farthest u: the near points keep their
-        # accuracy beside it
+        # one bind sums every point with the terms that the farthest needs,
+        # in powers of u over a power of 2 near it: the near points keep
+        # their accuracy beside it
         order = FractionalOrder(alpha)
         reach = funcat._cos_c_reach(order)
         for a in GOLDEN_STARTS:
             us = np.array([*GOLDEN_US, 5.0, reach])
-            got = Cosine()._closed_form_grid(C, order, a, a + us)
+            got = closed_form_at(Cosine(), C, order, a, a + us)
             for u, value in zip(us.tolist(), got.tolist()):
                 exact = _series_about_a(_cos_derivative, alpha, a, a + u)
                 loss = EPS * math.exp(u) * u**-alpha / gamma(1.0 - alpha)
                 assert abs(value - exact) <= 1e-14 * abs(exact) + 4 * loss, u
+
+    #: the worst error of Horner's rule, the sum that the power table
+    #: replaced, on the points of test_cosine_caputo_power_table, in units
+    #: of eps (1 + e^u u^(-alpha) / Gamma(beta)), the rounding its terms leave
+    HORNER_WORST = {1e-1: 0.9887, 1e-2: 1.745, 1e-3: 1.591, 1e-4: 3.395, 1e-6: 4.100, 1e-8: 4.027}
+
+    @pytest.mark.parametrize("beta", [1e-1, 1e-2, 1e-3, 1e-4, 1e-6, 1e-8])
+    def test_cosine_caputo_power_table(self, beta):
+        # the Caputo series of cos up to its reach, one power table in -u^2,
+        # against its 40-digit sum: no worse than Horner's rule was
+        order = FractionalOrder.from_beta(beta)
+        reach = funcat._cos_c_reach(order)
+        series = funcat._cos_caputo(order, reach)
+        worst = 0.0
+        for i, a in enumerate((0.0, -0.7, 2.3)):
+            u = np.concatenate([[reach], reach * np.random.default_rng(i).random(59)])
+            ts = a + u
+            u = ts - a
+            ts, u = ts[u <= reach], u[u <= reach]
+            for u_, value in zip(u.tolist(), series(ts, u).tolist()):
+                exact = _cos_caputo_sum(beta, a, u_)
+                loss = EPS * (1.0 + math.exp(u_) * u_**-order.alpha / gamma(beta))
+                worst = max(worst, float(abs(value - exact)) / loss)
+        assert worst <= self.HORNER_WORST[beta]
 
     @pytest.mark.parametrize("alpha", GOLDEN_ALPHAS)
     def test_cosine_caputo_fabrizio(self, alpha):
@@ -311,9 +375,8 @@ class TestTranscendentalForms:
     def test_exponential_past_reach(self):
         # E_{1,2-alpha}(u) overflows near u = 709
         assert closed_form_fractional(Exponential(), C, 0.5, -400.0, 301.0) is None
-        grid = Exponential()._closed_form_grid(
-            C, FractionalOrder(0.5), -400.0, np.array([299.0, 301.0])
-        )
+        ts = np.array([299.0, 301.0])
+        grid = closed_form_at(Exponential(), C, FractionalOrder(0.5), -400.0, ts)
         assert math.isfinite(grid[0]) and math.isnan(grid[1])
 
     def test_phi1_against_mpmath(self):
@@ -471,7 +534,7 @@ class TestClosedFormGrid:
     def test_matches_exact_formula(self, entry, kind, alpha, n):
         f, a, b = entry
         ts = a + (b - a) * np.arange(1, n + 1) / n
-        grid = f._closed_form_grid(kind, FractionalOrder(alpha), a, ts)
+        grid = closed_form_at(f, kind, FractionalOrder(alpha), a, ts)
         # only Power-CF with a non-integer exponent stops short, left of the
         # trusted Mittag-Leffler series, on intervals this short
         series = isinstance(f, Power) and kind is CF and not f._is_integer_exp()
@@ -496,7 +559,7 @@ class TestClosedFormGrid:
 
     def test_entry_without_forms_has_no_grid_hook(self):
         ts = np.array([0.25, 0.5, 1.0])
-        assert Opaque(Cosine())._closed_form_grid(C, FractionalOrder(0.4), 0.0, ts) is None
+        assert Opaque(Cosine())._closed_form(C, FractionalOrder(0.4), 0.0, 1.0) is None
         assert closed_form_fractional(Opaque(Cosine()), RL, 0.4, 0.0, 0.5) is None
 
     @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.99, 1 - 1e-6])
@@ -510,7 +573,7 @@ class TestClosedFormGrid:
             else funcat._EXP_C_REACH
         )
         ts = a + width * np.arange(1, 402) / 401
-        grid = f._closed_form_grid(C, FractionalOrder(alpha), a, ts)
+        grid = closed_form_at(f, C, FractionalOrder(alpha), a, ts)
         missing = np.isnan(grid)
         np.testing.assert_array_equal(missing, ts - a > reach)
         assert 0 < missing.sum() < len(ts)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import Opaque
+from conftest import Opaque, record_binds
 from fracorder import funcat, norms, operators
 from fracorder import (
     AbsShift,
@@ -277,20 +277,14 @@ class TestErrorL1:
         # |t - 1/2| with its closed forms hidden: every operator value of the
         # integrand comes from a point's quadrature, and under RL the piece
         # right of the breakpoint carries the boundary term f(0) t^(-alpha)
-        calls = []
-        original = operators._evaluate_points
-
-        def recording(*args, **kwargs):
-            values = original(*args, **kwargs)
-            calls.append((args, values))
-            return values
-
-        monkeypatch.setattr(operators, "_evaluate_points", recording)
+        binds, calls = record_binds(monkeypatch)
         f = Opaque(AbsShift(0.5))
         error_l1(f, kind, 0.3, I01, tol=1e-4)
-        assert kind in {args[0] for args, _ in calls}
-        # a copy: operators.evaluate itself runs through the recorded evaluator
-        for (call_kind, _, alpha, a, ts), values in list(calls):
+        assert [bind[0] for bind in binds] == [kind]
+        # a copy: operators.evaluate itself binds through the recorder; a
+        # call without the boundary term is the Caputo operator
+        for call_kind, alpha, a, ts, extra, values in list(calls):
+            call_kind = C if extra == (False,) else call_kind
             want = [operators.evaluate(call_kind, f, alpha, a, t) for t in ts.tolist()]
             # the RL sum may round its array and scalar addends an ulp apart
             np.testing.assert_allclose(values, want, rtol=1e-15, atol=1e-15)
@@ -738,51 +732,53 @@ class TestErrorLinf:
         report = error_linf(AbsShift(1.0), C, 0.3, Interval(1.0, 2.0), n_grid=101)
         assert report.n_eval_points == 101 + 7 + 1
 
+    def test_one_bind_per_error_functional(self, monkeypatch):
+        # the scan, the zoom round and its vertex call one bound operator,
+        # and so does every Gauss-Kronrod round of the L1 norm
+        binds, calls = record_binds(monkeypatch)
+        error_linf(Cosine(), C, 0.01, I01)
+        assert len(binds) == 1 and len(calls) == 3
+        binds.clear()
+        calls.clear()
+        error_l1(AbsShift(1.0), C, 0.01, Interval(0.0, 2.0))
+        assert len(binds) == 1 and len(calls) > 2
+
     def test_eval_count_matches_operator_calls(self, monkeypatch):
         calls = 0
-        points = []
         original = operators.caputo
-        original_points = operators._evaluate_points
 
         def counting(*args, **kwargs):
             nonlocal calls
             calls += 1
             return original(*args, **kwargs)
 
-        def recording(kind, f, alpha, a, ts, *args, **kwargs):
-            points.append(len(ts))
-            return original_points(kind, f, alpha, a, ts, *args, **kwargs)
-
         monkeypatch.setattr(operators, "caputo", counting)
-        monkeypatch.setattr(operators, "_evaluate_points", recording)
+        binds, bound_calls = record_binds(monkeypatch)
         n_grid = 201
         report = error_linf(Cosine(), C, 0.3, I01, n_grid=n_grid)
-        # the scan (the grid and 7 layer points right of a), the one round
-        # of the refinement and its vertex are one array call each, all
-        # closed forms; n_eval_points adds the boundary candidate |f'(a+)|
+        # one bind; the scan (the grid and 7 layer points right of a), the
+        # one round of the refinement and its vertex are one call each of
+        # the bound operator, all closed forms; n_eval_points adds the
+        # boundary candidate |f'(a+)|
         assert calls == 0
-        assert points == [n_grid + 7, 127, 1]
+        assert len(binds) == 1
+        assert [len(call[3]) for call in bound_calls] == [n_grid + 7, 127, 1]
         assert report.n_eval_points == n_grid + 7 + 127 + 1 + 1
 
     @pytest.mark.parametrize("beta", [1e-1, 1e-2, 1e-3, 1e-4])
     def test_limit_that_is_the_sup_is_not_zoomed(self, monkeypatch, beta):
-        points = []
-        original_points = operators._evaluate_points
-
-        def recording(kind, f, order, a, ts, *args, **kwargs):
-            points.append(len(ts))
-            return original_points(kind, f, order, a, ts, *args, **kwargs)
-
-        monkeypatch.setattr(operators, "_evaluate_points", recording)
+        _, calls = record_binds(monkeypatch)
         # under CF the sup of |D e^t - e^t| = e^(-rate t) is |f'(0+)| = 1:
         # the scan is the only array call
         report = error_linf(Exponential(), CF, beta, I01, n_grid=2001)
+        points = [len(call[3]) for call in calls]
         assert report.value == 1.0
         assert len(points) == 1 and report.n_eval_points == points[0] + 1
         # under C the sup of |t - 1| is the right limit at 1; the scan and
         # the breakpoint's call
-        points.clear()
+        calls.clear()
         report = error_linf(AbsShift(1.0), C, beta, Interval(0.0, 2.0), n_grid=2001)
+        points = [len(call[3]) for call in calls]
         assert abs(report.value - (1.0 + 1.0 / gamma(1.0 + beta))) <= 1e-14
         assert points[1:] == [1] and report.n_eval_points == points[0] + 1 + 2
 
@@ -884,7 +880,7 @@ class TestErrorLinf:
             # every tenth point, 2001, keeps such an example near 0.15 s
             ts = ts[::10]
         order = FractionalOrder.from_beta(beta)
-        values = operators._evaluate_points(kind, f, order, 0.0, ts)
+        values = operators._bind(kind, f, order, 0.0, b)(ts)
         scan = float(np.abs(values - funcat._derivative_toward(f, ts)).max())
         assert report.value >= scan * (1.0 - 1e-15 / beta)
 

@@ -1,6 +1,7 @@
 """Operator values against closed forms, identities and quadrature properties."""
 
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import Opaque
+from conftest import Opaque, record_binds
 from fracorder import (
     AbsShift,
     Affine,
@@ -387,7 +388,7 @@ class TestEvaluate:
         for name in ("caputo", "caputo_fabrizio", "riemann_liouville", "evaluate"):
             monkeypatch.setattr(operators, name, refuse)
         for kind in OperatorKind:
-            got = operators._evaluate_points(kind, Opaque(Cosine()), order, 0.0, ts)
+            got = operators._bind(kind, Opaque(Cosine()), order, 0.0, 0.9)(ts)
             # the RL sum may round its array and scalar addends an ulp apart
             np.testing.assert_allclose(got, want[kind], rtol=1e-15, atol=0.0)
 
@@ -411,6 +412,46 @@ CLOSED_FORM_TOL = 1e-15
 
 #: the absolute or relative target, whichever is looser, of one quadrature
 POINT_TOL = 1e-11
+
+
+class TestBinding:
+    """``operators._bind``: the closed form and its constants are bound once,
+    and every call of the bound function gives each point the value it
+    would have alone."""
+
+    @pytest.mark.parametrize("f", [*CATALOG, Power(2.5)], ids=repr)
+    @pytest.mark.parametrize("kind", list(OperatorKind))
+    def test_a_point_does_not_depend_on_its_call(self, f, kind):
+        # 200 seeded points of (0, 2] in one call, then one at a time: the
+        # same bits (a series summed with the terms its call's farthest point
+        # needed, as for cos under C and power:2.5 under CF, would not be);
+        # power:2.5 under CF fills the points past its series, rate u > 15,
+        # by quadrature
+        order = FractionalOrder(0.9)
+        ts = 2.0 * (1.0 - np.random.default_rng(200).random(200))
+        bound = operators._bind(kind, f, order, 0.0, 2.0)
+        together = bound(ts)
+        alone = [bound(ts[i : i + 1])[0] for i in range(ts.size)]
+        np.testing.assert_array_equal(together, alone)
+
+    def test_evaluate_grid_binds_once(self, monkeypatch):
+        binds, calls = record_binds(monkeypatch)
+        evaluate_grid(OperatorKind.CAPUTO, Cosine(), 0.5, 0.0, 2.0, 300)
+        assert len(binds) == 1
+        assert [len(call[3]) for call in calls] == [300]
+
+    def test_grid_memory_stays_linear(self):
+        # 2e5 points of e^t under C on (0, 700], whose series takes about 960
+        # terms at u = 700: the power table comes in blocks of at most 2^16
+        # entries, so the peak is that of a few arrays of the grid's size
+        # (13.2 MB with the per-term loop that the table replaced)
+        tracemalloc.start()
+        try:
+            evaluate_grid(OperatorKind.CAPUTO, Exponential(), 0.5, 0.0, 700.0, 200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 13.2e6
 
 
 class TestEvaluateGrid:
@@ -476,24 +517,30 @@ class TestEvaluateGrid:
                 assert value == evaluate(kind, f, alpha, 0.0, t)
 
     def test_points_past_the_reach_skip_a_second_closed_form_try(self, monkeypatch):
-        # the closed form is tried once, on all the points; those past cos's
-        # Caputo reach (10 + ln Gamma(1/2) = 10.57) go straight to quadrature,
-        # one per point
+        # the closed form is bound once and tried once, on all the points;
+        # those past cos's Caputo reach (10 + ln Gamma(1/2) = 10.57) go
+        # straight to quadrature, one per point
         sizes = []
-        original = Cosine._closed_form_grid
+        original = Cosine._closed_form
 
-        def counting(self, kind, alpha, a, ts):
-            sizes.append(len(ts))
-            return original(self, kind, alpha, a, ts)
+        def counting(self, kind, alpha, a, b):
+            closed = original(self, kind, alpha, a, b)
+            sizes.append("bind")
 
-        monkeypatch.setattr(Cosine, "_closed_form_grid", counting)
+            def values(ts):
+                sizes.append(len(ts))
+                return closed(ts)
+
+            return values
+
+        monkeypatch.setattr(Cosine, "_closed_form", counting)
         evaluate_grid(OperatorKind.CAPUTO, Cosine(), 0.5, 0.0, 30.0, 301)
-        assert sizes == [301]
+        assert sizes == ["bind", 301]
         sizes.clear()
         ts = np.array([5.0, 20.0, 25.0])
         order = FractionalOrder(0.5)
-        values = operators._evaluate_points(OperatorKind.CAPUTO, Cosine(), order, 0.0, ts)
-        assert sizes == [3]
+        values = operators._bind(OperatorKind.CAPUTO, Cosine(), order, 0.0, 25.0)(ts)
+        assert sizes == ["bind", 3]
         quad = [caputo(Opaque(Cosine()), 0.5, 0.0, t) for t in (20.0, 25.0)]
         assert values[1:].tolist() == quad
 

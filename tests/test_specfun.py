@@ -17,6 +17,7 @@ from fracorder import (
     mittag_leffler,
     mittag_leffler_one,
 )
+from fracorder import specfun
 from fracorder.specfun import mittag_leffler_one_array
 from fracorder.specfun import EULER_GAMMA, _closed_form_integer, _series
 
@@ -219,6 +220,58 @@ class TestMittagLefflerOneArray:
             mittag_leffler_one_array(0.0, np.array([1.0]))
         with pytest.raises(DomainError):
             mittag_leffler_one_array(2.0, np.array([0.5, math.nan]))
+
+
+class TestPowerTableKernels:
+    """The series branches of ``mittag_leffler_one_array``, one power table
+    each (``specfun._power_sums``), against 40-digit mpmath.  Each bound is
+    first the worst relative error of the running product that they
+    replaced, summed term by term on the same points (a whole array in one
+    call), and then what the table reaches."""
+
+    #: the running product's worst relative error on these points
+    RUNNING_PRODUCT_NEGATIVE = {2.0: 5.52e-11, 3.0: 4.96e-12, 1.5: 5.03e-10, 3.5: 1.34e-12,
+                                1.0 + 1e-8: 2.31e-4}
+    RUNNING_PRODUCT_POSITIVE = {0.5: 3.93e-15, 1e-2: 1.47e-14, 1e-4: 1.83e-14, 1e-8: 1.40e-14}
+
+    @staticmethod
+    def worst_relative_error(got, omega, z):
+        worst = mp.mpf(0)
+        for value, x in zip(got.tolist(), z.tolist()):
+            exact = mp.hyp1f1(1, omega, x) / mp.gamma(omega)
+            worst = max(worst, abs(value - exact) / abs(exact))
+        return float(worst)
+
+    @pytest.mark.parametrize("omega", [2.0, 3.0, 1.5, 3.5, 1.0 + 1e-8])
+    def test_kummer_series_on_the_negative_axis(self, omega):
+        # Kummer's series sums terms of one sign, where the series in z
+        # cancels to 1e-12 .. 1e-4 relative at z = -15
+        z = np.concatenate([[-15.0, -1e-300], -15.0 * np.random.default_rng(15).random(298)])
+        worst = self.worst_relative_error(specfun._kummer_bound(omega, 15.0)(z), omega, z)
+        assert worst <= self.RUNNING_PRODUCT_NEGATIVE[omega]
+        assert worst <= 1.5e-15
+
+    @pytest.mark.parametrize("beta", [0.5, 1e-2, 1e-4, 1e-8])
+    def test_series_up_to_the_exponential_reach(self, beta):
+        # E_{1,1+beta}(u) of exp under C, about 960 terms at u = 700: each
+        # block of 32 powers starts from np.power, so the rounding of x^2
+        # does not grow with the term's index
+        z = np.concatenate([[700.0, 1e-300], 700.0 * np.random.default_rng(700).random(148)])
+        got = specfun._series_bound(1.0 + beta, 700.0)(z)
+        worst = self.worst_relative_error(got, 1.0 + beta, z)
+        assert worst <= self.RUNNING_PRODUCT_POSITIVE[beta]
+        assert worst <= 1.5e-15
+
+    def test_power_sums_of_a_point_alone(self):
+        # a point's sum does not depend on the points beside it, whatever
+        # block of the table it falls in
+        rng = np.random.default_rng(5)
+        coeffs = rng.standard_normal((2, 70))
+        x = rng.uniform(-1.9, 1.9, 3000)
+        whole = specfun._power_sums(x, coeffs)
+        for i in (0, 1, 2047, 2048, 2999):
+            alone = specfun._power_sums(x[i : i + 1], coeffs)[:, 0]
+            np.testing.assert_array_equal(whole[:, i], alone)
 
 
 class TestGeneralMittagLeffler:
