@@ -10,7 +10,17 @@ Exit status: 0 on success, 2 for argument errors, 3 for numerical failures.
 ``main`` builds its argparse tree on its first call and reuses it for every
 later call in the process: parsing leaves the parser as it was (each call
 gets a new namespace), help text is laid out when it is printed, and the
-defaults are module constants.  Importing the module builds nothing.
+defaults are module constants.  Importing the module builds nothing.  An
+argument that starts with "-" and a digit or a point, such as the interval
+"-1,1", is a value: no option starts so.
+
+``figures`` formats each column once per alpha, in one ``map(repr, ...)``
+over its values, and writes each grid point's four rows as one string: a
+data cell is a float's repr or a kind name, neither of which holds a comma,
+a quote or a newline, so csv.writer would quote none of them and the bytes
+are those of one writerow per row.  The header, and every other command,
+go through csv.writer (``derive`` prints a function id such as
+"affine:1,1", which needs its quotes).
 """
 
 import argparse
@@ -18,6 +28,7 @@ import csv
 import functools
 import io
 import math
+import re
 import sys
 
 from . import analysis, norms, operators
@@ -25,12 +36,21 @@ from .exceptions import DomainError, NumericalError
 from .funcat import Interval, OperatorKind, _derivative_toward, parse_function, rl_boundary_term
 from .norms import NormKind
 
-_FIGURE_COLUMNS = ("fprime", "RL", "C", "CF")
-
 
 def _fmt(x: float) -> str:
     # repr is the shortest string that round-trips the exact double
     return repr(float(x))
+
+
+def _cells(column) -> list[str]:
+    """_fmt of each value of an array, in one map: a float's repr is _fmt's
+    string, and the cast to float64 first keeps an integer array from
+    printing 1 where _fmt prints 1.0."""
+    return list(map(repr, column.astype(float, copy=False).tolist()))
+
+
+def _writer(out):
+    return csv.writer(out, lineterminator="\n")
 
 
 def _fmt_sig(x: float, digits: int = 10) -> str:
@@ -101,7 +121,7 @@ def _check_point(t: float, interval: Interval, flag: str = "-t") -> None:
         raise DomainError(f"{flag} must lie in ({interval.a}, {interval.b}], got {t}")
 
 
-def _cmd_derive(args, writer) -> None:
+def _cmd_derive(args, out) -> None:
     interval = _parse_interval(args.interval)
     f = parse_function(args.function)
     kind = _parse_kind(args.kind)
@@ -109,11 +129,12 @@ def _cmd_derive(args, writer) -> None:
         raise DomainError(f"-a must lie in (0, 1), got {args.alpha}")
     _check_point(args.t, interval)
     value = operators.evaluate(kind, f, args.alpha, interval.a, args.t)
+    writer = _writer(out)
     writer.writerow(["function", "kind", "alpha", "t", "value"])
     writer.writerow([args.function, kind.value, _fmt(args.alpha), _fmt(args.t), _fmt(value)])
 
 
-def _cmd_figures(args, writer) -> None:
+def _cmd_figures(args, out) -> None:
     interval = _parse_interval(args.interval)
     f = parse_function(args.function)
     alphas = _parse_floats(args.alphas, "--alphas")
@@ -124,22 +145,22 @@ def _cmd_figures(args, writer) -> None:
         raise DomainError(f"--points must be at least 2, got {args.points}")
     a, b, n = interval.a, interval.b, args.points
     ts = operators._grid_points(a, b, n)
-    t_cells = [_fmt(t) for t in ts.tolist()]
-    fprime = _derivative_toward(f, ts)
-    writer.writerow(["t", "alpha", "kind", "value"])
+    t_cells = _cells(ts)
+    fprime_cells = _cells(_derivative_toward(f, ts))
+    _writer(out).writerow(["t", "alpha", "kind", "value"])
     for alpha in alphas:
         caputo = operators.evaluate_grid(OperatorKind.CAPUTO, f, alpha, a, b, n)
-        columns = {
-            "fprime": fprime,
-            # the RL identity, as operators.evaluate_grid forms it
-            "RL": rl_boundary_term(f, alpha, a, ts) + caputo,
-            "C": caputo,
-            "CF": operators.evaluate_grid(OperatorKind.CAPUTO_FABRIZIO, f, alpha, a, b, n),
-        }
+        # the RL identity, as operators.evaluate_grid forms it
+        rl = rl_boundary_term(f, alpha, a, ts) + caputo
+        cf = operators.evaluate_grid(OperatorKind.CAPUTO_FABRIZIO, f, alpha, a, b, n)
         alpha_cell = _fmt(alpha)
-        for i, t_cell in enumerate(t_cells):
-            for kind in _FIGURE_COLUMNS:
-                writer.writerow([t_cell, alpha_cell, kind, _fmt(columns[kind][i])])
+        # no cell holds a comma, a quote or a newline, so none needs the
+        # quoting of csv.writer: a grid point's four rows are one string
+        out.write("".join([
+            f"{t},{alpha_cell},fprime,{d}\n{t},{alpha_cell},RL,{r}\n"
+            f"{t},{alpha_cell},C,{c}\n{t},{alpha_cell},CF,{x}\n"
+            for t, d, r, c, x in zip(t_cells, fprime_cells, _cells(rl), _cells(caputo), _cells(cf))
+        ]))
 
 
 def _error_row(report) -> list[str]:
@@ -157,7 +178,7 @@ def _error_row(report) -> list[str]:
 _ERROR_HEADER = ["kind", "beta", "p", "a", "b", "value", "n_eval_points"]
 
 
-def _cmd_error(args, writer) -> None:
+def _cmd_error(args, out) -> None:
     interval = _parse_interval(args.interval)
     f = parse_function(args.function)
     kind = _parse_kind(args.kind)
@@ -169,11 +190,12 @@ def _cmd_error(args, writer) -> None:
         report = norms.error_l1(f, kind, args.beta, interval, tol)
     else:
         report = norms.error_linf(f, kind, args.beta, interval)
+    writer = _writer(out)
     writer.writerow(_ERROR_HEADER)
     writer.writerow(_error_row(report))
 
 
-def _cmd_order(args, writer) -> None:
+def _cmd_order(args, out) -> None:
     interval = _parse_interval(args.interval)
     f = parse_function(args.function)
     kind = _parse_kind(args.kind)
@@ -184,6 +206,7 @@ def _cmd_order(args, writer) -> None:
         raise DomainError(f"--betas must provide at least 4 points, got {len(betas)}")
     reports = norms.error_sweep(f, kind, p, betas, interval, tol=tol)
     fit = analysis.fit_order(reports)
+    writer = _writer(out)
     writer.writerow(_ERROR_HEADER)
     for report in reports:
         writer.writerow(_error_row(report))
@@ -191,24 +214,36 @@ def _cmd_order(args, writer) -> None:
     writer.writerow([_fmt(fit.r_hat), _fmt(fit.log_c_hat), _fmt(fit.residual)])
 
 
-def _cmd_ratio(args, writer) -> None:
+def _cmd_ratio(args, out) -> None:
     if args.beta is None:
         result = analysis.ratio_limit(args.m, args.T)
     else:
         result = analysis.ratio_cf_over_c_l1(args.m, args.T, args.beta)
+    writer = _writer(out)
     writer.writerow(["value"])
     writer.writerow([_fmt(result.value)])
 
 
-def _cmd_table1(args, writer) -> None:
+def _cmd_table1(args, out) -> None:
+    writer = _writer(out)
     writer.writerow(["m", "ratio_T1", "ratio_Tm1"])
     for m, at_one, at_m_minus_1 in analysis.table1():
         writer.writerow([str(m), _fmt_sig(at_one), _fmt_sig(at_m_minus_1)])
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads an argument that starts with "-" and then a digit or a point,
+    such as the interval "-1,1", as a value: no option starts so.  Every
+    subparser is one too (add_subparsers makes its parsers of this class)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fracorder",
         description="Fractional derivatives, their errors against f', and convergence rates.",
     )
@@ -272,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
     # leaves no new or truncated --out file
     buffer = io.StringIO()
     try:
-        args.func(args, csv.writer(buffer, lineterminator="\n"))
+        args.func(args, buffer)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -147,8 +147,18 @@ def riemann_liouville(f: TestFunction, alpha, a: float, t: float) -> float:
 def _grid_points(a: float, b: float, n: int) -> np.ndarray:
     """t_i = a + (b - a) i / n for i = 1..n, rounded as that scalar expression
     is, except t_n, which is b itself: the expression may round an ulp to
-    either side of it."""
-    ts = np.arange(1.0, n + 1.0)
+    either side of it.  DomainError where (b - a) n, the largest product
+    formed, overflows, or where numpy refuses n points."""
+    try:
+        top = (b - a) * n
+    except OverflowError as exc:  # n past the double range
+        raise DomainError(f"a grid of {n} points is too large: {exc}") from exc
+    if not math.isfinite(top):
+        raise DomainError(f"a grid of {n} points on ({a}, {b}] overflows: (b - a) n = {top}")
+    try:
+        ts = np.arange(1.0, n + 1.0)
+    except ValueError as exc:  # past numpy's array size, refused before it allocates
+        raise DomainError(f"a grid of {n} points is too large: {exc}") from exc
     ts *= b - a
     ts /= n
     ts += a

@@ -18,9 +18,9 @@ from fracorder import (
     parse_function,
     ratio_limit,
 )
-from fracorder import cli, norms
+from fracorder import OperatorKind, cli, norms, operators
 from fracorder.cli import main
-from fracorder.funcat import rl_boundary_term
+from fracorder.funcat import _derivative_toward, rl_boundary_term
 
 
 def run_cli(capsys, *argv):
@@ -483,6 +483,111 @@ class TestFigures:
         assert len(err.strip().splitlines()) == 1
 
 
+def _reference_figures(argv):
+    """The figures CSV as a per-row writer prints it: csv.writer rows of
+    repr(float(x)) cells, one row per (t, alpha, kind)."""
+    args = cli._build_parser().parse_args(["figures", *argv])
+    interval = cli._parse_interval(args.interval)
+    f = parse_function(args.function)
+    a, b, n = interval.a, interval.b, args.points
+    ts = operators._grid_points(a, b, n)
+    fprime = _derivative_toward(f, ts)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["t", "alpha", "kind", "value"])
+    for alpha in cli._parse_floats(args.alphas, "--alphas"):
+        caputo_grid = operators.evaluate_grid(OperatorKind.CAPUTO, f, alpha, a, b, n)
+        columns = {
+            "fprime": fprime,
+            "RL": rl_boundary_term(f, alpha, a, ts) + caputo_grid,
+            "C": caputo_grid,
+            "CF": operators.evaluate_grid(OperatorKind.CAPUTO_FABRIZIO, f, alpha, a, b, n),
+        }
+        for i, t in enumerate(ts.tolist()):
+            for kind in ("fprime", "RL", "C", "CF"):
+                value = columns[kind][i]
+                writer.writerow([repr(float(t)), repr(float(alpha)), kind, repr(float(value))])
+    return buffer.getvalue()
+
+
+class TestFiguresBytes:
+    """figures writes each grid point's four rows as one string; the bytes
+    are those of the per-row csv.writer."""
+
+    @pytest.mark.parametrize("alphas", [(), ("--alphas", "0.9")], ids=["default", "0.9"])
+    @pytest.mark.parametrize("points", [2, 100, 500])
+    @pytest.mark.parametrize(
+        "name", ["power:2", "power:2.5", "affine:1,1", "exp", "cos", "abs:0.5", "step:0.2,0.6,2"]
+    )
+    def test_matches_the_per_row_writer(self, capsys, tmp_path, name, points, alphas):
+        argv = ["-f", name, "--interval", "0,1", "--points", str(points), *alphas]
+        want = _reference_figures(argv)
+        code, out, err = run_cli(capsys, "figures", *argv)
+        assert code == 0 and err == ""
+        assert out == want
+        dest = tmp_path / "fig.csv"
+        code, out, err = run_cli(capsys, "figures", *argv, "--out", str(dest))
+        assert code == 0 and out == "" and err == ""
+        assert dest.read_bytes() == want.encode()
+
+    def test_negative_points_and_signed_zeros(self, capsys):
+        # t cells below 0 and an f' of -0.0 print as repr does
+        argv = ["-f", "affine:-0.0,1", "--interval=-1,1", "--points", "8", "--alphas", "0.5"]
+        code, out, _ = run_cli(capsys, "figures", *argv)
+        assert code == 0
+        assert out == _reference_figures(argv)
+
+
+class TestGridTooLarge:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("figures", "-f", "cos", "--interval", "0,1e308", "--points", "3"),
+            ("error", "-f", "cos", "-k", "C", "-p", "inf", "--beta", "0.1",
+             "--interval", "0,1e308"),
+            # a count numpy refuses before it allocates
+            ("figures", "-f", "cos", "--interval", "0,1", "--points", str(10**20)),
+        ],
+    )
+    def test_argument_error_line(self, capsys, tmp_path, argv):
+        dest = tmp_path / "x.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *argv, "--out", str(dest))
+        assert [str(w.message) for w in caught] == []
+        assert code == 2 and out == ""
+        assert err.startswith("error: a grid of ")
+        assert len(err.strip().splitlines()) == 1
+        assert not dest.exists()
+
+
+class TestNegativeValues:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("derive", "-f", "cos", "-k", "C", "-a", "0.5", "-t", "0.5"),
+            ("error", "-f", "cos", "-k", "C", "-p", "1", "--beta", "0.1"),
+            ("figures", "-f", "cos", "--points", "5", "--alphas", "0.5"),
+        ],
+    )
+    def test_interval_with_a_negative_left_end(self, capsys, argv):
+        # "-1,1" is read as --interval's value, as "--interval=-1,1" is
+        for ends in ("-1,1", "-.5,1"):
+            code, joined, _ = run_cli(capsys, *argv, f"--interval={ends}")
+            assert code == 0
+            code, out, err = run_cli(capsys, *argv, "--interval", ends)
+            assert code == 0 and err == ""
+            assert out == joined
+
+    def test_negative_beta_is_still_refused(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "error", "-f", "cos", "-k", "C", "-p", "1", "--beta", "-0.5", "--interval", "0,1",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: --beta must lie in (0, 1), got -0.5\n"
+
+
 class TestOutFile:
     def test_argument_error_leaves_no_file(self, capsys, tmp_path):
         dest = tmp_path / "x.csv"
@@ -554,6 +659,10 @@ class TestNoExceptionLeaks:
             ("error", "-f", "cos", "-k", "C", "-p", "1", "--beta", "0.01", WIDE),
             ("error", "-f", "cos", "-k", "C", "-p", "inf", "--beta", "0.01", WIDE),
             ("figures", "-f", "cos", WIDE, "--points", "5"),
+            # a finite width whose product with the grid size overflows
+            ("figures", "-f", "cos", "--interval", "0,1e308", "--points", "3"),
+            ("error", "-f", "cos", "-k", "C", "-p", "inf", "--beta", "0.1",
+             "--interval", "0,1e308"),
             ("ratio", "--m", "3", "--T", "1", "--beta", "1e-17"),
             ("ratio", "--m", "3", "--T", "2", "--beta", "1e-17"),
         ],

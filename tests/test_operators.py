@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -375,6 +376,31 @@ class TestEvaluate:
     def test_window_whose_width_overflows_is_refused(self, op):
         with pytest.raises(DomainError, match="t - a"):
             op(Cosine(), 0.5, -1e308, 1e308)
+
+    @pytest.mark.parametrize(
+        "a,b,n",
+        [
+            # finite widths whose product with n overflows
+            (0.0, 1e308, 3),
+            (-1e308, 1e307, 2),
+            # counts numpy refuses before it allocates, and past the double range
+            (0.0, 1.0, 10**20),
+            (0.0, 1.0, 10**400),
+        ],
+    )
+    def test_grid_that_overflows_is_refused(self, a, b, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="a grid of"):
+                evaluate_grid(OperatorKind.CAPUTO, Cosine(), 0.5, a, b, n)
+
+    @pytest.mark.parametrize(
+        "a,b,n",
+        [(0.0, 1.0, 7), (-1.0, 1.0, 10), (0.0, 1e308, 1), (0.0, 8e307, 2), (-3e307, 5e307, 2)],
+    )
+    def test_grid_points_round_as_the_scalar_expression(self, a, b, n):
+        want = [a + (b - a) * i / n for i in range(1, n)] + [b]
+        assert operators._grid_points(a, b, n).tolist() == want
 
     def test_points_without_a_closed_form_skip_the_public_operators(self, monkeypatch):
         def refuse(*args, **kwargs):
