@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .exceptions import BracketingError, DegenerateFitError, DomainError
+from .exceptions import BracketingError, DegenerateFitError, DomainError, NumericalError
 from .norms import ErrorReport
 
 __all__ = [
@@ -126,6 +126,17 @@ def _check_beta(beta: float) -> float:
     return float(beta)
 
 
+def _cf_rate(beta: float, v: float) -> float:
+    """(1 - beta)/beta, the rate of the argument -rate v of E_{1,m}, or
+    NumericalError where rate v overflows a double (a subnormal beta)."""
+    rate = (1.0 - beta) / beta
+    if not rate * v < math.inf:
+        raise NumericalError(
+            f"beta={beta!r} is too small: ((1 - beta)/beta) * {v!r} overflows a double"
+        )
+    return rate
+
+
 def _ln_gamma_shift(m: int, beta: float) -> float:
     """ln Gamma(m + beta) - ln Gamma(m), integer m >= 1, as ln Gamma(1 + beta) +
     sum_{k<m} log1p(beta / k): m + beta would round a small beta away.  Below
@@ -153,11 +164,12 @@ def ratio_cf_over_c_l1(m: int, T: float, beta: float) -> RatioResult:
     numerator   (T^m/(1-beta)) (Gamma(m+1) E_{1,m+1}(-((1-beta)/beta) T) - beta)
     denominator (T^m/Gamma(m+beta+1)) (Gamma(m+beta+1) - Gamma(m+1) T^beta)
 
-    Both hold with fixed sign for T <= m - 1.
+    Both hold with fixed sign for T <= m - 1.  A beta so small that
+    ((1-beta)/beta) T overflows is refused with NumericalError.
     """
     _check_ratio_args(m, T)
     beta = _check_beta(beta)
-    rate = (1.0 - beta) / beta
+    rate = _cf_rate(beta, T)
     ml = specfun.mittag_leffler_one(m + 1.0, -rate * T)
     num = T**m / (1.0 - beta) * (specfun.gamma(m + 1.0) * ml - beta)
     # Gamma(m+1+beta) - Gamma(m+1) T^beta cancels to O(beta); divided by
@@ -168,14 +180,19 @@ def ratio_cf_over_c_l1(m: int, T: float, beta: float) -> RatioResult:
     return RatioResult(int(m), float(T), beta, num / den)
 
 
-def ratio_limit(m: int, T: float) -> RatioResult:
-    """beta -> 0 limit of the CF/C L1 error ratio: ((m-T)/T) / (Psi(m+1) - ln T)."""
-    _check_ratio_args(m, T)
-    denom = specfun.digamma(m + 1.0) - math.log(T)
+def _limit_value(m: int, T: float, psi: float) -> float:
+    """((m-T)/T) / (psi - ln T), psi = Psi(m+1): the limit ratio at checked (m, T)."""
+    denom = psi - math.log(T)
     if denom == 0.0:
         # cannot happen for T <= m - 1 since Psi(m+1) > ln(m-1)
         raise DomainError(f"Psi(m+1) equals ln T at m={m}, T={T}")
-    return RatioResult(int(m), float(T), None, (m - T) / T / denom)
+    return (m - T) / T / denom
+
+
+def ratio_limit(m: int, T: float) -> RatioResult:
+    """beta -> 0 limit of the CF/C L1 error ratio: ((m-T)/T) / (Psi(m+1) - ln T)."""
+    _check_ratio_args(m, T)
+    return RatioResult(int(m), float(T), None, _limit_value(m, T, specfun.digamma(m + 1.0)))
 
 
 def t_star(m: int, beta: float) -> float:
@@ -185,25 +202,28 @@ def t_star(m: int, beta: float) -> float:
     x = ((1-beta)/beta) v, so g(v) = left side - beta is strictly decreasing
     and convex, and Newton's method from g(m-1) > 0 rises monotonically to the
     root, on the exact slope z E'_{1,m}(z) = E_{1,m-1}(z) - (m-1) E_{1,m}(z).
-    It stops at a step below ``_T_STAR_TOL``, and refuses an iterate past
-    ``_T_STAR_CAP``, a slope that is not negative, or ``_T_STAR_STEPS`` steps.
+    Each iterate takes E_{1,m} and E_{1,m-1} from one call of
+    ``specfun._mittag_leffler_one_pair``, which sums both from one term list
+    where both take the closed form: at most 5 calls for m = 2..10 and beta
+    0.99..1e-12.  It stops at a step below ``_T_STAR_TOL``, and refuses an
+    iterate past ``_T_STAR_CAP``, a slope that is not negative, or
+    ``_T_STAR_STEPS`` steps; a beta so small that ((1-beta)/beta) (m-1)
+    overflows is refused with NumericalError.
     """
     _check_ratio_args(m)
     beta = _check_beta(beta)
-    rate = (1.0 - beta) / beta
-    gm = specfun.gamma(float(m))
-
-    def left(omega: float, v: float) -> float:  # the left side at omega = m
-        return gm * specfun.mittag_leffler_one(omega, -rate * v)
-
     v = float(m - 1)
-    g_v = left(float(m), v) - beta
+    rate = _cf_rate(beta, v)
+    gm = specfun.gamma(float(m))
+    pair = specfun._mittag_leffler_one_pair
+    upper, lower = pair(m, -rate * v)  # E_{1,m} and E_{1,m-1} at -rate v
+    g_v = gm * upper - beta
     if g_v <= 0.0:
         if g_v > -1e-12:  # root sits at the bound itself, up to rounding
             return v
         raise BracketingError(f"defining function already negative at the lower bound m-1={v}")
     for _ in range(_T_STAR_STEPS):
-        slope = (left(m - 1.0, v) - (m - 1) * (g_v + beta)) / v
+        slope = (gm * lower - (m - 1) * (g_v + beta)) / v
         if not slope < 0.0:
             break
         step = -g_v / slope
@@ -212,7 +232,8 @@ def t_star(m: int, beta: float) -> float:
             break
         if abs(step) <= _T_STAR_TOL:
             return v
-        g_v = left(float(m), v) - beta
+        upper, lower = pair(m, -rate * v)
+        g_v = gm * upper - beta
     raise BracketingError(
         f"Newton's method from m-1 found no root (m={m}, beta={beta}): a slope that is "
         f"not negative, an iterate past {_T_STAR_CAP:g} or {_T_STAR_STEPS} steps"
@@ -227,8 +248,10 @@ def s_star(m: int, beta: float) -> float:
 
 
 def table1() -> list[tuple[int, float, float]]:
-    """Limit ratios for m = 3..6 at T = 1 and T = m - 1."""
-    return [
-        (m, ratio_limit(m, 1.0).value, ratio_limit(m, float(m - 1)).value)
-        for m in (3, 4, 5, 6)
-    ]
+    """Limit ratios for m = 3..6 at T = 1 and T = m - 1: ``ratio_limit``'s
+    values, from one Psi(m+1) per row."""
+    rows = []
+    for m in (3, 4, 5, 6):
+        psi = specfun.digamma(m + 1.0)
+        rows.append((m, _limit_value(m, 1.0, psi), _limit_value(m, float(m - 1), psi)))
+    return rows

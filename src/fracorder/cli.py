@@ -14,7 +14,9 @@ defaults are module constants.  Importing the module builds nothing.  An
 argument that starts with "-" and a digit or a point, such as the interval
 "-1,1", is a value: no option starts so.
 
-``figures`` formats each column once per alpha, in one ``map(repr, ...)``
+``figures`` builds its grid and checks it once, binds C and CF once per
+alpha on it (``operators._bind``, as ``operators.evaluate_grid`` does), and
+formats each column once per alpha, in one ``map(repr, ...)``
 over its values, and writes each grid point's four rows as one string: a
 data cell is a float's repr or a kind name, neither of which holds a comma,
 a quote or a newline, so csv.writer would quote none of them and the bytes
@@ -33,7 +35,14 @@ import sys
 
 from . import analysis, norms, operators
 from .exceptions import DomainError, NumericalError
-from .funcat import Interval, OperatorKind, _derivative_toward, parse_function, rl_boundary_term
+from .funcat import (
+    Interval,
+    OperatorKind,
+    _as_order,
+    _derivative_toward,
+    parse_function,
+    rl_boundary_term,
+)
 from .norms import NormKind
 
 
@@ -144,15 +153,18 @@ def _cmd_figures(args, out) -> None:
     if args.points < 2:
         raise DomainError(f"--points must be at least 2, got {args.points}")
     a, b, n = interval.a, interval.b, args.points
+    # the grid and the checks of operators.evaluate_grid, once for every alpha
     ts = operators._grid_points(a, b, n)
+    operators._check_window(a, float(ts[0]))  # a first point that rounds onto a
     t_cells = _cells(ts)
     fprime_cells = _cells(_derivative_toward(f, ts))
     _writer(out).writerow(["t", "alpha", "kind", "value"])
     for alpha in alphas:
-        caputo = operators.evaluate_grid(OperatorKind.CAPUTO, f, alpha, a, b, n)
+        order = _as_order(alpha)
+        caputo = operators._bind(OperatorKind.CAPUTO, f, order, a, b)(ts)
         # the RL identity, as operators.evaluate_grid forms it
         rl = rl_boundary_term(f, alpha, a, ts) + caputo
-        cf = operators.evaluate_grid(OperatorKind.CAPUTO_FABRIZIO, f, alpha, a, b, n)
+        cf = operators._bind(OperatorKind.CAPUTO_FABRIZIO, f, order, a, b)(ts)
         alpha_cell = _fmt(alpha)
         # no cell holds a comma, a quote or a newline, so none needs the
         # quoting of csv.writer: a grid point's four rows are one string

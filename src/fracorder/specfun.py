@@ -6,8 +6,11 @@ exact factorials at small integers.  ``digamma`` uses the classical Bernoulli
 asymptotic expansion with a recurrence shift, and the one-parameter
 Mittag-Leffler family E_{1,omega} switches between a truncated power series
 and, for integer omega and z < min(-1, 3 - omega), a compensated finite
-closed form, so that neither branch is evaluated where it cancels.  Every
-function is scalar and pure :mod:`math`, except ``mittag_leffler_one_array``,
+closed form, so that neither branch is evaluated where it cancels.
+``_mittag_leffler_one_pair`` gives E_{1,m} and E_{1,m-1} at one z on those
+same branches, for the Newton steps of ``analysis.t_star``: where both take
+the closed form, they share one term list.  Every function is scalar and
+pure :mod:`math`, except ``mittag_leffler_one_array``,
 the numpy twin of ``mittag_leffler_one``, and the binder behind it and the
 catalog's closed forms, ``_mittag_leffler_one_bound``: it fixes each series'
 terms and coefficients once for a range of z, and sums a series at an array
@@ -156,17 +159,47 @@ def _series(rho: float, omega: float, z: float) -> float:
     return math.fsum(terms)
 
 
-def _closed_form_integer(m: int, z: float) -> float:
-    """E_{1,m+1}(z) = z^-m (e^z - sum_{k<m} z^k/k!) via compensated summation;
-    NumericalError where a term or z^m overflows a double."""
-    if m == 0:
-        return math.exp(z)
-    terms = [math.exp(z)]
+def _closed_form_terms(m: int, z: float) -> list[float]:
+    """[e^z, -z^k/k! for k < m]: the terms of the closed form of E_{1,m+1}(z),
+    whose first j + 1 are those of E_{1,j+1}(z).  NumericalError where a
+    term overflows a double."""
     try:
-        terms.extend(-(z**k) / math.factorial(k) for k in range(m))
+        return [math.exp(z), *[-(z**k) / math.factorial(k) for k in range(m)]]
+    except OverflowError:
+        raise NumericalError(f"E_1,{m + 1}({z!r}) overflows a double in its closed form") from None
+
+
+def _closed_form_sum(terms: list[float], z: float) -> float:
+    """E_{1,m+1}(z) = z^-m fsum(terms) from the m + 1 terms of
+    ``_closed_form_terms``: compensated summation, then one division;
+    NumericalError where z^m overflows a double."""
+    m = len(terms) - 1
+    try:
         return math.fsum(terms) / z**m
     except OverflowError:
         raise NumericalError(f"E_1,{m + 1}({z!r}) overflows a double in its closed form") from None
+
+
+def _closed_form_integer(m: int, z: float) -> float:
+    """E_{1,m+1}(z) = z^-m (e^z - sum_{k<m} z^k/k!) via compensated summation;
+    NumericalError where a term or z^m overflows a double."""
+    return _closed_form_sum(_closed_form_terms(m, z), z)
+
+
+def _mittag_leffler_one_pair(m: int, z: float) -> tuple[float, float]:
+    """(E_{1,m}(z), E_{1,m-1}(z)) for an integer m >= 2 and a finite z, each
+    as ``mittag_leffler_one`` gives it, unchecked.  Left of min(-1, 3 - m),
+    where both take the closed form, they share one term list: E_{1,m-1}'s
+    is E_{1,m}'s without its last term (e^z alone at m = 2).  Elsewhere each
+    takes its own branch: the series for E_{1,m}, and the closed form for
+    E_{1,m-1} left of min(-1, 4 - m), the series right of it."""
+    if z < min(-1.0, 3.0 - m):
+        terms = _closed_form_terms(m - 1, z)
+        return _closed_form_sum(terms, z), _closed_form_sum(terms[:-1], z)
+    upper = _series(1.0, float(m), z)
+    if z < min(-1.0, 4.0 - m):
+        return upper, _closed_form_integer(m - 2, z)
+    return upper, _series(1.0, m - 1.0, z)
 
 
 def mittag_leffler_one(omega: float, z: float) -> float:

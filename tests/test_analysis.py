@@ -1,6 +1,8 @@
 """Order fits, ratio machinery, root finders and the comparison table."""
 
+import json
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -12,6 +14,7 @@ from fracorder import (
     BracketingError,
     DegenerateFitError,
     DomainError,
+    NumericalError,
     ErrorReport,
     Exponential,
     Interval,
@@ -45,6 +48,36 @@ TABLE_REFERENCE = {
     5: (2.344504178, 0.7816816178),
     6: (2.669821563, 0.7594559202),
 }
+
+
+# the (m, T, beta) entries of the bench's ratio-table workload
+BENCH_REFS = json.loads((Path(__file__).resolve().parents[1] / "bench" / "refs.json").read_text())
+
+
+def _t_star_single_calls(m, beta):
+    """t_star as two mittag_leffler_one calls per Newton iterate, a value and
+    a slope: the reference its paired evaluation must match bit for bit."""
+    rate = (1.0 - beta) / beta
+    gm = gamma(float(m))
+
+    def left(omega, v):
+        return gm * mittag_leffler_one(omega, -rate * v)
+
+    v = float(m - 1)
+    g_v = left(float(m), v) - beta
+    if g_v <= 0.0:
+        assert g_v > -1e-12
+        return v
+    for _ in range(50):
+        slope = (left(m - 1.0, v) - (m - 1) * (g_v + beta)) / v
+        assert slope < 0.0
+        step = -g_v / slope
+        v += step
+        assert v <= 1e6
+        if abs(step) <= 1e-10:
+            return v
+        g_v = left(float(m), v) - beta
+    raise AssertionError(f"no root for m={m}, beta={beta}")
 
 
 def synthetic_reports(betas, values):
@@ -115,6 +148,12 @@ class TestRatioFiniteBeta:
         assert got.value == pytest.approx(1.5922, abs=1e-2)
         got = ratio_cf_over_c_l1(3, 2.0, 1e-4)
         assert got.value == pytest.approx(0.8881, abs=1e-2)
+
+    @pytest.mark.parametrize("beta", [1e-320, 5e-324])
+    def test_subnormal_beta_is_refused(self, beta):
+        # (1 - beta)/beta overflows: refused by beta, not by an internal z = -inf
+        with pytest.raises(NumericalError, match=f"beta={beta!r} is too small"):
+            ratio_cf_over_c_l1(3, 2.0, beta)
 
     # m = 2..6, T in {1, m-1}, beta from 1e-1 to 1e-4, and two T between
     L1_CASES = [
@@ -235,6 +274,14 @@ class TestTable:
             assert at_one == pytest.approx(ref_one, abs=1e-8)
             assert at_top == pytest.approx(ref_top, abs=1e-8)
 
+    def test_bit_identical_to_ratio_limit(self):
+        # the reference formulation: eight ratio_limit calls, one digamma each
+        reference = [
+            (m, ratio_limit(m, 1.0).value, ratio_limit(m, float(m - 1)).value)
+            for m in (3, 4, 5, 6)
+        ]
+        assert table1() == reference
+
     def test_finite_beta_approach(self):
         for m, _, _ in table1():
             for T in (1.0, float(m - 1)):
@@ -299,43 +346,64 @@ class TestTStar:
 
     @pytest.mark.parametrize("m,beta", ORACLE_CASES)
     def test_newton_call_count(self, monkeypatch, m, beta):
-        # one value and one slope per Newton step, from a first value at m - 1
+        # one paired value and slope per Newton iterate, from the first at m - 1
         calls = []
-        ml = specfun.mittag_leffler_one
+        pair = specfun._mittag_leffler_one_pair
 
-        def counted(omega, z):
-            calls.append(omega)
-            return ml(omega, z)
+        def counted(m, z):
+            calls.append(z)
+            return pair(m, z)
 
-        monkeypatch.setattr(specfun, "mittag_leffler_one", counted)
+        monkeypatch.setattr(specfun, "_mittag_leffler_one_pair", counted)
         t_star(m, beta)
-        assert len(calls) <= 12
+        assert 1 <= len(calls) <= 6
 
     @pytest.mark.parametrize(
         "m,beta,fake,match",
         [
+            # fakes of (E_{1,m}(z), E_{1,m-1}(z))
             # g(m-1) = -beta: no root at or right of m - 1
-            (3, 0.5, lambda omega, z: 0.0, "already negative"),
+            (3, 0.5, lambda m, z: (0.0, 0.0), "already negative"),
             # g = 1 + e^z - beta > 0 everywhere and flat: a slope of 0
-            (3, 0.5, lambda omega, z: (1.0 + math.exp(z)) / gamma(omega), "found no root"),
+            (
+                3,
+                0.5,
+                lambda m, z: ((1.0 + math.exp(z)) / gamma(m), (1.0 + math.exp(z)) / gamma(m - 1)),
+                "found no root",
+            ),
             # g = 3/2 everywhere, slope -4/v: each step multiplies v by 1.375, past the cap
-            (3, 0.5, lambda omega, z: 1.0 if omega == 3.0 else 0.0, "found no root"),
+            (3, 0.5, lambda m, z: (1.0, 0.0), "found no root"),
             # g = 1/2 and slope -1/2 at every v: unit steps, the step count runs out
-            (2, 0.5, lambda omega, z: 1.0 if omega == 2.0 else 1.0 + 0.5 * z, "found no root"),
+            (2, 0.5, lambda m, z: (1.0, 1.0 + 0.5 * z), "found no root"),
         ],
         ids=["negative-at-m-1", "flat", "past-the-cap", "steps-run-out"],
     )
     def test_no_root_is_refused(self, monkeypatch, m, beta, fake, match):
         calls = []
 
-        def counted(omega, z):
-            calls.append(omega)
-            return fake(omega, z)
+        def counted(m, z):
+            calls.append(z)
+            return fake(m, z)
 
-        monkeypatch.setattr(specfun, "mittag_leffler_one", counted)
+        monkeypatch.setattr(specfun, "_mittag_leffler_one_pair", counted)
         with pytest.raises(BracketingError, match=match):
             t_star(m, beta)
-        assert len(calls) <= 101  # bounded: a value at m - 1, then two per step
+        assert len(calls) <= 51  # bounded: one pair at m - 1, then one per step
+
+    @pytest.mark.parametrize("m,beta", ORACLE_CASES)
+    def test_bit_identical_to_single_calls(self, m, beta):
+        assert t_star(m, beta) == _t_star_single_calls(m, beta)
+
+    def test_bit_identical_on_the_bench_pairs(self):
+        pairs = [(p["m"], p["beta"]) for p in BENCH_REFS["ratio"]]
+        assert len(pairs) == 48
+        assert [t_star(m, b) for m, b in pairs] == [_t_star_single_calls(m, b) for m, b in pairs]
+
+    @pytest.mark.parametrize("beta", [1e-320, 5e-324])
+    def test_subnormal_beta_is_refused(self, beta):
+        # (1 - beta)/beta overflows: refused by beta, not by an internal z = -inf
+        with pytest.raises(NumericalError, match=f"beta={beta!r} is too small"):
+            t_star(3, beta)
 
 
 class TestSStar:
@@ -353,6 +421,10 @@ class TestSStar:
                 beta * math.log(w) + ln_gamma(float(m)) - ln_gamma(m + beta)
             ) - 1.0
             assert abs(residual) <= 1e-9
+
+    def test_subnormal_beta_keeps_its_value(self):
+        # s* takes no (1 - beta)/beta, so the beta t* refuses still has an answer
+        assert s_star(3, 1e-320) == 2.5166405603943227
 
     def test_small_beta_limit(self):
         # s*(beta) -> e^(Psi(m)) as beta -> 0

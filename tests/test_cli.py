@@ -72,6 +72,17 @@ class TestRatio:
         value = float(parse_csv(out)[1][0])
         assert value == pytest.approx(ratio_limit(3, float(T)).value, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("beta", ["1e-320", "5e-324"])
+    def test_subnormal_beta_is_a_numerical_error(self, capsys, tmp_path, beta):
+        # (1 - beta)/beta overflows: one line that names beta, no --out file
+        dest = tmp_path / "x.csv"
+        argv = ("ratio", "--m", "3", "--T", "2", "--beta", beta, "--out", str(dest))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith(f"numerical error: beta={float(beta)!r} is too small")
+        assert len(err.strip().splitlines()) == 1
+        assert not dest.exists()
+
     def test_bad_T_is_argument_error(self, capsys):
         code, _, err = run_cli(capsys, "ratio", "--m", "3", "--T", "5")
         assert code == 2
@@ -557,6 +568,17 @@ class TestGridTooLarge:
         assert [str(w.message) for w in caught] == []
         assert code == 2 and out == ""
         assert err.startswith("error: a grid of ")
+        assert len(err.strip().splitlines()) == 1
+        assert not dest.exists()
+
+
+    def test_first_point_on_a_is_refused(self, capsys, tmp_path):
+        # (b - a) / 3 is below half an ulp of a = 1, so t_1 rounds onto a
+        dest = tmp_path / "x.csv"
+        argv = ("figures", "-f", "cos", "--interval", "1,1.0000000000000002", "--points", "3")
+        code, out, err = run_cli(capsys, *argv, "--out", str(dest))
+        assert code == 2 and out == ""
+        assert err.startswith("error: t - a must be positive")
         assert len(err.strip().splitlines()) == 1
         assert not dest.exists()
 

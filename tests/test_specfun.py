@@ -150,6 +150,22 @@ class TestMittagLefflerOne:
             got = mittag_leffler_one(float(omega), float(z))
             assert got == pytest.approx(exact, rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("m", range(2, 17))
+    def test_pair_is_bit_identical_to_two_calls(self, m):
+        # one term list where both take the closed form, each its own branch
+        # elsewhere: around both switches, at -1, and on [-(3m + 2), 0]
+        edges = [3.0 - m, 4.0 - m, -1.0]
+        zs = edges + [math.nextafter(z, -math.inf) for z in edges]
+        zs += np.linspace(-(3.0 * m + 2.0), 0.0, 97).tolist()
+        for z in zs:
+            want = (mittag_leffler_one(float(m), z), mittag_leffler_one(m - 1.0, z))
+            assert specfun._mittag_leffler_one_pair(m, z) == want, z
+
+    def test_pair_overflow_names_the_upper_function(self):
+        # a term of E_{1,3} overflows first, as in the single call
+        with pytest.raises(NumericalError, match=r"E_1,3\("):
+            specfun._mittag_leffler_one_pair(3, -1e200)
+
     def test_series_and_closed_form_agree_in_mild_region(self):
         # both branches are accurate here, so they must coincide
         for omega in range(2, 9):
