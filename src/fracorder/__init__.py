@@ -46,13 +46,10 @@ from .funcat import (
 )
 from .norms import ErrorReport, NormKind, error_l1, error_linf, error_sweep
 from .operators import (
-    CustomKernel,
-    KernelSpec,
     caputo,
     caputo_fabrizio,
     evaluate,
     evaluate_grid,
-    generic_kernel_derivative,
     riemann_liouville,
     rl_integral,
 )
@@ -64,7 +61,6 @@ __all__ = [
     "BracketingError",
     "BudgetExceededError",
     "Cosine",
-    "CustomKernel",
     "DegenerateFitError",
     "DomainError",
     "ErrorReport",
@@ -73,7 +69,6 @@ __all__ = [
     "FractionalOrder",
     "IntegrationError",
     "Interval",
-    "KernelSpec",
     "MLParams",
     "NonDifferentiableError",
     "NormKind",
@@ -96,7 +91,6 @@ __all__ = [
     "evaluate_grid",
     "fit_order",
     "gamma",
-    "generic_kernel_derivative",
     "ln_gamma",
     "mittag_leffler",
     "mittag_leffler_one",

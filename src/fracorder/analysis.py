@@ -241,9 +241,16 @@ def t_star(m: int, beta: float) -> float:
 
 
 def s_star(m: int, beta: float) -> float:
-    """Root w of w^beta Gamma(m)/Gamma(m+beta) = 1: w = (Gamma(m+beta)/Gamma(m))^(1/beta)."""
+    """Root w of w^beta Gamma(m)/Gamma(m+beta) = 1: w = (Gamma(m+beta)/Gamma(m))^(1/beta).
+
+    ln w is ``_ln_gamma_shift(m, beta) / beta``.  Below beta = 1e-300 that
+    quotient is c1 + sum_{k<m} 1/k = Psi(m) to within beta, and it is taken
+    so: the shift, beta (c1 + ...) + sum_k log1p(beta / k), would lose the
+    digits of a subnormal beta before the division."""
     _check_ratio_args(m)
     beta = _check_beta(beta)
+    if beta < 1e-300:
+        return math.exp(math.fsum([_LN_GAMMA_1P[0], *(1.0 / k for k in range(1, m))]))
     return math.exp(_ln_gamma_shift(m, beta) / beta)
 
 

@@ -21,17 +21,12 @@ kernels (``_kernel_point``), whose constants come from
 ``funcat.FractionalOrder``, which keeps a small beta as given, and the
 Riemann-Liouville derivative is always the boundary term
 ``funcat.rl_boundary_term`` plus C, never a numerical derivative of the
-fractional integral.
-
-``generic_kernel_derivative`` takes the C and CF kernels as their
-``OperatorKind``; a ``CustomKernel`` runs on ``_pointwise`` too; a value
-that cannot be brought within its tolerance is refused with
-IntegrationError.
+fractional integral.  A value that cannot be brought within its
+tolerance is refused with IntegrationError.
 """
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -41,30 +36,16 @@ from .exceptions import BudgetExceededError, DomainError, IntegrationError, NonD
 from .funcat import FractionalOrder, OperatorKind, TestFunction, _as_order
 
 __all__ = [
-    "CustomKernel",
     "FractionalOrder",
-    "KernelSpec",
     "caputo",
     "caputo_fabrizio",
     "evaluate",
     "evaluate_grid",
-    "generic_kernel_derivative",
     "riemann_liouville",
     "rl_integral",
 ]
 
 MAX_EVALS = 1_000_000  # the evaluation budget of one ``_gauss_kronrod`` call
-
-
-@dataclass(frozen=True)
-class CustomKernel:
-    """A user-supplied convolution kernel h(t, beta), integrable on (0, inf)."""
-
-    h: Callable[[float, float], float]
-
-
-#: ``OperatorKind.CAPUTO`` and ``OperatorKind.CAPUTO_FABRIZIO`` name their own kernels
-KernelSpec = OperatorKind | CustomKernel
 
 
 def _check_window(a: float, t: float) -> None:
@@ -107,12 +88,10 @@ def _fprime(f: TestFunction, ts: np.ndarray, side: np.ndarray) -> np.ndarray:
 
 def rl_integral(f: TestFunction, alpha, a: float, t: float) -> float:
     """Fractional integral of order alpha: (1/Gamma(alpha)) int f(tau)(t-tau)^(alpha-1),
-    by ``_pointwise`` on f in s = ((t - tau)/(t - a))^alpha, where the
-    kernel is the constant (t - a)^alpha / Gamma(1 + alpha)."""
+    by ``_pointwise`` on f under the power kernel of p = alpha."""
     al = _as_order(alpha).alpha
     _check_window(a, t)
-    scale = (t - a) ** al / specfun.gamma(1.0 + al)
-    return _pointwise(lambda taus, _: f.value_array(taus), f, a, t, lambda u, s: scale, p=al)
+    return _pointwise(lambda taus, _: f.value_array(taus), f, a, t, p=al)
 
 
 def evaluate(kind: OperatorKind, f: TestFunction, alpha, a: float, t: float) -> float:
@@ -268,15 +247,12 @@ def _checked_jumps(
 def _kernel_point(
     kind: OperatorKind, f: TestFunction, order: FractionalOrder, a: float, t: float
 ) -> float:
-    """C or CF at the one point t: ``_pointwise`` on f' in
-    s = ((t - tau)/(t - a))^beta, where the C kernel is the constant
-    (t - a)^beta / Gamma(1 + beta), or in u = t - tau, where the CF kernel is
-    e^(-rate u) / beta."""
-    fprime, beta, rate = partial(_fprime, f), order.beta, order.rate
+    """C or CF at the one point t: ``_pointwise`` on f' under the power
+    kernel of p = beta, or the CF kernel of the order's rate and beta."""
+    fprime = partial(_fprime, f)
     if kind is OperatorKind.CAPUTO:
-        scale = (t - a) ** beta / specfun.gamma(1.0 + beta)
-        return _pointwise(fprime, f, a, t, lambda u, s: scale, p=beta)
-    return _pointwise(fprime, f, a, t, lambda u, s: np.exp(-rate * u) / beta, rate=rate)
+        return _pointwise(fprime, f, a, t, p=order.beta)
+    return _pointwise(fprime, f, a, t, rate=order.rate, beta=order.beta)
 
 
 class _Counter:
@@ -536,22 +512,24 @@ def _pointwise(
     f: TestFunction,
     a: float,
     t: float,
-    weight: Callable[[np.ndarray, np.ndarray], np.ndarray | float],
     p: float | None = None,
     rate: float | None = None,
+    beta: float | None = None,
 ) -> float:
     """int_a^t values(tau, side) K(t - tau) dtau, by ``_gauss_kronrod`` to
-    ``_POINT_TOL``.
+    ``_POINT_TOL``, under the power kernel K(u) = u^(p-1) / Gamma(p) where
+    p is given, and under the CF kernel K(u) = e^(-rate u) / beta where it
+    is not.
 
-    With p it is taken in s = (u / w)^p, u = t - tau and w = t - a, with
-    weight(u, s) = K(u) du/ds, where a kernel like u^(p-1) becomes bounded,
-    on panels that end at the images of u = x w and u = (1 - x) w for x in
-    ``_EDGE_FRACS``, which resolve tau near t and near a.  Without p it is
-    taken in u itself, with weight(u, u) = K(u), on panels that end at
-    u = (1 - x) w and at ``_DECAY_LENGTHS`` / rate.  Panels also end at the
-    image of each breakpoint of f inside (a, t).  A node reads values inside
-    the piece between breakpoints that holds its panel: one that rounds onto
-    or past an end of the piece is read there, toward the piece's far end.
+    The power kernel is taken in s = (u / w)^p, u = t - tau and w = t - a,
+    where K(u) du/ds is the constant w^p / Gamma(1 + p), on panels that end
+    at the images of u = x w and u = (1 - x) w for x in ``_EDGE_FRACS``,
+    which resolve tau near t and near a.  The CF kernel is taken in u
+    itself, on panels that end at u = (1 - x) w and at ``_DECAY_LENGTHS`` /
+    rate.  Panels also end at the image of each breakpoint of f inside
+    (a, t).  A node reads values inside the piece between breakpoints that
+    holds its panel: one that rounds onto or past an end of the piece is
+    read there, toward the piece's far end.
     """
     w = t - a
     # the pieces' ends, tau descending as s ascends
@@ -561,6 +539,7 @@ def _pointwise(
         decays = [m / rate for m in _DECAY_LENGTHS if m / rate < w]
         marks = [0.0, w, *(w - w * x for x in _EDGE_FRACS), *decays]
     else:
+        scale = w**p / specfun.gamma(1.0 + p)
         images = ((t - ends[1:-1]) / w) ** p
         marks = [x**p for x in (0.0, 1.0, *_EDGE_FRACS, *(1.0 - x for x in _EDGE_FRACS))]
     edges = sorted({*marks, *images.tolist()})
@@ -570,41 +549,8 @@ def _pointwise(
         k = images.searchsorted(s)
         lo, hi = ends[k + 1], ends[k]
         taus = np.minimum(np.maximum(t - u, lo), hi)
-        y = values(taus, np.where(taus - lo < hi - taus, hi, lo)) * weight(u, s)
+        y = values(taus, np.where(taus - lo < hi - taus, hi, lo))
+        y = y * (np.exp(-rate * u) / beta) if p is None else y * scale
         return _finite(y, taus, a, t)
 
     return _gauss_kronrod(integrand, edges, _POINT_TOL, _Counter(MAX_EVALS), rel=_POINT_TOL)[0]
-
-
-def generic_kernel_derivative(
-    f: TestFunction, kernel: KernelSpec, beta: float, a: float, t: float
-) -> float:
-    """Convolution-kernel derivative (f' * h(., beta))(t) of order 1 - beta.
-
-    ``OperatorKind.CAPUTO`` and ``OperatorKind.CAPUTO_FABRIZIO`` name their
-    kernels and reproduce those derivatives of order 1 - beta exactly (same
-    code path, ``evaluate``); ``OperatorKind.RIEMANN_LIOUVILLE``, which is no
-    kernel of f' alone, is refused with DomainError.  A custom kernel's
-    int_0^w f'(t - u) h(u, beta) du, w = t - a, is taken by ``_pointwise``
-    in the Caputo kernel's s = (u / w)^beta, with the weight
-    h(u, beta) u / (beta s), which maps a kernel like u^(beta-1) to a bounded
-    integrand.  h is called once per node and no node is left out: an
-    ArithmeticError or ValueError from h, a non-finite integrand (``_finite``)
-    or an unreachable tolerance is refused with IntegrationError; so, for beta
-    below about 0.008, is a kernel singular at u = 0, where nodes underflow.
-    """
-    order = FractionalOrder.from_beta(beta)
-    _check_window(a, t)
-    if isinstance(kernel, OperatorKind):
-        if kernel is OperatorKind.RIEMANN_LIOUVILLE:
-            raise DomainError("the Riemann-Liouville derivative has no kernel of f' alone")
-        return evaluate(kernel, f, order, a, t)
-
-    def weight(u: np.ndarray, s: np.ndarray) -> np.ndarray:
-        try:
-            h = np.array([kernel.h(x, beta) for x in u.tolist()], dtype=float)
-        except (ArithmeticError, ValueError) as exc:  # math's domain error is a ValueError
-            raise IntegrationError(f"custom kernel failed: {exc!r}") from exc
-        return h * (u / (beta * s))
-
-    return _pointwise(partial(_fprime, f), f, a, t, weight, p=beta)

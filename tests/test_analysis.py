@@ -422,9 +422,18 @@ class TestSStar:
             ) - 1.0
             assert abs(residual) <= 1e-9
 
-    def test_subnormal_beta_keeps_its_value(self):
-        # s* takes no (1 - beta)/beta, so the beta t* refuses still has an answer
-        assert s_star(3, 1e-320) == 2.5166405603943227
+    @pytest.mark.parametrize(
+        "beta", [1e-17, 1e-30, 1e-100, 1e-300, 2.2e-308, 1e-310, 1e-315, 1e-320, 1e-322, 5e-324]
+    )
+    def test_subnormal_beta_keeps_its_value(self, beta):
+        # s* takes no (1 - beta)/beta, so the beta t* refuses still has an
+        # answer: mpmath's (Gamma(m + beta) / Gamma(m))^(1/beta), which below
+        # 1e-17 is e^Psi(m), 2.5162868309393636 at m = 3, to well under 1e-15
+        with mp.workdps(int(-math.log10(beta)) + 40):
+            b = mp.mpf(beta)
+            for m in range(2, 11):
+                want = float((mp.gamma(m + b) / mp.gamma(m)) ** (1 / b))
+                assert s_star(m, beta) == pytest.approx(want, rel=1e-15, abs=0.0), m
 
     def test_small_beta_limit(self):
         # s*(beta) -> e^(Psi(m)) as beta -> 0

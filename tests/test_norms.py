@@ -1032,19 +1032,15 @@ class TestErrorReport:
 
 def test_import_leaves_scipy_integrate_unloaded():
     # scipy is not a dependency, and its imports cost most of the start-up
-    # time: where it is installed, neither custom kernels nor the L1
-    # functional (C, CF, and RL with its flattening panel), the grid scan or
-    # figures load scipy.integrate, and they use numpy.fft, not scipy.fft or
-    # scipy.signal
+    # time: where it is installed, neither the L1 functional (C, CF, and RL
+    # with its flattening panel), the grid scan nor figures load
+    # scipy.integrate, and they use numpy.fft, not scipy.fft or scipy.signal
     src = str(Path(operators.__file__).resolve().parents[1])
     code = (
-        "import math, os, sys, fracorder\n"
-        "from fracorder import Cosine, CustomKernel, Interval, OperatorKind, error_l1, error_linf\n"
-        "from fracorder import generic_kernel_derivative\n"
+        "import os, sys, fracorder\n"
+        "from fracorder import Cosine, Interval, OperatorKind, error_l1, error_linf\n"
         "from fracorder.cli import main\n"
         "error_linf(Cosine(), OperatorKind.CAPUTO, 0.1, Interval(0.0, 1.0), n_grid=64)\n"
-        "kernel = CustomKernel(lambda u, beta: math.exp(-u / beta) / beta)\n"
-        "generic_kernel_derivative(Cosine(), kernel, 0.1, 0.0, 1.0)\n"
         "for kind in OperatorKind:\n"
         "    error_l1(Cosine(), kind, 0.1, Interval(0.0, 1.0))\n"
         "assert main(['figures', '-f', 'cos', '--interval', '0,1', '--out', os.devnull]) == 0\n"
@@ -1063,11 +1059,11 @@ def test_import_leaves_scipy_integrate_unloaded():
 
 
 def test_public_api_runs_without_scipy():
-    # with every import of scipy made to fail, the operators (a custom kernel
-    # included), both error functionals, the ratio analysis and the CLI run
+    # with every import of scipy made to fail, the operators, both error
+    # functionals, the ratio analysis and the CLI run
     src = str(Path(operators.__file__).resolve().parents[1])
     code = (
-        "import math, os, sys\n"
+        "import os, sys\n"
         "sys.modules['scipy'] = None\n"
         "from fracorder import *\n"
         "from fracorder.cli import main\n"
@@ -1078,8 +1074,6 @@ def test_public_api_runs_without_scipy():
         "    error_l1(f, kind, 0.1, interval)\n"
         "    error_linf(f, kind, 0.1, interval, n_grid=64)\n"
         "rl_integral(f, 0.5, 0.0, 1.0)\n"
-        "kernel = CustomKernel(lambda u, beta: math.exp(-u / beta) / beta)\n"
-        "generic_kernel_derivative(f, kernel, 0.1, 0.0, 1.0)\n"
         "ratio_cf_over_c_l1(3, 1.0, 0.01), ratio_limit(3, 1.0), t_star(3, 0.01)\n"
         "assert main(['figures', '-f', 'cos', '--interval', '0,1', '--out', os.devnull]) == 0\n"
         "assert main(['order', '-f', 'abs:1', '-k', 'C', '-p', '1', '--interval', '0,2',\n"

@@ -17,7 +17,6 @@ from fracorder import (
     Affine,
     BudgetExceededError,
     Cosine,
-    CustomKernel,
     DomainError,
     Exponential,
     FractionalOrder,
@@ -36,7 +35,6 @@ from fracorder import (
     evaluate,
     evaluate_grid,
     gamma,
-    generic_kernel_derivative,
     parse_function,
     riemann_liouville,
     rl_integral,
@@ -833,114 +831,40 @@ class TestClosedFormAgainstQuadrature:
         assert got == pytest.approx(1.5052538330631941e306, rel=1e-12, abs=0.0)
 
 
-class TestGenericKernel:
-    def test_caputo_kernel_specialization(self):
-        # must agree with the Caputo derivative of order 1 - beta exactly
-        got = generic_kernel_derivative(Affine(1.0, 0.0), OperatorKind.CAPUTO, 0.7, 0.0, 1.0)
-        assert got == caputo(Affine(1.0, 0.0), 0.3, 0.0, 1.0)
-        assert got == pytest.approx(1.0 / gamma(1.7), rel=1e-12, abs=0.0)
+class TestKernelQuadratureOnOpaque:
+    """The C and CF quadrature (``operators._pointwise``) of ``Opaque(f)``
+    against the closed form of f, where a node meets a breakpoint."""
 
-    def test_cf_kernel_specialization(self):
-        for f in CATALOG:
-            got = generic_kernel_derivative(f, OperatorKind.CAPUTO_FABRIZIO, 0.4, 0.0, 1.9)
-            assert abs(got - caputo_fabrizio(f, 0.6, 0.0, 1.9)) <= 1e-12
-
-    def test_cf_kernel_on_step(self):
+    def test_cf_on_step(self):
         # single step of height 1 on [0, 0.5], beta = 0.5, t = 0.25:
         # (1/(1-beta))(1 - e^(-((1-beta)/beta) t)) = 2 (1 - e^-0.25)
         f = StepAntiderivative(((0.0, 0.5),), (1.0,))
-        got = generic_kernel_derivative(f, OperatorKind.CAPUTO_FABRIZIO, 0.5, 0.0, 0.25)
+        got = caputo_fabrizio(Opaque(f), 0.5, 0.0, 0.25)
+        assert got == pytest.approx(caputo_fabrizio(f, 0.5, 0.0, 0.25), rel=1e-13, abs=0.0)
         assert got == pytest.approx(2.0 * (1.0 - math.exp(-0.25)), rel=1e-13, abs=0.0)
 
-    def test_constant_any_kernel(self):
-        f = Affine(0.0, 3.0)
-        for kernel in (OperatorKind.CAPUTO, OperatorKind.CAPUTO_FABRIZIO):
-            assert generic_kernel_derivative(f, kernel, 0.3, 0.0, 1.0) == 0.0
-        custom = CustomKernel(h=lambda u, beta: math.exp(-u / beta) / beta)
-        assert generic_kernel_derivative(f, custom, 0.3, 0.0, 1.0) == pytest.approx(0.0, abs=1e-12)
+    def test_constant(self):
+        f = Opaque(Affine(0.0, 3.0))
+        assert caputo(f, 0.7, 0.0, 1.0) == 0.0
+        assert caputo_fabrizio(f, 0.7, 0.0, 1.0) == 0.0
 
-    @pytest.mark.parametrize(
-        "beta,scale",
-        [(0.4, 1.0), (0.1, 1.0), (0.01, 1.0), (1e-3, 1.0), (0.4, 1e6)],
-    )
-    def test_custom_kernel_reproduces_cf(self, beta, scale):
-        def h(u, b):
-            return scale * math.exp(-((1.0 - b) / b) * u) / b
-
-        got = generic_kernel_derivative(Exponential(), CustomKernel(h=h), beta, 0.0, 1.0)
-        expected = scale * caputo_fabrizio(Exponential(), 1.0 - beta, 0.0, 1.0)
-        # 1e-12 absolute for the kernel itself; the scaled one, whose 1e-11
-        # absolute target lies below its rounding floor, to 1e-11 relative
-        assert abs(got - expected) <= (1e-12 if scale == 1.0 else 1e-11 * abs(expected))
-
-    def test_custom_kernel_non_finite_values(self):
-        bad = CustomKernel(h=lambda u, b: math.nan)
-        with pytest.raises(IntegrationError):
-            generic_kernel_derivative(Exponential(), bad, 0.5, 0.0, 1.0)
-
-    @pytest.mark.parametrize(
-        "f,h,beta",
-        [
-            (Exponential(), lambda u, b: u**-1.5, 0.5),  # divergent mass
-            (Cosine(), lambda u, b: 1.0 / u, 0.5),  # divergent; raises at u = 0
-            # nodes where u underflows to 0, where the Caputo kernel's mass
-            # is not negligible, and where the log kernel raises
-            (Cosine(), lambda u, b: u ** (b - 1.0) / gamma(b), 1e-3),
-            (Cosine(), lambda u, b: -math.log(u), 1e-3),
-        ],
-    )
-    def test_custom_kernel_is_refused(self, f, h, beta):
-        with pytest.raises(IntegrationError):
-            generic_kernel_derivative(f, CustomKernel(h=h), beta, 0.0, 1.0)
-
+    @pytest.mark.parametrize("op", [caputo, caputo_fabrizio])
     @pytest.mark.parametrize("beta", [0.4, 0.1, 0.01])
     @pytest.mark.parametrize("f", [Power(2.0, 0.0), AbsShift(1.0)])
-    def test_custom_kernel_singular_but_integrable(self, f, beta):
-        # an integrable power singularity reproduces the Caputo derivative
-        # through its kernel; for |t - 1| at t = 1, f' is taken from the left
-        # where a node's t - u rounds onto t
-        def h(u, b):
-            return u ** (b - 1.0) / gamma(b)
+    def test_breakpoint_at_t(self, f, beta, op):
+        # for |t - 1| at t = 1, f' is taken from the left where a node's
+        # t - u rounds onto t
+        got = op(Opaque(f), 1.0 - beta, 0.0, 1.0)
+        assert got == pytest.approx(op(f, 1.0 - beta, 0.0, 1.0), abs=1e-12)
 
-        got = generic_kernel_derivative(f, CustomKernel(h=h), beta, 0.0, 1.0)
-        expected = caputo(f, 1.0 - beta, 0.0, 1.0)
-        assert got == pytest.approx(expected, abs=1e-12)
-
-    @pytest.mark.parametrize(
-        "h,op",
-        [
-            (lambda u, b: u ** (b - 1.0) / gamma(b), caputo),
-            (lambda u, b: math.exp(-((1.0 - b) / b) * u) / b, caputo_fabrizio),
-        ],
-    )
-    def test_custom_kernel_on_derivative_singular_at_a(self, h, op):
-        # f' = t^(-1/2) / 2 is unbounded at a: accurate or refused
-        try:
-            got = generic_kernel_derivative(Power(0.5), CustomKernel(h=h), 0.4, 0.0, 1.0)
-        except IntegrationError:
-            return
-        assert got == pytest.approx(op(Power(0.5), 0.6, 0.0, 1.0), abs=1e-9)
-
-    def test_beta_validation(self):
-        with pytest.raises(DomainError):
-            generic_kernel_derivative(Exponential(), OperatorKind.CAPUTO, 1.0, 0.0, 1.0)
-
-    def test_riemann_liouville_is_no_kernel(self):
-        # RL carries the boundary term f(a) t^(-alpha) / Gamma(beta), which no
-        # kernel of f' alone produces
-        with pytest.raises(DomainError, match="Riemann-Liouville"):
-            generic_kernel_derivative(Exponential(), OperatorKind.RIEMANN_LIOUVILLE, 0.5, 0.0, 1.0)
-
+    @pytest.mark.parametrize("op", [caputo, caputo_fabrizio])
     @pytest.mark.parametrize("gap", [1e-14, 3e-16, 1e-12])
-    def test_custom_kernel_node_on_a_breakpoint(self, gap):
+    def test_node_on_a_breakpoint(self, gap, op):
         # with the kink a few ulps left of t, some node's t - u rounds onto
         # it; f' there is a one-sided limit, not a refusal
-        def h(u, b):
-            return u ** (b - 1.0) / math.gamma(b)
-
         f = AbsShift(1.0 - gap)
-        got = generic_kernel_derivative(f, CustomKernel(h=h), 0.9, 0.0, 1.0)
-        assert got == pytest.approx(caputo(f, 0.1, 0.0, 1.0), abs=1e-13)
+        got = op(Opaque(f), 0.1, 0.0, 1.0)
+        assert got == pytest.approx(op(f, 0.1, 0.0, 1.0), abs=1e-13)
 
 
 class Square(TestFunction):

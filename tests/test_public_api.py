@@ -20,12 +20,22 @@ def test_every_exported_name_resolves_once(name):
 
 
 @pytest.mark.parametrize(
-    "name", ["QuadratureScheme", "CaputoKernel", "CaputoFabrizioKernel", "DEFAULT_N_NODES"]
+    "name",
+    [
+        "QuadratureScheme",
+        "CaputoKernel",
+        "CaputoFabrizioKernel",
+        "DEFAULT_N_NODES",
+        "CustomKernel",
+        "KernelSpec",
+        "generic_kernel_derivative",
+    ],
 )
 def test_folded_names_are_gone(name):
     # no node count is left to pass: a value at a point runs to its own
     # tolerance and a whole grid sizes itself; OperatorKind names the C and
-    # CF kernels of generic_kernel_derivative
+    # CF kernels, the only ones besides the RL integral's, and no custom
+    # kernel is taken
     assert not hasattr(fracorder, name)
     assert name not in fracorder.__all__
     assert not hasattr(fracorder.operators, name)
