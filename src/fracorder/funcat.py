@@ -232,19 +232,15 @@ def rl_boundary_term(
     return f.value(a) * (t - a) ** (-order.alpha) / specfun.gamma(order.beta)
 
 
-#: non-integer exponents route E_{1,gamma+1} through the series, which loses
-#: accuracy left of roughly -15; beyond that the caller falls back to quadrature
-_ML_SERIES_TRUST = -15.0
-
 #: the Caputo series of cos is summed while e^u / Gamma(beta) stays below
 #: e^_COS_C_LOSS_LOG: its terms peak near e^u u^(-alpha) / Gamma(beta) and
 #: cancel to O(1), so rounding costs at most about 1e-11 absolute, and well
 #: under 1e-12 as measured; farther points fall back to quadrature
 _COS_C_LOSS_LOG = 10.0
 
-#: u = t - a up to which E_{1,1+beta}(u) of the exponential's Caputo form is
-#: summed; its terms overflow near u = 709
-_EXP_C_REACH = 700.0
+#: u = t - a up to which the exponential's Caputo form sums P(beta, u);
+#: past it, 1 - P < e^(-u) < 2^-53 for every beta, so P rounds to 1
+_EXP_C_SERIES = 40.0
 
 _EXP_MAX_T = math.log(np.finfo(float).max)  #: e^t overflows a double past it
 
@@ -293,23 +289,9 @@ class Power(_NumpyEntry):
             exponent = g - order.alpha
             return lambda ts: ratio * (ts - a) ** exponent
         scale = specfun.gamma(g + 1.0)
-        # z = -rate u reaches -rate (b - a); a non-integer exponent's series
-        # is trusted only down to _ML_SERIES_TRUST
-        low = -rate * (b - a)
-        trusted = self._is_integer_exp() or low >= _ML_SERIES_TRUST
-        ml = specfun._mittag_leffler_one_bound(g + 1.0, low if trusted else _ML_SERIES_TRUST, 0.0)
-
-        def caputo_fabrizio(ts: np.ndarray) -> np.ndarray:
-            u = ts - a
-            z = -rate * u
-            if trusted:
-                return scale * u**g * ml(z) / beta
-            known = z >= _ML_SERIES_TRUST
-            out = np.full(u.shape, math.nan)
-            out[known] = scale * u[known] ** g * ml(z[known]) / beta
-            return out
-
-        return caputo_fabrizio
+        # NaN where z = -rate u is past the reach of E_{1,g+1}
+        ml = specfun._mittag_leffler_one_bound(g + 1.0, -rate * (b - a), 0.0)
+        return lambda ts: scale * (ts - a) ** g * ml(-rate * (ts - a)) / beta
 
 
 @dataclass(frozen=True)
@@ -365,18 +347,12 @@ class Exponential(_NumpyEntry):
         # the overflow test of e^t, made once where all of (a, b] passes it
         exp = np.exp if b <= _EXP_MAX_T else self.value_array
         if kind is OperatorKind.CAPUTO:
-            ml = specfun._mittag_leffler_one_bound(1.0 + beta, 0.0, min(b - a, _EXP_C_REACH))
-            trusted = b - a <= _EXP_C_REACH
+            ml = specfun._mittag_leffler_one_bound(1.0 + beta, 0.0, min(b - a, _EXP_C_SERIES))
 
             def caputo(ts: np.ndarray) -> np.ndarray:
-                e_t = exp(ts)
-                u = ts - a
-                if trusted:
-                    return e_t * u**beta * (np.exp(-u) * ml(u))
-                known = u <= _EXP_C_REACH
-                out = np.full(u.shape, math.nan)
-                out[known] = e_t[known] * u[known] ** beta * (np.exp(-u[known]) * ml(u[known]))
-                return out
+                u = np.minimum(ts - a, _EXP_C_SERIES)
+                p = u**beta * (np.exp(-u) * ml(u))
+                return exp(ts) * np.where(u < _EXP_C_SERIES, p, 1.0)
 
             return caputo
         # past _EXP_MAX_T every point is refused by value_array before e^a is read

@@ -45,6 +45,10 @@ _DIGAMMA_SHIFT = 6.0
 _SERIES_TERM_TOL = 1e-18
 _SERIES_MAX_TERMS = 100_000
 
+#: -z down to which Kummer's series sums E_{1,omega}(z), z < 0, for a
+#: non-integer omega: its terms peak near e^(-z), which overflows past 709
+_KUMMER_REACH = 700.0
+
 
 def ln_gamma(x: float) -> float:
     """Natural log of the Gamma function for x > 0."""
@@ -156,7 +160,11 @@ def _series(rho: float, omega: float, z: float) -> float:
         # stop only past the term peak, where the ratio has dropped below 1
         if abs(term) <= _SERIES_TERM_TOL * abs(running) and rho * k + omega > abs(z):
             break
-    return math.fsum(terms)
+    total = math.fsum(terms)
+    # rounding of the terms leaves eps sum |terms|: refused past 1e-10 of the sum
+    if rho != 1.0 and math.ulp(1.0) * math.fsum(map(abs, terms)) > 1e-10 * abs(total):
+        raise NumericalError(f"E_{rho},{omega}({z!r}): its series cancels past 1e-10 relative")
+    return total
 
 
 def _closed_form_terms(m: int, z: float) -> list[float]:
@@ -208,11 +216,13 @@ def mittag_leffler_one(omega: float, z: float) -> float:
     For integer omega and z < min(-1, 3 - omega) the finite closed form is
     used: the power series cancels there, while the e^z partial sum the
     closed form subtracts cancels only right of 3 - omega, where its terms
-    z^k/k! outgrow the remainder.  Elsewhere the series is summed until terms
-    drop below 1e-18 of the running total.  For integer omega 1..16 the
-    relative error on [-(3 omega + 2), 0] is below 1e-15; for non-integer
-    omega the series keeps 1e-10 only down to z of roughly -15 and degrades
-    further left, which callers must guard against.
+    z^k/k! outgrow the remainder.  For a non-integer omega and z < 0 it is
+    Kummer's series (``_kummer``), whose terms do not cancel, down to
+    z = -700 (``_KUMMER_REACH``); farther left it is refused with
+    NumericalError.  Elsewhere the power series is summed until terms drop
+    below 1e-18 of the running total.  For integer omega 1..16 the relative
+    error on [-(3 omega + 2), 0] is below 1e-15; for omega in {0.5, 1.5,
+    2.5, 3.5, 1 + 1e-8, 7.25} it is within 3.5e-15 on [-700, 0].
     """
     if not (omega > 0 and math.isfinite(omega)):
         raise DomainError(f"omega must be a positive real, got {omega!r}")
@@ -220,7 +230,26 @@ def mittag_leffler_one(omega: float, z: float) -> float:
         raise DomainError(f"z must be finite, got {z!r}")
     if z < _closed_form_below(omega):
         return _closed_form_integer(int(round(omega)) - 1, z)
+    if z < 0.0 and not _is_integer(omega):
+        return _kummer(omega, z)
     return _series(1.0, omega, z)
+
+
+def _past_kummer_reach(omega: float, z: float) -> NumericalError:
+    return NumericalError(f"E_1,{omega}({z!r}): Kummer's series reaches z = -700 only")
+
+
+def _kummer(omega: float, z: float) -> float:
+    """E_{1,omega}(z) for -700 <= z < 0 as ``_kummer_bound`` sums it, in
+    scalar arithmetic: its terms, of one sign past the first, each a
+    coefficient times a power, summed by ``math.fsum``.  NumericalError
+    left of -700, where the terms near e^(-z) overflow."""
+    if z < -_KUMMER_REACH:
+        raise _past_kummer_reach(omega, z)
+    w = omega - 1.0
+    scale, coeffs = _scaled_coefficients(1.0 / gamma(omega), w - 1.0, w, -z, "Kummer series")
+    r = z / -scale
+    return math.exp(z) * math.fsum(c * r**k for k, c in enumerate(coeffs.tolist()))
 
 
 #: the most entries of one power table of ``_power_sums``: points are taken
@@ -370,22 +399,26 @@ def _mittag_leffler_one_bound(omega: float, low: float, high: float):
     """E_{1,omega} as one function of an array of points z in [low, high],
     with every constant computed here, once: the finite closed form for
     integer omega and z < min(-1, 3 - omega), Kummer's series
-    (``_kummer_bound``) for the other z < 0, and the series (``_series_bound``)
-    for z >= 0 (Kummer's at z = 0 where no z > 0 is in range), each with its
-    term count and coefficients at its farthest reach in [low, high].  Only
-    the branches that [low, high] meets are bound, and joined by ``_split``.
-    A point's value depends on the bounds, not on the other points of a
-    call."""
+    (``_kummer_bound``) for the other z < 0 down to -700
+    (``_KUMMER_REACH``), and the series (``_series_bound``) for z >= 0
+    (Kummer's at z = 0 where no z > 0 is in range), each with its term count
+    and coefficients at its farthest reach in [low, high].  A point left of
+    -700 that no closed form takes is NaN: the reach of E_{1,omega} is
+    marked here, and nowhere else.  Only the branches that [low, high] meets
+    are bound, and joined by ``_split``.  A point's value depends on the
+    bounds, not on the other points of a call."""
     below = _closed_form_below(omega)
     values = None
     if high > 0.0 or low >= 0.0:
         values = _series_bound(omega, high)
     if low < 0.0 and high >= below:
-        kummer = _kummer_bound(omega, -max(low, below))
+        kummer = _kummer_bound(omega, min(-max(low, below), _KUMMER_REACH))
         values = kummer if values is None else _split(kummer, 0.0, values)
     if low < below:
         closed = partial(_closed_form_integer_array, int(round(omega)) - 1)
         values = closed if values is None else _split(closed, below, values)
+    elif low < -_KUMMER_REACH:
+        values = _split(lambda z: np.full(z.shape, math.nan), -_KUMMER_REACH, values)
     return values
 
 
@@ -415,13 +448,12 @@ def mittag_leffler_one_array(omega: float, z: np.ndarray) -> np.ndarray:
     on the extent of z, so the series take their terms at its farthest
     point.
 
-    The branches are those of ``mittag_leffler_one``, except that z < 0
-    outside the closed form takes Kummer's series, whose terms do not
-    cancel: within about 1e-15 relative of E_{1,omega} for omega in {1.5,
-    2, 3, 3.5, 1 + 1e-8} on [-15, 0], and within 1.5e-15 for omega = 1 + beta
-    on [0, 700] (40-digit mpmath).  The scalar function's series cancels
-    there; its restriction to z above roughly -15 for non-integer omega
-    stays with the callers.
+    The branches are those of ``mittag_leffler_one``, except that an integer
+    omega's z < 0 outside the closed form takes Kummer's series too: within
+    1e-15 relative of E_{1,omega} for omega in {1.5, 2.5, 3.5, 1 + 1e-8,
+    7.25} on [-700, 0], and within 1.5e-15 for omega = 1 + beta on [0, 700]
+    (40-digit mpmath).  A non-integer omega left of -700 is refused with
+    NumericalError, as in ``mittag_leffler_one``.
     """
     if not (omega > 0 and math.isfinite(omega)):
         raise DomainError(f"omega must be a positive real, got {omega!r}")
@@ -431,9 +463,10 @@ def mittag_leffler_one_array(omega: float, z: np.ndarray) -> np.ndarray:
     if not z.size:
         return np.empty(z.shape)
     flat = z.ravel()
-    return _mittag_leffler_one_bound(omega, float(flat.min()), float(flat.max()))(flat).reshape(
-        z.shape
-    )
+    values = _mittag_leffler_one_bound(omega, float(flat.min()), float(flat.max()))(flat)
+    if np.isnan(values).any():
+        raise _past_kummer_reach(omega, float(flat.min()))
+    return values.reshape(z.shape)
 
 
 def mittag_leffler(params: MLParams, z: float) -> float:

@@ -476,10 +476,11 @@ class TestFigures:
         assert not dest.exists()
 
     def test_derivative_singular_at_a_is_refused(self, capsys):
-        # CF of t^(1/2) at alpha 0.99 has no trusted closed form past
-        # t = 15/99, and the quadrature would sample f' = inf at a = 0
+        # CF of t^(1/2) at alpha 0.999 has no closed form past t = 700/999,
+        # where E_{1,3/2} leaves Kummer's reach, and the quadrature would
+        # sample f' = inf at a = 0
         code, out, err = run_cli(
-            capsys, "figures", "-f", "power:0.5", "--interval", "0,1", "--alphas", "0.99",
+            capsys, "figures", "-f", "power:0.5", "--interval", "0,1", "--alphas", "0.999",
         )
         assert code == 3 and out == ""
         assert "non-finite" in err and "tau = 0.0" in err

@@ -26,7 +26,7 @@ from fracorder import (
     gamma,
     parse_function,
 )
-from fracorder import funcat
+from fracorder import funcat, specfun
 from fracorder.funcat import rl_boundary_term
 
 
@@ -373,11 +373,13 @@ class TestTranscendentalForms:
             assert rl == rl_boundary_term(f, 0.6, -0.7, 0.8) + cap
 
     def test_exponential_past_reach(self):
-        # E_{1,2-alpha}(u) overflows near u = 709
-        assert closed_form_fractional(Exponential(), C, 0.5, -400.0, 301.0) is None
+        # E_{1,2-alpha}(u) overflows near u = 709, but e^t P(1/2, u) has
+        # rounded to e^t long before
+        value = closed_form_fractional(Exponential(), C, 0.5, -400.0, 301.0)
+        assert value == pytest.approx(float(mp.exp(301)), rel=4 * EPS, abs=0.0)
         ts = np.array([299.0, 301.0])
         grid = closed_form_at(Exponential(), C, FractionalOrder(0.5), -400.0, ts)
-        assert math.isfinite(grid[0]) and math.isnan(grid[1])
+        np.testing.assert_allclose(grid, np.exp(ts), rtol=4 * EPS, atol=0.0)
 
     def test_phi1_against_mpmath(self):
         # (e^z - 1)/z, which cos under CF rests on, over |z| from 1e-300 to
@@ -536,11 +538,11 @@ class TestClosedFormGrid:
         ts = a + (b - a) * np.arange(1, n + 1) / n
         grid = closed_form_at(f, kind, FractionalOrder(alpha), a, ts)
         # only Power-CF with a non-integer exponent stops short, left of the
-        # trusted Mittag-Leffler series, on intervals this short
+        # reach of Kummer's series for E_{1,g+1}, on intervals this short
         series = isinstance(f, Power) and kind is CF and not f._is_integer_exp()
         if series:
             z = -(alpha / (1.0 - alpha)) * (ts - a)
-            np.testing.assert_array_equal(np.isnan(grid), z < funcat._ML_SERIES_TRUST)
+            np.testing.assert_array_equal(np.isnan(grid), z < -specfun._KUMMER_REACH)
         else:
             assert not np.isnan(grid).any()
         known = np.flatnonzero(~np.isnan(grid))
@@ -552,10 +554,9 @@ class TestClosedFormGrid:
         exact = np.array(
             [float(_exact_closed_form(f, kind, alpha, a, t)) for t in ts[picks].tolist()]
         )
-        tol = 1e-10 if series else 1e-13
         # plus float64's absolute rounding floor, for a value drawn subnormal
         floor = 4 * np.finfo(float).smallest_subnormal
-        assert np.max(np.abs(grid[picks] - exact)) <= tol * scale + floor
+        assert np.max(np.abs(grid[picks] - exact)) <= 1e-13 * scale + floor
 
     def test_entry_without_forms_has_no_grid_hook(self):
         ts = np.array([0.25, 0.5, 1.0])
@@ -563,15 +564,10 @@ class TestClosedFormGrid:
         assert closed_form_fractional(Opaque(Cosine()), RL, 0.4, 0.0, 0.5) is None
 
     @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.99, 1 - 1e-6])
-    @pytest.mark.parametrize("f,width", [(Cosine(), 40.0), (Exponential(), 900.0)])
+    @pytest.mark.parametrize("f,width", [(Cosine(), 40.0)])
     def test_grid_is_nan_exactly_past_the_reach(self, f, width, alpha):
-        # from a = -350, e^t stays a normal float from u = 0 to past its reach
-        a = -0.7 if isinstance(f, Cosine) else -350.0
-        reach = (
-            funcat._cos_c_reach(FractionalOrder(alpha))
-            if isinstance(f, Cosine)
-            else funcat._EXP_C_REACH
-        )
+        a = -0.7
+        reach = funcat._cos_c_reach(FractionalOrder(alpha))
         ts = a + width * np.arange(1, 402) / 401
         grid = closed_form_at(f, C, FractionalOrder(alpha), a, ts)
         missing = np.isnan(grid)
@@ -585,14 +581,29 @@ class TestClosedFormGrid:
         for t, got in zip(ts[picks].tolist(), grid[picks].tolist()):
             u = t - a
             exact = float(_exact_closed_form(f, C, alpha, a, t))
-            loss = 0.0
-            if isinstance(f, Cosine):
-                loss = EPS * math.exp(u) * u**-alpha / gamma(1.0 - alpha)
+            loss = EPS * math.exp(u) * u**-alpha / gamma(1.0 - alpha)
             assert abs(got - exact) <= 1e-13 * abs(exact) + 4 * loss
         # the one-point form is None exactly where the grid is NaN
         last, first_past = ts[~missing][-1], ts[missing][0]
         assert closed_form_fractional(f, C, alpha, a, float(last)) == grid[~missing][-1]
         assert closed_form_fractional(f, C, alpha, a, float(first_past)) is None
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.99, 1 - 1e-6])
+    def test_exponential_caputo_has_no_reach(self, alpha):
+        # e^t P(beta, u), P the regularized lower incomplete Gamma: the
+        # series up to u = 40, and e^t itself past it, where P rounds to 1;
+        # from a = -350, e^t stays a normal float to u = 900
+        a, beta = -350.0, 1.0 - alpha
+        ts = a + 900.0 * np.arange(1, 402) / 401
+        grid = closed_form_at(Exponential(), C, FractionalOrder(alpha), a, ts)
+        assert not np.isnan(grid).any()
+        picks = [*range(0, 401, 25), int(np.searchsorted(ts - a, 40.0))]
+        for t, got in zip(ts[picks].tolist(), grid[picks].tolist()):
+            exact = mp.exp(t) * mp.gammainc(beta, 0, t - a, regularized=True)
+            assert abs(got - exact) <= 4 * EPS * exact
+            assert closed_form_fractional(Exponential(), C, alpha, a, t) == pytest.approx(
+                got, rel=4 * EPS, abs=0.0
+            )
 
 
 class TestParse:

@@ -290,10 +290,20 @@ class TestErrorL1:
             np.testing.assert_allclose(values, want, rtol=1e-15, atol=1e-15)
 
     def test_derivative_singular_at_a_is_refused(self):
-        # t^(1/2) under CF at beta 0.01 has no trusted closed form past
-        # t = 15/99, and the quadrature there would sample f' = inf at a = 0
+        # t^(1/2) under CF at beta 1e-3 has no closed form past t = 700/999,
+        # where E_{1,3/2}(-rate t) leaves Kummer's reach, and the quadrature
+        # there would sample f' = inf at a = 0
         with pytest.raises(IntegrationError, match="tau = 0.0"):
-            error_l1(Power(0.5), CF, 0.01, I01)
+            error_l1(Power(0.5), CF, 1e-3, I01)
+
+    @pytest.mark.parametrize(
+        "b,expected", [(1.0, 0.11295880678266065), (2.0, 0.11865396941730751)]
+    )
+    def test_derivative_singular_at_a_within_the_reach(self, b, expected):
+        # at beta 1e-2, z = -99 t stays within Kummer's reach on (0, 2), so
+        # every value is a closed form; mpmath's values
+        report = error_l1(Power(0.5), CF, 0.01, Interval(0.0, b))
+        assert abs(report.value - expected) <= norms.DEFAULT_TOL
 
 
 class UserSin(TestFunction):

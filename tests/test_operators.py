@@ -526,9 +526,9 @@ class TestEvaluateGrid:
             np.testing.assert_allclose(grid, pointwise, rtol=1e-13, atol=0.0)
 
     def test_missing_closed_forms_filled_by_quadrature(self):
-        # the E_{1,gamma} series is not trusted left of -15, so Power(2.5)
-        # under CF at alpha 0.99 has closed forms only for t <= 15/99
-        f, alpha, kind = Power(2.5), 0.99, OperatorKind.CAPUTO_FABRIZIO
+        # Kummer's series for E_{1,gamma} reaches z = -700 only, so Power(2.5)
+        # under CF at alpha 0.999 has closed forms only for t <= 700/999
+        f, alpha, kind = Power(2.5), 0.999, OperatorKind.CAPUTO_FABRIZIO
         grid = evaluate_grid(kind, f, alpha, 0.0, 1.0, 50)
         ts = [i / 50 for i in range(1, 51)]
         closed = [closed_form_fractional(f, kind, alpha, 0.0, t) for t in ts]
