@@ -70,6 +70,7 @@ it is taken from the left, the side inside (a, t]; at a, from the right.  A
 node of a flattened piece reads f' inside its piece.
 """
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass
@@ -395,7 +396,9 @@ def _vertices(values: np.ndarray, k: int) -> tuple[float, float]:
     return j + x, parabola
 
 
-def _zoom_max(fn, brackets: list[tuple[float, float, float, float]]) -> tuple[float, int]:
+def _zoom_max(
+    fn, brackets: list[tuple[float, float, float, float]], starts=None
+) -> tuple[float, int]:
     """The largest value of fn (an array function) at the points of one or
     two rounds and at most one last point, and the number of points
     scored.  Each bracket is (lo, hi, fn(lo), fn(hi)).  The first round scores
@@ -406,12 +409,23 @@ def _zoom_max(fn, brackets: list[tuple[float, float, float, float]]) -> tuple[fl
     agree within ``_AGREE`` of the spacing, or after ``_ZOOM_ROUNDS``
     rounds, the last point is the quartic's maximum, scored unless it is
     an end of the bracket or a point of the round.  Otherwise the next
-    round's bracket is the two cells on either side of the best point."""
+    round's bracket is the two cells on either side of the best point.
+
+    With starts, one s per bracket at or left of its lo, the points are
+    evenly spaced in x = ln(t - s) instead of t, so that a bracket that
+    spans decades above s resolves a peak at any of them; a lo at s is
+    placed at s + max(1e-300 (hi - s), 4 ulp(s)), inside (s, hi)."""
+    if starts is not None:
+        brackets = [
+            (math.log(max(lo - s, 1e-300 * (hi - s), 4.0 * math.ulp(s))), math.log(hi - s), *ends)
+            for (lo, hi, *ends), s in zip(brackets, starts)
+        ]
     best, scored = -math.inf, 0
     for _ in range(_ZOOM_ROUNDS):
         lo, hi, lo_value, hi_value = zip(*brackets)
         grid = np.array(lo)[:, None] + np.multiply.outer(np.subtract(hi, lo), _ZOOM_FRACS)
-        values = fn(grid.ravel())
+        ts = grid if starts is None else np.array(starts)[:, None] + np.exp(grid)
+        values = fn(ts.ravel())
         scored += values.size
         r = int(values.argmax()) // _ZOOM_POINTS
         row = values[r * _ZOOM_POINTS : (r + 1) * _ZOOM_POINTS]
@@ -421,15 +435,18 @@ def _zoom_max(fn, brackets: list[tuple[float, float, float, float]]) -> tuple[fl
         quartic, parabola = _vertices(values, k)
         if abs(quartic - parabola) <= _AGREE:
             break
-        ts = np.concatenate(([lo[r]], grid[r], [hi[r]]))
+        xs = np.concatenate(([lo[r]], grid[r], [hi[r]]))
         i, j = max(k - 1, 0), min(k + 1, _ZOOM_POINTS + 1)
-        brackets = [(float(ts[i]), float(ts[j]), float(values[i]), float(values[j]))]
+        brackets = [(float(xs[i]), float(xs[j]), float(values[i]), float(values[j]))]
+        starts = starts and [starts[r]]
     # the quartic's maximum lies between the ends of the bracket, so at an
     # integer it is an end (lo may be a, whose value is a limit) or a point
     # of the round: a value already scored
     if quartic == int(quartic):
         return best, scored
     vertex = lo[r] + quartic * (hi[r] - lo[r]) / (_ZOOM_POINTS + 1)
+    if starts is not None:
+        vertex = starts[r] + math.exp(vertex)
     return max(best, float(fn(np.array([vertex]))[0])), scored + 1
 
 
@@ -486,7 +503,15 @@ def error_linf(
     brackets = _brackets(ts, values, a, at_a, list(zip(kinks, left, right)), value)
     scored = 0
     if brackets:
-        refined, scored = _zoom_max(lambda pts: np.abs(_error(operator, f, pts)), brackets)
+        # under C and RL (C where f(a) = 0) the layer right of a piece's
+        # start s spans decades: each bracket is zoomed in ln(t - s)
+        starts = None
+        if kind is not OperatorKind.CAPUTO_FABRIZIO:
+            ends = [a, *kinks]
+            starts = [ends[bisect.bisect_right(kinks, lo)] for lo, *_ in brackets]
+        refined, scored = _zoom_max(
+            lambda pts: np.abs(_error(operator, f, pts)), brackets, starts
+        )
         value = max(value, refined)
     count = ts.size + scored + 1 + 2 * len(kinks)
     return ErrorReport(kind, beta, NormKind.LINF, interval, value, count)

@@ -631,6 +631,45 @@ class TestErrorLinf:
         report = error_linf(Power(g), CF, beta, Interval(0.0, b))
         assert report.value == pytest.approx(_cf_power_layer_peak(g, beta), rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize(
+        "g,beta,b,expected",
+        [
+            # its peak at t = 4.4e-109 read 0.05905180375711383
+            (1.0029, 2.49e-3, 1.892, 0.22471623287244259),
+            # its peak at t = 4.2e-12 read 8.2e-10 low
+            (1.03819290694477, 0.0014831196416532104, 0.5959034020095528, 0.0142662763746255),
+        ],
+    )
+    def test_layer_peak_far_below_the_scan(self, g, beta, b, expected):
+        # the peak lies decades below the scan's first layer point, inside
+        # the bracket (a, first point], which is zoomed in ln(t - a)
+        for kind in (C, RL):
+            report = error_linf(Power(g), kind, beta, Interval(0.0, b))
+            assert report.value == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    def test_layer_peaks_of_powers_just_above_one(self):
+        # |t^g under C - g t^(g-1)| = t^(g-1) |k t^beta - g|, k =
+        # Gamma(g+1)/Gamma(g+beta), peaks at t*^beta = g(g-1)/(k(g-1+beta)) at
+        # t*^(g-1) g beta/(g-1+beta), and past it rises to its value at b;
+        # t* can lie far below any scan point.  RL is C, since f(0) = 0
+        rng = np.random.default_rng(30)
+        cases = 0
+        while cases < 300:
+            g, beta, b = rng.uniform(1.0, 1.1), 10 ** rng.uniform(-4, -1), rng.uniform(0.1, 2.0)
+            g_, beta_, b_ = mp.mpf(g), mp.mpf(beta), mp.mpf(b)
+            k = mp.gamma(g_ + 1) / mp.gamma(g_ + beta_)
+            t_star = (g_ * (g_ - 1) / (k * (g_ - 1 + beta_))) ** (1 / beta_)
+            if t_star < 1e-300:
+                continue
+            cases += 1
+            peaks = [abs(b_ ** (g_ - 1) * (k * b_**beta_ - g_))]
+            if t_star < b_:
+                peaks.append(t_star ** (g_ - 1) * g_ * beta_ / (g_ - 1 + beta_))
+            expected = float(max(peaks))
+            for kind in (C, RL):
+                report = error_linf(Power(g), kind, beta, Interval(0.0, b))
+                assert report.value == pytest.approx(expected, rel=1e-12, abs=0.0), (g, beta, b)
+
     def test_largest_of_two_peaks_is_taken(self):
         # the scan's best sample is at b, while the peak near t = 0.5, whose
         # sample is lower, is higher; both local maxima are zoomed on
