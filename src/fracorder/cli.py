@@ -5,7 +5,8 @@ curves on a uniform grid), ``error`` (one error-functional value), ``order`` (a
 beta sweep plus its power-law fit), ``ratio`` (finite-beta or limit CF/C
 ratio) and ``table1`` (the four-row comparison table).
 
-Exit status: 0 on success, 2 for argument errors, 3 for numerical failures.
+Exit status: 0 on success, 2 for argument errors, 3 for numerical failures;
+either failure prints one line to stderr.
 
 ``main`` builds its argparse tree on its first call and reuses it for every
 later call in the process: parsing leaves the parser as it was (each call
@@ -245,12 +246,17 @@ def _cmd_table1(args, out) -> None:
 
 class _Parser(argparse.ArgumentParser):
     """Reads an argument that starts with "-" and then a digit or a point,
-    such as the interval "-1,1", as a value: no option starts so.  Every
-    subparser is one too (add_subparsers makes its parsers of this class)."""
+    such as the interval "-1,1", as a value: no option starts so.  An
+    argument it cannot parse exits 2 with one line, "{prog}: error:
+    {message}", without the usage block.  Every subparser is one too
+    (add_subparsers makes its parsers of this class)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 @functools.cache

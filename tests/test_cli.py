@@ -770,6 +770,69 @@ class TestArgparseErrors:
             main(["table1", "--nope"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv,line",
+        [
+            (
+                ["error", "-f", "cos"],
+                "fracorder error: error: the following arguments are required: "
+                "--interval, -k/--kind, -p, --beta",
+            ),
+            (
+                ["error", "-f", "cos", "-k", "C", "-p", "1", "--interval", "0,1",
+                 "--beta", "abc"],
+                "fracorder error: error: argument --beta: invalid float value: 'abc'",
+            ),
+            (
+                ["figures", "-f", "cos", "--interval", "0,1", "--points", "2.5"],
+                "fracorder figures: error: argument --points: invalid int value: '2.5'",
+            ),
+            ([], "fracorder: error: the following arguments are required: command"),
+        ],
+    )
+    def test_one_line_without_usage(self, capsys, tmp_path, argv, line):
+        dest = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(dest)] if argv else argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err == line + "\n"
+        assert not dest.exists()
+
+
+class TestArgumentRefusals:
+    """Each refusal of a command's own checks: exit 2, one line, no --out file."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["error", "-f", "cos", "-k", "C", "-p", "2", "--beta", "0.1", "--interval", "0,1"],
+             "error: -p must be 1 or inf, got '2'"),
+            (["order", "-f", "cos", "-k", "C", "-p", "1", "--betas", "geometric:0.1,0.01",
+              "--interval", "0,1"],
+             "error: --betas expects 'geometric:start,end,per_decade': "),
+            (["order", "-f", "cos", "-k", "C", "-p", "1", "--betas", "geometric:0.01,0.1,2",
+              "--interval", "0,1"],
+             "error: --betas expects 'geometric:start,end,per_decade': "
+             "need 0 < end < start < 1 and per_decade >= 1"),
+            (["order", "-f", "cos", "-k", "C", "-p", "1", "--betas", "0.1,0.05,0.01",
+              "--interval", "0,1"],
+             "error: --betas must provide at least 4 points, got 3"),
+            (["derive", "-f", "cos", "-k", "C", "-a", "1.5", "--interval", "0,1", "-t", "0.5"],
+             "error: -a must lie in (0, 1), got 1.5"),
+            (["figures", "-f", "cos", "--interval", "0,1", "--alphas", "0.5,1.2"],
+             "error: --alphas entries must lie in (0, 1), got 1.2"),
+            (["figures", "-f", "cos", "--interval", "0,1", "--points", "1"],
+             "error: --points must be at least 2, got 1"),
+        ],
+    )
+    def test_exit_two_one_line_no_file(self, capsys, tmp_path, argv, message):
+        dest = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, *argv, "--out", str(dest))
+        assert code == 2 and out == ""
+        assert err.startswith(message) and len(err.splitlines()) == 1
+        assert not dest.exists()
+
 
 class TestSharedParser:
     """``main`` builds its parser once per process and reuses it."""

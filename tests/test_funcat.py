@@ -155,6 +155,25 @@ class TestStepValidation:
             StepAntiderivative(((1.0, 1.0),), (1.0,))
 
 
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize(
+        "make,message",
+        [
+            (lambda x: Power(2.0, x), "power origin must be finite"),
+            (lambda x: Affine(x, 0.0), "affine coefficients must be finite"),
+            (lambda x: Affine(1.0, x), "affine coefficients must be finite"),
+            (lambda x: AbsShift(x), "center must be finite"),
+            (lambda x: StepAntiderivative(((0.0, x),), (1.0,)), "step data must be finite"),
+            (lambda x: StepAntiderivative(((-x, 1.0),), (1.0,)), "step data must be finite"),
+            (lambda x: StepAntiderivative(((0.0, 1.0),), (x,)), "step data must be finite"),
+        ],
+    )
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_refused(self, make, message, x):
+        with pytest.raises(DomainError, match=message):
+            make(x)
+
+
 class TestClosedForms:
     def test_power_caputo(self):
         # gamma_exp=1, alpha=0.5, t=1 -> 1/Gamma(1.5)
