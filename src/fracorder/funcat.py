@@ -8,21 +8,22 @@ entry are written once, in numpy (``_NumpyEntry``); a user-defined
 breakpoint, where ``derivative`` refuses, the one-sided limits of f' are
 taken in one place, ``_derivative_toward``.
 
-A closed form may stop short of some points: a power's CF form left of the
-trusted Mittag-Leffler series, the Caputo series of cos past its reach
-u = t - a = 10 + ln Gamma(beta), and the exponential's Caputo form past
-u = 700.  There, and for entries without closed forms, the closed form
-gives NaN (``closed_form_fractional`` ``None``), and operators fall back to
-quadrature, which refuses an f' infinite at a: a power with g < 1 under CF
-past the trusted series (on (0, 1), for beta below 1/16).
+A closed form may stop short of some points: a power's CF form where
+E_{1,g+1}(-rate u) leaves the reach that ``specfun`` marks (-rate u < -700
+for a non-integer g), and the Caputo series of cos past its reach
+u = t - a = 10 + ln Gamma(beta).  There, and for entries without closed
+forms, the closed form gives NaN (``closed_form_fractional`` ``None``), and
+operators fall back to quadrature, which refuses an f' infinite at a: a
+power with g < 1 under CF past the reach (on (0, 1), for beta below 1/701).
 
 Each (entry, operator) pair has one closed form, written once: the binder
 ``TestFunction._closed_form(kind, order, a, b)``, which returns a function
 of an array of points in (a, b] (NaN where a point has no closed form), or
 ``None``.  Everything that does not depend on the points is computed when
 it binds, once: the Gamma ratios, the reach tests that the whole of (a, b]
-passes, and a series' term count and coefficients at its farthest point,
-which fix every point's value whatever other points share its call.  A
+passes, and a series' term count and coefficients at its farthest point
+(or its reach), which fix every point's value whatever other points share
+its call.  A
 series is one power table (``specfun._power_sums``) times its
 coefficients.  ``operators`` binds once per error functional or grid, and
 ``closed_form_fractional`` on [a, t], with the order as a
@@ -33,7 +34,8 @@ Gamma(g+1) u^g E_{1,g+1}(-rate u) / beta (Caputo & Fabrizio, Progr. Fract.
 Differ. Appl. 1 (2015) 73), which has no cancellation as alpha -> 0.  The
 Caputo form of e^t is e^a u^beta E_{1,1+beta}(u), from D^alpha e^(lambda t)
 = lambda t^(1-alpha) E_{1,2-alpha}(lambda t) (Podlubny, *Fractional
-Differential Equations*, 1999); those of cos are described in ``Cosine``.
+Differential Equations*, 1999), written as e^t P(beta, u) (see
+``Exponential``); those of cos are described in ``Cosine``.
 """
 
 import enum
@@ -320,10 +322,13 @@ class Affine(_NumpyEntry):
 class Exponential(_NumpyEntry):
     """f(t) = e^t.
 
-    Caputo: e^t u^beta (e^(-u) E_{1,1+beta}(u)), u = t - a, a series of
-    positive terms summed up to u = 700 (farther, its terms overflow and the
-    point falls back to quadrature), with its terms fixed at
-    min(b - a, 700).  Caputo-Fabrizio: e^t - e^a e^(-rate u)
+    Caputo: e^t P(beta, u), u = t - a, where P(beta, u) =
+    u^beta e^(-u) E_{1,1+beta}(u) is the regularized lower incomplete Gamma,
+    its series of positive terms summed up to u = 40 with its terms fixed at
+    min(b - a, 40) (108 terms at 40).  Past u = 40, 1 - P = Q(beta, u) <
+    u^(beta-1) e^(-u) / Gamma(beta) < e^(-u) < 2^-53 for every beta in
+    (0, 1), so P rounds to 1 and the value is e^t: the form has no reach.
+    Caputo-Fabrizio: e^t - e^a e^(-rate u)
     = -e^t expm1(-u) - e^a expm1(-rate u), rate = alpha/beta.  Both scale
     e^t, not e^a or e^u, which leave the double range where e^t does not.
     Past t = ln(DBL_MAX) = 709.78, where e^t overflows, f, f' and both forms

@@ -56,7 +56,13 @@ one-sided limits |D(c) - f'(c-)| and |D(c) - f'(c+)|, all from one call of
 each.  It then zooms in on the scan's local maxima that could hold a peak
 above every other candidate, the limits among them, at most three; where a
 limit is the supremum there may be none, and the scan is the only call.  A
-round scores 127 evenly spaced points of its brackets with one call of each.
+round scores 127 evenly spaced points of its brackets with one call of each:
+evenly spaced in t under CF, and under C and RL in ln(t - s), s the start
+(a or a breakpoint) of the piece that holds the bracket's lower end, since
+there the layer of t^g with g just above 1 peaks at
+t = (g (g-1) / (k (g-1+beta)))^(1/beta), k = Gamma(g+1)/Gamma(g+beta),
+which can lie 1e-100 of the interval above s, far below the first scan
+point, inside a bracket that spans decades.
 A second round, in the two cells around the best point of the first, runs
 only where the maxima of the quartic and of the parabola through that point
 and its neighbours disagree; then one point is scored at the quartic's
@@ -466,7 +472,8 @@ def error_linf(
     refinement (``_zoom_max`` on the two scan cells around each of at most
     ``_BRACKETS`` local maxima of the scan that could hide a peak above
     every other candidate, ``_brackets``; none where a limit is the
-    supremum).  Each value is a closed form or within 1e-11, absolute or
+    supremum), in ln(t - s) under C and RL, s the start of the bracket's
+    piece, and in t under CF.  Each value is a closed form or within 1e-11, absolute or
     relative, of the operator (``operators._bind``, bound once), or refused.
     ``n_eval_points`` counts each point scored once: the scan, 127 per
     bracket and round and the refinement's last point where it is a new

@@ -5,8 +5,12 @@
 exact factorials at small integers.  ``digamma`` uses the classical Bernoulli
 asymptotic expansion with a recurrence shift, and the one-parameter
 Mittag-Leffler family E_{1,omega} switches between a truncated power series
-and, for integer omega and z < min(-1, 3 - omega), a compensated finite
-closed form, so that neither branch is evaluated where it cancels.
+(z >= 0, and z < 0 right of the closed form for integer omega), Kummer's
+series for a non-integer omega and -700 <= z < 0, and, for integer omega
+and z < min(-1, 3 - omega), a compensated finite closed form, so that no
+branch is evaluated where it cancels; left of -700 a non-integer omega is
+refused, since Kummer's terms reach e^(-z).  The general E_{rho,omega}
+sums its plain series, and refuses where the terms cancel past 1e-10.
 ``_mittag_leffler_one_pair`` gives E_{1,m} and E_{1,m-1} at one z on those
 same branches, for the Newton steps of ``analysis.t_star``: where both take
 the closed form, they share one term list.  Every function is scalar and
@@ -15,7 +19,10 @@ the numpy twin of ``mittag_leffler_one``, and the binder behind it and the
 catalog's closed forms, ``_mittag_leffler_one_bound``: it fixes each series'
 terms and coefficients once for a range of z, and sums a series at an array
 of points as one power table times its coefficients (``_power_sums``), the
-series of z < 0 in Kummer's form, whose terms do not cancel.
+series of z < 0 in Kummer's form, whose terms do not cancel.  The binder
+marks the reach of E_{1,omega} itself: NaN left of -700 for a non-integer
+omega, which the catalog's closed forms pass on to quadrature and
+``mittag_leffler_one_array`` refuses.
 """
 
 import math
@@ -470,7 +477,10 @@ def mittag_leffler_one_array(omega: float, z: np.ndarray) -> np.ndarray:
 
 
 def mittag_leffler(params: MLParams, z: float) -> float:
-    """General E_{rho,omega}(z) by plain truncated series."""
+    """General E_{rho,omega}(z): ``mittag_leffler_one`` for rho = 1, else the
+    plain truncated series, refused with NumericalError where its terms
+    cancel, eps sum |terms| > 1e-10 |sum| (E_{1/2,1}(-10) summed to -1.6e29,
+    where it is 0.0561)."""
     if not math.isfinite(z):
         raise DomainError(f"z must be finite, got {z!r}")
     if params.rho == 1.0:
