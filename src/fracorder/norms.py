@@ -473,8 +473,9 @@ def error_linf(
     ``_BRACKETS`` local maxima of the scan that could hide a peak above
     every other candidate, ``_brackets``; none where a limit is the
     supremum), in ln(t - s) under C and RL, s the start of the bracket's
-    piece, and in t under CF.  Each value is a closed form or within 1e-11, absolute or
-    relative, of the operator (``operators._bind``, bound once), or refused.
+    piece, and in t under CF.  Each value is a closed form or within 1e-11,
+    absolute or relative, of the operator (``operators._bind``, bound
+    once), or refused.
     ``n_eval_points`` counts each point scored once: the scan, 127 per
     bracket and round and the refinement's last point where it is a new
     one, 1 for a+ and 2 per breakpoint.  It is ``inf``, with one evaluation and no scan, where
@@ -516,9 +517,7 @@ def error_linf(
         if kind is not OperatorKind.CAPUTO_FABRIZIO:
             ends = [a, *kinks]
             starts = [ends[bisect.bisect_right(kinks, lo)] for lo, *_ in brackets]
-        refined, scored = _zoom_max(
-            lambda pts: np.abs(_error(operator, f, pts)), brackets, starts
-        )
+        refined, scored = _zoom_max(lambda pts: np.abs(_error(operator, f, pts)), brackets, starts)
         value = max(value, refined)
     count = ts.size + scored + 1 + 2 * len(kinks)
     return ErrorReport(kind, beta, NormKind.LINF, interval, value, count)

@@ -1,6 +1,7 @@
 """Special-function accuracy against independent high-precision oracles."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -184,6 +185,21 @@ class TestMittagLefflerOne:
                 exact = float(sum(mp.mpf(z) ** k / mp.gamma(k + omega) for k in range(250)))
                 assert mittag_leffler_one(omega, z) == pytest.approx(exact, rel=1e-10, abs=0.0)
 
+    @pytest.mark.parametrize("omega", [0.5, 1.5, 2.5, 3.5, 1.0 + 1e-8, 7.25])
+    def test_non_integer_omega_down_to_the_reach(self, omega):
+        # Kummer's series, of one sign, where the series in z was 2.4e-10
+        # off at z = -15 for omega 1.5, 2.1e5 relative at -50, and 1.1 off
+        # at -20 for omega 1 + 1e-8
+        z = [-700.0, -699.99, -50.0, -20.0, -15.0, -1e-300, *(-700.0 * np.arange(1, 40) / 40)]
+        for x in z:
+            exact = mp.hyp1f1(1, omega, x) / mp.gamma(omega)
+            assert abs(mittag_leffler_one(omega, x) - exact) <= 1e-15 * abs(exact)
+
+    @pytest.mark.parametrize("z", [-700.0000000000001, -720.0, -750.0, -1e300])
+    def test_non_integer_omega_past_the_reach_is_refused(self, z):
+        with pytest.raises(NumericalError, match="-700"):
+            mittag_leffler_one(2.5, z)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             mittag_leffler_one(0.0, 1.0)
@@ -231,6 +247,27 @@ class TestMittagLefflerOneArray:
                 whole[mask], mittag_leffler_one_array(float(omega), z[mask]), strict=True
             )
 
+    @pytest.mark.parametrize("omega", [1.5, 2.5, 3.5, 1.0 + 1e-8, 7.25])
+    def test_non_integer_omega_down_to_the_reach(self, omega):
+        # the power table sums Kummer's terms in floating point, where the
+        # scalar function sums them exactly: up to 1.2e-15 on these points
+        z = np.concatenate([[-700.0, -1e-300], -700.0 * np.random.default_rng(7).random(98)])
+        got = mittag_leffler_one_array(omega, z)
+        for x, value in zip(z.tolist(), got.tolist()):
+            exact = mp.hyp1f1(1, omega, x) / mp.gamma(omega)
+            assert abs(value - exact) <= 1.5e-15 * abs(exact)
+
+    @pytest.mark.parametrize("z", [-700.0000000000001, -720.0, -750.0])
+    def test_non_integer_omega_past_the_reach_is_refused(self, z):
+        # the binder marks such points NaN; where it summed them, -720 read
+        # inf and -750 NaN with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="-700"):
+                mittag_leffler_one_array(2.5, np.array([-1.0, z]))
+        values = specfun._mittag_leffler_one_bound(2.5, z, 0.0)(np.array([z, -700.0, -1.0]))
+        assert math.isnan(values[0]) and np.isfinite(values[1:]).all()
+
     def test_domain(self):
         with pytest.raises(DomainError):
             mittag_leffler_one_array(0.0, np.array([1.0]))
@@ -269,7 +306,7 @@ class TestPowerTableKernels:
 
     @pytest.mark.parametrize("beta", [0.5, 1e-2, 1e-4, 1e-8])
     def test_series_up_to_the_exponential_reach(self, beta):
-        # E_{1,1+beta}(u) of exp under C, about 960 terms at u = 700: each
+        # E_{1,1+beta}(u), about 960 terms at u = 700: each
         # block of 32 powers starts from np.power, so the rounding of x^2
         # does not grow with the term's index
         z = np.concatenate([[700.0, 1e-300], 700.0 * np.random.default_rng(700).random(148)])
@@ -307,6 +344,16 @@ class TestGeneralMittagLeffler:
     def test_rho_one_delegates(self):
         params = MLParams(rho=1.0, omega=3.0)
         assert mittag_leffler(params, -4.0) == mittag_leffler_one(3.0, -4.0)
+
+    def test_cancelling_series_is_refused(self):
+        # E_{1/2,1}(-10) = e^100 erfc(10) = 0.0561; its series summed to
+        # -1.6e29, its terms peaking near 1e42
+        with pytest.raises(NumericalError, match="cancels"):
+            mittag_leffler(MLParams(rho=0.5, omega=1.0), -10.0)
+        for z in (-1.0, -2.0, 3.0):
+            exact = mp.exp(z * z) * mp.erfc(-z)
+            got = mittag_leffler(MLParams(rho=0.5, omega=1.0), z)
+            assert got == pytest.approx(float(exact), rel=1e-10, abs=0.0)
 
     def test_term_budget_exhaustion(self):
         from fracorder import SeriesConvergenceError
