@@ -473,6 +473,8 @@ def mittag_leffler_one_array(omega: float, z: np.ndarray) -> np.ndarray:
     flat = z.ravel()
     values = _mittag_leffler_one_bound(omega, float(flat.min()), float(flat.max()))(flat)
     if np.isnan(values).any():
+        if _is_integer(omega):  # z^m of the closed form overflowed
+            raise NumericalError(f"E_1,{omega}({float(flat.min())!r}) overflows a double")
         raise _past_kummer_reach(omega, float(flat.min()))
     return values.reshape(z.shape)
 

@@ -268,6 +268,11 @@ class TestMittagLefflerOneArray:
         values = specfun._mittag_leffler_one_bound(2.5, z, 0.0)(np.array([z, -700.0, -1.0]))
         assert math.isnan(values[0]) and np.isfinite(values[1:]).all()
 
+    def test_integer_omega_overflow_is_refused(self):
+        # z^4 of E_{1,5}'s closed form overflows, where the array read NaN
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="overflows"):
+            mittag_leffler_one_array(5.0, np.array([-1e200, -1.0]))
+
     def test_domain(self):
         with pytest.raises(DomainError):
             mittag_leffler_one_array(0.0, np.array([1.0]))
