@@ -56,13 +56,16 @@ one-sided limits |D(c) - f'(c-)| and |D(c) - f'(c+)|, all from one call of
 each.  It then zooms in on the scan's local maxima that could hold a peak
 above every other candidate, the limits among them, at most three; where a
 limit is the supremum there may be none, and the scan is the only call.  A
-round scores 127 evenly spaced points of its brackets with one call of each:
-evenly spaced in t under CF, and under C and RL in ln(t - s), s the start
-(a or a breakpoint) of the piece that holds the bracket's lower end, since
-there the layer of t^g with g just above 1 peaks at
-t = (g (g-1) / (k (g-1+beta)))^(1/beta), k = Gamma(g+1)/Gamma(g+beta),
-which can lie 1e-100 of the interval above s, far below the first scan
-point, inside a bracket that spans decades.
+round scores 127 points of its brackets with one call of each, evenly
+spaced in ln(t - s), s the start (a or a breakpoint) of the piece that
+holds the bracket's lower end, since under C and RL the layer of t^g with
+g just above 1 peaks at t = (g (g-1) / (k (g-1+beta)))^(1/beta),
+k = Gamma(g+1)/Gamma(g+beta), which can lie 1e-100 of the interval above
+s, far below the first scan point, inside a bracket that spans decades.
+CF's brackets take the same coordinate, so that there is one zoom; it
+also resolves a CF layer peak close above s, such as that of power:1.01 at
+beta 1.16e-3 on (0, 0.744), at t = 1.2e-5, which points evenly spaced in t
+miss by 6.9e-8 relative.
 A second round, in the two cells around the best point of the first, runs
 only where the maxima of the quartic and of the parabola through that point
 and its neighbours disagree; then one point is scored at the quartic's
@@ -403,35 +406,33 @@ def _vertices(values: np.ndarray, k: int) -> tuple[float, float]:
 
 
 def _zoom_max(
-    fn, brackets: list[tuple[float, float, float, float]], starts=None
+    fn, brackets: list[tuple[float, float, float, float]], starts: list[float]
 ) -> tuple[float, int]:
     """The largest value of fn (an array function) at the points of one or
     two rounds and at most one last point, and the number of points
-    scored.  Each bracket is (lo, hi, fn(lo), fn(hi)).  The first round scores
-    ``_ZOOM_POINTS`` evenly spaced points strictly inside each bracket, all
-    in one call.  After each round ``_vertices`` places the peak around the
-    best point of the bracket that holds it twice, by a quartic and by a
-    parabola, the bracket's ends counting among its points.  Where the two
-    agree within ``_AGREE`` of the spacing, or after ``_ZOOM_ROUNDS``
-    rounds, the last point is the quartic's maximum, scored unless it is
-    an end of the bracket or a point of the round.  Otherwise the next
-    round's bracket is the two cells on either side of the best point.
-
-    With starts, one s per bracket at or left of its lo, the points are
-    evenly spaced in x = ln(t - s) instead of t, so that a bracket that
-    spans decades above s resolves a peak at any of them; a lo at s is
-    placed at s + max(1e-300 (hi - s), 4 ulp(s)), inside (s, hi)."""
-    if starts is not None:
-        brackets = [
-            (math.log(max(lo - s, 1e-300 * (hi - s), 4.0 * math.ulp(s))), math.log(hi - s), *ends)
-            for (lo, hi, *ends), s in zip(brackets, starts)
-        ]
+    scored.  Each bracket is (lo, hi, fn(lo), fn(hi)), with one start s in
+    starts at or left of its lo, and its points are evenly spaced in
+    x = ln(t - s), so that a bracket that spans decades above s resolves a
+    peak at any of them; a lo at s is placed at
+    s + max(1e-300 (hi - s), 4 ulp(s)), inside (s, hi).  The first round
+    scores ``_ZOOM_POINTS`` evenly spaced points strictly inside each
+    bracket, all in one call.  After each round ``_vertices`` places the
+    peak around the best point of the bracket that holds it twice, by a
+    quartic and by a parabola, the bracket's ends counting among its
+    points.  Where the two agree within ``_AGREE`` of the spacing, or after
+    ``_ZOOM_ROUNDS`` rounds, the last point is the quartic's maximum, scored
+    unless it is an end of the bracket or a point of the round.  Otherwise
+    the next round's bracket is the two cells on either side of the best
+    point."""
+    brackets = [
+        (math.log(max(lo - s, 1e-300 * (hi - s), 4.0 * math.ulp(s))), math.log(hi - s), *ends)
+        for (lo, hi, *ends), s in zip(brackets, starts)
+    ]
     best, scored = -math.inf, 0
     for _ in range(_ZOOM_ROUNDS):
         lo, hi, lo_value, hi_value = zip(*brackets)
         grid = np.array(lo)[:, None] + np.multiply.outer(np.subtract(hi, lo), _ZOOM_FRACS)
-        ts = grid if starts is None else np.array(starts)[:, None] + np.exp(grid)
-        values = fn(ts.ravel())
+        values = fn((np.array(starts)[:, None] + np.exp(grid)).ravel())
         scored += values.size
         r = int(values.argmax()) // _ZOOM_POINTS
         row = values[r * _ZOOM_POINTS : (r + 1) * _ZOOM_POINTS]
@@ -444,15 +445,13 @@ def _zoom_max(
         xs = np.concatenate(([lo[r]], grid[r], [hi[r]]))
         i, j = max(k - 1, 0), min(k + 1, _ZOOM_POINTS + 1)
         brackets = [(float(xs[i]), float(xs[j]), float(values[i]), float(values[j]))]
-        starts = starts and [starts[r]]
+        starts = [starts[r]]
     # the quartic's maximum lies between the ends of the bracket, so at an
     # integer it is an end (lo may be a, whose value is a limit) or a point
     # of the round: a value already scored
     if quartic == int(quartic):
         return best, scored
-    vertex = lo[r] + quartic * (hi[r] - lo[r]) / (_ZOOM_POINTS + 1)
-    if starts is not None:
-        vertex = starts[r] + math.exp(vertex)
+    vertex = starts[r] + math.exp(lo[r] + quartic * (hi[r] - lo[r]) / (_ZOOM_POINTS + 1))
     return max(best, float(fn(np.array([vertex]))[0])), scored + 1
 
 
@@ -472,15 +471,15 @@ def error_linf(
     refinement (``_zoom_max`` on the two scan cells around each of at most
     ``_BRACKETS`` local maxima of the scan that could hide a peak above
     every other candidate, ``_brackets``; none where a limit is the
-    supremum), in ln(t - s) under C and RL, s the start of the bracket's
-    piece, and in t under CF.  Each value is a closed form or within 1e-11,
+    supremum), in ln(t - s) under every operator, s the start of the
+    bracket's piece.  Each value is a closed form or within 1e-11,
     absolute or relative, of the operator (``operators._bind``, bound
     once), or refused.
     ``n_eval_points`` counts each point scored once: the scan, 127 per
     bracket and round and the refinement's last point where it is a new
-    one, 1 for a+ and 2 per breakpoint.  It is ``inf``, with one evaluation and no scan, where
-    f'(a+) is infinite, and for the Riemann-Liouville operator with
-    f(a) != 0: the boundary term f(a)(t-a)^(beta-1)/Gamma(beta) is
+    one, 1 for a+ and 2 per breakpoint.  It is ``inf``, with one
+    evaluation and no scan, where f'(a+) is infinite, and for the
+    Riemann-Liouville operator with f(a) != 0: the boundary term f(a)(t-a)^(beta-1)/Gamma(beta) is
     unbounded as t -> a+, and no catalog function has an f' that cancels
     it.  n_grid is an integer of at least 2 (or DomainError, also where no
     scan is made).
@@ -511,12 +510,10 @@ def error_linf(
     brackets = _brackets(ts, values, a, at_a, list(zip(kinks, left, right)), value)
     scored = 0
     if brackets:
-        # under C and RL (C where f(a) = 0) the layer right of a piece's
-        # start s spans decades: each bracket is zoomed in ln(t - s)
-        starts = None
-        if kind is not OperatorKind.CAPUTO_FABRIZIO:
-            ends = [a, *kinks]
-            starts = [ends[bisect.bisect_right(kinks, lo)] for lo, *_ in brackets]
+        # the layer right of a piece's start s can span decades: each
+        # bracket is zoomed in ln(t - s)
+        ends = [a, *kinks]
+        starts = [ends[bisect.bisect_right(kinks, lo)] for lo, *_ in brackets]
         refined, scored = _zoom_max(lambda pts: np.abs(_error(operator, f, pts)), brackets, starts)
         value = max(value, refined)
     count = ts.size + scored + 1 + 2 * len(kinks)

@@ -647,6 +647,13 @@ class TestErrorLinf:
             report = error_linf(Power(g), kind, beta, Interval(0.0, b))
             assert report.value == pytest.approx(expected, rel=1e-13, abs=0.0)
 
+    def test_caputo_fabrizio_layer_peak_in_the_log_zoom(self):
+        # the peak at t = 1.18e-5 lies inside the bracket (0, first point];
+        # points evenly spaced in t miss it by 6.9e-8 relative
+        beta, b = 0.0011567240812624413, 0.7444826396302688
+        report = error_linf(Power(1.01), CF, beta, Interval(0.0, b))
+        assert report.value == pytest.approx(0.89259412377781332, rel=1e-13, abs=0.0)
+
     def test_layer_peaks_of_powers_just_above_one(self):
         # |t^g under C - g t^(g-1)| = t^(g-1) |k t^beta - g|, k =
         # Gamma(g+1)/Gamma(g+beta), peaks at t*^beta = g(g-1)/(k(g-1+beta)) at
@@ -871,11 +878,12 @@ class TestErrorLinf:
 
     def test_zoom_counts_the_bracket_ends_among_its_points(self):
         # the peak at 0.999 lies past the last of the 127 points inside
-        # (0, 1); with the end's value beside them the quartic finds it
+        # (0, 1), spaced in ln(t + 10), nearly evenly in t; with the end's
+        # value beside them the quartic finds it
         def fn(ts):
             return -((ts - 0.999) ** 2)
 
-        value, scored = norms._zoom_max(fn, [(0.0, 1.0, -(0.999**2), -(0.001**2))])
+        value, scored = norms._zoom_max(fn, [(0.0, 1.0, -(0.999**2), -(0.001**2))], [-10.0])
         assert value >= -1e-20 and scored == 127 + 1
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -888,7 +896,7 @@ class TestErrorLinf:
             calls.append(ts.size)
             return sign * (ts - 0.5)
 
-        value, scored = norms._zoom_max(fn, [(0.0, 1.0, -0.5 * sign, 0.5 * sign)])
+        value, scored = norms._zoom_max(fn, [(0.0, 1.0, -0.5 * sign, 0.5 * sign)], [-1.0])
         assert value == 0.5 and scored == 127 and calls == [127]
 
     @pytest.mark.parametrize("beta", [2.0**-7, 2.0**-8])

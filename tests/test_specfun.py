@@ -12,6 +12,7 @@ from fracorder import (
     DomainError,
     MLParams,
     NumericalError,
+    SeriesConvergenceError,
     digamma,
     gamma,
     ln_gamma,
@@ -20,7 +21,7 @@ from fracorder import (
 )
 from fracorder import specfun
 from fracorder.specfun import mittag_leffler_one_array
-from fracorder.specfun import EULER_GAMMA, _closed_form_integer, _series
+from fracorder.specfun import EULER_GAMMA, _closed_form_integer
 
 mp.mp.dps = 40
 
@@ -170,10 +171,30 @@ class TestMittagLefflerOne:
     def test_series_and_closed_form_agree_in_mild_region(self):
         # both branches are accurate here, so they must coincide
         for omega in range(2, 9):
-            for z in np.linspace(-5.0, -1.01, 9):
-                series = _series(1.0, float(omega), float(z))
-                closed = _closed_form_integer(omega - 1, float(z))
-                assert series == pytest.approx(closed, rel=1e-10, abs=0.0)
+            z = np.linspace(-5.0, -1.01, 9)
+            series = mittag_leffler_one_array(float(omega), z)
+            for x, value in zip(z.tolist(), series.tolist()):
+                closed = _closed_form_integer(omega - 1, x)
+                assert value == pytest.approx(closed, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("omega", [1.0, 2.0, 5.0, 12.0, 0.5, 1.5, 1.0 + 1e-8, 7.25])
+    def test_equals_the_one_point_array(self, omega):
+        # off the integer closed form the scalar is the array at one point
+        rng = np.random.default_rng(31)
+        z = [0.0, -700.0, 700.0, *rng.uniform(-700.0, 700.0, 40).tolist()]
+        for x in z:
+            if x >= specfun._closed_form_below(omega):
+                assert mittag_leffler_one(omega, x) == mittag_leffler_one_array(
+                    omega, np.array([x])
+                )[0], x
+
+    @pytest.mark.parametrize("omega", [0.5, 1.5, 2.0, 3.5, 7.25, 1.0 + 1e-8])
+    def test_positive_axis_against_mpmath(self, omega):
+        # the running product that summed the series reached 1.3e-14 here
+        z = [700.0, 1e-300, 0.3, *(700.0 * np.random.default_rng(70).random(30)).tolist()]
+        for x in z:
+            exact = mp.hyp1f1(1, omega, x) / mp.gamma(omega)
+            assert abs(mittag_leffler_one(omega, x) - exact) <= 1.5e-15 * abs(exact), x
 
     def test_positive_arguments(self):
         for z in (0.5, 3.0, 20.0, 50.0):
@@ -199,6 +220,26 @@ class TestMittagLefflerOne:
     def test_non_integer_omega_past_the_reach_is_refused(self, z):
         with pytest.raises(NumericalError, match="-700"):
             mittag_leffler_one(2.5, z)
+
+    @pytest.mark.parametrize("omega", [1.0, 3.0, 1.5, 7.25])
+    @pytest.mark.parametrize("z", [800.0, 1e4])
+    def test_overflow_is_refused(self, omega, z):
+        # E_{1,omega}(z) is near e^z z^(1-omega), past a double; the scalar
+        # read inf, and the array inf after three RuntimeWarnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="overflows a double"):
+                mittag_leffler_one(omega, z)
+            for points in ([z], [0.0, -3.0, z]):
+                with pytest.raises(NumericalError, match="overflows a double"):
+                    mittag_leffler_one_array(omega, np.array(points))
+
+    @pytest.mark.parametrize("omega", [2.0, 2.5])
+    def test_too_many_terms_is_refused(self, omega):
+        with pytest.raises(SeriesConvergenceError):
+            mittag_leffler_one(omega, 1e6)
+        with pytest.raises(SeriesConvergenceError):
+            mittag_leffler_one_array(omega, np.array([1.0, 1e6]))
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -269,8 +310,9 @@ class TestMittagLefflerOneArray:
         assert math.isnan(values[0]) and np.isfinite(values[1:]).all()
 
     def test_integer_omega_overflow_is_refused(self):
-        # z^4 of E_{1,5}'s closed form overflows, where the array read NaN
-        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="overflows"):
+        # z^4 of E_{1,5}'s closed form overflows, where the array read NaN;
+        # the refusal is the only signal, no RuntimeWarning before it
+        with pytest.raises(NumericalError, match="overflows"):
             mittag_leffler_one_array(5.0, np.array([-1e200, -1.0]))
 
     def test_domain(self):
@@ -361,8 +403,6 @@ class TestGeneralMittagLeffler:
             assert got == pytest.approx(float(exact), rel=1e-10, abs=0.0)
 
     def test_term_budget_exhaustion(self):
-        from fracorder import SeriesConvergenceError
-
         # terms shrink like 0.999999^k here, far too slowly for the budget
         with pytest.raises(SeriesConvergenceError):
             mittag_leffler(MLParams(rho=1e-5, omega=0.5), 0.999999)
