@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
+from .specfun import _LN_GAMMA_1P, _ln_gamma_shift
 from .exceptions import BracketingError, DegenerateFitError, DomainError, NumericalError
 from .norms import ErrorReport
 
@@ -36,16 +37,6 @@ MIN_DECAY_RATE = 0.05
 _T_STAR_TOL = 1e-10
 _T_STAR_CAP = 1e6
 _T_STAR_STEPS = 50
-
-#: ln Gamma(1 + beta) = sum_k c_k beta^k: c_1 = -(Euler's gamma), c_k = (-1)^k zeta(k) / k;
-#: c_1 to c_5 serve below beta = 1e-3, and all seventeen up to 0.1
-_LN_GAMMA_1P = (
-    -0.5772156649015329, 0.8224670334241132, -0.40068563438653143, 0.27058080842778454,
-    -0.20738555102867398, 0.1695571769974082, -0.1440498967688461, 0.12550966952474304,
-    -0.11133426586956469, 0.1000994575127818, -0.09095401714582904, 0.083353840546109,
-    -0.0769325164113522, 0.07143294629536133, -0.06666870588242046, 0.06250095514121304,
-    -0.058823978658684585,
-)
 
 
 @dataclass(frozen=True)
@@ -137,27 +128,6 @@ def _cf_rate(beta: float, v: float) -> float:
     return rate
 
 
-def _ln_gamma_shift(m: int, beta: float) -> float:
-    """ln Gamma(m + beta) - ln Gamma(m), integer m >= 1, as ln Gamma(1 + beta) +
-    sum_{k<m} log1p(beta / k): m + beta would round a small beta away.  Below
-    beta = 0.1, where ``math.lgamma(1 + beta)`` is only about 1e-12 relative
-    accurate, ln Gamma(1 + beta) is its Taylor series: the terms left out,
-    after beta^17 (after beta^5 below 1e-3), are below 2e-18 (3e-16) of it."""
-    if beta >= 0.1:
-        shift = math.lgamma(1.0 + beta)
-    else:
-        c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14, c15, c16, c17 = _LN_GAMMA_1P
-        high = 0.0
-        if beta >= 1e-3:
-            high = beta * (c6 + beta * (c7 + beta * (c8 + beta * (c9 + beta * (c10 + beta * (
-                c11 + beta * (c12 + beta * (c13 + beta * (c14 + beta * (c15 + beta * (
-                    c16 + beta * c17)))))))))))
-        shift = beta * (c1 + beta * (c2 + beta * (c3 + beta * (c4 + beta * (c5 + high)))))
-    for k in range(1, m):  # positive terms: a plain sum loses at most m ulps
-        shift += math.log1p(beta / k)
-    return shift
-
-
 def ratio_cf_over_c_l1(m: int, T: float, beta: float) -> RatioResult:
     """Exact finite-beta quotient of the two L1 errors for g(t) = t^m on (0, T).
 
@@ -243,7 +213,7 @@ def t_star(m: int, beta: float) -> float:
 def s_star(m: int, beta: float) -> float:
     """Root w of w^beta Gamma(m)/Gamma(m+beta) = 1: w = (Gamma(m+beta)/Gamma(m))^(1/beta).
 
-    ln w is ``_ln_gamma_shift(m, beta) / beta``.  Below beta = 1e-300 that
+    ln w is ``specfun._ln_gamma_shift(m, beta) / beta``.  Below beta = 1e-300 that
     quotient is c1 + sum_{k<m} 1/k = Psi(m) to within beta, and it is taken
     so: the shift, beta (c1 + ...) + sum_k log1p(beta / k), would lose the
     digits of a subnormal beta before the division."""

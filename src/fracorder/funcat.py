@@ -10,7 +10,8 @@ taken in one place, ``_derivative_toward``.
 
 A closed form may stop short of some points: a power's CF form where
 E_{1,g+1}(-rate u) leaves the reach that ``specfun`` marks (-rate u < -700
-for a non-integer g), and the Caputo series of cos past its reach
+for a non-integer g, or where z^g of an integer g's closed form overflows
+a double), and the Caputo series of cos past its reach
 u = t - a = 10 + ln Gamma(beta).  There, and for entries without closed
 forms, the closed form gives NaN (``closed_form_fractional`` ``None``), and
 operators fall back to quadrature, which refuses an f' infinite at a: a
@@ -36,8 +37,30 @@ Caputo form of e^t is e^a u^beta E_{1,1+beta}(u), from D^alpha e^(lambda t)
 = lambda t^(1-alpha) E_{1,2-alpha}(lambda t) (Podlubny, *Fractional
 Differential Equations*, 1999), written as e^t P(beta, u) (see
 ``Exponential``); those of cos are described in ``Cosine``.
+
+Beside the closed form, an entry may write its defect form, the binder
+``TestFunction._defect(kind, order, a, b)``: D f - f' on (a, b] as one
+expression, which the error functionals of ``norms`` read instead of the
+operator less f', a difference that keeps only eps |f'| where D f and f'
+agree to many digits (as beta -> 0, or where e^t is large).  With
+u = t - a:
+
+- a power under C, g u^(g-1) expm1(beta ln u - Delta), Delta =
+  ln Gamma(g+beta) - ln Gamma(g) from ``specfun._ln_gamma_shift``;
+- a power with g >= 1 under CF, by parts,
+  g u^(g-1) (beta - Gamma(g) E_{1,g}(-rate u)) / alpha;
+- an affine function and |t - c|, the sum over the jumps J of f' at c (f'
+  at a included) of J d(t - c), with d(u) = expm1(beta ln u -
+  ln Gamma(1+beta)) under C and (beta - e^(-rate u)) / alpha under CF
+  (``_ramp_defect``);
+- e^t under CF, -e^a e^(-rate u).
+
+cos and e^t under C have none (theirs need the upper incomplete Gamma),
+nor have step antiderivatives, whose ramp defects would cancel right of a
+step where ``_power_drop_array`` is exact, nor user-defined functions.
 """
 
+import contextlib
 import enum
 import math
 import re
@@ -155,6 +178,15 @@ class TestFunction(ABC):
         or ``None`` if the entry has none."""
         return None
 
+    def _defect(self, kind: OperatorKind, order: FractionalOrder, a: float, b: float):
+        """D f - f' for kind C or CF on (a, b] as one expression, bound once:
+        a function of an array ts of points in [a, b] and the side toward
+        which f' is read on a breakpoint, as ``_derivative_toward`` reads
+        it; NaN at a point it has no value, -f'(a+) at a, and no warning.
+        ``None`` if the entry has none, and the error is the subtraction
+        of f' from the operator."""
+        return None
+
 
 class _NumpyEntry(TestFunction):
     """A catalog entry, whose f and f' are ``value_array`` and
@@ -198,6 +230,35 @@ def _ramp(kind: OperatorKind, order: FractionalOrder, jump: float = 1.0):
         return lambda u: u**beta * scale
     scale = -jump / order.alpha
     return lambda u: np.expm1(-rate * u) * scale
+
+
+def _zeros_pass(u: np.ndarray):
+    """A context in which ln 0 = -inf and 0^-p = inf pass without a
+    warning, where u holds a zero (u >= 0); elsewhere none, since
+    ``np.errstate`` costs about 2.5 us a call."""
+    return contextlib.nullcontext() if u.all() else np.errstate(divide="ignore")
+
+
+def _ramp_defect(kind: OperatorKind, order: FractionalOrder):
+    """The C or CF operator of the ramp (tau - c)_+ less its f', the unit
+    step, as a function of the array u = t - c >= 0: expm1(beta ln u -
+    ln Gamma(1+beta)) under C, (beta - e^(-rate u)) / alpha under CF, each
+    -1 at u = 0.  Written so, neither subtracts two numbers near 1 as
+    beta -> 0."""
+    beta = order.beta
+    if kind is OperatorKind.CAPUTO:
+        shift = specfun._ln_gamma_shift(1, beta)
+
+        def caputo(u: np.ndarray) -> np.ndarray:
+            with _zeros_pass(u):  # ln 0 = -inf: expm1 gives -1
+                d = np.log(u)
+            d *= beta
+            d -= shift
+            return np.expm1(d, out=d)
+
+        return caputo
+    rate, alpha = order.rate, order.alpha
+    return lambda u: (beta - np.exp(-rate * u)) / alpha
 
 
 def closed_form_fractional(
@@ -295,6 +356,44 @@ class Power(_NumpyEntry):
         ml = specfun._mittag_leffler_one_bound(g + 1.0, -rate * (b - a), 0.0)
         return lambda ts: scale * (ts - a) ** g * ml(-rate * (ts - a)) / beta
 
+    def _defect(self, kind: OperatorKind, order: FractionalOrder, a: float, b: float):
+        """Under C, g u^(g-1) expm1(beta ln u - (ln Gamma(g+beta) - ln Gamma(g)))
+        for every g, with the shift from ``specfun._ln_gamma_shift``.  Under
+        CF, for g >= 1 with Gamma(g) finite, by parts,
+        (g u^(g-1) / alpha) (beta - Gamma(g) E_{1,g}(-rate u)), E_{1,g} bound
+        on [-rate (b - a), 0]: NaN past its reach."""
+        if a != self.origin:
+            return None
+        g, beta = self.gamma_exp, order.beta
+        if kind is OperatorKind.CAPUTO:
+            shift = specfun._ln_gamma_shift(g, beta)
+
+            def caputo(ts: np.ndarray, side) -> np.ndarray:
+                u = ts - a
+                with _zeros_pass(u):  # ln 0 = -inf, and 0^(g-1) = inf for g < 1
+                    d = np.log(u)
+                    d *= beta
+                    d -= shift
+                    np.expm1(d, out=d)
+                    d *= g * u ** (g - 1.0)
+                return d
+
+            return caputo
+        if g < 1.0:
+            return None
+        try:
+            gamma_g = specfun.gamma(g)
+        except NumericalError:
+            return None
+        alpha, rate = order.alpha, order.rate
+        ml = specfun._mittag_leffler_one_bound(g, -rate * (b - a), 0.0)
+
+        def caputo_fabrizio(ts: np.ndarray, side) -> np.ndarray:
+            u = ts - a
+            return g * u ** (g - 1.0) * (beta - gamma_g * ml(-rate * u)) / alpha
+
+        return caputo_fabrizio
+
 
 @dataclass(frozen=True)
 class Affine(_NumpyEntry):
@@ -316,6 +415,10 @@ class Affine(_NumpyEntry):
     def _closed_form(self, kind: OperatorKind, order: FractionalOrder, a: float, b: float):
         ramp = _ramp(kind, order, self.slope)
         return lambda ts: ramp(ts - a)
+
+    def _defect(self, kind: OperatorKind, order: FractionalOrder, a: float, b: float):
+        defect, slope = _ramp_defect(kind, order), self.slope
+        return lambda ts, side: slope * defect(ts - a)
 
 
 @dataclass(frozen=True)
@@ -368,6 +471,14 @@ class Exponential(_NumpyEntry):
             return -exp(ts) * np.expm1(-u) - e_a * np.expm1(-rate * u)
 
         return caputo_fabrizio
+
+    def _defect(self, kind: OperatorKind, order: FractionalOrder, a: float, b: float):
+        """Under CF, -e^a e^(-rate u), where all of (a, b] is below
+        ln(DBL_MAX); past it the subtraction refuses as the operator does."""
+        if kind is not OperatorKind.CAPUTO_FABRIZIO or b > _EXP_MAX_T:
+            return None
+        e_a, rate = math.exp(a), order.rate
+        return lambda ts, side: -e_a * np.exp(-rate * (ts - a))
 
 
 @dataclass(frozen=True)
@@ -452,6 +563,23 @@ class AbsShift(_NumpyEntry):
         # the center (0 left of it) less the ramp from a
         twice = _ramp(kind, order, 2.0)
         return lambda ts: twice(np.maximum(ts - center, 0.0)) - ramp(ts - a)
+
+    def _defect(self, kind: OperatorKind, order: FractionalOrder, a: float, b: float):
+        """The ramps' defects: f'(a+) d(t - a), and where the center lies
+        inside, 2 d(t - center) right of it (on it, toward a side right of
+        it) and 0 left of it, d from ``_ramp_defect``."""
+        defect, center = _ramp_defect(kind, order), self.center
+        if center <= a:
+            return lambda ts, side: defect(ts - a)
+
+        def values(ts: np.ndarray, side) -> np.ndarray:
+            out = -defect(ts - a)
+            right = (ts > center) | ((ts == center) & (np.asarray(side) > center))
+            if right.any():
+                out[right] += 2.0 * defect(ts[right] - center)
+            return out
+
+        return values
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,18 @@ the sign change and at the secant root between them instead of being
 bisected, and its error estimate gains the rule's error on the kink.  The
 first round also reads the integrand just inside the two outer edges of
 each run, so that a sign change between an edge and the outermost node is
-cut and charged too.  The operator is bound once per call
-(``operators._bind``), and every round takes its values at the nodes from
-one call of that bound function, f' from one ``funcat._derivative_toward``
-call.  The loop stops when the summed error
+cut and charged too.  D f - f' is bound once per call (``_error``), and
+every round takes its values at the nodes from one call of that bound
+function: the catalog's defect form (``TestFunction._defect``) where it
+has one, which keeps the digits of D f - f' where D f and f' agree to many,
+and elsewhere the operator (``operators._bind``) less f' from one
+``funcat._derivative_toward`` call.  The loop stops when the summed error
 estimate of all panels is at most the requested tol; that sum is reported
 as ``ErrorReport.quad_error``, and a tol that cannot be met is refused.
-The estimate leaves out the error of the operator values themselves: none
-for a closed form, and within 1e-11 absolute or relative for the others.
+The estimate leaves out the rounding of the values of D f - f'
+themselves: a few ulps of beta |f'| for a defect form, eps |f'| for the
+operator less f', and within 1e-11 absolute or relative more where the
+operator is a quadrature.
 
 The interval is cut at a, the catalog breakpoints and b into pieces, and
 the coordinate of each piece follows the boundary layer at its left end lo.
@@ -43,20 +47,19 @@ The L-infinity functional scans a few dozen points of (a, b]: n_grid uniform
 points (64 by default), and right of a and of each breakpoint the points
 where the boundary layer lies, at fixed fractions of the piece and under CF
 at multiples of the kernel's decay length 1/rate, about beta wide as
-beta -> 0.  The operator is bound once per call (``operators._bind``): the
-scan, the limits at the breakpoints, each zoom round and the last point each
-take their values from one call of that bound function, and their f' values
-from one ``funcat._derivative_toward`` call.  Two kinds of limit join the
+beta -> 0.  D f - f' is bound once per call (``_error``): the scan, the
+limits at the breakpoints, each zoom round and the last point each take
+their values from one call of that bound function.  Two kinds of limit join the
 candidates, since a scan point approaches them only by chance: the boundary
 limit of the error as t -> a+, |f'(a)| (each operator here tends to 0 where
 f' is bounded near a, and grows more slowly than f' where it is not), which
 is where the supremum lives whenever f'(a) != 0; and at each catalog
 breakpoint c inside (a, b), where f' jumps and the operator does not, the
-one-sided limits |D(c) - f'(c-)| and |D(c) - f'(c+)|, all from one call of
-each.  It then zooms in on the scan's local maxima that could hold a peak
+one-sided limits |D(c) - f'(c-)| and |D(c) - f'(c+)|, all from one call.
+It then zooms in on the scan's local maxima that could hold a peak
 above every other candidate, the limits among them, at most three; where a
-limit is the supremum there may be none, and the scan is the only call.  A
-round scores 127 points of its brackets with one call of each, evenly
+limit is the supremum there may be none, and the scan and the limits are
+the only calls.  A round scores 127 points of its brackets with one call, evenly
 spaced in ln(t - s), s the start (a or a breakpoint) of the piece that
 holds the bracket's lower end, since under C and RL the layer of t^g with
 g just above 1 peaks at t = (g (g-1) / (k (g-1+beta)))^(1/beta),
@@ -70,7 +73,8 @@ A second round, in the two cells around the best point of the first, runs
 only where the maxima of the quartic and of the parabola through that point
 and its neighbours disagree; then one point is scored at the quartic's
 maximum, unless it is a point already scored.  Each value is a closed form
-or a Gauss-Kronrod quadrature to 1e-11, absolute or relative.  Where f' is
+or a Gauss-Kronrod quadrature to 1e-11, absolute or relative, less f', or
+the catalog's defect form.  Where f' is
 unbounded at a, and for the Riemann-Liouville operator with f(a) != 0, the
 supremum is infinite and no scan is made.
 
@@ -141,9 +145,10 @@ class ErrorReport:
 
     ``quad_error`` is the summed quadrature error estimate behind an L1
     value, at most the requested tol; ``None`` for the sup norm.  It covers
-    the Gauss-Kronrod rule only, not the error of the operator values
-    it integrates: none where they have closed forms, and within 1e-11
-    absolute or relative of each where they are quadratures themselves.
+    the Gauss-Kronrod rule only, not the rounding of the values of D f - f'
+    it integrates: a few ulps of beta |f'| where they are the catalog's
+    defect forms, eps |f'| where they are the operator less f', and within
+    1e-11 absolute or relative more where the operator is a quadrature.
     """
 
     operator_kind: OperatorKind
@@ -165,10 +170,55 @@ class ErrorReport:
             raise DomainError(f"quad_error must be non-negative, got {self.quad_error!r}")
 
 
-def _error(operator, f, ts) -> np.ndarray:
-    """D f - f' at each point of ts (all > a), D f from the bound operator
-    (``operators._bind``), f' from the left on a breakpoint."""
-    return operator(ts) - _derivative_toward(f, ts)
+def _error(kind: OperatorKind, f: TestFunction, order: FractionalOrder, a: float, b: float):
+    """D f - f' on (a, b], bound once per error functional, as
+    ``error(ts, side=-inf, boundary=True)`` of an array of points in
+    [a, b], with f' read toward side (a number, or one per point) on a
+    breakpoint.
+
+    Where the catalog has a defect form (``TestFunction._defect``), the
+    error is that one expression, which keeps its digits where D f and f'
+    agree to many (as beta -> 0, or where e^t is large), plus under RL the
+    boundary term f(a) (t-a)^(-alpha) / Gamma(beta) unless boundary is
+    False.  Elsewhere, at the defect's NaN points and for every entry
+    without one, it is the operator (``operators._bind``, bound at its
+    first use; under RL with its boundary term unless boundary is False)
+    less f', and D f(a+) = 0 at a point on a."""
+    if not isinstance(kind, OperatorKind):
+        raise DomainError(f"unknown operator kind {kind!r}")
+    rl = kind is OperatorKind.RIEMANN_LIOUVILLE
+    defect = f._defect(OperatorKind.CAPUTO if rl else kind, order, a, b)
+    bound = None
+
+    def subtracted(ts: np.ndarray, side=-math.inf, boundary: bool = True) -> np.ndarray:
+        nonlocal bound
+        if bound is None:
+            bound = operators._bind(kind, f, order, a, b)
+        inside = ts > a
+        if inside.all():
+            values = bound(ts, boundary)
+        else:
+            values = np.zeros(ts.shape)
+            values[inside] = bound(ts[inside], boundary)
+        return values - _derivative_toward(f, ts, side)
+
+    if defect is None:
+        return subtracted
+    f_a = f.value(a) if rl else 0.0
+    if f_a != 0.0:
+        alpha, gamma_beta = order.alpha, specfun.gamma(order.beta)
+
+    def error(ts: np.ndarray, side=-math.inf, boundary: bool = True) -> np.ndarray:
+        out = defect(ts, side)
+        if f_a != 0.0 and boundary:
+            out = out + f_a * (ts - a) ** (-alpha) / gamma_beta
+        missing = np.isnan(out)
+        if missing.any():
+            sides = side if np.ndim(side) == 0 else np.asarray(side)[missing]
+            out[missing] = subtracted(ts[missing], sides, boundary)
+        return out
+
+    return error
 
 
 def _boundary_layer_splits(
@@ -189,11 +239,12 @@ def _boundary_layer_splits(
     return sorted(p for p in points if start + least < p < start + width - least)
 
 
-def _flattened(kind, operator, f, order, a, lo, hi):
+def _flattened(kind, error, f, order, a, lo, hi):
     """The signed error on the piece (lo, hi] under the substitution
     t = lo + w v^(1/beta), w = hi - lo, as an integrand over y = 1 - v in
     [0, 1] with the weight dt/dv = (w/beta) v^rate, and the edges of its
-    panels.
+    panels.  Its values come from ``error``, the function that ``_error``
+    binds once per call.
 
     The term J (t - lo)^beta / Gamma(1 + beta) that a jump J of f' at lo
     adds to D f, whose slope in t is unbounded at lo, is linear in v, so
@@ -202,10 +253,10 @@ def _flattened(kind, operator, f, order, a, lo, hi):
     would not in v near 1.  Where lo = a the Riemann-Liouville boundary term
     f(a)(t-a)^(beta-1)/Gamma(beta) becomes the constant
     f(a) w^beta / (beta Gamma(beta)), and the rest is the Caputo error (the
-    bound operator called without its boundary term); on later pieces the
+    bound error called without its boundary term); on later pieces the
     term is smooth and stays in D f.  A node whose t rounds onto a takes
-    D f(a+) = 0, the limit where f' is finite at a.  f' is read inside the
-    piece: toward hi at lo, and toward lo at hi.
+    -f'(a+), D f(a+) = 0 being the limit where f' is finite at a.  f' is
+    read inside the piece: toward hi at lo, and toward lo at hi.
     """
     beta, w = order.beta, hi - lo
     base = 0.0
@@ -217,11 +268,8 @@ def _flattened(kind, operator, f, order, a, lo, hi):
         with np.errstate(divide="ignore"):  # y = 1 is t = lo, where the weight is 0
             log_v = np.log1p(-y)
         t = np.minimum(lo + w * np.exp(log_v / beta), hi)
-        values = np.zeros(y.shape)
-        inside = t > a
-        values[inside] = operator(t[inside], boundary)
-        error = values - _derivative_toward(f, t, 0.5 * (lo + hi))
-        return base + (w / beta) * np.exp(order.rate * log_v) * error
+        values = error(t, 0.5 * (lo + hi), boundary)
+        return base + (w / beta) * np.exp(order.rate * log_v) * values
 
     return integrand, sorted({0.0, 1.0, *(-math.expm1(beta * math.log(x)) for x in _FLAT_FRACS)})
 
@@ -273,7 +321,7 @@ def error_l1(
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
     a, b = interval.a, interval.b
     counter = operators._Counter(operators.MAX_EVALS)
-    operator = operators._bind(kind, f, order, a, b)
+    error = _error(kind, f, order, a, b)
 
     kinks = _breakpoints_inside(f, a, b)
     pieces = list(zip([a, *kinks], [*kinks, b]))
@@ -287,13 +335,13 @@ def error_l1(
     runs, edges = [], []
     for (lo, hi), flattened in zip(pieces, flat):
         if flattened:
-            runs.append(_flattened(kind, operator, f, order, a, lo, hi))
+            runs.append(_flattened(kind, error, f, order, a, lo, hi))
             continue
         # a piece on t-panels is a run alone, but CF's pieces share one
         edges = edges or [lo]
         edges += [*_boundary_layer_splits(lo, hi - lo, kind, order), hi]
         if kind is not OperatorKind.CAPUTO_FABRIZIO or hi == b:
-            runs.append((lambda ts: _error(operator, f, ts), edges))
+            runs.append((error, edges))
             edges = []
     n_panels = sum(len(e) - 1 for _, e in runs)
     value = quad_error = 0.0
@@ -472,9 +520,9 @@ def error_linf(
     ``_BRACKETS`` local maxima of the scan that could hide a peak above
     every other candidate, ``_brackets``; none where a limit is the
     supremum), in ln(t - s) under every operator, s the start of the
-    bracket's piece.  Each value is a closed form or within 1e-11,
-    absolute or relative, of the operator (``operators._bind``, bound
-    once), or refused.
+    bracket's piece.  Each value comes from the error function bound once
+    (``_error``): the catalog's defect form, or the operator, a closed form
+    or within 1e-11 absolute or relative, less f'; or it is refused.
     ``n_eval_points`` counts each point scored once: the scan, 127 per
     bracket and round and the refinement's last point where it is a new
     one, 1 for a+ and 2 per breakpoint.  It is ``inf``, with one
@@ -493,19 +541,17 @@ def error_linf(
     at_a = abs(float(_derivative_toward(f, np.array([a]), math.inf)[0]))
     if at_a == math.inf or (kind is OperatorKind.RIEMANN_LIOUVILLE and f.value(a) != 0.0):
         return ErrorReport(kind, beta, NormKind.LINF, interval, math.inf, 1)
-    operator = operators._bind(kind, f, order, a, b)
+    error = _error(kind, f, order, a, b)
     kinks = _breakpoints_inside(f, a, b)
     ts = _scan_points(kind, order, a, b, n_grid, kinks)
-    values = np.abs(_error(operator, f, ts))
+    values = np.abs(error(ts))
     left = right = []
     if kinks:
         # the operator is continuous at a breakpoint and f' jumps there, so
         # the error has two one-sided limits, which a scan point can only
         # approach by chance
-        at_kinks = operator(np.array(kinks))
-        sides = [-math.inf] * len(kinks) + [math.inf] * len(kinks)
-        slopes = _derivative_toward(f, np.array(kinks * 2), sides).reshape(2, -1)
-        left, right = np.abs(at_kinks - slopes).tolist()
+        sides = np.array([-math.inf] * len(kinks) + [math.inf] * len(kinks))
+        left, right = np.abs(error(np.array(kinks * 2), sides)).reshape(2, -1).tolist()
     value = max(float(values[values.argmax()]), at_a, *left, *right)
     brackets = _brackets(ts, values, a, at_a, list(zip(kinks, left, right)), value)
     scored = 0
@@ -514,7 +560,7 @@ def error_linf(
         # bracket is zoomed in ln(t - s)
         ends = [a, *kinks]
         starts = [ends[bisect.bisect_right(kinks, lo)] for lo, *_ in brackets]
-        refined, scored = _zoom_max(lambda pts: np.abs(_error(operator, f, pts)), brackets, starts)
+        refined, scored = _zoom_max(lambda pts: np.abs(error(pts)), brackets, starts)
         value = max(value, refined)
     count = ts.size + scored + 1 + 2 * len(kinks)
     return ErrorReport(kind, beta, NormKind.LINF, interval, value, count)

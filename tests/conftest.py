@@ -50,3 +50,26 @@ def record_binds(monkeypatch):
 
     monkeypatch.setattr(operators, "_bind", binding)
     return binds, calls
+
+
+def record_errors(monkeypatch):
+    """Records ``norms._error``: returns the lists (binds, calls), the
+    arguments (kind, f, order, a, b) of each bind, and the points of each
+    call of a bound error function."""
+    from fracorder import norms
+
+    binds, calls = [], []
+    original = norms._error
+
+    def binding(kind, f, order, a, b):
+        binds.append((kind, f, order, a, b))
+        error = original(kind, f, order, a, b)
+
+        def values(ts, *args):
+            calls.append(ts.copy())
+            return error(ts, *args)
+
+        return values
+
+    monkeypatch.setattr(norms, "_error", binding)
+    return binds, calls

@@ -134,9 +134,9 @@ class TestError:
             # |f'(0+)| = 1 is the sup: the scan and a+ alone
             ("exp", "CF", "1.0", "83"),
             # the right limit at 0.5 is the sup: the scan, a+ and two limits
-            ("abs:0.5", "C", "1.9987596060657657", "79"),
+            ("abs:0.5", "C", "1.998759606065766", "79"),
             # an interior peak: the scan, one round of 127 and its vertex, a+
-            ("power:2", "C", "0.011209382469429263", "326"),
+            ("power:2", "C", "0.011209382469429466", "326"),
         ],
     )
     def test_linf_points_scored(self, capsys, name, kind, value, n):

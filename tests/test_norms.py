@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import Opaque, record_binds
+from conftest import Opaque, record_binds, record_errors
 from fracorder import funcat, norms, operators
 from fracorder import (
     AbsShift,
@@ -734,11 +734,12 @@ class TestErrorLinf:
 
     def test_sup_at_b_when_the_grid_rounds_short_of_b(self):
         # b 19 / 19 rounds one ulp below this b, where the error of t^4 under
-        # CF, rising at about 190, is 6.4e-15 relative below its sup at b
+        # CF, rising at about 190, is 6.4e-15 relative below its sup at b;
+        # the sup is D f(b) - f'(b) by 50-digit mpmath, which the operator
+        # less f' missed by 2.7e-15 relative
         b = 3.925679093211253
         report = error_linf(Power(4.0), CF, 0.5, Interval(0.0, b), n_grid=19)
-        expected = abs(operators.evaluate(CF, Power(4.0), 0.5, 0.0, b) - 4.0 * b**3)
-        assert report.value == pytest.approx(expected, rel=1e-15, abs=0.0)
+        assert report.value == pytest.approx(13.510499995830023, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("b", [1.0, 2.0])
     def test_boundary_limit_is_f_prime_at_a(self, b):
@@ -789,9 +790,9 @@ class TestErrorLinf:
         assert report.n_eval_points == 101 + 7 + 1
 
     def test_one_bind_per_error_functional(self, monkeypatch):
-        # the scan, the zoom round and its vertex call one bound operator,
-        # and so does every Gauss-Kronrod round of the L1 norm
-        binds, calls = record_binds(monkeypatch)
+        # the scan, the zoom round and its vertex call one bound error
+        # function, and so does every Gauss-Kronrod round of the L1 norm
+        binds, calls = record_errors(monkeypatch)
         error_linf(Cosine(), C, 0.01, I01)
         assert len(binds) == 1 and len(calls) == 3
         binds.clear()
@@ -824,19 +825,22 @@ class TestErrorLinf:
     @pytest.mark.parametrize("beta", [1e-1, 1e-2, 1e-3, 1e-4])
     def test_limit_that_is_the_sup_is_not_zoomed(self, monkeypatch, beta):
         _, calls = record_binds(monkeypatch)
+        _, errors = record_errors(monkeypatch)
         # under CF the sup of |D e^t - e^t| = e^(-rate t) is |f'(0+)| = 1:
-        # the scan is the only array call
+        # the scan is the only array call, and the operator is not called
         report = error_linf(Exponential(), CF, beta, I01, n_grid=2001)
-        points = [len(call[3]) for call in calls]
+        points = [len(ts) for ts in errors]
         assert report.value == 1.0
         assert len(points) == 1 and report.n_eval_points == points[0] + 1
-        # under C the sup of |t - 1| is the right limit at 1; the scan and
-        # the breakpoint's call
-        calls.clear()
+        assert calls == []
+        # under C the sup of |t - 1| is the right limit at 1; the scan, and
+        # the breakpoint's two sides
+        errors.clear()
         report = error_linf(AbsShift(1.0), C, beta, Interval(0.0, 2.0), n_grid=2001)
-        points = [len(call[3]) for call in calls]
+        points = [len(ts) for ts in errors]
         assert abs(report.value - (1.0 + 1.0 / gamma(1.0 + beta))) <= 1e-14
-        assert points[1:] == [1] and report.n_eval_points == points[0] + 1 + 2
+        assert points[1:] == [2] and report.n_eval_points == points[0] + 1 + 2
+        assert calls == []
 
     @pytest.mark.parametrize("kind,n", [(C, 71), (CF, 83)])
     def test_user_limit_that_is_the_sup_is_not_zoomed(self, kind, n):
@@ -927,8 +931,10 @@ class TestErrorLinf:
         n_grid=st.integers(2, 101),
     )
     def test_never_below_a_fine_scan(self, name, kind, beta, b, n_grid):
-        # the supremum is at least the largest error on 20001 uniform points,
-        # up to the rounding of D f - f' = O(beta)
+        # the supremum is at least the largest error on 20001 uniform points
+        # of the same D f - f' (``norms._error``), up to the rounding of its
+        # values: a scan of the operator less f' may miss a defect form's
+        # value by eps |f'|, 2.8e-14 of it for t^4.07 under C at beta 0.19
         f = parse_function(name)
         report = error_linf(f, kind, beta, Interval(0.0, b), n_grid=n_grid)
         ts = np.linspace(0.0, b, 20002)[1:]  # 20001 points, the last exactly b
@@ -937,9 +943,79 @@ class TestErrorLinf:
             # every tenth point, 2001, keeps such an example near 0.15 s
             ts = ts[::10]
         order = FractionalOrder.from_beta(beta)
-        values = operators._bind(kind, f, order, 0.0, b)(ts)
-        scan = float(np.abs(values - funcat._derivative_toward(f, ts)).max())
+        scan = float(np.abs(norms._error(kind, f, order, 0.0, b)(ts)).max())
         assert report.value >= scan * (1.0 - 1e-15 / beta)
+
+
+class TestDefectPath:
+    """Where the catalog has a defect form (``TestFunction._defect``), the
+    error functionals read D f - f' from it, not from the operator less f',
+    whose rounding, eps |f'|, is all that is left of D f - f' where the two
+    agree to many digits."""
+
+    def test_exp_cf_sup_is_its_limit_at_a(self):
+        # D e^t - e^t = -e^(-rate t) under CF, largest as t -> 0+; the
+        # operator less e^t read 2.0 on (0, 40), where eps e^t is near 1
+        for b in (20.0, 40.0, 100.0, 700.0):
+            for beta in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8):
+                value = error_linf(Exponential(), CF, beta, Interval(0.0, b)).value
+                assert abs(value - 1.0) <= 1e-15, (b, beta)
+
+    @pytest.mark.parametrize("beta", [1e-10, 1e-12, 1e-14])
+    def test_power_caputo_sup_at_small_beta(self, beta):
+        # e(t) = 2 t (t^beta / Gamma(2 + beta) - 1) on (0, 2] peaks at
+        # t* = Gamma(1 + beta)^(1/beta), where it is -2 t* beta / (1 + beta),
+        # or is largest at 2: the operator less 2t read 1.1546e-14 at beta
+        # 1e-14, 2.8 % above the 1.1229189671337683e-14 of mpmath
+        with mp.workdps(40):
+            x = mp.mpf(beta)
+            peak = 2 * mp.exp(mp.loggamma(1 + x) / x) * x / (1 + x)
+            exact = max(peak, abs(4 * (2**x / mp.gamma(2 + x) - 1)))
+        value = error_linf(Power(2.0), C, beta, Interval(0.0, 2.0)).value
+        assert abs(value - exact) <= 1e-12 * exact
+
+    @pytest.mark.parametrize("beta", [1e-100, 1e-155, 1e-200])
+    def test_power_cf_sup_at_tiny_beta(self, beta):
+        # 2 beta (1 - O(beta ln beta)): the operator less 2t read 6.7e-16 at
+        # 1e-100, and 2.0 at 1e-155 and 1e-200, where z^2 of E_{1,3}(z)
+        # overflowed and the closed form read D f = 0
+        value = error_linf(Power(2.0), CF, beta, I01).value
+        assert abs(value - 2.0 * beta) <= 1e-12 * 2.0 * beta
+
+    # each catalog entry and kind with a defect form, and the betas at which
+    # it takes every point: E_{1,5/2} of power:2.5 under CF reaches rate u =
+    # 700 only, past which its points fall back to the subtraction
+    GUARDED = [
+        (Power(1.0), C), (Power(1.0), CF), (Power(2.0), C), (Power(2.0), CF), (Power(2.0), RL),
+        (Power(3.0), CF), (Power(2.5), C), (Power(0.5), C), (Affine(1.0, 1.0), C),
+        (Affine(1.0, 1.0), CF), (Affine(1.0, 1.0), RL), (AbsShift(1.0), C), (AbsShift(1.0), CF),
+        (AbsShift(1.0), RL), (AbsShift(0.0), C), (Exponential(), CF),
+    ]
+
+    @pytest.mark.parametrize(
+        "f,kind,betas",
+        [(f, kind, (0.5, 1e-2, 1e-6)) for f, kind in GUARDED] + [(Power(2.5), CF, (0.5, 1e-2))],
+        ids=[f"{f!r}-{kind.value}" for f, kind in [*GUARDED, (Power(2.5), CF)]],
+    )
+    def test_no_subtraction_where_a_defect_form_exists(self, monkeypatch, f, kind, betas):
+        # f' is read at a, at a breakpoint's two sides and at the pieces'
+        # ends (at most 2 points), and no operator value is a quadrature
+        sizes = []
+        original = type(f).derivative_array
+
+        def counted(self, ts):
+            sizes.append(np.size(ts))
+            return original(self, ts)
+
+        def refused(*args):
+            raise AssertionError("operators._kernel_point was called")
+
+        monkeypatch.setattr(type(f), "derivative_array", counted)
+        monkeypatch.setattr(operators, "_kernel_point", refused)
+        for beta in betas:
+            error_linf(f, kind, beta, Interval(0.0, 2.0))
+            error_l1(f, kind, beta, Interval(0.0, 2.0))
+        assert sizes and max(sizes) <= 2
 
 
 class TestNormComparison:

@@ -189,6 +189,15 @@ class TestCaputoFabrizio:
         got = caputo_fabrizio(Power(2.0, 0.0), 0.5, 0.0, 1.0)
         assert got == pytest.approx(4.0 * math.exp(-1.0), rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("beta", [1e-155, 1e-200])
+    def test_quadratic_where_z_squared_overflows(self, beta):
+        # (2t/alpha) (1 - E_{1,2}(-rate t)) = 2t - O(beta); the closed form
+        # through E_{1,3}(-rate t), whose z^2 overflows, read 0.0 after an
+        # overflow warning, and now leaves the point to the quadrature
+        order = FractionalOrder.from_beta(beta)
+        got = operators.evaluate(OperatorKind.CAPUTO_FABRIZIO, Power(2.0), order, 0.0, 0.5)
+        assert got == pytest.approx(1.0, rel=1e-12, abs=0.0)
+
     def test_exponential_vs_quadrature(self):
         closed = caputo_fabrizio(Exponential(), 0.4, 0.0, 1.0)
         quad = caputo_fabrizio(Opaque(Exponential()), 0.4, 0.0, 1.0)

@@ -123,6 +123,20 @@ class TestDigamma:
             digamma(0.0)
 
 
+class TestLnGammaShift:
+    @pytest.mark.parametrize(
+        "g", [0.01, 0.5, 1.0, 1.4616321449683622, 2.0, 2.5, 3.0, 9.99, 25.25, 64.0, 65.0, 1000.0]
+    )
+    def test_against_mpmath(self, g):
+        # ln Gamma(g + beta) - ln Gamma(g), which the difference of two
+        # math.lgamma values misses by eps |ln Gamma(g)|: 4e-5 of it at
+        # g = 2.5 and beta 1e-12
+        for beta in (0.999, 0.5, 0.3, 0.1, 0.0999, 1e-2, 1e-4, 1e-8, 1e-12):
+            exact = mp.loggamma(g + mp.mpf(beta)) - mp.loggamma(g)
+            got = specfun._ln_gamma_shift(g, beta)
+            assert abs(got - exact) <= 1.5e-15 * beta + 2e-16 * abs(exact), beta
+
+
 class TestMittagLefflerOne:
     def test_exponential_case(self):
         assert mittag_leffler_one(1.0, 1.0) == pytest.approx(math.e, rel=1e-14, abs=0.0)
@@ -221,7 +235,7 @@ class TestMittagLefflerOne:
         with pytest.raises(NumericalError, match="-700"):
             mittag_leffler_one(2.5, z)
 
-    @pytest.mark.parametrize("omega", [1.0, 3.0, 1.5, 7.25])
+    @pytest.mark.parametrize("omega", [1.0, 2.0, 3.0, 1.5, 7.25])
     @pytest.mark.parametrize("z", [800.0, 1e4])
     def test_overflow_is_refused(self, omega, z):
         # E_{1,omega}(z) is near e^z z^(1-omega), past a double; the scalar
@@ -234,7 +248,8 @@ class TestMittagLefflerOne:
                 with pytest.raises(NumericalError, match="overflows a double"):
                     mittag_leffler_one_array(omega, np.array(points))
 
-    @pytest.mark.parametrize("omega", [2.0, 2.5])
+    # E_{1,2}(z) is expm1(z)/z, with no terms to count: at 1e6 it overflows
+    @pytest.mark.parametrize("omega", [3.0, 2.5])
     def test_too_many_terms_is_refused(self, omega):
         with pytest.raises(SeriesConvergenceError):
             mittag_leffler_one(omega, 1e6)
@@ -308,6 +323,29 @@ class TestMittagLefflerOneArray:
                 mittag_leffler_one_array(2.5, np.array([-1.0, z]))
         values = specfun._mittag_leffler_one_bound(2.5, z, 0.0)(np.array([z, -700.0, -1.0]))
         assert math.isnan(values[0]) and np.isfinite(values[1:]).all()
+
+    def test_closed_form_past_a_double_is_nan(self):
+        # z^2 of E_{1,3}(z) overflows past |z| = 1.3e154, where the sum over
+        # it read 0 after a RuntimeWarning; the binder marks such points
+        # NaN, and the points where z^2 is finite keep their closed form
+        z = np.array([-1e155, -1e200, -1e154, -5.0])
+        values = specfun._mittag_leffler_one_bound(3.0, -1e200, 0.0)(z)
+        assert np.isnan(values[:2]).all()
+        for x, value in zip(z[2:].tolist(), values[2:].tolist()):
+            exact = mp.hyp1f1(1, 3, x) / 2
+            assert abs(value - exact) <= 1e-15 * abs(exact)
+
+    @pytest.mark.parametrize("omega", [1.0, 2.0])
+    def test_elementary_omegas_on_the_whole_axis(self, omega):
+        # E_{1,1}(z) = e^z and E_{1,2}(z) = expm1(z)/z on all of [low, high],
+        # with no series and no split: 1 at z = 0, and no warning
+        z = np.concatenate(
+            [[0.0, -1e-300, 1e-300, -700.0, 700.0], np.random.default_rng(12).uniform(-700, 700, 200)]
+        )
+        values = specfun._mittag_leffler_one_bound(omega, -700.0, 700.0)(z)
+        for x, value in zip(z.tolist(), values.tolist()):
+            exact = mp.hyp1f1(1, omega, x) / mp.gamma(omega)
+            assert abs(value - exact) <= 1e-15 * abs(exact), x
 
     def test_integer_omega_overflow_is_refused(self):
         # z^4 of E_{1,5}'s closed form overflows, where the array read NaN;
