@@ -46,20 +46,30 @@ agree to many digits (as beta -> 0, or where e^t is large).  With
 u = t - a:
 
 - a power under C, g u^(g-1) expm1(beta ln u - Delta), Delta =
-  ln Gamma(g+beta) - ln Gamma(g) from ``specfun._ln_gamma_shift``;
+  ln Gamma(g+beta) - ln Gamma(g) from ``specfun._ln_gamma_shift``
+  (``_caputo_defect``);
 - a power with g >= 1 under CF, by parts,
   g u^(g-1) (beta - Gamma(g) E_{1,g}(-rate u)) / alpha;
-- an affine function and |t - c|, the sum over the jumps J of f' at c (f'
-  at a included) of J d(t - c), with d(u) = expm1(beta ln u -
-  ln Gamma(1+beta)) under C and (beta - e^(-rate u)) / alpha under CF
-  (``_ramp_defect``);
+- a piecewise-linear entry (affine, |t - c|, a step antiderivative), the
+  sum over the jumps J of f' at c (f' at a included) of J d(t - c), with
+  d(u) = expm1(beta ln u - ln Gamma(1+beta)) under C and
+  (beta - e^(-rate u)) / alpha under CF (``_Ramp.defect``), and on a piece
+  where f' = 0, where that sum cancels, the closed form itself;
 - e^t under CF, -e^a e^(-rate u).
 
-cos and e^t under C have none (theirs need the upper incomplete Gamma),
-nor have step antiderivatives, whose ramp defects would cancel right of a
-step where ``_power_drop_array`` is exact, nor user-defined functions.
+Under CF the forms of powers and piecewise-linear entries stop at
+beta = 1/2: above it the closed form less f' is the closer (at beta 0.95,
+within 3.6e-16 of max(|D f - f'|, |f'|) against the 5.3e-15 of power:2.631's
+form).  e^t under CF, a single product, keeps its form at every beta.  cos
+and e^t under C have none (theirs need the upper incomplete Gamma), nor
+have user-defined functions.
+
+The piecewise-linear entries declare only their breakpoints and f' on each
+piece between them, and share one f', one closed form and one defect form,
+sums of ramps (``_PiecewiseLinear``).
 """
 
+import bisect
 import contextlib
 import enum
 import math
@@ -218,20 +228,6 @@ def _derivative_toward(f: TestFunction, ts: np.ndarray, side=-math.inf) -> np.nd
     return f.derivative_array(ts)
 
 
-def _ramp(kind: OperatorKind, order: FractionalOrder, jump: float = 1.0):
-    """The C or CF operator of the ramp jump (tau - c)_+, whose f' is a
-    step, as a function of the array u = t - c >= 0: jump u^beta /
-    Gamma(1+beta) under C, -jump expm1(-rate u) / alpha under CF.
-    ``Affine``, ``AbsShift`` and the one-ulp gaps between breakpoints that
-    ``operators`` refuses are such ramps."""
-    beta, rate = order.beta, order.rate
-    if kind is OperatorKind.CAPUTO:
-        scale = jump / specfun.gamma(1.0 + beta)
-        return lambda u: u**beta * scale
-    scale = -jump / order.alpha
-    return lambda u: np.expm1(-rate * u) * scale
-
-
 def _zeros_pass(u: np.ndarray):
     """A context in which ln 0 = -inf and 0^-p = inf pass without a
     warning, where u holds a zero (u >= 0); elsewhere none, since
@@ -239,26 +235,69 @@ def _zeros_pass(u: np.ndarray):
     return contextlib.nullcontext() if u.all() else np.errstate(divide="ignore")
 
 
-def _ramp_defect(kind: OperatorKind, order: FractionalOrder):
-    """The C or CF operator of the ramp (tau - c)_+ less its f', the unit
-    step, as a function of the array u = t - c >= 0: expm1(beta ln u -
-    ln Gamma(1+beta)) under C, (beta - e^(-rate u)) / alpha under CF, each
-    -1 at u = 0.  Written so, neither subtracts two numbers near 1 as
-    beta -> 0."""
-    beta = order.beta
-    if kind is OperatorKind.CAPUTO:
-        shift = specfun._ln_gamma_shift(1, beta)
+def _caputo_defect(g: float, beta: float):
+    """D f - f' of (tau - c)_+^g under C in u = t - c >= 0, -f'(c+) at 0:
+    g u^(g-1) expm1(beta ln u - Delta), Delta = ln Gamma(g+beta) -
+    ln Gamma(g) from ``specfun._ln_gamma_shift``, which subtracts no two
+    numbers near f' as beta -> 0."""
+    shift = specfun._ln_gamma_shift(g, beta)
 
-        def caputo(u: np.ndarray) -> np.ndarray:
-            with _zeros_pass(u):  # ln 0 = -inf: expm1 gives -1
-                d = np.log(u)
+    def caputo(u: np.ndarray) -> np.ndarray:
+        with _zeros_pass(u):  # ln 0 = -inf, and 0^(g-1) = inf for g < 1
+            d = np.log(u)
             d *= beta
             d -= shift
-            return np.expm1(d, out=d)
+            np.expm1(d, out=d)
+            if g != 1.0:
+                d *= g * u ** (g - 1.0)
+        return d
 
-        return caputo
-    rate, alpha = order.rate, order.alpha
-    return lambda u: (beta - np.exp(-rate * u)) / alpha
+    return caputo
+
+
+class _Ramp:
+    """The C or CF operator R of the unit ramp (tau - c)_+ in u = t - c >= 0:
+    u^beta / Gamma(1+beta) under C, -expm1(-rate u) / alpha under CF.  A
+    piecewise-linear entry is a sum of such ramps, and so is a one-ulp gap
+    between breakpoints, which ``operators`` refuses.  ``plain`` and
+    ``drop`` are R times its ``divisor`` times a scale."""
+
+    def __init__(self, kind: OperatorKind, order: FractionalOrder) -> None:
+        self.caputo, self.beta, self.rate = kind is OperatorKind.CAPUTO, order.beta, order.rate
+        self.divisor = specfun.gamma(1.0 + self.beta) if self.caputo else -order.alpha
+
+    def plain(self, ts: np.ndarray, lo: float, scale: float) -> np.ndarray:
+        """R(t - lo) divisor scale at points t >= lo."""
+        u = ts - lo
+        return u**self.beta * scale if self.caputo else np.expm1(-self.rate * u) * scale
+
+    def drop(self, ts: np.ndarray, lo: float, hi: float, scale: float) -> np.ndarray:
+        """(R(t - lo) - R(t - hi)) divisor scale, lo and hi pinched to t.
+        With x = t - lo, y = t - hi and w = hi - lo, it is
+        -x^beta expm1(beta ln(y/x)) under C, ln(y/x) by log1p(-w/x) where
+        y >= x/2, which loses no digits where w is small against x or beta
+        is small, and e^(-rate y) expm1(-rate w) under CF.  y is t - hi
+        itself: x - w carries the rounding of both (6e-15 in |t - 1.7|'s
+        operator on (-1, 2))."""
+        lo_t, hi_t = np.minimum(lo, ts), np.minimum(hi, ts)
+        x, y, w = ts - lo_t, ts - hi_t, hi_t - lo_t
+        if not self.caputo:
+            return scale * np.exp(-self.rate * y) * np.expm1(-self.rate * w)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # log(0) = -inf gives x^beta where y = 0
+            ratio_log = np.where(2.0 * y < x, np.log(y / x), np.log1p(-w / x))
+            drop = -(x**self.beta) * np.expm1(self.beta * ratio_log)
+        return scale * np.where(w > 0.0, drop, 0.0)
+
+    @staticmethod
+    def defect(kind: OperatorKind, order: FractionalOrder):
+        """R(u) - 1 in u >= 0, -1 at 0: ``_caputo_defect`` of g = 1 under C,
+        (beta - e^(-rate u)) / alpha under CF, neither a difference of two
+        numbers near 1 as beta -> 0."""
+        if kind is OperatorKind.CAPUTO:
+            return _caputo_defect(1.0, order.beta)
+        beta, rate, alpha = order.beta, order.rate, order.alpha
+        return lambda u: (beta - np.exp(-rate * u)) / alpha
 
 
 def closed_form_fractional(
@@ -357,29 +396,17 @@ class Power(_NumpyEntry):
         return lambda ts: scale * (ts - a) ** g * ml(-rate * (ts - a)) / beta
 
     def _defect(self, kind: OperatorKind, order: FractionalOrder, a: float, b: float):
-        """Under C, g u^(g-1) expm1(beta ln u - (ln Gamma(g+beta) - ln Gamma(g)))
-        for every g, with the shift from ``specfun._ln_gamma_shift``.  Under
-        CF, for g >= 1 with Gamma(g) finite, by parts,
+        """Under C, ``_caputo_defect`` for every g.  Under CF, for g >= 1
+        with Gamma(g) finite and beta at most 1/2, by parts,
         (g u^(g-1) / alpha) (beta - Gamma(g) E_{1,g}(-rate u)), E_{1,g} bound
         on [-rate (b - a), 0]: NaN past its reach."""
         if a != self.origin:
             return None
         g, beta = self.gamma_exp, order.beta
         if kind is OperatorKind.CAPUTO:
-            shift = specfun._ln_gamma_shift(g, beta)
-
-            def caputo(ts: np.ndarray, side) -> np.ndarray:
-                u = ts - a
-                with _zeros_pass(u):  # ln 0 = -inf, and 0^(g-1) = inf for g < 1
-                    d = np.log(u)
-                    d *= beta
-                    d -= shift
-                    np.expm1(d, out=d)
-                    d *= g * u ** (g - 1.0)
-                return d
-
-            return caputo
-        if g < 1.0:
+            caputo = _caputo_defect(g, beta)
+            return lambda ts, side: caputo(ts - a)
+        if g < 1.0 or beta > 0.5:
             return None
         try:
             gamma_g = specfun.gamma(g)
@@ -395,8 +422,86 @@ class Power(_NumpyEntry):
         return caputo_fabrizio
 
 
+class _PiecewiseLinear(_NumpyEntry):
+    """A catalog entry whose f' is constant between its breakpoints: it
+    declares ``_slopes()``, and its f', closed forms and defect forms are
+    sums of ramps (``_Ramp``), written here once.  With f' = s on a piece
+    [lo, hi] cut to [a, b], D f is the sum over the pieces of
+    s (R(t - lo) - R(t - hi)), a ``_Ramp.drop`` each, but the plain
+    s R(t - a) for a piece from a that runs past b."""
+
+    @abstractmethod
+    def _slopes(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """The breakpoints c_1 < ... < c_k, and f' on each of the k + 1
+        pieces (-inf, c_1), ..., (c_k, inf)."""
+
+    def breakpoints(self) -> tuple[float, ...]:
+        return self._slopes()[0]
+
+    def derivative_array(self, ts: np.ndarray) -> np.ndarray:
+        cuts, slopes = self._slopes()
+        ts = np.asarray(ts, dtype=float)
+        out = np.empty(ts.shape)
+        out.fill(slopes[0])  # np.full, np.copyto and out[mask] = s take up to twice as long
+        for c, s in zip(cuts, slopes[1:]):
+            if (ts == c).any():
+                raise NonDifferentiableError(f"{self!r} has no derivative at its breakpoint {c}")
+            np.putmask(out, ts > c, s)
+        return out
+
+    def _closed_form(self, kind: OperatorKind, order: FractionalOrder, a: float, b: float):
+        ramp, (cuts, slopes) = _Ramp(kind, order), self._slopes()
+        divisor, ends = ramp.divisor, (-math.inf, *cuts, math.inf)
+        # the pieces of nonzero slope that meet (a, b], each from max(lo, a),
+        # with its slope over the divisor, which then scales no rounding of
+        # the sum (a subnormal slope under CF at alpha 1/16 was 7 subnormal
+        # ulps off)
+        pieces = [(max(lo, a), hi, s / divisor) for lo, hi, s in zip(ends, ends[1:], slopes)
+                  if s != 0.0 and a < hi and lo < b]
+
+        def values(ts: np.ndarray) -> np.ndarray:
+            terms = [ramp.drop(ts, lo, hi, s) if lo > a or hi < b else ramp.plain(ts, lo, s)
+                     for lo, hi, s in pieces]
+            return sum(terms[1:], terms[0]) if terms else np.zeros(ts.shape)
+
+        return values
+
+    def _defect(self, kind: OperatorKind, order: FractionalOrder, a: float, b: float):
+        """The ramps' defects, sum_i J_i d(t - c_i) over the jumps J_i of f'
+        at the c_i in (a, b], with J_0 = f'(a+) at c_0 = a, each right of
+        its c_i (on it, toward a side right of it), d from ``_Ramp.defect``.
+        On a piece where f' = 0 that sum cancels, and D f - f' is the
+        closed form.  None under CF above beta = 1/2, where the closed form
+        less f' is the closer (5.0e-16 against 1.5e-15 for an affine
+        function at beta 0.95, relative to max(|D f - f'|, |f'|))."""
+        if kind is OperatorKind.CAPUTO_FABRIZIO and order.beta > 0.5:
+            return None
+        cuts, slopes = self._slopes()
+        first = bisect.bisect_right(cuts, a)  # the pieces from a on
+        cuts, slopes = cuts[first:], slopes[first:]
+        jumps = [(c, s - r) for c, r, s in zip(cuts, slopes, slopes[1:]) if s != r and c < b]
+        defect = _Ramp.defect(kind, order)
+        closed = self._closed_form(kind, order, a, b) if 0.0 in slopes else None
+
+        def values(ts: np.ndarray, side) -> np.ndarray:
+            out = defect(ts - a)
+            out *= slopes[0]
+            for c, jump in jumps:
+                right = (ts > c) | ((ts == c) & (np.asarray(side) > c))
+                if right.any():
+                    out[right] += jump * defect(ts[right] - c)
+            if closed is not None:
+                # each point's piece, right of a cut that it is on where side is
+                left, right = np.searchsorted(cuts, ts), np.searchsorted(cuts, ts, "right")
+                flat = np.take(slopes, np.where(np.asarray(side) > ts, right, left)) == 0.0
+                out[flat] = closed(ts[flat])
+            return out
+
+        return values
+
+
 @dataclass(frozen=True)
-class Affine(_NumpyEntry):
+class Affine(_PiecewiseLinear):
     """f(t) = slope * t + intercept."""
 
     slope: float
@@ -406,19 +511,11 @@ class Affine(_NumpyEntry):
         if not (math.isfinite(self.slope) and math.isfinite(self.intercept)):
             raise DomainError(f"affine coefficients must be finite, got {self!r}")
 
+    def _slopes(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        return (), (self.slope,)
+
     def value_array(self, ts: np.ndarray) -> np.ndarray:
         return self.slope * np.asarray(ts, dtype=float) + self.intercept
-
-    def derivative_array(self, ts: np.ndarray) -> np.ndarray:
-        return np.full(np.shape(ts), self.slope)
-
-    def _closed_form(self, kind: OperatorKind, order: FractionalOrder, a: float, b: float):
-        ramp = _ramp(kind, order, self.slope)
-        return lambda ts: ramp(ts - a)
-
-    def _defect(self, kind: OperatorKind, order: FractionalOrder, a: float, b: float):
-        defect, slope = _ramp_defect(kind, order), self.slope
-        return lambda ts, side: slope * defect(ts - a)
 
 
 @dataclass(frozen=True)
@@ -534,7 +631,7 @@ class Cosine(_NumpyEntry):
 
 
 @dataclass(frozen=True)
-class AbsShift(_NumpyEntry):
+class AbsShift(_PiecewiseLinear):
     """f(t) = |t - center|."""
 
     center: float
@@ -543,47 +640,15 @@ class AbsShift(_NumpyEntry):
         if not math.isfinite(self.center):
             raise DomainError(f"center must be finite, got {self.center!r}")
 
-    def breakpoints(self) -> tuple[float, ...]:
-        return (self.center,)
+    def _slopes(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        return (self.center,), (-1.0, 1.0)
 
     def value_array(self, ts: np.ndarray) -> np.ndarray:
         return np.abs(np.asarray(ts, dtype=float) - self.center)
 
-    def derivative_array(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        if (ts == self.center).any():
-            raise NonDifferentiableError(f"|t - {self.center}| has no derivative at its center")
-        return np.sign(ts - self.center)
-
-    def _closed_form(self, kind: OperatorKind, order: FractionalOrder, a: float, b: float):
-        ramp, center = _ramp(kind, order), self.center
-        if center <= a:
-            return lambda ts: ramp(ts - a)
-        # f' = -1 left of the center and 1 right of it: twice the ramp from
-        # the center (0 left of it) less the ramp from a
-        twice = _ramp(kind, order, 2.0)
-        return lambda ts: twice(np.maximum(ts - center, 0.0)) - ramp(ts - a)
-
-    def _defect(self, kind: OperatorKind, order: FractionalOrder, a: float, b: float):
-        """The ramps' defects: f'(a+) d(t - a), and where the center lies
-        inside, 2 d(t - center) right of it (on it, toward a side right of
-        it) and 0 left of it, d from ``_ramp_defect``."""
-        defect, center = _ramp_defect(kind, order), self.center
-        if center <= a:
-            return lambda ts, side: defect(ts - a)
-
-        def values(ts: np.ndarray, side) -> np.ndarray:
-            out = -defect(ts - a)
-            right = (ts > center) | ((ts == center) & (np.asarray(side) > center))
-            if right.any():
-                out[right] += 2.0 * defect(ts[right] - center)
-            return out
-
-        return values
-
 
 @dataclass(frozen=True)
-class StepAntiderivative(_NumpyEntry):
+class StepAntiderivative(_PiecewiseLinear):
     """Antiderivative of a step function: f(t) = int sum_i q_i chi_[a_i,b_i].
 
     ``breaks`` holds the disjoint, ordered subintervals [a_i, b_i] and
@@ -609,8 +674,12 @@ class StepAntiderivative(_NumpyEntry):
                 raise DomainError("subintervals must be ordered and non-overlapping")
             prev_end = hi
 
-    def breakpoints(self) -> tuple[float, ...]:
-        return tuple(sorted({x for ab in self.breaks for x in ab}))
+    def _slopes(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        cuts = sorted({x for ab in self.breaks for x in ab})
+        slopes = [0.0] * (len(cuts) + 1)
+        for (_, hi), q in zip(self.breaks, self.heights):
+            slopes[cuts.index(hi)] = q  # the piece that ends at hi
+        return tuple(cuts), tuple(slopes)
 
     def value_array(self, ts: np.ndarray) -> np.ndarray:
         """The steps' contributions summed with compensation (TwoSum of each
@@ -626,59 +695,6 @@ class StepAntiderivative(_NumpyEntry):
             lost += (total - (partial - back)) + (term - back)
             total = partial
         return total + lost
-
-    def derivative_array(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        out = np.zeros(ts.shape)
-        for (lo, hi), q in zip(self.breaks, self.heights):
-            if ((ts == lo) | (ts == hi)).any():
-                raise NonDifferentiableError("step function jumps at a point of the array")
-            out[(lo < ts) & (ts < hi)] = q
-        return out
-
-    def _closed_form(self, kind: OperatorKind, order: FractionalOrder, a: float, b: float):
-        p, rate = order.beta, order.rate
-        caputo = kind is OperatorKind.CAPUTO
-        divisor = specfun.gamma(1.0 + p) if caputo else -order.alpha
-        # the steps that meet (a, b], each from max(lo, a), with its height
-        # over the divisor, which then scales no rounding of the sum (a
-        # subnormal height under CF at alpha 1/16 was 7 subnormal ulps off)
-        steps = [
-            (max(lo, a), hi, q / divisor)
-            for (lo, hi), q in zip(self.breaks, self.heights)
-            if max(lo, a) < hi and lo < b
-        ]
-
-        def values(ts: np.ndarray) -> np.ndarray:
-            total = np.zeros(ts.shape)
-            for lo, hi, q in steps:
-                # the step's part [lo, min(hi, t)] of [a, t], pinched to
-                # [t, t] (no contribution) where t <= lo
-                lo_t = np.minimum(lo, ts)
-                hi_t = np.minimum(hi, ts)
-                if caputo:
-                    total += q * _power_drop_array(ts - lo_t, hi_t - lo_t, p)
-                else:
-                    # e^(-rate (t-hi)) - e^(-rate (t-lo)), exact in its digits
-                    total += q * np.exp(-rate * (ts - hi_t)) * np.expm1(-rate * (hi_t - lo_t))
-            return total
-
-        return values
-
-
-def _power_drop_array(x: np.ndarray, width: np.ndarray, p: float) -> np.ndarray:
-    """x^p - (x - width)^p elementwise, for 0 <= width <= x; 0 where width = 0.
-
-    Written as -x^p expm1(p ln(y/x)), y = x - width, so that no digits are
-    lost when the width is small against x or p is small; ln(y/x) is taken
-    by log1p(-width/x) where y >= x/2, and directly where y/x is small.
-    """
-    y = x - width
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # log(0) = -inf gives x^p where y = 0
-        ratio_log = np.where(2.0 * y < x, np.log(y / x), np.log1p(-width / x))
-        drop = -(x**p) * np.expm1(p * ratio_log)
-    return np.where(width > 0.0, drop, 0.0)
 
 
 def _cos_c_reach(order: FractionalOrder) -> float:

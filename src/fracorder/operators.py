@@ -220,13 +220,13 @@ def _checked_jumps(
     an f' moving more than 4 times as much on the first step as on the
     second (plus 1e-6 max(1, |f'|)), as u^-g and log u do and a bounded f''
     does not, has none."""
-    response = funcat._ramp(kind, order)
+    ramp = funcat._Ramp(kind, order)
     kinks = f.breakpoints()
     for c in set(kinks):
         gap = math.nextafter(c, math.inf)
         if a <= c < b and gap in kinks:
-            mass = response(np.maximum(ts - c, 0.0)) - response(np.maximum(ts - gap, 0.0))
-            if np.any(mass > 1e-12 * response(ts - a)):
+            scale = 1.0 / ramp.divisor
+            if np.any(ramp.drop(ts, c, gap, scale) > 1e-12 * ramp.plain(ts, a, scale)):
                 raise NonDifferentiableError(f"f' has no value between breakpoints {c} and {gap}")
     _finite(_fprime(f, np.array([a]), np.array([b])), [a], a, b)
     cs = funcat._breakpoints_inside(f, a, b)

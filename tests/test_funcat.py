@@ -832,6 +832,23 @@ def _exact_defect(f, kind, beta, a, t, side):
         right = t > f.center or (t == f.center and side > f.center)
         operator = 2 * ramp(mp.mpf(t) - c) if t >= f.center else 0
         return operator - ramp(u) - (1 if right else -1)
+    if isinstance(f, StepAntiderivative):
+        # each step q on [lo, hi] (from a where it starts left of a) is the
+        # ramp q (tau - lo)_+ less the ramp q (tau - hi)_+: q (ramp(x) -
+        # ramp(y)), x = (t - lo)_+ and y = (t - hi)_+, taken as one
+        # difference, since under CF both ramps round to 1/alpha where
+        # rate y is large
+        operator, slope = 0, 0
+        for (lo, hi), q in zip(f.breaks, f.heights):
+            lo, hi = max(lo, a), max(hi, a)
+            x, y = (max(mp.mpf(t) - mp.mpf(c), 0) for c in (lo, hi))
+            if kind is C:
+                operator += q * (x**beta - y**beta) / mp.gamma(1 + beta)
+            else:
+                operator += q * (mp.exp(-rate * y) - mp.exp(-rate * x)) / alpha
+            if lo < t < hi or (t == lo and side > t) or (t == hi and side < t):
+                slope = q
+        return operator - slope
     assert isinstance(f, Exponential) and kind is CF
     e_a = mp.exp(mp.mpf(a))
     return e_a * (mp.exp(u) - mp.exp(-rate * u)) / (beta * (1 + rate)) - mp.exp(mp.mpf(t))
@@ -841,16 +858,19 @@ class TestDefectForms:
     """``TestFunction._defect``: D f - f' as one expression, against 50-digit
     mpmath of the operator's closed form less f', at 1000 seeded points per
     entry and kind, 200 for each beta of ``DEFECT_BETAS``: a on u = t - a =
-    0, half uniform in t and half log-uniform in u down to 1e-12 (b - a), and
-    on AbsShift's center from both sides.  The subtraction of f' from the
-    operator leaves eps |f'|, about beta |f'| / |D f - f'| times the
-    rounding of a double.  Each value here is within 1e-13 relative to
-    max(|D f - f'|, 2e-2 beta |f'|).  At a zero of D f - f' a floor of
-    1e-3 beta |f'| would ask for 0.45 ulp of beta |f'|, below the rounding
-    of ln u under C and of rate u under CF: over seeds 0 to 29 of these
-    points the forms missed it by up to 2.5 ulps of beta |f'|, and by 5.4
-    at one affine point under CF at beta 1e-12, where rate u = 27.6.  No
-    RuntimeWarning is raised (pyproject makes one an error)."""
+    0, half uniform in t and half log-uniform in u down to 1e-12 (b - a),
+    and on the last breakpoint inside (a, b) from both sides.  The
+    subtraction of f' from the operator leaves eps |f'|, about
+    beta |f'| / |D f - f'| times the rounding of a double.  Each value here
+    is within 1e-13 relative to max(|D f - f'|, 2e-2 beta |f'|), and to at
+    least the least normal double: left of a step D f - f' is 0, and right
+    of one under CF it leaves the normal doubles where rate (t - hi) passes
+    708.  At a zero of D f - f' a floor of 1e-3 beta |f'| would ask for
+    0.45 ulp of beta |f'|, below the rounding of ln u under C and of rate u
+    under CF: over seeds 0 to 29 of these points the forms missed it by up
+    to 2.5 ulps of beta |f'|, and by 5.4 at one affine point under CF at
+    beta 1e-12, where rate u = 27.6.  No RuntimeWarning is raised (pyproject
+    makes one an error)."""
 
     CASES = [
         (Power(1.0), C, 0.0, 2.0), (Power(1.0), CF, 0.0, 2.0),
@@ -862,6 +882,14 @@ class TestDefectForms:
         (AbsShift(0.5), C, 0.0, 2.0), (AbsShift(0.5), CF, 0.0, 2.0),
         (AbsShift(-1.0), C, 0.0, 2.0), (AbsShift(0.0), CF, 0.0, 2.0),
         (Exponential(), CF, 0.0, 40.0), (Exponential(), CF, -3.0, 2.0),
+        # a step that starts at a, two steps with a gap between them, and
+        # one step inside (a, b)
+        (StepAntiderivative(((0.0, 1.0),), (2.0,)), C, 0.0, 2.0),
+        (StepAntiderivative(((0.0, 1.0),), (2.0,)), CF, 0.0, 2.0),
+        (StepAntiderivative(((-0.5, 0.6), (1.1, 1.5)), (1.0, 3.0)), C, 0.0, 2.0),
+        (StepAntiderivative(((-0.5, 0.6), (1.1, 1.5)), (1.0, 3.0)), CF, 0.0, 2.0),
+        (StepAntiderivative(((0.5, 1.25),), (-1.5,)), C, 0.0, 2.0),
+        (StepAntiderivative(((0.5, 1.25),), (-1.5,)), CF, 0.0, 2.0),
     ]
 
     @staticmethod
@@ -901,6 +929,9 @@ class TestDefectForms:
                         assert kind is CF and f.gamma_exp % 1 and order.rate * (t - a) > 700
                         continue
                     exact = _exact_defect(f, kind, beta, a, t, side)
-                    scale = max(abs(exact), 2e-2 * beta * abs(mp.mpf(slope)))
+                    # at least the least normal double, where D f = f' = 0
+                    # left of a step, or a step's CF drop underflows
+                    floor = np.finfo(float).tiny
+                    scale = max(abs(exact), 2e-2 * beta * abs(mp.mpf(slope)), floor)
                     worst = max(worst, float(abs(value - exact) / scale))
         assert worst <= 1e-13

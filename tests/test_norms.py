@@ -990,6 +990,9 @@ class TestDefectPath:
         (Power(3.0), CF), (Power(2.5), C), (Power(0.5), C), (Affine(1.0, 1.0), C),
         (Affine(1.0, 1.0), CF), (Affine(1.0, 1.0), RL), (AbsShift(1.0), C), (AbsShift(1.0), CF),
         (AbsShift(1.0), RL), (AbsShift(0.0), C), (Exponential(), CF),
+        (StepAntiderivative(((0.0, 1.0),), (2.0,)), C),
+        (StepAntiderivative(((0.0, 1.0),), (2.0,)), CF),
+        (StepAntiderivative(((0.0, 1.0),), (2.0,)), RL),
     ]
 
     @pytest.mark.parametrize(
@@ -1016,6 +1019,29 @@ class TestDefectPath:
             error_linf(f, kind, beta, Interval(0.0, 2.0))
             error_l1(f, kind, beta, Interval(0.0, 2.0))
         assert sizes and max(sizes) <= 2
+
+    @pytest.mark.parametrize("beta", [0.8, 0.95])
+    @pytest.mark.parametrize("f", [Power(2.631), Power(1.5), Affine(1.0, 0.0)], ids=repr)
+    def test_cf_error_at_large_beta(self, f, beta):
+        # under CF at beta above 1/2, D f - f' is the closed form less f':
+        # the defect forms of power:2.631 and of an affine function were
+        # 5.3e-15 and 1.5e-15 off at beta 0.95, the subtraction 3.6e-16 and
+        # 5.0e-16, relative to max(|D f - f'|, |f'|), against 50-digit mpmath
+        b = 2.82
+        ts = np.append(np.random.default_rng(7).uniform(0.0, b, 200), b)
+        got = norms._error(CF, f, FractionalOrder.from_beta(beta), 0.0, b)(ts)
+        g = f.gamma_exp if isinstance(f, Power) else 1.0
+        worst = 0.0
+        with mp.workdps(50):
+            x = mp.mpf(beta)
+            rate = (1 - x) / x
+            for t, value in zip(ts.tolist(), got):
+                u = mp.mpf(t)
+                operator = u**g * mp.hyp1f1(1, g + 1, -rate * u) / x
+                slope = g * u ** (g - 1)
+                scale = max(abs(operator - slope), slope)
+                worst = max(worst, float(abs(value - (operator - slope)) / scale))
+        assert worst <= 1e-15
 
 
 class TestNormComparison:
