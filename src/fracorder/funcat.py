@@ -53,16 +53,18 @@ u = t - a:
 - a piecewise-linear entry (affine, |t - c|, a step antiderivative), the
   sum over the jumps J of f' at c (f' at a included) of J d(t - c), with
   d(u) = expm1(beta ln u - ln Gamma(1+beta)) under C and
-  (beta - e^(-rate u)) / alpha under CF (``_Ramp.defect``), and on a piece
+  (beta - e^(-rate u)) / alpha under CF (``_ramp_defect``), and on a piece
   where f' = 0, where that sum cancels, the closed form itself;
 - e^t under CF, -e^a e^(-rate u).
 
 Under CF the forms of powers and piecewise-linear entries stop at
-beta = 1/2: above it the closed form less f' is the closer (at beta 0.95,
-within 3.6e-16 of max(|D f - f'|, |f'|) against the 5.3e-15 of power:2.631's
-form).  e^t under CF, a single product, keeps its form at every beta.  cos
-and e^t under C have none (theirs need the upper incomplete Gamma), nor
-have user-defined functions.
+beta = 1/2 (``_CF_DEFECT_MAX_BETA``): above it the closed form less f' is
+the closer, as these forms cancel about 1/alpha of their rounding (at
+beta 0.95 on (0, 2.82], relative to max(|D f - f'|, |f'|) against 50-digit
+mpmath: 3.6e-16 against the 5.3e-15 of power:2.631's form, and 5.0e-16
+against 1.5e-15 for an affine function).  e^t under CF, a single product,
+keeps its form at every beta.  cos and e^t under C have none (theirs need
+the upper incomplete Gamma), nor have user-defined functions.
 
 The piecewise-linear entries declare only their breakpoints and f' on each
 piece between them, and share one f', one closed form and one defect form,
@@ -255,24 +257,35 @@ def _caputo_defect(g: float, beta: float):
     return caputo
 
 
+def _ramp_defect(kind: OperatorKind, order: FractionalOrder):
+    """R(u) - 1 in u >= 0, -1 at 0, R the unit ramp's operator of ``_Ramp``:
+    ``_caputo_defect`` of g = 1 under C, (beta - e^(-rate u)) / alpha under
+    CF, neither a difference of two numbers near 1 as beta -> 0."""
+    if kind is OperatorKind.CAPUTO:
+        return _caputo_defect(1.0, order.beta)
+    beta, rate, alpha = order.beta, order.rate, order.alpha
+    return lambda u: (beta - np.exp(-rate * u)) / alpha
+
+
 class _Ramp:
     """The C or CF operator R of the unit ramp (tau - c)_+ in u = t - c >= 0:
     u^beta / Gamma(1+beta) under C, -expm1(-rate u) / alpha under CF.  A
     piecewise-linear entry is a sum of such ramps, and so is a one-ulp gap
-    between breakpoints, which ``operators`` refuses.  ``plain`` and
-    ``drop`` are R times its ``divisor`` times a scale."""
+    between breakpoints, which ``operators`` refuses.  A slope is divided
+    by Gamma(1+beta) or -alpha first, and so scales no rounding of the ramp
+    (a subnormal slope under CF at alpha 1/16 was 7 subnormal ulps off)."""
 
     def __init__(self, kind: OperatorKind, order: FractionalOrder) -> None:
         self.caputo, self.beta, self.rate = kind is OperatorKind.CAPUTO, order.beta, order.rate
         self.divisor = specfun.gamma(1.0 + self.beta) if self.caputo else -order.alpha
 
-    def plain(self, ts: np.ndarray, lo: float, scale: float) -> np.ndarray:
-        """R(t - lo) divisor scale at points t >= lo."""
-        u = ts - lo
+    def plain(self, ts: np.ndarray, lo: float, slope: float) -> np.ndarray:
+        """slope R(t - lo) at points t >= lo."""
+        u, scale = ts - lo, slope / self.divisor
         return u**self.beta * scale if self.caputo else np.expm1(-self.rate * u) * scale
 
-    def drop(self, ts: np.ndarray, lo: float, hi: float, scale: float) -> np.ndarray:
-        """(R(t - lo) - R(t - hi)) divisor scale, lo and hi pinched to t.
+    def drop(self, ts: np.ndarray, lo: float, hi: float, slope: float) -> np.ndarray:
+        """slope (R(t - lo) - R(t - hi)), lo and hi pinched to t.
         With x = t - lo, y = t - hi and w = hi - lo, it is
         -x^beta expm1(beta ln(y/x)) under C, ln(y/x) by log1p(-w/x) where
         y >= x/2, which loses no digits where w is small against x or beta
@@ -282,22 +295,12 @@ class _Ramp:
         lo_t, hi_t = np.minimum(lo, ts), np.minimum(hi, ts)
         x, y, w = ts - lo_t, ts - hi_t, hi_t - lo_t
         if not self.caputo:
-            return scale * np.exp(-self.rate * y) * np.expm1(-self.rate * w)
+            return slope / self.divisor * np.exp(-self.rate * y) * np.expm1(-self.rate * w)
         with np.errstate(divide="ignore", invalid="ignore"):
             # log(0) = -inf gives x^beta where y = 0
             ratio_log = np.where(2.0 * y < x, np.log(y / x), np.log1p(-w / x))
             drop = -(x**self.beta) * np.expm1(self.beta * ratio_log)
-        return scale * np.where(w > 0.0, drop, 0.0)
-
-    @staticmethod
-    def defect(kind: OperatorKind, order: FractionalOrder):
-        """R(u) - 1 in u >= 0, -1 at 0: ``_caputo_defect`` of g = 1 under C,
-        (beta - e^(-rate u)) / alpha under CF, neither a difference of two
-        numbers near 1 as beta -> 0."""
-        if kind is OperatorKind.CAPUTO:
-            return _caputo_defect(1.0, order.beta)
-        beta, rate, alpha = order.beta, order.rate, order.alpha
-        return lambda u: (beta - np.exp(-rate * u)) / alpha
+        return slope / self.divisor * np.where(w > 0.0, drop, 0.0)
 
 
 def closed_form_fractional(
@@ -345,6 +348,10 @@ _COS_C_LOSS_LOG = 10.0
 _EXP_C_SERIES = 40.0
 
 _EXP_MAX_T = math.log(np.finfo(float).max)  #: e^t overflows a double past it
+
+#: the largest beta at which powers and piecewise-linear entries have a CF
+#: defect form (the module docstring gives the measured reason)
+_CF_DEFECT_MAX_BETA = 0.5
 
 
 @dataclass(frozen=True)
@@ -397,7 +404,7 @@ class Power(_NumpyEntry):
 
     def _defect(self, kind: OperatorKind, order: FractionalOrder, a: float, b: float):
         """Under C, ``_caputo_defect`` for every g.  Under CF, for g >= 1
-        with Gamma(g) finite and beta at most 1/2, by parts,
+        with Gamma(g) finite and beta up to ``_CF_DEFECT_MAX_BETA``, by parts,
         (g u^(g-1) / alpha) (beta - Gamma(g) E_{1,g}(-rate u)), E_{1,g} bound
         on [-rate (b - a), 0]: NaN past its reach."""
         if a != self.origin:
@@ -406,7 +413,7 @@ class Power(_NumpyEntry):
         if kind is OperatorKind.CAPUTO:
             caputo = _caputo_defect(g, beta)
             return lambda ts, side: caputo(ts - a)
-        if g < 1.0 or beta > 0.5:
+        if g < 1.0 or beta > _CF_DEFECT_MAX_BETA:
             return None
         try:
             gamma_g = specfun.gamma(g)
@@ -441,22 +448,20 @@ class _PiecewiseLinear(_NumpyEntry):
     def derivative_array(self, ts: np.ndarray) -> np.ndarray:
         cuts, slopes = self._slopes()
         ts = np.asarray(ts, dtype=float)
-        out = np.empty(ts.shape)
-        out.fill(slopes[0])  # np.full, np.copyto and out[mask] = s take up to twice as long
-        for c, s in zip(cuts, slopes[1:]):
-            if (ts == c).any():
-                raise NonDifferentiableError(f"{self!r} has no derivative at its breakpoint {c}")
-            np.putmask(out, ts > c, s)
-        return out
+        if not cuts:
+            return np.full(ts.shape, slopes[0])
+        cuts = np.array(cuts)
+        piece = cuts.searchsorted(ts)  # each point's piece, the one left of a cut that it is on
+        on_cut = cuts.take(piece, mode="clip") == ts
+        if on_cut.any():
+            raise NonDifferentiableError(f"{self!r} has no derivative at {ts[on_cut][0]}")
+        return np.array(slopes).take(piece)
 
     def _closed_form(self, kind: OperatorKind, order: FractionalOrder, a: float, b: float):
         ramp, (cuts, slopes) = _Ramp(kind, order), self._slopes()
-        divisor, ends = ramp.divisor, (-math.inf, *cuts, math.inf)
-        # the pieces of nonzero slope that meet (a, b], each from max(lo, a),
-        # with its slope over the divisor, which then scales no rounding of
-        # the sum (a subnormal slope under CF at alpha 1/16 was 7 subnormal
-        # ulps off)
-        pieces = [(max(lo, a), hi, s / divisor) for lo, hi, s in zip(ends, ends[1:], slopes)
+        ends = (-math.inf, *cuts, math.inf)
+        # the pieces of nonzero slope that meet (a, b], each from max(lo, a)
+        pieces = [(max(lo, a), hi, s) for lo, hi, s in zip(ends, ends[1:], slopes)
                   if s != 0.0 and a < hi and lo < b]
 
         def values(ts: np.ndarray) -> np.ndarray:
@@ -469,18 +474,16 @@ class _PiecewiseLinear(_NumpyEntry):
     def _defect(self, kind: OperatorKind, order: FractionalOrder, a: float, b: float):
         """The ramps' defects, sum_i J_i d(t - c_i) over the jumps J_i of f'
         at the c_i in (a, b], with J_0 = f'(a+) at c_0 = a, each right of
-        its c_i (on it, toward a side right of it), d from ``_Ramp.defect``.
+        its c_i (on it, toward a side right of it), d from ``_ramp_defect``.
         On a piece where f' = 0 that sum cancels, and D f - f' is the
-        closed form.  None under CF above beta = 1/2, where the closed form
-        less f' is the closer (5.0e-16 against 1.5e-15 for an affine
-        function at beta 0.95, relative to max(|D f - f'|, |f'|))."""
-        if kind is OperatorKind.CAPUTO_FABRIZIO and order.beta > 0.5:
+        closed form.  None under CF above ``_CF_DEFECT_MAX_BETA``."""
+        if kind is OperatorKind.CAPUTO_FABRIZIO and order.beta > _CF_DEFECT_MAX_BETA:
             return None
         cuts, slopes = self._slopes()
         first = bisect.bisect_right(cuts, a)  # the pieces from a on
         cuts, slopes = cuts[first:], slopes[first:]
         jumps = [(c, s - r) for c, r, s in zip(cuts, slopes, slopes[1:]) if s != r and c < b]
-        defect = _Ramp.defect(kind, order)
+        defect = _ramp_defect(kind, order)
         closed = self._closed_form(kind, order, a, b) if 0.0 in slopes else None
 
         def values(ts: np.ndarray, side) -> np.ndarray:

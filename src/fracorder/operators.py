@@ -225,8 +225,7 @@ def _checked_jumps(
     for c in set(kinks):
         gap = math.nextafter(c, math.inf)
         if a <= c < b and gap in kinks:
-            scale = 1.0 / ramp.divisor
-            if np.any(ramp.drop(ts, c, gap, scale) > 1e-12 * ramp.plain(ts, a, scale)):
+            if np.any(ramp.drop(ts, c, gap, 1.0) > 1e-12 * ramp.plain(ts, a, 1.0)):
                 raise NonDifferentiableError(f"f' has no value between breakpoints {c} and {gap}")
     _finite(_fprime(f, np.array([a]), np.array([b])), [a], a, b)
     cs = funcat._breakpoints_inside(f, a, b)

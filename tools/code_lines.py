@@ -4,7 +4,7 @@ A code line is a line that holds a token of code: docstrings (the string
 that opens a module, class or function), comments and blank lines are left
 out.  Lines are found with ``tokenize`` and docstrings with ``ast``.
 
-    python tools/code_lines.py [package_dir]
+    python tools/code_lines.py
 
 prints one line per module and the total.
 """
@@ -52,10 +52,9 @@ def code_lines(path: Path) -> int:
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
-def main(argv: list[str]) -> int:
-    package = Path(argv[0]) if argv else PACKAGE
+def main() -> int:
     total = 0
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         count = code_lines(path)
         total += count
         print(f"{path.name:16} {count:5}")
@@ -64,4 +63,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
