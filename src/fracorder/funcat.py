@@ -323,18 +323,31 @@ def closed_form_fractional(
     value = math.nan if closed is None else float(closed(np.array([t]))[0])
     if math.isnan(value):
         return None
-    if rl:
-        return rl_boundary_term(f, order, a, t) + value
-    return value
+    return rl_boundary_term(f, order, a, t) + value if rl else value
 
 
 def rl_boundary_term(
     f: TestFunction, alpha, a: float, t: float | np.ndarray
 ) -> float | np.ndarray:
     """f(a) (t-a)^(-alpha) / Gamma(beta): the Riemann-Liouville derivative
-    minus the Caputo one, for f in W^{1,1}; elementwise for an array t."""
-    order = _as_order(alpha)
-    return f.value(a) * (t - a) ** (-order.alpha) / specfun.gamma(order.beta)
+    minus the Caputo one, for f in W^{1,1}; elementwise for an array t.
+    Every public function that takes RL forms it here and adds it to C.
+
+    It is 0 where f(a) = 0, so that RL is C bit for bit however large
+    (t-a)^(-alpha) grows, and it is refused with NumericalError where it,
+    or f(a) (t-a)^(-alpha) before the division, exceeds a double."""
+    order, f_a, u = _as_order(alpha), f.value(a), t - a
+    if f_a == 0.0:
+        return 0.0 * u
+    with np.errstate(over="ignore"):
+        try:
+            term = f_a * u ** (-order.alpha) / specfun.gamma(order.beta)
+        except OverflowError:  # a float's power raises where numpy's gives inf
+            term = math.inf
+    if not np.isfinite(term).all():
+        raise NumericalError(f"f(a) (t-a)^(-alpha) / Gamma(beta) overflows a double as formed:"
+                             f" f(a) = {f_a!r}, alpha = {order.alpha!r}, t - a = {np.min(u)}")
+    return term
 
 
 #: the Caputo series of cos is summed while e^u / Gamma(beta) stays below
@@ -356,7 +369,17 @@ _CF_DEFECT_MAX_BETA = 0.5
 
 @dataclass(frozen=True)
 class Power(_NumpyEntry):
-    """f(t) = (t - origin)^gamma_exp with gamma_exp > 0."""
+    """f(t) = (t - origin)^gamma_exp with gamma_exp > 0.
+
+    Its closed forms hold for a = origin.  Under C it is
+    Gamma(g+1)/Gamma(g+beta) u^(g-beta), the Gamma ratio taken as
+    g e^(-Delta) for every g, Delta = ln Gamma(g+beta) - ln Gamma(g) from
+    ``specfun._ln_gamma_shift``, the shift of its defect form: within
+    1.4e-15 relative of 40-digit mpmath for g up to 1e6 and beta from 1e-12
+    to 0.9, where a quotient of ``math.gamma`` was 7e-14 off and, past
+    Gamma(g+1)'s overflow at g = 170, a difference of log-Gammas 6e-11 at
+    g = 25000.  Under CF it is the Mittag-Leffler form of the module
+    docstring, refused past g = 170."""
 
     gamma_exp: float
     origin: float = 0.0
@@ -391,10 +414,8 @@ class Power(_NumpyEntry):
             return None
         g, beta, rate = self.gamma_exp, order.beta, order.rate
         if kind is OperatorKind.CAPUTO:
-            try:
-                ratio = specfun.gamma(g + 1.0) / specfun.gamma(g + beta)
-            except NumericalError:  # Gamma(g+1) overflows; the quotient need not
-                ratio = math.exp(specfun.ln_gamma(g + 1.0) - specfun.ln_gamma(g + beta))
+            # Gamma(g+1) / Gamma(g+beta) = g e^(-Delta), the shift of _caputo_defect
+            ratio = g * math.exp(-specfun._ln_gamma_shift(g, beta))
             exponent = g - order.alpha
             return lambda ts: ratio * (ts - a) ** exponent
         scale = specfun.gamma(g + 1.0)

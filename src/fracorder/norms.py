@@ -12,12 +12,14 @@ the sign change and at the secant root between them instead of being
 bisected, and its error estimate gains the rule's error on the kink.  The
 first round also reads the integrand just inside the two outer edges of
 each run, so that a sign change between an edge and the outermost node is
-cut and charged too.  D f - f' is bound once per call (``_error``), and
-every round takes its values at the nodes from one call of that bound
-function: the catalog's defect form (``TestFunction._defect``) where it
-has one, which keeps the digits of D f - f' where D f and f' agree to many,
-and elsewhere the operator (``operators._bind``) less f' from one
-``funcat._derivative_toward`` call.  The loop stops when the summed error
+cut and charged too.  D f - f' is bound once per call under C or CF
+(``_error``), and every round takes its values at the nodes from one call
+of that bound function: the catalog's defect form (``TestFunction._defect``)
+where it has one, which keeps the digits of D f - f' where D f and f' agree
+to many, and elsewhere the operator (``operators._bind``) less f' from one
+``funcat._derivative_toward`` call.  Under RL it is C's, plus the boundary
+term f(a)(t-a)^(beta-1)/Gamma(beta) of ``funcat.rl_boundary_term`` where
+f(a) != 0 (below).  The loop stops when the summed error
 estimate of all panels is at most the requested tol; that sum is reported
 as ``ErrorReport.quad_error``, and a tol that cannot be met is refused.
 The estimate leaves out the rounding of the values of D f - f'
@@ -34,11 +36,13 @@ piece on which f' has a finite limit at lo, which is every piece right of
 a breakpoint, is integrated on its own in the flattened coordinate
 v = ((t - lo)/w)^beta, w its width, where that term is linear
 (``_flattened``).  There the Riemann-Liouville term
-f(a)(t-a)^(beta-1)/Gamma(beta) of the first piece becomes a constant, so
-that piece is flattened wherever f(a) != 0, whatever f' does at a: the
-region below any floating point offset delta holds a fraction
-1 - delta^beta of that term's integral (97% below 1e-16 at beta = 1e-3).
-On later pieces the term is smooth.  Any other first piece with f'
+f(a)(t-a)^(beta-1)/Gamma(beta) of the first piece becomes the constant
+f(a) w^beta / (beta Gamma(beta)), which ``error_l1`` adds to the flattened
+Caputo error, so that piece is flattened wherever f(a) != 0, whatever f'
+does at a: the region below any floating point offset delta holds a
+fraction 1 - delta^beta of that term's integral (97% below 1e-16 at
+beta = 1e-3).  On later pieces the term is smooth, and is added to the
+Caputo error at the points.  Any other first piece with f'
 infinite at a (t^g, g < 1), and every piece under CF, whose layer is
 exponential, stays on t-panels split inside the boundary layers
 (``_boundary_layer_splits``); under CF the pieces share one run.
@@ -47,12 +51,13 @@ The L-infinity functional scans a few dozen points of (a, b]: n_grid uniform
 points (64 by default), and right of a and of each breakpoint the points
 where the boundary layer lies, at fixed fractions of the piece and under CF
 at multiples of the kernel's decay length 1/rate, about beta wide as
-beta -> 0.  D f - f' is bound once per call (``_error``): the scan, the
-limits at the breakpoints, each zoom round and the last point each take
-their values from one call of that bound function.  Two kinds of limit join the
-candidates, since a scan point approaches them only by chance: the boundary
-limit of the error as t -> a+, |f'(a)| (each operator here tends to 0 where
-f' is bounded near a, and grows more slowly than f' where it is not), which
+beta -> 0.  D f - f' is bound once per call (``_error``), under RL as
+C's: the scan, the limits at the breakpoints, each zoom round and the last
+point each take their values from one call of that bound function.  Two
+kinds of limit join the candidates, since a scan point approaches them
+only by chance: the boundary limit of the error as t -> a+, |f'(a)| (each
+operator here tends to 0 where f' is bounded near a, and grows more slowly
+than f' where it is not), which
 is where the supremum lives whenever f'(a) != 0; and at each catalog
 breakpoint c inside (a, b), where f' jumps and the operator does not, the
 one-sided limits |D(c) - f'(c-)| and |D(c) - f'(c+)|, all from one call.
@@ -76,7 +81,8 @@ maximum, unless it is a point already scored.  Each value is a closed form
 or a Gauss-Kronrod quadrature to 1e-11, absolute or relative, less f', or
 the catalog's defect form.  Where f' is
 unbounded at a, and for the Riemann-Liouville operator with f(a) != 0, the
-supremum is infinite and no scan is made.
+supremum is infinite and no scan is made; under RL with f(a) = 0 the
+boundary term is 0, and the error is C's.
 
 Where f' jumps at a point t of the scan or of the L1 integrand on t-panels,
 it is taken from the left, the side inside (a, t]; at a, from the right.  A
@@ -90,7 +96,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import operators, specfun
+from . import funcat, operators, specfun
 from .exceptions import DomainError
 from .funcat import Interval, OperatorKind, TestFunction, _breakpoints_inside, _derivative_toward
 from .operators import FractionalOrder
@@ -171,51 +177,43 @@ class ErrorReport:
 
 
 def _error(kind: OperatorKind, f: TestFunction, order: FractionalOrder, a: float, b: float):
-    """D f - f' on (a, b], bound once per error functional, as
-    ``error(ts, side=-inf, boundary=True)`` of an array of points in
-    [a, b], with f' read toward side (a number, or one per point) on a
-    breakpoint.
+    """D f - f' on (a, b] under C or CF, bound once per error functional, as
+    ``error(ts, side=-inf)`` of an array of points in [a, b], with f' read
+    toward side (a number, or one per point) on a breakpoint.  Any other
+    kind, RL among them, is refused (``operators._check_kernel``): the error
+    functionals form RL's error from C's and ``funcat.rl_boundary_term``.
 
     Where the catalog has a defect form (``TestFunction._defect``), the
     error is that one expression, which keeps its digits where D f and f'
-    agree to many (as beta -> 0, or where e^t is large), plus under RL the
-    boundary term f(a) (t-a)^(-alpha) / Gamma(beta) unless boundary is
-    False.  Elsewhere, at the defect's NaN points and for every entry
-    without one, it is the operator (``operators._bind``, bound at its
-    first use; under RL with its boundary term unless boundary is False)
-    less f', and D f(a+) = 0 at a point on a."""
-    if not isinstance(kind, OperatorKind):
-        raise DomainError(f"unknown operator kind {kind!r}")
-    rl = kind is OperatorKind.RIEMANN_LIOUVILLE
-    defect = f._defect(OperatorKind.CAPUTO if rl else kind, order, a, b)
+    agree to many (as beta -> 0, or where e^t is large).  Elsewhere, at the
+    defect's NaN points and for every entry without one, it is the
+    operator (``operators._bind``, bound at its first use) less f', and
+    D f(a+) = 0 at a point on a."""
+    operators._check_kernel(kind)
+    defect = f._defect(kind, order, a, b)
     bound = None
 
-    def subtracted(ts: np.ndarray, side=-math.inf, boundary: bool = True) -> np.ndarray:
+    def subtracted(ts: np.ndarray, side=-math.inf) -> np.ndarray:
         nonlocal bound
         if bound is None:
             bound = operators._bind(kind, f, order, a, b)
         inside = ts > a
         if inside.all():
-            values = bound(ts, boundary)
+            values = bound(ts)
         else:
             values = np.zeros(ts.shape)
-            values[inside] = bound(ts[inside], boundary)
+            values[inside] = bound(ts[inside])
         return values - _derivative_toward(f, ts, side)
 
     if defect is None:
         return subtracted
-    f_a = f.value(a) if rl else 0.0
-    if f_a != 0.0:
-        alpha, gamma_beta = order.alpha, specfun.gamma(order.beta)
 
-    def error(ts: np.ndarray, side=-math.inf, boundary: bool = True) -> np.ndarray:
+    def error(ts: np.ndarray, side=-math.inf) -> np.ndarray:
         out = defect(ts, side)
-        if f_a != 0.0 and boundary:
-            out = out + f_a * (ts - a) ** (-alpha) / gamma_beta
         missing = np.isnan(out)
         if missing.any():
             sides = side if np.ndim(side) == 0 else np.asarray(side)[missing]
-            out[missing] = subtracted(ts[missing], sides, boundary)
+            out[missing] = subtracted(ts[missing], sides)
         return out
 
     return error
@@ -239,37 +237,32 @@ def _boundary_layer_splits(
     return sorted(p for p in points if start + least < p < start + width - least)
 
 
-def _flattened(kind, error, f, order, a, lo, hi):
+def _flattened(error, order: FractionalOrder, lo: float, hi: float, base: float = 0.0):
     """The signed error on the piece (lo, hi] under the substitution
     t = lo + w v^(1/beta), w = hi - lo, as an integrand over y = 1 - v in
-    [0, 1] with the weight dt/dv = (w/beta) v^rate, and the edges of its
-    panels.  Its values come from ``error``, the function that ``_error``
-    binds once per call.
+    [0, 1] with the weight dt/dv = (w/beta) v^rate, plus the constant base,
+    and the edges of its panels.  Its values come from ``error``: the error
+    that ``_error`` binds once per call, or under RL right of the first
+    piece that error plus the boundary term.
 
     The term J (t - lo)^beta / Gamma(1 + beta) that a jump J of f' at lo
     adds to D f, whose slope in t is unbounded at lo, is linear in v, so
     its layer needs no bisection toward lo.  In y, the panels near t = hi,
     which hold the mass of a small beta, keep all their digits, which they
-    would not in v near 1.  Where lo = a the Riemann-Liouville boundary term
-    f(a)(t-a)^(beta-1)/Gamma(beta) becomes the constant
-    f(a) w^beta / (beta Gamma(beta)), and the rest is the Caputo error (the
-    bound error called without its boundary term); on later pieces the
-    term is smooth and stays in D f.  A node whose t rounds onto a takes
+    would not in v near 1.  ``error_l1`` gives RL's first piece the Caputo
+    error, and as base the Riemann-Liouville boundary term
+    f(a)(t-a)^(beta-1)/Gamma(beta), which in v is the constant
+    f(a) w^beta / (beta Gamma(beta)).  A node whose t rounds onto a takes
     -f'(a+), D f(a+) = 0 being the limit where f' is finite at a.  f' is
     read inside the piece: toward hi at lo, and toward lo at hi.
     """
     beta, w = order.beta, hi - lo
-    base = 0.0
-    boundary = not (kind is OperatorKind.RIEMANN_LIOUVILLE and lo == a)
-    if not boundary:
-        base = f.value(a) * w**beta / (beta * specfun.gamma(beta))
 
     def integrand(y: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):  # y = 1 is t = lo, where the weight is 0
             log_v = np.log1p(-y)
         t = np.minimum(lo + w * np.exp(log_v / beta), hi)
-        values = error(t, 0.5 * (lo + hi), boundary)
-        return base + (w / beta) * np.exp(order.rate * log_v) * values
+        return base + (w / beta) * np.exp(order.rate * log_v) * error(t, 0.5 * (lo + hi))
 
     return integrand, sorted({0.0, 1.0, *(-math.expm1(beta * math.log(x)) for x in _FLAT_FRACS)})
 
@@ -288,8 +281,13 @@ def error_l1(
     and RL's first piece where f(a) != 0, is one run in the flattened
     coordinate v = ((t - lo)/w)^beta (``_flattened``); the first piece of
     an f' infinite at a is one run on t-panels split inside its boundary
-    layer.  Under CF all pieces are one run on t-panels, split again inside
-    the boundary layer right of each left end (``_boundary_layer_splits``).
+    layer.  RL's error is the Caputo error (``_error`` of C) plus the
+    boundary term f(a)(t-a)^(beta-1)/Gamma(beta): on the first piece as
+    the flattened constant f(a) w^beta / (beta Gamma(beta)), on the others
+    as ``funcat.rl_boundary_term`` at the points; where f(a) = 0 it is the
+    Caputo error, bit for bit.  Under CF all pieces are one run on
+    t-panels, split again inside the boundary layer right of each left end
+    (``_boundary_layer_splits``).
     Each run is integrated by the adaptive 7-15 Gauss-Kronrod rule of
     ``operators._gauss_kronrod`` on |D f - f'|, which cuts a panel at each
     sign change of D f - f' that its nodes, or the probes inside the run's
@@ -321,7 +319,13 @@ def error_l1(
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
     a, b = interval.a, interval.b
     counter = operators._Counter(operators.MAX_EVALS)
-    error = _error(kind, f, order, a, b)
+    rl = kind is OperatorKind.RIEMANN_LIOUVILLE
+    kernel_error = error = _error(OperatorKind.CAPUTO if rl else kind, f, order, a, b)
+    f_a = f.value(a) if rl else 0.0  # RL is C where f(a) = 0
+    if f_a != 0.0:
+
+        def error(ts: np.ndarray, side=-math.inf) -> np.ndarray:
+            return kernel_error(ts, side) + funcat.rl_boundary_term(f, order, a, ts)
 
     kinks = _breakpoints_inside(f, a, b)
     pieces = list(zip([a, *kinks], [*kinks, b]))
@@ -331,18 +335,21 @@ def error_l1(
         # a piece is flattened where f' has a finite limit at its left end
         los, his = (np.array(ends) for ends in zip(*pieces))
         flat = np.isfinite(_derivative_toward(f, los, his)).tolist()
-        flat[0] = flat[0] or (kind is OperatorKind.RIEMANN_LIOUVILLE and f.value(a) != 0.0)
     runs, edges = [], []
     for (lo, hi), flattened in zip(pieces, flat):
-        if flattened:
-            runs.append(_flattened(kind, error, f, order, a, lo, hi))
-            continue
-        # a piece on t-panels is a run alone, but CF's pieces share one
-        edges = edges or [lo]
-        edges += [*_boundary_layer_splits(lo, hi - lo, kind, order), hi]
-        if kind is not OperatorKind.CAPUTO_FABRIZIO or hi == b:
-            runs.append((error, edges))
-            edges = []
+        if lo == a and f_a != 0.0:
+            # RL's first piece, on which the boundary term is a constant in v
+            base = f_a * (hi - lo) ** order.beta / (order.beta * specfun.gamma(order.beta))
+            runs.append(_flattened(kernel_error, order, lo, hi, base))
+        elif flattened:
+            runs.append(_flattened(error, order, lo, hi))
+        else:
+            # a piece on t-panels is a run alone, but CF's pieces share one
+            edges = edges or [lo]
+            edges += [*_boundary_layer_splits(lo, hi - lo, kind, order), hi]
+            if kind is not OperatorKind.CAPUTO_FABRIZIO or hi == b:
+                runs.append((error, edges))
+                edges = []
     n_panels = sum(len(e) - 1 for _, e in runs)
     value = quad_error = 0.0
     for fn, run_edges in runs:
@@ -535,13 +542,15 @@ def error_linf(
     order = FractionalOrder.from_beta(beta)
     operators._check_grid_size(n_grid, 2, "n_grid")
     a, b = interval.a, interval.b
+    rl = kind is OperatorKind.RIEMANN_LIOUVILLE
+    # RL's error is C's where it is finite, f(a) = 0; an unknown kind is refused
+    error = _error(OperatorKind.CAPUTO if rl else kind, f, order, a, b)
     # as t -> a+ each operator here (RL as C where f(a) = 0) tends to 0, or
     # grows more slowly than an unbounded f', so the boundary limit of the
     # error is |f'(a+)|, which the scan approaches only at rate (t-a)^beta
     at_a = abs(float(_derivative_toward(f, np.array([a]), math.inf)[0]))
-    if at_a == math.inf or (kind is OperatorKind.RIEMANN_LIOUVILLE and f.value(a) != 0.0):
+    if at_a == math.inf or (rl and f.value(a) != 0.0):
         return ErrorReport(kind, beta, NormKind.LINF, interval, math.inf, 1)
-    error = _error(kind, f, order, a, b)
     kinks = _breakpoints_inside(f, a, b)
     ts = _scan_points(kind, order, a, b, n_grid, kinks)
     values = np.abs(error(ts))

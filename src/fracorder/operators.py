@@ -12,14 +12,15 @@ finite one-sided limit at a breakpoint, with IntegrationError, and where a
 one-ulp gap between breakpoints carries kernel mass, with
 NonDifferentiableError.
 
-One binder, ``_bind(kind, f, order, a, b)``, gives the operator on (a, b]
-as one function of an array of points, with the closed form bound once:
+One binder, ``_bind(kind, f, order, a, b)``, gives C or CF on (a, b] as
+one function of an array of points, with the closed form bound once:
 ``evaluate_grid`` binds on [a, b], the scalar operators on [a, t], and each
 error functional of ``norms`` once per call, for every array call it
 makes.  No operator has a body of its own: C and CF differ only in their
 kernels (``_kernel_point``), whose constants come from
-``funcat.FractionalOrder``, which keeps a small beta as given, and the
-Riemann-Liouville derivative is always the boundary term
+``funcat.FractionalOrder``, which keeps a small beta as given.  The
+Riemann-Liouville derivative has no kernel and is not bound: ``evaluate``
+and ``evaluate_grid`` take it as the boundary term
 ``funcat.rl_boundary_term`` plus C, never a numerical derivative of the
 fractional integral.  A value that cannot be brought within its
 tolerance is refused with IntegrationError.
@@ -156,7 +157,8 @@ def evaluate_grid(
     """``evaluate(kind, f, alpha, a, t_i)`` at t_i = a + (b - a) i / n, i = 1..n,
     t_n = b (``_grid_points``), n an integer of at least 1 (or DomainError):
     ``_bind`` on [a, b] at those points, so each value is a closed form or
-    within 1e-11, absolute or relative, or refused.  A closed-form value
+    within 1e-11, absolute or relative, or refused; under RL, the C values
+    plus the array ``funcat.rl_boundary_term``.  A closed-form value
     matches ``evaluate``'s to rounding: that binds on [a, t], where a series
     may take fewer terms.
     """
@@ -164,43 +166,45 @@ def evaluate_grid(
     _check_grid_size(n, 1, "grid size")
     ts = _grid_points(a, b, n)
     _check_window(a, float(ts[0]))  # also refuses b <= a and non-finite b
-    return _bind(kind, f, order, a, b)(ts)
+    rl = kind is OperatorKind.RIEMANN_LIOUVILLE
+    values = _bind(OperatorKind.CAPUTO if rl else kind, f, order, a, b)(ts)
+    return funcat.rl_boundary_term(f, order, a, ts) + values if rl else values
+
+
+def _check_kernel(kind: OperatorKind) -> None:
+    """Refuses with DomainError a kind other than the two kernels, C and CF,
+    which ``_bind`` and ``norms._error`` serve alone."""
+    if kind is not OperatorKind.CAPUTO and kind is not OperatorKind.CAPUTO_FABRIZIO:
+        raise DomainError(f"no kernel for operator kind {kind!r}: only C and CF are bound")
 
 
 def _bind(kind: OperatorKind, f: TestFunction, order: FractionalOrder, a: float, b: float):
-    """``evaluate(kind, f, order, a, t)`` for t in (a, b], as one function of
-    an array of such points (in any order), with everything that does not
-    depend on the points computed here, once: ``f._closed_form`` bound on
-    (a, b], f(a) and Gamma(beta).  It is behind ``evaluate_grid``, the
-    scalar operators and every array call of the error functionals of
-    ``norms``, which bind once per call.  A point's value does not depend
-    on which other points share its call.
+    """``evaluate(kind, f, order, a, t)`` for t in (a, b] under C or CF, as
+    one function of an array of such points (in any order), with
+    ``f._closed_form`` bound on (a, b] once.  Any other kind, RL among
+    them, is refused (``_check_kernel``): RL is
+    ``funcat.rl_boundary_term`` plus C, which each public function that
+    takes RL adds itself.  It is behind ``evaluate_grid``, the scalar
+    operators and every array call of the error functionals of ``norms``,
+    which bind once per call.  A point's value does not depend on which
+    other points share its call.
 
-    C and CF values come from the bound closed form.  A point with none
-    (NaN) is filled by ``_kernel_point``, to ``_POINT_TOL``, once the
-    refusals of ``_checked_jumps`` over (a, max ts] have passed, farthest
-    first: that point costs the most and is the likeliest to be refused,
-    which then costs one point's budget, not the whole grid's.  RL is the
-    boundary term f(a) (t-a)^(-alpha) / Gamma(beta) plus the C values, or
-    the C values alone where the function is called with boundary=False.
+    The values come from the bound closed form.  A point with none (NaN)
+    is filled by ``_kernel_point``, to ``_POINT_TOL``, once the refusals of
+    ``_checked_jumps`` over (a, max ts] have passed, farthest first: that
+    point costs the most and is the likeliest to be refused, which then
+    costs one point's budget, not the whole grid's.
     """
-    if not isinstance(kind, OperatorKind):
-        raise DomainError(f"unknown operator kind {kind!r}")
-    rl = kind is OperatorKind.RIEMANN_LIOUVILLE
-    base = OperatorKind.CAPUTO if rl else kind
-    closed = f._closed_form(base, order, a, b)
-    if rl:
-        f_a, alpha, gamma_beta = f.value(a), order.alpha, specfun.gamma(order.beta)
+    _check_kernel(kind)
+    closed = f._closed_form(kind, order, a, b)
 
-    def values(ts: np.ndarray, boundary: bool = True) -> np.ndarray:
+    def values(ts: np.ndarray) -> np.ndarray:
         out = np.full(ts.shape, math.nan) if closed is None else closed(ts)
         missing = np.isnan(out).nonzero()[0]
         if missing.size:
-            _checked_jumps(base, f, order, a, float(ts[missing].max()), ts[missing])
+            _checked_jumps(kind, f, order, a, float(ts[missing].max()), ts[missing])
             missing = missing[np.argsort(ts[missing])[::-1]]
-            out[missing] = [_kernel_point(base, f, order, a, t) for t in ts[missing].tolist()]
-        if rl and boundary:
-            return f_a * (ts - a) ** (-alpha) / gamma_beta + out
+            out[missing] = [_kernel_point(kind, f, order, a, t) for t in ts[missing].tolist()]
         return out
 
     return values
@@ -358,7 +362,9 @@ def _kinks(
     cuts = [[] for _ in lo]
     kink = np.zeros(len(lo))
     per, last, first = len(_GK_NODES), len(lo) - 1, int(probed)
-    for m in np.flatnonzero(g[:-1] * g[1:] < 0.0).tolist():
+    # each value times its right neighbour's sign, which neither overflows
+    # nor underflows as the product of the two values may
+    for m in np.flatnonzero(g[:-1] * np.sign(g[1:]) < 0.0).tolist():
         # the panels of the two points; a probe belongs to its outer panel
         i = min(max((m - first) // per, 0), last)
         n = min(max((m + 1 - first) // per, 0), last)

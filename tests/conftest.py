@@ -31,7 +31,7 @@ class Opaque(TestFunction):
 def record_binds(monkeypatch):
     """Records ``operators._bind``: returns the lists (binds, calls), the
     arguments (kind, f, order, a, b) of each bind, and for each call of a
-    bound function (kind, order, a, points, extra arguments, values)."""
+    bound function (kind, order, a, points, values)."""
     from fracorder import operators
 
     binds, calls = [], []
@@ -41,9 +41,9 @@ def record_binds(monkeypatch):
         binds.append((kind, f, order, a, b))
         bound = original(kind, f, order, a, b)
 
-        def values(ts, *args):
-            out = bound(ts, *args)
-            calls.append((kind, order, a, ts.copy(), args, out.copy()))
+        def values(ts):
+            out = bound(ts)
+            calls.append((kind, order, a, ts.copy(), out.copy()))
             return out
 
         return values

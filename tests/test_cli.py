@@ -788,6 +788,36 @@ class TestPowerPastGammaOverflow:
         assert float(parse_csv(out)[1][4]) == pytest.approx(float(exact), rel=1e-12, abs=0.0)
 
 
+class TestRlBoundaryTermPastTheDoubleRange:
+    """At alpha 0.99 and t - a = 1e-318, (t-a)^(-alpha) overflows a double."""
+
+    WINDOW = ("-a", "0.99", "--interval", "0,1e-318", "-t", "1e-318")
+
+    def test_f_a_zero_prints_the_caputo_value(self, capsys):
+        # f(0) = 0: the boundary term is 0, and RL is C
+        code, out, err = run_cli(capsys, "derive", "-f", "power:2", "-k", "RL", *self.WINDOW)
+        assert code == 0 and err == ""
+        _, c_out, _ = run_cli(capsys, "derive", "-f", "power:2", "-k", "C", *self.WINDOW)
+        assert parse_csv(out)[1][4] == parse_csv(c_out)[1][4]
+
+    def test_term_past_a_double_is_a_numerical_error(self, capsys):
+        # f(0) = 1: the term, about 1e313, is refused
+        code, out, err = run_cli(capsys, "derive", "-f", "affine:1,1", "-k", "RL", *self.WINDOW)
+        assert code == 3 and out == ""
+        assert err.startswith("numerical error:") and "overflows" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_figures_rl_cells_are_the_caputo_cells(self, capsys):
+        code, out, err = run_cli(
+            capsys, "figures", "-f", "power:2", "--interval", "0,1e-318", "--points", "2"
+        )
+        assert code == 0 and err == ""
+        cells = {(r[0], r[1], r[2]): r[3] for r in parse_csv(out)[1:]}
+        rl = {(t, alpha): value for (t, alpha, kind), value in cells.items() if kind == "RL"}
+        assert len(rl) == 2 * 4
+        assert rl == {(t, alpha): cells[t, alpha, "C"] for t, alpha in rl}
+
+
 class TestArgparseErrors:
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -18,6 +18,7 @@ from fracorder import (
     FractionalOrder,
     Interval,
     NonDifferentiableError,
+    NumericalError,
     OperatorKind,
     Power,
     StepAntiderivative,
@@ -175,10 +176,16 @@ class TestNonFiniteParameters:
 
 
 class TestClosedForms:
-    def test_power_caputo(self):
-        # gamma_exp=1, alpha=0.5, t=1 -> 1/Gamma(1.5)
-        got = closed_form_fractional(Power(1.0, 0.0), C, 0.5, 0.0, 1.0)
-        assert got == pytest.approx(1.0 / gamma(1.5), rel=1e-14, abs=0.0)
+    @pytest.mark.parametrize("beta", [0.5, 0.9, 1e-3, 1e-12])
+    @pytest.mark.parametrize("g", [1.0, 50.5, 120.0, 169.5, 200.0, 1000.0, 25000.0])
+    def test_power_caputo(self, g, beta):
+        # at t - a = 1 the form is Gamma(g+1) / Gamma(g+beta), taken as
+        # g e^(-Delta) on both sides of g = 170, past which Gamma(g+1)
+        # overflows: the quotient of math.gamma was 7e-14 off below it, and
+        # the difference of log-Gammas 6e-11 at g = 25000
+        got = closed_form_fractional(Power(g, 0.0), C, FractionalOrder.from_beta(beta), 0.0, 1.0)
+        want = mp.gamma(g + 1) / mp.gamma(g + mp.mpf(beta))
+        assert abs(got - want) <= 2e-15 * want
 
     def test_constant_is_zero(self):
         for kind in (C, CF):
@@ -295,6 +302,24 @@ GOLDEN_STARTS = [0.0, -0.7, 1.3]
 GOLDEN_US = [1e-6, 1e-3, 0.3, 1.0, 2.7]
 
 EPS = 2.0**-52
+
+
+class TestRlBoundaryTerm:
+    """``rl_boundary_term`` at alpha 0.99 and t - a = 1e-318, where
+    (t-a)^(-alpha) overflows a double."""
+
+    @pytest.mark.parametrize("t", [1e-318, np.array([5e-319, 1e-318])], ids=["scalar", "array"])
+    def test_zero_where_f_a_is(self, t):
+        # (t-a)^(-0.99) overflows a double, 0 times it would be NaN
+        term = rl_boundary_term(Power(2.0), 0.99, 0.0, t)
+        assert type(term) is type(t)
+        assert np.all(term == 0.0) and not np.any(np.signbit(term))
+
+    @pytest.mark.parametrize("t", [1e-318, np.array([0.5, 1e-318])], ids=["scalar", "array"])
+    def test_past_a_double_is_refused(self, t):
+        # 1e-318^(-0.99) / Gamma(0.01) is about 1e313
+        with pytest.raises(NumericalError, match="overflows a double"):
+            rl_boundary_term(Affine(1.0, 1.0), 0.99, 0.0, t)
 
 
 class TestTranscendentalForms:

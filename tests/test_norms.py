@@ -272,22 +272,18 @@ class TestErrorL1:
         assert report.value == pytest.approx(exact, rel=rel, abs=0.0)
 
 
-    @pytest.mark.parametrize("kind", [C, CF, RL])
+    @pytest.mark.parametrize("kind", [C, CF])
     def test_integrand_operator_values_match_pointwise(self, kind, monkeypatch):
         # |t - 1/2| with its closed forms hidden: every operator value of the
-        # integrand comes from a point's quadrature, and under RL the piece
-        # right of the breakpoint carries the boundary term f(0) t^(-alpha)
+        # integrand comes from a point's quadrature, the point's own
         binds, calls = record_binds(monkeypatch)
         f = Opaque(AbsShift(0.5))
         error_l1(f, kind, 0.3, I01, tol=1e-4)
         assert [bind[0] for bind in binds] == [kind]
-        # a copy: operators.evaluate itself binds through the recorder; a
-        # call without the boundary term is the Caputo operator
-        for call_kind, alpha, a, ts, extra, values in list(calls):
-            call_kind = C if extra == (False,) else call_kind
+        # a copy: operators.evaluate itself binds through the recorder
+        for call_kind, alpha, a, ts, values in list(calls):
             want = [operators.evaluate(call_kind, f, alpha, a, t) for t in ts.tolist()]
-            # the RL sum may round its array and scalar addends an ulp apart
-            np.testing.assert_allclose(values, want, rtol=1e-15, atol=1e-15)
+            np.testing.assert_array_equal(values, want)
 
     def test_derivative_singular_at_a_is_refused(self):
         # t^(1/2) under CF at beta 1e-3 has no closed form past t = 700/999,
@@ -415,6 +411,24 @@ class TestGaussKronrod:
     def test_nodes_lie_strictly_inside_the_panel(self):
         # so that no node falls on a panel edge, which may be a breakpoint
         assert np.all((0.0 < operators._GK_NODES) & (operators._GK_NODES < 1.0))
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e200])
+    def test_kinks_cut_a_scaled_sign_change(self, scale):
+        # the product of two neighbours, 2e-341 or 2e398, would underflow to
+        # 0 or overflow; their signs do neither
+        x = np.linspace(0.0, 1.0, 11)
+        (plain,), plain_kink = operators._kinks([0.0], [1.0], x, x - 0.33, False)
+        (cuts,), kink = operators._kinks([0.0], [1.0], x, scale * (x - 0.33), False)
+        assert plain == pytest.approx([0.3, 0.33, 0.4], rel=1e-15, abs=0.0)
+        assert cuts == pytest.approx(plain, rel=1e-15, abs=0.0)
+        assert kink == pytest.approx(scale * plain_kink, rel=1e-14, abs=0.0)
+
+    def test_integrand_near_the_double_range_is_refused_without_a_warning(self):
+        # e^t under C on (700, 709]: D f - f' reaches about 1e306, and the
+        # estimate of its integral overflows; refused, with no numpy warning
+        # (the suite makes RuntimeWarning an error) on the way
+        with pytest.raises(IntegrationError):
+            error_l1(Exponential(), C, 0.5, Interval(700.0, 709.0))
 
     def test_kink_is_resolved_within_tol(self):
         counter = operators._Counter(10**6)
@@ -705,6 +719,31 @@ class TestErrorLinf:
         # the 101 grid points and 7 layer points right of a, the
         # refinement's one round of 127 points and its vertex, and |f'(a+)|
         assert rl.n_eval_points == 101 + 7 + 127 + 1 + 1
+
+    @pytest.mark.parametrize("norm", [error_l1, error_linf], ids=["l1", "linf"])
+    @pytest.mark.parametrize("f", [Cosine(), Power(0.5)], ids=repr)
+    def test_unknown_kind_is_refused(self, f, norm):
+        # Power(0.5) has f'(0+) = inf, whose sup norm is inf without a scan
+        with pytest.raises(DomainError):
+            norm(f, "C", 0.1, I01)
+
+    @pytest.mark.parametrize("kind", [RL, "C", None])
+    def test_error_binds_only_the_kernels(self, kind):
+        with pytest.raises(DomainError, match="no kernel"):
+            norms._error(kind, Cosine(), FractionalOrder(0.5), 0.0, 1.0)
+
+    @pytest.mark.parametrize("norm", [error_l1, error_linf], ids=["l1", "linf"])
+    @pytest.mark.parametrize("beta", [0.3, 1e-3])
+    @pytest.mark.parametrize(
+        "name", ["power:2", "power:2.5", "abs:0", "step:0.2,0.6,2", "affine:1,0"]
+    )
+    def test_rl_with_f_a_zero_is_caputo_bit_for_bit(self, name, beta, norm):
+        # f(0) = 0: the boundary term is 0 and RL's error is C's, with the
+        # same points
+        f = parse_function(name)
+        rl, c = (norm(f, kind, beta, I01) for kind in (RL, C))
+        assert rl.value.hex() == c.value.hex()
+        assert rl.n_eval_points == c.n_eval_points
 
     @pytest.mark.parametrize("f", [Affine(1.0, 0.0), AbsShift(0.0)])
     @pytest.mark.parametrize("n_grid", [101, 2001, 20001])
